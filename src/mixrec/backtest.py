@@ -25,7 +25,7 @@ import numpy as np
 
 from .clustering import cluster_items, export_cluster_map, load_clusters, save_clusters
 from .embeddings import load_embeddings, save_embeddings, train_embeddings
-from .graph import EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
+from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
 from .initialization import build_init, load_init, mle_mixture, save_init
 from .metrics import MetricsReport, QuerySet, aggregate, build_queries, score_query
 from .retrieval import (
@@ -211,41 +211,20 @@ def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters):
 
 
 class _SeenTracker:
-    """Per-user seen-item sets: train items as sorted arrays, test items
-    accumulated incrementally."""
-
-    class _View:
-        __slots__ = ("train_items", "extra")
-
-        def __init__(self, train_items, extra):
-            self.train_items = train_items
-            self.extra = extra
-
-        def __contains__(self, item: int) -> bool:
-            if item in self.extra:
-                return True
-            a = self.train_items
-            pos = int(np.searchsorted(a, item))
-            return pos < len(a) and a[pos] == item
+    """Per-user seen items as one ascending ``int64`` array: the user's train
+    items, with the items of each passed test chunk merged in."""
 
     def __init__(self, train: EngagementGraph):
-        order = np.lexsort((train.items, train.users))
-        us = train.users[order]
-        its = train.items[order]
-        uniq, starts = np.unique(us, return_index=True)
-        bounds = np.concatenate([starts, [len(us)]])
-        self._train: dict[int, np.ndarray] = {
-            int(u): np.unique(its[bounds[i]:bounds[i + 1]]) for i, u in enumerate(uniq)
-        }
-        self._extra: dict[int, set] = {}
+        self._seen: dict[int, np.ndarray] = {}
         self._empty = np.empty(0, dtype=np.int64)
+        self.add_chunk(ChunkSlice.from_edges(0, train.users, train.items))
 
-    def view(self, user: int):
-        return self._View(self._train.get(user, self._empty), self._extra.get(user, ()))
+    def view(self, user: int) -> np.ndarray:
+        return self._seen.get(user, self._empty)
 
     def add_chunk(self, slice_) -> None:
         for u, items in slice_.iter_users():
-            self._extra.setdefault(u, set()).update(items.tolist())
+            self._seen[u] = np.union1d(self.view(u), items)
 
 
 def _fit_or_load(cfg, slc, init, ordinal, base):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +105,10 @@ class ChunkSlice:
     def __len__(self) -> int:
         return len(self.users)
 
-    @property
+    @cached_property
     def item_pool(self) -> np.ndarray:
         """Distinct items with at least one engagement in this chunk."""
-        return np.unique(self.items)
+        return _freeze(np.unique(self.items))
 
     def user_items(self, user: int) -> np.ndarray:
         """Items engaged by ``user`` in this chunk (duplicates preserved)."""

@@ -106,7 +106,8 @@ def ndcg_at_m(cands, truth, m: int | None = None) -> float:
 
 
 def score_query(cands, truth, m: int | None = None) -> tuple[float, float, float]:
-    return recall_at_m(cands, truth), mrr_at_m(cands, truth), ndcg_at_m(cands, truth, m=m)
+    ids = _ids(cands)
+    return recall_at_m(ids, truth), mrr_at_m(ids, truth), ndcg_at_m(ids, truth, m=m)
 
 
 @dataclass

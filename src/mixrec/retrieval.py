@@ -5,9 +5,13 @@ user, the smoothed interest weights multiply the per-interest smoothed item
 probabilities from the previous chunk's count tables, evaluated only over
 truncated per-interest top lists. Baselines: static train-time mixture,
 cosine similarity against engagement-averaged item vectors, and global
-popularity. All retrievers share the tie-break (score descending, item id
-ascending) and seen-item exclusion rules, and all are pure reads, so batch
-scoring fans out across a thread pool.
+popularity.
+
+Every retriever ends in one selection, ``_first_unseen``: the first M
+entries of a ranked candidate array that are not seen. Scored candidates are
+ranked first by (score descending, item id ascending); popularity and the
+cold-user fallback hand in the chunk's ready-made ranking. Seen exclusion is
+one ``searchsorted`` mask against the user's sorted seen ids.
 """
 
 from __future__ import annotations
@@ -103,10 +107,6 @@ class ScoredInterestIndex:
         lo, hi = self.ptr[k], self.ptr[k + 1]
         return self.pool_items[self.positions[lo:hi]], self.phis[lo:hi]
 
-    def interest_positions(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.ptr[k], self.ptr[k + 1]
-        return self.positions[lo:hi], self.phis[lo:hi]
-
 
 def build_index(m: ChunkModel, cfg: RetrievalConfig) -> ScoredInterestIndex:
     """Build per-interest top-L lists of (beta + count) / (I*beta + total).
@@ -141,14 +141,18 @@ def build_index(m: ChunkModel, cfg: RetrievalConfig) -> ScoredInterestIndex:
         if len(mi) > L:
             mi, mc = mi[:L], mc[:L]
         phi = (beta + mc.astype(np.float64)) / total
+        pos = np.searchsorted(pool, mi)
         if len(mi) < L:
-            extra = np.setdiff1d(pool, mi, assume_unique=False)[: L - len(mi)]
+            # the first L - len(mi) non-members all lie among the first L pool positions
+            free = np.ones(min(L, len(pool)), dtype=bool)
+            free[pos[pos < len(free)]] = False
+            extra = np.flatnonzero(free)[: L - len(mi)]
             if len(extra):
-                mi = np.concatenate([mi, extra])
+                pos = np.concatenate([pos, extra])
                 phi = np.concatenate([phi, np.full(len(extra), beta / total)])
-        pos_out.append(np.searchsorted(pool, mi))
+        pos_out.append(pos)
         phis_out.append(phi)
-        ptr[k + 1] = ptr[k] + len(mi)
+        ptr[k + 1] = ptr[k] + len(pos)
 
     pool_counts = np.bincount(
         np.searchsorted(pool, m.slice.items), minlength=len(pool)
@@ -165,6 +169,26 @@ def build_index(m: ChunkModel, cfg: RetrievalConfig) -> ScoredInterestIndex:
     )
 
 
+def _lookup(sorted_ids: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``items`` in the ascending array ``sorted_ids`` and
+    whether each item is present there."""
+    pos = np.searchsorted(sorted_ids, items)
+    if len(sorted_ids) == 0:
+        return pos, np.zeros(len(items), dtype=bool)
+    return pos, sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == items
+
+
+def _seen_mask(items: np.ndarray, seen) -> np.ndarray:
+    """True where ``items[j]`` is in ``seen``.
+
+    ``seen`` is an ascending id array (what the backtest's seen tracker
+    keeps) or any collection of item ids, which is sorted here first.
+    """
+    if not isinstance(seen, np.ndarray):
+        seen = np.sort(np.fromiter(seen, dtype=np.int64))
+    return _lookup(seen, items)[1]
+
+
 def _select_top(
     items: np.ndarray,
     scores: np.ndarray,
@@ -175,29 +199,49 @@ def _select_top(
 ) -> CandidateList:
     """Order by (score desc, item asc), drop seen items, keep the first M."""
     order = np.lexsort((items, -scores))
-    out: list[tuple[int, float]] = []
-    for idx in order:
-        item = int(items[idx])
-        if seen is not None and item in seen:
-            continue
-        out.append((item, float(scores[idx])))
-        if len(out) == M:
-            break
-    return CandidateList(user=user, chunk=chunk, items=out)
+    return _first_unseen((items[order], scores[order]), M, seen, user, chunk)
 
 
-def _fallback(idx_or_ranking, cfg: RetrievalConfig, user: int, chunk: int, seen):
-    if cfg.cold_user_policy == "empty" or idx_or_ranking is None:
+def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList:
+    """The first M entries of a ranked (items, scores) pair not in ``seen``."""
+    items, scores = ranking
+    if seen is not None:
+        # at most len(seen) entries are masked, so the answer lies in this head
+        head = M + len(seen)
+        items, scores = items[:head], scores[:head]
+        keep = ~_seen_mask(items, seen)
+        items, scores = items[keep], scores[keep]
+    pairs = zip(items[:M].tolist(), scores[:M].astype(np.float64, copy=False).tolist())
+    return CandidateList(user=user, chunk=chunk, items=list(pairs))
+
+
+def _fallback(ranking, cfg: RetrievalConfig, user: int, chunk: int, seen):
+    if cfg.cold_user_policy == "empty" or ranking is None:
         return CandidateList(user=user, chunk=chunk, items=[])
-    items, counts = idx_or_ranking
-    out: list[tuple[int, float]] = []
-    for item, c in zip(items.tolist(), counts.tolist()):
-        if seen is not None and item in seen:
-            continue
-        out.append((item, float(c)))
-        if len(out) == cfg.M:
-            break
-    return CandidateList(user=user, chunk=chunk, items=out)
+    return _first_unseen(ranking, cfg.M, seen, user, chunk)
+
+
+def _gather(ptr: np.ndarray, ks: np.ndarray, weights: np.ndarray):
+    """Flat offsets of the CSR rows ``ks`` (concatenated in the order of
+    ``ks``) and each row's weight repeated along it."""
+    lo = ptr[ks]
+    n = ptr[ks + 1] - lo
+    starts = np.cumsum(n) - n
+    return np.repeat(lo - starts, n) + np.arange(int(n.sum())), np.repeat(weights, n)
+
+
+def _mixture_top(
+    pool_items: np.ndarray, pos: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int
+) -> CandidateList:
+    """Sum the weighted probabilities ``scores`` into their pool positions
+    ``pos``, then select the top M among the items any term touched.
+
+    ``bincount`` adds the weights in input order, so each item sums its
+    per-interest terms in the order the interests were gathered.
+    """
+    acc = np.bincount(pos, weights=scores, minlength=len(pool_items))
+    cand = np.flatnonzero(np.bincount(pos, minlength=len(pool_items)))
+    return _select_top(pool_items[cand], acc[cand], M, seen=seen, chunk=chunk, user=user)
 
 
 def retrieve_micro(
@@ -221,27 +265,10 @@ def retrieve_micro(
     ks, counts = m.user_counts_any(u)
     masses = init.alpha + counts.astype(np.float64)
     theta = masses / masses.sum()
-
-    # dense accumulation over the chunk pool, support interests ascending
-    acc = np.zeros(len(idx.pool_items))
-    touched = np.zeros(len(idx.pool_items), dtype=bool)
-    hit = False
-    for k, w in zip(ks.tolist(), theta.tolist()):
-        pos, lp = idx.interest_positions(k)
-        if len(pos):
-            acc[pos] += w * lp
-            touched[pos] = True
-            hit = True
-    if not hit:
-        return CandidateList(user=u, chunk=chunk, items=[])
-    cand = np.flatnonzero(touched)
-    return _select_top(
-        idx.pool_items[cand],
-        acc[cand],
-        cfg.M,
-        seen=seen if cfg.exclude_seen else None,
-        chunk=chunk,
-        user=u,
+    flat, w = _gather(idx.ptr, ks, theta)
+    return _mixture_top(
+        idx.pool_items, idx.positions[flat], w * idx.phis[flat], cfg.M,
+        seen if cfg.exclude_seen else None, u, chunk,
     )
 
 
@@ -252,10 +279,7 @@ class MleIndex:
     ptr: np.ndarray
     items: np.ndarray
     probs: np.ndarray
-
-    def interest_list(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.ptr[k], self.ptr[k + 1]
-        return self.items[lo:hi], self.probs[lo:hi]
+    pool_items: np.ndarray  # every item on some list, ascending
 
 
 def build_mle_index(mix: MleMixture, cfg: RetrievalConfig) -> MleIndex:
@@ -269,10 +293,12 @@ def build_mle_index(mix: MleMixture, cfg: RetrievalConfig) -> MleIndex:
         items_out.append(items[order])
         probs_out.append(probs[order])
         ptr[k + 1] = ptr[k] + len(order)
+    items = np.concatenate(items_out) if items_out else np.empty(0, np.int64)
     return MleIndex(
         ptr=ptr,
-        items=np.concatenate(items_out) if items_out else np.empty(0, np.int64),
+        items=items,
         probs=np.concatenate(probs_out) if probs_out else np.empty(0, np.float64),
+        pool_items=np.unique(items),
     )
 
 
@@ -287,32 +313,19 @@ def retrieve_mle(
     chunk: int = -1,
 ) -> CandidateList:
     """Static mixture ranking over train items; optionally restricted to an
-    allowed item pool so backtests compare methods over identical pools."""
+    allowed item pool (ascending ids, like ``ChunkSlice.item_pool``) so
+    backtests compare methods over identical pools."""
     if index is None:
         index = build_mle_index(mix, cfg)
     ks, pks = mix.user_mixture(u)
     if len(ks) == 0:
         return _fallback(fallback, cfg, u, chunk, seen if cfg.exclude_seen else None)
-    parts_i, parts_s = [], []
-    for k, w in zip(ks.tolist(), pks.tolist()):
-        li, lp = index.interest_list(k)
-        if len(li):
-            parts_i.append(li)
-            parts_s.append(w * lp)
-    if not parts_i:
-        return CandidateList(user=u, chunk=chunk, items=[])
-    all_items = np.concatenate(parts_i)
-    all_scores = np.concatenate(parts_s)
-    if allowed is not None:
-        keep = np.isin(all_items, allowed)
-        all_items, all_scores = all_items[keep], all_scores[keep]
-        if not len(all_items):
-            return CandidateList(user=u, chunk=chunk, items=[])
-    uniq, inv = np.unique(all_items, return_inverse=True)
-    acc = np.zeros(len(uniq))
-    np.add.at(acc, inv, all_scores)
-    return _select_top(
-        uniq, acc, cfg.M, seen=seen if cfg.exclude_seen else None, chunk=chunk, user=u
+    pool = index.pool_items if allowed is None else allowed
+    flat, w = _gather(index.ptr, ks, pks)
+    pos, found = _lookup(pool, index.items[flat])
+    scores = w * index.probs[flat]
+    return _mixture_top(
+        pool, pos[found], scores[found], cfg.M, seen if cfg.exclude_seen else None, u, chunk
     )
 
 
@@ -371,15 +384,7 @@ def popularity_retrieve(
     """Global top-M of the chunk; identical for all users up to exclusion."""
     if ranking is None:
         ranking = popularity_ranking(slice_)
-    items, counts = ranking
-    out: list[tuple[int, float]] = []
-    for item, c in zip(items.tolist(), counts.tolist()):
-        if cfg.exclude_seen and seen is not None and item in seen:
-            continue
-        out.append((int(item), float(c)))
-        if len(out) == cfg.M:
-            break
-    return CandidateList(user=user, chunk=chunk, items=out)
+    return _first_unseen(ranking, cfg.M, seen if cfg.exclude_seen else None, user, chunk)
 
 
 def batch_retrieve(fn, users, cfg: RetrievalConfig):

@@ -11,6 +11,7 @@ from mixrec.retrieval import (
     build_index,
     build_mle_index,
     batch_retrieve,
+    popularity_ranking,
     popularity_retrieve,
     retrieve_micro,
     retrieve_mle,
@@ -388,6 +389,119 @@ class TestPopularity:
             slc, RetrievalConfig(M=1, exclude_seen=True), user=0, seen={7}
         )
         assert got.item_ids() == [8]
+
+
+class TestSeenExclusion:
+    """Every retriever gives the same list whether ``seen`` is a Python set
+    or an ascending id array, and equals a brute-force ranking of all pool
+    candidates by (score desc, item asc) with seen items dropped by ``in``."""
+
+    U, I, K, M = 8, 60, 5, 10
+    COLD = U - 1  # no train engagements
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        item_interest = rng.integers(0, self.K, self.I).tolist()
+        train = [(u, int(rng.integers(0, self.I))) for u in range(self.COLD) for _ in range(6)]
+        self.init = make_init(train, item_interest, self.K, num_users=self.U, num_items=self.I)
+        self.slc = ChunkSlice.from_edges(
+            3, rng.integers(0, self.U, 250), rng.integers(0, self.I, 250)
+        )
+        self.m = fit_chunk(self.slc, self.init, SamplerConfig(seed=5))
+        self.cfg = RetrievalConfig(M=self.M, L=self.I)
+        self.idx = build_index(self.m, self.cfg)
+        self.mix = mle_mixture(self.init)
+        self.mle_index = build_mle_index(self.mix, self.cfg)
+        self.emb = EmbeddingTable(
+            user_vectors=rng.normal(size=(self.U, 4)), item_vectors=np.zeros((self.I, 4))
+        )
+        self.ann_pool, self.ann_vecs = ann_encode_items(self.slc, self.emb)
+        self.pool = self.slc.item_pool.tolist()
+        self.rank = popularity_ranking(self.slc)
+        self.counts = {i: self.slc.items.tolist().count(i) for i in self.pool}
+
+    def seen_cases(self, rng):
+        yield set()
+        yield set(rng.choice(self.pool, size=len(self.pool) // 3, replace=False).tolist())
+        # ids outside the pool, and outside the item range, mask nothing
+        outside = set(range(self.I)) - set(self.pool)
+        yield set(rng.choice(self.pool, size=3, replace=False).tolist()) | outside | {self.I + 7, 10**9}
+        yield set(self.pool[2:])  # two items left: a short list
+        yield set(self.pool) | {self.I + 1}  # nothing left: an empty list
+
+    def micro_scores(self, u):
+        ks, counts = self.m.user_counts_any(u)
+        masses = self.init.alpha + counts.astype(np.float64)
+        theta = masses / masses.sum()
+        scores = {}
+        for k, w in zip(ks.tolist(), theta.tolist()):
+            nk = float(self.m.n_kt[k])
+            if nk == 0:
+                continue  # an interest without chunk engagements has no list
+            total = self.init.num_items * self.init.beta + nk
+            for i in self.pool:
+                phi = (self.init.beta + self.m.nik.get(i, {}).get(k, 0)) / total
+                scores[i] = scores.get(i, 0.0) + w * phi
+        return scores
+
+    def mle_scores(self, u, allowed):
+        scores = {}
+        ks, pks = self.mix.user_mixture(u)
+        for k, pk in zip(ks.tolist(), pks.tolist()):
+            items, pis = self.mix.interest_items(k)
+            for i, pi in zip(items.tolist(), pis.tolist()):
+                if allowed is None or i in allowed:
+                    scores[i] = scores.get(i, 0.0) + pk * pi
+        return scores
+
+    def ann_scores(self, u):
+        uv = self.emb.user_vectors[u]
+        scores = {}
+        for pos, i in enumerate(self.ann_pool.tolist()):
+            nv = np.linalg.norm(self.ann_vecs[pos])
+            scores[i] = float(self.ann_vecs[pos] @ uv / (nv * np.linalg.norm(uv))) if nv > 0 else -np.inf
+        return scores
+
+    def retrievers(self, u):
+        """(name, retrieve(seen), brute-force scores) for user ``u``."""
+        cfg, allowed = self.cfg, self.slc.item_pool
+        warm = not self.init.is_cold(u)
+        yield (
+            "micro",
+            lambda seen: retrieve_micro(u, self.m, self.idx, self.init, cfg, seen=seen),
+            self.micro_scores(u) if warm else self.counts,
+        )
+        for name, pool in (("mle", None), ("mle-allowed", allowed)):
+            yield (
+                name,
+                lambda seen, pool=pool: retrieve_mle(
+                    u, self.mix, cfg, seen=seen, allowed=pool, index=self.mle_index, fallback=self.rank
+                ),
+                self.mle_scores(u, None if pool is None else set(pool.tolist())) if warm else self.counts,
+            )
+        yield (
+            "ann",
+            lambda seen: ann_retrieve(u, self.ann_pool, self.ann_vecs, self.emb, cfg, seen=seen),
+            self.ann_scores(u),
+        )
+        yield (
+            "popularity",
+            lambda seen: popularity_retrieve(self.slc, cfg, user=u, seen=seen, ranking=self.rank),
+            self.counts,
+        )
+
+    def test_set_and_array_match_bruteforce(self):
+        rng = np.random.default_rng(22)
+        assert self.init.is_cold(self.COLD)
+        for seen in self.seen_cases(rng):
+            as_array = np.asarray(sorted(seen), dtype=np.int64)
+            for u in range(self.U):
+                for name, retrieve, scores in self.retrievers(u):
+                    got = retrieve(seen)
+                    assert got.items == retrieve(as_array).items, f"{name} user {u}"
+                    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+                    want = [i for i, _ in ranked if i not in seen][: self.M]
+                    assert got.item_ids() == want, f"{name} user {u} seen {sorted(seen)}"
 
 
 class TestBatchAndDeterminism:
