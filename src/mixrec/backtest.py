@@ -310,9 +310,10 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             pool = prev_slice.item_pool
             pop_rank = popularity_ranking(prev_slice)
             ann_pool, ann_vecs = ann_encode_items(prev_slice, emb) if "ann" in methods else (None, None)
+            ann_norms = np.linalg.norm(ann_vecs, axis=1) if "ann" in methods else None
             for m in cfg.m_values:
                 rcfg = rcfgs[m]
-                idx = build_index(prev_model, rcfg) if "micro" in methods else None
+                idx = build_index(prev_model, rcfg, pop_rank) if "micro" in methods else None
                 closures = {}
                 if "micro" in methods:
                     closures["micro"] = lambda q, idx=idx, rcfg=rcfg: retrieve_micro(
@@ -330,7 +331,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                 if "ann" in methods:
                     closures["ann"] = lambda q, rcfg=rcfg: ann_retrieve(
                         q.user, ann_pool, ann_vecs, emb, rcfg,
-                        seen=seen.view(q.user) if seen else None, chunk=slc.chunk,
+                        seen=seen.view(q.user) if seen else None, chunk=slc.chunk, norms=ann_norms,
                     )
                 if "popularity" in methods:
                     closures["popularity"] = lambda q, rcfg=rcfg: popularity_retrieve(

@@ -100,20 +100,23 @@ class ScoredInterestIndex:
     positions: np.ndarray
     phis: np.ndarray
     pool_items: np.ndarray
-    pop_order: np.ndarray  # pool items sorted by (count desc, id asc)
-    pop_counts: np.ndarray  # aligned with pop_order
+    popularity: tuple[np.ndarray, np.ndarray]  # popularity_ranking of the chunk
 
     def interest_list(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.ptr[k], self.ptr[k + 1]
         return self.pool_items[self.positions[lo:hi]], self.phis[lo:hi]
 
 
-def build_index(m: ChunkModel, cfg: RetrievalConfig) -> ScoredInterestIndex:
+def build_index(
+    m: ChunkModel, cfg: RetrievalConfig, ranking: tuple[np.ndarray, np.ndarray] | None = None
+) -> ScoredInterestIndex:
     """Build per-interest top-L lists of (beta + count) / (I*beta + total).
 
     Pool items without a count under an interest share the smoothed floor
     value and fill the tail of that interest's list (ascending id) up to L.
     Items with no engagements in the chunk are excluded everywhere.
+    ``ranking`` is the chunk's ``popularity_ranking``, computed here when
+    not given.
     """
     K = m.K
     beta, Ibeta = m.beta, m.Ibeta
@@ -121,9 +124,11 @@ def build_index(m: ChunkModel, cfg: RetrievalConfig) -> ScoredInterestIndex:
     pool = m.item_pool
     nk = m.n_kt.astype(np.float64)
 
-    members: list[list[tuple[int, int]]] = [[] for _ in range(K)]
-    for i, k, c in m.iter_item_counts():
-        members[k].append((i, c))
+    # item-interest entries grouped by interest, each group by (count desc, item asc)
+    items, ks, counts = m.item_table()
+    order = np.lexsort((items, -counts, ks))
+    items, counts = items[order], counts[order]
+    kptr = np.concatenate([[0], np.cumsum(np.bincount(ks, minlength=K))])
 
     ptr = np.zeros(K + 1, dtype=np.int64)
     pos_out: list[np.ndarray] = []
@@ -133,13 +138,9 @@ def build_index(m: ChunkModel, cfg: RetrievalConfig) -> ScoredInterestIndex:
         if nk[k] == 0:
             ptr[k + 1] = ptr[k]
             continue
-        mem = members[k]
-        mi = np.asarray([e[0] for e in mem], dtype=np.int64)
-        mc = np.asarray([e[1] for e in mem], dtype=np.int64)
-        order = np.lexsort((mi, -mc))
-        mi, mc = mi[order], mc[order]
-        if len(mi) > L:
-            mi, mc = mi[:L], mc[:L]
+        lo = kptr[k]
+        hi = min(kptr[k + 1], lo + L)
+        mi, mc = items[lo:hi], counts[lo:hi]
         phi = (beta + mc.astype(np.float64)) / total
         pos = np.searchsorted(pool, mi)
         if len(mi) < L:
@@ -154,18 +155,13 @@ def build_index(m: ChunkModel, cfg: RetrievalConfig) -> ScoredInterestIndex:
         phis_out.append(phi)
         ptr[k + 1] = ptr[k] + len(pos)
 
-    pool_counts = np.bincount(
-        np.searchsorted(pool, m.slice.items), minlength=len(pool)
-    )
-    pop = np.lexsort((pool, -pool_counts))
     return ScoredInterestIndex(
         chunk=m.chunk,
         ptr=ptr,
         positions=np.concatenate(pos_out) if pos_out else np.empty(0, np.int64),
         phis=np.concatenate(phis_out) if phis_out else np.empty(0, np.float64),
         pool_items=pool,
-        pop_order=pool[pop],
-        pop_counts=pool_counts[pop],
+        popularity=popularity_ranking(m.slice) if ranking is None else ranking,
     )
 
 
@@ -261,7 +257,7 @@ def retrieve_micro(
     chunk = m.chunk + 1 if target_chunk is None else target_chunk
     sup = init.support(u)
     if len(sup) == 0:
-        return _fallback((idx.pop_order, idx.pop_counts), cfg, u, chunk, seen if cfg.exclude_seen else None)
+        return _fallback(idx.popularity, cfg, u, chunk, seen if cfg.exclude_seen else None)
     ks, counts = m.user_counts_any(u)
     masses = init.alpha + counts.astype(np.float64)
     theta = masses / masses.sum()
@@ -346,18 +342,21 @@ def ann_retrieve(
     cfg: RetrievalConfig,
     seen=None,
     chunk: int = -1,
+    norms: np.ndarray | None = None,
 ) -> CandidateList:
     """Exact top-M by cosine between the user vector and chunk item vectors.
 
     Zero-norm item vectors rank last (cosine undefined, scored -inf); a
-    zero-norm user vector yields an empty list with a warning.
+    zero-norm user vector yields an empty list with a warning. ``norms``
+    are the item vectors' norms, computed here when not given.
     """
     uv = emb.user_vectors[u]
     un = float(np.linalg.norm(uv))
     if un == 0.0:
         logger.warning("user %d has a zero embedding; returning no candidates", u)
         return CandidateList(user=u, chunk=chunk, items=[])
-    norms = np.linalg.norm(item_vecs, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(item_vecs, axis=1)
     dots = item_vecs @ uv
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.where(norms > 0.0, dots / (norms * un), -np.inf)

@@ -15,12 +15,34 @@ the engagement removed from all tables, is
 where alpha_u(k) is alpha on the user's support (or on every interest for
 users with no t=0 history) and zero elsewhere. The log-joint is the matching
 collapsed objective, normalized so an empty chunk scores exactly 0.
+
+Count tables are flat ``int64`` arrays. Warm users' counts align with their
+support (``_cand``/``_uk``). Item counts and cold users' counts are sorted
+(interest, count) rows of fixed capacity: an item's row holds at most its
+engagements in the chunk, a cold user's row at most their base entries plus
+their chunk engagements. Memory is O(engagements + supports), never
+items x K or users x K.
+
+A sweep runs as a compiled C kernel (``sweep_kernel``) when the system
+compiler can build it, else as ``ChunkModel._sweep_python``. The kernel is
+a transcription of that Python sweep and reproduces its chains bit for bit:
+both consume the same pre-drawn ``rng.random(n)`` uniforms, update the
+sorted rows identically, evaluate warm weights as
+``(alpha + n_uk) * (beta + n_ik) / (Ibeta + n_k)`` and cold weights as
+``((beta + n_ik) / (Ibeta + n_k)) * (alpha + n_uk)``, take the cold pick as
+a left ``searchsorted`` over a sequential prefix sum (as ``np.cumsum``
+computes it), and add the libm ``log`` ratios of the changes in scan order.
+Which sweep runs is logged once per process; there is no switch. A sweep in
+which some resample fell back to uniform (every weight underflowed to 0), or
+whose summed log ratio is not finite, recomputes the log-joint exactly.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +50,7 @@ from scipy.special import gammaln
 
 from .graph import ChunkSlice
 from .initialization import InitArtifact
+from .sweep_kernel import load_kernel
 
 __all__ = [
     "SamplerConfig",
@@ -92,13 +115,77 @@ class SweepStats:
     changed: int
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[r], starts[r] + lengths[r])`` over r."""
+    firsts = np.cumsum(lengths) - lengths
+    return np.repeat(starts - firsts, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+def _pack_rows(cap_ptr: np.ndarray, rows: np.ndarray, ks: np.ndarray, counts: np.ndarray, K: int):
+    """Lay (row, interest, count) entries out as sorted rows of capacity
+    ``cap_ptr[r+1] - cap_ptr[r]``, summing repeated (row, interest) pairs.
+    Returns the interest and count arrays and each row's fill."""
+    uniq, inv = np.unique(rows * K + ks, return_inverse=True)
+    summed = np.bincount(inv.ravel(), weights=counts, minlength=len(uniq)).astype(np.int64)
+    r = uniq // K
+    fill = np.bincount(r, minlength=len(cap_ptr) - 1).astype(np.int64)
+    pos = cap_ptr[r] + np.arange(len(uniq)) - (np.cumsum(fill) - fill)[r]
+    out_k = np.zeros(int(cap_ptr[-1]), dtype=np.int64)
+    out_c = np.zeros(int(cap_ptr[-1]), dtype=np.int64)
+    out_k[pos] = uniq % K
+    out_c[pos] = summed
+    return out_k, out_c, fill
+
+
+def _row_get(ks, cs, lo: int, n: int, k: int):
+    """Count of interest k in the sorted row ``ks[lo:lo+n]`` (0 if absent)."""
+    q = bisect_left(ks, k, lo, lo + n)
+    return cs[q] if q < lo + n and ks[q] == k else 0
+
+
+def _row_add(ks, cs, fill, r: int, lo: int, k: int, delta: int) -> None:
+    """Add ``delta`` to interest k of row r, which starts at ``lo`` and holds
+    ``fill[r]`` entries: an entry that reaches 0 is dropped and a missing
+    one inserted, so the row stays sorted and free of zeros."""
+    n = fill[r]
+    end = lo + n
+    q = bisect_left(ks, k, lo, end)
+    if q < end and ks[q] == k:
+        c = cs[q] + delta
+        if c:
+            cs[q] = c
+        else:
+            ks[q:end - 1] = ks[q + 1:end]
+            cs[q:end - 1] = cs[q + 1:end]
+            fill[r] = n - 1
+    else:
+        ks[q + 1:end + 1] = ks[q:end]
+        cs[q + 1:end + 1] = cs[q:end]
+        ks[q] = k
+        cs[q] = delta
+        fill[r] = n + 1
+
+
+def _log(w: float) -> float:
+    """``math.log``, but log(0) = -inf as in C instead of an error."""
+    return math.log(w) if w > 0.0 else -math.inf
+
+
 class ChunkModel:
     """Sampler state for one chunk: assignments plus sufficient statistics.
 
-    Engagements follow the slice's canonical order (grouped by user). Count
-    tables: per-active-user combined user-interest counts (base + this
-    chunk), per-chunk item-interest counts (dict of dicts, zero entries
-    pruned), and per-chunk interest totals.
+    Engagements follow the slice's canonical order (grouped by user); active
+    user r owns engagements ``_ptr[r]:_ptr[r+1]``. Warm rows (``_offs[r] >=
+    0``) keep combined user counts (base + this chunk) in ``_uk``, aligned
+    with the support interests ``_cand``, and ``_zpos`` holds the support
+    position of each engagement's interest. Cold rows (``_offs[r] == -1``)
+    keep a sorted row in ``_ck``/``_cc`` (capacity ``_cptr``, fill
+    ``_cfill``) and ``_zpos`` holds the interest itself. Item counts are one
+    sorted row per chunk item (``_iptr``/``_ik``/``_ic``/``_ifill``, row
+    ``_irow[j]`` for engagement j); ``_nk`` holds the interest totals.
+
+    ``z`` gives the assignments; without it they are drawn uniformly over
+    each user's candidates from ``rng`` (default: seeded by ``cfg.seed``).
     """
 
     def __init__(
@@ -108,12 +195,13 @@ class ChunkModel:
         cfg: SamplerConfig,
         base: UserCounts | None = None,
         rng: np.random.Generator | None = None,
+        z: np.ndarray | None = None,
     ):
         self.chunk = slice_.chunk
         self.slice = slice_
         self.init = init
         self.cfg = cfg
-        self.K = init.num_interests
+        K = self.K = init.num_interests
         self.I = init.num_items
         self.alpha = init.alpha
         self.beta = init.beta
@@ -127,84 +215,94 @@ class ChunkModel:
             base = UserCounts.from_init(init)
         self._base = base
 
-        n = len(slice_)
-        self.n = n
-        self._items = slice_.items.tolist()
-        self._active = slice_.unique_users.tolist()
-        self._ptr = slice_.user_ptr.tolist()
+        n = self.n = len(slice_)
+        users = slice_.unique_users
+        self._active = users.tolist()
+        R = len(users)
+        self._ptr = np.ascontiguousarray(slice_.user_ptr, dtype=np.int64)
+        self._erow = np.repeat(np.arange(R, dtype=np.int64), np.diff(self._ptr))
 
-        # per-active-user candidate lists and count rows, packed flat
-        cand_flat: list[int] = []
-        uk_flat: list[int] = []
-        offs: list[int] = []
-        lens: list[int] = []
-        cold_flags: list[bool] = []
-        cold_rows: dict[int, dict[int, int]] = {}
-        cold_base: dict[int, dict[int, int]] = {}
-        for r, u in enumerate(self._active):
-            lo, hi = init.support_ptr[u], init.support_ptr[u + 1]
-            if hi > lo:
-                offs.append(len(cand_flat))
-                lens.append(int(hi - lo))
-                cand_flat.extend(init.support_k[lo:hi].tolist())
-                uk_flat.extend(base.warm[lo:hi].tolist())
-                cold_flags.append(False)
-            else:
-                offs.append(-1)
-                lens.append(self.K)
-                cold_flags.append(True)
-                row = dict(base.cold_row(u))
-                cold_rows[r] = row
-                cold_base[r] = dict(row)
-        self._cand = cand_flat
-        self._uk = uk_flat
-        self._uk_base = list(uk_flat)
-        self._offs = offs
-        self._lens = lens
-        self._cold = cold_flags
-        self._cold_rows = cold_rows
-        self._cold_base = cold_base
-        warm_max = max((l for l, c in zip(lens, cold_flags) if not c), default=1)
-        self._wbuf = [0.0] * warm_max
+        # warm rows: support slices packed flat
+        lo = init.support_ptr[users]
+        sizes = (init.support_ptr[users + 1] - lo).astype(np.int64)
+        cold = sizes == 0
+        self._offs = np.where(cold, -1, np.cumsum(sizes) - sizes).astype(np.int64)
+        self._lens = np.where(cold, K, sizes).astype(np.int64)
+        self._sup_idx = _ranges(lo, sizes)
+        self._cand = np.ascontiguousarray(init.support_k[self._sup_idx], dtype=np.int64)
+        self._uk_base = base.warm[self._sup_idx].astype(np.int64)
 
-        # chunk-local item/interest tables
-        self.nik: dict[int, dict[int, int]] = {i: {} for i in set(self._items)}
-        self._nk = [0] * self.K
-        self.nk_np = np.zeros(self.K, dtype=np.float64)
+        # cold rows: base entries, then capacity for every chunk engagement
+        cold_rows = np.flatnonzero(cold)
+        base_rows = [sorted(base.cold_row(int(users[r])).items()) for r in cold_rows.tolist()]
+        nbase = np.zeros(R, dtype=np.int64)
+        nbase[cold_rows] = [len(b) for b in base_rows]
+        self._cbptr = np.concatenate([[0], np.cumsum(nbase)]).astype(np.int64)
+        self._cbk = np.asarray([k for b in base_rows for k, _ in b], dtype=np.int64)
+        self._cbc = np.asarray([c for b in base_rows for _, c in b], dtype=np.int64)
+        ccap = np.where(cold, nbase + np.diff(self._ptr), 0)
+        self._cptr = np.concatenate([[0], np.cumsum(ccap)]).astype(np.int64)
 
-        # initial assignments: uniform over the candidate set
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        highs = np.repeat(np.asarray(lens, dtype=np.int64), np.diff(slice_.user_ptr)) if n else np.empty(0, np.int64)
-        zpos = rng.integers(0, np.maximum(highs, 1)).tolist() if n else []
-        self._zpos = zpos
-        for r in range(len(self._active)):
-            lo, hi = self._ptr[r], self._ptr[r + 1]
-            if self._cold[r]:
-                row = self._cold_rows[r]
-                for j in range(lo, hi):
-                    k = zpos[j]
-                    row[k] = row.get(k, 0) + 1
-                    self._bump_item(self._items[j], k, 1)
-            else:
-                off = self._offs[r]
-                for j in range(lo, hi):
-                    p = zpos[j]
-                    self._uk[off + p] += 1
-                    self._bump_item(self._items[j], self._cand[off + p], 1)
+        # item rows: one per chunk item, capacity = its engagements
+        self._irow = np.searchsorted(slice_.item_pool, slice_.items).astype(np.int64)
+        icap = np.bincount(self._irow, minlength=len(slice_.item_pool))
+        self._iptr = np.concatenate([[0], np.cumsum(icap)]).astype(np.int64)
+
+        warm_e = ~cold[self._erow]
+        if z is None:
+            if rng is None:
+                rng = np.random.default_rng(cfg.seed)
+            zpos = rng.integers(0, np.maximum(self._lens[self._erow], 1)) if n else np.empty(0, np.int64)
+            z = zpos.copy()
+            z[warm_e] = self._cand[self._offs[self._erow[warm_e]] + zpos[warm_e]]
+        else:
+            z = np.asarray(z, dtype=np.int64)
+            zpos = self._support_positions(z, warm_e)
+        self._fill_tables(z, zpos, warm_e)
         self._lj = self.log_joint()
 
-    # -- table surgery ----------------------------------------------------
+    # -- table construction -------------------------------------------------
 
-    def _bump_item(self, i: int, k: int, delta: int) -> None:
-        di = self.nik[i]
-        c = di.get(k, 0) + delta
-        if c:
-            di[k] = c
-        else:
-            di.pop(k, None)
-        self._nk[k] += delta
-        self.nk_np[k] += float(delta)
+    def _support_positions(self, z: np.ndarray, warm_e: np.ndarray) -> np.ndarray:
+        """Per-engagement ``_zpos`` for given interests; rejects interests
+        out of range or outside a warm user's support."""
+        if z.shape != (self.n,):
+            raise ValueError(f"{z.shape} assignments for {self.n} engagements")
+        if self.n and (z.min() < 0 or z.max() >= self.K):
+            raise ValueError("assignment outside the interest range")
+        zpos = z.copy()
+        # (row, interest) keys of the warm slots ascend, as each support does
+        slot_row = np.repeat(np.arange(len(self._offs)), np.where(self._offs >= 0, self._lens, 0))
+        keys = slot_row * self.K + self._cand
+        rows = self._erow[warm_e]
+        want = rows * self.K + z[warm_e]
+        s = np.minimum(np.searchsorted(keys, want), max(len(keys) - 1, 0))
+        if len(want) and np.any(keys[s] != want):
+            raise ValueError("interest outside user support")
+        zpos[warm_e] = s - self._offs[rows]
+        return zpos
+
+    def _fill_tables(self, z: np.ndarray, zpos: np.ndarray, warm_e: np.ndarray) -> None:
+        """Build every count table from the assignments in one pass."""
+        K = self.K
+        self._zpos = zpos
+        slots = self._offs[self._erow[warm_e]] + zpos[warm_e]
+        self._uk = self._uk_base + np.bincount(slots, minlength=len(self._cand))
+        self._nk = np.bincount(z, minlength=K).astype(np.int64)
+        self._ik, self._ic, self._ifill = _pack_rows(
+            self._iptr, self._irow, z, np.ones(self.n), K
+        )
+        cold_e = ~warm_e
+        base_row = np.repeat(np.arange(len(self._offs)), np.diff(self._cbptr))
+        self._ck, self._cc, self._cfill = _pack_rows(
+            self._cptr,
+            np.concatenate([base_row, self._erow[cold_e]]),
+            np.concatenate([self._cbk, z[cold_e]]),
+            np.concatenate([self._cbc, np.ones(int(cold_e.sum()), dtype=np.int64)]),
+            K,
+        )
+
+    # -- table surgery ----------------------------------------------------
 
     def _row_index(self, user: int) -> int:
         r = int(np.searchsorted(self.slice.unique_users, user))
@@ -212,64 +310,57 @@ class ChunkModel:
             raise KeyError(f"user {user} has no engagements in chunk {self.chunk}")
         return r
 
+    def _cold_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        lo = self._cptr[r]
+        hi = lo + self._cfill[r]
+        return self._ck[lo:hi], self._cc[lo:hi]
+
     def remove(self, j: int) -> int:
         """Decrement engagement j from all tables; returns its interest."""
-        r = int(np.searchsorted(self.slice.user_ptr, j, side="right")) - 1
-        if self._cold[r]:
-            k = self._zpos[j]
-            row = self._cold_rows[r]
-            c = row[k] - 1
-            if c:
-                row[k] = c
-            else:
-                del row[k]
+        r = int(np.searchsorted(self._ptr, j, side="right")) - 1
+        if self._offs[r] < 0:
+            k = int(self._zpos[j])
+            _row_add(self._ck, self._cc, self._cfill, r, int(self._cptr[r]), k, -1)
         else:
-            off = self._offs[r]
-            k = self._cand[off + self._zpos[j]]
-            self._uk[off + self._zpos[j]] -= 1
-        self._bump_item(self._items[j], k, -1)
+            s = self._offs[r] + self._zpos[j]
+            k = int(self._cand[s])
+            self._uk[s] -= 1
+        ir = int(self._irow[j])
+        _row_add(self._ik, self._ic, self._ifill, ir, int(self._iptr[ir]), k, -1)
+        self._nk[k] -= 1
         return k
 
     def assign(self, j: int, k: int) -> None:
         """Increment engagement j into all tables under interest k."""
-        r = int(np.searchsorted(self.slice.user_ptr, j, side="right")) - 1
-        if self._cold[r]:
-            row = self._cold_rows[r]
-            row[k] = row.get(k, 0) + 1
+        r = int(np.searchsorted(self._ptr, j, side="right")) - 1
+        if self._offs[r] < 0:
+            _row_add(self._ck, self._cc, self._cfill, r, int(self._cptr[r]), k, 1)
             self._zpos[j] = k
         else:
-            off, L = self._offs[r], self._lens[r]
-            cand = self._cand
-            p = -1
-            for q in range(L):
-                if cand[off + q] == k:
-                    p = q
-                    break
-            if p < 0:
+            off = self._offs[r]
+            hit = np.flatnonzero(self._cand[off:off + self._lens[r]] == k)
+            if not len(hit):
                 raise ValueError(f"interest {k} outside user support")
-            self._uk[off + p] += 1
-            self._zpos[j] = p
-        self._bump_item(self._items[j], k, 1)
+            self._uk[off + hit[0]] += 1
+            self._zpos[j] = hit[0]
+        ir = int(self._irow[j])
+        _row_add(self._ik, self._ic, self._ifill, ir, int(self._iptr[ir]), k, 1)
+        self._nk[k] += 1
 
     # -- read-only views ---------------------------------------------------
 
     @property
     def z(self) -> np.ndarray:
         """Absolute interest per engagement, canonical slice order."""
-        out = np.empty(self.n, dtype=np.int64)
-        for r in range(len(self._active)):
-            lo, hi = self._ptr[r], self._ptr[r + 1]
-            if self._cold[r]:
-                out[lo:hi] = self._zpos[lo:hi]
-            else:
-                off = self._offs[r]
-                out[lo:hi] = [self._cand[off + p] for p in self._zpos[lo:hi]]
+        out = self._zpos.copy()
+        warm_e = self._offs[self._erow] >= 0
+        out[warm_e] = self._cand[self._offs[self._erow[warm_e]] + self._zpos[warm_e]]
         return out
 
     @property
     def n_kt(self) -> np.ndarray:
         """Per-interest engagement totals for this chunk."""
-        return self.nk_np.astype(np.int64)
+        return self._nk.copy()
 
     @property
     def item_pool(self) -> np.ndarray:
@@ -281,15 +372,11 @@ class ChunkModel:
     def user_counts(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """(interests, combined counts) for a user active in this chunk."""
         r = self._row_index(user)
-        if self._cold[r]:
-            row = self._cold_rows[r]
-            ks = np.asarray(sorted(row), dtype=np.int64)
-            return ks, np.asarray([row[int(k)] for k in ks], dtype=np.int64)
+        if self._offs[r] < 0:
+            ks, cs = self._cold_row(r)
+            return ks.copy(), cs.copy()
         off, L = self._offs[r], self._lens[r]
-        return (
-            np.asarray(self._cand[off:off + L], dtype=np.int64),
-            np.asarray(self._uk[off:off + L], dtype=np.int64),
-        )
+        return self._cand[off:off + L].copy(), self._uk[off:off + L].copy()
 
     def user_counts_any(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """Like user_counts, but users absent from this chunk read their
@@ -310,16 +397,35 @@ class ChunkModel:
         masses = self.alpha + counts.astype(np.float64)
         return ks, masses / masses.sum()
 
+    def cold_rows(self) -> dict[int, dict[int, int]]:
+        """Cold users' combined counts: {active row: {interest: count}}."""
+        return {
+            r: dict(zip(*(a.tolist() for a in self._cold_row(r))))
+            for r in np.flatnonzero(self._offs < 0).tolist()
+        }
+
+    def item_count(self, item: int, k: int) -> int:
+        """This chunk's count of ``item`` under interest k."""
+        pool = self.slice.item_pool
+        ir = int(np.searchsorted(pool, item))
+        if ir == len(pool) or pool[ir] != item:
+            return 0
+        return int(_row_get(self._ik, self._ic, int(self._iptr[ir]), int(self._ifill[ir]), k))
+
+    def item_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(items, interests, counts) of the nonzero item-interest counts,
+        sorted by item, then interest."""
+        slots = _ranges(self._iptr[:-1], self._ifill)
+        items = np.repeat(self.slice.item_pool, self._ifill)
+        return items, self._ik[slots], self._ic[slots]
+
     def iter_item_counts(self):
         """Yield (item, interest, count) triples for this chunk's table."""
-        for i in sorted(self.nik):
-            di = self.nik[i]
-            for k in sorted(di):
-                yield i, k, di[k]
+        yield from zip(*(a.tolist() for a in self.item_table()))
 
     def chunk_user_total(self, user: int) -> int:
         r = self._row_index(user)
-        return self._ptr[r + 1] - self._ptr[r]
+        return int(self._ptr[r + 1] - self._ptr[r])
 
     # -- collapsed objective ------------------------------------------------
 
@@ -332,22 +438,21 @@ class ChunkModel:
         """
         a, b = self.alpha, self.beta
         total = 0.0
-        if self._uk:
-            uk = np.asarray(self._uk, dtype=np.float64)
-            base = np.asarray(self._uk_base, dtype=np.float64)
-            total += float((gammaln(a + uk) - gammaln(a + base)).sum())
-        for r, row in self._cold_rows.items():
-            base_row = self._cold_base[r]
+        if len(self._uk):
+            total += float((gammaln(a + self._uk) - gammaln(a + self._uk_base)).sum())
+        for r in np.flatnonzero(self._offs < 0).tolist():
+            row = dict(zip(*(x.tolist() for x in self._cold_row(r))))
+            lo, hi = self._cbptr[r], self._cbptr[r + 1]
+            base_row = dict(zip(self._cbk[lo:hi].tolist(), self._cbc[lo:hi].tolist()))
             for k, c in row.items():
                 total += math.lgamma(a + c) - math.lgamma(a + base_row.get(k, 0))
             for k, c in base_row.items():
                 if k not in row:
                     total -= math.lgamma(a + c) - math.lgamma(a)
-        counts = [c for di in self.nik.values() for c in di.values()]
-        if counts:
-            cs = np.asarray(counts, dtype=np.float64)
-            total += float((gammaln(b + cs) - gammaln(b)).sum())
-        nz = self.nk_np[self.nk_np > 0]
+        _, _, counts = self.item_table()
+        if len(counts):
+            total += float((gammaln(b + counts) - gammaln(b)).sum())
+        nz = self._nk[self._nk > 0]
         if len(nz):
             total -= float((gammaln(self.Ibeta + nz) - gammaln(self.Ibeta)).sum())
         return total
@@ -363,138 +468,138 @@ class ChunkModel:
 
         ``unif`` supplies one uniform draw per engagement. Updates the
         tracked log-joint incrementally (recomputed exactly if any weight
-        vector underflowed to zero).
+        vector underflowed to zero or the increment is not finite).
         """
-        alpha, beta, Ibeta = self.alpha, self.beta, self.Ibeta
-        nik, nk = self.nik, self._nk
-        nk_np = self.nk_np
-        items, zpos = self._items, self._zpos
-        cand, uk = self._cand, self._uk
-        wbuf = self._wbuf
-        log = math.log
-        u01 = unif.tolist()
-        changed = 0
-        dlj = 0.0
-        underflow_before = self.underflow_events
-        K = self.K
-
-        for r in range(len(self._active)):
-            lo, hi = self._ptr[r], self._ptr[r + 1]
-            if not self._cold[r]:
-                off, L = self._offs[r], self._lens[r]
-                for j in range(lo, hi):
-                    i = items[j]
-                    di = nik[i]
-                    dget = di.get
-                    p_old = zpos[j]
-                    sl_old = off + p_old
-                    k_old = cand[sl_old]
-                    # remove engagement j
-                    uk[sl_old] -= 1
-                    c = di[k_old] - 1
-                    if c:
-                        di[k_old] = c
-                    else:
-                        del di[k_old]
-                    nk[k_old] -= 1
-                    nk_np[k_old] -= 1.0
-                    # cumulative weights over the support
-                    tot = 0.0
-                    for p in range(L):
-                        k = cand[off + p]
-                        tot += (alpha + uk[off + p]) * (beta + dget(k, 0)) / (Ibeta + nk[k])
-                        wbuf[p] = tot
-                    if tot > 0.0:
-                        rv = u01[j] * tot
-                        p_new = 0
-                        while wbuf[p_new] < rv:
-                            p_new += 1
-                    else:
-                        p_new = min(int(u01[j] * L), L - 1)
-                        self.underflow_events += 1
-                    if p_new != p_old:
-                        changed += 1
-                        k_new = cand[off + p_new]
-                        w_old = (alpha + uk[sl_old]) * (beta + dget(k_old, 0)) / (Ibeta + nk[k_old])
-                        w_new = (alpha + uk[off + p_new]) * (beta + dget(k_new, 0)) / (Ibeta + nk[k_new])
-                        dlj += log(w_new) - log(w_old)
-                        zpos[j] = p_new
-                    else:
-                        k_new = k_old
-                    # put it back
-                    uk[off + p_new] += 1
-                    di[k_new] = dget(k_new, 0) + 1
-                    nk[k_new] += 1
-                    nk_np[k_new] += 1.0
-            else:
-                row = self._cold_rows[r]
-                for j in range(lo, hi):
-                    i = items[j]
-                    di = nik[i]
-                    k_old = zpos[j]
-                    c = row[k_old] - 1
-                    if c:
-                        row[k_old] = c
-                    else:
-                        del row[k_old]
-                    c = di[k_old] - 1
-                    if c:
-                        di[k_old] = c
-                    else:
-                        del di[k_old]
-                    nk[k_old] -= 1
-                    nk_np[k_old] -= 1.0
-                    # dense weight vector: (alpha + n_uk) * (beta + n_ikt) / (Ibeta + n_kt)
-                    w = np.full(K, beta)
-                    if di:
-                        ks = list(di.keys())
-                        w[ks] += np.fromiter(di.values(), dtype=np.float64, count=len(di))
-                    w /= Ibeta + nk_np
-                    fac = np.full(K, alpha)
-                    if row:
-                        ks = list(row.keys())
-                        fac[ks] += np.fromiter(row.values(), dtype=np.float64, count=len(row))
-                    w *= fac
-                    cum = np.cumsum(w)
-                    tot = float(cum[-1])
-                    if tot > 0.0 and math.isfinite(tot):
-                        k_new = int(np.searchsorted(cum, u01[j] * tot, side="left"))
-                        if k_new >= K:
-                            k_new = K - 1
-                    else:
-                        k_new = min(int(u01[j] * K), K - 1)
-                        self.underflow_events += 1
-                    if k_new != k_old:
-                        changed += 1
-                        w_old = (alpha + row.get(k_old, 0)) * (beta + di.get(k_old, 0)) / (Ibeta + nk[k_old])
-                        w_new = (alpha + row.get(k_new, 0)) * (beta + di.get(k_new, 0)) / (Ibeta + nk[k_new])
-                        dlj += log(w_new) - log(w_old)
-                        zpos[j] = k_new
-                    row[k_new] = row.get(k_new, 0) + 1
-                    di[k_new] = di.get(k_new, 0) + 1
-                    nk[k_new] += 1
-                    nk_np[k_new] += 1.0
-
-        if self.underflow_events > underflow_before:
+        unif = np.ascontiguousarray(unif, dtype=np.float64)
+        if unif.shape != (self.n,):
+            raise ValueError(f"{unif.shape} uniforms for {self.n} engagements")
+        kernel = load_kernel()
+        if kernel is None:
+            changed, underflows, dlj = self._sweep_python(unif)
+        else:
+            changed, underflows, dlj = self._sweep_compiled(kernel, unif)
+        self.underflow_events += underflows
+        if underflows:
             logger.warning(
-                "chunk %d: %d zero-weight resamples fell back to uniform",
-                self.chunk,
-                self.underflow_events - underflow_before,
+                "chunk %d: %d zero-weight resamples fell back to uniform", self.chunk, underflows
             )
+        if underflows or not math.isfinite(dlj):
             self._lj = self.log_joint()
         else:
             self._lj += dlj
         return changed
 
+    def _sweep_compiled(self, kernel, unif: np.ndarray) -> tuple[int, int, float]:
+        out = np.zeros(2, dtype=np.int64)
+        dlj = ctypes.c_double(0.0)
+        kernel(
+            len(self._offs), self._ptr, self._offs, self._lens, self._cand, self._uk,
+            self._cptr, self._ck, self._cc, self._cfill,
+            self._irow, self._iptr, self._ik, self._ic, self._ifill,
+            self._nk, self.K, self._zpos, unif,
+            self.alpha, self.beta, self.Ibeta,
+            np.empty(max(self.K, int(self._lens.max(initial=0)))), out, ctypes.byref(dlj),
+        )
+        return int(out[0]), int(out[1]), dlj.value
+
+    def _sweep_python(self, unif: np.ndarray) -> tuple[int, int, float]:
+        """The reference sweep: what the compiled kernel computes, in Python.
+
+        Returns (changed, uniform fallbacks, summed log weight ratios).
+        """
+        alpha, beta, Ibeta, K = self.alpha, self.beta, self.Ibeta, self.K
+        ptr, offs, lens = self._ptr.tolist(), self._offs.tolist(), self._lens.tolist()
+        cand, uk = self._cand.tolist(), self._uk.tolist()
+        cptr, ck, cc, cfill = self._cptr.tolist(), self._ck.tolist(), self._cc.tolist(), self._cfill.tolist()
+        irow, iptr = self._irow.tolist(), self._iptr.tolist()
+        ik, ic, ifill = self._ik.tolist(), self._ic.tolist(), self._ifill.tolist()
+        nk, zpos = self._nk.tolist(), self._zpos.tolist()
+        u01 = unif.tolist()
+        wbuf = [0.0] * max(lens, default=1)
+        changed = underflows = 0
+        dlj = 0.0
+
+        for r in range(len(offs)):
+            off = offs[r]
+            for j in range(ptr[r], ptr[r + 1]):
+                ir = irow[j]
+                ilo = iptr[ir]
+                if off >= 0:
+                    L = lens[r]
+                    p_old = zpos[j]
+                    k_old = cand[off + p_old]
+                    # remove engagement j
+                    uk[off + p_old] -= 1
+                    _row_add(ik, ic, ifill, ir, ilo, k_old, -1)
+                    nk[k_old] -= 1
+                    # cumulative weights over the support
+                    ni = ifill[ir]
+                    tot = 0.0
+                    for p in range(L):
+                        k = cand[off + p]
+                        tot += (alpha + uk[off + p]) * (beta + _row_get(ik, ic, ilo, ni, k)) / (Ibeta + nk[k])
+                        wbuf[p] = tot
+                    if tot > 0.0:
+                        rv = u01[j] * tot
+                        p_new = 0
+                        while p_new < L - 1 and wbuf[p_new] < rv:
+                            p_new += 1
+                    else:
+                        p_new = min(int(u01[j] * L), L - 1)
+                        underflows += 1
+                    k_new = cand[off + p_new]
+                    if p_new != p_old:
+                        changed += 1
+                        w_old = (alpha + uk[off + p_old]) * (beta + _row_get(ik, ic, ilo, ni, k_old)) / (Ibeta + nk[k_old])
+                        w_new = (alpha + uk[off + p_new]) * (beta + _row_get(ik, ic, ilo, ni, k_new)) / (Ibeta + nk[k_new])
+                        dlj += _log(w_new) - _log(w_old)
+                        zpos[j] = p_new
+                    # put it back
+                    uk[off + p_new] += 1
+                    _row_add(ik, ic, ifill, ir, ilo, k_new, 1)
+                    nk[k_new] += 1
+                else:
+                    clo = cptr[r]
+                    k_old = zpos[j]
+                    _row_add(ck, cc, cfill, r, clo, k_old, -1)
+                    _row_add(ik, ic, ifill, ir, ilo, k_old, -1)
+                    nk[k_old] -= 1
+                    # dense weight vector: ((beta + n_ik) / (Ibeta + n_k)) * (alpha + n_uk)
+                    ni, nc = ifill[ir], cfill[r]
+                    w = np.full(K, beta)
+                    w[ik[ilo:ilo + ni]] += ic[ilo:ilo + ni]
+                    w /= Ibeta + np.asarray(nk)
+                    fac = np.full(K, alpha)
+                    fac[ck[clo:clo + nc]] += cc[clo:clo + nc]
+                    w *= fac
+                    cum = np.cumsum(w)
+                    tot = float(cum[-1])
+                    if tot > 0.0 and math.isfinite(tot):
+                        k_new = min(int(np.searchsorted(cum, u01[j] * tot, side="left")), K - 1)
+                    else:
+                        k_new = min(int(u01[j] * K), K - 1)
+                        underflows += 1
+                    if k_new != k_old:
+                        changed += 1
+                        w_old = (alpha + _row_get(ck, cc, clo, nc, k_old)) * (beta + _row_get(ik, ic, ilo, ni, k_old)) / (Ibeta + nk[k_old])
+                        w_new = (alpha + _row_get(ck, cc, clo, nc, k_new)) * (beta + _row_get(ik, ic, ilo, ni, k_new)) / (Ibeta + nk[k_new])
+                        dlj += _log(w_new) - _log(w_old)
+                        zpos[j] = k_new
+                    _row_add(ck, cc, cfill, r, clo, k_new, 1)
+                    _row_add(ik, ic, ifill, ir, ilo, k_new, 1)
+                    nk[k_new] += 1
+
+        self._uk[:] = uk
+        self._ck[:], self._cc[:], self._cfill[:] = ck, cc, cfill
+        self._ik[:], self._ic[:], self._ifill[:] = ik, ic, ifill
+        self._nk[:], self._zpos[:] = nk, zpos
+        return changed, underflows, dlj
+
     def fold_into(self, counts: UserCounts) -> None:
         """Write this chunk's final combined user counts back into a ledger."""
-        for r, u in enumerate(self._active):
-            if self._cold[r]:
-                counts.cold[u] = dict(self._cold_rows[r])
-            else:
-                lo = self.init.support_ptr[u]
-                off, L = self._offs[r], self._lens[r]
-                counts.warm[lo:lo + L] = self._uk[off:off + L]
+        counts.warm[self._sup_idx] = self._uk
+        for r, row in self.cold_rows().items():
+            counts.cold[self._active[r]] = row
 
 
 def gibbs_weight(u: int, i: int, k: int, m: ChunkModel, init: InitArtifact) -> float:
@@ -516,8 +621,8 @@ def gibbs_weight(u: int, i: int, k: int, m: ChunkModel, init: InitArtifact) -> f
         ks, counts = np.empty(0, np.int64), np.empty(0, np.int64)
     pos = int(np.searchsorted(ks, k))
     n_uk = int(counts[pos]) if pos < len(ks) and ks[pos] == k else 0
-    n_ikt = m.nik.get(i, {}).get(k, 0)
-    n_kt = m._nk[k]
+    n_ikt = m.item_count(i, k)
+    n_kt = int(m._nk[k])
     return (alpha_mass + n_uk) * (init.beta + n_ikt) / (m.Ibeta + n_kt)
 
 
@@ -629,11 +734,7 @@ def load_chunk_model(
         z = zf["z"]
         sweeps = zf["sweeps"]
         lj = float(zf["log_joint"][0])
-    m = ChunkModel(slice_, init, cfg, base=base)
-    for j in range(m.n):
-        m.remove(j)
-        m.assign(j, int(z[j]))
-    m._lj = m.log_joint()
+    m = ChunkModel(slice_, init, cfg, base=base, z=z)
     m.sweeps_run = int(sweeps[0])
     m.converged = bool(sweeps[1])
     m.underflow_events = int(sweeps[2])

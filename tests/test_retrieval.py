@@ -55,9 +55,8 @@ def dense_micro_oracle(u, m, init, M, pool=None):
     for k, w in zip(ks.tolist(), theta.tolist()):
         total = Ibeta + float(nk[k])
         phi = np.full(len(pool), beta / total)
-        di = m.nik.get  # dict of per-item interest counts
         for pos, i in enumerate(pool.tolist()):
-            c = m.nik.get(i, {}).get(k, 0)
+            c = m.item_count(i, k)
             if c:
                 phi[pos] = (beta + c) / total
         scores += w * phi
@@ -104,7 +103,7 @@ class TestBuildIndex:
             assert len(items) == len(pool)
             total = init.num_items * init.beta + float(nk[k])
             for i, phi in zip(items.tolist(), phis.tolist()):
-                c = m.nik.get(i, {}).get(k, 0)
+                c = m.item_count(i, k)
                 assert phi == (init.beta + c) / total
 
     def test_only_pool_items_appear(self):
@@ -440,7 +439,7 @@ class TestSeenExclusion:
                 continue  # an interest without chunk engagements has no list
             total = self.init.num_items * self.init.beta + nk
             for i in self.pool:
-                phi = (self.init.beta + self.m.nik.get(i, {}).get(k, 0)) / total
+                phi = (self.init.beta + self.m.item_count(i, k)) / total
                 scores[i] = scores.get(i, 0.0) + w * phi
         return scores
 

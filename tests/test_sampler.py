@@ -1,9 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mixrec.sampler as sampler
+import mixrec.sweep_kernel as sweep_kernel
 from mixrec.graph import ChunkSlice, from_raw_edges
 from mixrec.initialization import build_init
 from mixrec.sampler import (
@@ -314,7 +317,7 @@ def snapshot(m):
         {(i, k): c for i, k, c in m.iter_item_counts()},
         m.n_kt.tolist(),
         list(m._uk),
-        {r: dict(row) for r, row in m._cold_rows.items()},
+        m.cold_rows(),
     )
 
 
@@ -492,3 +495,142 @@ class TestPersistence:
         body = out.read_text()
         for section in ("user_interest", "item_interest", "interest", "assignments"):
             assert f"section={section}" in body
+
+
+# --- the compiled sweep against the Python reference -------------------------
+
+TABLES = ("_zpos", "_uk", "_ck", "_cc", "_cfill", "_ik", "_ic", "_ifill", "_nk")
+
+
+def raw_tables(m):
+    """Every count array as stored, unused row capacity included."""
+    return {name: getattr(m, name).tolist() for name in TABLES}
+
+
+def mixed_instance(seed, K, U=14, cold_users=4, I=30, n=160):
+    """Warm users with train history, cold users without, repeated items."""
+    rng = np.random.default_rng(seed)
+    train = [(u, int(rng.integers(I))) for u in range(cold_users, U) for _ in range(5)]
+    init = make_init(train, rng.integers(0, K, I).tolist(), K, num_users=U, num_items=I)
+    slices = [
+        ChunkSlice.from_edges(t, rng.integers(0, U, n), rng.integers(0, I // 2, n))
+        for t in (1, 2)
+    ]
+    return init, slices
+
+
+def sweep_reference(m, unif, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(sampler, "load_kernel", lambda: None)
+        return m.run_sweep(unif)
+
+
+@pytest.fixture
+def kernel():
+    fn = sweep_kernel.load_kernel()
+    if fn is None:
+        pytest.skip("no C compiler: only the Python sweep runs here")
+    return fn
+
+
+class TestCompiledSweep:
+    @pytest.mark.parametrize("mode", ["reset", "accumulate"])
+    @pytest.mark.parametrize("K", [1, 3, 40, 1000])
+    def test_kernel_matches_python_bit_for_bit(self, kernel, monkeypatch, K, mode):
+        init, (slc1, slc2) = mixed_instance(K + len(mode), K)
+        cfg = SamplerConfig(seed=K, user_count_mode=mode)
+        base = UserCounts.from_init(init)
+        if mode == "accumulate":
+            # a second chunk on a ledger that already holds cold users' rows
+            fit_chunk(slc1, init, cfg, base=base).fold_into(base)
+            assert base.cold
+            slc = slc2
+        else:
+            slc = slc1
+        ref = ChunkModel(slc, init, cfg, base=base)
+        got = ChunkModel(slc, init, cfg, base=base)
+        rng = np.random.default_rng(K)
+        for _ in range(6):
+            unif = rng.random(ref.n)
+            changed_ref = sweep_reference(ref, unif, monkeypatch)
+            assert got.run_sweep(unif) == changed_ref
+            assert raw_tables(got) == raw_tables(ref)
+            assert got.z.tolist() == ref.z.tolist()
+            assert got.underflow_events == ref.underflow_events
+            assert got.current_log_joint == ref.current_log_joint
+        # combined user counts = base (train or ledger) counts + chunk assignments
+        for u in np.unique(slc.users).tolist():
+            lo, hi = init.support_ptr[u], init.support_ptr[u + 1]
+            want = dict(zip(init.support_k[lo:hi].tolist(), base.warm[lo:hi].tolist()))
+            want.update(base.cold_row(u))
+            for k in got.z[slc.users == u].tolist():
+                want[k] = want.get(k, 0) + 1
+            ks, cs = got.user_counts(u)
+            assert dict(zip(ks.tolist(), cs.tolist())) == want
+        # one vectorised rebuild from z gives the tables the sweeps kept
+        again = ChunkModel(slc, init, cfg, base=base, z=got.z)
+        assert snapshot(again) == snapshot(got)
+        assert again.current_log_joint == pytest.approx(got.current_log_joint, abs=1e-9)
+
+    def test_underflow_falls_back_identically(self, kernel, monkeypatch):
+        # every interest keeps warm engagements, so with priors of 1e-300 a
+        # cold user's weights all underflow to 0 (a uniform pick) unless the
+        # user holds another engagement, whose interest alone keeps a weight
+        tiny = 1e-300
+        init = make_init([(0, 0), (1, 1), (2, 2)], list(range(3)) + [0] * 37, 3,
+                         num_users=6, num_items=40, alpha=tiny, beta=tiny)
+        users = [0, 0, 1, 1, 2, 2, 3, 4, 5, 5]
+        items = [0, 0, 1, 1, 2, 2, 10, 11, 12, 13]
+        slc = ChunkSlice.from_edges(1, users, items)
+        cfg = SamplerConfig(seed=2)
+        ref, got = ChunkModel(slc, init, cfg), ChunkModel(slc, init, cfg)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            unif = rng.random(ref.n)
+            assert got.run_sweep(unif) == sweep_reference(ref, unif, monkeypatch)
+            assert raw_tables(got) == raw_tables(ref)
+            assert got.current_log_joint == ref.current_log_joint
+            assert got.current_log_joint == got.log_joint()
+        assert got.underflow_events == ref.underflow_events >= 4 * 2
+
+    def test_compile_failure_falls_back_to_python(self, kernel, monkeypatch, caplog):
+        init, (slc, _) = mixed_instance(5, 7)
+        cfg = SamplerConfig(seed=3, max_sweeps=4)
+        want = fit_chunk(slc, init, cfg)
+        monkeypatch.setattr(sweep_kernel, "CC", "/nonexistent/cc")
+        sweep_kernel.load_kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.INFO, logger="mixrec.sweep_kernel"):
+                got = fit_chunk(slc, init, cfg)
+            assert sweep_kernel.load_kernel() is None
+        finally:
+            monkeypatch.undo()
+            sweep_kernel.load_kernel.cache_clear()
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mixrec.sweep_kernel"]
+        assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
+        assert "/nonexistent/cc" in logged[0][1]
+        assert logged[1][1] == "Gibbs sweep: Python"
+        assert raw_tables(got) == raw_tables(want)
+        assert [(h.log_joint, h.changed) for h in got.history] == [
+            (h.log_joint, h.changed) for h in want.history
+        ]
+
+    def test_tables_bounded_by_engagements_at_k5000(self):
+        K = 5000
+        init, (slc, _) = mixed_instance(9, K, U=40, cold_users=10, I=200, n=600)
+        m = fit_chunk(slc, init, SamplerConfig(seed=1, max_sweeps=2))
+        assert len(m._ik) <= m.n
+        cold = [r for r, u in enumerate(m._active) if init.is_cold(u)]
+        assert len(m._ck) == sum(m.chunk_user_total(m._active[r]) for r in cold)
+        # nothing is items x K or users x K
+        sizes = [a.size for a in vars(m).values() if isinstance(a, np.ndarray)]
+        assert max(sizes) <= max(m.n, K + 1)
+
+    def test_rebuild_rejects_assignment_outside_support(self):
+        init, users, items = tiny_instances()[0]
+        slc = ChunkSlice.from_edges(1, users, items)
+        cfg = SamplerConfig(seed=0)
+        z = ChunkModel(slc, init, cfg).z
+        for bad in (1, 2):  # user 0's support is {0}; 2 is out of range
+            with pytest.raises(ValueError):
+                ChunkModel(slc, init, cfg, z=np.r_[bad, z[1:]])
