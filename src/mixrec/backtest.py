@@ -11,6 +11,11 @@ retrieve from); every later chunk is the query target for the previous
 chunk's representations. The candidate pool for every method is the set of
 items engaged in the source chunk, so comparisons stay fair; the static
 mixture baseline ranks train items restricted to that pool.
+
+A rerun must match the ``config.json`` already in the output directory on
+every field some artifact depends on (all but the retrieval and output
+fields); otherwise it raises before touching anything, instead of reusing
+stale artifacts.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +47,7 @@ from .retrieval import (
 )
 from .sampler import SamplerConfig, UserCounts, fit_chunk, load_chunk_model, save_chunk_model, sweep_diagnostics_text
 
-__all__ = ["RunConfig", "backtest", "write_reports", "report", "METHODS"]
+__all__ = ["RunConfig", "backtest", "split_graph", "write_reports", "report", "METHODS"]
 
 logger = logging.getLogger(__name__)
 
@@ -115,6 +120,33 @@ class RunConfig:
             exclude_seen=self.exclude_seen,
             cold_user_policy=self.cold_user_policy,
             workers=self.workers,
+        )
+
+
+# fields that only shape retrieval, scoring or output; every other field
+# feeds some cached artifact
+_RETRIEVAL_FIELDS = {
+    "out_dir", "m_values", "truncation", "exclude_seen", "cold_user_policy",
+    "workers", "methods", "dump_candidates",
+}
+
+
+def _check_artifact_config(cfg: RunConfig, out: Path) -> None:
+    """Raise if ``out`` holds a config.json that disagrees with ``cfg`` on
+    an artifact field; the cached artifacts would be stale."""
+    path = out / "config.json"
+    if not path.exists():
+        return
+    old = json.loads(path.read_text())
+    new = json.loads(json.dumps(asdict(cfg)))
+    stale = [
+        f.name for f in fields(RunConfig)
+        if f.name not in _RETRIEVAL_FIELDS and old.get(f.name) != new[f.name]
+    ]
+    if stale:
+        raise ValueError(
+            f"{out} holds artifacts built with a different {', '.join(stale)}; "
+            "use a new output directory or remove this one"
         )
 
 
@@ -250,21 +282,27 @@ def _fit_or_load(cfg, slc, init, ordinal, base):
     return m
 
 
-def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
-    """Run the rolling protocol and return reports keyed by (method, M)."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.to_json(out / "config.json")
-
-    g = ensure_graph(cfg)
-    if cfg.regroup_factor > 1:
-        g = regroup_chunks(g, cfg.regroup_factor)
+def split_graph(cfg: RunConfig) -> tuple[EngagementGraph, EngagementGraph, list[ChunkSlice]]:
+    """The (regrouped) graph, its train graph and its held-out chunk slices;
+    raises ``ValueError`` when ``test_chunks`` leaves no train chunk."""
+    g = regroup_chunks(ensure_graph(cfg), cfg.regroup_factor)
     t_split = g.num_chunks - cfg.test_chunks
     if t_split < 1:
         raise ValueError(
             f"test_chunks={cfg.test_chunks} leaves no train chunks (total {g.num_chunks})"
         )
     train, test = split(g, SplitSpec(t_split=t_split))
+    return g, train, test
+
+
+def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
+    """Run the rolling protocol and return reports keyed by (method, M)."""
+    out = Path(cfg.out_dir)
+    _check_artifact_config(cfg, out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.to_json(out / "config.json")
+
+    _, train, test = split_graph(cfg)
     logger.info(
         "stage=split train_edges=%d test_chunks=%d", train.num_edges, len(test)
     )
@@ -291,7 +329,6 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     )
 
     rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
-    mle_indexes = {m: build_mle_index(mix, rcfgs[m]) for m in cfg.m_values} if mix else {}
 
     per_query: dict[tuple[str, int], list[tuple[float, float, float]]] = {
         (meth, m): [] for meth in methods for m in cfg.m_values
@@ -314,6 +351,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             for m in cfg.m_values:
                 rcfg = rcfgs[m]
                 idx = build_index(prev_model, rcfg, pop_rank) if "micro" in methods else None
+                mle_idx = build_mle_index(mix, rcfg, pool, pop_rank) if "mle" in methods else None
                 closures = {}
                 if "micro" in methods:
                     closures["micro"] = lambda q, idx=idx, rcfg=rcfg: retrieve_micro(
@@ -322,11 +360,10 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                         target_chunk=slc.chunk,
                     )
                 if "mle" in methods:
-                    closures["mle"] = lambda q, rcfg=rcfg, m=m: retrieve_mle(
+                    closures["mle"] = lambda q, rcfg=rcfg, mle_idx=mle_idx: retrieve_mle(
                         q.user, mix, rcfg,
                         seen=seen.view(q.user) if seen else None,
-                        allowed=pool, index=mle_indexes[m],
-                        fallback=pop_rank, chunk=slc.chunk,
+                        index=mle_idx, chunk=slc.chunk,
                     )
                 if "ann" in methods:
                     closures["ann"] = lambda q, rcfg=rcfg: ann_retrieve(

@@ -19,11 +19,11 @@ from .backtest import (
     backtest,
     ensure_clusters,
     ensure_embeddings,
-    ensure_graph,
     ensure_init,
     report,
+    split_graph,
 )
-from .graph import SplitSpec, format_stats, graph_stats, regroup_chunks, split
+from .graph import format_stats, graph_stats
 from .synth import SynthSpec, generate
 
 
@@ -75,30 +75,14 @@ def _build_config(args) -> RunConfig:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _build_config(args)
-    g = ensure_graph(cfg)
-    if cfg.regroup_factor > 1:
-        g = regroup_chunks(g, cfg.regroup_factor)
+    g, _, _ = split_graph(_build_config(args))
     print(format_stats(graph_stats(g)))
     return 0
 
 
-def _train_graph(cfg):
-    g = ensure_graph(cfg)
-    if cfg.regroup_factor > 1:
-        g = regroup_chunks(g, cfg.regroup_factor)
-    t_split = g.num_chunks - cfg.test_chunks
-    if t_split < 1:
-        raise SystemExit(
-            f"test_chunks={cfg.test_chunks} leaves no train chunks (total {g.num_chunks})"
-        )
-    train, _ = split(g, SplitSpec(t_split=t_split))
-    return train
-
-
 def cmd_embed(args) -> int:
     cfg = _build_config(args)
-    ensure_embeddings(cfg, _train_graph(cfg))
+    ensure_embeddings(cfg, split_graph(cfg)[1])
     return 0
 
 
@@ -116,7 +100,7 @@ def cmd_init(args) -> int:
     out = Path(cfg.out_dir)
     if not (out / "clusters.npz").exists():
         raise SystemExit("no clusters.npz in the output directory; run `cluster` first")
-    train = _train_graph(cfg)
+    train = split_graph(cfg)[1]
     emb = ensure_embeddings(cfg, train)
     clusters = ensure_clusters(cfg, emb)
     ensure_init(cfg, train, clusters)

@@ -168,7 +168,6 @@ class SplitSpec:
     """Train/test boundary: chunks [0, t_split) train, [t_split, T) test."""
 
     t_split: int
-    regroup_factor: int = 1
 
 
 def _parse_lines(path: Path, delimiter: str | None):

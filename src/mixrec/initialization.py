@@ -54,8 +54,7 @@ class InitArtifact:
         return self.support_ptr[user] == self.support_ptr[user + 1]
 
     def validate(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("prior masses must be positive")
+        _check_priors(self.alpha, self.beta)
         if np.any(self.support_n0 <= 0):
             raise ValueError("support counts must be positive (support = interests with N>0)")
         csum = np.concatenate([[0], np.cumsum(self.support_n0)])
@@ -74,6 +73,15 @@ class InitArtifact:
                 raise ValueError("per-user supports must be strictly ascending")
 
 
+def _check_priors(alpha: float, beta: float) -> None:
+    """Priors must be finite and at least the smallest normal float: NaN
+    passes any ``<= 0`` test, and ``gammaln`` of a subnormal is inf, which
+    turns the log-joint into NaN."""
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not (np.isfinite(v) and v >= np.finfo(float).tiny):
+            raise ValueError(f"{name} must be finite and >= {np.finfo(float).tiny}, got {v!r}")
+
+
 class InconsistentClusterError(ValueError):
     """A train item is missing from the cluster map."""
 
@@ -90,8 +98,7 @@ def build_init(
     ``item_interest`` maps dense item id -> interest id and must cover every
     item appearing in ``train``.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    _check_priors(alpha, beta)
     item_interest = np.asarray(item_interest, dtype=np.int64)
     if len(item_interest) < train.num_items:
         raise InconsistentClusterError(

@@ -1,10 +1,14 @@
 """Top-M candidate generation from fitted chunk tables, plus baselines.
 
-The model-based retriever scores items by the interest mixture: per query
-user, the smoothed interest weights multiply the per-interest smoothed item
-probabilities from the previous chunk's count tables, evaluated only over
-truncated per-interest top lists. Baselines: static train-time mixture,
-cosine similarity against engagement-averaged item vectors, and global
+The model-based retriever (``micro``) scores items by the interest mixture:
+per query user, the smoothed interest weights multiply the per-interest
+smoothed item probabilities from the previous chunk's count tables,
+evaluated only over truncated per-interest top lists. The static baseline
+(``mle``) is the same mixture built from the t=0 tables. Both are served
+from one ``InterestIndex`` (per-interest lists as positions into an
+ascending candidate pool, plus the pool's popularity ranking for users
+without interests) by one scorer, ``_mixture``. The other baselines are
+cosine similarity against engagement-averaged item vectors and global
 popularity.
 
 Every retriever ends in one selection, ``_first_unseen``: the first M
@@ -30,10 +34,9 @@ from .sampler import ChunkModel
 __all__ = [
     "RetrievalConfig",
     "CandidateList",
-    "ScoredInterestIndex",
+    "InterestIndex",
     "build_index",
     "retrieve_micro",
-    "MleIndex",
     "build_mle_index",
     "retrieve_mle",
     "ann_encode_items",
@@ -85,31 +88,30 @@ class CandidateList:
 
 
 @dataclass
-class ScoredInterestIndex:
-    """Per-interest truncated top lists of smoothed item probabilities.
+class InterestIndex:
+    """Per-interest truncated top lists over one candidate pool.
 
-    Interest k's candidates are stored as positions into the sorted chunk
-    pool (``positions[ptr[k]:ptr[k+1]]`` with aligned smoothed
-    probabilities), sorted by probability descending, ties by ascending item
-    id, length <= L. Only items engaged in the source chunk appear. Also
-    carries the chunk's popularity ranking for cold-user fallback.
+    Interest k's candidates are positions into the ascending ``pool_items``
+    (``positions[ptr[k]:ptr[k+1]]`` with aligned probabilities ``probs``),
+    in list order: probability descending, ties by ascending item id.
+    ``popularity`` is the pool's ``popularity_ranking``, the fallback for
+    users without interests; without it they get an empty list.
     """
 
-    chunk: int
     ptr: np.ndarray
     positions: np.ndarray
-    phis: np.ndarray
+    probs: np.ndarray
     pool_items: np.ndarray
-    popularity: tuple[np.ndarray, np.ndarray]  # popularity_ranking of the chunk
+    popularity: tuple[np.ndarray, np.ndarray] | None = None
 
     def interest_list(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.ptr[k], self.ptr[k + 1]
-        return self.pool_items[self.positions[lo:hi]], self.phis[lo:hi]
+        return self.pool_items[self.positions[lo:hi]], self.probs[lo:hi]
 
 
 def build_index(
     m: ChunkModel, cfg: RetrievalConfig, ranking: tuple[np.ndarray, np.ndarray] | None = None
-) -> ScoredInterestIndex:
+) -> InterestIndex:
     """Build per-interest top-L lists of (beta + count) / (I*beta + total).
 
     Pool items without a count under an interest share the smoothed floor
@@ -155,11 +157,10 @@ def build_index(
         phis_out.append(phi)
         ptr[k + 1] = ptr[k] + len(pos)
 
-    return ScoredInterestIndex(
-        chunk=m.chunk,
+    return InterestIndex(
         ptr=ptr,
         positions=np.concatenate(pos_out) if pos_out else np.empty(0, np.int64),
-        phis=np.concatenate(phis_out) if phis_out else np.empty(0, np.float64),
+        probs=np.concatenate(phis_out) if phis_out else np.empty(0, np.float64),
         pool_items=pool,
         popularity=popularity_ranking(m.slice) if ranking is None else ranking,
     )
@@ -211,12 +212,6 @@ def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList
     return CandidateList(user=user, chunk=chunk, items=list(pairs))
 
 
-def _fallback(ranking, cfg: RetrievalConfig, user: int, chunk: int, seen):
-    if cfg.cold_user_policy == "empty" or ranking is None:
-        return CandidateList(user=user, chunk=chunk, items=[])
-    return _first_unseen(ranking, cfg.M, seen, user, chunk)
-
-
 def _gather(ptr: np.ndarray, ks: np.ndarray, weights: np.ndarray):
     """Flat offsets of the CSR rows ``ks`` (concatenated in the order of
     ``ks``) and each row's weight repeated along it."""
@@ -226,24 +221,33 @@ def _gather(ptr: np.ndarray, ks: np.ndarray, weights: np.ndarray):
     return np.repeat(lo - starts, n) + np.arange(int(n.sum())), np.repeat(weights, n)
 
 
-def _mixture_top(
-    pool_items: np.ndarray, pos: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int
+def _mixture(
+    u: int, ks: np.ndarray, theta: np.ndarray, idx: InterestIndex, cfg: RetrievalConfig, seen, chunk: int
 ) -> CandidateList:
-    """Sum the weighted probabilities ``scores`` into their pool positions
-    ``pos``, then select the top M among the items any term touched.
+    """Top M by the mixture sum over k of ``theta[k] * prob`` across the
+    lists of interests ``ks``; with no interests, the cold-user fallback.
 
-    ``bincount`` adds the weights in input order, so each item sums its
-    per-interest terms in the order the interests were gathered.
+    ``bincount`` adds the weighted probabilities into their pool positions
+    in input order, so each item sums its per-interest terms in the order
+    of ``ks``. Only items some term touched are candidates.
     """
-    acc = np.bincount(pos, weights=scores, minlength=len(pool_items))
-    cand = np.flatnonzero(np.bincount(pos, minlength=len(pool_items)))
-    return _select_top(pool_items[cand], acc[cand], M, seen=seen, chunk=chunk, user=user)
+    seen = seen if cfg.exclude_seen else None
+    if len(ks) == 0:
+        if cfg.cold_user_policy == "empty" or idx.popularity is None:
+            return CandidateList(user=u, chunk=chunk, items=[])
+        return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
+    flat, w = _gather(idx.ptr, ks, theta)
+    pos = idx.positions[flat]
+    n = len(idx.pool_items)
+    acc = np.bincount(pos, weights=w * idx.probs[flat], minlength=n)
+    cand = np.flatnonzero(np.bincount(pos, minlength=n))
+    return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen=seen, chunk=chunk, user=u)
 
 
 def retrieve_micro(
     u: int,
     m: ChunkModel,
-    idx: ScoredInterestIndex,
+    idx: InterestIndex,
     init: InitArtifact,
     cfg: RetrievalConfig,
     seen=None,
@@ -255,46 +259,45 @@ def retrieve_micro(
     over the support. Users with no t=0 history fall back per policy.
     """
     chunk = m.chunk + 1 if target_chunk is None else target_chunk
-    sup = init.support(u)
-    if len(sup) == 0:
-        return _fallback(idx.popularity, cfg, u, chunk, seen if cfg.exclude_seen else None)
-    ks, counts = m.user_counts_any(u)
-    masses = init.alpha + counts.astype(np.float64)
-    theta = masses / masses.sum()
-    flat, w = _gather(idx.ptr, ks, theta)
-    return _mixture_top(
-        idx.pool_items, idx.positions[flat], w * idx.phis[flat], cfg.M,
-        seen if cfg.exclude_seen else None, u, chunk,
-    )
+    if len(init.support(u)) == 0:
+        ks, theta = np.empty(0, np.int64), np.empty(0)
+    else:
+        ks, counts = m.user_counts_any(u)
+        masses = init.alpha + counts.astype(np.float64)
+        theta = masses / masses.sum()
+    return _mixture(u, ks, theta, idx, cfg, seen, chunk)
 
 
-@dataclass
-class MleIndex:
-    """Truncated per-interest lists for the static mixture retriever."""
+def build_mle_index(
+    mix: MleMixture,
+    cfg: RetrievalConfig,
+    pool: np.ndarray | None = None,
+    ranking: tuple[np.ndarray, np.ndarray] | None = None,
+) -> InterestIndex:
+    """Each interest's top L train items by p(i|k) (ties by ascending id),
+    then restricted to ``pool`` in that order.
 
-    ptr: np.ndarray
-    items: np.ndarray
-    probs: np.ndarray
-    pool_items: np.ndarray  # every item on some list, ascending
-
-
-def build_mle_index(mix: MleMixture, cfg: RetrievalConfig) -> MleIndex:
+    ``pool`` holds ascending item ids, like ``ChunkSlice.item_pool``, so
+    backtests compare methods over identical pools; without it the pool is
+    every listed item. Truncating before restricting means a pool never
+    promotes an item from below an interest's top L. ``ranking`` is the
+    pool's ``popularity_ranking``, the cold-user fallback.
+    """
     K = len(mix.interest_ptr) - 1
-    L = cfg.truncation
-    ptr = np.zeros(K + 1, dtype=np.int64)
-    items_out, probs_out = [], []
-    for k in range(K):
-        items, probs = mix.interest_items(k)
-        order = np.lexsort((items, -probs))[:L]
-        items_out.append(items[order])
-        probs_out.append(probs[order])
-        ptr[k + 1] = ptr[k] + len(order)
-    items = np.concatenate(items_out) if items_out else np.empty(0, np.int64)
-    return MleIndex(
-        ptr=ptr,
-        items=items,
-        probs=np.concatenate(probs_out) if probs_out else np.empty(0, np.float64),
-        pool_items=np.unique(items),
+    ks = np.repeat(np.arange(K), np.diff(mix.interest_ptr))
+    # items are grouped by interest already, so each group keeps its place
+    order = np.lexsort((mix.items, -mix.p_i_given_k, ks))
+    top = np.arange(len(ks)) - mix.interest_ptr[ks] < cfg.truncation
+    items, probs, ks = mix.items[order][top], mix.p_i_given_k[order][top], ks[top]
+    if pool is None:
+        pool = np.unique(items)
+    pos, found = _lookup(pool, items)
+    return InterestIndex(
+        ptr=np.concatenate([[0], np.cumsum(np.bincount(ks[found], minlength=K))]).astype(np.int64),
+        positions=pos[found],
+        probs=probs[found],
+        pool_items=pool,
+        popularity=ranking,
     )
 
 
@@ -303,26 +306,15 @@ def retrieve_mle(
     mix: MleMixture,
     cfg: RetrievalConfig,
     seen=None,
-    allowed: np.ndarray | None = None,
-    index: MleIndex | None = None,
-    fallback: tuple[np.ndarray, np.ndarray] | None = None,
+    index: InterestIndex | None = None,
     chunk: int = -1,
 ) -> CandidateList:
-    """Static mixture ranking over train items; optionally restricted to an
-    allowed item pool (ascending ids, like ``ChunkSlice.item_pool``) so
-    backtests compare methods over identical pools."""
+    """Static mixture ranking over the train items of ``index`` (built from
+    ``mix`` without a pool when not given)."""
     if index is None:
         index = build_mle_index(mix, cfg)
     ks, pks = mix.user_mixture(u)
-    if len(ks) == 0:
-        return _fallback(fallback, cfg, u, chunk, seen if cfg.exclude_seen else None)
-    pool = index.pool_items if allowed is None else allowed
-    flat, w = _gather(index.ptr, ks, pks)
-    pos, found = _lookup(pool, index.items[flat])
-    scores = w * index.probs[flat]
-    return _mixture_top(
-        pool, pos[found], scores[found], cfg.M, seen if cfg.exclude_seen else None, u, chunk
-    )
+    return _mixture(u, ks, pks, index, cfg, seen, chunk)
 
 
 def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:

@@ -58,9 +58,6 @@ __all__ = [
     "ChunkModel",
     "SweepStats",
     "gibbs_weight",
-    "init_chunk",
-    "sweep",
-    "log_joint",
     "fit_chunk",
     "save_chunk_model",
     "load_chunk_model",
@@ -366,9 +363,6 @@ class ChunkModel:
     def item_pool(self) -> np.ndarray:
         return self.slice.item_pool
 
-    def engagement_user(self, j: int) -> int:
-        return int(self.slice.users[j])
-
     def user_counts(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """(interests, combined counts) for a user active in this chunk."""
         r = self._row_index(user)
@@ -390,12 +384,6 @@ class ChunkModel:
             row = self._base.cold_row(user)
             ks = np.asarray(sorted(row), dtype=np.int64)
             return ks, np.asarray([row[int(k)] for k in ks], dtype=np.int64)
-
-    def user_theta(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """Smoothed interest mixture (alpha mass on every candidate)."""
-        ks, counts = self.user_counts(user)
-        masses = self.alpha + counts.astype(np.float64)
-        return ks, masses / masses.sum()
 
     def cold_rows(self) -> dict[int, dict[int, int]]:
         """Cold users' combined counts: {active row: {interest: count}}."""
@@ -419,10 +407,6 @@ class ChunkModel:
         items = np.repeat(self.slice.item_pool, self._ifill)
         return items, self._ik[slots], self._ic[slots]
 
-    def iter_item_counts(self):
-        """Yield (item, interest, count) triples for this chunk's table."""
-        yield from zip(*(a.tolist() for a in self.item_table()))
-
     def chunk_user_total(self, user: int) -> int:
         r = self._row_index(user)
         return int(self._ptr[r + 1] - self._ptr[r])
@@ -440,15 +424,11 @@ class ChunkModel:
         total = 0.0
         if len(self._uk):
             total += float((gammaln(a + self._uk) - gammaln(a + self._uk_base)).sum())
-        for r in np.flatnonzero(self._offs < 0).tolist():
-            row = dict(zip(*(x.tolist() for x in self._cold_row(r))))
-            lo, hi = self._cbptr[r], self._cbptr[r + 1]
-            base_row = dict(zip(self._cbk[lo:hi].tolist(), self._cbc[lo:hi].tolist()))
-            for k, c in row.items():
-                total += math.lgamma(a + c) - math.lgamma(a + base_row.get(k, 0))
-            for k, c in base_row.items():
-                if k not in row:
-                    total -= math.lgamma(a + c) - math.lgamma(a)
+        # cold rows: interests absent from a row or its base contribute
+        # lgamma(a) - lgamma(a) = 0, so rows and bases sum independently
+        cold = self._cc[_ranges(self._cptr[:-1], self._cfill)]
+        total += float((gammaln(a + cold) - gammaln(a)).sum())
+        total -= float((gammaln(a + self._cbc) - gammaln(a)).sum())
         _, _, counts = self.item_table()
         if len(counts):
             total += float((gammaln(b + counts) - gammaln(b)).sum())
@@ -626,25 +606,6 @@ def gibbs_weight(u: int, i: int, k: int, m: ChunkModel, init: InitArtifact) -> f
     return (alpha_mass + n_uk) * (init.beta + n_ikt) / (m.Ibeta + n_kt)
 
 
-def init_chunk(
-    slice_: ChunkSlice,
-    init: InitArtifact,
-    cfg: SamplerConfig,
-    base: UserCounts | None = None,
-) -> ChunkModel:
-    """Build a chunk model with assignments drawn uniformly over supports."""
-    return ChunkModel(slice_, init, cfg, base=base)
-
-
-def sweep(m: ChunkModel, init: InitArtifact, rng: np.random.Generator) -> tuple[ChunkModel, int]:
-    changed = m.run_sweep(rng.random(m.n))
-    return m, changed
-
-
-def log_joint(m: ChunkModel, init: InitArtifact) -> float:
-    return m.log_joint()
-
-
 def fit_chunk(
     slice_: ChunkSlice,
     init: InitArtifact,
@@ -696,7 +657,7 @@ def export_tables_text(m: ChunkModel, path) -> None:
                 if c:
                     fh.write(f"{u}\t{k}\t{c}\n")
         fh.write("# section=item_interest i k count\n")
-        for i, k, c in m.iter_item_counts():
+        for i, k, c in zip(*(a.tolist() for a in m.item_table())):
             fh.write(f"{i}\t{k}\t{c}\n")
         fh.write("# section=interest k count\n")
         for k, c in enumerate(m._nk):

@@ -19,7 +19,7 @@ from mixrec.graph import ChunkSlice, EngagementGraph, IdMap, load_edge_list, reg
 from mixrec.initialization import build_init
 from mixrec.metrics import mrr_at_m, ndcg_at_m, recall_at_m
 from mixrec.retrieval import RetrievalConfig, batch_retrieve, build_index, retrieve_micro
-from mixrec.sampler import SamplerConfig, fit_chunk, gibbs_weight, init_chunk, sweep
+from mixrec.sampler import ChunkModel, SamplerConfig, fit_chunk, gibbs_weight
 from mixrec.synth import SynthSpec, generate, init_from_truth, score_recovery
 
 from oracles import (
@@ -100,7 +100,7 @@ class TestGibbsConditionalExactness:
         # every tiny instance (U<=3, K<=3, I<=4, <=6 engagements), rel < 1e-12
         for case, (init, users, items) in enumerate(tiny_instances()):
             slc = ChunkSlice.from_edges(1, users, items)
-            m = init_chunk(slc, init, SamplerConfig(seed=3))
+            m = ChunkModel(slc, init, SamplerConfig(seed=3))
             rng = np.random.default_rng(17 + case)
             for _ in range(5):
                 z = [
@@ -132,14 +132,14 @@ class TestPosteriorMarginalAgreement:
         init, users, items = tiny_instances()[1]
         slc = ChunkSlice.from_edges(1, users, items)
         _, _, marg = enumerate_posterior(slc.users.tolist(), slc.items.tolist(), init)
-        m = init_chunk(slc, init, SamplerConfig(seed=42))
+        m = ChunkModel(slc, init, SamplerConfig(seed=42))
         rng = np.random.default_rng(42)
         for _ in range(2000):  # burn-in
-            sweep(m, init, rng)
+            m.run_sweep(rng.random(m.n))
         counts = [dict.fromkeys(d, 0) for d in marg]
         S = 50_000
         for _ in range(S):
-            sweep(m, init, rng)
+            m.run_sweep(rng.random(m.n))
             for j, k in enumerate(m.z.tolist()):
                 counts[j][k] += 1
         worst = 0.0

@@ -165,6 +165,21 @@ class TestBacktest:
         with pytest.raises(ValueError):
             backtest(cfg)
 
+    def test_changed_artifact_config_raises(self, synth_edges, tmp_path):
+        out = tmp_path / "stale"
+        common = ["backtest", "--data", str(synth_edges), "--out", str(out), "--test-chunks", "3",
+                  "--dim", "8", "--epochs", "2", "--methods", "micro", "mle", "--seed", "1"]
+        assert cli_main([*common, "--interests", "5", "--m", "5"]) == 0
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        config = (out / "config.json").read_text()
+        with pytest.raises(ValueError, match="num_interests, alpha"):
+            cli_main([*common, "--interests", "3", "--alpha", "5", "--m", "5"])
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
+        assert (out / "config.json").read_text() == config
+        # retrieval-only fields may change between runs
+        assert cli_main([*common, "--interests", "5", "--m", "4"]) == 0
+        assert json.loads((out / "config.json").read_text())["m_values"] == [4]
+
     def test_unknown_method_rejected(self, synth_edges, tmp_path):
         with pytest.raises(ValueError):
             small_config(synth_edges, tmp_path / "x", methods=["micro", "bogus"])

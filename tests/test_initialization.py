@@ -82,6 +82,17 @@ class TestBuildInit:
         with pytest.raises(ValueError):
             build_init(g, [0], 1, beta=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 5e-324])
+    def test_nonfinite_and_subnormal_priors_rejected(self, bad):
+        g = from_raw_edges([0, 1], [0, 1], [0, 0])
+        for prior in ("alpha", "beta"):
+            with pytest.raises(ValueError, match=prior):
+                build_init(g, [0, 1], 2, **{prior: bad})
+            init = build_init(g, [0, 1], 2)
+            setattr(init, prior, bad)
+            with pytest.raises(ValueError, match=prior):
+                init.validate()
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         g = from_raw_edges(rng.integers(0, 20, 100), rng.integers(0, 30, 100), np.zeros(100, int))

@@ -274,8 +274,43 @@ class TestRetrieveMle:
         )
         mix = mle_mixture(init)
         cfg = RetrievalConfig(M=3, exclude_seen=False)
-        got = retrieve_mle(0, mix, cfg, allowed=np.asarray([1, 2]))
+        got = retrieve_mle(0, mix, cfg, index=build_mle_index(mix, cfg, pool=np.asarray([1, 2])))
         assert set(got.item_ids()) <= {1, 2}
+
+    def test_index_truncates_before_pool_restriction(self):
+        rng = np.random.default_rng(8)
+        U, I, K, L = 6, 40, 3, 4
+        edges = [(int(rng.integers(U)), int(rng.integers(I))) for _ in range(300)]
+        init = make_init(edges, rng.integers(0, K, I).tolist(), K, num_users=U, num_items=I)
+        mix = mle_mixture(init)
+        cfg = RetrievalConfig(M=2, L=L, exclude_seen=False)
+        tops = {}
+        for k in range(K):
+            items, probs = mix.interest_items(k)
+            order = np.lexsort((items, -probs))
+            tops[k] = (items[order][:L].tolist(), probs[order][:L].tolist(), items[order][L:].tolist())
+        # drop each interest's first and third listed items from the pool
+        dropped = {tops[k][0][j] for k in tops for j in (0, 2) if j < len(tops[k][0])}
+        pool = np.asarray(sorted(set(range(I)) - dropped), dtype=np.int64)
+        idx = build_mle_index(mix, cfg, pool=pool)
+        assert idx.pool_items is pool
+        promotable = False
+        for k, (top, probs, rest) in tops.items():
+            want = [(i, p) for i, p in zip(top, probs) if i not in dropped]
+            items, got_probs = idx.interest_list(k)
+            assert list(zip(items.tolist(), got_probs.tolist())) == want
+            assert set(items.tolist()) <= set(top)
+            promotable |= len(want) < L and any(i not in dropped for i in rest)
+        assert promotable  # restricting first would have promoted an item
+        for u in range(U):
+            score = {}
+            ks, pks = mix.user_mixture(u)
+            for k, pk in zip(ks.tolist(), pks.tolist()):
+                items, probs = idx.interest_list(k)
+                for i, pi in zip(items.tolist(), probs.tolist()):
+                    score[i] = score.get(i, 0.0) + pk * pi
+            want = sorted(score.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.M]
+            assert retrieve_mle(u, mix, cfg, index=idx).item_ids() == [i for i, _ in want]
 
 
 class TestAnn:
@@ -410,7 +445,6 @@ class TestSeenExclusion:
         self.cfg = RetrievalConfig(M=self.M, L=self.I)
         self.idx = build_index(self.m, self.cfg)
         self.mix = mle_mixture(self.init)
-        self.mle_index = build_mle_index(self.mix, self.cfg)
         self.emb = EmbeddingTable(
             user_vectors=rng.normal(size=(self.U, 4)), item_vectors=np.zeros((self.I, 4))
         )
@@ -474,7 +508,7 @@ class TestSeenExclusion:
             yield (
                 name,
                 lambda seen, pool=pool: retrieve_mle(
-                    u, self.mix, cfg, seen=seen, allowed=pool, index=self.mle_index, fallback=self.rank
+                    u, self.mix, cfg, seen=seen, index=build_mle_index(self.mix, cfg, pool, self.rank)
                 ),
                 self.mle_scores(u, None if pool is None else set(pool.tolist())) if warm else self.counts,
             )

@@ -15,11 +15,8 @@ from mixrec.sampler import (
     UserCounts,
     fit_chunk,
     gibbs_weight,
-    init_chunk,
     load_chunk_model,
-    log_joint,
     save_chunk_model,
-    sweep,
     sweep_diagnostics_text,
     export_tables_text,
 )
@@ -95,7 +92,7 @@ def tiny_instances():
 def build_model(init, users, items, seed=0, **cfg_kw):
     slc = ChunkSlice.from_edges(1, users, items)
     cfg = SamplerConfig(seed=seed, **cfg_kw)
-    return init_chunk(slc, init, cfg), slc, cfg
+    return ChunkModel(slc, init, cfg), slc, cfg
 
 
 class TestGibbsWeight:
@@ -184,7 +181,7 @@ def check_invariants(m, init, slc):
     nik = {}
     for i, k in zip(slc.items.tolist(), z.tolist()):
         nik[(i, k)] = nik.get((i, k), 0) + 1
-    got = {(i, k): c for i, k, c in m.iter_item_counts()}
+    got = {(i, k): c for i, k, c in zip(*(a.tolist() for a in m.item_table()))}
     assert got == nik
     # per-user combined counts = base + chunk assignments; support confined
     for u in np.unique(slc.users):
@@ -209,7 +206,7 @@ class TestSweep:
         m, slc, _ = build_model(init, [0], [1], seed=9)
         rng = np.random.default_rng(1)
         for _ in range(10):
-            _, changed = sweep(m, init, rng)
+            changed = m.run_sweep(rng.random(m.n))
             assert changed == 0
 
     def test_k1_sweep_is_identity(self):
@@ -217,7 +214,7 @@ class TestSweep:
         m, slc, _ = build_model(init, [0, 1, 1], [2, 0, 2], seed=4)
         z0 = m.z.tolist()
         rng = np.random.default_rng(2)
-        _, changed = sweep(m, init, rng)
+        changed = m.run_sweep(rng.random(m.n))
         assert changed == 0
         assert m.z.tolist() == z0
 
@@ -227,7 +224,7 @@ class TestSweep:
         m, slc, _ = build_model(init, users, items, seed=8)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            sweep(m, init, rng)
+            m.run_sweep(rng.random(m.n))
             check_invariants(m, init, slc)
 
     def test_remove_assign_are_exact_inverses(self):
@@ -288,7 +285,7 @@ class TestSweep:
         m, slc, _ = build_model(init, users, items, seed=0)
         rng = np.random.default_rng(1)
         for _ in range(3):
-            sweep(m, init, rng)
+            m.run_sweep(rng.random(m.n))
         check_invariants(m, init, slc)
 
 
@@ -314,7 +311,7 @@ def weight_table(m, slc, init):
 def snapshot(m):
     return (
         m.z.tolist(),
-        {(i, k): c for i, k, c in m.iter_item_counts()},
+        {(i, k): c for i, k, c in zip(*(a.tolist() for a in m.item_table()))},
         m.n_kt.tolist(),
         list(m._uk),
         m.cold_rows(),
@@ -343,12 +340,36 @@ class TestLogJoint:
                 math.log(w_new) - math.log(w_old), abs=1e-9
             )
 
+    def test_matches_per_user_loop_with_ledger(self):
+        # the vectorised sums against a per-user loop over the union of each
+        # user's combined and base interests; the order of the sums differs
+        init, (slc1, slc2) = mixed_instance(3, 6)
+        cfg = SamplerConfig(seed=1, user_count_mode="accumulate", max_sweeps=3)
+        base = UserCounts.from_init(init)
+        fit_chunk(slc1, init, cfg, base=base).fold_into(base)
+        assert base.cold
+        m = fit_chunk(slc2, init, cfg, base=base)
+        a, b = init.alpha, init.beta
+        want = 0.0
+        for u in np.unique(slc2.users).tolist():
+            lo, hi = init.support_ptr[u], init.support_ptr[u + 1]
+            before = dict(zip(init.support_k[lo:hi].tolist(), base.warm[lo:hi].tolist()))
+            before.update(base.cold_row(u))
+            after = dict(zip(*(x.tolist() for x in m.user_counts(u))))
+            for k in set(before) | set(after):
+                want += math.lgamma(a + after.get(k, 0)) - math.lgamma(a + before.get(k, 0))
+        for c in m.item_table()[2].tolist():
+            want += math.lgamma(b + c) - math.lgamma(b)
+        for c in m.n_kt[m.n_kt > 0].tolist():
+            want -= math.lgamma(m.Ibeta + c) - math.lgamma(m.Ibeta)
+        assert m.log_joint() == pytest.approx(want, rel=1e-12)
+
     def test_empty_chunk_constant(self):
         init = make_init([(0, 0)], item_interest=[0, 0], K=2, num_items=2)
         for seed in (0, 1, 2):
             slc = ChunkSlice.from_edges(1, [], [])
-            m = init_chunk(slc, init, SamplerConfig(seed=seed))
-            assert log_joint(m, init) == 0.0
+            m = ChunkModel(slc, init, SamplerConfig(seed=seed))
+            assert m.log_joint() == 0.0
 
     @pytest.mark.parametrize("case", range(2))
     def test_matches_enumeration_oracle_up_to_constant(self, case):
@@ -371,7 +392,7 @@ class TestLogJoint:
         m, slc, cfg = build_model(init, users, items, seed=12)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            sweep(m, init, rng)
+            m.run_sweep(rng.random(m.n))
             assert m.current_log_joint == pytest.approx(m.log_joint(), abs=1e-9)
 
 
