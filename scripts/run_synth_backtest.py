@@ -71,7 +71,7 @@ def main() -> int:
         t: fit_chunk(g.slice(t), init, SamplerConfig(seed=100 + t))
         for t in range(args.chunks - 3, args.chunks)
     }
-    rec = score_recovery(truth, models, init)
+    rec = score_recovery(truth, models)
     print()
     for t in sorted(rec.per_chunk_exact):
         print(

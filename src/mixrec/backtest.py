@@ -12,10 +12,15 @@ chunk's representations. The candidate pool for every method is the set of
 items engaged in the source chunk, so comparisons stay fair; the static
 mixture baseline ranks train items restricted to that pool.
 
-A rerun must match the ``config.json`` already in the output directory on
-every field some artifact depends on (all but the retrieval and output
-fields); otherwise it raises before touching anything, instead of reusing
-stale artifacts.
+Every method is one retriever ``fn(u, index, cfg, seen, chunk)``; its
+index is built once per source chunk (``ann``, ``popularity``) or per
+(chunk, M) (the two mixtures).
+
+``open_run`` starts every run, here and in the CLI's stage commands: it
+validates the config, checks it against the output directory's
+``config.json`` on every field some artifact depends on (all but the
+retrieval and output fields) and writes it. A bad or stale config raises
+before anything is touched, instead of building or reusing artifacts.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import cluster_items, export_cluster_map, load_clusters, save_clusters
-from .embeddings import load_embeddings, save_embeddings, train_embeddings
+from .embeddings import check_embedding_args, load_embeddings, save_embeddings, train_embeddings
 from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
 from .initialization import build_init, load_init, mle_mixture, save_init
 from .metrics import MetricsReport, QuerySet, aggregate, build_queries, score_query
@@ -42,12 +47,14 @@ from .retrieval import (
     build_mle_index,
     popularity_ranking,
     popularity_retrieve,
-    retrieve_micro,
-    retrieve_mle,
 )
+# one retriever serves both mixtures, bound to one name per method so
+# that each method's calls can be wrapped and timed on their own
+from .retrieval import retrieve_mixture as retrieve_micro
+from .retrieval import retrieve_mixture as retrieve_mle
 from .sampler import SamplerConfig, UserCounts, fit_chunk, load_chunk_model, save_chunk_model, sweep_diagnostics_text
 
-__all__ = ["RunConfig", "backtest", "split_graph", "write_reports", "report", "METHODS"]
+__all__ = ["RunConfig", "backtest", "open_run", "split_graph", "write_reports", "report", "METHODS"]
 
 logger = logging.getLogger(__name__)
 
@@ -131,23 +138,34 @@ _RETRIEVAL_FIELDS = {
 }
 
 
-def _check_artifact_config(cfg: RunConfig, out: Path) -> None:
-    """Raise if ``out`` holds a config.json that disagrees with ``cfg`` on
-    an artifact field; the cached artifacts would be stale."""
-    path = out / "config.json"
-    if not path.exists():
-        return
-    old = json.loads(path.read_text())
-    new = json.loads(json.dumps(asdict(cfg)))
-    stale = [
-        f.name for f in fields(RunConfig)
-        if f.name not in _RETRIEVAL_FIELDS and old.get(f.name) != new[f.name]
-    ]
-    if stale:
-        raise ValueError(
-            f"{out} holds artifacts built with a different {', '.join(stale)}; "
-            "use a new output directory or remove this one"
-        )
+def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
+    """Validate ``cfg``, check it against the output directory's
+    ``config.json`` and write it there; returns the retrieval config per M.
+
+    Every check runs before anything is written: a bad config creates no
+    directory, and one that disagrees with the existing ``config.json`` on
+    an artifact field (the cached artifacts would be stale) raises, naming
+    the fields, and leaves the directory untouched.
+    """
+    rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
+    cfg.sampler_config(0)
+    e = cfg.embed
+    check_embedding_args(e.dim, e.epochs, e.negatives, e.score_mode)
+    out = Path(cfg.out_dir)
+    if (out / "config.json").exists():
+        old = json.loads((out / "config.json").read_text())
+        new = json.loads(json.dumps(asdict(cfg)))
+        stale = [
+            f.name for f in fields(RunConfig)
+            if f.name not in _RETRIEVAL_FIELDS and old.get(f.name) != new[f.name]
+        ]
+        if stale:
+            raise ValueError(
+                f"{out} holds artifacts built with a different {', '.join(stale)}; "
+                "use a new output directory or remove this one"
+            )
+    cfg.to_json(out / "config.json")
+    return rcfgs
 
 
 def _atomic_write(path, text: str) -> None:
@@ -298,9 +316,7 @@ def split_graph(cfg: RunConfig) -> tuple[EngagementGraph, EngagementGraph, list[
 def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     """Run the rolling protocol and return reports keyed by (method, M)."""
     out = Path(cfg.out_dir)
-    _check_artifact_config(cfg, out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.to_json(out / "config.json")
+    rcfgs = open_run(cfg)
 
     _, train, test = split_graph(cfg)
     logger.info(
@@ -327,8 +343,8 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
         if (init is not None and cfg.user_count_mode == "accumulate")
         else None
     )
-
-    rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
+    # looked up at call time, so wrappers installed on this module's names apply
+    retrievers = {"micro": retrieve_micro, "mle": retrieve_mle, "ann": ann_retrieve, "popularity": popularity_retrieve}
 
     per_query: dict[tuple[str, int], list[tuple[float, float, float]]] = {
         (meth, m): [] for meth in methods for m in cfg.m_values
@@ -344,41 +360,22 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
         if j >= 1:
             queries = build_queries([slc]).queries
             eval_queries.extend(queries)
-            pool = prev_slice.item_pool
             pop_rank = popularity_ranking(prev_slice)
-            ann_pool, ann_vecs = ann_encode_items(prev_slice, emb) if "ann" in methods else (None, None)
-            ann_norms = np.linalg.norm(ann_vecs, axis=1) if "ann" in methods else None
+            indexes = {"popularity": pop_rank}
+            if "ann" in methods:
+                indexes["ann"] = ann_encode_items(prev_slice, emb)
             for m in cfg.m_values:
                 rcfg = rcfgs[m]
-                idx = build_index(prev_model, rcfg, pop_rank) if "micro" in methods else None
-                mle_idx = build_mle_index(mix, rcfg, pool, pop_rank) if "mle" in methods else None
-                closures = {}
                 if "micro" in methods:
-                    closures["micro"] = lambda q, idx=idx, rcfg=rcfg: retrieve_micro(
-                        q.user, prev_model, idx, init, rcfg,
-                        seen=seen.view(q.user) if seen else None,
-                        target_chunk=slc.chunk,
-                    )
+                    indexes["micro"] = build_index(prev_model, rcfg, pop_rank)
                 if "mle" in methods:
-                    closures["mle"] = lambda q, rcfg=rcfg, mle_idx=mle_idx: retrieve_mle(
-                        q.user, mix, rcfg,
-                        seen=seen.view(q.user) if seen else None,
-                        index=mle_idx, chunk=slc.chunk,
-                    )
-                if "ann" in methods:
-                    closures["ann"] = lambda q, rcfg=rcfg: ann_retrieve(
-                        q.user, ann_pool, ann_vecs, emb, rcfg,
-                        seen=seen.view(q.user) if seen else None, chunk=slc.chunk, norms=ann_norms,
-                    )
-                if "popularity" in methods:
-                    closures["popularity"] = lambda q, rcfg=rcfg: popularity_retrieve(
-                        prev_slice, rcfg, user=q.user,
-                        seen=seen.view(q.user) if seen else None,
-                        chunk=slc.chunk, ranking=pop_rank,
-                    )
+                    indexes["mle"] = build_mle_index(mix, rcfg, prev_slice.item_pool, pop_rank)
                 for meth in methods:
-                    fn = closures[meth]
-                    cands = batch_retrieve(fn, queries, rcfg)
+                    fn, index = retrievers[meth], indexes[meth]
+                    cands = batch_retrieve(
+                        lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
+                        queries, rcfg,
+                    )
                     per_query[(meth, m)].extend(
                         score_query(c, q.truth, m=m) for c, q in zip(cands, queries)
                     )

@@ -1,8 +1,10 @@
 """Command-line pipeline: ingest, embed, cluster, init, backtest, synth, report.
 
 A JSON config file supplies defaults; every value can be overridden by a
-flag. Progress goes to stderr as key=value lines; all artifacts and reports
-land under the run's output directory.
+flag. ``embed``, ``cluster``, ``init`` and ``backtest`` check the config
+against the output directory's ``config.json`` and write it there.
+Progress goes to stderr as key=value lines; all artifacts and reports land
+under the run's output directory.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .backtest import (
     ensure_clusters,
     ensure_embeddings,
     ensure_init,
+    open_run,
     report,
     split_graph,
 )
@@ -82,6 +85,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _build_config(args)
+    open_run(cfg)
     ensure_embeddings(cfg, split_graph(cfg)[1])
     return 0
 
@@ -90,6 +94,7 @@ def cmd_cluster(args) -> int:
     cfg = _build_config(args)
     if not (Path(cfg.out_dir) / "embeddings.npz").exists():
         raise SystemExit("no embeddings.npz in the output directory; run `embed` first")
+    open_run(cfg)
     emb = ensure_embeddings(cfg, None)  # reuses the cached table
     ensure_clusters(cfg, emb)
     return 0
@@ -100,6 +105,7 @@ def cmd_init(args) -> int:
     out = Path(cfg.out_dir)
     if not (out / "clusters.npz").exists():
         raise SystemExit("no clusters.npz in the output directory; run `cluster` first")
+    open_run(cfg)
     train = split_graph(cfg)[1]
     emb = ensure_embeddings(cfg, train)
     clusters = ensure_clusters(cfg, emb)

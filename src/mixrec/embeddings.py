@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import EngagementGraph
 
-__all__ = ["EmbeddingTable", "train_embeddings", "save_embeddings", "load_embeddings"]
+__all__ = ["EmbeddingTable", "check_embedding_args", "train_embeddings", "save_embeddings", "load_embeddings"]
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +67,18 @@ def _apply_row_mean(emb: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: fl
     emb[uniq] -= lr * acc / counts[:, None]
 
 
+def check_embedding_args(dim: int, epochs: int, negatives: int, score_mode: str) -> None:
+    """Raise ``ValueError`` for arguments ``train_embeddings`` cannot use."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if negatives < 1:
+        raise ValueError("negatives must be >= 1")
+    if score_mode not in SCORE_MODES:
+        raise ValueError(f"score_mode must be one of {SCORE_MODES}")
+
+
 def train_embeddings(
     train: EngagementGraph,
     dim: int,
@@ -85,16 +97,9 @@ def train_embeddings(
     relation vector r and scalar offset b. Mean per-engagement loss is logged
     each epoch and must trend downward.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if negatives < 1:
-        raise ValueError("negatives must be >= 1")
+    check_embedding_args(dim, epochs, negatives, score_mode)
     if train.num_edges == 0:
         raise ValueError("cannot train embeddings on an empty graph")
-    if score_mode not in SCORE_MODES:
-        raise ValueError(f"score_mode must be one of {SCORE_MODES}")
 
     rng = np.random.default_rng(seed)
     U, I, E = train.num_users, train.num_items, train.num_edges

@@ -1,15 +1,30 @@
-"""Top-M candidate generation from fitted chunk tables, plus baselines.
+"""Top-M candidate generation from per-chunk indexes: the interest mixture
+and three baselines.
 
-The model-based retriever (``micro``) scores items by the interest mixture:
-per query user, the smoothed interest weights multiply the per-interest
-smoothed item probabilities from the previous chunk's count tables,
-evaluated only over truncated per-interest top lists. The static baseline
-(``mle``) is the same mixture built from the t=0 tables. Both are served
-from one ``InterestIndex`` (per-interest lists as positions into an
-ascending candidate pool, plus the pool's popularity ranking for users
-without interests) by one scorer, ``_mixture``. The other baselines are
-cosine similarity against engagement-averaged item vectors and global
-popularity.
+Every retriever has one contract,
+
+    fn(u, index, cfg, seen=None, chunk=-1) -> CandidateList
+
+where ``index`` is built from the source chunk before any query, ``seen``
+holds the user's seen item ids and ``chunk`` is the target chunk the list
+is recorded under. The index per method:
+
+- ``micro``: ``build_index(m, cfg, ranking)``, an ``InterestIndex`` of the
+  fitted chunk model's per-interest top-L lists (one per chunk and M); the
+  user's interest weights are ``ChunkModel.user_mixture``, the
+  alpha-smoothed combined counts normalised over the support.
+- ``mle``: ``build_mle_index(mix, cfg, pool, ranking)``, an
+  ``InterestIndex`` of the t=0 tables' top-L lists restricted to the pool
+  (one per chunk and M); weights are ``MleMixture.user_mixture``.
+- ``ann``: ``ann_encode_items(slice_, emb)``, an ``AnnIndex`` of the pool's
+  engagement-averaged item vectors, their norms and the user vectors.
+- ``popularity``: ``popularity_ranking(slice_)``, the pool by engagement
+  count.
+
+Both mixtures are one retriever, ``retrieve_mixture``: an ``InterestIndex``
+holds per-interest lists as positions into an ascending candidate pool,
+the function giving a user's (interests, weights), and the pool's
+popularity ranking for users without interests.
 
 Every retriever ends in one selection, ``_first_unseen``: the first M
 entries of a ranked candidate array that are not seen. Scored candidates are
@@ -23,22 +38,23 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .graph import ChunkSlice
-from .initialization import InitArtifact, MleMixture
-from .sampler import ChunkModel
+from .initialization import MleMixture
+from .sampler import ChunkModel, _ranges
 
 __all__ = [
     "RetrievalConfig",
     "CandidateList",
     "InterestIndex",
+    "AnnIndex",
     "build_index",
-    "retrieve_micro",
     "build_mle_index",
-    "retrieve_mle",
+    "retrieve_mixture",
     "ann_encode_items",
     "ann_retrieve",
     "popularity_ranking",
@@ -94,14 +110,16 @@ class InterestIndex:
     Interest k's candidates are positions into the ascending ``pool_items``
     (``positions[ptr[k]:ptr[k+1]]`` with aligned probabilities ``probs``),
     in list order: probability descending, ties by ascending item id.
-    ``popularity`` is the pool's ``popularity_ranking``, the fallback for
-    users without interests; without it they get an empty list.
+    ``mixture(u)`` gives user u's (interests, weights), empty for a user
+    without interests. ``popularity`` is the pool's ``popularity_ranking``,
+    the fallback for such users; without it they get an empty list.
     """
 
     ptr: np.ndarray
     positions: np.ndarray
     probs: np.ndarray
     pool_items: np.ndarray
+    mixture: Callable[[int], tuple[np.ndarray, np.ndarray]]
     popularity: tuple[np.ndarray, np.ndarray] | None = None
 
     def interest_list(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +180,42 @@ def build_index(
         positions=np.concatenate(pos_out) if pos_out else np.empty(0, np.int64),
         probs=np.concatenate(phis_out) if phis_out else np.empty(0, np.float64),
         pool_items=pool,
+        mixture=m.user_mixture,
         popularity=popularity_ranking(m.slice) if ranking is None else ranking,
+    )
+
+
+def build_mle_index(
+    mix: MleMixture,
+    cfg: RetrievalConfig,
+    pool: np.ndarray | None = None,
+    ranking: tuple[np.ndarray, np.ndarray] | None = None,
+) -> InterestIndex:
+    """Each interest's top L train items by p(i|k) (ties by ascending id),
+    then restricted to ``pool`` in that order.
+
+    ``pool`` holds ascending item ids, like ``ChunkSlice.item_pool``, so
+    backtests compare methods over identical pools; without it the pool is
+    every listed item. Truncating before restricting means a pool never
+    promotes an item from below an interest's top L. ``ranking`` is the
+    pool's ``popularity_ranking``, the cold-user fallback.
+    """
+    K = len(mix.interest_ptr) - 1
+    ks = np.repeat(np.arange(K), np.diff(mix.interest_ptr))
+    # items are grouped by interest already, so each group keeps its place
+    order = np.lexsort((mix.items, -mix.p_i_given_k, ks))
+    top = np.arange(len(ks)) - mix.interest_ptr[ks] < cfg.truncation
+    items, probs, ks = mix.items[order][top], mix.p_i_given_k[order][top], ks[top]
+    if pool is None:
+        pool = np.unique(items)
+    pos, found = _lookup(pool, items)
+    return InterestIndex(
+        ptr=np.concatenate([[0], np.cumsum(np.bincount(ks[found], minlength=K))]).astype(np.int64),
+        positions=pos[found],
+        probs=probs[found],
+        pool_items=pool,
+        mixture=mix.user_mixture,
+        popularity=ranking,
     )
 
 
@@ -217,21 +270,22 @@ def _gather(ptr: np.ndarray, ks: np.ndarray, weights: np.ndarray):
     ``ks``) and each row's weight repeated along it."""
     lo = ptr[ks]
     n = ptr[ks + 1] - lo
-    starts = np.cumsum(n) - n
-    return np.repeat(lo - starts, n) + np.arange(int(n.sum())), np.repeat(weights, n)
+    return _ranges(lo, n), np.repeat(weights, n)
 
 
-def _mixture(
-    u: int, ks: np.ndarray, theta: np.ndarray, idx: InterestIndex, cfg: RetrievalConfig, seen, chunk: int
+def retrieve_mixture(
+    u: int, idx: InterestIndex, cfg: RetrievalConfig, seen=None, chunk: int = -1
 ) -> CandidateList:
     """Top M by the mixture sum over k of ``theta[k] * prob`` across the
-    lists of interests ``ks``; with no interests, the cold-user fallback.
+    lists of the user's interests ``ks``, where ``(ks, theta) =
+    idx.mixture(u)``; with no interests, the cold-user fallback.
 
     ``bincount`` adds the weighted probabilities into their pool positions
     in input order, so each item sums its per-interest terms in the order
     of ``ks``. Only items some term touched are candidates.
     """
     seen = seen if cfg.exclude_seen else None
+    ks, theta = idx.mixture(u)
     if len(ks) == 0:
         if cfg.cold_user_policy == "empty" or idx.popularity is None:
             return CandidateList(user=u, chunk=chunk, items=[])
@@ -244,116 +298,45 @@ def _mixture(
     return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen=seen, chunk=chunk, user=u)
 
 
-def retrieve_micro(
-    u: int,
-    m: ChunkModel,
-    idx: InterestIndex,
-    init: InitArtifact,
-    cfg: RetrievalConfig,
-    seen=None,
-    target_chunk: int | None = None,
-) -> CandidateList:
-    """Mixture-scored top M over the union of the support's truncated lists.
+@dataclass
+class AnnIndex:
+    """Chunk item vectors over the ascending ``pool_items``, their norms,
+    and the user vectors they are compared with."""
 
-    Interest weights are the alpha-smoothed combined user counts normalized
-    over the support. Users with no t=0 history fall back per policy.
-    """
-    chunk = m.chunk + 1 if target_chunk is None else target_chunk
-    if len(init.support(u)) == 0:
-        ks, theta = np.empty(0, np.int64), np.empty(0)
-    else:
-        ks, counts = m.user_counts_any(u)
-        masses = init.alpha + counts.astype(np.float64)
-        theta = masses / masses.sum()
-    return _mixture(u, ks, theta, idx, cfg, seen, chunk)
+    pool_items: np.ndarray
+    item_vecs: np.ndarray
+    norms: np.ndarray
+    user_vectors: np.ndarray
 
 
-def build_mle_index(
-    mix: MleMixture,
-    cfg: RetrievalConfig,
-    pool: np.ndarray | None = None,
-    ranking: tuple[np.ndarray, np.ndarray] | None = None,
-) -> InterestIndex:
-    """Each interest's top L train items by p(i|k) (ties by ascending id),
-    then restricted to ``pool`` in that order.
-
-    ``pool`` holds ascending item ids, like ``ChunkSlice.item_pool``, so
-    backtests compare methods over identical pools; without it the pool is
-    every listed item. Truncating before restricting means a pool never
-    promotes an item from below an interest's top L. ``ranking`` is the
-    pool's ``popularity_ranking``, the cold-user fallback.
-    """
-    K = len(mix.interest_ptr) - 1
-    ks = np.repeat(np.arange(K), np.diff(mix.interest_ptr))
-    # items are grouped by interest already, so each group keeps its place
-    order = np.lexsort((mix.items, -mix.p_i_given_k, ks))
-    top = np.arange(len(ks)) - mix.interest_ptr[ks] < cfg.truncation
-    items, probs, ks = mix.items[order][top], mix.p_i_given_k[order][top], ks[top]
-    if pool is None:
-        pool = np.unique(items)
-    pos, found = _lookup(pool, items)
-    return InterestIndex(
-        ptr=np.concatenate([[0], np.cumsum(np.bincount(ks[found], minlength=K))]).astype(np.int64),
-        positions=pos[found],
-        probs=probs[found],
-        pool_items=pool,
-        popularity=ranking,
-    )
-
-
-def retrieve_mle(
-    u: int,
-    mix: MleMixture,
-    cfg: RetrievalConfig,
-    seen=None,
-    index: InterestIndex | None = None,
-    chunk: int = -1,
-) -> CandidateList:
-    """Static mixture ranking over the train items of ``index`` (built from
-    ``mix`` without a pool when not given)."""
-    if index is None:
-        index = build_mle_index(mix, cfg)
-    ks, pks = mix.user_mixture(u)
-    return _mixture(u, ks, pks, index, cfg, seen, chunk)
-
-
-def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> AnnIndex:
     """Chunk item vectors as per-engagement means of engaging users' vectors."""
     pool, inv = np.unique(slice_.items, return_inverse=True)
     acc = np.zeros((len(pool), emb.dim))
     np.add.at(acc, inv, emb.user_vectors[slice_.users])
     counts = np.bincount(inv, minlength=len(pool))
-    return pool, acc / counts[:, None]
+    vecs = acc / counts[:, None]
+    return AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), emb.user_vectors)
 
 
 def ann_retrieve(
-    u: int,
-    pool_items: np.ndarray,
-    item_vecs: np.ndarray,
-    emb: EmbeddingTable,
-    cfg: RetrievalConfig,
-    seen=None,
-    chunk: int = -1,
-    norms: np.ndarray | None = None,
+    u: int, idx: AnnIndex, cfg: RetrievalConfig, seen=None, chunk: int = -1
 ) -> CandidateList:
     """Exact top-M by cosine between the user vector and chunk item vectors.
 
     Zero-norm item vectors rank last (cosine undefined, scored -inf); a
-    zero-norm user vector yields an empty list with a warning. ``norms``
-    are the item vectors' norms, computed here when not given.
+    zero-norm user vector yields an empty list with a warning.
     """
-    uv = emb.user_vectors[u]
+    uv = idx.user_vectors[u]
     un = float(np.linalg.norm(uv))
     if un == 0.0:
         logger.warning("user %d has a zero embedding; returning no candidates", u)
         return CandidateList(user=u, chunk=chunk, items=[])
-    if norms is None:
-        norms = np.linalg.norm(item_vecs, axis=1)
-    dots = item_vecs @ uv
+    dots = idx.item_vecs @ uv
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.where(norms > 0.0, dots / (norms * un), -np.inf)
+        cos = np.where(idx.norms > 0.0, dots / (idx.norms * un), -np.inf)
     return _select_top(
-        pool_items, cos, cfg.M, seen=seen if cfg.exclude_seen else None, chunk=chunk, user=u
+        idx.pool_items, cos, cfg.M, seen=seen if cfg.exclude_seen else None, chunk=chunk, user=u
     )
 
 
@@ -365,17 +348,11 @@ def popularity_ranking(slice_: ChunkSlice) -> tuple[np.ndarray, np.ndarray]:
 
 
 def popularity_retrieve(
-    slice_: ChunkSlice,
-    cfg: RetrievalConfig,
-    user: int = -1,
-    seen=None,
-    chunk: int = -1,
-    ranking: tuple[np.ndarray, np.ndarray] | None = None,
+    u: int, ranking: tuple[np.ndarray, np.ndarray], cfg: RetrievalConfig, seen=None, chunk: int = -1
 ) -> CandidateList:
-    """Global top-M of the chunk; identical for all users up to exclusion."""
-    if ranking is None:
-        ranking = popularity_ranking(slice_)
-    return _first_unseen(ranking, cfg.M, seen if cfg.exclude_seen else None, user, chunk)
+    """Global top-M of the chunk's ``popularity_ranking``; identical for
+    all users up to exclusion."""
+    return _first_unseen(ranking, cfg.M, seen if cfg.exclude_seen else None, u, chunk)
 
 
 def batch_retrieve(fn, users, cfg: RetrievalConfig):

@@ -385,6 +385,16 @@ class ChunkModel:
             ks = np.asarray(sorted(row), dtype=np.int64)
             return ks, np.asarray([row[int(k)] for k in ks], dtype=np.int64)
 
+    def user_mixture(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """(interests, weights): the alpha-smoothed combined counts of
+        ``user_counts_any`` normalized over the support; empty arrays for a
+        user without t=0 history."""
+        if self.init.is_cold(user):
+            return np.empty(0, np.int64), np.empty(0)
+        ks, counts = self.user_counts_any(user)
+        masses = self.alpha + counts.astype(np.float64)
+        return ks, masses / masses.sum()
+
     def cold_rows(self) -> dict[int, dict[int, int]]:
         """Cold users' combined counts: {active row: {interest: count}}."""
         return {

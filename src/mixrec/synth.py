@@ -225,17 +225,15 @@ def exact_match_fraction(truth_z: np.ndarray, fitted_z: np.ndarray) -> float:
     return float((truth_z == fitted_z).mean())
 
 
-def _theta_tv(model: ChunkModel, truth: SynthTruth, init: InitArtifact) -> float:
-    """Mean over users of total variation between the smoothed mixture
-    estimate and the true mixture."""
+def _theta_tv(model: ChunkModel, truth: SynthTruth) -> float:
+    """Mean over users of total variation between the model's smoothed
+    mixture and the true mixture."""
     U, K = truth.theta.shape
     tvs = np.empty(U)
     for u in range(U):
-        ks, counts = model.user_counts_any(u)
+        ks, theta = model.user_mixture(u)
         est = np.zeros(K)
-        if len(ks):
-            masses = init.alpha + counts.astype(np.float64)
-            est[ks] = masses / masses.sum()
+        est[ks] = theta
         tvs[u] = 0.5 * np.abs(est - truth.theta[u]).sum()
     return float(tvs.mean())
 
@@ -243,7 +241,6 @@ def _theta_tv(model: ChunkModel, truth: SynthTruth, init: InitArtifact) -> float
 def score_recovery(
     truth: SynthTruth,
     models: dict[int, ChunkModel],
-    init: InitArtifact,
     match_labels: bool = False,
 ) -> RecoveryReport:
     """Exact z-recovery per chunk plus mean per-user mixture TV distance.
@@ -280,7 +277,7 @@ def score_recovery(
             fz = label_map[fz]
         frac = exact_match_fraction(tz, fz)
         report.per_chunk_exact[chunk] = frac
-        report.per_chunk_mean_tv[chunk] = _theta_tv(model, truth, init)
+        report.per_chunk_mean_tv[chunk] = _theta_tv(model, truth)
         total += frac * len(tz)
         n += len(tz)
     report.overall_exact = total / n if n else 0.0

@@ -18,7 +18,7 @@ from mixrec.clustering import cluster_items
 from mixrec.graph import ChunkSlice, EngagementGraph, IdMap, load_edge_list, regroup_chunks
 from mixrec.initialization import build_init
 from mixrec.metrics import mrr_at_m, ndcg_at_m, recall_at_m
-from mixrec.retrieval import RetrievalConfig, batch_retrieve, build_index, retrieve_micro
+from mixrec.retrieval import RetrievalConfig, batch_retrieve, build_index, retrieve_mixture
 from mixrec.sampler import ChunkModel, SamplerConfig, fit_chunk, gibbs_weight
 from mixrec.synth import SynthSpec, generate, init_from_truth, score_recovery
 
@@ -153,7 +153,7 @@ class TestPosteriorMarginalAgreement:
 class TestPlantAndRecover:
     def test_recovery_and_mixture_error(self, planted):
         g, truth, init, models = planted
-        rep = score_recovery(truth, models, init)
+        rep = score_recovery(truth, models)
         for t, frac in rep.per_chunk_exact.items():
             assert frac >= 0.8, f"chunk {t} recovery {frac}"
         for t, tv in rep.per_chunk_mean_tv.items():
@@ -176,7 +176,7 @@ class TestSparseDenseEquivalence:
             for u in range(init.num_users):
                 if init.is_cold(u):
                     continue
-                got = retrieve_micro(u, m, idx, init, cfg).item_ids()
+                got = retrieve_mixture(u, idx, cfg).item_ids()
                 want = dense_micro_oracle(u, m, init, cfg.M)
                 assert got == want, f"trial {trial} user {u}"
                 checked += 1
@@ -192,7 +192,7 @@ class TestSparseDenseEquivalence:
             idx = build_index(m, cfg)
             overlaps = []
             for u in range(init.num_users):
-                got = set(retrieve_micro(u, m, idx, init, cfg).item_ids())
+                got = set(retrieve_mixture(u, idx, cfg).item_ids())
                 want = set(dense_micro_oracle(u, m, init, M))
                 overlaps.append(len(got & want) / M)
             worst_mean = min(worst_mean, float(np.mean(overlaps)))
@@ -306,7 +306,7 @@ class TestPerformanceContract:
         idx = build_index(m, cfg)
         users = list(range(U))
         t0 = time.time()
-        res = batch_retrieve(lambda u: retrieve_micro(u, m, idx, init, cfg), users, cfg)
+        res = batch_retrieve(lambda u: retrieve_mixture(u, idx, cfg), users, cfg)
         ret_s = time.time() - t0
         assert ret_s < 10.0, f"10k-user retrieval took {ret_s:.1f}s"
         assert len(res) == U

@@ -180,6 +180,28 @@ class TestBacktest:
         assert cli_main([*common, "--interests", "5", "--m", "4"]) == 0
         assert json.loads((out / "config.json").read_text())["m_values"] == [4]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"user_count_mode": "accumulat"},
+            {"m_values": [0]},
+            {"m_values": [10], "truncation": 5},
+            {"dim": 0},
+        ],
+        ids=["user_count_mode", "m_values", "truncation", "embed_dim"],
+    )
+    def test_bad_config_fails_before_writing(self, synth_edges, tmp_path, bad):
+        out = tmp_path / "bad"
+        cfg = small_config(synth_edges, out, methods=["micro", "popularity"])
+        for key, value in bad.items():
+            setattr(cfg.embed if key == "dim" else cfg, key, value)
+        with pytest.raises(ValueError):
+            backtest(cfg)
+        assert not out.exists()
+        # the corrected run is not refused as stale
+        backtest(small_config(synth_edges, out, methods=["micro", "popularity"]))
+        assert (out / "metrics" / "overall.tsv").exists()
+
     def test_unknown_method_rejected(self, synth_edges, tmp_path):
         with pytest.raises(ValueError):
             small_config(synth_edges, tmp_path / "x", methods=["micro", "bogus"])
@@ -255,6 +277,25 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit):
             cli_main(["cluster", "--out", "nothing-here"])
+
+    def test_stage_commands_check_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cli_main([
+            "synth", "--users", "30", "--items", "50", "--interests", "3",
+            "--chunks", "3", "--per-user", "5", "--seed", "4", "--out-prefix", "d/s",
+        ])
+        common = ["--data", "d/s.tsv", "--out", "r", "--test-chunks", "1", "--dim", "6", "--epochs", "2"]
+        for stage in ("embed", "cluster", "init"):
+            assert cli_main([stage, *common, "--interests", "5"]) == 0
+        assert json.loads(Path("r/config.json").read_text())["num_interests"] == 5
+        stamp = Path("r/init.npz").stat().st_mtime_ns
+        with pytest.raises(ValueError, match="num_interests, alpha"):
+            cli_main(["init", *common, "--interests", "3", "--alpha", "5"])
+        assert Path("r/init.npz").stat().st_mtime_ns == stamp
+        # a backtest there sees the stages' config.json too
+        with pytest.raises(ValueError, match="num_interests, alpha"):
+            cli_main(["backtest", *common, "--interests", "3", "--alpha", "5"])
+        assert Path("r/init.npz").stat().st_mtime_ns == stamp
 
     def test_config_file_with_flag_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -13,8 +13,7 @@ from mixrec.retrieval import (
     batch_retrieve,
     popularity_ranking,
     popularity_retrieve,
-    retrieve_micro,
-    retrieve_mle,
+    retrieve_mixture,
 )
 from mixrec.sampler import SamplerConfig, fit_chunk
 
@@ -123,7 +122,7 @@ class TestRetrieveMicro:
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
         cfg = RetrievalConfig(M=4, L=4, exclude_seen=False)
         idx = build_index(m, cfg)
-        got = retrieve_micro(0, m, idx, init, cfg)
+        got = retrieve_mixture(0, idx, cfg)
         items, _ = idx.interest_list(0)
         assert got.item_ids() == items.tolist()
 
@@ -136,7 +135,7 @@ class TestRetrieveMicro:
         m = fit_chunk(slc, init, SamplerConfig(seed=1))
         cfg = RetrievalConfig(M=4, L=4, exclude_seen=False)
         idx = build_index(m, cfg)
-        got = retrieve_micro(0, m, idx, init, cfg)
+        got = retrieve_mixture(0, idx, cfg)
         # counts are symmetric: one train + one chunk engagement per interest
         ks, counts = m.user_counts_any(0)
         assert counts.tolist() == [2, 2]
@@ -160,7 +159,7 @@ class TestRetrieveMicro:
             for u in range(init.num_users):
                 if init.is_cold(u):
                     continue
-                got = retrieve_micro(u, m, idx, init, cfg)
+                got = retrieve_mixture(u, idx, cfg)
                 want = dense_micro_oracle(u, m, init, cfg.M)
                 assert got.item_ids() == want, f"trial {trial} user {u}"
 
@@ -169,10 +168,10 @@ class TestRetrieveMicro:
         init, slc, m = random_instance(rng)
         cfg = RetrievalConfig(M=5, L=init.num_items, exclude_seen=True)
         idx = build_index(m, cfg)
-        base = retrieve_micro(0, m, idx, init, cfg, seen=None)
+        base = retrieve_mixture(0, idx, cfg, seen=None)
         assert len(base)
         banned = {base.item_ids()[0]}
-        got = retrieve_micro(0, m, idx, init, cfg, seen=banned)
+        got = retrieve_mixture(0, idx, cfg, seen=banned)
         assert banned.isdisjoint(got.item_ids())
 
     def test_cold_user_popularity_fallback_and_empty(self):
@@ -181,10 +180,10 @@ class TestRetrieveMicro:
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
         cfg = RetrievalConfig(M=2, cold_user_policy="popularity-fallback")
         idx = build_index(m, cfg)
-        got = retrieve_micro(1, m, idx, init, cfg)
+        got = retrieve_mixture(1, idx, cfg)
         assert got.item_ids() == [1, 2]  # counts {1:2, 2:1}
         cfg2 = RetrievalConfig(M=2, cold_user_policy="empty")
-        assert retrieve_micro(1, m, idx, init, cfg2).items == []
+        assert retrieve_mixture(1, idx, cfg2).items == []
 
     def test_theta_scale_invariance(self):
         # doubling all unnormalized masses cannot change the ordering
@@ -195,14 +194,14 @@ class TestRetrieveMicro:
         for u in range(init.num_users):
             if init.is_cold(u):
                 continue
-            a = retrieve_micro(u, m, idx, init, cfg)
+            a = retrieve_mixture(u, idx, cfg)
             ks, counts = m.user_counts_any(u)
             masses = init.alpha + counts.astype(np.float64)
             theta = masses / masses.sum()
             scaled = 2.0 * masses
             theta2 = scaled / scaled.sum()
             assert np.allclose(theta, theta2)
-            assert a.item_ids() == retrieve_micro(u, m, idx, init, cfg).item_ids()
+            assert a.item_ids() == retrieve_mixture(u, idx, cfg).item_ids()
 
     def test_top_m_prefix_monotone(self):
         rng = np.random.default_rng(10)
@@ -214,7 +213,7 @@ class TestRetrieveMicro:
             for M in (1, 2, 3, 5, 8):
                 cfg = RetrievalConfig(M=M, L=init.num_items, exclude_seen=False)
                 idx = build_index(m, cfg)
-                got = retrieve_micro(u, m, idx, init, cfg).item_ids()
+                got = retrieve_mixture(u, idx, cfg).item_ids()
                 if prev is not None:
                     assert got[: len(prev)] == prev
                 prev = got
@@ -227,7 +226,7 @@ class TestRetrieveMle:
         )
         mix = mle_mixture(init)
         cfg = RetrievalConfig(M=2, exclude_seen=False)
-        got = retrieve_mle(0, mix, cfg)
+        got = retrieve_mixture(0, build_mle_index(mix, cfg), cfg)
         assert got.item_ids() == [1, 0]  # item 1 has 2 of 3 engagements
 
     def test_symmetric_interests_equal_scores(self):
@@ -242,7 +241,7 @@ class TestRetrieveMle:
         ks, ps = mix.user_mixture(0)
         assert ps.tolist() == [0.5, 0.5]
         cfg = RetrievalConfig(M=4, exclude_seen=False)
-        got = retrieve_mle(0, mix, cfg)
+        got = retrieve_mixture(0, build_mle_index(mix, cfg), cfg)
         # interest 0 items {0:2,1:1}/3, interest 1 items {2:2,3:1}/3: pairwise equal
         scores = dict(got.items)
         assert scores[0] == pytest.approx(scores[2], rel=1e-12)
@@ -258,7 +257,7 @@ class TestRetrieveMle:
             mix = mle_mixture(init)
             cfg = RetrievalConfig(M=10, L=I, exclude_seen=False)
             for u in range(U):
-                got = retrieve_mle(u, mix, cfg)
+                got = retrieve_mixture(u, build_mle_index(mix, cfg), cfg)
                 score = {}
                 ks, pks = mix.user_mixture(u)
                 for k, pk in zip(ks.tolist(), pks.tolist()):
@@ -274,7 +273,7 @@ class TestRetrieveMle:
         )
         mix = mle_mixture(init)
         cfg = RetrievalConfig(M=3, exclude_seen=False)
-        got = retrieve_mle(0, mix, cfg, index=build_mle_index(mix, cfg, pool=np.asarray([1, 2])))
+        got = retrieve_mixture(0, build_mle_index(mix, cfg, pool=np.asarray([1, 2])), cfg)
         assert set(got.item_ids()) <= {1, 2}
 
     def test_index_truncates_before_pool_restriction(self):
@@ -310,7 +309,7 @@ class TestRetrieveMle:
                 for i, pi in zip(items.tolist(), probs.tolist()):
                     score[i] = score.get(i, 0.0) + pk * pi
             want = sorted(score.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.M]
-            assert retrieve_mle(u, mix, cfg, index=idx).item_ids() == [i for i, _ in want]
+            assert retrieve_mixture(u, idx, cfg).item_ids() == [i for i, _ in want]
 
 
 class TestAnn:
@@ -320,7 +319,8 @@ class TestAnn:
             item_vectors=np.zeros((3, 2)),
         )
         slc = ChunkSlice.from_edges(1, [1], [2])
-        pool, vecs = ann_encode_items(slc, emb)
+        idx = ann_encode_items(slc, emb)
+        pool, vecs = idx.pool_items, idx.item_vecs
         assert pool.tolist() == [2]
         assert vecs[0].tolist() == [3.0, 4.0]
 
@@ -330,10 +330,10 @@ class TestAnn:
             item_vectors=np.zeros((2, 2)),
         )
         slc = ChunkSlice.from_edges(1, [0, 1, 2], [0, 0, 1])
-        pool, vecs = ann_encode_items(slc, emb)
-        assert np.allclose(vecs[0], 0.0)
+        idx = ann_encode_items(slc, emb)
+        assert np.allclose(idx.item_vecs[0], 0.0)
         cfg = RetrievalConfig(M=2, exclude_seen=False)
-        got = ann_retrieve(2, pool, vecs, emb, cfg)
+        got = ann_retrieve(2, idx, cfg)
         assert got.item_ids() == [1, 0]  # zero vector ranked last
 
     def test_identical_vector_ranks_first(self):
@@ -342,9 +342,9 @@ class TestAnn:
             user_vectors=rng.normal(size=(4, 3)), item_vectors=np.zeros((5, 3))
         )
         slc = ChunkSlice.from_edges(1, [0, 1, 2, 3], [0, 1, 2, 3])
-        pool, vecs = ann_encode_items(slc, emb)
+        idx = ann_encode_items(slc, emb)
         cfg = RetrievalConfig(M=1, exclude_seen=False)
-        got = ann_retrieve(2, pool, vecs, emb, cfg)
+        got = ann_retrieve(2, idx, cfg)
         assert got.item_ids() == [2]
 
     def test_duplicate_engagements_weight_mean(self):
@@ -353,7 +353,7 @@ class TestAnn:
             item_vectors=np.zeros((1, 2)),
         )
         slc = ChunkSlice.from_edges(1, [0, 0, 1], [0, 0, 0])
-        pool, vecs = ann_encode_items(slc, emb)
+        vecs = ann_encode_items(slc, emb).item_vecs
         assert np.allclose(vecs[0], [2.0 / 3.0, 1.0 / 3.0])
 
     def test_matches_bruteforce_cosine_sort(self):
@@ -363,7 +363,8 @@ class TestAnn:
             user_vectors=rng.normal(size=(U, 8)), item_vectors=np.zeros((I, 8))
         )
         slc = ChunkSlice.from_edges(1, rng.integers(0, U, n), rng.integers(0, I, n))
-        pool, vecs = ann_encode_items(slc, emb)
+        idx = ann_encode_items(slc, emb)
+        pool, vecs = idx.pool_items, idx.item_vecs
         # independent recount of the encoding
         sums = {}
         cnt = {}
@@ -374,7 +375,7 @@ class TestAnn:
             assert np.allclose(vecs[pos], sums[i] / cnt[i], atol=1e-12)
         cfg = RetrievalConfig(M=20, exclude_seen=False)
         for u in range(0, U, 7):
-            got = ann_retrieve(u, pool, vecs, emb, cfg)
+            got = ann_retrieve(u, idx, cfg)
             uv = emb.user_vectors[u]
             cos = {}
             for pos, i in enumerate(pool.tolist()):
@@ -388,8 +389,7 @@ class TestAnn:
             user_vectors=np.zeros((1, 2)), item_vectors=np.zeros((1, 2))
         )
         slc = ChunkSlice.from_edges(1, [0], [0])
-        pool, vecs = ann_encode_items(slc, emb)
-        got = ann_retrieve(0, pool, vecs, emb, RetrievalConfig(M=1))
+        got = ann_retrieve(0, ann_encode_items(slc, emb), RetrievalConfig(M=1))
         assert got.items == []
 
 
@@ -399,18 +399,18 @@ class TestPopularity:
             1, [0, 1, 2, 3, 4, 5, 6, 7, 8], [0, 0, 0, 0, 0, 1, 1, 2, 2]
         )
         cfg = RetrievalConfig(M=2, exclude_seen=False)
-        got = popularity_retrieve(slc, cfg)
+        got = popularity_retrieve(-1, popularity_ranking(slc), cfg)
         assert got.item_ids() == [0, 1]  # counts {0:5, 1:2, 2:2}, 1 < 2
 
     def test_m_covers_all(self):
         slc = ChunkSlice.from_edges(1, [0, 1, 2], [5, 5, 9])
-        got = popularity_retrieve(slc, RetrievalConfig(M=10, exclude_seen=False))
+        got = popularity_retrieve(-1, popularity_ranking(slc), RetrievalConfig(M=10, exclude_seen=False))
         assert got.item_ids() == [5, 9]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(4)
         slc = ChunkSlice.from_edges(1, rng.integers(0, 50, 500), rng.integers(0, 60, 500))
-        got = popularity_retrieve(slc, RetrievalConfig(M=30, exclude_seen=False))
+        got = popularity_retrieve(-1, popularity_ranking(slc), RetrievalConfig(M=30, exclude_seen=False))
         cnt = {}
         for i in slc.items.tolist():
             cnt[i] = cnt.get(i, 0) + 1
@@ -420,7 +420,7 @@ class TestPopularity:
     def test_per_user_exclusion(self):
         slc = ChunkSlice.from_edges(1, [0, 1, 2], [7, 7, 8])
         got = popularity_retrieve(
-            slc, RetrievalConfig(M=1, exclude_seen=True), user=0, seen={7}
+            0, popularity_ranking(slc), RetrievalConfig(M=1, exclude_seen=True), seen={7}
         )
         assert got.item_ids() == [8]
 
@@ -448,7 +448,8 @@ class TestSeenExclusion:
         self.emb = EmbeddingTable(
             user_vectors=rng.normal(size=(self.U, 4)), item_vectors=np.zeros((self.I, 4))
         )
-        self.ann_pool, self.ann_vecs = ann_encode_items(self.slc, self.emb)
+        self.ann = ann_encode_items(self.slc, self.emb)
+        self.ann_pool, self.ann_vecs = self.ann.pool_items, self.ann.item_vecs
         self.pool = self.slc.item_pool.tolist()
         self.rank = popularity_ranking(self.slc)
         self.counts = {i: self.slc.items.tolist().count(i) for i in self.pool}
@@ -501,25 +502,25 @@ class TestSeenExclusion:
         warm = not self.init.is_cold(u)
         yield (
             "micro",
-            lambda seen: retrieve_micro(u, self.m, self.idx, self.init, cfg, seen=seen),
+            lambda seen: retrieve_mixture(u, self.idx, cfg, seen=seen),
             self.micro_scores(u) if warm else self.counts,
         )
         for name, pool in (("mle", None), ("mle-allowed", allowed)):
             yield (
                 name,
-                lambda seen, pool=pool: retrieve_mle(
-                    u, self.mix, cfg, seen=seen, index=build_mle_index(self.mix, cfg, pool, self.rank)
+                lambda seen, pool=pool: retrieve_mixture(
+                    u, build_mle_index(self.mix, cfg, pool, self.rank), cfg, seen=seen
                 ),
                 self.mle_scores(u, None if pool is None else set(pool.tolist())) if warm else self.counts,
             )
         yield (
             "ann",
-            lambda seen: ann_retrieve(u, self.ann_pool, self.ann_vecs, self.emb, cfg, seen=seen),
+            lambda seen: ann_retrieve(u, self.ann, cfg, seen=seen),
             self.ann_scores(u),
         )
         yield (
             "popularity",
-            lambda seen: popularity_retrieve(self.slc, cfg, user=u, seen=seen, ranking=self.rank),
+            lambda seen: popularity_retrieve(u, self.rank, cfg, seen=seen),
             self.counts,
         )
 
@@ -547,17 +548,17 @@ class TestBatchAndDeterminism:
             user_vectors=np.random.default_rng(0).normal(size=(init.num_users, 4)),
             item_vectors=np.zeros((init.num_items, 4)),
         )
-        pool, vecs = ann_encode_items(slc, emb)
+        ann = ann_encode_items(slc, emb)
         mix = mle_mixture(init)
         for _ in range(3):
-            a1 = [retrieve_micro(u, m, idx, init, cfg).items for u in range(init.num_users)]
-            a2 = [retrieve_micro(u, m, idx, init, cfg).items for u in range(init.num_users)]
+            a1 = [retrieve_mixture(u, idx, cfg).items for u in range(init.num_users)]
+            a2 = [retrieve_mixture(u, idx, cfg).items for u in range(init.num_users)]
             assert a1 == a2
-            b1 = [retrieve_mle(u, mix, cfg).items for u in range(init.num_users)]
-            b2 = [retrieve_mle(u, mix, cfg).items for u in range(init.num_users)]
+            b1 = [retrieve_mixture(u, build_mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
+            b2 = [retrieve_mixture(u, build_mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
             assert b1 == b2
-            c1 = [ann_retrieve(u, pool, vecs, emb, cfg).items for u in range(init.num_users)]
-            c2 = [ann_retrieve(u, pool, vecs, emb, cfg).items for u in range(init.num_users)]
+            c1 = [ann_retrieve(u, ann, cfg).items for u in range(init.num_users)]
+            c2 = [ann_retrieve(u, ann, cfg).items for u in range(init.num_users)]
             assert c1 == c2
 
     def test_batch_matches_serial_and_parallel(self):
@@ -567,7 +568,7 @@ class TestBatchAndDeterminism:
         cfg4 = RetrievalConfig(M=5, workers=4)
         idx = build_index(m, cfg1)
         users = list(range(init.num_users))
-        fn = lambda u: retrieve_micro(u, m, idx, init, cfg1)
+        fn = lambda u: retrieve_mixture(u, idx, cfg1)
         serial = [c.items for c in batch_retrieve(fn, users, cfg1)]
         parallel = [c.items for c in batch_retrieve(fn, users, cfg4)]
         assert serial == parallel

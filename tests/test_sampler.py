@@ -459,6 +459,38 @@ class TestUserCountModes:
         # chunk-2 base equals chunk-1 final combined counts
         assert counts2.sum() == counts.sum() + 1
 
+    def test_user_mixture_matches_per_user_loop(self):
+        # accumulate mode over two chunks: chunk 2 leaves out warm users 4-6
+        # (they read the ledger's chunk-1 counts) and cold user 0
+        init, (slc1, _) = mixed_instance(31, 5)
+        rng = np.random.default_rng(32)
+        users2 = rng.choice([u for u in range(14) if u not in (0, 4, 5, 6)], 120)
+        slc2 = ChunkSlice.from_edges(2, users2, rng.integers(0, 15, 120))
+        cfg = SamplerConfig(seed=3, user_count_mode="accumulate", max_sweeps=3)
+        ledger = UserCounts.from_init(init)
+        m1 = fit_chunk(slc1, init, cfg, base=ledger)
+        m1.fold_into(ledger)
+        m2 = fit_chunk(slc2, init, cfg, base=ledger)
+        absent = set(range(14)) - set(slc2.users.tolist())
+        assert {0, 4, 5, 6} <= absent and absent <= set(slc1.users.tolist())
+        ledger_differs = False
+        for u in range(14):
+            ks, theta = m2.user_mixture(u)
+            if init.is_cold(u):
+                assert len(ks) == 0 and len(theta) == 0
+                assert u in absent or len(m2.user_counts(u)[0])  # cold rows are not read
+                continue
+            counts = dict(zip(init.support(u).tolist(), init.support_counts(u).tolist()))
+            for slc, m in ((slc1, m1), (slc2, m2)):
+                for k in m.z[slc.users == u].tolist():
+                    counts[k] += 1
+            masses = init.alpha + np.asarray([counts[k] for k in init.support(u).tolist()], dtype=np.float64)
+            np.testing.assert_array_equal(ks, init.support(u))
+            np.testing.assert_array_equal(theta, masses / masses.sum())
+            t0 = init.alpha + init.support_counts(u).astype(np.float64)
+            ledger_differs |= u in absent and not np.array_equal(theta, t0 / t0.sum())
+        assert ledger_differs
+
     def test_reset_mode_starts_from_train_each_chunk(self):
         init = make_init([(0, 0), (0, 1)], item_interest=[0, 1, 0, 1], K=2, num_items=4)
         cfg = SamplerConfig(seed=0)

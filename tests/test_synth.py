@@ -147,7 +147,7 @@ class TestScoreRecovery:
                 m.remove(j)
                 m.assign(j, int(truth.z[t][j]))
             models[t] = m
-        rep = score_recovery(truth, models, init)
+        rep = score_recovery(truth, models)
         assert rep.per_chunk_exact == {0: 1.0, 1: 1.0}
         assert rep.overall_exact == 1.0
 
@@ -164,7 +164,7 @@ class TestScoreRecovery:
     def test_fitted_recovery_beats_chance(self):
         g, truth, init = self.fixture()
         models = {t: fit_chunk(g.slice(t), init, SamplerConfig(seed=50 + t)) for t in range(2)}
-        rep = score_recovery(truth, models, init)
+        rep = score_recovery(truth, models)
         assert rep.worst_exact() > 0.5
         assert rep.worst_tv() < 0.3
 
@@ -174,8 +174,8 @@ class TestScoreRecovery:
         # permute fitted labels; anchored scoring collapses, matched scoring recovers
         perm = np.array([4, 3, 2, 1, 0])
         permuted_truth = SynthTruth_like_permuted(truth, perm)
-        raw = score_recovery(permuted_truth, models, init)
-        matched = score_recovery(permuted_truth, models, init, match_labels=True)
+        raw = score_recovery(permuted_truth, models)
+        matched = score_recovery(permuted_truth, models, match_labels=True)
         assert matched.overall_exact > raw.overall_exact
         assert matched.overall_exact > 0.5
 
