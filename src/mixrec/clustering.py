@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .embeddings import _row_sums
+
 __all__ = ["ClusterAssignment", "cluster_items", "save_clusters", "load_clusters", "export_cluster_map"]
 
 logger = logging.getLogger(__name__)
@@ -117,8 +119,7 @@ def cluster_items(
             new_assign[lo:lo + block] = idx
             member_cos[lo:lo + block] = sims[np.arange(len(idx)), idx]
 
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, new_assign, x)
+        sums = _row_sums(new_assign, x, K)
         counts = np.bincount(new_assign, minlength=K)
         empty = list(np.flatnonzero(counts == 0))
         while empty:

@@ -53,16 +53,29 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sums(inv: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``out[r] = sum of values[j] over j with inv[j] == r``, as an (n, D) array.
+
+    One ``bincount`` over the flat cell index ``inv[j] * D + d``. It adds
+    each weight to its cell in input order, starting from 0.0, so every
+    cell gets the same terms in the same order as ``np.add.at(out, inv,
+    values)`` and the result is bit-identical to that scatter, only faster.
+    """
+    d = values.shape[1]
+    flat = (inv[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
+
+
 def _apply_row_mean(emb: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float) -> None:
     """SGD step with gradients averaged per touched row.
 
     Rows hit many times in one batch (hot items, prolific users) get the
     mean of their per-example gradients instead of the sum, which keeps the
-    step size bounded for any batch composition.
+    step size bounded for any batch composition. The per-row sums come from
+    ``_row_sums``, exact to the bit in batch order.
     """
     uniq, inv = np.unique(rows, return_inverse=True)
-    acc = np.zeros((len(uniq), emb.shape[1]))
-    np.add.at(acc, inv, grads)
+    acc = _row_sums(inv, grads, len(uniq))
     counts = np.bincount(inv, minlength=len(uniq))
     emb[uniq] -= lr * acc / counts[:, None]
 

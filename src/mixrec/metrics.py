@@ -10,6 +10,7 @@ the query-count-weighted mean of the chunk means.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,9 +106,38 @@ def ndcg_at_m(cands, truth, m: int | None = None) -> float:
     return dcg / idcg
 
 
+@functools.lru_cache
+def _idcg(n: int) -> float:
+    """Ideal DCG of an n-long all-relevant prefix, summed as ``ndcg_at_m`` does."""
+    return sum(1.0 / math.log2(r + 2) for r in range(n))
+
+
 def score_query(cands, truth, m: int | None = None) -> tuple[float, float, float]:
+    """``(recall_at_m, mrr_at_m, ndcg_at_m)`` of one list, from one pass over it.
+
+    Recall and MRR read the whole list and NDCG its first ``m`` entries, as
+    the three functions do; every value equals theirs to the bit.
+    """
+    if not truth:
+        raise ValueError("ground-truth set must be nonempty")
+    truth = frozenset(truth)
     ids = _ids(cands)
-    return recall_at_m(ids, truth), mrr_at_m(ids, truth), ndcg_at_m(ids, truth, m=m)
+    if m is None:
+        m = len(ids)
+    hits = [pos for pos, item in enumerate(ids) if item in truth]
+    if not hits:
+        return 0.0, 0.0, 0.0
+    dcg = 0.0
+    for pos in hits:
+        if pos >= m:
+            break
+        dcg += 1.0 / math.log2(pos + 2)
+    idcg = _idcg(min(len(truth), m))
+    return (
+        len({ids[pos] for pos in hits}) / len(truth),
+        1.0 / (hits[0] + 1),
+        dcg / idcg if idcg != 0.0 else 0.0,
+    )
 
 
 @dataclass

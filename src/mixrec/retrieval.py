@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, _row_sums
 from .graph import ChunkSlice
 from .initialization import MleMixture
 from .sampler import ChunkModel, _ranges
@@ -312,8 +312,7 @@ class AnnIndex:
 def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> AnnIndex:
     """Chunk item vectors as per-engagement means of engaging users' vectors."""
     pool, inv = np.unique(slice_.items, return_inverse=True)
-    acc = np.zeros((len(pool), emb.dim))
-    np.add.at(acc, inv, emb.user_vectors[slice_.users])
+    acc = _row_sums(inv, emb.user_vectors[slice_.users], len(pool))
     counts = np.bincount(inv, minlength=len(pool))
     vecs = acc / counts[:, None]
     return AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), emb.user_vectors)

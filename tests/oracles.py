@@ -109,3 +109,18 @@ def mrr_reference(ranked, truth, m):
         if item in truth:
             return 1.0 / (idx + 1)
     return 0.0
+
+
+def row_sums_add_at(inv, values, n):
+    """Per-row sums by the ``np.add.at`` scatter that embedding SGD, k-means
+    and ANN item encoding used before their flat ``bincount``."""
+    acc = np.zeros((n, values.shape[1]))
+    np.add.at(acc, inv, values)
+    return acc
+
+
+def same_bits(a, b):
+    """True when two float64 arrays hold the same bytes, so -0.0 differs
+    from 0.0 and every last-place rounding counts."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import mixrec.clustering
 from mixrec.clustering import cluster_items, export_cluster_map, load_clusters, save_clusters
+
+from oracles import row_sums_add_at, same_bits
 
 
 def bumps(rng, n_per=100, K=5, dim=8, noise=0.2):
@@ -100,3 +103,16 @@ class TestClusterItems:
         lines = txt.read_text().strip().splitlines()
         assert len(lines) == 10
         assert lines[0] == f"0\t{c.item_to_interest[0]}"
+
+    def test_bits_equal_add_at_run(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        vecs = [rng.normal(size=(400, 16)) * rng.uniform(0.01, 100.0, size=(400, 1))]
+        vecs.append(np.repeat(rng.normal(size=(3, 4)), 20, axis=0))  # duplicates force empty-cluster repair
+        for v, K in zip(vecs, (40, 10)):
+            got = cluster_items(v, K=K, iters=15, seed=2)
+            with monkeypatch.context() as mp:
+                mp.setattr(mixrec.clustering, "_row_sums", row_sums_add_at)
+                want = cluster_items(v, K=K, iters=15, seed=2)
+            assert np.array_equal(got.item_to_interest, want.item_to_interest)
+            assert same_bits(got.centroids, want.centroids)
+            assert same_bits(got.objective_history, want.objective_history)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from mixrec.embeddings import EmbeddingTable, load_embeddings, save_embeddings, train_embeddings
+import mixrec.embeddings
+from mixrec.embeddings import EmbeddingTable, _row_sums, load_embeddings, save_embeddings, train_embeddings
 from mixrec.graph import from_raw_edges
+
+from oracles import row_sums_add_at, same_bits
 
 
 def planted_two_block(rng, users_per_block=100, items_per_block=100, p=0.2):
@@ -105,3 +108,44 @@ class TestTrainEmbeddings:
         emb2 = load_embeddings(p)
         assert np.array_equal(emb.user_vectors, emb2.user_vectors)
         assert emb.epoch_losses == pytest.approx(emb2.epoch_losses)
+
+
+class TestRowSums:
+    def test_bits_equal_add_at_on_random_shapes(self):
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            n = int(rng.integers(1, 400))
+            d = int(rng.choice([1, 2, 7, 32, 64]))
+            m = int(rng.integers(1, 2000))
+            inv = rng.integers(0, n, m)
+            if trial % 4 == 0:
+                inv[:] = inv[0]  # every term lands in one row
+            values = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
+            values[rng.random((m, d)) < 0.1] = -0.0
+            assert same_bits(_row_sums(inv, values, n), row_sums_add_at(inv, values, n)), trial
+
+    def test_edge_shapes(self):
+        one = np.array([[1.5, -0.0, 3.0]])
+        got = _row_sums(np.array([2]), one, 4)
+        assert same_bits(got, row_sums_add_at(np.array([2]), one, 4))
+        assert not np.signbit(got[2, 1])  # 0.0 + -0.0 is +0.0, as in the scatter
+        col = np.array([[1e16], [1.0], [-1e16], [1.0]])  # order-sensitive sums
+        inv = np.zeros(4, dtype=np.int64)
+        assert same_bits(_row_sums(inv, col, 1), row_sums_add_at(inv, col, 1))
+        empty = np.empty((0, 5))
+        assert same_bits(_row_sums(np.empty(0, dtype=np.int64), empty, 3), np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("score_mode", ["dot", "translation"])
+    def test_train_embeddings_bits_equal_add_at_run(self, score_mode, monkeypatch):
+        rng = np.random.default_rng(9)
+        n = 1500
+        users = rng.integers(0, 60, n)
+        items = np.minimum(rng.zipf(1.5, n), 80)  # hot items repeat within a batch
+        g = from_raw_edges(users, items, np.zeros(n, dtype=int))
+        kw = dict(dim=8, epochs=3, negatives=4, seed=5, score_mode=score_mode, batch_size=256)
+        got = train_embeddings(g, **kw)
+        monkeypatch.setattr(mixrec.embeddings, "_row_sums", row_sums_add_at)
+        want = train_embeddings(g, **kw)
+        assert same_bits(got.user_vectors, want.user_vectors)
+        assert same_bits(got.item_vectors, want.item_vectors)
+        assert same_bits(got.epoch_losses, want.epoch_losses)

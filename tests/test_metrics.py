@@ -12,6 +12,7 @@ from mixrec.metrics import (
     mrr_at_m,
     ndcg_at_m,
     recall_at_m,
+    score_query,
 )
 
 from oracles import mrr_reference, ndcg_reference, recall_reference
@@ -91,6 +92,23 @@ class TestAgainstBruteForce:
             assert ndcg_at_m(cands, truth, m=m) == pytest.approx(
                 ndcg_reference(cands, truth, m), abs=1e-12
             )
+
+    def test_score_query_repr_equals_the_three_functions(self):
+        rng = np.random.default_rng(29)
+        for trial in range(3000):
+            m = int(rng.choice([20, 100]))
+            pool = int(rng.integers(2, 300))
+            length = int(rng.integers(0, min(pool, m + 5) + 1))  # short, full and over-long lists
+            cands = rng.choice(pool, size=length, replace=False).tolist()
+            if trial % 10 == 0:
+                cands += cands[:3]  # repeated ids count once in recall
+            truth = rng.choice(pool, size=int(rng.integers(1, min(pool, 40) + 1)), replace=False).tolist()
+            truth = truth + truth[:2] if trial % 7 == 0 else frozenset(truth)
+            cut = None if trial % 11 == 0 else m
+            want = (recall_at_m(cands, truth), mrr_at_m(cands, truth), ndcg_at_m(cands, truth, m=cut))
+            assert repr(score_query(cands, truth, m=cut)) == repr(want), trial
+        with pytest.raises(ValueError):
+            score_query([1], set())
 
     @given(
         cands=st.lists(st.integers(0, 30), min_size=0, max_size=15, unique=True),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mixrec.retrieval
 from mixrec.embeddings import EmbeddingTable
 from mixrec.graph import ChunkSlice
 from mixrec.initialization import mle_mixture
@@ -17,6 +18,7 @@ from mixrec.retrieval import (
 )
 from mixrec.sampler import SamplerConfig, fit_chunk
 
+from oracles import row_sums_add_at, same_bits
 from test_sampler import make_init
 
 
@@ -383,6 +385,21 @@ class TestAnn:
                 cos[i] = float(vecs[pos] @ uv / (nv * np.linalg.norm(uv))) if nv > 0 else -np.inf
             want = sorted(cos.items(), key=lambda kv: (-kv[1], kv[0]))[:20]
             assert got.item_ids() == [i for i, _ in want]
+
+    def test_encode_bits_equal_add_at_run(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        U, n = 40, 3000
+        emb = EmbeddingTable(
+            user_vectors=rng.normal(size=(U, 32)) * rng.uniform(1e-6, 1e6, size=(U, 1)),
+            item_vectors=np.zeros((300, 32)),
+        )
+        slc = ChunkSlice.from_edges(1, rng.integers(0, U, n), np.minimum(rng.zipf(1.3, n), 300) - 1)
+        got = ann_encode_items(slc, emb)
+        monkeypatch.setattr(mixrec.retrieval, "_row_sums", row_sums_add_at)
+        want = ann_encode_items(slc, emb)
+        assert np.array_equal(got.pool_items, want.pool_items)
+        assert same_bits(got.item_vecs, want.item_vecs)
+        assert same_bits(got.norms, want.norms)
 
     def test_zero_user_vector_empty(self):
         emb = EmbeddingTable(
