@@ -26,15 +26,26 @@ holds per-interest lists as positions into an ascending candidate pool,
 the function giving a user's (interests, weights), and the pool's
 popularity ranking for users without interests.
 
-Every retriever ends in one selection, ``_first_unseen``: the first M
-entries of a ranked candidate array that are not seen. Scored candidates are
-ranked first by (score descending, item id ascending); popularity and the
-cold-user fallback hand in the chunk's ready-made ranking. Seen exclusion is
-one ``searchsorted`` mask against the user's sorted seen ids.
+Every retriever ends in one selection: the first M candidates by (score
+descending, item id ascending) that are not seen. It runs in the compiled
+kernels of ``sweep_kernel`` when ``load_kernel()`` builds them, one C call
+per query: ``mixture`` sums a user's interest lists into their pool
+positions and keeps the best M, ``cosine`` does the same for the ANN
+cosines of a numpy ``item_vecs @ uv`` product, and ``walk`` takes the first
+M unseen entries of a ready-made ranking (popularity and the cold-user
+fallback). Each drops seen ids by binary search against the user's sorted
+seen ids, and the scores keep the bits of the numpy path.
+
+The numpy path is their reference, and the fallback when no compiler is
+there, chosen exactly as the Gibbs sweep is: ``_gather`` and ``np.bincount``
+build the mixture sums, ``_select_top`` ranks a scored array with a full
+``lexsort``, and ``_first_unseen`` keeps the first M entries of a ranked
+array that one ``searchsorted`` mask does not mark seen.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,6 +57,7 @@ from .embeddings import EmbeddingTable, _row_sums
 from .graph import ChunkSlice
 from .initialization import MleMixture
 from .sampler import ChunkModel, _ranges
+from .sweep_kernel import load_kernel
 
 __all__ = [
     "RetrievalConfig",
@@ -103,7 +115,22 @@ class CandidateList:
         return len(self.items)
 
 
-@dataclass
+def _addresses(obj, **dtypes) -> tuple[int, ...]:
+    """Store each named array of the frozen dataclass ``obj`` as a
+    contiguous array of its dtype and return their data addresses, which
+    stay valid while ``obj`` holds the arrays."""
+    for name, dtype in dtypes.items():
+        object.__setattr__(obj, name, np.ascontiguousarray(getattr(obj, name), dtype=dtype))
+    return tuple(getattr(obj, name).ctypes.data for name in dtypes)
+
+
+def _check(ok: bool, what: str) -> None:
+    """Reject an index whose arrays the kernels would read out of bounds."""
+    if not ok:
+        raise ValueError(f"inconsistent index: {what}")
+
+
+@dataclass(frozen=True)
 class InterestIndex:
     """Per-interest truncated top lists over one candidate pool.
 
@@ -121,10 +148,20 @@ class InterestIndex:
     pool_items: np.ndarray
     mixture: Callable[[int], tuple[np.ndarray, np.ndarray]]
     popularity: tuple[np.ndarray, np.ndarray] | None = None
+    # data addresses of ptr, positions, probs and pool_items for the kernel
+    _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def interest_list(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.ptr[k], self.ptr[k + 1]
-        return self.pool_items[self.positions[lo:hi]], self.probs[lo:hi]
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "_c",
+            _addresses(self, ptr=np.int64, positions=np.int64, probs=np.float64, pool_items=np.int64),
+        )
+        ptr, pos = self.ptr, self.positions
+        _check(len(ptr) >= 1 and ptr[0] == 0 and ptr[-1] == len(pos), "ptr must run from 0 to len(positions)")
+        _check(bool(np.all(ptr[1:] >= ptr[:-1])), "ptr must not decrease")
+        _check(len(self.probs) == len(pos), "probs and positions differ in length")
+        _check(not len(pos) or (pos.min() >= 0 and pos.max() < len(self.pool_items)), "positions outside the pool")
 
 
 def build_index(
@@ -228,15 +265,48 @@ def _lookup(sorted_ids: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.n
     return pos, sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == items
 
 
-def _seen_mask(items: np.ndarray, seen) -> np.ndarray:
-    """True where ``items[j]`` is in ``seen``.
+def _seen_ids(seen) -> np.ndarray:
+    """``seen`` as an ascending contiguous ``int64`` array.
 
     ``seen`` is an ascending id array (what the backtest's seen tracker
     keeps) or any collection of item ids, which is sorted here first.
     """
     if not isinstance(seen, np.ndarray):
-        seen = np.sort(np.fromiter(seen, dtype=np.int64))
-    return _lookup(seen, items)[1]
+        return np.sort(np.fromiter(seen, dtype=np.int64))
+    return np.ascontiguousarray(seen, dtype=np.int64)
+
+
+def _seen_mask(items: np.ndarray, seen) -> np.ndarray:
+    """True where ``items[j]`` is in ``seen``."""
+    return _lookup(_seen_ids(seen), items)[1]
+
+
+_NO_SEEN = np.empty(0, dtype=np.int64)
+
+
+def _arg(a: np.ndarray):
+    """A pointer argument to the data of the contiguous array ``a`` (NULL
+    when it is empty). A writable array's address comes through the buffer
+    protocol, which costs a fraction of ``a.ctypes.data``; the argument
+    keeps ``a`` alive."""
+    if not a.size:
+        return None
+    try:
+        return ctypes.byref(ctypes.c_char.from_buffer(a))
+    except TypeError:  # read-only
+        return a.ctypes.data
+
+
+def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:
+    """The list a kernel selection ``fn(*args, cap, out_items, out_scores)``
+    writes: at most ``cap`` ranked candidates, their count returned."""
+    items, scores = (ctypes.c_longlong * cap)(), (ctypes.c_double * cap)()
+    got = fn(*args, cap, items, scores)
+    if got == -2:
+        raise IndexError(f"user {user}: an interest outside the index")
+    if got < 0:
+        raise MemoryError("top-M selection could not allocate its work space")
+    return CandidateList(user=user, chunk=chunk, items=list(zip(items[:got], scores[:got])))
 
 
 def _select_top(
@@ -255,7 +325,14 @@ def _select_top(
 def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList:
     """The first M entries of a ranked (items, scores) pair not in ``seen``."""
     items, scores = ranking
-    if seen is not None:
+    kernel = load_kernel()
+    if seen is not None and kernel is not None:
+        items = np.ascontiguousarray(items, dtype=np.int64)
+        seen = _seen_ids(seen)
+        pos = np.empty(min(M, len(items)), dtype=np.int64)
+        got = kernel.walk(len(items), _arg(items), _arg(seen), len(seen), len(pos), _arg(pos))
+        items, scores = items[pos[:got]], scores[pos[:got]]
+    elif seen is not None:
         # at most len(seen) entries are masked, so the answer lies in this head
         head = M + len(seen)
         items, scores = items[:head], scores[:head]
@@ -280,9 +357,10 @@ def retrieve_mixture(
     lists of the user's interests ``ks``, where ``(ks, theta) =
     idx.mixture(u)``; with no interests, the cold-user fallback.
 
-    ``bincount`` adds the weighted probabilities into their pool positions
-    in input order, so each item sums its per-interest terms in the order
-    of ``ks``. Only items some term touched are candidates.
+    Each item sums its per-interest terms in the order of ``ks``: the
+    kernel adds them in that order, as ``bincount`` adds the weighted
+    probabilities into their pool positions in input order. Only items some
+    term touched are candidates.
     """
     seen = seen if cfg.exclude_seen else None
     ks, theta = idx.mixture(u)
@@ -290,6 +368,20 @@ def retrieve_mixture(
         if cfg.cold_user_policy == "empty" or idx.popularity is None:
             return CandidateList(user=u, chunk=chunk, items=[])
         return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
+    kernel = load_kernel()
+    if kernel is not None:
+        ks = np.ascontiguousarray(ks, dtype=np.int64)
+        theta = np.ascontiguousarray(theta, dtype=np.float64)
+        if len(theta) != len(ks):
+            raise ValueError(f"user {u}: {len(ks)} interests but {len(theta)} weights")
+        seen = _NO_SEEN if seen is None else _seen_ids(seen)
+        ptr, positions, probs, pool = idx._c
+        n = len(idx.pool_items)
+        return _kernel_top(
+            kernel.mixture, u, chunk, min(cfg.M, n),
+            len(ks), _arg(ks), _arg(theta), len(idx.ptr) - 1, ptr, positions, probs,
+            n, pool, _arg(seen), len(seen),
+        )
     flat, w = _gather(idx.ptr, ks, theta)
     pos = idx.positions[flat]
     n = len(idx.pool_items)
@@ -298,7 +390,7 @@ def retrieve_mixture(
     return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen=seen, chunk=chunk, user=u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnIndex:
     """Chunk item vectors over the ascending ``pool_items``, their norms,
     and the user vectors they are compared with."""
@@ -307,6 +399,12 @@ class AnnIndex:
     item_vecs: np.ndarray
     norms: np.ndarray
     user_vectors: np.ndarray
+    # data addresses of pool_items and norms for the kernel
+    _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_c", _addresses(self, pool_items=np.int64, norms=np.float64))
+        _check(len(self.item_vecs) == len(self.norms) == len(self.pool_items), "one vector and norm per pool item")
 
 
 def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> AnnIndex:
@@ -331,7 +429,17 @@ def ann_retrieve(
     if un == 0.0:
         logger.warning("user %d has a zero embedding; returning no candidates", u)
         return CandidateList(user=u, chunk=chunk, items=[])
+    # numpy's BLAS product in both paths: C would sum in another order
     dots = idx.item_vecs @ uv
+    kernel = load_kernel()
+    if kernel is not None:
+        dots = np.ascontiguousarray(dots, dtype=np.float64)
+        seen = _NO_SEEN if seen is None or not cfg.exclude_seen else _seen_ids(seen)
+        pool, norms = idx._c
+        n = len(idx.pool_items)
+        return _kernel_top(
+            kernel.cosine, u, chunk, min(cfg.M, n), n, pool, _arg(dots), norms, un, _arg(seen), len(seen)
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.where(idx.norms > 0.0, dots / (idx.norms * un), -np.inf)
     return _select_top(

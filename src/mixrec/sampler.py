@@ -482,7 +482,7 @@ class ChunkModel:
     def _sweep_compiled(self, kernel, unif: np.ndarray) -> tuple[int, int, float]:
         out = np.zeros(2, dtype=np.int64)
         dlj = ctypes.c_double(0.0)
-        kernel(
+        kernel.sweep(
             len(self._offs), self._ptr, self._offs, self._lens, self._cand, self._uk,
             self._cptr, self._ck, self._cc, self._cfill,
             self._irow, self._iptr, self._ik, self._ic, self._ifill,

@@ -1,20 +1,32 @@
-"""The compiled Gibbs sweep: C source, build cache and ``ctypes`` binding.
+"""The compiled kernels: C source, build cache and ``ctypes`` binding.
 
 ``load_kernel()`` compiles ``C_SOURCE`` once with the system ``gcc`` into
 the user cache (``$XDG_CACHE_HOME/mixrec``, else ``~/.cache/mixrec``),
 under a name keyed by a hash of the source, the flags and the compiler's
-version, and returns the bound ``mixrec_sweep`` function. The library is
+version, and returns its bound entry points as a ``Kernel``. The library is
 written under a temporary name and renamed into place, so concurrent
 processes never load a half-written file. Without a working compiler it
-logs one warning and returns None, and the sampler runs its Python sweep.
+logs one warning and returns None: the sampler runs its Python sweep and
+the retrievers their numpy selection.
 
-The kernel is a transcription of ``ChunkModel._sweep_python``, which is
-its reference: the same uniforms, the same sorted-row table updates and
+``Kernel.sweep`` is a transcription of ``ChunkModel._sweep_python``, which
+is its reference: the same uniforms, the same sorted-row table updates and
 the same floating-point expressions in the same order. ``-ffp-contract=off``
 keeps the compiler from fusing a multiply and an add into one rounding, and
 no flag that reassociates arithmetic (``-ffast-math``) or tunes for the
 build machine (``-march=native``) is used, so both sweeps produce the same
 bits.
+
+The three retrieval entry points each answer one query; their reference is
+the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
+the pool positions of the user's interest lists in the order of ``ks``, then
+list order (``np.bincount``'s input order, so each sum keeps its bits);
+``cosine`` scores ``dots / (norms * un)``, or -inf where a norm is 0. Both
+drop seen ids by binary search in the user's ascending seen array and keep
+the best M by (score descending with NaN last, item ascending) in a bounded
+heap, which is then sorted. ``walk`` gives the positions of the first M
+unseen entries of a ranked item array. The entry points hold no static
+state and allocate their work space per call, so threads may share them.
 """
 
 from __future__ import annotations
@@ -27,10 +39,11 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["load_kernel"]
+__all__ = ["Kernel", "load_kernel"]
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +52,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 C_SOURCE = r"""
 #include <math.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef long long i64;
@@ -198,6 +212,159 @@ void mixrec_sweep(
     out[1] = under;
     *dlj_out = dlj;
 }
+
+/* -- top-M selection ---------------------------------------------------- */
+
+/* candidate a ranks before b: score descending, NaN last, ties by item */
+static int ahead(double sa, i64 ia, double sb, i64 ib)
+{
+    int na = isnan(sa), nb = isnan(sb);
+    if (na || nb)
+        return na == nb ? ia < ib : nb;
+    return sa > sb || (sa == sb && ia < ib);
+}
+
+static int is_seen(const i64 *seen, i64 ns, i64 item)
+{
+    i64 a = 0, b = ns;
+    while (a < b) {
+        i64 m = a + (b - a) / 2;
+        if (seen[m] < item)
+            a = m + 1;
+        else
+            b = m;
+    }
+    return a < ns && seen[a] == item;
+}
+
+/* The best M candidates seen so far: a heap whose root ranks last. */
+typedef struct {
+    i64 *items;
+    double *scores;
+    i64 n, M;
+} top_t;
+
+static void swap_at(top_t *t, i64 a, i64 b)
+{
+    i64 i = t->items[a];
+    double s = t->scores[a];
+    t->items[a] = t->items[b];
+    t->scores[a] = t->scores[b];
+    t->items[b] = i;
+    t->scores[b] = s;
+}
+
+/* restore the heap below r within its first n entries */
+static void sift_down(top_t *t, i64 r, i64 n)
+{
+    for (;;) {
+        i64 c = 2 * r + 1;
+        if (c >= n)
+            return;
+        if (c + 1 < n && ahead(t->scores[c], t->items[c], t->scores[c + 1], t->items[c + 1]))
+            c++;
+        if (!ahead(t->scores[r], t->items[r], t->scores[c], t->items[c]))
+            return;
+        swap_at(t, r, c);
+        r = c;
+    }
+}
+
+static void push(top_t *t, i64 item, double score)
+{
+    if (t->n < t->M) {
+        i64 c = t->n++;
+        t->items[c] = item;
+        t->scores[c] = score;
+        while (c > 0) {
+            i64 p = (c - 1) / 2;
+            if (!ahead(t->scores[p], t->items[p], t->scores[c], t->items[c]))
+                return;
+            swap_at(t, p, c);
+            c = p;
+        }
+    } else if (t->M > 0 && ahead(score, item, t->scores[0], t->items[0])) {
+        t->items[0] = item;
+        t->scores[0] = score;
+        sift_down(t, 0, t->n);
+    }
+}
+
+/* sort the heap in place into rank order; returns the count */
+static i64 finish(top_t *t)
+{
+    for (i64 end = t->n - 1; end > 0; end--) {
+        swap_at(t, 0, end);
+        sift_down(t, 0, end);
+    }
+    return t->n;
+}
+
+/* Top M by the mixture sum over a of theta[a] * probs[j], j over the list
+   of interest ks[a]: positions[ptr[k]:ptr[k+1]] into the pool, for K
+   interests. Only positions some term touched are candidates. Returns the
+   count written to out_items/out_scores, -1 when out of memory, or -2
+   when an interest lies outside [0, K). */
+i64 mixrec_mixture(
+    i64 nks, const i64 *ks, const double *theta, i64 K,
+    const i64 *ptr, const i64 *positions, const double *probs,
+    i64 n, const i64 *pool, const i64 *seen, i64 ns, i64 M,
+    i64 *out_items, double *out_scores)
+{
+    for (i64 a = 0; a < nks; a++)
+        if (ks[a] < 0 || ks[a] >= K)
+            return -2;
+    /* every sum starts from 0.0, as np.bincount's does */
+    double *acc = calloc((size_t)(n > 0 ? n : 1), sizeof(double));
+    char *hit = calloc((size_t)(n > 0 ? n : 1), 1);
+    top_t top = {out_items, out_scores, 0, M};
+    if (!acc || !hit) {
+        free(acc);
+        free(hit);
+        return -1;
+    }
+    for (i64 a = 0; a < nks; a++) {
+        double w = theta[a];
+        i64 lo = ptr[ks[a]], hi = ptr[ks[a] + 1];
+        for (i64 j = lo; j < hi; j++) {
+            i64 p = positions[j];
+            acc[p] += w * probs[j];
+            hit[p] = 1;
+        }
+    }
+    for (i64 p = 0; p < n; p++)
+        if (hit[p] && !is_seen(seen, ns, pool[p]))
+            push(&top, pool[p], acc[p]);
+    free(acc);
+    free(hit);
+    return finish(&top);
+}
+
+/* Top M of the pool by cosine dots[i] / (norms[i] * un), -inf where a norm
+   is not positive. Returns the count written. */
+i64 mixrec_cosine(
+    i64 n, const i64 *pool, const double *dots, const double *norms, double un,
+    const i64 *seen, i64 ns, i64 M, i64 *out_items, double *out_scores)
+{
+    top_t top = {out_items, out_scores, 0, M};
+    for (i64 i = 0; i < n; i++) {
+        if (is_seen(seen, ns, pool[i]))
+            continue;
+        push(&top, pool[i], norms[i] > 0.0 ? dots[i] / (norms[i] * un) : -INFINITY);
+    }
+    return finish(&top);
+}
+
+/* Positions of the first M entries of items[0:n] not in seen. Returns the
+   count written to out_pos. */
+i64 mixrec_walk(i64 n, const i64 *items, const i64 *seen, i64 ns, i64 M, i64 *out_pos)
+{
+    i64 kept = 0;
+    for (i64 i = 0; i < n && kept < M; i++)
+        if (!is_seen(seen, ns, items[i]))
+            out_pos[kept++] = i;
+    return kept;
+}
 """
 
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -211,6 +378,26 @@ _ARGTYPES = (
     + [_dbl] * 3  # alpha, beta, Ibeta
     + [_F64, _I64, ctypes.POINTER(_dbl)]  # wbuf, out, dlj
 )
+# The retrieval entry points run once per query, so they take raw pointers
+# (``ctypes.c_void_p``): checking an ``ndpointer`` costs microseconds.
+_ptr = ctypes.c_void_p
+_RETRIEVAL_ARGTYPES = {
+    # nks, ks, theta, K, ptr, positions, probs, n, pool, seen, ns, M, out_items, out_scores
+    "mixture": [_ll, _ptr, _ptr, _ll, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr, _ptr],
+    # n, pool, dots, norms, un, seen, ns, M, out_items, out_scores
+    "cosine": [_ll, _ptr, _ptr, _ptr, _dbl, _ptr, _ll, _ll, _ptr, _ptr],
+    # n, items, seen, ns, M, out_pos
+    "walk": [_ll, _ptr, _ptr, _ll, _ll, _ptr],
+}
+
+
+class Kernel(NamedTuple):
+    """The bound entry points of the compiled library."""
+
+    sweep: Callable[..., None]
+    mixture: Callable[..., int]
+    cosine: Callable[..., int]
+    walk: Callable[..., int]
 
 
 def _cache_dir() -> Path:
@@ -235,26 +422,32 @@ def _compile(target: Path) -> None:
 
 
 @functools.cache
-def load_kernel():
-    """The compiled sweep function, or None when it cannot be built.
+def load_kernel() -> Kernel | None:
+    """The compiled entry points, or None when they cannot be built.
 
-    Cached for the process, so the sweep in use is logged once.
+    Cached for the process, so the path in use is logged once.
     """
     try:
         version = subprocess.run(
             [CC, "--version"], check=True, capture_output=True, text=True, timeout=60
         ).stdout
         key = hashlib.sha256("\0".join([C_SOURCE, *FLAGS, version]).encode()).hexdigest()[:16]
-        path = _cache_dir() / f"sweep-{key}.so"
+        path = _cache_dir() / f"kernel-{key}.so"
         if not path.exists():
             _compile(path)
-        fn = ctypes.CDLL(str(path)).mixrec_sweep
+        lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
-        logger.warning("cannot build the compiled Gibbs sweep (%s); falling back to Python", str(detail).strip())
+        logger.warning(
+            "cannot build the compiled kernels (%s); falling back to Python and numpy", str(detail).strip()
+        )
         logger.info("Gibbs sweep: Python")
         return None
-    fn.argtypes = _ARGTYPES
-    fn.restype = None
-    logger.info("Gibbs sweep: compiled kernel %s", path)
-    return fn
+    lib.mixrec_sweep.argtypes = _ARGTYPES
+    lib.mixrec_sweep.restype = None
+    for name, argtypes in _RETRIEVAL_ARGTYPES.items():
+        fn = getattr(lib, f"mixrec_{name}")
+        fn.argtypes = argtypes
+        fn.restype = _ll
+    logger.info("Gibbs sweep and top-M selection: compiled kernel %s", path)
+    return Kernel(lib.mixrec_sweep, lib.mixrec_mixture, lib.mixrec_cosine, lib.mixrec_walk)

@@ -124,3 +124,10 @@ def same_bits(a, b):
     from 0.0 and every last-place rounding counts."""
     a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def interest_list(idx, k):
+    """Interest k's list in an ``InterestIndex``: its (item ids,
+    probabilities) in list order, read from the index's public arrays."""
+    lo, hi = idx.ptr[k], idx.ptr[k + 1]
+    return idx.pool_items[idx.positions[lo:hi]], idx.probs[lo:hi]

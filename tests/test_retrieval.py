@@ -1,11 +1,17 @@
+import logging
+import sys
+
 import numpy as np
 import pytest
 
 import mixrec.retrieval
+import mixrec.sweep_kernel as sweep_kernel
 from mixrec.embeddings import EmbeddingTable
 from mixrec.graph import ChunkSlice
 from mixrec.initialization import mle_mixture
 from mixrec.retrieval import (
+    AnnIndex,
+    InterestIndex,
     RetrievalConfig,
     ann_encode_items,
     ann_retrieve,
@@ -18,7 +24,7 @@ from mixrec.retrieval import (
 )
 from mixrec.sampler import SamplerConfig, fit_chunk
 
-from oracles import row_sums_add_at, same_bits
+from oracles import interest_list, row_sums_add_at, same_bits
 from test_sampler import make_init
 
 
@@ -78,7 +84,7 @@ class TestBuildIndex:
         slc = ChunkSlice.from_edges(1, [0, 0, 0, 1], [5, 5, 5, 6])
         m = fit_chunk(slc, init2, SamplerConfig(seed=0))
         idx = build_index(m, RetrievalConfig(M=2, L=2))
-        items, phis = idx.interest_list(0)
+        items, phis = interest_list(idx, 0)
         assert items.tolist() == [5, 6]
         assert phis.tolist() == pytest.approx([3.01 / 5.0, 1.01 / 5.0], abs=1e-12)
 
@@ -87,7 +93,7 @@ class TestBuildIndex:
         slc = ChunkSlice.from_edges(1, [0], [0])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
         idx = build_index(m, RetrievalConfig(M=5))
-        items, _ = idx.interest_list(1)
+        items, _ = interest_list(idx, 1)
         assert len(items) == 0
 
     def test_full_truncation_matches_dense_phi(self):
@@ -97,7 +103,7 @@ class TestBuildIndex:
         pool = m.item_pool
         nk = m.n_kt
         for k in range(init.num_interests):
-            items, phis = idx.interest_list(k)
+            items, phis = interest_list(idx, k)
             if nk[k] == 0:
                 assert len(items) == 0
                 continue
@@ -113,7 +119,7 @@ class TestBuildIndex:
         idx = build_index(m, RetrievalConfig(M=3))
         pool = set(m.item_pool.tolist())
         for k in range(init.num_interests):
-            items, _ = idx.interest_list(k)
+            items, _ = interest_list(idx, k)
             assert set(items.tolist()) <= pool
 
 
@@ -125,7 +131,7 @@ class TestRetrieveMicro:
         cfg = RetrievalConfig(M=4, L=4, exclude_seen=False)
         idx = build_index(m, cfg)
         got = retrieve_mixture(0, idx, cfg)
-        items, _ = idx.interest_list(0)
+        items, _ = interest_list(idx, 0)
         assert got.item_ids() == items.tolist()
 
     def test_two_interest_hand_arithmetic(self):
@@ -143,7 +149,7 @@ class TestRetrieveMicro:
         assert counts.tolist() == [2, 2]
         by_hand = {}
         for k in (0, 1):
-            items, phis = idx.interest_list(k)
+            items, phis = interest_list(idx, k)
             for i, p in zip(items.tolist(), phis.tolist()):
                 by_hand[i] = by_hand.get(i, 0.0) + 0.5 * p
         want = sorted(by_hand.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
@@ -298,7 +304,7 @@ class TestRetrieveMle:
         promotable = False
         for k, (top, probs, rest) in tops.items():
             want = [(i, p) for i, p in zip(top, probs) if i not in dropped]
-            items, got_probs = idx.interest_list(k)
+            items, got_probs = interest_list(idx, k)
             assert list(zip(items.tolist(), got_probs.tolist())) == want
             assert set(items.tolist()) <= set(top)
             promotable |= len(want) < L and any(i not in dropped for i in rest)
@@ -307,7 +313,7 @@ class TestRetrieveMle:
             score = {}
             ks, pks = mix.user_mixture(u)
             for k, pk in zip(ks.tolist(), pks.tolist()):
-                items, probs = idx.interest_list(k)
+                items, probs = interest_list(idx, k)
                 for i, pi in zip(items.tolist(), probs.tolist()):
                     score[i] = score.get(i, 0.0) + pk * pi
             want = sorted(score.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.M]
@@ -553,6 +559,248 @@ class TestSeenExclusion:
                     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
                     want = [i for i, _ in ranked if i not in seen][: self.M]
                     assert got.item_ids() == want, f"{name} user {u} seen {sorted(seen)}"
+
+
+@pytest.fixture
+def compiled():
+    if sweep_kernel.load_kernel() is None:
+        pytest.skip("no C compiler: only the numpy selection runs here")
+
+
+def on_numpy(monkeypatch, retrieve):
+    """``retrieve()`` on the numpy path, the kernels' reference."""
+    with monkeypatch.context() as mp:
+        mp.setattr(mixrec.retrieval, "load_kernel", lambda: None)
+        return retrieve()
+
+
+def assert_same_list(got, want, what=""):
+    assert got.item_ids() == want.item_ids(), what
+    assert same_bits([s for _, s in got.items], [s for _, s in want.items]), what
+    assert all(type(i) is int and type(s) is float for i, s in got.items), what
+    assert (got.user, got.chunk) == (want.user, want.chunk), what
+
+
+# a few values, so sums tie across items, with signed zeros and a NaN
+TIED = np.array([0.0, -0.0, 0.25, 0.5, 0.5, 1.0, 1e-300, 3.0, np.nan])
+
+
+class TestCompiledTopM:
+    """The compiled selection of every retriever returns the numpy path's
+    lists: the same items in the same order and the same score bits."""
+
+    def seen_cases(self, rng, pool):
+        """``seen`` as None, a set or an array (ascending ``int64`` and
+        ``int32``), with ids outside the pool and up to the whole pool."""
+        pool = [int(i) for i in pool]
+        outside = {-3, 10**9, max(pool, default=0) + 1}
+        some = set(rng.choice(pool, size=len(pool) // 3, replace=False).tolist()) if pool else set()
+        yield None
+        for seen in (set(), some | outside, set(pool) - set(pool[:2]), set(pool) | outside):
+            yield seen
+            yield np.asarray(sorted(seen), dtype=np.int64)
+        yield np.asarray(sorted(some), dtype=np.int32)
+
+    def random_interest_index(self, rng, n_pool, K, ranking=True):
+        pool = np.sort(rng.choice(10 * n_pool + 5, size=n_pool, replace=False)).astype(np.int64)
+        lists, probs = [], []
+        for _ in range(K):
+            size = int(rng.integers(0, n_pool + 1))
+            lists.append(rng.choice(n_pool, size=size, replace=False))
+            tied = rng.random() < 0.5
+            probs.append(rng.choice(TIED[:-1], size) if tied else rng.random(size))
+        if n_pool and rng.random() < 0.2:  # a NaN somewhere
+            k = int(rng.integers(K))
+            probs[k][: min(2, len(probs[k]))] = np.nan
+        mixtures = {}
+        for u in range(6):
+            ks = rng.permutation(K)[: int(rng.integers(0, K + 1))]  # u=0 may be cold
+            theta = rng.choice(TIED[:-1], len(ks)) if u % 2 else rng.dirichlet(np.ones(len(ks))) if len(ks) else []
+            mixtures[u] = (ks.astype(np.int64), np.asarray(theta, dtype=np.float64))
+        mixtures[0] = (np.empty(0, np.int64), np.empty(0))
+        counts = rng.integers(0, 4, n_pool)
+        order = np.lexsort((pool, -counts))
+        return InterestIndex(
+            ptr=np.concatenate([[0], np.cumsum([len(x) for x in lists])]).astype(np.int64),
+            positions=np.concatenate(lists).astype(np.int64) if K else np.empty(0, np.int64),
+            probs=np.concatenate(probs).astype(np.float64) if K else np.empty(0),
+            pool_items=pool,
+            mixture=mixtures.__getitem__,
+            popularity=(pool[order], counts[order]) if ranking else None,
+        )
+
+    def check(self, monkeypatch, retrieve, what):
+        want = on_numpy(monkeypatch, retrieve)
+        assert_same_list(retrieve(), want, what)
+
+    def test_mixture_matches_numpy(self, compiled, monkeypatch):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            n_pool = int(rng.choice([0, 1, 5, 30, 120]))
+            idx = self.random_interest_index(rng, n_pool, K=int(rng.integers(1, 6)), ranking=trial % 3 > 0)
+            for M in (1, 7, 200):
+                for policy in ("popularity-fallback", "empty"):
+                    for exclude in (True, False):
+                        cfg = RetrievalConfig(M=M, exclude_seen=exclude, cold_user_policy=policy)
+                        for seen in self.seen_cases(rng, idx.pool_items):
+                            for u in range(6):
+                                self.check(
+                                    monkeypatch,
+                                    lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=trial),
+                                    f"trial {trial} M {M} {policy} user {u} seen {seen}",
+                                )
+
+    def test_built_indexes_match_numpy(self, compiled, monkeypatch):
+        # fitted micro and mle indexes, L below and at or above the pool size
+        rng = np.random.default_rng(32)
+        U, I, K = 8, 50, 5
+        train = [(u, int(rng.integers(I))) for u in range(U - 2) for _ in range(5)]
+        init = make_init(train, rng.integers(0, K, I).tolist(), K, num_users=U, num_items=I)
+        for t in range(4):
+            slc = ChunkSlice.from_edges(2, rng.integers(0, U, 200), rng.integers(0, I, 200))
+            m = fit_chunk(slc, init, SamplerConfig(seed=t))
+            rank = popularity_ranking(slc)
+            for M, L in ((3, None), (5, I), (40, 2 * I)):
+                for policy in ("popularity-fallback", "empty"):
+                    cfg = RetrievalConfig(M=M, L=L, cold_user_policy=policy)
+                    indexes = {
+                        "micro": build_index(m, cfg, rank),
+                        "mle": build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank),
+                    }
+                    for name, idx in indexes.items():
+                        for seen in self.seen_cases(rng, slc.item_pool):
+                            for u in range(U):  # users U-2 and U-1 are cold
+                                self.check(
+                                    monkeypatch,
+                                    lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=3),
+                                    f"{name} M {M} L {L} {policy} user {u}",
+                                )
+
+    def test_ann_matches_numpy(self, compiled, monkeypatch):
+        rng = np.random.default_rng(33)
+        D = 3
+        for trial in range(30):
+            n_pool = int(rng.choice([0, 1, 6, 40]))
+            pool = np.sort(rng.choice(5 * n_pool + 5, size=n_pool, replace=False)).astype(np.int64)
+            if trial % 2:  # few values: repeated rows tie, some are orthogonal
+                vecs = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(n_pool, D))
+                users = rng.choice([-1.0, 0.0, 1.0, 0.3], size=(5, D))
+            else:
+                vecs, users = rng.normal(size=(n_pool, D)), rng.normal(size=(5, D))
+            if n_pool:
+                vecs[rng.random(n_pool) < 0.2] = 0.0  # zero norm: -inf
+                if trial % 4 == 1:
+                    vecs[0] = [np.inf, 0.0, 0.0]  # inf / inf: NaN
+            with np.errstate(invalid="ignore", over="ignore"):
+                idx = AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), users)
+                for M in (1, 4, 100):
+                    cfg = RetrievalConfig(M=M)
+                    for seen in self.seen_cases(rng, pool):
+                        for u in range(len(users)):
+                            self.check(
+                                monkeypatch,
+                                lambda: ann_retrieve(u, idx, cfg, seen=seen, chunk=1),
+                                f"trial {trial} M {M} user {u} seen {seen}",
+                            )
+
+    def test_popularity_matches_numpy(self, compiled, monkeypatch):
+        rng = np.random.default_rng(34)
+        for trial in range(30):
+            n = int(rng.choice([0, 1, 8, 60]))
+            slc = ChunkSlice.from_edges(1, rng.integers(0, 9, 3 * n), rng.integers(0, n + 1, 3 * n))
+            rank = popularity_ranking(slc)
+            for M in (1, 5, 100):
+                cfg = RetrievalConfig(M=M)
+                for seen in self.seen_cases(rng, rank[0]):
+                    self.check(
+                        monkeypatch,
+                        lambda: popularity_retrieve(4, rank, cfg, seen=seen, chunk=2),
+                        f"trial {trial} M {M} seen {seen}",
+                    )
+
+    def test_rejects_out_of_bounds_input(self, compiled):
+        pool = np.array([2, 5, 9])
+        good = dict(ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool)
+        bad = [
+            dict(positions=[0, 3, 1]),
+            dict(positions=[0, -1, 1]),
+            dict(ptr=[0, 2, 4]),
+            dict(ptr=[1, 2, 3]),
+            dict(ptr=[0, 3, 2, 3]),
+            dict(probs=[0.5, 0.3]),
+        ]
+        for change in bad:
+            with pytest.raises(ValueError, match="inconsistent index"):
+                InterestIndex(**{**good, **change}, mixture=None)
+        with pytest.raises(ValueError, match="inconsistent index"):
+            AnnIndex(pool, np.ones((2, 3)), np.ones(2), np.ones((1, 3)))
+        cfg = RetrievalConfig(M=2)
+        for ks, theta, error in (([0, 2], [0.5, 0.5], IndexError), ([-1], [1.0], IndexError), ([0], [], ValueError)):
+            idx = InterestIndex(**good, mixture=lambda u: (np.array(ks), np.array(theta)))
+            with pytest.raises(error):
+                retrieve_mixture(0, idx, cfg)
+        idx = InterestIndex(**good, mixture=lambda u: (np.array([1, 0]), np.array([0.5, 0.5])))
+        assert retrieve_mixture(0, idx, cfg).item_ids() == [2, 9]
+
+    def test_threads_share_the_kernel(self, compiled):
+        # batch_retrieve's pool runs the kernel in several threads at once,
+        # since ctypes releases the interpreter lock during the call; long
+        # lists make the calls overlap
+        rng = np.random.default_rng(36)
+        idx = self.random_interest_index(rng, 8000, K=8)
+        seen = np.sort(rng.choice(idx.pool_items, 40, replace=False))
+        cfg = RetrievalConfig(M=50)
+        users = list(range(1, 6)) * 40
+
+        def fn(u):
+            return retrieve_mixture(u, idx, cfg, seen=seen)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = batch_retrieve(fn, users, RetrievalConfig(M=50, workers=4))
+        finally:
+            sys.setswitchinterval(interval)
+        serial = [fn(u) for u in users]
+        assert len(parallel) == len(serial)
+        for got, want in zip(parallel, serial):
+            assert_same_list(got, want)
+
+    def test_compile_failure_falls_back_identically(self, compiled, monkeypatch, caplog):
+        rng = np.random.default_rng(35)
+        idx = self.random_interest_index(rng, 50, K=4)
+        vecs = rng.normal(size=(50, 3))
+        ann = AnnIndex(idx.pool_items, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(6, 3)))
+        cfg = RetrievalConfig(M=10)
+        seen = set(idx.pool_items[::3].tolist())
+
+        def run():
+            return [
+                c
+                for u in range(6)
+                for c in (
+                    retrieve_mixture(u, idx, cfg, seen=seen),
+                    ann_retrieve(u, ann, cfg, seen=seen),
+                    popularity_retrieve(u, idx.popularity, cfg, seen=seen),
+                )
+            ]
+
+        want = run()
+        monkeypatch.setattr(sweep_kernel, "CC", "/nonexistent/cc")
+        sweep_kernel.load_kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.INFO, logger="mixrec.sweep_kernel"):
+                got = run()
+            assert sweep_kernel.load_kernel() is None
+        finally:
+            monkeypatch.undo()
+            sweep_kernel.load_kernel.cache_clear()
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mixrec.sweep_kernel"]
+        assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
+        assert "/nonexistent/cc" in logged[0][1]
+        assert len(got) == len(want) == 18
+        for g, w in zip(got, want):
+            assert_same_list(g, w)
 
 
 class TestBatchAndDeterminism:
