@@ -9,12 +9,14 @@ during the test period.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import EngagementGraph
+from .sweep_kernel import Kernel, arg, load_kernel
 
 __all__ = ["EmbeddingTable", "check_embedding_args", "train_embeddings", "save_embeddings", "load_embeddings"]
 
@@ -66,18 +68,72 @@ def _row_sums(inv: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
-def _apply_row_mean(emb: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float) -> None:
+def _apply_row_mean(
+    emb: np.ndarray,
+    rows: np.ndarray,
+    vecs: np.ndarray,
+    lr: float,
+    scal: np.ndarray | None = None,
+    vidx: np.ndarray | None = None,
+) -> None:
     """SGD step with gradients averaged per touched row.
 
-    Rows hit many times in one batch (hot items, prolific users) get the
-    mean of their per-example gradients instead of the sum, which keeps the
-    step size bounded for any batch composition. The per-row sums come from
+    The gradient of example j is ``scal[j] * vecs[vidx[j]]``, or ``vecs[j]``
+    when ``scal`` is None, and it belongs to row ``rows[j]``. Rows hit many
+    times in one batch (hot items, prolific users) get the mean of their
+    per-example gradients instead of the sum, which keeps the step size
+    bounded for any batch composition. The per-row sums come from
     ``_row_sums``, exact to the bit in batch order.
+
+    This numpy form is the reference of the kernel's ``row_mean`` (see
+    ``_compiled_row_mean``), which gives the same bits, and the fallback
+    when the kernel cannot be built.
     """
+    grads = vecs if scal is None else scal[:, None] * vecs[vidx]
     uniq, inv = np.unique(rows, return_inverse=True)
     acc = _row_sums(inv, grads, len(uniq))
     counts = np.bincount(inv, minlength=len(uniq))
     emb[uniq] -= lr * acc / counts[:, None]
+
+
+def _compiled_row_mean(
+    kernel: Kernel,
+    emb: np.ndarray,
+    rows: np.ndarray,
+    vecs: np.ndarray,
+    lr: float,
+    scal: np.ndarray | None = None,
+    vidx: np.ndarray | None = None,
+) -> None:
+    """``_apply_row_mean`` in one call of the kernel's ``row_mean``.
+
+    It sums each row's gradients in example order from 0.0 and applies
+    ``emb[r] - (lr * sum) / count``, the numpy expression, so the bits are
+    the same; the (examples, D) gradient array is never built.
+    """
+    if not (emb.flags.c_contiguous and emb.flags.writeable and emb.dtype == np.float64 and emb.ndim == 2):
+        raise ValueError("the embedding table must be a writable C-contiguous float64 matrix")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    vecs = np.ascontiguousarray(vecs, dtype=np.float64)
+    if vecs.ndim != 2 or vecs.shape[1] != emb.shape[1]:
+        raise ValueError(f"{vecs.shape} gradient vectors for a table of dimension {emb.shape[1]}")
+    if scal is None:
+        if len(vecs) != len(rows):
+            raise ValueError(f"{len(rows)} rows for {len(vecs)} gradients")
+        scal_p = vidx_p = None
+    else:
+        scal = np.ascontiguousarray(scal, dtype=np.float64)
+        vidx = np.ascontiguousarray(vidx, dtype=np.int64)
+        if scal.shape != rows.shape or vidx.shape != rows.shape:
+            raise ValueError("rows, scal and vidx differ in length")
+        scal_p, vidx_p = arg(scal), arg(vidx)
+    got = kernel.row_mean(
+        len(rows), arg(rows), scal_p, vidx_p, arg(vecs), len(vecs), emb.shape[1], lr, arg(emb), len(emb)
+    )
+    if got == -2:
+        raise IndexError("a row or gradient index outside its table")
+    if got < 0:
+        raise MemoryError("the row-mean update could not allocate its work space")
 
 
 def check_embedding_args(dim: int, epochs: int, negatives: int, score_mode: str) -> None:
@@ -109,6 +165,10 @@ def train_embeddings(
     by default; "translation" mode scores b - ||u + r - i||^2 with a learned
     relation vector r and scalar offset b. Mean per-engagement loss is logged
     each epoch and must trend downward.
+
+    The forward pass is numpy. Each update averages the gradients per touched
+    row (``_apply_row_mean``); it runs in one call of the compiled kernel's
+    ``row_mean`` when ``load_kernel()`` builds it, with the same bits.
     """
     check_embedding_args(dim, epochs, negatives, score_mode)
     if train.num_edges == 0:
@@ -122,6 +182,8 @@ def train_embeddings(
     rel = np.zeros(dim)
     offset = 0.0
     translation = score_mode == "translation"
+    kernel = load_kernel()
+    step = _apply_row_mean if kernel is None else functools.partial(_compiled_row_mean, kernel)
 
     losses: list[float] = []
     for epoch in range(epochs):
@@ -152,33 +214,22 @@ def train_embeddings(
             g_pos = _sigmoid(s_pos) - 1.0  # d loss / d s_pos
             g_neg = _sigmoid(s_neg)        # d loss / d s_neg
 
+            # item gradients: scal[j] * vecs[vidx[j]] for the rows
+            # [pos, neg.ravel()]; d s / d(u or r) = -2*diff, d s / d(item) =
+            # +2*diff in translation mode
+            scal = np.concatenate([g_pos, g_neg.reshape(-1)])
             if not translation:
                 du = g_pos[:, None] * pv + np.einsum("bn,bnd->bd", g_neg, nv)
-                dp_ = g_pos[:, None] * uv
-                dn_ = g_neg[:, :, None] * uv[:, None, :]
-                _apply_row_mean(u_emb, us, du, lr)
-                _apply_row_mean(
-                    i_emb,
-                    np.concatenate([pos, neg.reshape(-1)]),
-                    np.concatenate([dp_, dn_.reshape(-1, dim)]),
-                    lr,
-                )
+                vecs = uv
+                vidx = np.concatenate([np.arange(b), np.repeat(np.arange(b), negatives)])
             else:
-                # d s / d(u or r) = -2*diff, d s / d(item) = +2*diff
                 du = g_pos[:, None] * (-2.0 * dp) + np.einsum("bn,bnd->bd", g_neg, -2.0 * dn)
-                di_p = g_pos[:, None] * (2.0 * dp)
-                di_n = g_neg[:, :, None] * (2.0 * dn)
-                dr = du.mean(axis=0)
-                doff = float(g_pos.mean() + g_neg.mean(axis=1).mean())
-                _apply_row_mean(u_emb, us, du, lr)
-                _apply_row_mean(
-                    i_emb,
-                    np.concatenate([pos, neg.reshape(-1)]),
-                    np.concatenate([di_p, di_n.reshape(-1, dim)]),
-                    lr,
-                )
-                rel -= lr * dr
-                offset -= lr * doff
+                vecs = np.concatenate([2.0 * dp, 2.0 * dn.reshape(-1, dim)])
+                vidx = np.arange(len(vecs))
+                rel -= lr * du.mean(axis=0)
+                offset -= lr * float(g_pos.mean() + g_neg.mean(axis=1).mean())
+            step(u_emb, us, du, lr)
+            step(i_emb, np.concatenate([pos, neg.reshape(-1)]), vecs, lr, scal, vidx)
 
         mean_loss = total / E
         losses.append(mean_loss)

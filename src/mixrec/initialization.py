@@ -164,10 +164,6 @@ class MleMixture:
         lo, hi = self.support_ptr[user], self.support_ptr[user + 1]
         return self.support_k[lo:hi], self.p_k_given_u[lo:hi]
 
-    def interest_items(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.interest_ptr[k], self.interest_ptr[k + 1]
-        return self.items[lo:hi], self.p_i_given_k[lo:hi]
-
 
 def mle_mixture(init: InitArtifact) -> MleMixture:
     """p(k|u) = N_uk0/N_u0 and p(i|k) = N_ik0/N_k0, rows normalized."""

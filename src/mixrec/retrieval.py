@@ -57,7 +57,7 @@ from .embeddings import EmbeddingTable, _row_sums
 from .graph import ChunkSlice
 from .initialization import MleMixture
 from .sampler import ChunkModel, _ranges
-from .sweep_kernel import load_kernel
+from .sweep_kernel import arg as _arg, load_kernel
 
 __all__ = [
     "RetrievalConfig",
@@ -282,19 +282,6 @@ def _seen_mask(items: np.ndarray, seen) -> np.ndarray:
 
 
 _NO_SEEN = np.empty(0, dtype=np.int64)
-
-
-def _arg(a: np.ndarray):
-    """A pointer argument to the data of the contiguous array ``a`` (NULL
-    when it is empty). A writable array's address comes through the buffer
-    protocol, which costs a fraction of ``a.ctypes.data``; the argument
-    keeps ``a`` alive."""
-    if not a.size:
-        return None
-    try:
-        return ctypes.byref(ctypes.c_char.from_buffer(a))
-    except TypeError:  # read-only
-        return a.ctypes.data
 
 
 def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:

@@ -417,10 +417,6 @@ class ChunkModel:
         items = np.repeat(self.slice.item_pool, self._ifill)
         return items, self._ik[slots], self._ic[slots]
 
-    def chunk_user_total(self, user: int) -> int:
-        r = self._row_index(user)
-        return int(self._ptr[r + 1] - self._ptr[r])
-
     # -- collapsed objective ------------------------------------------------
 
     def log_joint(self) -> float:
@@ -654,28 +650,6 @@ def sweep_diagnostics_text(m: ChunkModel) -> str:
     for s in m.history:
         lines.append(f"{s.sweep}\t{s.log_joint!r}\t{s.changed}")
     return "\n".join(lines) + "\n"
-
-
-def export_tables_text(m: ChunkModel, path) -> None:
-    """Sparse-triple dump: user/interest, item/interest, interest totals,
-    and the assignment vector, as tab-separated sections."""
-    with open(path, "w") as fh:
-        fh.write("# section=user_interest u k count\n")
-        for r, u in enumerate(m._active):
-            ks, counts = m.user_counts(u)
-            for k, c in zip(ks.tolist(), counts.tolist()):
-                if c:
-                    fh.write(f"{u}\t{k}\t{c}\n")
-        fh.write("# section=item_interest i k count\n")
-        for i, k, c in zip(*(a.tolist() for a in m.item_table())):
-            fh.write(f"{i}\t{k}\t{c}\n")
-        fh.write("# section=interest k count\n")
-        for k, c in enumerate(m._nk):
-            if c:
-                fh.write(f"{k}\t{c}\n")
-        fh.write("# section=assignments j z\n")
-        for j, k in enumerate(m.z.tolist()):
-            fh.write(f"{j}\t{k}\n")
 
 
 def save_chunk_model(m: ChunkModel, path) -> None:

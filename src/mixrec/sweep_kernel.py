@@ -6,8 +6,9 @@ under a name keyed by a hash of the source, the flags and the compiler's
 version, and returns its bound entry points as a ``Kernel``. The library is
 written under a temporary name and renamed into place, so concurrent
 processes never load a half-written file. Without a working compiler it
-logs one warning and returns None: the sampler runs its Python sweep and
-the retrievers their numpy selection.
+logs one warning and returns None: the sampler runs its Python sweep, the
+retrievers their numpy selection and the embedding trainer its numpy
+update.
 
 ``Kernel.sweep`` is a transcription of ``ChunkModel._sweep_python``, which
 is its reference: the same uniforms, the same sorted-row table updates and
@@ -25,8 +26,15 @@ list order (``np.bincount``'s input order, so each sum keeps its bits);
 drop seen ids by binary search in the user's ascending seen array and keep
 the best M by (score descending with NaN last, item ascending) in a bounded
 heap, which is then sorted. ``walk`` gives the positions of the first M
-unseen entries of a ranked item array. The entry points hold no static
-state and allocate their work space per call, so threads may share them.
+unseen entries of a ranked item array.
+
+``row_mean`` is one embedding SGD update; its reference is the numpy
+``mixrec.embeddings._apply_row_mean``. It forms each example's gradient as
+``scal[j] * vecs[vidx[j]]`` (or takes ``vecs[j]``), adds each touched row's
+gradients from 0.0 in example order (``np.bincount``'s input order) and
+sets ``emb[r] - (lr * sum) / count``, the numpy expression, so the table
+gets the same bits. The entry points hold no static state and allocate
+their work space per call, so threads may share them.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["Kernel", "load_kernel"]
+__all__ = ["Kernel", "arg", "load_kernel"]
 
 logger = logging.getLogger(__name__)
 
@@ -365,6 +373,69 @@ i64 mixrec_walk(i64 n, const i64 *items, const i64 *seen, i64 ns, i64 M, i64 *ou
             out_pos[kept++] = i;
     return kept;
 }
+
+/* -- embedding SGD ------------------------------------------------------ */
+
+/* One row-mean SGD step on the nrows x D table emb: each distinct row r of
+   rows[0:m] becomes emb[r] - (lr * acc[r]) / count[r], where acc[r] adds to
+   0.0, in j order, the gradient of every j with rows[j] == r (np.bincount's
+   input order, so each sum keeps its bits). The gradient of j is
+   scal[j] * vecs[vidx[j]], or vecs[j] when scal is NULL; vecs has nv rows.
+   Returns 0, -1 when out of memory, or -2 (emb untouched) when a row or a
+   vector index is out of range. */
+i64 mixrec_row_mean(
+    i64 m, const i64 *rows, const double *scal, const i64 *vidx,
+    const double *vecs, i64 nv, i64 D, double lr, double *emb, i64 nrows)
+{
+    for (i64 j = 0; j < m; j++)
+        if (rows[j] < 0 || rows[j] >= nrows || (scal ? vidx[j] < 0 || vidx[j] >= nv : j >= nv))
+            return -2;
+    /* slot[r]: 1 + the accumulator of row r, 0 until r first appears */
+    i64 *slot = calloc((size_t)(nrows > 0 ? nrows : 1), sizeof(i64));
+    i64 *order = malloc((size_t)(m > 0 ? m : 1) * sizeof(i64));
+    i64 *count = calloc((size_t)(m > 0 ? m : 1), sizeof(i64));
+    double *acc = NULL;
+    i64 nu = 0, ret = -1;
+    if (!slot || !order || !count)
+        goto done;
+    for (i64 j = 0; j < m; j++)
+        if (!slot[rows[j]]) {
+            order[nu] = rows[j];
+            slot[rows[j]] = ++nu;
+        }
+    acc = calloc((size_t)(nu * D > 0 ? nu * D : 1), sizeof(double));
+    if (!acc)
+        goto done;
+    for (i64 j = 0; j < m; j++) {
+        i64 a = slot[rows[j]] - 1;
+        double *s = acc + a * D;
+        count[a]++;
+        if (scal) {
+            const double *v = vecs + vidx[j] * D;
+            double c = scal[j];
+            for (i64 d = 0; d < D; d++)
+                s[d] += c * v[d];
+        } else {
+            const double *v = vecs + j * D;
+            for (i64 d = 0; d < D; d++)
+                s[d] += v[d];
+        }
+    }
+    for (i64 a = 0; a < nu; a++) {
+        double *e = emb + order[a] * D;
+        const double *s = acc + a * D;
+        double n = (double)count[a];
+        for (i64 d = 0; d < D; d++)
+            e[d] = e[d] - (lr * s[d]) / n;
+    }
+    ret = 0;
+done:
+    free(slot);
+    free(order);
+    free(count);
+    free(acc);
+    return ret;
+}
 """
 
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -378,17 +449,33 @@ _ARGTYPES = (
     + [_dbl] * 3  # alpha, beta, Ibeta
     + [_F64, _I64, ctypes.POINTER(_dbl)]  # wbuf, out, dlj
 )
-# The retrieval entry points run once per query, so they take raw pointers
-# (``ctypes.c_void_p``): checking an ``ndpointer`` costs microseconds.
+# The retrieval entry points run once per query and ``row_mean`` once per
+# SGD batch, so they take raw pointers (``ctypes.c_void_p``, see ``arg``):
+# checking an ``ndpointer`` costs microseconds.
 _ptr = ctypes.c_void_p
-_RETRIEVAL_ARGTYPES = {
+_POINTER_ARGTYPES = {
     # nks, ks, theta, K, ptr, positions, probs, n, pool, seen, ns, M, out_items, out_scores
     "mixture": [_ll, _ptr, _ptr, _ll, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr, _ptr],
     # n, pool, dots, norms, un, seen, ns, M, out_items, out_scores
     "cosine": [_ll, _ptr, _ptr, _ptr, _dbl, _ptr, _ll, _ll, _ptr, _ptr],
     # n, items, seen, ns, M, out_pos
     "walk": [_ll, _ptr, _ptr, _ll, _ll, _ptr],
+    # m, rows, scal, vidx, vecs, nv, D, lr, emb, nrows
+    "row_mean": [_ll, _ptr, _ptr, _ptr, _ptr, _ll, _ll, _dbl, _ptr, _ll],
 }
+
+
+def arg(a: np.ndarray):
+    """A pointer argument to the data of the contiguous array ``a`` (NULL
+    when it is empty). A writable array's address comes through the buffer
+    protocol, which costs a fraction of ``a.ctypes.data``; the argument
+    keeps ``a`` alive."""
+    if not a.size:
+        return None
+    try:
+        return ctypes.byref(ctypes.c_char.from_buffer(a))
+    except TypeError:  # read-only
+        return a.ctypes.data
 
 
 class Kernel(NamedTuple):
@@ -398,6 +485,7 @@ class Kernel(NamedTuple):
     mixture: Callable[..., int]
     cosine: Callable[..., int]
     walk: Callable[..., int]
+    row_mean: Callable[..., int]
 
 
 def _cache_dir() -> Path:
@@ -441,13 +529,13 @@ def load_kernel() -> Kernel | None:
         logger.warning(
             "cannot build the compiled kernels (%s); falling back to Python and numpy", str(detail).strip()
         )
-        logger.info("Gibbs sweep: Python")
+        logger.info("Gibbs sweep: Python; top-M selection and embedding SGD update: numpy")
         return None
     lib.mixrec_sweep.argtypes = _ARGTYPES
     lib.mixrec_sweep.restype = None
-    for name, argtypes in _RETRIEVAL_ARGTYPES.items():
+    for name, argtypes in _POINTER_ARGTYPES.items():
         fn = getattr(lib, f"mixrec_{name}")
         fn.argtypes = argtypes
         fn.restype = _ll
-    logger.info("Gibbs sweep and top-M selection: compiled kernel %s", path)
-    return Kernel(lib.mixrec_sweep, lib.mixrec_mixture, lib.mixrec_cosine, lib.mixrec_walk)
+    logger.info("Gibbs sweep, top-M selection and embedding SGD update: compiled kernel %s", path)
+    return Kernel(lib.mixrec_sweep, lib.mixrec_mixture, lib.mixrec_cosine, lib.mixrec_walk, lib.mixrec_row_mean)

@@ -131,3 +131,40 @@ def interest_list(idx, k):
     probabilities) in list order, read from the index's public arrays."""
     lo, hi = idx.ptr[k], idx.ptr[k + 1]
     return idx.pool_items[idx.positions[lo:hi]], idx.probs[lo:hi]
+
+
+def interest_items(mix, k):
+    """Interest k's (items, p(i|k)) in an ``MleMixture``, read from its
+    ``interest_ptr``, ``items`` and ``p_i_given_k``."""
+    lo, hi = mix.interest_ptr[k], mix.interest_ptr[k + 1]
+    return mix.items[lo:hi], mix.p_i_given_k[lo:hi]
+
+
+def chunk_user_total(m, user):
+    """The number of ``user``'s engagements in the chunk of ``ChunkModel``
+    ``m``, read from its slice."""
+    return int(np.count_nonzero(m.slice.users == user))
+
+
+def export_tables_text(m, path):
+    """Sparse-triple dump of a ``ChunkModel``: user/interest, item/interest,
+    interest totals and the assignment vector, as tab-separated sections,
+    from ``user_counts``, ``item_table`` and ``z``."""
+    totals = np.bincount(m.z, minlength=m.K)
+    with open(path, "w") as fh:
+        fh.write("# section=user_interest u k count\n")
+        for u in m.slice.unique_users.tolist():
+            ks, counts = m.user_counts(u)
+            for k, c in zip(ks.tolist(), counts.tolist()):
+                if c:
+                    fh.write(f"{u}\t{k}\t{c}\n")
+        fh.write("# section=item_interest i k count\n")
+        for i, k, c in zip(*(a.tolist() for a in m.item_table())):
+            fh.write(f"{i}\t{k}\t{c}\n")
+        fh.write("# section=interest k count\n")
+        for k, c in enumerate(totals.tolist()):
+            if c:
+                fh.write(f"{k}\t{c}\n")
+        fh.write("# section=assignments j z\n")
+        for j, k in enumerate(m.z.tolist()):
+            fh.write(f"{j}\t{k}\n")

@@ -1,8 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
 
 import mixrec.embeddings
-from mixrec.embeddings import EmbeddingTable, _row_sums, load_embeddings, save_embeddings, train_embeddings
+from mixrec import sweep_kernel
+from mixrec.embeddings import (
+    EmbeddingTable,
+    _apply_row_mean,
+    _compiled_row_mean,
+    _row_sums,
+    load_embeddings,
+    save_embeddings,
+    train_embeddings,
+)
 from mixrec.graph import from_raw_edges
 
 from oracles import row_sums_add_at, same_bits
@@ -145,7 +156,136 @@ class TestRowSums:
         kw = dict(dim=8, epochs=3, negatives=4, seed=5, score_mode=score_mode, batch_size=256)
         got = train_embeddings(g, **kw)
         monkeypatch.setattr(mixrec.embeddings, "_row_sums", row_sums_add_at)
+        monkeypatch.setattr(mixrec.embeddings, "load_kernel", lambda: None)  # the scatter runs only in numpy
         want = train_embeddings(g, **kw)
         assert same_bits(got.user_vectors, want.user_vectors)
         assert same_bits(got.item_vectors, want.item_vectors)
         assert same_bits(got.epoch_losses, want.epoch_losses)
+
+
+@pytest.fixture
+def kernel():
+    k = sweep_kernel.load_kernel()
+    if k is None:
+        pytest.skip("no C compiler: only the numpy update runs here")
+    return k
+
+
+def hot_graph(seed, n=1500):
+    """Users and zipf items, so hot items repeat within a batch."""
+    rng = np.random.default_rng(seed)
+    users = rng.integers(0, 60, n)
+    items = np.minimum(rng.zipf(1.5, n), 80)
+    return from_raw_edges(users, items, np.zeros(n, dtype=int))
+
+
+class TestCompiledRowMean:
+    """The kernel's ``row_mean`` leaves the table with the bits of the numpy
+    ``_apply_row_mean``, its reference."""
+
+    def both(self, kernel, emb, rows, vecs, lr, scal=None, vidx=None):
+        """(compiled, numpy) results of one update of a copy of ``emb``."""
+        got, want = emb.copy(), emb.copy()
+        _compiled_row_mean(kernel, got, rows, vecs, lr, scal, vidx)
+        _apply_row_mean(want, rows, vecs, lr, scal, vidx)
+        return got, want
+
+    def test_random_instances(self, kernel):
+        rng = np.random.default_rng(41)
+        for trial in range(300):
+            n = int(rng.integers(1, 300))
+            d = int(rng.choice([1, 2, 7, 32]))
+            b = int(rng.integers(1, 200))
+            negatives = int(rng.integers(1, 6))
+            hot = int(rng.integers(1, n + 1))  # a small range repeats rows often
+            pos = rng.integers(0, hot, b)
+            neg = rng.integers(0, hot, (b, negatives))  # rows hit as positive and negative
+            if trial % 5 == 0:
+                pos[:] = neg[:] = pos[0]  # every example lands in one row
+            rows = np.concatenate([pos, neg.reshape(-1)])
+            emb = rng.normal(size=(n, d))
+            emb[rng.random((n, d)) < 0.05] = -0.0
+            lr = float(rng.choice([0.05, 0.3, 1.0 / 3.0]))
+            vecs = rng.normal(size=(b, d)) * 10.0 ** rng.uniform(-8, 8, size=(b, 1))
+            vecs[rng.random((b, d)) < 0.1] = -0.0
+            scal = rng.normal(size=len(rows))
+            scal[rng.random(len(rows)) < 0.1] = -0.0
+            vidx = np.concatenate([np.arange(b), np.repeat(np.arange(b), negatives)])
+            got, want = self.both(kernel, emb, rows, vecs, lr, scal, vidx)
+            assert same_bits(got, want), trial
+            # the user-side form: one gradient row per example, no scaling
+            got, want = self.both(kernel, emb, pos, vecs, lr)
+            assert same_bits(got, want), trial
+
+    def test_edge_cases(self, kernel):
+        # order-sensitive sums: 1e16 + 1 - 1e16 is 0.0, not 1.0
+        col = np.array([[1e16], [1.0], [-1e16], [1.0]])
+        rows = np.zeros(4, dtype=np.int64)
+        for scal, vidx in ((None, None), (np.array([1.0, 1.0, 1.0, 3.0]), np.arange(4))):
+            got, want = self.both(kernel, np.array([[0.5], [2.0]]), rows, col, 0.1, scal, vidx)
+            assert same_bits(got, want)
+            assert got[1, 0] == 2.0  # an untouched row keeps its value
+        # a row whose gradients are all -0.0 sums to +0.0, so -0.0 stays -0.0
+        got, want = self.both(kernel, np.array([[-0.0, 1.0]]), np.array([0, 0]), np.array([[-0.0, -0.0]] * 2), 0.5)
+        assert same_bits(got, want) and np.signbit(got[0, 0])
+        got, want = self.both(
+            kernel, np.array([[-0.0]]), np.array([0]), np.array([[2.0]]), 0.5, np.array([-0.0]), np.array([0])
+        )
+        assert same_bits(got, want) and np.signbit(got[0, 0])
+        # one row of D = 1, and lr * sum rounds before the division by the count
+        emb = np.array([[0.1]])
+        vecs = np.array([[0.7], [0.1], [0.2]])
+        got, want = self.both(kernel, emb, np.array([0, 0, 0]), vecs, 0.1)
+        assert same_bits(got, want)
+        assert same_bits(got, emb - (0.1 * ((0.0 + 0.7 + 0.1) + 0.2)) / 3.0)
+
+    def test_rejects_out_of_range_and_bad_shapes(self, kernel):
+        emb = np.ones((3, 2))
+        vecs = np.ones((2, 2))
+        for rows, scal, vidx in (
+            (np.array([0, 3]), None, None),
+            (np.array([-1, 0]), None, None),
+            (np.array([0, 1]), np.ones(2), np.array([0, 2])),
+            (np.array([0, 1]), np.ones(2), np.array([-1, 0])),
+        ):
+            with pytest.raises(IndexError):
+                _compiled_row_mean(kernel, emb, rows, vecs, 0.1, scal, vidx)
+            assert (emb == 1.0).all()  # untouched
+        with pytest.raises(ValueError):
+            _compiled_row_mean(kernel, emb, np.array([0, 1, 2]), vecs, 0.1)
+        with pytest.raises(ValueError):
+            _compiled_row_mean(kernel, emb, np.array([0]), np.ones((1, 3)), 0.1)
+        with pytest.raises(ValueError):
+            _compiled_row_mean(kernel, emb[:, :1], np.array([0]), np.ones((1, 1)), 0.1)
+
+    @pytest.mark.parametrize("score_mode", ["dot", "translation"])
+    def test_train_embeddings_bits_equal_numpy_run(self, kernel, score_mode, monkeypatch):
+        g = hot_graph(9)
+        kw = dict(dim=8, epochs=3, negatives=4, seed=5, score_mode=score_mode, batch_size=256)
+        got = train_embeddings(g, **kw)
+        monkeypatch.setattr(mixrec.embeddings, "load_kernel", lambda: None)
+        want = train_embeddings(g, **kw)
+        assert same_bits(got.user_vectors, want.user_vectors)
+        assert same_bits(got.item_vectors, want.item_vectors)
+        assert same_bits(got.epoch_losses, want.epoch_losses)
+
+    def test_compile_failure_falls_back_identically(self, kernel, monkeypatch, caplog):
+        g = hot_graph(10)
+        kw = dict(dim=8, epochs=2, negatives=3, seed=6, batch_size=128)
+        want = train_embeddings(g, **kw)
+        monkeypatch.setattr(sweep_kernel, "CC", "/nonexistent/cc")
+        sweep_kernel.load_kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.INFO, logger="mixrec.sweep_kernel"):
+                got = train_embeddings(g, **kw)
+            assert sweep_kernel.load_kernel() is None
+        finally:
+            monkeypatch.undo()
+            sweep_kernel.load_kernel.cache_clear()
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mixrec.sweep_kernel"]
+        assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
+        assert "/nonexistent/cc" in logged[0][1]
+        assert "embedding SGD update: numpy" in logged[1][1]
+        assert got.user_vectors.tobytes() == want.user_vectors.tobytes()
+        assert got.item_vectors.tobytes() == want.item_vectors.tobytes()
+        assert got.epoch_losses == want.epoch_losses

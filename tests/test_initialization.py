@@ -10,6 +10,8 @@ from mixrec.initialization import (
     save_init,
 )
 
+from oracles import interest_items
+
 
 def graph_of(pairs, num_items=None):
     users = [p[0] for p in pairs]
@@ -119,7 +121,7 @@ class TestMleMixture:
         g = from_raw_edges([0, 1], [0, 0], [0, 0])
         init = build_init(g, item_interest=[4], num_interests=5)
         mix = mle_mixture(init)
-        items, ps = mix.interest_items(4)
+        items, ps = interest_items(mix, 4)
         assert items.tolist() == [0]
         assert ps.tolist() == [1.0]
 
@@ -127,7 +129,7 @@ class TestMleMixture:
         g = from_raw_edges([0], [0], [0])
         init = build_init(g, item_interest=[0], num_interests=3)
         mix = mle_mixture(init)
-        items, ps = mix.interest_items(2)
+        items, ps = interest_items(mix, 2)
         assert len(items) == 0 and len(ps) == 0
 
     def test_rows_normalized(self):
@@ -141,7 +143,7 @@ class TestMleMixture:
                 assert ps.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.all((ps >= 0) & (ps <= 1))
         for k in range(7):
-            _, ps = mix.interest_items(k)
+            _, ps = interest_items(mix, k)
             if len(ps):
                 assert ps.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -170,7 +172,7 @@ class TestMleMixture:
             ks, pks = mix.user_mixture(u)
             score = {}
             for k, pk in zip(ks.tolist(), pks.tolist()):
-                items, pis = mix.interest_items(k)
+                items, pis = interest_items(mix, k)
                 for i, pi in zip(items.tolist(), pis.tolist()):
                     score[i] = score.get(i, 0.0) + pk * pi
             for i in range(g.num_items):

@@ -24,7 +24,7 @@ from mixrec.retrieval import (
 )
 from mixrec.sampler import SamplerConfig, fit_chunk
 
-from oracles import interest_list, row_sums_add_at, same_bits
+from oracles import interest_items, interest_list, row_sums_add_at, same_bits
 from test_sampler import make_init
 
 
@@ -269,7 +269,7 @@ class TestRetrieveMle:
                 score = {}
                 ks, pks = mix.user_mixture(u)
                 for k, pk in zip(ks.tolist(), pks.tolist()):
-                    items, pis = mix.interest_items(k)
+                    items, pis = interest_items(mix, k)
                     for i, pi in zip(items.tolist(), pis.tolist()):
                         score[i] = score.get(i, 0.0) + pk * pi
                 want = sorted(score.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
@@ -293,7 +293,7 @@ class TestRetrieveMle:
         cfg = RetrievalConfig(M=2, L=L, exclude_seen=False)
         tops = {}
         for k in range(K):
-            items, probs = mix.interest_items(k)
+            items, probs = interest_items(mix, k)
             order = np.lexsort((items, -probs))
             tops[k] = (items[order][:L].tolist(), probs[order][:L].tolist(), items[order][L:].tolist())
         # drop each interest's first and third listed items from the pool
@@ -505,7 +505,7 @@ class TestSeenExclusion:
         scores = {}
         ks, pks = self.mix.user_mixture(u)
         for k, pk in zip(ks.tolist(), pks.tolist()):
-            items, pis = self.mix.interest_items(k)
+            items, pis = interest_items(self.mix, k)
             for i, pi in zip(items.tolist(), pis.tolist()):
                 if allowed is None or i in allowed:
                     scores[i] = scores.get(i, 0.0) + pk * pi

@@ -18,14 +18,15 @@ from mixrec.sampler import (
     load_chunk_model,
     save_chunk_model,
     sweep_diagnostics_text,
-    export_tables_text,
 )
 
 from oracles import (
     candidate_interests,
+    chunk_user_total,
     collapsed_log_joint,
     conditional_from_enumeration,
     enumerate_posterior,
+    export_tables_text,
 )
 
 
@@ -197,7 +198,7 @@ def check_invariants(m, init, slc):
         for k in zu:
             want[k] = want.get(k, 0) + 1
         assert {k: c for k, c in mine.items() if c} == {k: c for k, c in want.items() if c}
-        assert sum(mine.values()) - sum(base.values()) == m.chunk_user_total(int(u))
+        assert sum(mine.values()) - sum(base.values()) == chunk_user_total(m, int(u))
 
 
 class TestSweep:
@@ -508,7 +509,7 @@ class TestUserCountModes:
         for u in np.unique(slc.users):
             ks, counts = m.user_counts(int(u))
             base = init.support_counts(int(u)).sum()
-            assert counts.sum() - base == m.chunk_user_total(int(u))
+            assert counts.sum() - base == chunk_user_total(m, int(u))
 
 
 class TestPersistence:
@@ -662,7 +663,7 @@ class TestCompiledSweep:
         logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mixrec.sweep_kernel"]
         assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
         assert "/nonexistent/cc" in logged[0][1]
-        assert logged[1][1] == "Gibbs sweep: Python"
+        assert logged[1][1] == "Gibbs sweep: Python; top-M selection and embedding SGD update: numpy"
         assert raw_tables(got) == raw_tables(want)
         assert [(h.log_joint, h.changed) for h in got.history] == [
             (h.log_joint, h.changed) for h in want.history
@@ -674,7 +675,7 @@ class TestCompiledSweep:
         m = fit_chunk(slc, init, SamplerConfig(seed=1, max_sweeps=2))
         assert len(m._ik) <= m.n
         cold = [r for r, u in enumerate(m._active) if init.is_cold(u)]
-        assert len(m._ck) == sum(m.chunk_user_total(m._active[r]) for r in cold)
+        assert len(m._ck) == sum(chunk_user_total(m, m._active[r]) for r in cold)
         # nothing is items x K or users x K
         sizes = [a.size for a in vars(m).values() if isinstance(a, np.ndarray)]
         assert max(sizes) <= max(m.n, K + 1)
