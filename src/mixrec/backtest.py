@@ -4,7 +4,8 @@ One config drives the whole pipeline. Artifacts (graph, embeddings,
 clusters, t=0 counts, per-chunk fitted models) persist under the output
 directory and are reused on rerun, so a run can resume per chunk. All file
 writes are atomic (temp file + rename) and all outputs are deterministic
-given the config, including float formatting.
+given the config, including float formatting. A stage's ``.npz`` marks it
+done, so it is written after the stage's side files.
 
 The first held-out chunk is only fitted (it has no fitted predecessor to
 retrieve from); every later chunk is the query target for the previous
@@ -195,9 +196,9 @@ def ensure_graph(cfg: RunConfig) -> EngagementGraph:
         logger.info("stage=ingest action=reuse path=%s", cache)
         return load_graph(cache)
     g = load_edge_list(cfg.data_path, delimiter=cfg.delimiter)
-    _atomic_npz(cache, lambda p: save_graph(g, p))
     stats = format_stats(graph_stats(g))
     _atomic_write(out / "graph_stats.txt", stats + "\n")
+    _atomic_npz(cache, lambda p: save_graph(g, p))
     for line in stats.splitlines():
         logger.info("stage=ingest %s", line)
     return g
@@ -231,8 +232,8 @@ def ensure_clusters(cfg: RunConfig, emb):
         logger.info("stage=cluster action=reuse path=%s", cache)
         return load_clusters(cache)
     clusters = cluster_items(emb.item_vectors, K=cfg.num_interests, iters=cfg.kmeans_iters, seed=cfg.seed)
-    _atomic_npz(cache, lambda p: save_clusters(clusters, p))
     export_cluster_map(clusters, out / "cluster_map.tsv", delimiter=cfg.delimiter)
+    _atomic_npz(cache, lambda p: save_clusters(clusters, p))
     logger.info(
         "stage=cluster K=%d iters=%d objective=%.4f",
         cfg.num_interests,
@@ -284,11 +285,11 @@ def _fit_or_load(cfg, slc, init, ordinal, base):
         logger.info("stage=fit chunk=%d action=reuse", slc.chunk)
         return load_chunk_model(path, slc, init, scfg, base=base)
     m = fit_chunk(slc, init, scfg, base=base)
-    _atomic_npz(path, lambda p: save_chunk_model(m, p))
     _atomic_write(
         Path(cfg.out_dir) / "chunks" / f"chunk_{slc.chunk:05d}_sweeps.tsv",
         sweep_diagnostics_text(m),
     )
+    _atomic_npz(path, lambda p: save_chunk_model(m, p))
     logger.info(
         "stage=fit chunk=%d engagements=%d sweeps=%d converged=%s log_joint=%r",
         slc.chunk,

@@ -10,6 +10,7 @@ current centroid, which keeps the objective monotone.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,10 +162,13 @@ def cluster_items(
 
 
 def export_cluster_map(cluster: ClusterAssignment, path, delimiter: str = "\t") -> None:
-    """Write the item -> interest map as `item<delim>interest` lines."""
-    with open(path, "w") as fh:
+    """Write the item -> interest map as `item<delim>interest` lines, to a
+    temporary file renamed into place."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         for i, k in enumerate(cluster.item_to_interest.tolist()):
             fh.write(f"{i}{delimiter}{k}\n")
+    os.replace(tmp, path)
 
 
 def save_clusters(cluster: ClusterAssignment, path) -> None:

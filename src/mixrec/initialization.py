@@ -160,10 +160,6 @@ class MleMixture:
     items: np.ndarray
     p_i_given_k: np.ndarray
 
-    def user_mixture(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.support_ptr[user], self.support_ptr[user + 1]
-        return self.support_k[lo:hi], self.p_k_given_u[lo:hi]
-
 
 def mle_mixture(init: InitArtifact) -> MleMixture:
     """p(k|u) = N_uk0/N_u0 and p(i|k) = N_ik0/N_k0, rows normalized."""

@@ -11,11 +11,11 @@ is recorded under. The index per method:
 
 - ``micro``: ``build_index(m, cfg, ranking)``, an ``InterestIndex`` of the
   fitted chunk model's per-interest top-L lists (one per chunk and M); the
-  user's interest weights are ``ChunkModel.user_mixture``, the
-  alpha-smoothed combined counts normalised over the support.
+  users' interest weights are ``ChunkModel.user_weights``, the
+  alpha-smoothed combined counts normalised over each support.
 - ``mle``: ``build_mle_index(mix, cfg, pool, ranking)``, an
   ``InterestIndex`` of the t=0 tables' top-L lists restricted to the pool
-  (one per chunk and M); weights are ``MleMixture.user_mixture``.
+  (one per chunk and M); the weights are ``MleMixture.p_k_given_u``.
 - ``ann``: ``ann_encode_items(slice_, emb)``, an ``AnnIndex`` of the pool's
   engagement-averaged item vectors, their norms and the user vectors.
 - ``popularity``: ``popularity_ranking(slice_)``, the pool by engagement
@@ -23,8 +23,8 @@ is recorded under. The index per method:
 
 Both mixtures are one retriever, ``retrieve_mixture``: an ``InterestIndex``
 holds per-interest lists as positions into an ascending candidate pool,
-the function giving a user's (interests, weights), and the pool's
-popularity ranking for users without interests.
+every user's (interests, weights) as one CSR over users, read in place
+by each query, and the pool's popularity ranking for users without interests.
 
 Every retriever ends in one selection: the first M candidates by (score
 descending, item id ascending) that are not seen. It runs in the compiled
@@ -49,7 +49,6 @@ import ctypes
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -137,31 +136,36 @@ class InterestIndex:
     Interest k's candidates are positions into the ascending ``pool_items``
     (``positions[ptr[k]:ptr[k+1]]`` with aligned probabilities ``probs``),
     in list order: probability descending, ties by ascending item id.
-    ``mixture(u)`` gives user u's (interests, weights), empty for a user
-    without interests. ``popularity`` is the pool's ``popularity_ranking``,
-    the fallback for such users; without it they get an empty list.
+    User u's interests are ``user_k[user_ptr[u]:user_ptr[u+1]]`` with
+    aligned weights ``user_w``, in summation order; the row is empty for a
+    user without interests. ``popularity`` is the pool's
+    ``popularity_ranking``, their fallback; without it they get no list.
     """
 
     ptr: np.ndarray
     positions: np.ndarray
     probs: np.ndarray
     pool_items: np.ndarray
-    mixture: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    user_ptr: np.ndarray
+    user_k: np.ndarray
+    user_w: np.ndarray
     popularity: tuple[np.ndarray, np.ndarray] | None = None
-    # data addresses of ptr, positions, probs and pool_items for the kernel
+    # data addresses of ptr, positions, probs, pool_items, user_k and user_w for the kernel
     _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_c",
-            _addresses(self, ptr=np.int64, positions=np.int64, probs=np.float64, pool_items=np.int64),
-        )
-        ptr, pos = self.ptr, self.positions
-        _check(len(ptr) >= 1 and ptr[0] == 0 and ptr[-1] == len(pos), "ptr must run from 0 to len(positions)")
-        _check(bool(np.all(ptr[1:] >= ptr[:-1])), "ptr must not decrease")
-        _check(len(self.probs) == len(pos), "probs and positions differ in length")
-        _check(not len(pos) or (pos.min() >= 0 and pos.max() < len(self.pool_items)), "positions outside the pool")
+        object.__setattr__(self, "user_ptr", np.asarray(self.user_ptr, dtype=np.int64))
+        object.__setattr__(self, "_c", _addresses(
+            self, ptr=np.int64, positions=np.int64, probs=np.float64, pool_items=np.int64,
+            user_k=np.int64, user_w=np.float64,
+        ))
+        for ptr, rows, bound in (("ptr", "positions", len(self.pool_items)), ("user_ptr", "user_k", len(self.ptr) - 1)):
+            p, v = getattr(self, ptr), getattr(self, rows)
+            _check(len(p) >= 1 and p[0] == 0 and p[-1] == len(v), f"{ptr} must run from 0 to len({rows})")
+            _check(bool(np.all(p[1:] >= p[:-1])), f"{ptr} must not decrease")
+            _check(not len(v) or (v.min() >= 0 and v.max() < bound), f"{rows} outside [0, {bound})")
+        _check(len(self.probs) == len(self.positions), "probs and positions differ in length")
+        _check(len(self.user_w) == len(self.user_k), "user_w and user_k differ in length")
 
 
 def build_index(
@@ -212,12 +216,15 @@ def build_index(
         phis_out.append(phi)
         ptr[k + 1] = ptr[k] + len(pos)
 
+    user_ptr, user_k, user_w = m.user_weights()
     return InterestIndex(
         ptr=ptr,
         positions=np.concatenate(pos_out) if pos_out else np.empty(0, np.int64),
         probs=np.concatenate(phis_out) if phis_out else np.empty(0, np.float64),
         pool_items=pool,
-        mixture=m.user_mixture,
+        user_ptr=user_ptr,
+        user_k=user_k,
+        user_w=user_w,
         popularity=popularity_ranking(m.slice) if ranking is None else ranking,
     )
 
@@ -251,7 +258,9 @@ def build_mle_index(
         positions=pos[found],
         probs=probs[found],
         pool_items=pool,
-        mixture=mix.user_mixture,
+        user_ptr=mix.support_ptr,
+        user_k=mix.support_k,
+        user_w=mix.p_k_given_u,
         popularity=ranking,
     )
 
@@ -276,11 +285,6 @@ def _seen_ids(seen) -> np.ndarray:
     return np.ascontiguousarray(seen, dtype=np.int64)
 
 
-def _seen_mask(items: np.ndarray, seen) -> np.ndarray:
-    """True where ``items[j]`` is in ``seen``."""
-    return _lookup(_seen_ids(seen), items)[1]
-
-
 _NO_SEEN = np.empty(0, dtype=np.int64)
 
 
@@ -289,8 +293,6 @@ def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:
     writes: at most ``cap`` ranked candidates, their count returned."""
     items, scores = (ctypes.c_longlong * cap)(), (ctypes.c_double * cap)()
     got = fn(*args, cap, items, scores)
-    if got == -2:
-        raise IndexError(f"user {user}: an interest outside the index")
     if got < 0:
         raise MemoryError("top-M selection could not allocate its work space")
     return CandidateList(user=user, chunk=chunk, items=list(zip(items[:got], scores[:got])))
@@ -323,7 +325,7 @@ def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList
         # at most len(seen) entries are masked, so the answer lies in this head
         head = M + len(seen)
         items, scores = items[:head], scores[:head]
-        keep = ~_seen_mask(items, seen)
+        keep = ~_lookup(_seen_ids(seen), items)[1]
         items, scores = items[keep], scores[keep]
     pairs = zip(items[:M].tolist(), scores[:M].astype(np.float64, copy=False).tolist())
     return CandidateList(user=user, chunk=chunk, items=list(pairs))
@@ -341,37 +343,35 @@ def retrieve_mixture(
     u: int, idx: InterestIndex, cfg: RetrievalConfig, seen=None, chunk: int = -1
 ) -> CandidateList:
     """Top M by the mixture sum over k of ``theta[k] * prob`` across the
-    lists of the user's interests ``ks``, where ``(ks, theta) =
-    idx.mixture(u)``; with no interests, the cold-user fallback.
+    lists of the user's interests ``ks``, user u's row of ``idx.user_k``
+    (and ``idx.user_w``); with no interests, the cold-user fallback.
 
     Each item sums its per-interest terms in the order of ``ks``: the
     kernel adds them in that order, as ``bincount`` adds the weighted
     probabilities into their pool positions in input order. Only items some
     term touched are candidates.
     """
+    if not 0 <= u < len(idx.user_ptr) - 1:  # a negative id would read another row
+        raise IndexError(f"user {u} outside [0, {len(idx.user_ptr) - 1})")
     seen = seen if cfg.exclude_seen else None
-    ks, theta = idx.mixture(u)
-    if len(ks) == 0:
+    lo, hi = int(idx.user_ptr[u]), int(idx.user_ptr[u + 1])
+    if hi == lo:
         if cfg.cold_user_policy == "empty" or idx.popularity is None:
             return CandidateList(user=u, chunk=chunk, items=[])
         return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
     kernel = load_kernel()
+    n = len(idx.pool_items)
     if kernel is not None:
-        ks = np.ascontiguousarray(ks, dtype=np.int64)
-        theta = np.ascontiguousarray(theta, dtype=np.float64)
-        if len(theta) != len(ks):
-            raise ValueError(f"user {u}: {len(ks)} interests but {len(theta)} weights")
         seen = _NO_SEEN if seen is None else _seen_ids(seen)
-        ptr, positions, probs, pool = idx._c
-        n = len(idx.pool_items)
+        ptr, positions, probs, pool, user_k, user_w = idx._c
+        # the user's row starts 8 * lo bytes into user_k and user_w
         return _kernel_top(
             kernel.mixture, u, chunk, min(cfg.M, n),
-            len(ks), _arg(ks), _arg(theta), len(idx.ptr) - 1, ptr, positions, probs,
+            hi - lo, user_k + 8 * lo, user_w + 8 * lo, ptr, positions, probs,
             n, pool, _arg(seen), len(seen),
         )
-    flat, w = _gather(idx.ptr, ks, theta)
+    flat, w = _gather(idx.ptr, idx.user_k[lo:hi], idx.user_w[lo:hi])
     pos = idx.positions[flat]
-    n = len(idx.pool_items)
     acc = np.bincount(pos, weights=w * idx.probs[flat], minlength=n)
     cand = np.flatnonzero(np.bincount(pos, minlength=n))
     return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen=seen, chunk=chunk, user=u)
@@ -411,6 +411,8 @@ def ann_retrieve(
     Zero-norm item vectors rank last (cosine undefined, scored -inf); a
     zero-norm user vector yields an empty list with a warning.
     """
+    if not 0 <= u < len(idx.user_vectors):
+        raise IndexError(f"user {u} outside [0, {len(idx.user_vectors)})")
     uv = idx.user_vectors[u]
     un = float(np.linalg.norm(uv))
     if un == 0.0:

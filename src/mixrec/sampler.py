@@ -5,7 +5,9 @@ uniformly over each user's prior support, then resampled in fixed scan order
 until the collapsed log-joint stabilizes. Item-side count tables start empty
 every chunk; user-side counts start from the t=0 artifact (or accumulate
 across chunks when configured). The final sample's count tables are the
-point estimate consumed by retrieval.
+point estimate consumed by retrieval: ``item_table`` for the per-interest
+lists and ``user_weights`` for every user's interest weights at once, one
+CSR over the t=0 supports.
 
 The resampling weight for engagement (u, i) and candidate interest k, with
 the engagement removed from all tables, is
@@ -116,6 +118,21 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(starts[r], starts[r] + lengths[r])`` over r."""
     firsts = np.cumsum(lengths) - lengths
     return np.repeat(starts - firsts, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+def _row_normalize(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each CSR row ``values[ptr[r]:ptr[r+1]]`` divided by its sum, with
+    the bits of ``row / row.sum()``: rows of one length are summed together
+    along the contiguous axis, which adds in the same pairwise order."""
+    lens = np.diff(ptr)
+    order = np.argsort(lens, kind="stable")
+    out = np.empty_like(values)
+    for rows in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
+        if len(rows) and lens[rows[0]]:
+            cells = ptr[rows][:, None] + np.arange(lens[rows[0]])
+            block = values[cells]
+            out[cells] = block / block.sum(axis=1, keepdims=True)
+    return out
 
 
 def _pack_rows(cap_ptr: np.ndarray, rows: np.ndarray, ks: np.ndarray, counts: np.ndarray, K: int):
@@ -372,28 +389,15 @@ class ChunkModel:
         off, L = self._offs[r], self._lens[r]
         return self._cand[off:off + L].copy(), self._uk[off:off + L].copy()
 
-    def user_counts_any(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """Like user_counts, but users absent from this chunk read their
-        base counts (t=0 artifact or the accumulate-mode ledger)."""
-        try:
-            return self.user_counts(user)
-        except KeyError:
-            lo, hi = self.init.support_ptr[user], self.init.support_ptr[user + 1]
-            if hi > lo:
-                return self.init.support_k[lo:hi], self._base.warm[lo:hi]
-            row = self._base.cold_row(user)
-            ks = np.asarray(sorted(row), dtype=np.int64)
-            return ks, np.asarray([row[int(k)] for k in ks], dtype=np.int64)
-
-    def user_mixture(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """(interests, weights): the alpha-smoothed combined counts of
-        ``user_counts_any`` normalized over the support; empty arrays for a
-        user without t=0 history."""
-        if self.init.is_cold(user):
-            return np.empty(0, np.int64), np.empty(0)
-        ks, counts = self.user_counts_any(user)
+    def user_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(``support_ptr``, ``support_k``, weights): every user's
+        alpha-smoothed combined counts normalized over the t=0 support, as
+        ``fold_into`` would write them (users absent from this chunk keep
+        their base counts); users without t=0 history get empty rows."""
+        counts = self._base.warm.copy()
+        counts[self._sup_idx] = self._uk
         masses = self.alpha + counts.astype(np.float64)
-        return ks, masses / masses.sum()
+        return self.init.support_ptr, self.init.support_k, _row_normalize(self.init.support_ptr, masses)
 
     def cold_rows(self) -> dict[int, dict[int, int]]:
         """Cold users' combined counts: {active row: {interest: count}}."""

@@ -21,7 +21,8 @@ bits.
 The three retrieval entry points each answer one query; their reference is
 the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
 the pool positions of the user's interest lists in the order of ``ks``, then
-list order (``np.bincount``'s input order, so each sum keeps its bits);
+list order (``np.bincount``'s input order, so each sum keeps its bits), and
+trusts ``ks`` as it trusts the positions: ``InterestIndex`` checks both;
 ``cosine`` scores ``dots / (norms * un)``, or -inf where a norm is 0. Both
 drop seen ids by binary search in the user's ascending seen array and keep
 the best M by (score descending with NaN last, item ascending) in a bounded
@@ -309,19 +310,16 @@ static i64 finish(top_t *t)
 }
 
 /* Top M by the mixture sum over a of theta[a] * probs[j], j over the list
-   of interest ks[a]: positions[ptr[k]:ptr[k+1]] into the pool, for K
-   interests. Only positions some term touched are candidates. Returns the
-   count written to out_items/out_scores, -1 when out of memory, or -2
-   when an interest lies outside [0, K). */
+   of interest ks[a]: positions[ptr[k]:ptr[k+1]] into the pool. The index
+   checked every interest and position when it was built. Only positions
+   some term touched are candidates. Returns the count written to
+   out_items/out_scores, or -1 when out of memory. */
 i64 mixrec_mixture(
-    i64 nks, const i64 *ks, const double *theta, i64 K,
+    i64 nks, const i64 *ks, const double *theta,
     const i64 *ptr, const i64 *positions, const double *probs,
     i64 n, const i64 *pool, const i64 *seen, i64 ns, i64 M,
     i64 *out_items, double *out_scores)
 {
-    for (i64 a = 0; a < nks; a++)
-        if (ks[a] < 0 || ks[a] >= K)
-            return -2;
     /* every sum starts from 0.0, as np.bincount's does */
     double *acc = calloc((size_t)(n > 0 ? n : 1), sizeof(double));
     char *hit = calloc((size_t)(n > 0 ? n : 1), 1);
@@ -454,8 +452,8 @@ _ARGTYPES = (
 # checking an ``ndpointer`` costs microseconds.
 _ptr = ctypes.c_void_p
 _POINTER_ARGTYPES = {
-    # nks, ks, theta, K, ptr, positions, probs, n, pool, seen, ns, M, out_items, out_scores
-    "mixture": [_ll, _ptr, _ptr, _ll, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr, _ptr],
+    # nks, ks, theta, ptr, positions, probs, n, pool, seen, ns, M, out_items, out_scores
+    "mixture": [_ll, _ptr, _ptr, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr, _ptr],
     # n, pool, dots, norms, un, seen, ns, M, out_items, out_scores
     "cosine": [_ll, _ptr, _ptr, _ptr, _dbl, _ptr, _ll, _ll, _ptr, _ptr],
     # n, items, seen, ns, M, out_pos

@@ -229,13 +229,10 @@ def _theta_tv(model: ChunkModel, truth: SynthTruth) -> float:
     """Mean over users of total variation between the model's smoothed
     mixture and the true mixture."""
     U, K = truth.theta.shape
-    tvs = np.empty(U)
-    for u in range(U):
-        ks, theta = model.user_mixture(u)
-        est = np.zeros(K)
-        est[ks] = theta
-        tvs[u] = 0.5 * np.abs(est - truth.theta[u]).sum()
-    return float(tvs.mean())
+    ptr, ks, theta = model.user_weights()
+    est = np.zeros((U, K))
+    est[np.repeat(np.arange(U), np.diff(ptr)), ks] = theta
+    return float((0.5 * np.abs(est - truth.theta).sum(axis=1)).mean())
 
 
 def score_recovery(

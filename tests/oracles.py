@@ -140,6 +140,23 @@ def interest_items(mix, k):
     return mix.items[lo:hi], mix.p_i_given_k[lo:hi]
 
 
+def mixture_row(mix, user):
+    """``user``'s (interests, p(k|u)) in an ``MleMixture``, read from its
+    ``support_ptr``, ``support_k`` and ``p_k_given_u``."""
+    lo, hi = mix.support_ptr[user], mix.support_ptr[user + 1]
+    return mix.support_k[lo:hi], mix.p_k_given_u[lo:hi]
+
+
+def combined_counts(m, user):
+    """``user``'s (interests, base + chunk counts) in a ``ChunkModel`` fitted
+    from the t=0 counts: the user's chunk row, or the t=0 support counts
+    for a user absent from the chunk."""
+    try:
+        return m.user_counts(user)
+    except KeyError:
+        return m.init.support(user), m.init.support_counts(user)
+
+
 def chunk_user_total(m, user):
     """The number of ``user``'s engagements in the chunk of ``ChunkModel``
     ``m``, read from its slice."""

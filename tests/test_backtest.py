@@ -1,9 +1,12 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixrec.backtest
+import mixrec.sweep_kernel as sweep_kernel
 from mixrec.backtest import RunConfig, backtest, read_reports, report, write_reports
 from mixrec.cli import main as cli_main
 from mixrec.metrics import MetricBlock, MetricsReport
@@ -201,6 +204,64 @@ class TestBacktest:
         # the corrected run is not refused as stale
         backtest(small_config(synth_edges, out, methods=["micro", "popularity"]))
         assert (out / "metrics" / "overall.tsv").exists()
+
+    def test_side_file_rewritten_after_failed_stage(self, synth_edges, tmp_path, monkeypatch):
+        # a stage that fails after its work but before its side file is
+        # written must not leave a reusable .npz behind
+        out = tmp_path / "side"
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(mixrec.backtest, "export_cluster_map", fail)
+        with pytest.raises(RuntimeError, match="disk full"):
+            backtest(small_config(synth_edges, out, methods=["mle"]))
+        assert not (out / "cluster_map.tsv").exists()
+        monkeypatch.undo()
+        backtest(small_config(synth_edges, out, methods=["mle"]))
+        with np.load(out / "clusters.npz") as z:
+            want = "".join(f"{i}\t{k}\n" for i, k in enumerate(z["item_to_interest"].tolist()))
+        assert (out / "cluster_map.tsv").read_text() == want
+        assert (out / "graph_stats.txt").exists()
+        assert not list(out.glob("*.tmp*"))
+
+    def test_compile_failure_pipeline_identical(self, synth_edges, tmp_path, monkeypatch, caplog):
+        # the whole backtest on the Python sweep and numpy paths writes the
+        # compiled run's metrics, candidates, sweep traces and arrays
+        if sweep_kernel.load_kernel() is None:
+            pytest.skip("no C compiler: only the Python and numpy paths run here")
+        kw = dict(exclude_seen=True, dump_candidates=True, m_values=[3, 10], user_count_mode="accumulate")
+        backtest(small_config(synth_edges, tmp_path / "compiled", **kw))
+        monkeypatch.setattr(sweep_kernel, "CC", "/nonexistent/cc")
+        sweep_kernel.load_kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger="mixrec.sweep_kernel"):
+                backtest(small_config(synth_edges, tmp_path / "fallback", **kw))
+            assert sweep_kernel.load_kernel() is None
+        finally:
+            monkeypatch.undo()
+            sweep_kernel.load_kernel.cache_clear()
+        assert any("/nonexistent/cc" in r.getMessage() for r in caplog.records)
+
+        def outputs(out):
+            return sorted(p.relative_to(out) for p in out.rglob("*") if p.suffix in (".tsv", ".npz"))
+
+        a, b = tmp_path / "compiled", tmp_path / "fallback"
+        names = outputs(a)
+        assert names == outputs(b)
+        assert {"metrics/candidates_M3.tsv", "metrics/candidates_M10.tsv", "chunks/chunk_00003_sweeps.tsv"} <= set(
+            map(str, names)
+        )
+        for name in names:
+            if name.suffix == ".tsv":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+                continue
+            with np.load(a / name) as za, np.load(b / name) as zb:
+                assert za.files == zb.files, name
+                for key in za.files:
+                    x, y = za[key], zb[key]
+                    assert (x.dtype, x.shape) == (y.dtype, y.shape), f"{name}:{key}"
+                    assert x.tobytes() == y.tobytes(), f"{name}:{key}"
 
     def test_unknown_method_rejected(self, synth_edges, tmp_path):
         with pytest.raises(ValueError):

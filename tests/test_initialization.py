@@ -10,7 +10,7 @@ from mixrec.initialization import (
     save_init,
 )
 
-from oracles import interest_items
+from oracles import interest_items, mixture_row
 
 
 def graph_of(pairs, num_items=None):
@@ -113,7 +113,7 @@ class TestMleMixture:
         g = from_raw_edges([0, 0, 0, 0], [0, 1, 2, 3], [0] * 4)
         init = build_init(g, item_interest=[1, 1, 1, 2], num_interests=3)
         mix = mle_mixture(init)
-        ks, ps = mix.user_mixture(0)
+        ks, ps = mixture_row(mix, 0)
         assert ks.tolist() == [1, 2]
         assert ps.tolist() == pytest.approx([0.75, 0.25])
 
@@ -138,7 +138,7 @@ class TestMleMixture:
         init = build_init(g, rng.integers(0, 7, g.num_items), 7)
         mix = mle_mixture(init)
         for u in range(g.num_users):
-            _, ps = mix.user_mixture(u)
+            _, ps = mixture_row(mix, u)
             if len(ps):
                 assert ps.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.all((ps >= 0) & (ps <= 1))
@@ -169,7 +169,7 @@ class TestMleMixture:
             cnt_k[k] = cnt_k.get(k, 0) + 1
 
         for u in range(g.num_users):
-            ks, pks = mix.user_mixture(u)
+            ks, pks = mixture_row(mix, u)
             score = {}
             for k, pk in zip(ks.tolist(), pks.tolist()):
                 items, pis = interest_items(mix, k)

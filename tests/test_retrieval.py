@@ -24,7 +24,7 @@ from mixrec.retrieval import (
 )
 from mixrec.sampler import SamplerConfig, fit_chunk
 
-from oracles import interest_items, interest_list, row_sums_add_at, same_bits
+from oracles import combined_counts, interest_items, interest_list, mixture_row, row_sums_add_at, same_bits
 from test_sampler import make_init
 
 
@@ -53,7 +53,7 @@ def dense_micro_oracle(u, m, init, M, pool=None):
     """
     pool = m.item_pool if pool is None else pool
     sup = init.support(u)
-    ks, counts = m.user_counts_any(u)
+    ks, counts = combined_counts(m, u)
     masses = init.alpha + counts.astype(np.float64)
     theta = masses / masses.sum()
     beta, Ibeta = init.beta, init.num_items * init.beta
@@ -145,7 +145,7 @@ class TestRetrieveMicro:
         idx = build_index(m, cfg)
         got = retrieve_mixture(0, idx, cfg)
         # counts are symmetric: one train + one chunk engagement per interest
-        ks, counts = m.user_counts_any(0)
+        ks, counts = combined_counts(m, 0)
         assert counts.tolist() == [2, 2]
         by_hand = {}
         for k in (0, 1):
@@ -203,7 +203,7 @@ class TestRetrieveMicro:
             if init.is_cold(u):
                 continue
             a = retrieve_mixture(u, idx, cfg)
-            ks, counts = m.user_counts_any(u)
+            ks, counts = combined_counts(m, u)
             masses = init.alpha + counts.astype(np.float64)
             theta = masses / masses.sum()
             scaled = 2.0 * masses
@@ -246,7 +246,7 @@ class TestRetrieveMle:
             num_items=4,
         )
         mix = mle_mixture(init)
-        ks, ps = mix.user_mixture(0)
+        ks, ps = mixture_row(mix, 0)
         assert ps.tolist() == [0.5, 0.5]
         cfg = RetrievalConfig(M=4, exclude_seen=False)
         got = retrieve_mixture(0, build_mle_index(mix, cfg), cfg)
@@ -267,7 +267,7 @@ class TestRetrieveMle:
             for u in range(U):
                 got = retrieve_mixture(u, build_mle_index(mix, cfg), cfg)
                 score = {}
-                ks, pks = mix.user_mixture(u)
+                ks, pks = mixture_row(mix, u)
                 for k, pk in zip(ks.tolist(), pks.tolist()):
                     items, pis = interest_items(mix, k)
                     for i, pi in zip(items.tolist(), pis.tolist()):
@@ -311,7 +311,7 @@ class TestRetrieveMle:
         assert promotable  # restricting first would have promoted an item
         for u in range(U):
             score = {}
-            ks, pks = mix.user_mixture(u)
+            ks, pks = mixture_row(mix, u)
             for k, pk in zip(ks.tolist(), pks.tolist()):
                 items, probs = interest_list(idx, k)
                 for i, pi in zip(items.tolist(), probs.tolist()):
@@ -487,7 +487,7 @@ class TestSeenExclusion:
         yield set(self.pool) | {self.I + 1}  # nothing left: an empty list
 
     def micro_scores(self, u):
-        ks, counts = self.m.user_counts_any(u)
+        ks, counts = combined_counts(self.m, u)
         masses = self.init.alpha + counts.astype(np.float64)
         theta = masses / masses.sum()
         scores = {}
@@ -503,7 +503,7 @@ class TestSeenExclusion:
 
     def mle_scores(self, u, allowed):
         scores = {}
-        ks, pks = self.mix.user_mixture(u)
+        ks, pks = mixture_row(self.mix, u)
         for k, pk in zip(ks.tolist(), pks.tolist()):
             items, pis = interest_items(self.mix, k)
             for i, pi in zip(items.tolist(), pis.tolist()):
@@ -620,12 +620,15 @@ class TestCompiledTopM:
         mixtures[0] = (np.empty(0, np.int64), np.empty(0))
         counts = rng.integers(0, 4, n_pool)
         order = np.lexsort((pool, -counts))
+        rows = [mixtures[u] for u in range(6)]
         return InterestIndex(
             ptr=np.concatenate([[0], np.cumsum([len(x) for x in lists])]).astype(np.int64),
             positions=np.concatenate(lists).astype(np.int64) if K else np.empty(0, np.int64),
             probs=np.concatenate(probs).astype(np.float64) if K else np.empty(0),
             pool_items=pool,
-            mixture=mixtures.__getitem__,
+            user_ptr=np.cumsum([0] + [len(ks) for ks, _ in rows]),
+            user_k=np.concatenate([ks for ks, _ in rows]),
+            user_w=np.concatenate([theta for _, theta in rows]),
             popularity=(pool[order], counts[order]) if ranking else None,
         )
 
@@ -720,7 +723,10 @@ class TestCompiledTopM:
 
     def test_rejects_out_of_bounds_input(self, compiled):
         pool = np.array([2, 5, 9])
-        good = dict(ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool)
+        good = dict(
+            ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool,
+            user_ptr=[0, 2], user_k=[1, 0], user_w=[0.5, 0.5],
+        )
         bad = [
             dict(positions=[0, 3, 1]),
             dict(positions=[0, -1, 1]),
@@ -728,19 +734,20 @@ class TestCompiledTopM:
             dict(ptr=[1, 2, 3]),
             dict(ptr=[0, 3, 2, 3]),
             dict(probs=[0.5, 0.3]),
+            dict(user_k=[0, 2]),
+            dict(user_k=[-1, 0]),
+            dict(user_w=[1.0]),
+            dict(user_ptr=[0, 3]),
+            dict(user_ptr=[1, 2]),
+            dict(user_ptr=[0, 2, 1, 2]),
         ]
         for change in bad:
             with pytest.raises(ValueError, match="inconsistent index"):
-                InterestIndex(**{**good, **change}, mixture=None)
+                InterestIndex(**{**good, **change})
         with pytest.raises(ValueError, match="inconsistent index"):
             AnnIndex(pool, np.ones((2, 3)), np.ones(2), np.ones((1, 3)))
         cfg = RetrievalConfig(M=2)
-        for ks, theta, error in (([0, 2], [0.5, 0.5], IndexError), ([-1], [1.0], IndexError), ([0], [], ValueError)):
-            idx = InterestIndex(**good, mixture=lambda u: (np.array(ks), np.array(theta)))
-            with pytest.raises(error):
-                retrieve_mixture(0, idx, cfg)
-        idx = InterestIndex(**good, mixture=lambda u: (np.array([1, 0]), np.array([0.5, 0.5])))
-        assert retrieve_mixture(0, idx, cfg).item_ids() == [2, 9]
+        assert retrieve_mixture(0, InterestIndex(**good), cfg).item_ids() == [2, 9]
 
     def test_threads_share_the_kernel(self, compiled):
         # batch_retrieve's pool runs the kernel in several threads at once,
@@ -837,6 +844,29 @@ class TestBatchAndDeterminism:
         serial = [c.items for c in batch_retrieve(fn, users, cfg1)]
         parallel = [c.items for c in batch_retrieve(fn, users, cfg4)]
         assert serial == parallel
+
+    def test_user_outside_index_rejected(self, monkeypatch):
+        # a negative id must not read another user's row or fall back to
+        # popularity, on the compiled and the numpy path
+        rng = np.random.default_rng(14)
+        init, slc, m = random_instance(rng)
+        cfg = RetrievalConfig(M=5)
+        rank = popularity_ranking(slc)
+        emb = EmbeddingTable(
+            user_vectors=rng.normal(size=(init.num_users, 4)), item_vectors=np.zeros((init.num_items, 4))
+        )
+        calls = {
+            "micro": (retrieve_mixture, build_index(m, cfg, rank)),
+            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank)),
+            "ann": (ann_retrieve, ann_encode_items(slc, emb)),
+        }
+        for name, (fn, idx) in calls.items():
+            assert len(fn(init.num_users - 1, idx, cfg))
+            for u in (-1, -init.num_users, init.num_users):
+                with pytest.raises(IndexError, match=f"user {u} outside"):
+                    fn(u, idx, cfg)
+                with pytest.raises(IndexError, match=f"user {u} outside"):
+                    on_numpy(monkeypatch, lambda: fn(u, idx, cfg))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import mixrec.sweep_kernel as sweep_kernel
 from mixrec.graph import ChunkSlice, from_raw_edges
 from mixrec.initialization import build_init
 from mixrec.sampler import (
+    USER_COUNT_MODES,
     ChunkModel,
     SamplerConfig,
     UserCounts,
@@ -27,6 +28,7 @@ from oracles import (
     conditional_from_enumeration,
     enumerate_posterior,
     export_tables_text,
+    same_bits,
 )
 
 
@@ -461,36 +463,40 @@ class TestUserCountModes:
         assert counts2.sum() == counts.sum() + 1
 
     def test_user_mixture_matches_per_user_loop(self):
-        # accumulate mode over two chunks: chunk 2 leaves out warm users 4-6
-        # (they read the ledger's chunk-1 counts) and cold user 0
+        # two chunks in each mode: chunk 2 leaves out warm users 4-6 (in
+        # accumulate mode they read the ledger's chunk-1 counts) and cold user 0
         init, (slc1, _) = mixed_instance(31, 5)
         rng = np.random.default_rng(32)
         users2 = rng.choice([u for u in range(14) if u not in (0, 4, 5, 6)], 120)
         slc2 = ChunkSlice.from_edges(2, users2, rng.integers(0, 15, 120))
-        cfg = SamplerConfig(seed=3, user_count_mode="accumulate", max_sweeps=3)
-        ledger = UserCounts.from_init(init)
-        m1 = fit_chunk(slc1, init, cfg, base=ledger)
-        m1.fold_into(ledger)
-        m2 = fit_chunk(slc2, init, cfg, base=ledger)
         absent = set(range(14)) - set(slc2.users.tolist())
         assert {0, 4, 5, 6} <= absent and absent <= set(slc1.users.tolist())
-        ledger_differs = False
-        for u in range(14):
-            ks, theta = m2.user_mixture(u)
-            if init.is_cold(u):
-                assert len(ks) == 0 and len(theta) == 0
-                assert u in absent or len(m2.user_counts(u)[0])  # cold rows are not read
-                continue
-            counts = dict(zip(init.support(u).tolist(), init.support_counts(u).tolist()))
-            for slc, m in ((slc1, m1), (slc2, m2)):
-                for k in m.z[slc.users == u].tolist():
-                    counts[k] += 1
-            masses = init.alpha + np.asarray([counts[k] for k in init.support(u).tolist()], dtype=np.float64)
-            np.testing.assert_array_equal(ks, init.support(u))
-            np.testing.assert_array_equal(theta, masses / masses.sum())
-            t0 = init.alpha + init.support_counts(u).astype(np.float64)
-            ledger_differs |= u in absent and not np.array_equal(theta, t0 / t0.sum())
-        assert ledger_differs
+        for mode in USER_COUNT_MODES:
+            cfg = SamplerConfig(seed=3, user_count_mode=mode, max_sweeps=3)
+            ledger = UserCounts.from_init(init) if mode == "accumulate" else None
+            m1 = fit_chunk(slc1, init, cfg, base=ledger)
+            if ledger is not None:
+                m1.fold_into(ledger)
+            m2 = fit_chunk(slc2, init, cfg, base=ledger)
+            ptr, user_k, user_w = m2.user_weights()
+            assert len(ptr) == 15 and ptr[-1] == len(user_k) == len(user_w)
+            ledger_differs = False
+            for u in range(14):
+                ks, theta = user_k[ptr[u]:ptr[u + 1]], user_w[ptr[u]:ptr[u + 1]]
+                if init.is_cold(u):
+                    assert len(ks) == 0 and len(theta) == 0
+                    assert u in absent or len(m2.user_counts(u)[0])  # cold rows are not read
+                    continue
+                counts = dict(zip(init.support(u).tolist(), init.support_counts(u).tolist()))
+                for slc, m in ((slc1, m1), (slc2, m2)) if ledger is not None else ((slc2, m2),):
+                    for k in m.z[slc.users == u].tolist():
+                        counts[k] += 1
+                masses = init.alpha + np.asarray([counts[k] for k in init.support(u).tolist()], dtype=np.float64)
+                np.testing.assert_array_equal(ks, init.support(u))
+                assert same_bits(theta, masses / masses.sum())
+                t0 = init.alpha + init.support_counts(u).astype(np.float64)
+                ledger_differs |= u in absent and not np.array_equal(theta, t0 / t0.sum())
+            assert ledger_differs == (mode == "accumulate")
 
     def test_reset_mode_starts_from_train_each_chunk(self):
         init = make_init([(0, 0), (0, 1)], item_interest=[0, 1, 0, 1], K=2, num_items=4)
