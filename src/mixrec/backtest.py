@@ -38,7 +38,7 @@ from .clustering import cluster_items, export_cluster_map, load_clusters, save_c
 from .embeddings import check_embedding_args, load_embeddings, save_embeddings, train_embeddings
 from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
 from .initialization import build_init, load_init, mle_mixture, save_init
-from .metrics import MetricsReport, QuerySet, aggregate, build_queries, score_query
+from .metrics import MetricsReport, aggregate, build_queries, score_query
 from .retrieval import (
     RetrievalConfig,
     ann_encode_items,
@@ -359,7 +359,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
         model = _fit_or_load(cfg, slc, init, j, ledger) if "micro" in methods else None
 
         if j >= 1:
-            queries = build_queries([slc]).queries
+            queries = build_queries([slc])
             eval_queries.extend(queries)
             pop_rank = popularity_ranking(prev_slice)
             indexes = {"popularity": pop_rank}
@@ -395,11 +395,10 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
         prev_model, prev_slice = model, slc
 
     # aggregate; queries were extended chunk by chunk, matching score order
-    qs = QuerySet(eval_queries)
     reports: dict[tuple[str, int], MetricsReport] = {}
     for meth in methods:
         for m in cfg.m_values:
-            rep = aggregate(per_query[(meth, m)], qs, method=meth, m=m)
+            rep = aggregate(per_query[(meth, m)], eval_queries, method=meth, m=m)
             rep.check_consistency()
             reports[(meth, m)] = rep
     write_reports(reports, out / "metrics")

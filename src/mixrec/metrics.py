@@ -20,7 +20,6 @@ from .graph import ChunkSlice
 
 __all__ = [
     "Query",
-    "QuerySet",
     "MetricBlock",
     "MetricsReport",
     "build_queries",
@@ -39,25 +38,14 @@ class Query:
     truth: frozenset
 
 
-@dataclass
-class QuerySet:
-    queries: list[Query]
-
-    def __len__(self) -> int:
-        return len(self.queries)
-
-    def chunks(self) -> list[int]:
-        return sorted({q.chunk for q in self.queries})
-
-
-def build_queries(test: list[ChunkSlice]) -> QuerySet:
+def build_queries(test: list[ChunkSlice]) -> list[Query]:
     """One query per (user, chunk) with at least one engagement; ground
     truth is the deduplicated item set of that user's chunk engagements."""
     queries: list[Query] = []
     for slc in test:
         for u, items in slc.iter_users():
             queries.append(Query(user=u, chunk=slc.chunk, truth=frozenset(items.tolist())))
-    return QuerySet(queries)
+    return queries
 
 
 def _ids(cands) -> list[int]:
@@ -173,7 +161,7 @@ class MetricsReport:
 
 def aggregate(
     per_query: list[tuple[float, float, float]],
-    queries: QuerySet,
+    queries: list[Query],
     method: str = "",
     m: int = 0,
 ) -> MetricsReport:
@@ -183,7 +171,7 @@ def aggregate(
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     total = np.zeros(3)
-    for (r, rr, nd), q in zip(per_query, queries.queries):
+    for (r, rr, nd), q in zip(per_query, queries):
         v = np.asarray([r, rr, nd])
         sums[q.chunk] = sums.get(q.chunk, np.zeros(3)) + v
         counts[q.chunk] = counts.get(q.chunk, 0) + 1

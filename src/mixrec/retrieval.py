@@ -40,12 +40,13 @@ The numpy path is their reference, and the fallback when no compiler is
 there, chosen exactly as the Gibbs sweep is: ``_gather`` and ``np.bincount``
 build the mixture sums, ``_select_top`` ranks a scored array with a full
 ``lexsort``, and ``_first_unseen`` keeps the first M entries of a ranked
-array that one ``searchsorted`` mask does not mark seen.
+array that one ``searchsorted`` mask does not mark seen. Both paths
+return the selection's own arrays as a ``CandidateList``'s ``ids`` and
+``scores``, from which its ``items`` pairs are derived on request.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -99,19 +100,27 @@ class RetrievalConfig:
         return self.L if self.L is not None else 5 * self.M
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CandidateList:
-    """Ranked candidates for one (user, target chunk) query."""
+    """Ranked candidates for one (user, target chunk) query: item ``ids``
+    (``int64``) and their ``scores`` (``float64``), best first. They may
+    be views of an index's ranking, so callers only read them."""
 
     user: int
     chunk: int
-    items: list[tuple[int, float]] = field(default_factory=list)
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    scores: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
+
+    @property
+    def items(self) -> list[tuple[int, float]]:
+        """The list as (item id, score) pairs of Python numbers."""
+        return list(zip(self.ids.tolist(), self.scores.tolist()))
 
     def item_ids(self) -> list[int]:
-        return [i for i, _ in self.items]
+        return self.ids.tolist()
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
 
 def _addresses(obj, **dtypes) -> tuple[int, ...]:
@@ -291,21 +300,14 @@ _NO_SEEN = np.empty(0, dtype=np.int64)
 def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:
     """The list a kernel selection ``fn(*args, cap, out_items, out_scores)``
     writes: at most ``cap`` ranked candidates, their count returned."""
-    items, scores = (ctypes.c_longlong * cap)(), (ctypes.c_double * cap)()
-    got = fn(*args, cap, items, scores)
+    ids, scores = np.empty(cap, np.int64), np.empty(cap, np.float64)
+    got = fn(*args, cap, _arg(ids), _arg(scores))
     if got < 0:
         raise MemoryError("top-M selection could not allocate its work space")
-    return CandidateList(user=user, chunk=chunk, items=list(zip(items[:got], scores[:got])))
+    return CandidateList(user, chunk, ids[:got], scores[:got])
 
 
-def _select_top(
-    items: np.ndarray,
-    scores: np.ndarray,
-    M: int,
-    seen=None,
-    chunk: int = -1,
-    user: int = -1,
-) -> CandidateList:
+def _select_top(items: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int) -> CandidateList:
     """Order by (score desc, item asc), drop seen items, keep the first M."""
     order = np.lexsort((items, -scores))
     return _first_unseen((items[order], scores[order]), M, seen, user, chunk)
@@ -327,8 +329,7 @@ def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList
         items, scores = items[:head], scores[:head]
         keep = ~_lookup(_seen_ids(seen), items)[1]
         items, scores = items[keep], scores[keep]
-    pairs = zip(items[:M].tolist(), scores[:M].astype(np.float64, copy=False).tolist())
-    return CandidateList(user=user, chunk=chunk, items=list(pairs))
+    return CandidateList(user, chunk, items[:M].astype(np.int64, copy=False), scores[:M].astype(np.float64, copy=False))
 
 
 def _gather(ptr: np.ndarray, ks: np.ndarray, weights: np.ndarray):
@@ -357,7 +358,7 @@ def retrieve_mixture(
     lo, hi = int(idx.user_ptr[u]), int(idx.user_ptr[u + 1])
     if hi == lo:
         if cfg.cold_user_policy == "empty" or idx.popularity is None:
-            return CandidateList(user=u, chunk=chunk, items=[])
+            return CandidateList(u, chunk)
         return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
     kernel = load_kernel()
     n = len(idx.pool_items)
@@ -374,7 +375,7 @@ def retrieve_mixture(
     pos = idx.positions[flat]
     acc = np.bincount(pos, weights=w * idx.probs[flat], minlength=n)
     cand = np.flatnonzero(np.bincount(pos, minlength=n))
-    return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen=seen, chunk=chunk, user=u)
+    return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen, u, chunk)
 
 
 @dataclass(frozen=True)
@@ -413,17 +414,18 @@ def ann_retrieve(
     """
     if not 0 <= u < len(idx.user_vectors):
         raise IndexError(f"user {u} outside [0, {len(idx.user_vectors)})")
+    seen = seen if cfg.exclude_seen else None
     uv = idx.user_vectors[u]
     un = float(np.linalg.norm(uv))
     if un == 0.0:
         logger.warning("user %d has a zero embedding; returning no candidates", u)
-        return CandidateList(user=u, chunk=chunk, items=[])
+        return CandidateList(u, chunk)
     # numpy's BLAS product in both paths: C would sum in another order
     dots = idx.item_vecs @ uv
     kernel = load_kernel()
     if kernel is not None:
         dots = np.ascontiguousarray(dots, dtype=np.float64)
-        seen = _NO_SEEN if seen is None or not cfg.exclude_seen else _seen_ids(seen)
+        seen = _NO_SEEN if seen is None else _seen_ids(seen)
         pool, norms = idx._c
         n = len(idx.pool_items)
         return _kernel_top(
@@ -431,9 +433,7 @@ def ann_retrieve(
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.where(idx.norms > 0.0, dots / (idx.norms * un), -np.inf)
-    return _select_top(
-        idx.pool_items, cos, cfg.M, seen=seen if cfg.exclude_seen else None, chunk=chunk, user=u
-    )
+    return _select_top(idx.pool_items, cos, cfg.M, seen, u, chunk)
 
 
 def popularity_ranking(slice_: ChunkSlice) -> tuple[np.ndarray, np.ndarray]:

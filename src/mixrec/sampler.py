@@ -227,7 +227,8 @@ class ChunkModel:
 
         if base is None:
             base = UserCounts.from_init(init)
-        self._base = base
+        # a copy: later chunks fold into the ledger ``base`` after this fit
+        self._base_warm = base.warm.copy()
 
         n = self.n = len(slice_)
         users = slice_.unique_users
@@ -394,7 +395,7 @@ class ChunkModel:
         alpha-smoothed combined counts normalized over the t=0 support, as
         ``fold_into`` would write them (users absent from this chunk keep
         their base counts); users without t=0 history get empty rows."""
-        counts = self._base.warm.copy()
+        counts = self._base_warm.copy()
         counts[self._sup_idx] = self._uk
         masses = self.alpha + counts.astype(np.float64)
         return self.init.support_ptr, self.init.support_k, _row_normalize(self.init.support_ptr, masses)

@@ -6,7 +6,6 @@ from mixrec.graph import ChunkSlice
 from mixrec.metrics import (
     MetricBlock,
     MetricsReport,
-    QuerySet,
     aggregate,
     build_queries,
     mrr_at_m,
@@ -23,21 +22,21 @@ class TestBuildQueries:
         slc = ChunkSlice.from_edges(3, [5, 5, 5], [7, 7, 9])
         qs = build_queries([slc])
         assert len(qs) == 1
-        q = qs.queries[0]
+        q = qs[0]
         assert q.user == 5 and q.chunk == 3
         assert q.truth == frozenset({7, 9})
 
     def test_absent_user_no_query(self):
         slc = ChunkSlice.from_edges(0, [1], [2])
         qs = build_queries([slc])
-        assert {q.user for q in qs.queries} == {1}
+        assert {q.user for q in qs} == {1}
 
     def test_multiple_chunks(self):
         a = ChunkSlice.from_edges(1, [0, 1], [5, 6])
         b = ChunkSlice.from_edges(2, [0], [7])
         qs = build_queries([a, b])
         assert len(qs) == 3
-        assert qs.chunks() == [1, 2]
+        assert sorted({q.chunk for q in qs}) == [1, 2]
 
 
 class TestRecall:
@@ -148,7 +147,7 @@ class TestAggregate:
                         user=u, chunk=chunk, truth=frozenset({0})
                     )
                 )
-        return QuerySet(qs)
+        return qs
 
     def test_single_query(self):
         qs = self.queryset({3: 1})
@@ -170,14 +169,12 @@ class TestAggregate:
     def test_matches_flat_recomputation(self):
         rng = np.random.default_rng(7)
         chunks = rng.integers(0, 4, 200).tolist()
-        qs = QuerySet(
-            [
-                __import__("mixrec.metrics", fromlist=["Query"]).Query(
-                    user=i, chunk=c, truth=frozenset({0})
-                )
-                for i, c in enumerate(chunks)
-            ]
-        )
+        qs = [
+            __import__("mixrec.metrics", fromlist=["Query"]).Query(
+                user=i, chunk=c, truth=frozenset({0})
+            )
+            for i, c in enumerate(chunks)
+        ]
         vals = [tuple(rng.random(3).tolist()) for _ in range(200)]
         rep = aggregate(vals, qs)
         flat = np.asarray(vals).mean(axis=0)

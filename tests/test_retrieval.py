@@ -575,6 +575,10 @@ def on_numpy(monkeypatch, retrieve):
 
 
 def assert_same_list(got, want, what=""):
+    for c in (got, want):
+        assert (c.ids.dtype, c.scores.dtype) == (np.int64, np.float64), what
+        assert len(c.ids) == len(c.scores), what
+    assert np.array_equal(got.ids, want.ids) and same_bits(got.scores, want.scores), what
     assert got.item_ids() == want.item_ids(), what
     assert same_bits([s for _, s in got.items], [s for _, s in want.items]), what
     assert all(type(i) is int and type(s) is float for i, s in got.items), what
@@ -808,6 +812,59 @@ class TestCompiledTopM:
         assert len(got) == len(want) == 18
         for g, w in zip(got, want):
             assert_same_list(g, w)
+
+
+class TestCandidateListFormat:
+    def test_every_retriever_returns_typed_arrays(self, monkeypatch):
+        # every retriever and edge case, on the compiled path (when built) and
+        # the numpy path: int64 ids and float64 scores of one length, from
+        # which the (id, score) pairs and the id list are built
+        rng = np.random.default_rng(15)
+        U, I, K = 7, 40, 4
+        train = [(u, int(rng.integers(I))) for u in range(1, U) for _ in range(4)]  # user 0 is cold
+        init = make_init(train, rng.integers(0, K, I).tolist(), K, num_users=U, num_items=I)
+        vecs = rng.normal(size=(U, 3))
+        vecs[1] = 0.0  # a zero-norm user vector
+        emb = EmbeddingTable(user_vectors=vecs, item_vectors=np.zeros((I, 3)))
+        mix = mle_mixture(init)
+        # the second chunk is empty, and so is its pool
+        slices = {n: ChunkSlice.from_edges(3, rng.integers(0, U, n), rng.integers(0, I, n)) for n in (150, 0)}
+
+        def run():
+            lists = {}
+            for n, slc in slices.items():
+                m = fit_chunk(slc, init, SamplerConfig(seed=1, max_sweeps=2))
+                rank = popularity_ranking(slc)
+                for policy in ("popularity-fallback", "empty"):
+                    cfg = RetrievalConfig(M=5, cold_user_policy=policy)
+                    calls = {
+                        "micro": (retrieve_mixture, build_index(m, cfg, rank)),
+                        "mle": (retrieve_mixture, build_mle_index(mix, cfg, slc.item_pool, rank)),
+                        "ann": (ann_retrieve, ann_encode_items(slc, emb)),
+                        "popularity": (popularity_retrieve, rank),
+                    }
+                    for name, (fn, idx) in calls.items():
+                        for seen in (None, slc.item_pool[::2]):
+                            for u in range(U):
+                                lists[n, policy, name, seen is None, u] = fn(u, idx, cfg, seen, 4)
+            return lists
+
+        for lists in (run(), on_numpy(monkeypatch, run)):
+            for key, c in lists.items():
+                assert (c.ids.dtype, c.scores.dtype) == (np.int64, np.float64), key
+                assert c.ids.shape == c.scores.shape == (len(c),), key
+                pairs = [(int(i), float(s)) for i, s in zip(c.ids, c.scores)]
+                assert c.item_ids() == [i for i, _ in pairs], key
+                assert [i for i, _ in c.items] == c.item_ids(), key
+                assert same_bits([s for _, s in c.items], [s for _, s in pairs]), key
+                assert all(type(i) is int and type(s) is float for i, s in c.items), key
+                assert (c.user, c.chunk) == (key[-1], 4), key
+            for name in ("micro", "mle"):  # user 0 is cold
+                assert len(lists[150, "popularity-fallback", name, True, 0]) == 5
+                assert len(lists[150, "empty", name, True, 0]) == 0
+            assert len(lists[150, "empty", "ann", True, 1]) == 0  # zero-norm user
+            assert all(len(c) == 0 for key, c in lists.items() if key[0] == 0)
+            assert sum(len(c) for c in lists.values()) > 0
 
 
 class TestBatchAndDeterminism:

@@ -498,6 +498,25 @@ class TestUserCountModes:
                 ledger_differs |= u in absent and not np.array_equal(theta, t0 / t0.sum())
             assert ledger_differs == (mode == "accumulate")
 
+    def test_user_weights_outlive_later_folds(self):
+        # the ledger moves on as later chunks fold into it; a fitted model's
+        # weights stay those of the counts it was built from, also for users
+        # absent from its chunk (4 and up here, and user 4 alone in chunk 3)
+        init, (slc1, _) = mixed_instance(31, 5)
+        rng = np.random.default_rng(33)
+        slc2 = ChunkSlice.from_edges(2, rng.integers(0, 4, 40), rng.integers(0, 15, 40))
+        slc3 = ChunkSlice.from_edges(3, np.full(20, 4), rng.integers(0, 15, 20))
+        cfg = SamplerConfig(seed=3, user_count_mode="accumulate", max_sweeps=3)
+        ledger = UserCounts.from_init(init)
+        fit_chunk(slc1, init, cfg, base=ledger).fold_into(ledger)
+        m2 = fit_chunk(slc2, init, cfg, base=ledger)
+        before = [a.copy() for a in m2.user_weights()]
+        m2.fold_into(ledger)
+        fit_chunk(slc3, init, cfg, base=ledger).fold_into(ledger)
+        after = m2.user_weights()
+        assert all(np.array_equal(a, b) for a, b in zip(before[:2], after[:2]))
+        assert same_bits(before[2], after[2])
+
     def test_reset_mode_starts_from_train_each_chunk(self):
         init = make_init([(0, 0), (0, 1)], item_interest=[0, 1, 0, 1], K=2, num_items=4)
         cfg = SamplerConfig(seed=0)
