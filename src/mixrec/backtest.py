@@ -46,6 +46,7 @@ from .retrieval import (
     batch_retrieve,
     build_index,
     build_mle_index,
+    chunk_tables,
     popularity_ranking,
     popularity_retrieve,
 )
@@ -365,10 +366,12 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             indexes = {"popularity": pop_rank}
             if "ann" in methods:
                 indexes["ann"] = ann_encode_items(prev_slice, emb)
+            # the fitted model's counts are final: read them once for every M
+            tables = chunk_tables(prev_model) if "micro" in methods else None
             for m in cfg.m_values:
                 rcfg = rcfgs[m]
                 if "micro" in methods:
-                    indexes["micro"] = build_index(prev_model, rcfg, pop_rank)
+                    indexes["micro"] = build_index(prev_model, rcfg, pop_rank, tables)
                 if "mle" in methods:
                     indexes["mle"] = build_mle_index(mix, rcfg, prev_slice.item_pool, pop_rank)
                 for meth in methods:

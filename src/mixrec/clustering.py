@@ -172,7 +172,8 @@ def export_cluster_map(cluster: ClusterAssignment, path, delimiter: str = "\t") 
 
 
 def save_clusters(cluster: ClusterAssignment, path) -> None:
-    np.savez_compressed(
+    # stored, not deflated, like the embeddings: compressed files still load
+    np.savez(
         path,
         item_to_interest=cluster.item_to_interest,
         centroids=cluster.centroids,

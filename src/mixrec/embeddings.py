@@ -242,7 +242,9 @@ def train_embeddings(
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    np.savez_compressed(
+    # stored, not deflated: float vectors shrink by a few percent at a
+    # tenfold cost to write and read; compressed files still load
+    np.savez(
         path,
         user_vectors=table.user_vectors,
         item_vectors=table.item_vectors,

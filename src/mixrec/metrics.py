@@ -165,28 +165,28 @@ def aggregate(
     method: str = "",
     m: int = 0,
 ) -> MetricsReport:
-    """Unweighted mean within each chunk; overall mean over all queries."""
+    """Unweighted mean within each chunk; overall mean over all queries.
+
+    Each chunk's sums and the overall sums add the query values from 0.0
+    in query order (``np.cumsum`` is sequential), so every mean keeps the
+    bits of a plain running sum.
+    """
     if len(per_query) != len(queries):
         raise ValueError("every query must be scored exactly once")
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    total = np.zeros(3)
-    for (r, rr, nd), q in zip(per_query, queries):
-        v = np.asarray([r, rr, nd])
-        sums[q.chunk] = sums.get(q.chunk, np.zeros(3)) + v
-        counts[q.chunk] = counts.get(q.chunk, 0) + 1
-        total += v
     report = MetricsReport(method=method, m=m)
-    for chunk in sorted(sums):
-        c = counts[chunk]
-        s = sums[chunk] / c
+    n = len(queries)
+    if not n:
+        return report
+    vals = np.zeros((n + 1, 3))
+    vals[1:] = per_query
+    chunks = np.fromiter((q.chunk for q in queries), dtype=np.int64, count=n)
+    for chunk in np.unique(chunks).tolist():
+        rows = np.concatenate([[0], 1 + np.flatnonzero(chunks == chunk)])
+        c = len(rows) - 1
+        s = np.cumsum(vals[rows], axis=0)[-1] / c
         report.per_chunk[chunk] = MetricBlock(
             n_queries=c, recall=float(s[0]), mrr=float(s[1]), ndcg=float(s[2])
         )
-    n = len(queries)
-    if n:
-        t = total / n
-        report.overall = MetricBlock(
-            n_queries=n, recall=float(t[0]), mrr=float(t[1]), ndcg=float(t[2])
-        )
+    t = np.cumsum(vals, axis=0)[-1] / n
+    report.overall = MetricBlock(n_queries=n, recall=float(t[0]), mrr=float(t[1]), ndcg=float(t[2]))
     return report

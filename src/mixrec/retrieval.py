@@ -9,10 +9,11 @@ where ``index`` is built from the source chunk before any query, ``seen``
 holds the user's seen item ids and ``chunk`` is the target chunk the list
 is recorded under. The index per method:
 
-- ``micro``: ``build_index(m, cfg, ranking)``, an ``InterestIndex`` of the
-  fitted chunk model's per-interest top-L lists (one per chunk and M); the
-  users' interest weights are ``ChunkModel.user_weights``, the
-  alpha-smoothed combined counts normalised over each support.
+- ``micro``: ``build_index(m, cfg, ranking, tables)``, an ``InterestIndex``
+  of the fitted chunk model's per-interest top-L lists (one per chunk and
+  M) from its ``chunk_tables`` (one per chunk); the users' interest weights
+  are ``ChunkModel.user_weights``, the alpha-smoothed combined counts
+  normalised over each support.
 - ``mle``: ``build_mle_index(mix, cfg, pool, ranking)``, an
   ``InterestIndex`` of the t=0 tables' top-L lists restricted to the pool
   (one per chunk and M); the weights are ``MleMixture.p_k_given_u``.
@@ -33,8 +34,10 @@ per query: ``mixture`` sums a user's interest lists into their pool
 positions and keeps the best M, ``cosine`` does the same for the ANN
 cosines of a numpy ``item_vecs @ uv`` product, and ``walk`` takes the first
 M unseen entries of a ready-made ranking (popularity and the cold-user
-fallback). Each drops seen ids by binary search against the user's sorted
-seen ids, and the scores keep the bits of the numpy path.
+fallback). ``mixture`` visits only the pool positions the user's lists
+touch. ``mixture`` and ``cosine`` look a candidate up in the user's sorted
+seen ids only when their top-M heap would take it, ``walk`` looks up each
+entry it passes, and the scores keep the bits of the numpy path.
 
 The numpy path is their reference, and the fallback when no compiler is
 there, chosen exactly as the Gibbs sweep is: ``_gather`` and ``np.bincount``
@@ -50,6 +53,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +68,8 @@ __all__ = [
     "CandidateList",
     "InterestIndex",
     "AnnIndex",
+    "ChunkTables",
+    "chunk_tables",
     "build_index",
     "build_mle_index",
     "retrieve_mixture",
@@ -177,28 +183,47 @@ class InterestIndex:
         _check(len(self.user_w) == len(self.user_k), "user_w and user_k differ in length")
 
 
+class ChunkTables(NamedTuple):
+    """What ``build_index`` reads of a fitted chunk model at every M: the
+    nonzero item-interest ``counts`` and their items' ``positions`` in the
+    pool, grouped by interest (group k is ``[kptr[k], kptr[k+1])``), each
+    group by (count desc, item asc), and ``ChunkModel.user_weights``."""
+
+    positions: np.ndarray
+    counts: np.ndarray
+    kptr: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def chunk_tables(m: ChunkModel) -> ChunkTables:
+    """The fitted model's ``ChunkTables``, computed once for all M."""
+    items, ks, counts = m.item_table()
+    order = np.lexsort((items, -counts, ks))
+    kptr = np.concatenate([[0], np.cumsum(np.bincount(ks, minlength=m.K))])
+    positions = np.searchsorted(m.item_pool, items[order])
+    return ChunkTables(positions, counts[order], kptr, m.user_weights())
+
+
 def build_index(
-    m: ChunkModel, cfg: RetrievalConfig, ranking: tuple[np.ndarray, np.ndarray] | None = None
+    m: ChunkModel,
+    cfg: RetrievalConfig,
+    ranking: tuple[np.ndarray, np.ndarray] | None = None,
+    tables: ChunkTables | None = None,
 ) -> InterestIndex:
     """Build per-interest top-L lists of (beta + count) / (I*beta + total).
 
     Pool items without a count under an interest share the smoothed floor
     value and fill the tail of that interest's list (ascending id) up to L.
     Items with no engagements in the chunk are excluded everywhere.
-    ``ranking`` is the chunk's ``popularity_ranking``, computed here when
-    not given.
+    ``ranking`` is the chunk's ``popularity_ranking`` and ``tables`` its
+    ``chunk_tables(m)``, each computed here when not given.
     """
     K = m.K
     beta, Ibeta = m.beta, m.Ibeta
     L = cfg.truncation
     pool = m.item_pool
     nk = m.n_kt.astype(np.float64)
-
-    # item-interest entries grouped by interest, each group by (count desc, item asc)
-    items, ks, counts = m.item_table()
-    order = np.lexsort((items, -counts, ks))
-    items, counts = items[order], counts[order]
-    kptr = np.concatenate([[0], np.cumsum(np.bincount(ks, minlength=K))])
+    positions, counts, kptr, (user_ptr, user_k, user_w) = chunk_tables(m) if tables is None else tables
 
     ptr = np.zeros(K + 1, dtype=np.int64)
     pos_out: list[np.ndarray] = []
@@ -210,14 +235,13 @@ def build_index(
             continue
         lo = kptr[k]
         hi = min(kptr[k + 1], lo + L)
-        mi, mc = items[lo:hi], counts[lo:hi]
-        phi = (beta + mc.astype(np.float64)) / total
-        pos = np.searchsorted(pool, mi)
-        if len(mi) < L:
-            # the first L - len(mi) non-members all lie among the first L pool positions
+        pos = positions[lo:hi]
+        phi = (beta + counts[lo:hi].astype(np.float64)) / total
+        if len(pos) < L:
+            # the first L - len(pos) non-members all lie among the first L pool positions
             free = np.ones(min(L, len(pool)), dtype=bool)
             free[pos[pos < len(free)]] = False
-            extra = np.flatnonzero(free)[: L - len(mi)]
+            extra = np.flatnonzero(free)[: L - len(pos)]
             if len(extra):
                 pos = np.concatenate([pos, extra])
                 phi = np.concatenate([phi, np.full(len(extra), beta / total)])
@@ -225,7 +249,6 @@ def build_index(
         phis_out.append(phi)
         ptr[k + 1] = ptr[k] + len(pos)
 
-    user_ptr, user_k, user_w = m.user_weights()
     return InterestIndex(
         ptr=ptr,
         positions=np.concatenate(pos_out) if pos_out else np.empty(0, np.int64),

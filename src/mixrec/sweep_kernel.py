@@ -22,12 +22,19 @@ The three retrieval entry points each answer one query; their reference is
 the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
 the pool positions of the user's interest lists in the order of ``ks``, then
 list order (``np.bincount``'s input order, so each sum keeps its bits), and
-trusts ``ks`` as it trusts the positions: ``InterestIndex`` checks both;
+trusts ``ks`` as it trusts the positions: ``InterestIndex`` checks both. It
+records each position in a touched list the first time a term reaches it
+(one bit per pool position marks it) and offers only the touched ones, so
+no call zeroes a sum or scans a position the lists do not reach.
 ``cosine`` scores ``dots / (norms * un)``, or -inf where a norm is 0. Both
-drop seen ids by binary search in the user's ascending seen array and keep
-the best M by (score descending with NaN last, item ascending) in a bounded
-heap, which is then sorted. ``walk`` gives the positions of the first M
-unseen entries of a ranked item array.
+keep the best M by (score descending with NaN last, item ascending) in a
+bounded heap, which is then sorted. A candidate is looked up in the user's
+ascending seen ids (by binary search) only when the heap would take it, so
+most candidates cost one comparison with the root; a seen one is never
+pushed, so the heap goes through the states it would go through without
+it. The order is total over distinct items, so the offer order does not
+change the result. ``walk`` gives the positions of the first M unseen
+entries of a ranked item array.
 
 ``row_mean`` is one embedding SGD update; its reference is the numpy
 ``mixrec.embeddings._apply_row_mean``. It forms each example's gradient as
@@ -227,10 +234,15 @@ void mixrec_sweep(
 /* candidate a ranks before b: score descending, NaN last, ties by item */
 static int ahead(double sa, i64 ia, double sb, i64 ib)
 {
+    if (sa > sb)
+        return 1;
+    if (sa < sb)
+        return 0;
+    if (sa == sb)
+        return ia < ib;
+    /* unordered: at least one score is NaN */
     int na = isnan(sa), nb = isnan(sb);
-    if (na || nb)
-        return na == nb ? ia < ib : nb;
-    return sa > sb || (sa == sb && ia < ib);
+    return na == nb ? ia < ib : nb;
 }
 
 static int is_seen(const i64 *seen, i64 ns, i64 item)
@@ -246,65 +258,70 @@ static int is_seen(const i64 *seen, i64 ns, i64 item)
     return a < ns && seen[a] == item;
 }
 
-/* The best M candidates seen so far: a heap whose root ranks last. */
+/* The best M candidates offered so far: a heap whose root ranks last. The
+   sifts carry one candidate down or up a hole, writing each level once. */
 typedef struct {
     i64 *items;
     double *scores;
     i64 n, M;
 } top_t;
 
-static void swap_at(top_t *t, i64 a, i64 b)
-{
-    i64 i = t->items[a];
-    double s = t->scores[a];
-    t->items[a] = t->items[b];
-    t->scores[a] = t->scores[b];
-    t->items[b] = i;
-    t->scores[b] = s;
-}
-
-/* restore the heap below r within its first n entries */
-static void sift_down(top_t *t, i64 r, i64 n)
+/* fill hole r of the heap's first n entries with (item, score), moving it
+   down until no child ranks last of the three */
+static void sift_down(top_t *t, i64 r, i64 n, i64 item, double score)
 {
     for (;;) {
         i64 c = 2 * r + 1;
         if (c >= n)
-            return;
+            break;
         if (c + 1 < n && ahead(t->scores[c], t->items[c], t->scores[c + 1], t->items[c + 1]))
             c++;
-        if (!ahead(t->scores[r], t->items[r], t->scores[c], t->items[c]))
-            return;
-        swap_at(t, r, c);
+        if (!ahead(score, item, t->scores[c], t->items[c]))
+            break;
+        t->items[r] = t->items[c];
+        t->scores[r] = t->scores[c];
         r = c;
     }
+    t->items[r] = item;
+    t->scores[r] = score;
 }
 
-static void push(top_t *t, i64 item, double score)
+/* Offer a candidate: it enters when the heap is not full or it ranks
+   before the root. Only then is it looked up in the ascending seen ids, so
+   a seen candidate is never pushed and the heap goes through the states it
+   would go through had the seen ids been dropped first. */
+static void offer(top_t *t, i64 item, double score, const i64 *seen, i64 ns)
 {
     if (t->n < t->M) {
+        if (is_seen(seen, ns, item))
+            return;
         i64 c = t->n++;
-        t->items[c] = item;
-        t->scores[c] = score;
         while (c > 0) {
             i64 p = (c - 1) / 2;
-            if (!ahead(t->scores[p], t->items[p], t->scores[c], t->items[c]))
-                return;
-            swap_at(t, p, c);
+            if (!ahead(t->scores[p], t->items[p], score, item))
+                break;
+            t->items[c] = t->items[p];
+            t->scores[c] = t->scores[p];
             c = p;
         }
-    } else if (t->M > 0 && ahead(score, item, t->scores[0], t->items[0])) {
-        t->items[0] = item;
-        t->scores[0] = score;
-        sift_down(t, 0, t->n);
+        t->items[c] = item;
+        t->scores[c] = score;
+    } else if (t->M > 0 && ahead(score, item, t->scores[0], t->items[0]) && !is_seen(seen, ns, item)) {
+        sift_down(t, 0, t->n, item, score);
     }
 }
 
-/* sort the heap in place into rank order; returns the count */
+/* sort the heap in place into rank order; returns the count. The order is
+   total over distinct items, so the result does not depend on the order
+   in which the candidates were offered. */
 static i64 finish(top_t *t)
 {
     for (i64 end = t->n - 1; end > 0; end--) {
-        swap_at(t, 0, end);
-        sift_down(t, 0, end);
+        i64 item = t->items[end];
+        double score = t->scores[end];
+        t->items[end] = t->items[0];
+        t->scores[end] = t->scores[0];
+        sift_down(t, 0, end, item, score);
     }
     return t->n;
 }
@@ -312,21 +329,28 @@ static i64 finish(top_t *t)
 /* Top M by the mixture sum over a of theta[a] * probs[j], j over the list
    of interest ks[a]: positions[ptr[k]:ptr[k+1]] into the pool. The index
    checked every interest and position when it was built. Only positions
-   some term touched are candidates. Returns the count written to
-   out_items/out_scores, or -1 when out of memory. */
+   some term touched are candidates: each is recorded in touched[] (and
+   marked in a bitmap of one bit per pool position) the first time a term
+   reaches it, its sum set to 0.0 there, and only the touched positions
+   are offered. Returns the count written to out_items/out_scores, or -1
+   when out of memory. */
 i64 mixrec_mixture(
     i64 nks, const i64 *ks, const double *theta,
     const i64 *ptr, const i64 *positions, const double *probs,
     i64 n, const i64 *pool, const i64 *seen, i64 ns, i64 M,
     i64 *out_items, double *out_scores)
 {
-    /* every sum starts from 0.0, as np.bincount's does */
-    double *acc = calloc((size_t)(n > 0 ? n : 1), sizeof(double));
-    char *hit = calloc((size_t)(n > 0 ? n : 1), 1);
+    i64 terms = 0, nt = 0;
+    for (i64 a = 0; a < nks; a++)
+        terms += ptr[ks[a] + 1] - ptr[ks[a]];
+    double *acc = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
+    unsigned long long *mark = calloc((size_t)(n / 64 + 1), sizeof(unsigned long long));
+    i64 *touched = malloc((size_t)(terms > 0 ? terms : 1) * sizeof(i64));
     top_t top = {out_items, out_scores, 0, M};
-    if (!acc || !hit) {
+    if (!acc || !mark || !touched) {
         free(acc);
-        free(hit);
+        free(mark);
+        free(touched);
         return -1;
     }
     for (i64 a = 0; a < nks; a++) {
@@ -334,15 +358,21 @@ i64 mixrec_mixture(
         i64 lo = ptr[ks[a]], hi = ptr[ks[a] + 1];
         for (i64 j = lo; j < hi; j++) {
             i64 p = positions[j];
+            unsigned long long bit = 1ULL << (p & 63);
+            if (!(mark[p >> 6] & bit)) {
+                /* every sum starts from 0.0, as np.bincount's does */
+                mark[p >> 6] |= bit;
+                acc[p] = 0.0;
+                touched[nt++] = p;
+            }
             acc[p] += w * probs[j];
-            hit[p] = 1;
         }
     }
-    for (i64 p = 0; p < n; p++)
-        if (hit[p] && !is_seen(seen, ns, pool[p]))
-            push(&top, pool[p], acc[p]);
+    for (i64 s = 0; s < nt; s++)
+        offer(&top, pool[touched[s]], acc[touched[s]], seen, ns);
     free(acc);
-    free(hit);
+    free(mark);
+    free(touched);
     return finish(&top);
 }
 
@@ -353,11 +383,8 @@ i64 mixrec_cosine(
     const i64 *seen, i64 ns, i64 M, i64 *out_items, double *out_scores)
 {
     top_t top = {out_items, out_scores, 0, M};
-    for (i64 i = 0; i < n; i++) {
-        if (is_seen(seen, ns, pool[i]))
-            continue;
-        push(&top, pool[i], norms[i] > 0.0 ? dots[i] / (norms[i] * un) : -INFINITY);
-    }
+    for (i64 i = 0; i < n; i++)
+        offer(&top, pool[i], norms[i] > 0.0 ? dots[i] / (norms[i] * un) : -INFINITY, seen, ns);
     return finish(&top);
 }
 

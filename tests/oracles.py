@@ -119,6 +119,21 @@ def row_sums_add_at(inv, values, n):
     return acc
 
 
+def aggregate_loop(per_query, queries):
+    """The per-query loop ``metrics.aggregate`` ran before its ``cumsum``
+    form: ({chunk: (count, means)}, (count, means)), each means an array of
+    (recall, mrr, ndcg), every sum a running sum from 0.0 in query order."""
+    sums, counts = {}, {}
+    total = np.zeros(3)
+    for (r, rr, nd), q in zip(per_query, queries):
+        v = np.asarray([r, rr, nd])
+        sums[q.chunk] = sums.get(q.chunk, np.zeros(3)) + v
+        counts[q.chunk] = counts.get(q.chunk, 0) + 1
+        total += v
+    per_chunk = {c: (counts[c], sums[c] / counts[c]) for c in sorted(sums)}
+    return per_chunk, (len(queries), total / len(queries) if queries else np.zeros(3))
+
+
 def same_bits(a, b):
     """True when two float64 arrays hold the same bytes, so -0.0 differs
     from 0.0 and every last-place rounding counts."""

@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,24 @@ class TestClusterItems:
         lines = txt.read_text().strip().splitlines()
         assert len(lines) == 10
         assert lines[0] == f"0\t{c.item_to_interest[0]}"
+
+    def test_compressed_npz_loads_same_arrays(self, tmp_path):
+        # clusters are stored uncompressed; a deflated file of an earlier
+        # version loads to the same arrays
+        rng = np.random.default_rng(5)
+        c = cluster_items(rng.normal(size=(30, 4)), K=3, iters=4, seed=1)
+        stored, deflated = tmp_path / "c.npz", tmp_path / "old.npz"
+        save_clusters(c, stored)
+        with zipfile.ZipFile(stored) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+        np.savez_compressed(
+            deflated, item_to_interest=c.item_to_interest, centroids=c.centroids,
+            objective_history=np.asarray(c.objective_history),
+        )
+        a, b = load_clusters(stored), load_clusters(deflated)
+        for x, y in ((a.item_to_interest, b.item_to_interest), (a.centroids, b.centroids)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert a.objective_history == b.objective_history == c.objective_history
 
     def test_bits_equal_add_at_run(self, monkeypatch):
         rng = np.random.default_rng(13)

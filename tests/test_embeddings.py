@@ -1,4 +1,5 @@
 import logging
+import zipfile
 
 import numpy as np
 import pytest
@@ -119,6 +120,24 @@ class TestTrainEmbeddings:
         emb2 = load_embeddings(p)
         assert np.array_equal(emb.user_vectors, emb2.user_vectors)
         assert emb.epoch_losses == pytest.approx(emb2.epoch_losses)
+
+    def test_compressed_npz_loads_same_arrays(self, tmp_path):
+        # tables are stored uncompressed; a deflated file of an earlier
+        # version loads to the same arrays
+        g = from_raw_edges([0, 1, 2, 1], [0, 1, 1, 2], [0, 0, 0, 0])
+        emb = train_embeddings(g, dim=4, epochs=2, seed=0)
+        stored, deflated = tmp_path / "emb.npz", tmp_path / "old.npz"
+        save_embeddings(emb, stored)
+        with zipfile.ZipFile(stored) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+        np.savez_compressed(
+            deflated, user_vectors=emb.user_vectors, item_vectors=emb.item_vectors,
+            epoch_losses=np.asarray(emb.epoch_losses),
+        )
+        a, b = load_embeddings(stored), load_embeddings(deflated)
+        for x, y in ((a.user_vectors, b.user_vectors), (a.item_vectors, b.item_vectors)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert a.epoch_losses == b.epoch_losses == emb.epoch_losses
 
 
 class TestRowSums:

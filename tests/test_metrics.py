@@ -14,7 +14,7 @@ from mixrec.metrics import (
     score_query,
 )
 
-from oracles import mrr_reference, ndcg_reference, recall_reference
+from oracles import aggregate_loop, mrr_reference, ndcg_reference, recall_reference, same_bits
 
 
 class TestBuildQueries:
@@ -182,6 +182,31 @@ class TestAggregate:
         assert rep.overall.mrr == pytest.approx(flat[1], abs=1e-12)
         assert rep.overall.ndcg == pytest.approx(flat[2], abs=1e-12)
         rep.check_consistency(tol=1e-12)
+
+    def test_bits_match_per_query_loop(self):
+        # random values, few tied values (so orders of addition would show)
+        # and chunks interleaved in query order
+        rng = np.random.default_rng(8)
+        Query = __import__("mixrec.metrics", fromlist=["Query"]).Query
+        for trial in range(30):
+            n = int(rng.choice([0, 1, 7, 300]))
+            chunks = rng.choice([2, 5, 9, 4], n) if trial % 2 else np.sort(rng.integers(0, 3, n))
+            qs = [Query(user=i, chunk=int(c), truth=frozenset({0})) for i, c in enumerate(chunks)]
+            if trial % 3 == 0:
+                vals = rng.choice([0.0, 1 / 3, 0.1, 1.0, 0.7], size=(n, 3))
+            else:
+                vals = rng.random((n, 3))
+            vals = [tuple(v) for v in vals.tolist()]
+            rep = aggregate(vals, qs, method="x", m=5)
+            per_chunk, (count, means) = aggregate_loop(vals, qs)
+            assert list(rep.per_chunk) == list(per_chunk)
+            for c, (nc, want) in per_chunk.items():
+                b = rep.per_chunk[c]
+                assert b.n_queries == nc
+                assert same_bits([b.recall, b.mrr, b.ndcg], want), (trial, c)
+            o = rep.overall
+            assert o.n_queries == count
+            assert same_bits([o.recall, o.mrr, o.ndcg], means), trial
 
     def test_mismatched_lengths(self):
         qs = self.queryset({0: 2})

@@ -16,6 +16,7 @@ from mixrec.retrieval import (
     ann_encode_items,
     ann_retrieve,
     build_index,
+    chunk_tables,
     build_mle_index,
     batch_retrieve,
     popularity_ranking,
@@ -122,6 +123,18 @@ class TestBuildIndex:
             items, _ = interest_list(idx, k)
             assert set(items.tolist()) <= pool
 
+
+    def test_chunk_tables_shared_across_m(self):
+        # one chunk_tables(m) serves every M and gives each M's own index
+        rng = np.random.default_rng(6)
+        init, slc, m = random_instance(rng)
+        tables = chunk_tables(m)
+        for M, L in ((1, None), (3, 4), (2, init.num_items), (5, 3 * init.num_items)):
+            cfg = RetrievalConfig(M=M, L=L)
+            got, want = build_index(m, cfg, tables=tables), build_index(m, cfg)
+            for name in ("ptr", "positions", "pool_items", "user_ptr", "user_k"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (M, name)
+            assert same_bits(got.probs, want.probs) and same_bits(got.user_w, want.user_w), M
 
 class TestRetrieveMicro:
     def test_k1_equals_phi_ranking(self):
@@ -724,6 +737,93 @@ class TestCompiledTopM:
                         lambda: popularity_retrieve(4, rank, cfg, seen=seen, chunk=2),
                         f"trial {trial} M {M} seen {seen}",
                     )
+
+    def entry_cases(self, rng, ranking, pool, M):
+        """Seen id sets aimed at the heap's entry test, from the unseen
+        ranking (``CandidateList``) of one query: the item that would rank
+        first; items tying the score at rank M (the full heap's root), some
+        or all of them; the whole top M; and all of the pool but M - 1."""
+        ids, scores = ranking.ids, ranking.scores
+        yield ids[:1]
+        if len(ids) >= M:
+            root = scores[M - 1]  # ties by value, as -0.0 and 0.0 do, or NaN with NaN
+            tie = ids[(scores == root) | (np.isnan(scores) & np.isnan(root))]
+            yield tie
+            yield tie[::2]
+            yield ids[:M]
+        keep = rng.choice(pool, size=min(M - 1, len(pool)), replace=False)
+        yield np.setdiff1d(pool, keep)
+
+    def check_entry(self, monkeypatch, rng, retrieve, pool, what):
+        """``retrieve(M, seen)`` against numpy at M around and beyond the
+        pool size, for every ``entry_cases`` seen set."""
+        n = len(pool)
+        for M in sorted({1, 2, 10, max(1, n // 3), max(1, n - 1), n + (n == 0), n + 3, 5 * n + 1}):
+            ranking = on_numpy(monkeypatch, lambda: retrieve(max(M, n + 1), None))
+            for seen in self.entry_cases(rng, ranking, pool, M):
+                seen = np.sort(np.asarray(seen, dtype=np.int64))
+                self.check(monkeypatch, lambda: retrieve(M, seen), f"{what} M {M} seen {seen[:8]}")
+
+    def test_mixture_heap_entry_cases(self, compiled, monkeypatch):
+        rng = np.random.default_rng(37)
+        for trial in range(12):
+            idx = self.random_interest_index(rng, int(rng.choice([1, 6, 40])), K=4)
+            for u in range(1, 6):
+                self.check_entry(
+                    monkeypatch, rng,
+                    lambda M, seen: retrieve_mixture(u, idx, RetrievalConfig(M=M), seen=seen, chunk=trial),
+                    idx.pool_items, f"trial {trial} user {u}",
+                )
+
+    def test_mixture_sparse_lists_on_a_large_pool(self, compiled, monkeypatch):
+        # the lists touch under 5% of the pool, in no order of position:
+        # only the touched positions are candidates, offered in first-touch
+        # order, and no sum may carry over from another query
+        rng = np.random.default_rng(38)
+        n, K = 20000, 6
+        pool = np.sort(rng.choice(5 * n, size=n, replace=False)).astype(np.int64)
+        lists = [rng.choice(n, size=int(rng.integers(20, 150)), replace=False) for _ in range(K)]
+        lists[1] = np.concatenate([lists[0][:30], lists[1][:60]])  # shared positions
+        probs = [rng.choice(TIED[:-1], len(x)) if k % 2 else rng.random(len(x)) for k, x in enumerate(lists)]
+        rows = [rng.permutation(K)[: int(rng.integers(1, K + 1))] for _ in range(5)]
+        thetas = [rng.choice(TIED[:-1], len(ks)) if u % 2 else rng.dirichlet(np.ones(len(ks))) for u, ks in enumerate(rows)]
+        idx = InterestIndex(
+            ptr=np.cumsum([0] + [len(x) for x in lists]),
+            positions=np.concatenate(lists),
+            probs=np.concatenate(probs),
+            pool_items=pool,
+            user_ptr=np.cumsum([0] + [len(ks) for ks in rows]),
+            user_k=np.concatenate(rows),
+            user_w=np.concatenate(thetas),
+        )
+        assert sum(len(x) for x in lists) < 0.05 * n
+        for u in range(5):
+            touched = pool[np.unique(np.concatenate([lists[k] for k in rows[u]]))]
+            for M in (1, 7, 100, len(touched), n):
+                cfg = RetrievalConfig(M=M)
+                want = on_numpy(monkeypatch, lambda: retrieve_mixture(u, idx, cfg, chunk=1))
+                assert len(want) == min(M, len(touched))
+                assert set(want.item_ids()) <= set(touched.tolist())
+                for seen in (None, want.ids[:1], np.sort(want.ids), np.setdiff1d(pool, touched[: M - 1])):
+                    self.check(monkeypatch, lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=1), f"user {u} M {M}")
+
+    def test_ann_heap_entry_cases(self, compiled, monkeypatch):
+        # few directions, so cosines tie, and zero-norm items scored -inf
+        # that enter the list once M passes the positive-norm items
+        rng = np.random.default_rng(39)
+        for trial in range(12):
+            n = int(rng.choice([1, 5, 30]))
+            pool = np.sort(rng.choice(4 * n + 3, size=n, replace=False)).astype(np.int64)
+            vecs = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(n, 2))
+            vecs[rng.random(n) < 0.3] = 0.0
+            users = rng.choice([-1.0, 1.0, 0.5], size=(3, 2))
+            idx = AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), users)
+            for u in range(3):
+                self.check_entry(
+                    monkeypatch, rng,
+                    lambda M, seen: ann_retrieve(u, idx, RetrievalConfig(M=M), seen=seen, chunk=2),
+                    pool, f"trial {trial} user {u}",
+                )
 
     def test_rejects_out_of_bounds_input(self, compiled):
         pool = np.array([2, 5, 9])
