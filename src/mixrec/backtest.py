@@ -264,19 +264,35 @@ def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters):
 
 class _SeenTracker:
     """Per-user seen items as one ascending ``int64`` array: the user's train
-    items, with the items of each passed test chunk merged in."""
+    items, with the items of each passed test chunk merged in.
+
+    All users' arrays are slices of one CSR, the distinct (user, item) pairs
+    kept as ascending keys ``user * num_items + item``; a chunk is merged in
+    one pass over them.
+    """
 
     def __init__(self, train: EngagementGraph):
-        self._seen: dict[int, np.ndarray] = {}
-        self._empty = np.empty(0, dtype=np.int64)
+        self._stride = max(train.num_items, 1)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._items = self._keys
+        self._ptr = np.zeros(1, dtype=np.int64)
         self.add_chunk(ChunkSlice.from_edges(0, train.users, train.items))
 
     def view(self, user: int) -> np.ndarray:
-        return self._seen.get(user, self._empty)
+        if not 0 <= user < len(self._ptr) - 1:
+            return self._items[:0]
+        return self._items[self._ptr[user]:self._ptr[user + 1]]
 
     def add_chunk(self, slice_) -> None:
-        for u, items in slice_.iter_users():
-            self._seen[u] = np.union1d(self.view(u), items)
+        new = np.sort(slice_.users * self._stride + slice_.items)
+        # two ascending runs, which the stable sort (a timsort) merges in one pass
+        keys = np.sort(np.concatenate([self._keys, new]), kind="stable")
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        users, self._items = np.divmod(keys, self._stride)
+        self._keys = keys
+        self._ptr = np.concatenate([[0], np.cumsum(np.bincount(users))])
 
 
 def _fit_or_load(cfg, slc, init, ordinal, base):

@@ -23,9 +23,15 @@ is recorded under. The index per method:
   count.
 
 Both mixtures are one retriever, ``retrieve_mixture``: an ``InterestIndex``
-holds per-interest lists as positions into an ascending candidate pool,
-every user's (interests, weights) as one CSR over users, read in place
-by each query, and the pool's popularity ranking for users without interests.
+holds each interest's list over an ascending candidate pool as its counted
+entries (pool positions and probabilities) plus one run of pool positions
+that all carry the interest's smoothed floor value, every user's
+(interests, weights) as one CSR over users, read in place by each query,
+and the pool's popularity ranking for users without interests. Only the
+micro lists have floor runs: every pool item without a count under an
+interest has the same smoothed probability there, so it is stored once per
+interest, not once per item (SparseLDA's smoothing-only bucket, Yao, Mimno
+and McCallum, KDD 2009).
 
 Every retriever ends in one selection: the first M candidates by (score
 descending, item id ascending) that are not seen. It runs in the compiled
@@ -37,15 +43,17 @@ M unseen entries of a ready-made ranking (popularity and the cold-user
 fallback). ``mixture`` visits only the pool positions the user's lists
 touch. ``mixture`` and ``cosine`` look a candidate up in the user's sorted
 seen ids only when their top-M heap would take it, ``walk`` looks up each
-entry it passes, and the scores keep the bits of the numpy path.
+entry it passes, and the scores keep the bits of the numpy path. A ``seen``
+array that is not ascending raises ``ValueError`` on both paths.
 
 The numpy path is their reference, and the fallback when no compiler is
-there, chosen exactly as the Gibbs sweep is: ``_gather`` and ``np.bincount``
-build the mixture sums, ``_select_top`` ranks a scored array with a full
-``lexsort``, and ``_first_unseen`` keeps the first M entries of a ranked
-array that one ``searchsorted`` mask does not mark seen. Both paths
-return the selection's own arrays as a ``CandidateList``'s ``ids`` and
-``scores``, from which its ``items`` pairs are derived on request.
+there, chosen exactly as the Gibbs sweep is: it expands the floor runs of
+the user's interests and ``np.bincount`` builds the mixture sums,
+``_select_top`` ranks a scored array with a full ``lexsort``, and
+``_first_unseen`` keeps the first M entries of a ranked array that one
+``searchsorted`` mask does not mark seen. Both paths return the
+selection's own arrays as a ``CandidateList``'s ``ids`` and ``scores``,
+from which its ``items`` pairs are derived on request.
 """
 
 from __future__ import annotations
@@ -148,9 +156,12 @@ def _check(ok: bool, what: str) -> None:
 class InterestIndex:
     """Per-interest truncated top lists over one candidate pool.
 
-    Interest k's candidates are positions into the ascending ``pool_items``
-    (``positions[ptr[k]:ptr[k+1]]`` with aligned probabilities ``probs``),
-    in list order: probability descending, ties by ascending item id.
+    Interest k's counted entries are positions into the ascending
+    ``pool_items`` (``positions[ptr[k]:ptr[k+1]]`` with aligned
+    probabilities ``probs``), in list order: probability descending, ties
+    by ascending item id. Its floor run is every other pool position below
+    ``fend[k]``, each with probability ``floor[k]``; it follows the counted
+    entries in list order, ascending. Both default to zeros (no run).
     User u's interests are ``user_k[user_ptr[u]:user_ptr[u+1]]`` with
     aligned weights ``user_w``, in summation order; the row is empty for a
     user without interests. ``popularity`` is the pool's
@@ -164,23 +175,32 @@ class InterestIndex:
     user_ptr: np.ndarray
     user_k: np.ndarray
     user_w: np.ndarray
+    floor: np.ndarray | None = None
+    fend: np.ndarray | None = None
     popularity: tuple[np.ndarray, np.ndarray] | None = None
-    # data addresses of ptr, positions, probs, pool_items, user_k and user_w for the kernel
+    # data addresses of ptr, positions, probs, floor, fend, pool_items, user_k and user_w for the kernel
     _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        K = len(self.ptr) - 1
+        for name, dtype in (("floor", np.float64), ("fend", np.int64)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.zeros(max(K, 0), dtype))
         object.__setattr__(self, "user_ptr", np.asarray(self.user_ptr, dtype=np.int64))
         object.__setattr__(self, "_c", _addresses(
-            self, ptr=np.int64, positions=np.int64, probs=np.float64, pool_items=np.int64,
-            user_k=np.int64, user_w=np.float64,
+            self, ptr=np.int64, positions=np.int64, probs=np.float64, floor=np.float64, fend=np.int64,
+            pool_items=np.int64, user_k=np.int64, user_w=np.float64,
         ))
-        for ptr, rows, bound in (("ptr", "positions", len(self.pool_items)), ("user_ptr", "user_k", len(self.ptr) - 1)):
+        n = len(self.pool_items)
+        for ptr, rows, bound in (("ptr", "positions", n), ("user_ptr", "user_k", K)):
             p, v = getattr(self, ptr), getattr(self, rows)
             _check(len(p) >= 1 and p[0] == 0 and p[-1] == len(v), f"{ptr} must run from 0 to len({rows})")
             _check(bool(np.all(p[1:] >= p[:-1])), f"{ptr} must not decrease")
             _check(not len(v) or (v.min() >= 0 and v.max() < bound), f"{rows} outside [0, {bound})")
         _check(len(self.probs) == len(self.positions), "probs and positions differ in length")
         _check(len(self.user_w) == len(self.user_k), "user_w and user_k differ in length")
+        _check(len(self.floor) == len(self.fend) == K, "floor and fend need one entry per interest")
+        _check(not K or (self.fend.min() >= 0 and self.fend.max() <= n), f"fend outside [0, {n}]")
 
 
 class ChunkTables(NamedTuple):
@@ -212,51 +232,41 @@ def build_index(
 ) -> InterestIndex:
     """Build per-interest top-L lists of (beta + count) / (I*beta + total).
 
-    Pool items without a count under an interest share the smoothed floor
-    value and fill the tail of that interest's list (ascending id) up to L.
-    Items with no engagements in the chunk are excluded everywhere.
-    ``ranking`` is the chunk's ``popularity_ranking`` and ``tables`` its
-    ``chunk_tables(m)``, each computed here when not given.
+    Interest k's counted entries are its top L pool items by (count desc,
+    item asc). The pool items without a count under k share the smoothed
+    floor value beta / (I*beta + n_k) and fill the rest of its list up to L
+    (or to the pool size) in ascending id order, so they are stored as that
+    value and the end ``fend[k]`` of the run of pool positions they take.
+    An interest without a count has no list. Items with no engagements in
+    the chunk are excluded everywhere. ``ranking`` is the chunk's
+    ``popularity_ranking`` and ``tables`` its ``chunk_tables(m)``, each
+    computed here when not given.
     """
-    K = m.K
-    beta, Ibeta = m.beta, m.Ibeta
-    L = cfg.truncation
-    pool = m.item_pool
-    nk = m.n_kt.astype(np.float64)
+    K, L, n = m.K, cfg.truncation, len(m.item_pool)
+    nk = m.n_kt
+    total = m.Ibeta + nk.astype(np.float64)
     positions, counts, kptr, (user_ptr, user_k, user_w) = chunk_tables(m) if tables is None else tables
-
-    ptr = np.zeros(K + 1, dtype=np.int64)
-    pos_out: list[np.ndarray] = []
-    phis_out: list[np.ndarray] = []
-    for k in range(K):
-        total = Ibeta + nk[k]
-        if nk[k] == 0:
-            ptr[k + 1] = ptr[k]
-            continue
-        lo = kptr[k]
-        hi = min(kptr[k + 1], lo + L)
-        pos = positions[lo:hi]
-        phi = (beta + counts[lo:hi].astype(np.float64)) / total
-        if len(pos) < L:
-            # the first L - len(pos) non-members all lie among the first L pool positions
-            free = np.ones(min(L, len(pool)), dtype=bool)
-            free[pos[pos < len(free)]] = False
-            extra = np.flatnonzero(free)[: L - len(pos)]
-            if len(extra):
-                pos = np.concatenate([pos, extra])
-                phi = np.concatenate([phi, np.full(len(extra), beta / total)])
-        pos_out.append(pos)
-        phis_out.append(phi)
-        ptr[k + 1] = ptr[k] + len(pos)
-
+    ks = np.repeat(np.arange(K), np.diff(kptr))
+    top = np.arange(len(ks)) - kptr[ks] < L
+    ks, positions = ks[top], positions[top]
+    probs = (m.beta + counts[top].astype(np.float64)) / total[ks]
+    size = np.bincount(ks, minlength=K)
+    ptr = np.concatenate([[0], np.cumsum(size)])
+    run = np.where(nk > 0, min(L, n) - size, 0)  # the floor run's length
+    # with interest k's members at ascending positions q_0 < q_1 < ..., the
+    # run's last position lies above exactly the members with q_i - i < run
+    q = np.sort(positions + n * ks) - n * ks
+    fend = run + np.bincount(ks[q - (np.arange(len(ks)) - ptr[ks]) < run[ks]], minlength=K)
     return InterestIndex(
         ptr=ptr,
-        positions=np.concatenate(pos_out) if pos_out else np.empty(0, np.int64),
-        probs=np.concatenate(phis_out) if phis_out else np.empty(0, np.float64),
-        pool_items=pool,
+        positions=positions,
+        probs=probs,
+        pool_items=m.item_pool,
         user_ptr=user_ptr,
         user_k=user_k,
         user_w=user_w,
+        floor=np.where(nk > 0, m.beta / total, 0.0),
+        fend=fend,
         popularity=popularity_ranking(m.slice) if ranking is None else ranking,
     )
 
@@ -268,7 +278,7 @@ def build_mle_index(
     ranking: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> InterestIndex:
     """Each interest's top L train items by p(i|k) (ties by ascending id),
-    then restricted to ``pool`` in that order.
+    then restricted to ``pool`` in that order; no interest has a floor run.
 
     ``pool`` holds ascending item ids, like ``ChunkSlice.item_pool``, so
     backtests compare methods over identical pools; without it the pool is
@@ -307,10 +317,12 @@ def _lookup(sorted_ids: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _seen_ids(seen) -> np.ndarray:
-    """``seen`` as an ascending contiguous ``int64`` array.
+    """``seen`` as a contiguous ``int64`` array, ascending unless given so.
 
     ``seen`` is an ascending id array (what the backtest's seen tracker
-    keeps) or any collection of item ids, which is sorted here first.
+    keeps) or any collection of item ids, which is sorted here first. An
+    array that is not ascending is rejected by the selection: the kernels
+    check it as they start, the numpy path in ``_first_unseen``.
     """
     if not isinstance(seen, np.ndarray):
         return np.sort(np.fromiter(seen, dtype=np.int64))
@@ -318,15 +330,23 @@ def _seen_ids(seen) -> np.ndarray:
 
 
 _NO_SEEN = np.empty(0, dtype=np.int64)
+_NOT_ASCENDING = "seen item ids must be ascending"
+
+
+def _kernel_count(got: int) -> int:
+    """The count a kernel selection returned, or its error raised."""
+    if got == -3:
+        raise ValueError(_NOT_ASCENDING)
+    if got < 0:
+        raise MemoryError("top-M selection could not allocate its work space")
+    return got
 
 
 def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:
     """The list a kernel selection ``fn(*args, cap, out_items, out_scores)``
     writes: at most ``cap`` ranked candidates, their count returned."""
     ids, scores = np.empty(cap, np.int64), np.empty(cap, np.float64)
-    got = fn(*args, cap, _arg(ids), _arg(scores))
-    if got < 0:
-        raise MemoryError("top-M selection could not allocate its work space")
+    got = _kernel_count(fn(*args, cap, _arg(ids), _arg(scores)))
     return CandidateList(user, chunk, ids[:got], scores[:got])
 
 
@@ -344,23 +364,18 @@ def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList
         items = np.ascontiguousarray(items, dtype=np.int64)
         seen = _seen_ids(seen)
         pos = np.empty(min(M, len(items)), dtype=np.int64)
-        got = kernel.walk(len(items), _arg(items), _arg(seen), len(seen), len(pos), _arg(pos))
+        got = _kernel_count(kernel.walk(len(items), _arg(items), _arg(seen), len(seen), len(pos), _arg(pos)))
         items, scores = items[pos[:got]], scores[pos[:got]]
     elif seen is not None:
+        seen = _seen_ids(seen)
+        if np.any(seen[1:] < seen[:-1]):
+            raise ValueError(_NOT_ASCENDING)
         # at most len(seen) entries are masked, so the answer lies in this head
         head = M + len(seen)
         items, scores = items[:head], scores[:head]
-        keep = ~_lookup(_seen_ids(seen), items)[1]
+        keep = ~_lookup(seen, items)[1]
         items, scores = items[keep], scores[keep]
     return CandidateList(user, chunk, items[:M].astype(np.int64, copy=False), scores[:M].astype(np.float64, copy=False))
-
-
-def _gather(ptr: np.ndarray, ks: np.ndarray, weights: np.ndarray):
-    """Flat offsets of the CSR rows ``ks`` (concatenated in the order of
-    ``ks``) and each row's weight repeated along it."""
-    lo = ptr[ks]
-    n = ptr[ks + 1] - lo
-    return _ranges(lo, n), np.repeat(weights, n)
 
 
 def retrieve_mixture(
@@ -370,10 +385,11 @@ def retrieve_mixture(
     lists of the user's interests ``ks``, user u's row of ``idx.user_k``
     (and ``idx.user_w``); with no interests, the cold-user fallback.
 
-    Each item sums its per-interest terms in the order of ``ks``: the
-    kernel adds them in that order, as ``bincount`` adds the weighted
-    probabilities into their pool positions in input order. Only items some
-    term touched are candidates.
+    Each item sums its per-interest terms in the order of ``ks``, one term
+    per interest whose list holds it: the kernel adds them in that order,
+    as ``bincount`` adds the weighted probabilities, laid out interest by
+    interest, into their pool positions. Only items some term touched are
+    candidates.
     """
     if not 0 <= u < len(idx.user_ptr) - 1:  # a negative id would read another row
         raise IndexError(f"user {u} outside [0, {len(idx.user_ptr) - 1})")
@@ -387,16 +403,30 @@ def retrieve_mixture(
     n = len(idx.pool_items)
     if kernel is not None:
         seen = _NO_SEEN if seen is None else _seen_ids(seen)
-        ptr, positions, probs, pool, user_k, user_w = idx._c
+        ptr, positions, probs, floor, fend, pool, user_k, user_w = idx._c
         # the user's row starts 8 * lo bytes into user_k and user_w
         return _kernel_top(
             kernel.mixture, u, chunk, min(cfg.M, n),
-            hi - lo, user_k + 8 * lo, user_w + 8 * lo, ptr, positions, probs,
+            hi - lo, user_k + 8 * lo, user_w + 8 * lo, ptr, positions, probs, floor, fend,
             n, pool, _arg(seen), len(seen),
         )
-    flat, w = _gather(idx.ptr, idx.user_k[lo:hi], idx.user_w[lo:hi])
-    pos = idx.positions[flat]
-    acc = np.bincount(pos, weights=w * idx.probs[flat], minlength=n)
+    ks, w = idx.user_k[lo:hi], idx.user_w[lo:hi]
+    size, fend = idx.ptr[ks + 1] - idx.ptr[ks], idx.fend[ks]
+    # slot a's terms are interest ks[a]'s counted entries, then its run
+    # [0, fend), so bincount adds each position's terms in the order of ks
+    stop = np.cumsum(size + fend)
+    run0 = stop - fend
+    pos, terms = np.empty(stop[-1], np.int64), np.empty(stop[-1])
+    flat, counted, runs = _ranges(idx.ptr[ks], size), _ranges(run0 - size, size), _ranges(run0, fend)
+    pos[counted], terms[counted] = idx.positions[flat], np.repeat(w, size) * idx.probs[flat]
+    pos[runs], terms[runs] = _ranges(np.zeros_like(fend), fend), np.repeat(w * idx.floor[ks], fend)
+    # a counted position below fend is not in the run
+    slot = np.repeat(np.arange(len(ks)), size)
+    inrun = pos[counted] < fend[slot]
+    keep = np.ones(len(pos), dtype=bool)
+    keep[run0[slot[inrun]] + pos[counted][inrun]] = False
+    pos, terms = pos[keep], terms[keep]
+    acc = np.bincount(pos, weights=terms, minlength=n)
     cand = np.flatnonzero(np.bincount(pos, minlength=n))
     return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen, u, chunk)
 

@@ -20,12 +20,17 @@ bits.
 
 The three retrieval entry points each answer one query; their reference is
 the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
-the pool positions of the user's interest lists in the order of ``ks``, then
-list order (``np.bincount``'s input order, so each sum keeps its bits), and
-trusts ``ks`` as it trusts the positions: ``InterestIndex`` checks both. It
-records each position in a touched list the first time a term reaches it
-(one bit per pool position marks it) and offers only the touched ones, so
-no call zeroes a sum or scans a position the lists do not reach.
+the pool positions of the user's interest lists in the order of ``ks``.
+Interest k's list is its counted entries, then its floor run: every other
+pool position below ``fend[k]``, each with ``floors[k]``. The run is walked
+64 positions to a bitmap word, skipping the counted entries, so each
+position gets one term per interest, in the order of ``ks`` (as
+``np.bincount`` adds them, so each sum keeps its bits). ``mixture`` trusts
+``ks`` as it trusts the positions and run ends: ``InterestIndex`` checks
+them. It records each position in a touched list the first time a term
+reaches it (one bit per pool position marks it) and offers only the
+touched ones, so no call zeroes a sum or scans a position the lists do not
+reach.
 ``cosine`` scores ``dots / (norms * un)``, or -inf where a norm is 0. Both
 keep the best M by (score descending with NaN last, item ascending) in a
 bounded heap, which is then sorted. A candidate is looked up in the user's
@@ -34,7 +39,9 @@ most candidates cost one comparison with the root; a seen one is never
 pushed, so the heap goes through the states it would go through without
 it. The order is total over distinct items, so the offer order does not
 change the result. ``walk`` gives the positions of the first M unseen
-entries of a ranked item array.
+entries of a ranked item array. All three first check in one pass that the
+seen ids do not decrease, which the binary search needs, and return -3
+when they do.
 
 ``row_mean`` is one embedding SGD update; its reference is the numpy
 ``mixrec.embeddings._apply_row_mean``. It forms each example's gradient as
@@ -326,26 +333,41 @@ static i64 finish(top_t *t)
     return t->n;
 }
 
-/* Top M by the mixture sum over a of theta[a] * probs[j], j over the list
-   of interest ks[a]: positions[ptr[k]:ptr[k+1]] into the pool. The index
-   checked every interest and position when it was built. Only positions
-   some term touched are candidates: each is recorded in touched[] (and
-   marked in a bitmap of one bit per pool position) the first time a term
-   reaches it, its sum set to 0.0 there, and only the touched positions
-   are offered. Returns the count written to out_items/out_scores, or -1
-   when out of memory. */
+/* 1 when seen[0:ns] does not decrease, which is_seen's binary search needs */
+static int ascending(const i64 *seen, i64 ns)
+{
+    for (i64 i = 1; i < ns; i++)
+        if (seen[i] < seen[i - 1])
+            return 0;
+    return 1;
+}
+
+typedef unsigned long long u64;
+
+/* Top M by the mixture sum over a of theta[a] * prob across the list of
+   interest k = ks[a]: its counted entries positions[ptr[k]:ptr[k+1]] into
+   the pool with probs, then its floor run, every other pool position below
+   fend[k] with floors[k]. The index checked every interest, position and
+   run end when it was built. Only positions some term touched are
+   candidates: each is recorded in touched[] (and marked in a bitmap of one
+   bit per pool position) the first time a term reaches it, its sum set to
+   0.0 there, and only the touched positions are offered. Returns the count
+   written to out_items/out_scores, -1 when out of memory, or -3 when seen
+   is not ascending. */
 i64 mixrec_mixture(
     i64 nks, const i64 *ks, const double *theta,
     const i64 *ptr, const i64 *positions, const double *probs,
+    const double *floors, const i64 *fend,
     i64 n, const i64 *pool, const i64 *seen, i64 ns, i64 M,
     i64 *out_items, double *out_scores)
 {
-    i64 terms = 0, nt = 0;
-    for (i64 a = 0; a < nks; a++)
-        terms += ptr[ks[a] + 1] - ptr[ks[a]];
+    if (!ascending(seen, ns))
+        return -3;
+    i64 nt = 0, words = n / 64 + 1;
     double *acc = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    unsigned long long *mark = calloc((size_t)(n / 64 + 1), sizeof(unsigned long long));
-    i64 *touched = malloc((size_t)(terms > 0 ? terms : 1) * sizeof(i64));
+    /* mark: the touched positions; member: the current interest's counted ones */
+    u64 *mark = calloc((size_t)(2 * words), sizeof(u64)), *member = mark + words;
+    i64 *touched = malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
     top_t top = {out_items, out_scores, 0, M};
     if (!acc || !mark || !touched) {
         free(acc);
@@ -355,10 +377,10 @@ i64 mixrec_mixture(
     }
     for (i64 a = 0; a < nks; a++) {
         double w = theta[a];
-        i64 lo = ptr[ks[a]], hi = ptr[ks[a] + 1];
+        i64 k = ks[a], lo = ptr[k], hi = ptr[k + 1], end = fend[k];
         for (i64 j = lo; j < hi; j++) {
             i64 p = positions[j];
-            unsigned long long bit = 1ULL << (p & 63);
+            u64 bit = 1ULL << (p & 63);
             if (!(mark[p >> 6] & bit)) {
                 /* every sum starts from 0.0, as np.bincount's does */
                 mark[p >> 6] |= bit;
@@ -366,7 +388,26 @@ i64 mixrec_mixture(
                 touched[nt++] = p;
             }
             acc[p] += w * probs[j];
+            member[p >> 6] |= bit;
         }
+        /* the run 64 positions at a time: one product, one term per
+           position that is not a member */
+        double v = w * floors[k];
+        for (i64 b = 0; b * 64 < end; b++) {
+            u64 run = ~member[b], fresh;
+            if (end - b * 64 < 64)
+                run &= (1ULL << (end - b * 64)) - 1;
+            fresh = run & ~mark[b];
+            mark[b] |= fresh;
+            for (; fresh; fresh &= fresh - 1) {
+                acc[b * 64 + __builtin_ctzll(fresh)] = 0.0;
+                touched[nt++] = b * 64 + __builtin_ctzll(fresh);
+            }
+            for (; run; run &= run - 1)
+                acc[b * 64 + __builtin_ctzll(run)] += v;
+        }
+        for (i64 j = lo; j < hi; j++)
+            member[positions[j] >> 6] = 0;
     }
     for (i64 s = 0; s < nt; s++)
         offer(&top, pool[touched[s]], acc[touched[s]], seen, ns);
@@ -377,11 +418,14 @@ i64 mixrec_mixture(
 }
 
 /* Top M of the pool by cosine dots[i] / (norms[i] * un), -inf where a norm
-   is not positive. Returns the count written. */
+   is not positive. Returns the count written, or -3 when seen is not
+   ascending. */
 i64 mixrec_cosine(
     i64 n, const i64 *pool, const double *dots, const double *norms, double un,
     const i64 *seen, i64 ns, i64 M, i64 *out_items, double *out_scores)
 {
+    if (!ascending(seen, ns))
+        return -3;
     top_t top = {out_items, out_scores, 0, M};
     for (i64 i = 0; i < n; i++)
         offer(&top, pool[i], norms[i] > 0.0 ? dots[i] / (norms[i] * un) : -INFINITY, seen, ns);
@@ -389,9 +433,11 @@ i64 mixrec_cosine(
 }
 
 /* Positions of the first M entries of items[0:n] not in seen. Returns the
-   count written to out_pos. */
+   count written to out_pos, or -3 when seen is not ascending. */
 i64 mixrec_walk(i64 n, const i64 *items, const i64 *seen, i64 ns, i64 M, i64 *out_pos)
 {
+    if (!ascending(seen, ns))
+        return -3;
     i64 kept = 0;
     for (i64 i = 0; i < n && kept < M; i++)
         if (!is_seen(seen, ns, items[i]))
@@ -479,8 +525,8 @@ _ARGTYPES = (
 # checking an ``ndpointer`` costs microseconds.
 _ptr = ctypes.c_void_p
 _POINTER_ARGTYPES = {
-    # nks, ks, theta, ptr, positions, probs, n, pool, seen, ns, M, out_items, out_scores
-    "mixture": [_ll, _ptr, _ptr, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr, _ptr],
+    # nks, ks, theta, ptr, positions, probs, floors, fend, n, pool, seen, ns, M, out_items, out_scores
+    "mixture": [_ll, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr, _ptr],
     # n, pool, dots, norms, un, seen, ns, M, out_items, out_scores
     "cosine": [_ll, _ptr, _ptr, _ptr, _dbl, _ptr, _ll, _ll, _ptr, _ptr],
     # n, items, seen, ns, M, out_pos

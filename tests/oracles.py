@@ -134,6 +134,17 @@ def aggregate_loop(per_query, queries):
     return per_chunk, (len(queries), total / len(queries) if queries else np.zeros(3))
 
 
+def seen_union_loop(slices):
+    """Per-user seen items after merging each ``ChunkSlice`` of ``slices``
+    in turn, by the per-user ``np.union1d`` loop the backtest's seen
+    tracker ran before its one-pass merge: {user: ascending item ids}."""
+    seen = {}
+    for slc in slices:
+        for u, items in slc.iter_users():
+            seen[u] = np.union1d(seen.get(u, np.empty(0, dtype=np.int64)), items)
+    return seen
+
+
 def same_bits(a, b):
     """True when two float64 arrays hold the same bytes, so -0.0 differs
     from 0.0 and every last-place rounding counts."""
@@ -143,9 +154,37 @@ def same_bits(a, b):
 
 def interest_list(idx, k):
     """Interest k's list in an ``InterestIndex``: its (item ids,
-    probabilities) in list order, read from the index's public arrays."""
+    probabilities) in list order, read from the index's public arrays: the
+    counted entries in rank order, then the floor run (every other pool
+    position below ``fend[k]``) ascending, each with ``floor[k]``."""
     lo, hi = idx.ptr[k], idx.ptr[k + 1]
-    return idx.pool_items[idx.positions[lo:hi]], idx.probs[lo:hi]
+    run = np.setdiff1d(np.arange(idx.fend[k]), idx.positions[lo:hi])
+    pos = np.concatenate([idx.positions[lo:hi], run]).astype(np.int64)
+    probs = np.concatenate([idx.probs[lo:hi], np.full(len(run), idx.floor[k])])
+    return idx.pool_items[pos], probs
+
+
+def padded_lists(m, L):
+    """Every interest's (item ids, probabilities) top-L list of a fitted
+    ``ChunkModel``, built as ``build_index`` built it before floor runs: per
+    interest, its items with a chunk count by (count desc, item asc) at
+    (beta + count) / (I*beta + n_k), cut to L, then padded up to L with the
+    first pool items without a count (ascending id) at beta / (I*beta +
+    n_k); an interest without a count has an empty list."""
+    items, ks, counts = m.item_table()
+    pool, nk = m.item_pool, m.n_kt.astype(np.float64)
+    lists = []
+    for k in range(m.K):
+        if nk[k] == 0:
+            lists.append((np.empty(0, np.int64), np.empty(0)))
+            continue
+        total = m.Ibeta + nk[k]
+        mine = ks == k
+        order = np.lexsort((items[mine], -counts[mine]))[:L]
+        ids, phi = items[mine][order], (m.beta + counts[mine][order].astype(np.float64)) / total
+        free = np.setdiff1d(pool, ids)[: max(L - len(ids), 0)]
+        lists.append((np.concatenate([ids, free]), np.concatenate([phi, np.full(len(free), m.beta / total)])))
+    return lists
 
 
 def interest_items(mix, k):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -7,10 +8,13 @@ import pytest
 
 import mixrec.backtest
 import mixrec.sweep_kernel as sweep_kernel
-from mixrec.backtest import RunConfig, backtest, read_reports, report, write_reports
+from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, report, write_reports
 from mixrec.cli import main as cli_main
+from mixrec.graph import ChunkSlice, SplitSpec, split
 from mixrec.metrics import MetricBlock, MetricsReport
 from mixrec.synth import SynthSpec, generate
+
+from oracles import seen_union_loop
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,38 @@ def report_bytes(out_dir) -> dict[str, bytes]:
     ):
         out[p.name] = p.read_bytes()
     return out
+
+
+class TestSeenTracker:
+    def test_matches_union_loop(self):
+        # train users and users first seen in a test chunk, duplicate pairs
+        # within and across chunks, an empty chunk and ids at the range ends:
+        # after every merge each user's view equals the union1d loop's array
+        spec = SynthSpec(num_users=40, num_items=90, num_interests=3, num_chunks=4, engagements_per_user=6, seed=4)
+        g, _ = generate(spec)
+        train, test = split(g, SplitSpec(t_split=2))
+        keep = train.users < 30  # users 30 and up have no train engagements
+        train = dataclasses.replace(train, users=train.users[keep], items=train.items[keep], chunks=train.chunks[keep])
+        rng = np.random.default_rng(3)
+        U, I = g.num_users, g.num_items
+        extra = [
+            ChunkSlice.from_edges(9, [], []),
+            ChunkSlice.from_edges(10, [U - 1, U - 1, 0, U - 1, 5], [I - 1, 0, I - 1, I - 1, 0]),
+            ChunkSlice.from_edges(11, rng.integers(0, U, 300), rng.integers(0, I, 300)),
+        ]
+        tracker = _SeenTracker(train)
+        slices = [ChunkSlice.from_edges(0, train.users, train.items)]
+        assert max(seen_union_loop(slices)) < 30
+        for slc in [None, *test, *extra]:
+            if slc is not None:
+                tracker.add_chunk(slc)
+                slices.append(slc)
+            want = seen_union_loop(slices)
+            for u in range(-1, U + 2):
+                got = tracker.view(u)
+                assert got.dtype == np.int64 and got.ndim == 1, u
+                assert np.array_equal(got, want.get(u, np.empty(0, np.int64))), (len(slices), u)
+        assert len(want) == U
 
 
 class TestBacktest:

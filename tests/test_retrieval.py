@@ -25,7 +25,9 @@ from mixrec.retrieval import (
 )
 from mixrec.sampler import SamplerConfig, fit_chunk
 
-from oracles import combined_counts, interest_items, interest_list, mixture_row, row_sums_add_at, same_bits
+from oracles import (
+    combined_counts, interest_items, interest_list, mixture_row, padded_lists, row_sums_add_at, same_bits,
+)
 from test_sampler import make_init
 
 
@@ -132,9 +134,37 @@ class TestBuildIndex:
         for M, L in ((1, None), (3, 4), (2, init.num_items), (5, 3 * init.num_items)):
             cfg = RetrievalConfig(M=M, L=L)
             got, want = build_index(m, cfg, tables=tables), build_index(m, cfg)
-            for name in ("ptr", "positions", "pool_items", "user_ptr", "user_k"):
+            for name in ("ptr", "positions", "pool_items", "user_ptr", "user_k", "fend"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (M, name)
-            assert same_bits(got.probs, want.probs) and same_bits(got.user_w, want.user_w), M
+            for name in ("probs", "user_w", "floor"):
+                assert same_bits(getattr(got, name), getattr(want, name)), (M, name)
+
+    def test_lists_match_padded_reference(self):
+        # every interest's expanded list equals the padded builder's, ids
+        # and probability bits, with L below an interest's member count,
+        # between it and the pool size, at and above the pool size, on
+        # instances with interests that have no count; the index stores
+        # only the counted entries, at most L per interest
+        rng = np.random.default_rng(16)
+        instances = [random_instance(rng, K=K, I=I, n=n) for K, I, n in ((5, 40, 120), (12, 30, 40), (3, 25, 200))]
+        instances.append(random_instance(rng, U=40, I=400, K=240, n=1500, train_per_user=12))
+        assert any((m.n_kt == 0).any() for _, _, m in instances)
+        for init, slc, m in instances:
+            nk, pool = m.n_kt, m.item_pool
+            members = np.bincount(m.item_table()[1], minlength=m.K)
+            assert members.max() > 2
+            sizes = sorted({1, 2, int(members.max()) - 1, int(members.max()) + 1, len(pool) - 1, len(pool), 3 * len(pool)})
+            for L in (L for L in sizes if L >= 1):
+                idx = build_index(m, RetrievalConfig(M=1, L=L))
+                assert len(idx.positions) == np.minimum(members, L).sum(), L
+                assert idx.fend.max() <= len(pool) and np.all(idx.fend[nk == 0] == 0), L
+                assert np.all(idx.floor[nk == 0] == 0.0), L
+                for k, (want_ids, want_probs) in enumerate(padded_lists(m, L)):
+                    ids, probs = interest_list(idx, k)
+                    assert np.array_equal(ids, want_ids) and same_bits(probs, want_probs), (L, k)
+                    # the run ends just after its last position
+                    run = np.searchsorted(pool, want_ids[min(members[k], L):])
+                    assert idx.fend[k] == (run.max() + 1 if len(run) else 0), (L, k)
 
 class TestRetrieveMicro:
     def test_k1_equals_phi_ranking(self):
@@ -573,6 +603,19 @@ class TestSeenExclusion:
                     want = [i for i, _ in ranked if i not in seen][: self.M]
                     assert got.item_ids() == want, f"{name} user {u} seen {sorted(seen)}"
 
+    def test_unsorted_seen_array_rejected(self, monkeypatch):
+        # a query's top-M ids in rank order are not ascending: the compiled
+        # selection (when built) and the numpy one both raise on them, for
+        # every retriever and the cold-user fallback, and accept them sorted
+        for u in range(self.U):
+            for name, retrieve, _ in self.retrievers(u):
+                ids = retrieve(None).ids
+                assert np.any(ids[1:] < ids[:-1]), f"{name} user {u}"
+                for path in (lambda r: r(), lambda r: on_numpy(monkeypatch, r)):
+                    with pytest.raises(ValueError, match="seen item ids must be ascending"):
+                        path(lambda: retrieve(ids))
+                    assert not set(path(lambda: retrieve(np.sort(ids))).item_ids()) & set(ids.tolist())
+
 
 @pytest.fixture
 def compiled():
@@ -646,6 +689,9 @@ class TestCompiledTopM:
             user_ptr=np.cumsum([0] + [len(ks) for ks, _ in rows]),
             user_k=np.concatenate([ks for ks, _ in rows]),
             user_w=np.concatenate([theta for _, theta in rows]),
+            # floor runs: none, part of the pool or all of it, with tied values
+            floor=rng.choice(TIED[:-1], K) if rng.random() < 0.5 else rng.random(K),
+            fend=rng.choice([0, n_pool // 3, n_pool], K),
             popularity=(pool[order], counts[order]) if ranking else None,
         )
 
@@ -844,6 +890,11 @@ class TestCompiledTopM:
             dict(user_ptr=[0, 3]),
             dict(user_ptr=[1, 2]),
             dict(user_ptr=[0, 2, 1, 2]),
+            dict(fend=[0, 4]),
+            dict(fend=[-1, 0]),
+            dict(fend=[0]),
+            dict(floor=[0.1]),
+            dict(floor=[0.1, 0.1, 0.1]),
         ]
         for change in bad:
             with pytest.raises(ValueError, match="inconsistent index"):
@@ -852,6 +903,11 @@ class TestCompiledTopM:
             AnnIndex(pool, np.ones((2, 3)), np.ones(2), np.ones((1, 3)))
         cfg = RetrievalConfig(M=2)
         assert retrieve_mixture(0, InterestIndex(**good), cfg).item_ids() == [2, 9]
+        # interest 0's run adds 0.5 * 0.4 at position 1 (item 5), not at its
+        # counted positions 0 and 2; interest 1's adds 0.5 * 0.0 at 0 and 2
+        runs = InterestIndex(**good, floor=[0.4, 0.0], fend=[3, 3])
+        want = [(5, 0.5 * 0.2 + 0.5 * 0.4), (2, 0.0 + 0.5 * 0.5), (9, 0.0 + 0.5 * 0.3)]
+        assert retrieve_mixture(0, runs, RetrievalConfig(M=3)).items == want
 
     def test_threads_share_the_kernel(self, compiled):
         # batch_retrieve's pool runs the kernel in several threads at once,
