@@ -100,11 +100,21 @@ class RunConfig:
     def __post_init__(self):
         if isinstance(self.embed, dict):
             self.embed = EmbedParams(**self.embed)
+        self._check_lists()
+
+    def _check_lists(self) -> None:
+        """Reject an empty or repeated M and an unknown or repeated method;
+        ``open_run`` checks again, since the CLI sets fields after
+        construction."""
         if not self.m_values:
             raise ValueError("m_values must be nonempty")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; valid: {METHODS}")
+        for name in ("m_values", "methods"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
 
     @staticmethod
     def from_json(path) -> "RunConfig":
@@ -149,6 +159,7 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     an artifact field (the cached artifacts would be stale) raises, naming
     the fields, and leaves the directory untouched.
     """
+    cfg._check_lists()
     rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
     cfg.sampler_config(0)
     e = cfg.embed
@@ -397,7 +408,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                         queries, rcfg,
                     )
                     per_query[(meth, m)].extend(
-                        score_query(c, q.truth, m=m) for c, q in zip(cands, queries)
+                        score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)
                     )
                     if cfg.dump_candidates:
                         for c in cands:

@@ -1,9 +1,11 @@
 """Ranking metrics per (user, chunk) query and their aggregation.
 
-A query is one user's deduplicated ground-truth item set for one chunk;
-candidates are scored with Recall@M, MRR@M (reciprocal rank of the first
-relevant item, 0 when none lands in the top M), and binary-gain NDCG@M with
-a log2(rank+1) discount. Chunk-level numbers are unweighted means over that
+A query is one user's deduplicated ground-truth item set for one chunk.
+``score_query`` scores the first M ids of its ranked candidate list with
+Recall@M (hits over the truth set's size), MRR@M (reciprocal rank of the
+first relevant item, 0 when none lands in the top M) and binary-gain NDCG@M
+(a log2(rank+1) discount, over the ideal DCG of a min(|truth|, M)-long
+all-relevant prefix). Chunk-level numbers are unweighted means over that
 chunk's queries; overall numbers are means over all queries, which equals
 the query-count-weighted mean of the chunk means.
 """
@@ -23,9 +25,6 @@ __all__ = [
     "MetricBlock",
     "MetricsReport",
     "build_queries",
-    "recall_at_m",
-    "mrr_at_m",
-    "ndcg_at_m",
     "score_query",
     "aggregate",
 ]
@@ -48,84 +47,25 @@ def build_queries(test: list[ChunkSlice]) -> list[Query]:
     return queries
 
 
-def _ids(cands) -> list[int]:
-    if hasattr(cands, "item_ids"):
-        return cands.item_ids()
-    return list(cands)
-
-
-def recall_at_m(cands, truth) -> float:
-    """|retrieved intersect truth| / |truth|."""
-    if not truth:
-        raise ValueError("ground-truth set must be nonempty")
-    ids = _ids(cands)
-    return len(set(ids) & set(truth)) / len(set(truth))
-
-
-def mrr_at_m(cands, truth) -> float:
-    """1/rank of the first relevant candidate (1-indexed); 0 if none."""
-    if not truth:
-        raise ValueError("ground-truth set must be nonempty")
-    truth = set(truth)
-    for pos, item in enumerate(_ids(cands)):
-        if item in truth:
-            return 1.0 / (pos + 1)
-    return 0.0
-
-
-def ndcg_at_m(cands, truth, m: int | None = None) -> float:
-    """Binary-gain NDCG: DCG over relevant hits / ideal DCG of the
-    min(|truth|, M)-length perfect prefix. ``m`` defaults to the candidate
-    list's length; pass the retrieval cutoff when lists may run short."""
-    if not truth:
-        raise ValueError("ground-truth set must be nonempty")
-    truth = set(truth)
-    ids = _ids(cands)
-    if m is None:
-        m = len(ids)
-    ids = ids[:m]
-    dcg = 0.0
-    for pos, item in enumerate(ids):
-        if item in truth:
-            dcg += 1.0 / math.log2(pos + 2)
-    idcg = sum(1.0 / math.log2(r + 2) for r in range(min(len(truth), m)))
-    if idcg == 0.0:
-        return 0.0
-    return dcg / idcg
-
-
 @functools.lru_cache
 def _idcg(n: int) -> float:
-    """Ideal DCG of an n-long all-relevant prefix, summed as ``ndcg_at_m`` does."""
+    """Ideal DCG of an n-long all-relevant prefix."""
     return sum(1.0 / math.log2(r + 2) for r in range(n))
 
 
-def score_query(cands, truth, m: int | None = None) -> tuple[float, float, float]:
-    """``(recall_at_m, mrr_at_m, ndcg_at_m)`` of one list, from one pass over it.
-
-    Recall and MRR read the whole list and NDCG its first ``m`` entries, as
-    the three functions do; every value equals theirs to the bit.
-    """
+def score_query(ids, truth, m: int) -> tuple[float, float, float]:
+    """``(recall, mrr, ndcg)`` at ``m`` of one ranked list of distinct item
+    ids against a nonempty ground-truth set, from one pass over the first
+    ``m`` ids."""
     if not truth:
         raise ValueError("ground-truth set must be nonempty")
-    truth = frozenset(truth)
-    ids = _ids(cands)
-    if m is None:
-        m = len(ids)
-    hits = [pos for pos, item in enumerate(ids) if item in truth]
+    hits = [pos for pos, item in enumerate(ids[:m]) if item in truth]
     if not hits:
         return 0.0, 0.0, 0.0
     dcg = 0.0
     for pos in hits:
-        if pos >= m:
-            break
         dcg += 1.0 / math.log2(pos + 2)
-    idcg = _idcg(min(len(truth), m))
-    return (
-        len({ids[pos] for pos in hits}) / len(truth),
-        1.0 / (hits[0] + 1),
-        dcg / idcg if idcg != 0.0 else 0.0,
-    )
+    return len(hits) / len(truth), 1.0 / (hits[0] + 1), dcg / _idcg(min(len(truth), m))
 
 
 @dataclass

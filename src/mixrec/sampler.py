@@ -59,7 +59,6 @@ __all__ = [
     "UserCounts",
     "ChunkModel",
     "SweepStats",
-    "gibbs_weight",
     "fit_chunk",
     "save_chunk_model",
     "load_chunk_model",
@@ -407,14 +406,6 @@ class ChunkModel:
             for r in np.flatnonzero(self._offs < 0).tolist()
         }
 
-    def item_count(self, item: int, k: int) -> int:
-        """This chunk's count of ``item`` under interest k."""
-        pool = self.slice.item_pool
-        ir = int(np.searchsorted(pool, item))
-        if ir == len(pool) or pool[ir] != item:
-            return 0
-        return int(_row_get(self._ik, self._ic, int(self._iptr[ir]), int(self._ifill[ir]), k))
-
     def item_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(items, interests, counts) of the nonzero item-interest counts,
         sorted by item, then interest."""
@@ -591,30 +582,6 @@ class ChunkModel:
         counts.warm[self._sup_idx] = self._uk
         for r, row in self.cold_rows().items():
             counts.cold[self._active[r]] = row
-
-
-def gibbs_weight(u: int, i: int, k: int, m: ChunkModel, init: InitArtifact) -> float:
-    """Unnormalized conditional weight for assigning interest k to an
-    engagement of user u on item i, with that engagement already removed
-    from the tables. Users with t=0 history have prior mass only on their
-    support; users without history have mass alpha on every interest.
-    """
-    sup = init.support(u)
-    if len(sup):
-        pos = int(np.searchsorted(sup, k))
-        in_support = pos < len(sup) and sup[pos] == k
-        alpha_mass = init.alpha if in_support else 0.0
-    else:
-        alpha_mass = init.alpha
-    try:
-        ks, counts = m.user_counts(u)
-    except KeyError:
-        ks, counts = np.empty(0, np.int64), np.empty(0, np.int64)
-    pos = int(np.searchsorted(ks, k))
-    n_uk = int(counts[pos]) if pos < len(ks) and ks[pos] == k else 0
-    n_ikt = m.item_count(i, k)
-    n_kt = int(m._nk[k])
-    return (alpha_mass + n_uk) * (init.beta + n_ikt) / (m.Ibeta + n_kt)
 
 
 def fit_chunk(

@@ -254,15 +254,8 @@ static int ahead(double sa, i64 ia, double sb, i64 ib)
 
 static int is_seen(const i64 *seen, i64 ns, i64 item)
 {
-    i64 a = 0, b = ns;
-    while (a < b) {
-        i64 m = a + (b - a) / 2;
-        if (seen[m] < item)
-            a = m + 1;
-        else
-            b = m;
-    }
-    return a < ns && seen[a] == item;
+    i64 q = find(seen, 0, ns, item);
+    return q < ns && seen[q] == item;
 }
 
 /* The best M candidates offered so far: a heap whose root ranks last. The

@@ -82,6 +82,28 @@ def conditional_from_enumeration(users, items, z, j, init):
     return dict(zip(cands, p / p.sum()))
 
 
+def item_counts(m):
+    """{(item, interest): chunk count} of a ``ChunkModel``'s nonzero
+    item-interest counts, read once from ``item_table``; look an absent
+    pair up as 0 with ``.get``."""
+    items, ks, counts = m.item_table()
+    return dict(zip(zip(items.tolist(), ks.tolist()), counts.tolist()))
+
+
+def gibbs_weight(u, i, k, m, init):
+    """Unnormalized conditional weight for assigning interest k to an
+    engagement of user u on item i, with that engagement already removed
+    from ``m``'s tables: (alpha_u(k) + N_uk) * (beta + N_ikt) / (I*beta +
+    N_kt), where alpha_u(k) is alpha on the user's t=0 support (on every
+    interest for a user without t=0 history) and 0 elsewhere."""
+    sup = init.support(u).tolist()
+    alpha_mass = init.alpha if (k in sup or not sup) else 0.0
+    ks, counts = m.user_counts(u)
+    n_uk = dict(zip(ks.tolist(), counts.tolist())).get(k, 0)
+    n_ikt = item_counts(m).get((i, k), 0)
+    return (alpha_mass + n_uk) * (init.beta + n_ikt) / (m.Ibeta + int(m.n_kt[k]))
+
+
 def dcg_reference(ranked, truth):
     """Binary-gain DCG with log2(rank+1) discount, 1-indexed ranks."""
     total = 0.0
@@ -109,6 +131,12 @@ def mrr_reference(ranked, truth, m):
         if item in truth:
             return 1.0 / (idx + 1)
     return 0.0
+
+
+def score_reference(ranked, truth, m):
+    """(recall, mrr, ndcg) at ``m`` of one ranked list, by the three
+    references above."""
+    return recall_reference(ranked, truth, m), mrr_reference(ranked, truth, m), ndcg_reference(ranked, truth, m)
 
 
 def row_sums_add_at(inv, values, n):

@@ -11,10 +11,10 @@ import mixrec.sweep_kernel as sweep_kernel
 from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, report, write_reports
 from mixrec.cli import main as cli_main
 from mixrec.graph import ChunkSlice, SplitSpec, split
-from mixrec.metrics import MetricBlock, MetricsReport
+from mixrec.metrics import MetricBlock, MetricsReport, build_queries
 from mixrec.synth import SynthSpec, generate
 
-from oracles import seen_union_loop
+from oracles import aggregate_loop, score_reference, seen_union_loop
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,43 @@ class TestBacktest:
                 ) / n
                 assert weighted == pytest.approx(getattr(rep.overall, name), abs=1e-12)
 
+    def test_written_metrics_match_bruteforce_scores(self, synth_edges, tmp_path):
+        # every series.tsv and overall.tsv value, recomputed from the dumped
+        # candidate lists and the held-out chunks by the reference metrics
+        # and the per-query aggregation loop; raw users 1000 and 1001 have
+        # no train engagements (1000 is in every held-out chunk, 1001 only
+        # in the last)
+        data = tmp_path / "edges.tsv"
+        extra = [(1000, 3, 2), (1000, 7, 2), (1000, 3, 3), (1000, 11, 3), (1000, 7, 4), (1000, 20, 4), (1001, 5, 4)]
+        data.write_text(synth_edges.read_text() + "".join(f"{u}\t{i}\t{t}\n" for u, i, t in extra))
+        cfg = small_config(data, tmp_path / "score", m_values=[5, 10], exclude_seen=True, dump_candidates=True)
+        backtest(cfg)
+        g, train, test = mixrec.backtest.split_graph(cfg)
+        new_users = g.user_ids.to_dense([1000, 1001]).tolist()
+        assert not set(new_users) & set(train.users.tolist())
+        queries = build_queries(test[1:])
+        assert set(new_users) <= {q.user for q in queries}
+        series = ["method\tM\tchunk\tn_queries\trecall\tmrr\tndcg"]
+        overall = ["method\tM\tn_queries\trecall\tmrr\tndcg"]
+        for m in sorted(cfg.m_values):
+            lists = {}
+            for line in (tmp_path / "score" / "metrics" / f"candidates_M{m}.tsv").read_text().splitlines()[1:]:
+                user, chunk, rank, item, _, meth = line.split("\t")
+                ids = lists.setdefault((meth, int(user), int(chunk)), [])
+                assert int(rank) == len(ids) + 1
+                ids.append(int(item))
+            for meth in sorted(cfg.methods):
+                per_query = [score_reference(lists.get((meth, q.user, q.chunk), []), q.truth, m) for q in queries]
+                per_chunk, (n, means) = aggregate_loop(per_query, queries)
+                for chunk, (c, vals) in per_chunk.items():
+                    series.append("\t".join([meth, str(m), str(chunk), str(c), *map(repr, vals.tolist())]))
+                overall.append("\t".join([meth, str(m), str(n), *map(repr, means.tolist())]))
+        # write_reports sorts by (method, M)
+        key = lambda line: (line.split("\t")[0], int(line.split("\t")[1]))
+        metrics = tmp_path / "score" / "metrics"
+        assert (metrics / "series.tsv").read_text() == "\n".join(series[:1] + sorted(series[1:], key=key)) + "\n"
+        assert (metrics / "overall.tsv").read_text() == "\n".join(overall[:1] + sorted(overall[1:], key=key)) + "\n"
+
     def test_determinism_byte_identical(self, synth_edges, tmp_path):
         cfg1 = small_config(synth_edges, tmp_path / "d1")
         cfg2 = small_config(synth_edges, tmp_path / "d2")
@@ -226,8 +263,14 @@ class TestBacktest:
             {"m_values": [0]},
             {"m_values": [10], "truncation": 5},
             {"dim": 0},
+            {"m_values": [5, 5]},
+            {"methods": ["popularity", "popularity"]},
+            {"methods": ["popularity", "bogus"]},
         ],
-        ids=["user_count_mode", "m_values", "truncation", "embed_dim"],
+        ids=[
+            "user_count_mode", "m_values", "truncation", "embed_dim", "repeated_m", "repeated_method",
+            "unknown_method",
+        ],
     )
     def test_bad_config_fails_before_writing(self, synth_edges, tmp_path, bad):
         out = tmp_path / "bad"
@@ -318,6 +361,12 @@ class TestRunConfig:
     def test_empty_m_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(m_values=[])
+
+    def test_repeated_m_or_method_rejected(self):
+        with pytest.raises(ValueError, match="m_values repeats"):
+            RunConfig(m_values=[20, 5, 20])
+        with pytest.raises(ValueError, match="methods repeats"):
+            RunConfig(methods=["micro", "ann", "micro"])
 
     def test_reference_scale_config_accepted(self):
         # coarse regrouping, 7 held-out chunks, K=5000, M in {50, 100}

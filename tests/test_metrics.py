@@ -8,13 +8,10 @@ from mixrec.metrics import (
     MetricsReport,
     aggregate,
     build_queries,
-    mrr_at_m,
-    ndcg_at_m,
-    recall_at_m,
     score_query,
 )
 
-from oracles import aggregate_loop, mrr_reference, ndcg_reference, recall_reference, same_bits
+from oracles import aggregate_loop, same_bits, score_reference
 
 
 class TestBuildQueries:
@@ -41,42 +38,48 @@ class TestBuildQueries:
 
 class TestRecall:
     def test_superset(self):
-        assert recall_at_m([1, 2, 3], {1, 2}) == 1.0
+        assert score_query([1, 2, 3], {1, 2}, 3)[0] == 1.0
 
     def test_disjoint(self):
-        assert recall_at_m([4, 5], {1, 2}) == 0.0
+        assert score_query([4, 5], {1, 2}, 2)[0] == 0.0
 
     def test_empty_truth_raises(self):
         with pytest.raises(ValueError):
-            recall_at_m([1], set())
+            score_query([1], set(), 1)
 
 
 class TestMrr:
     def test_first_relevant(self):
-        assert mrr_at_m([9, 1], {9}) == 1.0
+        assert score_query([9, 1], {9}, 2)[1] == 1.0
 
     def test_none_relevant(self):
-        assert mrr_at_m([1, 2, 3], {8}) == 0.0
+        assert score_query([1, 2, 3], {8}, 3)[1] == 0.0
 
     def test_rank_four(self):
-        assert mrr_at_m([1, 2, 3, 8], {8}) == 0.25
+        assert score_query([1, 2, 3, 8], {8}, 4)[1] == 0.25
 
 
 class TestNdcg:
     def test_perfect_prefix(self):
-        assert ndcg_at_m([1, 2, 3], {1, 2, 3}) == pytest.approx(1.0)
+        assert score_query([1, 2, 3], {1, 2, 3}, 3)[2] == pytest.approx(1.0)
 
     def test_none_relevant(self):
-        assert ndcg_at_m([1, 2], {5}) == 0.0
+        assert score_query([1, 2], {5}, 2)[2] == 0.0
 
     def test_single_truth_rank_two(self):
-        got = ndcg_at_m([0, 42] + list(range(100, 108)), {42}, m=10)
+        got = score_query([0, 42] + list(range(100, 108)), {42}, 10)[2]
         assert got == pytest.approx(1.0 / np.log2(3), abs=1e-9)
         assert got == pytest.approx(0.6309, abs=1e-4)
 
     def test_short_list_uses_cutoff_ideal(self):
         # two relevant items exist; a 1-item list at M=2 cannot be perfect
-        assert ndcg_at_m([1], {1, 2}, m=2) < 1.0
+        assert score_query([1], {1, 2}, 2)[2] < 1.0
+
+
+class TestScoreQuery:
+    def test_reads_only_the_first_m_ids(self):
+        assert score_query([5, 6, 7], {7}, 2) == (0.0, 0.0, 0.0)
+        assert score_query([5, 6, 7, 1], {7, 1}, 3) == score_query([5, 6, 7], {7, 1}, 3)
 
 
 class TestAgainstBruteForce:
@@ -86,55 +89,41 @@ class TestAgainstBruteForce:
             m = int(rng.integers(1, 12))
             cands = rng.choice(50, size=m, replace=False).tolist()
             truth = set(rng.choice(50, size=int(rng.integers(1, 8)), replace=False).tolist())
-            assert recall_at_m(cands, truth) == recall_reference(cands, truth, m)
-            assert mrr_at_m(cands, truth) == mrr_reference(cands, truth, m)
-            assert ndcg_at_m(cands, truth, m=m) == pytest.approx(
-                ndcg_reference(cands, truth, m), abs=1e-12
-            )
+            assert repr(score_query(cands, truth, m)) == repr(score_reference(cands, truth, m))
 
     def test_score_query_repr_equals_the_three_functions(self):
+        # the three reference functions, at the backtest's M values, on
+        # short, full and over-long lists
         rng = np.random.default_rng(29)
         for trial in range(3000):
             m = int(rng.choice([20, 100]))
             pool = int(rng.integers(2, 300))
-            length = int(rng.integers(0, min(pool, m + 5) + 1))  # short, full and over-long lists
+            length = int(rng.integers(0, min(pool, m + 5) + 1))
             cands = rng.choice(pool, size=length, replace=False).tolist()
-            if trial % 10 == 0:
-                cands += cands[:3]  # repeated ids count once in recall
-            truth = rng.choice(pool, size=int(rng.integers(1, min(pool, 40) + 1)), replace=False).tolist()
-            truth = truth + truth[:2] if trial % 7 == 0 else frozenset(truth)
-            cut = None if trial % 11 == 0 else m
-            want = (recall_at_m(cands, truth), mrr_at_m(cands, truth), ndcg_at_m(cands, truth, m=cut))
-            assert repr(score_query(cands, truth, m=cut)) == repr(want), trial
-        with pytest.raises(ValueError):
-            score_query([1], set())
+            truth = frozenset(rng.choice(pool, size=int(rng.integers(1, min(pool, 40) + 1)), replace=False).tolist())
+            assert repr(score_query(cands, truth, m)) == repr(score_reference(cands, truth, m)), trial
 
     @given(
         cands=st.lists(st.integers(0, 30), min_size=0, max_size=15, unique=True),
         truth=st.sets(st.integers(0, 30), min_size=1, max_size=10),
+        m=st.integers(1, 20),
     )
-    def test_bounds_and_m_monotonicity(self, cands, truth):
-        r = recall_at_m(cands, truth)
-        rr = mrr_at_m(cands, truth)
-        nd = ndcg_at_m(cands, truth, m=max(len(cands), 1))
-        for v in (r, rr, nd):
+    def test_bounds_and_m_monotonicity(self, cands, truth, m):
+        got = score_query(cands, truth, m)
+        assert repr(got) == repr(score_reference(cands, truth, m))
+        for v in got:
             assert 0.0 <= v <= 1.0
         # growing the cutoff never hurts recall or MRR (NDCG with the
         # min-capped ideal can legitimately dip when the ideal outgrows
         # the realized gain, e.g. truth {a,b}, list [a, x])
         for cut in range(1, len(cands) + 1):
-            assert recall_at_m(cands[:cut], truth) <= recall_at_m(cands[: cut + 1], truth)
-            assert mrr_at_m(cands[:cut], truth) <= mrr_at_m(cands[: cut + 1], truth)
+            shorter, longer = score_query(cands, truth, cut), score_query(cands, truth, cut + 1)
+            assert shorter[0] <= longer[0] and shorter[1] <= longer[1]
 
     @given(truth_list=st.lists(st.integers(0, 20), min_size=1, max_size=8))
     def test_truth_order_invariance(self, truth_list):
         cands = [0, 5, 10, 15]
-        a = (recall_at_m(cands, set(truth_list)), mrr_at_m(cands, set(truth_list)))
-        b = (
-            recall_at_m(cands, set(reversed(truth_list))),
-            mrr_at_m(cands, set(reversed(truth_list))),
-        )
-        assert a == b
+        assert score_query(cands, set(truth_list), 4) == score_query(cands, set(reversed(truth_list)), 4)
 
 
 class TestAggregate:

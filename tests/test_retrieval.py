@@ -26,7 +26,8 @@ from mixrec.retrieval import (
 from mixrec.sampler import SamplerConfig, fit_chunk
 
 from oracles import (
-    combined_counts, interest_items, interest_list, mixture_row, padded_lists, row_sums_add_at, same_bits,
+    combined_counts, interest_items, interest_list, item_counts, mixture_row, padded_lists, row_sums_add_at,
+    same_bits,
 )
 from test_sampler import make_init
 
@@ -60,13 +61,13 @@ def dense_micro_oracle(u, m, init, M, pool=None):
     masses = init.alpha + counts.astype(np.float64)
     theta = masses / masses.sum()
     beta, Ibeta = init.beta, init.num_items * init.beta
-    nk = m.n_kt
+    nk, table = m.n_kt, item_counts(m)
     scores = np.zeros(len(pool))
     for k, w in zip(ks.tolist(), theta.tolist()):
         total = Ibeta + float(nk[k])
         phi = np.full(len(pool), beta / total)
         for pos, i in enumerate(pool.tolist()):
-            c = m.item_count(i, k)
+            c = table.get((i, k), 0)
             if c:
                 phi[pos] = (beta + c) / total
         scores += w * phi
@@ -104,7 +105,7 @@ class TestBuildIndex:
         init, slc, m = random_instance(rng)
         idx = build_index(m, RetrievalConfig(M=1, L=init.num_items))
         pool = m.item_pool
-        nk = m.n_kt
+        nk, table = m.n_kt, item_counts(m)
         for k in range(init.num_interests):
             items, phis = interest_list(idx, k)
             if nk[k] == 0:
@@ -113,7 +114,7 @@ class TestBuildIndex:
             assert len(items) == len(pool)
             total = init.num_items * init.beta + float(nk[k])
             for i, phi in zip(items.tolist(), phis.tolist()):
-                c = m.item_count(i, k)
+                c = table.get((i, k), 0)
                 assert phi == (init.beta + c) / total
 
     def test_only_pool_items_appear(self):
@@ -508,6 +509,7 @@ class TestSeenExclusion:
             3, rng.integers(0, self.U, 250), rng.integers(0, self.I, 250)
         )
         self.m = fit_chunk(self.slc, self.init, SamplerConfig(seed=5))
+        self.item_counts = item_counts(self.m)
         self.cfg = RetrievalConfig(M=self.M, L=self.I)
         self.idx = build_index(self.m, self.cfg)
         self.mix = mle_mixture(self.init)
@@ -540,7 +542,7 @@ class TestSeenExclusion:
                 continue  # an interest without chunk engagements has no list
             total = self.init.num_items * self.init.beta + nk
             for i in self.pool:
-                phi = (self.init.beta + self.m.item_count(i, k)) / total
+                phi = (self.init.beta + self.item_counts.get((i, k), 0)) / total
                 scores[i] = scores.get(i, 0.0) + w * phi
         return scores
 

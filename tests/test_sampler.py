@@ -15,7 +15,6 @@ from mixrec.sampler import (
     SamplerConfig,
     UserCounts,
     fit_chunk,
-    gibbs_weight,
     load_chunk_model,
     save_chunk_model,
     sweep_diagnostics_text,
@@ -28,6 +27,8 @@ from oracles import (
     conditional_from_enumeration,
     enumerate_posterior,
     export_tables_text,
+    gibbs_weight,
+    item_counts,
     same_bits,
 )
 
@@ -314,7 +315,7 @@ def weight_table(m, slc, init):
 def snapshot(m):
     return (
         m.z.tolist(),
-        {(i, k): c for i, k, c in zip(*(a.tolist() for a in m.item_table()))},
+        item_counts(m),
         m.n_kt.tolist(),
         list(m._uk),
         m.cold_rows(),
