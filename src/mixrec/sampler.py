@@ -48,11 +48,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .graph import ChunkSlice
 from .initialization import InitArtifact
-from .sweep_kernel import load_kernel
+from .sweep_kernel import arg, load_kernel
 
 __all__ = [
     "SamplerConfig",
@@ -182,6 +181,28 @@ def _row_add(ks, cs, fill, r: int, lo: int, k: int, delta: int) -> None:
 def _log(w: float) -> float:
     """``math.log``, but log(0) = -inf as in C instead of an error."""
     return math.log(w) if w > 0.0 else -math.inf
+
+
+def _gammaln(x) -> np.ndarray:
+    """``scipy.special.gammaln(x)`` elementwise, with its bits, for x > 0.
+
+    The kernel's ``gammaln`` (Cephes ``lgam``) computes it when
+    ``load_kernel()`` builds it; scipy, imported only then, otherwise.
+    An x that is not > 0 (NaN included) raises ``ValueError`` on both
+    paths, since the kernel transcribes only that domain.
+    """
+    x = np.asarray(x, dtype=np.float64, order="C")
+    kernel = load_kernel()
+    if kernel is None:
+        from scipy.special import gammaln
+
+        if not np.all(x > 0):
+            raise ValueError("log-gamma of a value that is not > 0")
+        return gammaln(x)
+    out = np.empty(x.shape)
+    if kernel.gammaln(x.size, arg(x), arg(out)) < 0:
+        raise ValueError("log-gamma of a value that is not > 0")
+    return out
 
 
 class ChunkModel:
@@ -421,22 +442,26 @@ class ChunkModel:
         Normalized against base counts and empty chunk tables so the empty
         chunk scores 0. Matches the resampling weights: for any single
         reassignment the difference equals the log weight ratio.
+
+        Log-gamma comes from ``_gammaln``: the compiled Cephes ``lgam`` when
+        the kernel builds, else ``scipy.special.gammaln``, bit for bit the
+        same, so both paths give the same log-joint.
         """
         a, b = self.alpha, self.beta
         total = 0.0
         if len(self._uk):
-            total += float((gammaln(a + self._uk) - gammaln(a + self._uk_base)).sum())
+            total += float((_gammaln(a + self._uk) - _gammaln(a + self._uk_base)).sum())
         # cold rows: interests absent from a row or its base contribute
         # lgamma(a) - lgamma(a) = 0, so rows and bases sum independently
         cold = self._cc[_ranges(self._cptr[:-1], self._cfill)]
-        total += float((gammaln(a + cold) - gammaln(a)).sum())
-        total -= float((gammaln(a + self._cbc) - gammaln(a)).sum())
+        total += float((_gammaln(a + cold) - _gammaln(a)).sum())
+        total -= float((_gammaln(a + self._cbc) - _gammaln(a)).sum())
         _, _, counts = self.item_table()
         if len(counts):
-            total += float((gammaln(b + counts) - gammaln(b)).sum())
+            total += float((_gammaln(b + counts) - _gammaln(b)).sum())
         nz = self._nk[self._nk > 0]
         if len(nz):
-            total -= float((gammaln(self.Ibeta + nz) - gammaln(self.Ibeta)).sum())
+            total -= float((_gammaln(self.Ibeta + nz) - _gammaln(self.Ibeta)).sum())
         return total
 
     @property

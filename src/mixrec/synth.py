@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import EngagementGraph, IdMap
 from .initialization import InitArtifact
@@ -249,6 +248,9 @@ def score_recovery(
     report = RecoveryReport()
     label_map = None
     if match_labels:
+        # imported here, its only use, so importing this module loads no scipy
+        from scipy.optimize import linear_sum_assignment
+
         K = truth.theta.shape[1]
         confusion = np.zeros((K, K))
         for chunk, model in models.items():

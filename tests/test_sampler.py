@@ -689,7 +689,9 @@ class TestCompiledSweep:
         logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mixrec.sweep_kernel"]
         assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
         assert "/nonexistent/cc" in logged[0][1]
-        assert logged[1][1] == "Gibbs sweep: Python; top-M selection and embedding SGD update: numpy"
+        assert logged[1][1] == (
+            "Gibbs sweep: Python; top-M selection and embedding SGD update: numpy; log-gamma: scipy"
+        )
         assert raw_tables(got) == raw_tables(want)
         assert [(h.log_joint, h.changed) for h in got.history] == [
             (h.log_joint, h.changed) for h in want.history
@@ -714,3 +716,69 @@ class TestCompiledSweep:
         for bad in (1, 2):  # user 0's support is {0}; 2 is out of range
             with pytest.raises(ValueError):
                 ChunkModel(slc, init, cfg, z=np.r_[bad, z[1:]])
+
+
+# --- the compiled log-gamma against scipy -----------------------------------
+
+MAXLGM = 2.556348e305  # Cephes: above it lgam is +inf
+TINY = np.finfo(float).tiny
+
+
+def gammaln_grid() -> np.ndarray:
+    """Every branch edge of Cephes ``lgam`` with its neighbours, the
+    smallest normal and a subnormal, ``a + n`` for the default priors and
+    for I*beta at I = 1954 and 2891, and log-uniform values."""
+    edges = np.array([2.0, 3.0, 13.0, 1000.0, 1e8, MAXLGM])
+    grid = [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), [TINY, 5e-324, 1e-310]]
+    n = np.arange(200_000, dtype=np.float64)
+    grid += [a + n for a in (0.1, 0.01, 1954 * 0.01, 2891 * 0.01)]
+    rng = np.random.default_rng(14)
+    grid.append(np.exp(rng.uniform(np.log(TINY), np.log(1e300), 200_000)))
+    return np.concatenate(grid)
+
+
+class TestCompiledGammaln:
+    def test_kernel_matches_scipy_bit_for_bit(self, kernel):
+        from scipy.special import gammaln
+
+        x = gammaln_grid()
+        got, want = sampler._gammaln(x), gammaln(x)
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(sampler._gammaln(np.array([5e-324, 1e-310, np.nextafter(MAXLGM, np.inf)]))).all()
+        # a scalar keeps its shape, as scipy's does
+        assert sampler._gammaln(0.1).shape == ()
+        assert float(sampler._gammaln(0.1)) == float(gammaln(0.1))
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.5, -np.inf, np.nan])
+    def test_outside_the_domain_raises(self, monkeypatch, compiled, bad):
+        if not compiled:
+            monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+        elif sweep_kernel.load_kernel() is None:
+            pytest.skip("no C compiler: only scipy's log-gamma runs here")
+        with pytest.raises(ValueError, match="not > 0"):
+            sampler._gammaln(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("mode", USER_COUNT_MODES)
+    def test_log_joint_same_on_both_paths(self, kernel, monkeypatch, tmp_path, mode):
+        # fitted and reloaded models, cold rows with a ledger in accumulate
+        # mode (so the _cc and _cbc terms are not empty)
+        init, (slc1, slc2) = mixed_instance(3, 40)
+        cfg = SamplerConfig(seed=4, max_sweeps=3, user_count_mode=mode)
+        base = UserCounts.from_init(init)
+        if mode == "accumulate":
+            fit_chunk(slc1, init, cfg, base=base).fold_into(base)
+            assert base.cold
+        m = fit_chunk(slc2, init, cfg, base=base)
+        assert len(m._cc) and (mode == "reset" or len(m._cbc))
+        save_chunk_model(m, tmp_path / "m.npz")
+
+        def log_joints():
+            again = load_chunk_model(tmp_path / "m.npz", slc2, init, cfg, base=base)
+            return repr(m.log_joint()), repr(again.current_log_joint)
+
+        compiled = log_joints()
+        with monkeypatch.context() as mp:
+            mp.setattr(sampler, "load_kernel", lambda: None)
+            assert log_joints() == compiled
+        assert compiled[0] == compiled[1]
