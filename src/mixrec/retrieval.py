@@ -39,12 +39,14 @@ kernels of ``sweep_kernel`` when ``load_kernel()`` builds them, one C call
 per query: ``mixture`` sums a user's interest lists into their pool
 positions and keeps the best M, ``cosine`` does the same for the ANN
 cosines of a numpy ``item_vecs @ uv`` product, and ``walk`` takes the first
-M unseen entries of a ready-made ranking (popularity and the cold-user
-fallback). ``mixture`` visits only the pool positions the user's lists
-touch. ``mixture`` and ``cosine`` look a candidate up in the user's sorted
-seen ids only when their top-M heap would take it, ``walk`` looks up each
-entry it passes, and the scores keep the bits of the numpy path. A ``seen``
-array that is not ascending raises ``ValueError`` on both paths.
+M unseen entries of a ranked array (popularity and the cold-user
+fallback). ``mixture`` sums every term only at the positions the user's
+lists count; the positions that only floor runs reach rank by position,
+so it sums only the first M unseen of them. ``mixture`` and ``cosine`` drop
+seen ids first, then keep the best M with a key threshold, a partition and
+one sort; ``walk`` looks up each entry it passes. The scores keep the bits
+of the numpy path. A ``seen`` array that is not ascending raises
+``ValueError`` on both paths.
 
 The numpy path is their reference, and the fallback when no compiler is
 there, chosen exactly as the Gibbs sweep is: it expands the floor runs of
@@ -58,6 +60,7 @@ from which its ``items`` pairs are derived on request.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -146,8 +149,13 @@ def _addresses(obj, **dtypes) -> tuple[int, ...]:
     return tuple(getattr(obj, name).ctypes.data for name in dtypes)
 
 
+def _ascending(a: np.ndarray) -> bool:
+    return bool(np.all(a[1:] > a[:-1]))
+
+
 def _check(ok: bool, what: str) -> None:
-    """Reject an index whose arrays the kernels would read out of bounds."""
+    """Reject an index the kernels cannot take: arrays they would read out
+    of bounds, or values their selection relies on."""
     if not ok:
         raise ValueError(f"inconsistent index: {what}")
 
@@ -201,6 +209,11 @@ class InterestIndex:
         _check(len(self.user_w) == len(self.user_k), "user_w and user_k differ in length")
         _check(len(self.floor) == len(self.fend) == K, "floor and fend need one entry per interest")
         _check(not K or (self.fend.min() >= 0 and self.fend.max() <= n), f"fend outside [0, {n}]")
+        # the kernel's floor-only positions rank by position only when no term is negative
+        for name in ("user_w", "floor"):
+            v = getattr(self, name)
+            _check(bool(np.all(np.isfinite(v) & (v >= 0))), f"{name} must be finite and >= 0")
+        _check(_ascending(self.pool_items), "pool_items must be strictly ascending")
 
 
 class ChunkTables(NamedTuple):
@@ -344,10 +357,14 @@ def _kernel_count(got: int) -> int:
 
 def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:
     """The list a kernel selection ``fn(*args, cap, out_items, out_scores)``
-    writes: at most ``cap`` ranked candidates, their count returned."""
-    ids, scores = np.empty(cap, np.int64), np.empty(cap, np.float64)
-    got = _kernel_count(fn(*args, cap, _arg(ids), _arg(scores)))
-    return CandidateList(user, chunk, ids[:got], scores[:got])
+    writes: at most ``cap`` ranked candidates, their count returned. Both
+    outputs are halves of one buffer, passed as one address and an offset."""
+    buf, out = np.empty(2 * cap, np.int64), (None, None)
+    if cap:
+        c = ctypes.c_char.from_buffer(buf)
+        out = ctypes.byref(c), ctypes.byref(c, 8 * cap)
+    got = _kernel_count(fn(*args, cap, *out))
+    return CandidateList(user, chunk, buf[:got], buf[cap:cap + got].view(np.float64))
 
 
 def _select_top(items: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int) -> CandidateList:
@@ -446,6 +463,7 @@ class AnnIndex:
     def __post_init__(self):
         object.__setattr__(self, "_c", _addresses(self, pool_items=np.int64, norms=np.float64))
         _check(len(self.item_vecs) == len(self.norms) == len(self.pool_items), "one vector and norm per pool item")
+        _check(_ascending(self.pool_items), "pool_items must be strictly ascending")
 
 
 def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> AnnIndex:

@@ -2,10 +2,10 @@
 
 ``load_kernel()`` compiles ``C_SOURCE`` once with the system ``gcc`` into
 the user cache (``$XDG_CACHE_HOME/mixrec``, else ``~/.cache/mixrec``),
-under a name keyed by a hash of the source, the flags and the compiler's
-version, and returns its bound entry points as a ``Kernel``. The library is
-written under a temporary name and renamed into place, so concurrent
-processes never load a half-written file. Without a working compiler it
+under a name keyed by two checksums of the source, the flags and the
+compiler's version, and returns its bound entry points as a ``Kernel``.
+The library is written under a temporary name and renamed into place, so
+concurrent processes never load a half-written file. Without a working compiler it
 logs one warning and returns None: the sampler runs its Python sweep and
 scipy's log-gamma, the retrievers their numpy selection and the embedding
 trainer its numpy update.
@@ -22,26 +22,27 @@ The three retrieval entry points each answer one query; their reference is
 the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
 the pool positions of the user's interest lists in the order of ``ks``.
 Interest k's list is its counted entries, then its floor run: every other
-pool position below ``fend[k]``, each with ``floors[k]``. The run is walked
-64 positions to a bitmap word, skipping the counted entries, so each
-position gets one term per interest, in the order of ``ks`` (as
-``np.bincount`` adds them, so each sum keeps its bits). ``mixture`` trusts
-``ks`` as it trusts the positions and run ends: ``InterestIndex`` checks
-them. It records each position in a touched list the first time a term
-reaches it (one bit per pool position marks it) and offers only the
-touched ones, so no call zeroes a sum or scans a position the lists do not
-reach.
+pool position below ``fend[k]``, each with ``floors[k]``. ``mixture`` trusts
+``ks``, the positions, the run ends, the weights and the floors:
+``InterestIndex`` checks them, the weights and floors finite and >= 0. Two
+kinds of position are candidates. U, the union of the interests' counted
+positions, gets each list's term in the order of ``ks`` (as ``np.bincount``
+adds them, so each sum keeps its bits). A position outside U but below the
+largest run end gets floor terms only; its sum never increases with the
+position (the kernel's comment gives the argument), so these positions come
+in rank order, and only the first M unseen are summed and offered.
 ``cosine`` scores ``dots / (norms * un)``, or -inf where a norm is 0. Both
-keep the best M by (score descending with NaN last, item ascending) in a
-bounded heap, which is then sorted. A candidate is looked up in the user's
-ascending seen ids (by binary search) only when the heap would take it, so
-most candidates cost one comparison with the root; a seen one is never
-pushed, so the heap goes through the states it would go through without
-it. The order is total over distinct items, so the offer order does not
-change the result. ``walk`` gives the positions of the first M unseen
-entries of a ranked item array. All three first check in one pass that the
-seen ids do not decrease, which the binary search needs, and return -3
-when they do.
+drop the seen ids before they select: ``cosine`` by a merge walk of the
+ascending pool and seen ids, ``mixture`` through a bitmap of the seen pool
+positions. Both then keep the best M by (score descending with NaN last,
+item ascending). Each candidate gets an order-preserving integer key, and
+one whose key is above the M-th best so far is dropped without a branch. A
+branch-free partition cuts the kept ones back to M whenever they reach 2M,
+and one sort ranks the rest. The order is total over distinct items, so the
+offer order does not change the result. ``walk`` gives the positions of the
+first M unseen entries of a ranked item array. All three first check in one
+pass that the seen ids do not decrease, which the searches and the merge
+walk need, and return -3 when they do.
 
 ``row_mean`` is one embedding SGD update; its reference is the numpy
 ``mixrec.embeddings._apply_row_mean``. It forms each example's gradient as
@@ -69,11 +70,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import logging
 import os
 import subprocess
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -251,18 +252,154 @@ void mixrec_sweep(
 
 /* -- top-M selection ---------------------------------------------------- */
 
-/* candidate a ranks before b: score descending, NaN last, ties by item */
-static int ahead(double sa, i64 ia, double sb, i64 ib)
+typedef unsigned long long u64;
+
+/* an order-preserving key of a score: a smaller key is a higher score,
+   -0.0 keys as +0.0 and NaN (of either sign) last */
+static u64 key_of(double s)
 {
-    if (sa > sb)
-        return 1;
-    if (sa < sb)
-        return 0;
-    if (sa == sb)
-        return ia < ib;
-    /* unordered: at least one score is NaN */
-    int na = isnan(sa), nb = isnan(sb);
-    return na == nb ? ia < ib : nb;
+    u64 b;
+    memcpy(&b, &s, sizeof b);
+    b &= -(u64)(s != 0.0);
+    /* negative scores flip all bits, the others only the sign: the unsigned
+       order is then the order of the scores, which ~ reverses */
+    b ^= -(b >> 63) | 1ULL << 63;
+    return ~b | -(u64)(isnan(s) != 0);
+}
+
+/* Candidates are (key, pool position) pairs, held as two arrays so that
+   every load and store is one 8-byte word. The pool is ascending, so ties
+   by position are ties by item; no two candidates share a position. */
+typedef struct {
+    u64 *key;
+    i64 *at;
+} cands_t;
+
+/* candidate (ka, pa) ranks before (kb, pb), compared without a branch */
+static int before(u64 ka, i64 pa, u64 kb, i64 pb)
+{
+    return (ka < kb) | ((ka == kb) & (pa < pb));
+}
+
+/* Move the candidates of c[0:n] that rank before (kp, pp) to its front and
+   return their count. Each step swaps unconditionally and advances by the
+   comparison, so the loop has no data-dependent branch. */
+static i64 partition(cands_t c, i64 n, u64 kp, i64 pp)
+{
+    i64 j = 0;
+    for (i64 i = 0; i < n; i++) {
+        u64 k = c.key[i];
+        i64 p = c.at[i];
+        c.key[i] = c.key[j];
+        c.at[i] = c.at[j];
+        c.key[j] = k;
+        c.at[j] = p;
+        j += before(k, p, kp, pp);
+    }
+    return j;
+}
+
+/* the index among x, y and z of the median of the three candidates */
+static i64 median3(cands_t c, i64 x, i64 y, i64 z)
+{
+    if (before(c.key[y], c.at[y], c.key[x], c.at[x])) {
+        i64 t = x;
+        x = y;
+        y = t;
+    }
+    if (before(c.key[z], c.at[z], c.key[y], c.at[y]))
+        y = before(c.key[z], c.at[z], c.key[x], c.at[x]) ? x : z;
+    return y;
+}
+
+/* the candidates from j on */
+static cands_t tail(cands_t c, i64 j)
+{
+    cands_t d = {c.key + j, c.at + j};
+    return d;
+}
+
+/* Reorder c[0:n] so that c[0:m] hold its first m candidates, in rank order
+   when sorted is set. Each pass partitions around a median of three; no two
+   candidates tie, so both sides of a pass over more than 16 are nonempty.
+   When sorting, the side that must be sorted whole is the smaller one
+   recursed into, so the depth stays logarithmic. */
+static void first_m(cands_t c, i64 n, i64 m, int sorted)
+{
+    while (n > 16) {
+        i64 q = median3(c, 0, n / 2, n - 1);
+        i64 j = partition(c, n, c.key[q], c.at[q]);
+        if (j >= m) {
+            n = j;
+        } else if (!sorted) {
+            c = tail(c, j), n -= j, m -= j;
+        } else if (j < n - j) {
+            first_m(c, j, j, 1);
+            c = tail(c, j), n -= j, m -= j;
+        } else {
+            first_m(tail(c, j), n - j, m - j, 1);
+            n = m = j;
+        }
+    }
+    for (i64 i = 1; i < n; i++) {
+        u64 k = c.key[i];
+        i64 p = c.at[i], j = i;
+        for (; j > 0 && before(k, p, c.key[j - 1], c.at[j - 1]); j--) {
+            c.key[j] = c.key[j - 1];
+            c.at[j] = c.at[j - 1];
+        }
+        c.key[j] = k;
+        c.at[j] = p;
+    }
+}
+
+/* The best M candidates offered so far, held among the first nb of 2 * M
+   entries. An offer ranking after all of the best M known so far cannot
+   enter: its key is above thr. The offer is written anyway and kept by
+   advancing nb, without a branch. A full buffer is cut back to its best M,
+   whose largest key becomes thr. */
+typedef struct {
+    cands_t c;
+    i64 nb, M;
+    u64 thr;
+} best_t;
+
+static u64 cut(cands_t c, i64 M)
+{
+    u64 thr = 0;
+    first_m(c, 2 * M, M, 0);
+    for (i64 i = 0; i < M; i++)
+        thr = c.key[i] > thr ? c.key[i] : thr;
+    return thr;
+}
+
+static inline void offer(best_t *t, u64 key, i64 at, int drop)
+{
+    t->c.key[t->nb] = key;
+    t->c.at[t->nb] = at;
+    t->nb += (key <= t->thr) & !drop;
+    if (t->nb == 2 * t->M) {
+        t->thr = cut(t->c, t->M);
+        t->nb = t->M;
+    }
+}
+
+/* sort the best M into rank order; returns their count */
+static i64 finish(best_t *t)
+{
+    i64 got = t->nb < t->M ? t->nb : t->M;
+    first_m(t->c, t->nb, got, 1);
+    return got;
+}
+
+/* the first position in the ascending a[0:n], n >= 1, whose value is >= x,
+   or n; each halving step is a conditional move, not a branch */
+static i64 lower_bound(const i64 *a, i64 n, i64 x)
+{
+    const i64 *base = a;
+    for (; n > 1; n -= n / 2)
+        base = base[n / 2] < x ? base + n / 2 : base;
+    return base - a + (*base < x);
 }
 
 static int is_seen(const i64 *seen, i64 ns, i64 item)
@@ -271,75 +408,8 @@ static int is_seen(const i64 *seen, i64 ns, i64 item)
     return q < ns && seen[q] == item;
 }
 
-/* The best M candidates offered so far: a heap whose root ranks last. The
-   sifts carry one candidate down or up a hole, writing each level once. */
-typedef struct {
-    i64 *items;
-    double *scores;
-    i64 n, M;
-} top_t;
-
-/* fill hole r of the heap's first n entries with (item, score), moving it
-   down until no child ranks last of the three */
-static void sift_down(top_t *t, i64 r, i64 n, i64 item, double score)
-{
-    for (;;) {
-        i64 c = 2 * r + 1;
-        if (c >= n)
-            break;
-        if (c + 1 < n && ahead(t->scores[c], t->items[c], t->scores[c + 1], t->items[c + 1]))
-            c++;
-        if (!ahead(score, item, t->scores[c], t->items[c]))
-            break;
-        t->items[r] = t->items[c];
-        t->scores[r] = t->scores[c];
-        r = c;
-    }
-    t->items[r] = item;
-    t->scores[r] = score;
-}
-
-/* Offer a candidate: it enters when the heap is not full or it ranks
-   before the root. Only then is it looked up in the ascending seen ids, so
-   a seen candidate is never pushed and the heap goes through the states it
-   would go through had the seen ids been dropped first. */
-static void offer(top_t *t, i64 item, double score, const i64 *seen, i64 ns)
-{
-    if (t->n < t->M) {
-        if (is_seen(seen, ns, item))
-            return;
-        i64 c = t->n++;
-        while (c > 0) {
-            i64 p = (c - 1) / 2;
-            if (!ahead(t->scores[p], t->items[p], score, item))
-                break;
-            t->items[c] = t->items[p];
-            t->scores[c] = t->scores[p];
-            c = p;
-        }
-        t->items[c] = item;
-        t->scores[c] = score;
-    } else if (t->M > 0 && ahead(score, item, t->scores[0], t->items[0]) && !is_seen(seen, ns, item)) {
-        sift_down(t, 0, t->n, item, score);
-    }
-}
-
-/* sort the heap in place into rank order; returns the count. The order is
-   total over distinct items, so the result does not depend on the order
-   in which the candidates were offered. */
-static i64 finish(top_t *t)
-{
-    for (i64 end = t->n - 1; end > 0; end--) {
-        i64 item = t->items[end];
-        double score = t->scores[end];
-        t->items[end] = t->items[0];
-        t->scores[end] = t->scores[0];
-        sift_down(t, 0, end, item, score);
-    }
-    return t->n;
-}
-
-/* 1 when seen[0:ns] does not decrease, which is_seen's binary search needs */
+/* 1 when seen[0:ns] does not decrease, which the binary searches and the
+   merge walk need */
 static int ascending(const i64 *seen, i64 ns)
 {
     for (i64 i = 1; i < ns; i++)
@@ -348,18 +418,29 @@ static int ascending(const i64 *seen, i64 ns)
     return 1;
 }
 
-typedef unsigned long long u64;
+#define BIT(p) (1ULL << ((p) & 63))
 
 /* Top M by the mixture sum over a of theta[a] * prob across the list of
    interest k = ks[a]: its counted entries positions[ptr[k]:ptr[k+1]] into
-   the pool with probs, then its floor run, every other pool position below
-   fend[k] with floors[k]. The index checked every interest, position and
-   run end when it was built. Only positions some term touched are
-   candidates: each is recorded in touched[] (and marked in a bitmap of one
-   bit per pool position) the first time a term reaches it, its sum set to
-   0.0 there, and only the touched positions are offered. Returns the count
-   written to out_items/out_scores, -1 when out of memory, or -3 when seen
-   is not ascending. */
+   the ascending pool with probs, then its floor run, every other pool
+   position below fend[k] with floors[k]. The index checked every interest,
+   position and run end, and that every theta and floor is finite and >= 0,
+   when it was built. Returns the count written to out_items/out_scores, -1
+   when out of memory, or -3 when seen is not ascending.
+
+   The candidates are the positions some term reaches. U, the union of the
+   interests' counted positions, gets every term, in the order of ks, each
+   sum from 0.0 (as np.bincount adds them): a list's counted entries, then
+   its run at the positions of U below fend[k] that it does not count. A
+   position p outside U below the largest run end gets floor terms only,
+   theta[a] * floors[k] from each interest a with fend[k] > p, a set that
+   shrinks as p grows. Every term is >= 0, so adding one never lowers a
+   partial sum, and rounding is monotone: the sum over a subset, in the same
+   order, is never larger. These sums therefore never increase with the
+   position, and the positions come in rank order: only the first M unseen
+   ones can be among the best M. Each distinct sum is computed once, from
+   0.0 in the order of ks. Seen ids are dropped before selection, through a
+   bitmap of the seen pool positions (one binary search of the pool each). */
 i64 mixrec_mixture(
     i64 nks, const i64 *ks, const double *theta,
     const i64 *ptr, const i64 *positions, const double *probs,
@@ -369,73 +450,126 @@ i64 mixrec_mixture(
 {
     if (!ascending(seen, ns))
         return -3;
-    i64 nt = 0, words = n / 64 + 1;
-    double *acc = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    /* mark: the touched positions; member: the current interest's counted ones */
-    u64 *mark = calloc((size_t)(2 * words), sizeof(u64)), *member = mark + words;
-    i64 *touched = malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    top_t top = {out_items, out_scores, 0, M};
-    if (!acc || !mark || !touched) {
+    if (M <= 0 || n <= 0)
+        return 0;
+    i64 words = n / 64 + 1, nu = 0, top = 0;
+    /* in_u: U; member: the current interest's counted positions; gone: seen */
+    u64 *in_u = calloc((size_t)(3 * words), sizeof(u64)), *member = in_u + words, *gone = member + words;
+    /* acc: the sums; upos: U in first-count order; then the selection's keys and positions */
+    double *acc = malloc((size_t)(2 * n + 4 * M) * sizeof(double));
+    if (!in_u || !acc) {
+        free(in_u);
         free(acc);
-        free(mark);
-        free(touched);
         return -1;
+    }
+    i64 *upos = (i64 *)(acc + n);
+    best_t t = {{(u64 *)(upos + n), upos + n + 2 * M}, 0, M, ~0ULL};
+    for (i64 s = 0, q = 0; s < ns && q < n; s++) {
+        /* seen is ascending, so each search starts where the last ended */
+        q += lower_bound(pool + q, n - q, seen[s]);
+        if (q < n && pool[q] == seen[s])
+            gone[q >> 6] |= BIT(q);
+    }
+    for (i64 a = 0; a < nks; a++) {
+        i64 k = ks[a];
+        for (i64 j = ptr[k]; j < ptr[k + 1]; j++) {
+            i64 p = positions[j];
+            if (!(in_u[p >> 6] & BIT(p))) {
+                in_u[p >> 6] |= BIT(p);
+                acc[p] = 0.0;
+                upos[nu++] = p;
+            }
+        }
+        top = fend[k] > top ? fend[k] : top;
     }
     for (i64 a = 0; a < nks; a++) {
         double w = theta[a];
         i64 k = ks[a], lo = ptr[k], hi = ptr[k + 1], end = fend[k];
         for (i64 j = lo; j < hi; j++) {
-            i64 p = positions[j];
-            u64 bit = 1ULL << (p & 63);
-            if (!(mark[p >> 6] & bit)) {
-                /* every sum starts from 0.0, as np.bincount's does */
-                mark[p >> 6] |= bit;
-                acc[p] = 0.0;
-                touched[nt++] = p;
-            }
-            acc[p] += w * probs[j];
-            member[p >> 6] |= bit;
+            acc[positions[j]] += w * probs[j];
+            member[positions[j] >> 6] |= BIT(positions[j]);
         }
-        /* the run 64 positions at a time: one product, one term per
-           position that is not a member */
+        /* the run's positions in U, 64 to a bitmap word */
         double v = w * floors[k];
         for (i64 b = 0; b * 64 < end; b++) {
-            u64 run = ~member[b], fresh;
+            u64 run = in_u[b] & ~member[b];
             if (end - b * 64 < 64)
                 run &= (1ULL << (end - b * 64)) - 1;
-            fresh = run & ~mark[b];
-            mark[b] |= fresh;
-            for (; fresh; fresh &= fresh - 1) {
-                acc[b * 64 + __builtin_ctzll(fresh)] = 0.0;
-                touched[nt++] = b * 64 + __builtin_ctzll(fresh);
-            }
             for (; run; run &= run - 1)
                 acc[b * 64 + __builtin_ctzll(run)] += v;
         }
         for (i64 j = lo; j < hi; j++)
             member[positions[j] >> 6] = 0;
     }
-    for (i64 s = 0; s < nt; s++)
-        offer(&top, pool[touched[s]], acc[touched[s]], seen, ns);
+    for (i64 s = 0; s < nu; s++)
+        offer(&t, key_of(acc[upos[s]]), upos[s], (gone[upos[s] >> 6] & BIT(upos[s])) != 0);
+    /* the head of the floor-only positions; fs is their sum below next */
+    double fs = 0.0;
+    i64 next = 0, taken = 0;
+    for (i64 b = 0; b * 64 < top && taken < M; b++) {
+        u64 head = ~(in_u[b] | gone[b]);
+        if (top - b * 64 < 64)
+            head &= (1ULL << (top - b * 64)) - 1;
+        for (; head && taken < M; head &= head - 1, taken++) {
+            i64 p = b * 64 + __builtin_ctzll(head);
+            if (p >= next) {
+                fs = 0.0;
+                next = top;
+                for (i64 a = 0; a < nks; a++) {
+                    i64 e = fend[ks[a]];
+                    if (e > p) {
+                        fs += theta[a] * floors[ks[a]];
+                        next = e < next ? e : next;
+                    }
+                }
+            }
+            acc[p] = fs;
+            offer(&t, key_of(fs), p, 0);
+        }
+    }
+    i64 got = finish(&t);
+    for (i64 i = 0; i < got; i++) {
+        out_items[i] = pool[t.c.at[i]];
+        out_scores[i] = acc[t.c.at[i]];
+    }
+    free(in_u);
     free(acc);
-    free(mark);
-    free(touched);
-    return finish(&top);
+    return got;
 }
 
-/* Top M of the pool by cosine dots[i] / (norms[i] * un), -inf where a norm
-   is not positive. Returns the count written, or -3 when seen is not
-   ascending. */
+static double cosine(const double *dots, const double *norms, double un, i64 i)
+{
+    return norms[i] > 0.0 ? dots[i] / (norms[i] * un) : -INFINITY;
+}
+
+/* Top M of the ascending pool by cosine dots[i] / (norms[i] * un), -inf
+   where a norm is not positive. Seen ids are dropped by a merge walk of the
+   two ascending arrays. Returns the count written, -1 when out of memory,
+   or -3 when seen is not ascending. */
 i64 mixrec_cosine(
     i64 n, const i64 *pool, const double *dots, const double *norms, double un,
     const i64 *seen, i64 ns, i64 M, i64 *out_items, double *out_scores)
 {
     if (!ascending(seen, ns))
         return -3;
-    top_t top = {out_items, out_scores, 0, M};
-    for (i64 i = 0; i < n; i++)
-        offer(&top, pool[i], norms[i] > 0.0 ? dots[i] / (norms[i] * un) : -INFINITY, seen, ns);
-    return finish(&top);
+    if (M <= 0 || n <= 0)
+        return 0;
+    u64 *work = malloc((size_t)(4 * M) * sizeof(u64));
+    best_t t = {{work, (i64 *)work + 2 * M}, 0, M, ~0ULL};
+    if (!work)
+        return -1;
+    for (i64 i = 0, s = 0; i < n; i++) {
+        while (s < ns && seen[s] < pool[i])
+            s++;
+        offer(&t, key_of(cosine(dots, norms, un, i)), i, s < ns && seen[s] == pool[i]);
+    }
+    i64 got = finish(&t);
+    for (i64 i = 0; i < got; i++) {
+        out_items[i] = pool[t.c.at[i]];
+        out_scores[i] = cosine(dots, norms, un, t.c.at[i]);
+    }
+    free(work);
+    return got;
 }
 
 /* Positions of the first M entries of items[0:n] not in seen. Returns the
@@ -689,7 +823,9 @@ def load_kernel() -> Kernel | None:
         version = subprocess.run(
             [CC, "--version"], check=True, capture_output=True, text=True, timeout=60
         ).stdout
-        key = hashlib.sha256("\0".join([C_SOURCE, *FLAGS, version]).encode()).hexdigest()[:16]
+        # two independent 32-bit checksums: hashlib would load OpenSSL for this
+        text = "\0".join([C_SOURCE, *FLAGS, version]).encode()
+        key = f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
         path = _cache_dir() / f"kernel-{key}.so"
         if not path.exists():
             _compile(path)

@@ -855,6 +855,86 @@ class TestCompiledTopM:
                 for seen in (None, want.ids[:1], np.sort(want.ids), np.setdiff1d(pool, touched[: M - 1])):
                     self.check(monkeypatch, lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=1), f"user {u} M {M}")
 
+    def test_mixture_floor_head_on_larger_pools(self, compiled, monkeypatch):
+        # pools of 200-2000 positions, so runs end inside a bitmap word, and
+        # many interests with distinct run ends, so the floor-only positions
+        # (below a run end, counted by none of the user's interests) cross
+        # from one floor sum to the next; the kernel offers only the first M
+        # unseen of them. Seen ids lie in that head and among the counted
+        # positions U; floors are all equal in some trials, and the counted
+        # probabilities hold TIED values (-0.0 among them) or a NaN
+        rng = np.random.default_rng(40)
+        for trial in range(12):
+            n, K = int(rng.integers(200, 2001)), int(rng.integers(8, 40))
+            pool = np.sort(rng.choice(4 * n, size=n, replace=False)).astype(np.int64)
+            lists = [rng.choice(n, size=int(rng.integers(0, 30)), replace=False) for _ in range(K)]
+            probs = [rng.choice(TIED[:-1], len(x)) if trial % 3 == 1 else rng.random(len(x)) for x in lists]
+            if trial % 4 == 3:
+                probs[0][:2] = np.nan
+            floor = np.full(K, TIED[int(rng.integers(0, 8))]) if trial % 3 == 2 else rng.random(K) / 2
+            rows = [rng.permutation(K)[: int(rng.integers(1, K + 1))] for _ in range(4)]
+            thetas = [rng.choice(TIED[:-1], len(ks)) if u == 3 else rng.dirichlet(np.ones(len(ks))) for u, ks in enumerate(rows)]
+            idx = InterestIndex(
+                ptr=np.cumsum([0] + [len(x) for x in lists]),
+                positions=np.concatenate(lists),
+                probs=np.concatenate(probs),
+                pool_items=pool,
+                user_ptr=np.cumsum([0] + [len(ks) for ks in rows]),
+                user_k=np.concatenate(rows),
+                user_w=np.concatenate(thetas),
+                floor=floor,
+                fend=rng.choice(n + 1, K, replace=False),  # distinct run ends
+            )
+            for u, ks in enumerate(rows):
+                counted = np.unique(np.concatenate([lists[k] for k in ks]))
+                head = np.setdiff1d(np.arange(idx.fend[ks].max()), counted)
+                assert len(head) and len(np.unique(idx.fend[ks])) == len(ks)
+                for M in (1, 2, 7, 60, n - 1, n, n + 4):
+                    cfg = RetrievalConfig(M=M)
+                    want = on_numpy(monkeypatch, lambda: retrieve_mixture(u, idx, cfg, chunk=trial))
+                    cases = (
+                        None,
+                        want.ids[: M // 2 + 1],
+                        pool[head[: M + 2 : 2]],  # in the head
+                        pool[head[:M]],  # the whole head the kernel would offer
+                        pool[counted[::3]] if len(counted) else None,  # in U
+                        np.setdiff1d(pool, pool[rng.choice(n, size=min(M, n) // 2, replace=False)]),
+                    )
+                    for seen in cases:
+                        seen = None if seen is None else np.sort(seen)
+                        self.check(
+                            monkeypatch,
+                            lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=trial),
+                            f"trial {trial} user {u} M {M}",
+                        )
+
+    def test_ann_special_scores_with_prefilter(self, compiled, monkeypatch):
+        # one-dimensional vectors against the unit user vector, so each
+        # cosine is the vector entry over its norm: NaN, +inf, -inf, -0.0
+        # (-1e-300 over a norm of 1e300 underflows to it) and ties among
+        # ordinary values, on pools far larger than M so the threshold cuts
+        # in; zero norms score -inf
+        rng = np.random.default_rng(41)
+        special = np.array([np.nan, np.inf, -np.inf, -1e-300, 0.0, 0.5, -0.5, 2.0])
+        for trial in range(10):
+            n = int(rng.choice([300, 1000, 2500]))
+            pool = np.sort(rng.choice(3 * n, size=n, replace=False)).astype(np.int64)
+            vals = np.where(rng.random(n) < 0.4, rng.choice(special, n), rng.normal(size=n))
+            norms = np.where(vals == -1e-300, 1e300, np.where(rng.random(n) < 0.05, 0.0, 1.0))
+            idx = AnnIndex(pool, vals[:, None], norms, np.array([[1.0]]))
+            for M in (1, 2, 5, 20, 100):
+                cfg = RetrievalConfig(M=M)
+                with np.errstate(invalid="ignore"):
+                    want = on_numpy(monkeypatch, lambda: ann_retrieve(0, idx, cfg, chunk=trial))
+                    for seen in (None, want.ids[: M // 2 + 1], np.sort(rng.choice(pool, n // 3, replace=False))):
+                        seen = None if seen is None else np.sort(seen)
+                        self.check(
+                            monkeypatch, lambda: ann_retrieve(0, idx, cfg, seen=seen, chunk=trial), f"trial {trial} M {M}"
+                        )
+            scores = on_numpy(monkeypatch, lambda: ann_retrieve(0, idx, RetrievalConfig(M=n), chunk=trial)).scores
+            assert np.isnan(scores).any() and np.isinf(scores).any()
+            assert (np.signbit(scores) & (scores == 0)).any()
+
     def test_ann_heap_entry_cases(self, compiled, monkeypatch):
         # few directions, so cosines tie, and zero-norm items scored -inf
         # that enter the list once M passes the positive-norm items
@@ -910,6 +990,37 @@ class TestCompiledTopM:
         runs = InterestIndex(**good, floor=[0.4, 0.0], fend=[3, 3])
         want = [(5, 0.5 * 0.2 + 0.5 * 0.4), (2, 0.0 + 0.5 * 0.5), (9, 0.0 + 0.5 * 0.3)]
         assert retrieve_mixture(0, runs, RetrievalConfig(M=3)).items == want
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "numpy"])
+    def test_rejects_negative_or_non_finite_weights(self, kernel, monkeypatch):
+        # the kernel's floor-only positions rank by position only when every
+        # weight and floor is finite and >= 0; -0.0 is allowed. The index
+        # also needs an ascending pool, as the AnnIndex does
+        if not kernel:
+            monkeypatch.setattr(mixrec.retrieval, "load_kernel", lambda: None)
+        elif sweep_kernel.load_kernel() is None:
+            pytest.skip("no C compiler: only the numpy selection runs here")
+        pool = np.array([2, 5, 9])
+        good = dict(
+            ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool,
+            user_ptr=[0, 2], user_k=[1, 0], user_w=[0.5, -0.0], floor=[0.4, 0.0], fend=[3, 2],
+        )
+        for name in ("user_w", "floor"):
+            for bad in (-1e-300, np.nan, np.inf, -np.inf):
+                values = list(good[name])
+                values[1] = bad
+                with pytest.raises(ValueError, match=f"inconsistent index: {name} must be finite and >= 0"):
+                    InterestIndex(**{**good, name: values})
+        for bad_pool in ([2, 9, 5], [2, 5, 5]):
+            with pytest.raises(ValueError, match="inconsistent index: pool_items must be strictly ascending"):
+                InterestIndex(**{**good, "pool_items": bad_pool})
+            with pytest.raises(ValueError, match="inconsistent index: pool_items must be strictly ascending"):
+                AnnIndex(np.array(bad_pool), np.ones((3, 2)), np.ones(3), np.ones((1, 2)))
+        # interest 1 (weight 0.5) counts item 5 and runs over item 2;
+        # interest 0 (weight -0.0) counts items 2 and 9 and runs over item 5.
+        # Item 9 lies at interest 1's run end, outside its run
+        want = [(5, 0.5 * 0.2 + -0.0 * 0.4), (2, 0.0 + 0.5 * 0.0 + -0.0 * 0.5), (9, 0.0 + -0.0 * 0.3)]
+        assert retrieve_mixture(0, InterestIndex(**good), RetrievalConfig(M=3)).items == want
 
     def test_threads_share_the_kernel(self, compiled):
         # batch_retrieve's pool runs the kernel in several threads at once,
