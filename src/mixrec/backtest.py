@@ -37,7 +37,7 @@ import numpy as np
 from .clustering import cluster_items, export_cluster_map, load_clusters, save_clusters
 from .embeddings import check_embedding_args, load_embeddings, save_embeddings, train_embeddings
 from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
-from .initialization import build_init, load_init, mle_mixture, save_init
+from .initialization import _check_priors, build_init, load_init, mle_mixture, save_init
 from .metrics import MetricsReport, aggregate, build_queries, score_query
 from .retrieval import (
     RetrievalConfig,
@@ -70,7 +70,6 @@ class EmbedParams:
     negatives: int = 10
     lr: float = 0.05
     batch_size: int = 1024
-    score_mode: str = "dot"
 
 
 @dataclass
@@ -91,7 +90,6 @@ class RunConfig:
     m_values: list[int] = field(default_factory=lambda: [100])
     truncation: int | None = None
     exclude_seen: bool = True
-    cold_user_policy: str = "popularity-fallback"
     workers: int = 1
     methods: list[str] = field(default_factory=lambda: list(METHODS))
     dump_candidates: bool = False
@@ -137,7 +135,6 @@ class RunConfig:
             M=m,
             L=self.truncation,
             exclude_seen=self.exclude_seen,
-            cold_user_policy=self.cold_user_policy,
             workers=self.workers,
         )
 
@@ -145,8 +142,8 @@ class RunConfig:
 # fields that only shape retrieval, scoring or output; every other field
 # feeds some cached artifact
 _RETRIEVAL_FIELDS = {
-    "out_dir", "m_values", "truncation", "exclude_seen", "cold_user_policy",
-    "workers", "methods", "dump_candidates",
+    "out_dir", "m_values", "truncation", "exclude_seen", "workers", "methods",
+    "dump_candidates",
 }
 
 
@@ -162,8 +159,12 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     cfg._check_lists()
     rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
     cfg.sampler_config(0)
+    for name in ("num_interests", "kmeans_iters", "regroup_factor"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
+    _check_priors(cfg.alpha, cfg.beta)
     e = cfg.embed
-    check_embedding_args(e.dim, e.epochs, e.negatives, e.score_mode)
+    check_embedding_args(e.dim, e.epochs, e.negatives, e.lr, e.batch_size)
     out = Path(cfg.out_dir)
     if (out / "config.json").exists():
         old = json.loads((out / "config.json").read_text())
@@ -229,7 +230,6 @@ def ensure_embeddings(cfg: RunConfig, train: EngagementGraph):
         negatives=e.negatives,
         lr=e.lr,
         seed=cfg.seed,
-        score_mode=e.score_mode,
         batch_size=e.batch_size,
     )
     _atomic_npz(cache, lambda p: save_embeddings(emb, p))

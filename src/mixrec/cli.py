@@ -46,21 +46,19 @@ def _add_config_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--negatives", type=int, help="negative samples per positive")
     p.add_argument("--lr", type=float, help="embedding learning rate")
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--score-mode", dest="score_mode", choices=["dot", "translation"])
     p.add_argument("--max-sweeps", type=int, dest="max_sweeps")
     p.add_argument("--tol", type=float, dest="convergence_tol")
     p.add_argument("--user-count-mode", dest="user_count_mode", choices=["reset", "accumulate"])
     p.add_argument("--m", type=int, nargs="+", dest="m_values", help="candidate cutoffs")
     p.add_argument("--truncation", type=int, help="per-interest list length L (default 5*M)")
     p.add_argument("--include-seen", action="store_true", help="disable seen-item exclusion")
-    p.add_argument("--cold-user-policy", dest="cold_user_policy", choices=["popularity-fallback", "empty"])
     p.add_argument("--workers", type=int)
     p.add_argument("--methods", nargs="+", help="subset of: micro mle ann popularity")
     p.add_argument("--dump-candidates", action="store_true", dest="dump_candidates", default=None)
     p.add_argument("--seed", type=int)
 
 
-_EMBED_KEYS = {"dim", "epochs", "negatives", "lr", "batch_size", "score_mode"}
+_EMBED_KEYS = {"dim", "epochs", "negatives", "lr", "batch_size"}
 
 
 def _build_config(args) -> RunConfig:

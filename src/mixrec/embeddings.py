@@ -2,9 +2,8 @@
 
 Trains one vector per user and per item so that observed engagements score
 above uniformly sampled non-edges: dot-product scoring with logistic loss
-and SGD by default, translation scoring as an option. Single relation type,
-no feature inputs; embeddings are frozen after training and never refit
-during the test period.
+and SGD. Single relation type, no feature inputs; embeddings are frozen
+after training and never refit during the test period.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from .sweep_kernel import Kernel, arg, load_kernel
 __all__ = ["EmbeddingTable", "check_embedding_args", "train_embeddings", "save_embeddings", "load_embeddings"]
 
 logger = logging.getLogger(__name__)
-
-SCORE_MODES = ("dot", "translation")
 
 
 @dataclass
@@ -70,23 +67,22 @@ def _apply_row_mean(
     rows: np.ndarray,
     vecs: np.ndarray,
     lr: float,
-    scal: np.ndarray | None = None,
-    vidx: np.ndarray | None = None,
+    scal: np.ndarray,
+    vidx: np.ndarray,
 ) -> None:
     """SGD step with gradients averaged per touched row.
 
-    The gradient of example j is ``scal[j] * vecs[vidx[j]]``, or ``vecs[j]``
-    when ``scal`` is None, and it belongs to row ``rows[j]``. Rows hit many
-    times in one batch (hot items, prolific users) get the mean of their
-    per-example gradients instead of the sum, which keeps the step size
-    bounded for any batch composition. The per-row sums come from
+    The gradient of example j is ``scal[j] * vecs[vidx[j]]`` and it belongs
+    to row ``rows[j]``. Rows hit many times in one batch (hot items, prolific
+    users) get the mean of their per-example gradients instead of the sum,
+    which keeps the step size bounded for any batch composition. The per-row sums come from
     ``_row_sums``, exact to the bit in batch order.
 
     This numpy form is the reference of the kernel's ``row_mean`` (see
     ``_compiled_row_mean``), which gives the same bits, and the fallback
     when the kernel cannot be built.
     """
-    grads = vecs if scal is None else scal[:, None] * vecs[vidx]
+    grads = scal[:, None] * vecs[vidx]
     uniq, inv = np.unique(rows, return_inverse=True)
     acc = _row_sums(inv, grads, len(uniq))
     counts = np.bincount(inv, minlength=len(uniq))
@@ -99,8 +95,8 @@ def _compiled_row_mean(
     rows: np.ndarray,
     vecs: np.ndarray,
     lr: float,
-    scal: np.ndarray | None = None,
-    vidx: np.ndarray | None = None,
+    scal: np.ndarray,
+    vidx: np.ndarray,
 ) -> None:
     """``_apply_row_mean`` in one call of the kernel's ``row_mean``.
 
@@ -114,18 +110,12 @@ def _compiled_row_mean(
     vecs = np.ascontiguousarray(vecs, dtype=np.float64)
     if vecs.ndim != 2 or vecs.shape[1] != emb.shape[1]:
         raise ValueError(f"{vecs.shape} gradient vectors for a table of dimension {emb.shape[1]}")
-    if scal is None:
-        if len(vecs) != len(rows):
-            raise ValueError(f"{len(rows)} rows for {len(vecs)} gradients")
-        scal_p = vidx_p = None
-    else:
-        scal = np.ascontiguousarray(scal, dtype=np.float64)
-        vidx = np.ascontiguousarray(vidx, dtype=np.int64)
-        if scal.shape != rows.shape or vidx.shape != rows.shape:
-            raise ValueError("rows, scal and vidx differ in length")
-        scal_p, vidx_p = arg(scal), arg(vidx)
+    scal = np.ascontiguousarray(scal, dtype=np.float64)
+    vidx = np.ascontiguousarray(vidx, dtype=np.int64)
+    if scal.shape != rows.shape or vidx.shape != rows.shape:
+        raise ValueError("rows, scal and vidx differ in length")
     got = kernel.row_mean(
-        len(rows), arg(rows), scal_p, vidx_p, arg(vecs), len(vecs), emb.shape[1], lr, arg(emb), len(emb)
+        len(rows), arg(rows), arg(scal), arg(vidx), arg(vecs), len(vecs), emb.shape[1], lr, arg(emb), len(emb)
     )
     if got == -2:
         raise IndexError("a row or gradient index outside its table")
@@ -133,7 +123,7 @@ def _compiled_row_mean(
         raise MemoryError("the row-mean update could not allocate its work space")
 
 
-def check_embedding_args(dim: int, epochs: int, negatives: int, score_mode: str) -> None:
+def check_embedding_args(dim: int, epochs: int, negatives: int, lr: float, batch_size: int) -> None:
     """Raise ``ValueError`` for arguments ``train_embeddings`` cannot use."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -141,8 +131,10 @@ def check_embedding_args(dim: int, epochs: int, negatives: int, score_mode: str)
         raise ValueError("epochs must be >= 1")
     if negatives < 1:
         raise ValueError("negatives must be >= 1")
-    if score_mode not in SCORE_MODES:
-        raise ValueError(f"score_mode must be one of {SCORE_MODES}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
 
 
 def train_embeddings(
@@ -152,22 +144,19 @@ def train_embeddings(
     negatives: int = 10,
     lr: float = 0.05,
     seed: int = 0,
-    score_mode: str = "dot",
     batch_size: int = 1024,
 ) -> EmbeddingTable:
     """SGD with uniform random negative items per positive engagement.
 
     Per positive (u, i) and sampled negatives i', the loss is
-    -log sigmoid(f(u, i)) - sum log sigmoid(-f(u, i')). f is the dot product
-    by default; "translation" mode scores b - ||u + r - i||^2 with a learned
-    relation vector r and scalar offset b. Mean per-engagement loss is logged
-    each epoch and must trend downward.
+    -log sigmoid(u . i) - sum log sigmoid(-u . i'). Mean per-engagement loss
+    is logged each epoch and must trend downward.
 
     The forward pass is numpy. Each update averages the gradients per touched
     row (``_apply_row_mean``); it runs in one call of the compiled kernel's
     ``row_mean`` when ``load_kernel()`` builds it, with the same bits.
     """
-    check_embedding_args(dim, epochs, negatives, score_mode)
+    check_embedding_args(dim, epochs, negatives, lr, batch_size)
     if train.num_edges == 0:
         raise ValueError("cannot train embeddings on an empty graph")
 
@@ -176,9 +165,6 @@ def train_embeddings(
     scale = 1.0 / np.sqrt(dim)
     u_emb = rng.normal(0.0, scale, size=(U, dim))
     i_emb = rng.normal(0.0, scale, size=(I, dim))
-    rel = np.zeros(dim)
-    offset = 0.0
-    translation = score_mode == "translation"
     kernel = load_kernel()
     step = _apply_row_mean if kernel is None else functools.partial(_compiled_row_mean, kernel)
 
@@ -197,36 +183,21 @@ def train_embeddings(
             pv = i_emb[pos]
             nv = i_emb[neg]
 
-            if not translation:
-                s_pos = np.einsum("bd,bd->b", uv, pv)
-                s_neg = np.einsum("bd,bnd->bn", uv, nv)
-            else:
-                dp = uv + rel - pv
-                dn = uv[:, None, :] + rel - nv
-                s_pos = offset - np.einsum("bd,bd->b", dp, dp)
-                s_neg = offset - np.einsum("bnd,bnd->bn", dn, dn)
+            s_pos = np.einsum("bd,bd->b", uv, pv)
+            s_neg = np.einsum("bd,bnd->bn", uv, nv)
 
             total += float(_softplus(-s_pos).sum() + _softplus(s_neg).sum())
 
             g_pos = _sigmoid(s_pos) - 1.0  # d loss / d s_pos
             g_neg = _sigmoid(s_neg)        # d loss / d s_neg
 
-            # item gradients: scal[j] * vecs[vidx[j]] for the rows
-            # [pos, neg.ravel()]; d s / d(u or r) = -2*diff, d s / d(item) =
-            # +2*diff in translation mode
+            # the user rows take du[j] itself (1.0 * du[j] is exact); the item
+            # rows [pos, neg.ravel()] take g * uv[j] of their example j
+            du = g_pos[:, None] * pv + np.einsum("bn,bnd->bd", g_neg, nv)
+            step(u_emb, us, du, lr, np.ones(b), np.arange(b))
             scal = np.concatenate([g_pos, g_neg.reshape(-1)])
-            if not translation:
-                du = g_pos[:, None] * pv + np.einsum("bn,bnd->bd", g_neg, nv)
-                vecs = uv
-                vidx = np.concatenate([np.arange(b), np.repeat(np.arange(b), negatives)])
-            else:
-                du = g_pos[:, None] * (-2.0 * dp) + np.einsum("bn,bnd->bd", g_neg, -2.0 * dn)
-                vecs = np.concatenate([2.0 * dp, 2.0 * dn.reshape(-1, dim)])
-                vidx = np.arange(len(vecs))
-                rel -= lr * du.mean(axis=0)
-                offset -= lr * float(g_pos.mean() + g_neg.mean(axis=1).mean())
-            step(u_emb, us, du, lr)
-            step(i_emb, np.concatenate([pos, neg.reshape(-1)]), vecs, lr, scal, vidx)
+            vidx = np.concatenate([np.arange(b), np.repeat(np.arange(b), negatives)])
+            step(i_emb, np.concatenate([pos, neg.reshape(-1)]), uv, lr, scal, vidx)
 
         mean_loss = total / E
         losses.append(mean_loss)

@@ -27,11 +27,12 @@ holds each interest's list over an ascending candidate pool as its counted
 entries (pool positions and probabilities) plus one run of pool positions
 that all carry the interest's smoothed floor value, every user's
 (interests, weights) as one CSR over users, read in place by each query,
-and the pool's popularity ranking for users without interests. Only the
-micro lists have floor runs: every pool item without a count under an
-interest has the same smoothed probability there, so it is stored once per
-interest, not once per item (SparseLDA's smoothing-only bucket, Yao, Mimno
-and McCallum, KDD 2009).
+and the pool's popularity ranking, whose first M unseen items are the
+list of every user without interests (a cold user) under both mixtures.
+Only the micro lists have floor runs: every pool item without a count under
+an interest has the same smoothed probability there, so it is stored once
+per interest, not once per item (SparseLDA's smoothing-only bucket, Yao,
+Mimno and McCallum, KDD 2009).
 
 Every retriever ends in one selection: the first M candidates by (score
 descending, item id ascending) that are not seen. It runs in the compiled
@@ -93,15 +94,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-COLD_POLICIES = ("popularity-fallback", "empty")
-
-
 @dataclass
 class RetrievalConfig:
     M: int = 100
     L: int | None = None  # per-interest truncation; defaults to 5*M
     exclude_seen: bool = True
-    cold_user_policy: str = "popularity-fallback"
     workers: int = 1
 
     def __post_init__(self):
@@ -109,8 +106,6 @@ class RetrievalConfig:
             raise ValueError("M must be >= 1")
         if self.L is not None and self.L < self.M:
             raise ValueError("L must be >= M")
-        if self.cold_user_policy not in COLD_POLICIES:
-            raise ValueError(f"cold_user_policy must be one of {COLD_POLICIES}")
 
     @property
     def truncation(self) -> int:
@@ -413,7 +408,7 @@ def retrieve_mixture(
     seen = seen if cfg.exclude_seen else None
     lo, hi = int(idx.user_ptr[u]), int(idx.user_ptr[u + 1])
     if hi == lo:
-        if cfg.cold_user_policy == "empty" or idx.popularity is None:
+        if idx.popularity is None:
             return CandidateList(u, chunk)
         return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
     kernel = load_kernel()

@@ -46,10 +46,11 @@ walk need, and return -3 when they do.
 
 ``row_mean`` is one embedding SGD update; its reference is the numpy
 ``mixrec.embeddings._apply_row_mean``. It forms each example's gradient as
-``scal[j] * vecs[vidx[j]]`` (or takes ``vecs[j]``), adds each touched row's
-gradients from 0.0 in example order (``np.bincount``'s input order) and
-sets ``emb[r] - (lr * sum) / count``, the numpy expression, so the table
-gets the same bits.
+``scal[j] * vecs[vidx[j]]``, adds each touched row's gradients from 0.0 in
+example order (``np.bincount``'s input order) and sets ``emb[r] - (lr *
+sum) / count``, the numpy expression, so the table gets the same bits. The
+user step passes ``scal = 1.0`` and ``vidx = j``: multiplying by 1.0 is
+exact, so one form serves both steps.
 
 ``gammaln`` is log-gamma elementwise over an array, for the sampler's
 log-joint; its reference is ``scipy.special.gammaln``. It transcribes the
@@ -591,7 +592,7 @@ i64 mixrec_walk(i64 n, const i64 *items, const i64 *seen, i64 ns, i64 M, i64 *ou
    rows[0:m] becomes emb[r] - (lr * acc[r]) / count[r], where acc[r] adds to
    0.0, in j order, the gradient of every j with rows[j] == r (np.bincount's
    input order, so each sum keeps its bits). The gradient of j is
-   scal[j] * vecs[vidx[j]], or vecs[j] when scal is NULL; vecs has nv rows.
+   scal[j] * vecs[vidx[j]]; vecs has nv rows.
    Returns 0, -1 when out of memory, or -2 (emb untouched) when a row or a
    vector index is out of range. */
 i64 mixrec_row_mean(
@@ -599,7 +600,7 @@ i64 mixrec_row_mean(
     const double *vecs, i64 nv, i64 D, double lr, double *emb, i64 nrows)
 {
     for (i64 j = 0; j < m; j++)
-        if (rows[j] < 0 || rows[j] >= nrows || (scal ? vidx[j] < 0 || vidx[j] >= nv : j >= nv))
+        if (rows[j] < 0 || rows[j] >= nrows || vidx[j] < 0 || vidx[j] >= nv)
             return -2;
     /* slot[r]: 1 + the accumulator of row r, 0 until r first appears */
     i64 *slot = calloc((size_t)(nrows > 0 ? nrows : 1), sizeof(i64));
@@ -620,17 +621,11 @@ i64 mixrec_row_mean(
     for (i64 j = 0; j < m; j++) {
         i64 a = slot[rows[j]] - 1;
         double *s = acc + a * D;
+        const double *v = vecs + vidx[j] * D;
+        double c = scal[j];
         count[a]++;
-        if (scal) {
-            const double *v = vecs + vidx[j] * D;
-            double c = scal[j];
-            for (i64 d = 0; d < D; d++)
-                s[d] += c * v[d];
-        } else {
-            const double *v = vecs + j * D;
-            for (i64 d = 0; d < D; d++)
-                s[d] += v[d];
-        }
+        for (i64 d = 0; d < D; d++)
+            s[d] += c * v[d];
     }
     for (i64 a = 0; a < nu; a++) {
         double *e = emb + order[a] * D;

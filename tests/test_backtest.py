@@ -256,6 +256,21 @@ class TestBacktest:
         assert cli_main([*common, "--interests", "5", "--m", "4"]) == 0
         assert json.loads((out / "config.json").read_text())["m_values"] == [4]
 
+    def test_directory_with_removed_embed_field_refused(self, synth_edges, tmp_path):
+        # a run directory whose config.json holds an embedding field this
+        # version no longer has, such as a scoring mode, was built by other
+        # code: it is refused, not reused
+        out = tmp_path / "old"
+        backtest(small_config(synth_edges, out, methods=["mle"]))
+        old = json.loads((out / "config.json").read_text())
+        old["embed"]["score_mode"] = "translation"
+        (out / "config.json").write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        assert {"graph.npz", "embeddings.npz", "clusters.npz", "init.npz"} <= {p.name for p in stamps}
+        with pytest.raises(ValueError, match="different embed;"):
+            backtest(small_config(synth_edges, out, methods=["mle"]))
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -266,17 +281,26 @@ class TestBacktest:
             {"m_values": [5, 5]},
             {"methods": ["popularity", "popularity"]},
             {"methods": ["popularity", "bogus"]},
+            {"num_interests": 0},
+            {"kmeans_iters": 0},
+            {"regroup_factor": 0},
+            {"alpha": 0.0},
+            {"beta": float("nan")},
+            {"lr": 0.0},
+            {"lr": float("nan")},
+            {"batch_size": 0},
         ],
         ids=[
             "user_count_mode", "m_values", "truncation", "embed_dim", "repeated_m", "repeated_method",
-            "unknown_method",
+            "unknown_method", "num_interests", "kmeans_iters", "regroup_factor", "alpha", "beta",
+            "embed_lr_zero", "embed_lr_nan", "embed_batch_size",
         ],
     )
     def test_bad_config_fails_before_writing(self, synth_edges, tmp_path, bad):
         out = tmp_path / "bad"
         cfg = small_config(synth_edges, out, methods=["micro", "popularity"])
         for key, value in bad.items():
-            setattr(cfg.embed if key == "dim" else cfg, key, value)
+            setattr(cfg.embed if key in ("dim", "lr", "batch_size") else cfg, key, value)
         with pytest.raises(ValueError):
             backtest(cfg)
         assert not out.exists()

@@ -90,8 +90,9 @@ class TestTrainEmbeddings:
             train_embeddings(g, dim=0, epochs=1)
         with pytest.raises(ValueError):
             train_embeddings(g, dim=4, epochs=0)
-        with pytest.raises(ValueError):
-            train_embeddings(g, dim=4, epochs=1, score_mode="nope")
+        for bad in (dict(lr=0.0), dict(lr=-0.1), dict(lr=float("nan")), dict(lr=float("inf")), dict(batch_size=0)):
+            with pytest.raises(ValueError):
+                train_embeddings(g, dim=4, epochs=1, **bad)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(5)
@@ -103,14 +104,6 @@ class TestTrainEmbeddings:
         assert np.array_equal(e1.user_vectors, e2.user_vectors)
         assert np.array_equal(e1.item_vectors, e2.item_vectors)
         assert e1.epoch_losses == e2.epoch_losses
-
-    def test_translation_mode_trains(self):
-        rng = np.random.default_rng(6)
-        users = rng.integers(0, 20, 300)
-        items = rng.integers(0, 25, 300)
-        g = from_raw_edges(users, items, np.zeros(300, dtype=int))
-        emb = train_embeddings(g, dim=8, epochs=4, negatives=4, seed=3, score_mode="translation")
-        assert emb.epoch_losses[-1] < emb.epoch_losses[0]
 
     def test_npz_roundtrip(self, tmp_path):
         g = from_raw_edges([0, 1], [0, 1], [0, 0])
@@ -140,6 +133,17 @@ class TestTrainEmbeddings:
         assert a.epoch_losses == b.epoch_losses == emb.epoch_losses
 
 
+def unscaled_row_mean(emb, rows, vecs, lr):
+    """The table after the unscaled update, in which example j takes
+    ``vecs[j]`` itself: the reference of the user step, which passes
+    ``scal = 1.0`` and ``vidx = arange``."""
+    out = emb.copy()
+    uniq, inv = np.unique(rows, return_inverse=True)
+    counts = np.bincount(inv, minlength=len(uniq))
+    out[uniq] = emb[uniq] - lr * _row_sums(inv, vecs, len(uniq)) / counts[:, None]
+    return out
+
+
 class TestRowSums:
     def test_bits_equal_add_at_on_random_shapes(self):
         rng = np.random.default_rng(21)
@@ -153,6 +157,12 @@ class TestRowSums:
             values = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
             values[rng.random((m, d)) < 0.1] = -0.0
             assert same_bits(_row_sums(inv, values, n), row_sums_add_at(inv, values, n)), trial
+            # the user step's update: scal = 1.0 and vidx = arange
+            emb = rng.normal(size=(n, d))
+            emb[rng.random((n, d)) < 0.05] = -0.0
+            got = emb.copy()
+            _apply_row_mean(got, inv, values, 0.3, np.ones(m), np.arange(m))
+            assert same_bits(got, unscaled_row_mean(emb, inv, values, 0.3)), trial
 
     def test_edge_shapes(self):
         one = np.array([[1.5, -0.0, 3.0]])
@@ -164,15 +174,21 @@ class TestRowSums:
         assert same_bits(_row_sums(inv, col, 1), row_sums_add_at(inv, col, 1))
         empty = np.empty((0, 5))
         assert same_bits(_row_sums(np.empty(0, dtype=np.int64), empty, 3), np.zeros((3, 5)))
+        # the user step's update on an empty batch and on -0.0 gradients
+        emb = np.array([[-0.0, 1.0, 2.0]] * 3)
+        cases = ((np.empty(0, dtype=np.int64), empty[:, :3]), (np.array([2, 2]), np.array([[-0.0, -0.0, 1.0]] * 2)))
+        for rows, vecs in cases:
+            got = emb.copy()
+            _apply_row_mean(got, rows, vecs, 0.5, np.ones(len(rows)), np.arange(len(rows)))
+            assert same_bits(got, unscaled_row_mean(emb, rows, vecs, 0.5))
 
-    @pytest.mark.parametrize("score_mode", ["dot", "translation"])
-    def test_train_embeddings_bits_equal_add_at_run(self, score_mode, monkeypatch):
+    def test_train_embeddings_bits_equal_add_at_run(self, monkeypatch):
         rng = np.random.default_rng(9)
         n = 1500
         users = rng.integers(0, 60, n)
         items = np.minimum(rng.zipf(1.5, n), 80)  # hot items repeat within a batch
         g = from_raw_edges(users, items, np.zeros(n, dtype=int))
-        kw = dict(dim=8, epochs=3, negatives=4, seed=5, score_mode=score_mode, batch_size=256)
+        kw = dict(dim=8, epochs=3, negatives=4, seed=5, batch_size=256)
         got = train_embeddings(g, **kw)
         monkeypatch.setattr(mixrec.embeddings, "_row_sums", row_sums_add_at)
         monkeypatch.setattr(mixrec.embeddings, "load_kernel", lambda: None)  # the scatter runs only in numpy
@@ -202,7 +218,7 @@ class TestCompiledRowMean:
     """The kernel's ``row_mean`` leaves the table with the bits of the numpy
     ``_apply_row_mean``, its reference."""
 
-    def both(self, kernel, emb, rows, vecs, lr, scal=None, vidx=None):
+    def both(self, kernel, emb, rows, vecs, lr, scal, vidx):
         """(compiled, numpy) results of one update of a copy of ``emb``."""
         got, want = emb.copy(), emb.copy()
         _compiled_row_mean(kernel, got, rows, vecs, lr, scal, vidx)
@@ -232,21 +248,27 @@ class TestCompiledRowMean:
             vidx = np.concatenate([np.arange(b), np.repeat(np.arange(b), negatives)])
             got, want = self.both(kernel, emb, rows, vecs, lr, scal, vidx)
             assert same_bits(got, want), trial
-            # the user-side form: one gradient row per example, no scaling
-            got, want = self.both(kernel, emb, pos, vecs, lr)
-            assert same_bits(got, want), trial
+            # the user step's form: one gradient row per example, scaled by 1.0
+            got, want = self.both(kernel, emb, pos, vecs, lr, np.ones(b), np.arange(b))
+            assert same_bits(got, want) and same_bits(got, unscaled_row_mean(emb, pos, vecs, lr)), trial
 
     def test_edge_cases(self, kernel):
         # order-sensitive sums: 1e16 + 1 - 1e16 is 0.0, not 1.0
         col = np.array([[1e16], [1.0], [-1e16], [1.0]])
         rows = np.zeros(4, dtype=np.int64)
-        for scal, vidx in ((None, None), (np.array([1.0, 1.0, 1.0, 3.0]), np.arange(4))):
-            got, want = self.both(kernel, np.array([[0.5], [2.0]]), rows, col, 0.1, scal, vidx)
+        for scal in (np.ones(4), np.array([1.0, 1.0, 1.0, 3.0])):
+            got, want = self.both(kernel, np.array([[0.5], [2.0]]), rows, col, 0.1, scal, np.arange(4))
             assert same_bits(got, want)
             assert got[1, 0] == 2.0  # an untouched row keeps its value
         # a row whose gradients are all -0.0 sums to +0.0, so -0.0 stays -0.0
-        got, want = self.both(kernel, np.array([[-0.0, 1.0]]), np.array([0, 0]), np.array([[-0.0, -0.0]] * 2), 0.5)
+        emb, zeros = np.array([[-0.0, 1.0]]), np.array([[-0.0, -0.0]] * 2)
+        got, want = self.both(kernel, emb, np.array([0, 0]), zeros, 0.5, np.ones(2), np.arange(2))
         assert same_bits(got, want) and np.signbit(got[0, 0])
+        assert same_bits(got, unscaled_row_mean(emb, np.array([0, 0]), zeros, 0.5))
+        # an empty batch leaves the table as it is
+        nothing = np.empty(0, dtype=np.int64)
+        got, want = self.both(kernel, emb, nothing, np.empty((0, 2)), 0.5, np.ones(0), nothing)
+        assert same_bits(got, want) and same_bits(got, emb)
         got, want = self.both(
             kernel, np.array([[-0.0]]), np.array([0]), np.array([[2.0]]), 0.5, np.array([-0.0]), np.array([0])
         )
@@ -254,33 +276,35 @@ class TestCompiledRowMean:
         # one row of D = 1, and lr * sum rounds before the division by the count
         emb = np.array([[0.1]])
         vecs = np.array([[0.7], [0.1], [0.2]])
-        got, want = self.both(kernel, emb, np.array([0, 0, 0]), vecs, 0.1)
+        got, want = self.both(kernel, emb, np.array([0, 0, 0]), vecs, 0.1, np.ones(3), np.arange(3))
         assert same_bits(got, want)
         assert same_bits(got, emb - (0.1 * ((0.0 + 0.7 + 0.1) + 0.2)) / 3.0)
 
     def test_rejects_out_of_range_and_bad_shapes(self, kernel):
         emb = np.ones((3, 2))
         vecs = np.ones((2, 2))
-        for rows, scal, vidx in (
-            (np.array([0, 3]), None, None),
-            (np.array([-1, 0]), None, None),
-            (np.array([0, 1]), np.ones(2), np.array([0, 2])),
-            (np.array([0, 1]), np.ones(2), np.array([-1, 0])),
+        one, at0 = np.ones(1), np.zeros(1, dtype=np.int64)
+        for rows, vidx in (
+            (np.array([0, 3]), np.arange(2)),
+            (np.array([-1, 0]), np.arange(2)),
+            (np.array([0, 1]), np.array([0, 2])),
+            (np.array([0, 1]), np.array([-1, 0])),
+            (np.array([0, 1, 2]), np.arange(3)),  # more examples than gradient rows
         ):
             with pytest.raises(IndexError):
-                _compiled_row_mean(kernel, emb, rows, vecs, 0.1, scal, vidx)
+                _compiled_row_mean(kernel, emb, rows, vecs, 0.1, np.ones(len(rows)), vidx)
             assert (emb == 1.0).all()  # untouched
+        for scal, vidx in ((np.ones(2), np.arange(3)), (np.ones(3), np.arange(2))):
+            with pytest.raises(ValueError, match="differ in length"):
+                _compiled_row_mean(kernel, emb, np.array([0, 1, 2]), vecs, 0.1, scal, vidx)
         with pytest.raises(ValueError):
-            _compiled_row_mean(kernel, emb, np.array([0, 1, 2]), vecs, 0.1)
+            _compiled_row_mean(kernel, emb, np.array([0]), np.ones((1, 3)), 0.1, one, at0)
         with pytest.raises(ValueError):
-            _compiled_row_mean(kernel, emb, np.array([0]), np.ones((1, 3)), 0.1)
-        with pytest.raises(ValueError):
-            _compiled_row_mean(kernel, emb[:, :1], np.array([0]), np.ones((1, 1)), 0.1)
+            _compiled_row_mean(kernel, emb[:, :1], np.array([0]), np.ones((1, 1)), 0.1, one, at0)
 
-    @pytest.mark.parametrize("score_mode", ["dot", "translation"])
-    def test_train_embeddings_bits_equal_numpy_run(self, kernel, score_mode, monkeypatch):
+    def test_train_embeddings_bits_equal_numpy_run(self, kernel, monkeypatch):
         g = hot_graph(9)
-        kw = dict(dim=8, epochs=3, negatives=4, seed=5, score_mode=score_mode, batch_size=256)
+        kw = dict(dim=8, epochs=3, negatives=4, seed=5, batch_size=256)
         got = train_embeddings(g, **kw)
         monkeypatch.setattr(mixrec.embeddings, "load_kernel", lambda: None)
         want = train_embeddings(g, **kw)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import sys
 
@@ -230,12 +231,12 @@ class TestRetrieveMicro:
         init = make_init([(0, 0)], item_interest=[0, 0, 0], K=1, num_users=2, num_items=3)
         slc = ChunkSlice.from_edges(1, [0, 0, 0], [1, 1, 2])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
-        cfg = RetrievalConfig(M=2, cold_user_policy="popularity-fallback")
+        cfg = RetrievalConfig(M=2)
         idx = build_index(m, cfg)
         got = retrieve_mixture(1, idx, cfg)
         assert got.item_ids() == [1, 2]  # counts {1:2, 2:1}
-        cfg2 = RetrievalConfig(M=2, cold_user_policy="empty")
-        assert retrieve_mixture(1, idx, cfg2).items == []
+        # an index without a popularity ranking has no list for a cold user
+        assert retrieve_mixture(1, dataclasses.replace(idx, popularity=None), cfg).items == []
 
     def test_theta_scale_invariance(self):
         # doubling all unnormalized masses cannot change the ordering
@@ -707,16 +708,15 @@ class TestCompiledTopM:
             n_pool = int(rng.choice([0, 1, 5, 30, 120]))
             idx = self.random_interest_index(rng, n_pool, K=int(rng.integers(1, 6)), ranking=trial % 3 > 0)
             for M in (1, 7, 200):
-                for policy in ("popularity-fallback", "empty"):
-                    for exclude in (True, False):
-                        cfg = RetrievalConfig(M=M, exclude_seen=exclude, cold_user_policy=policy)
-                        for seen in self.seen_cases(rng, idx.pool_items):
-                            for u in range(6):
-                                self.check(
-                                    monkeypatch,
-                                    lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=trial),
-                                    f"trial {trial} M {M} {policy} user {u} seen {seen}",
-                                )
+                for exclude in (True, False):
+                    cfg = RetrievalConfig(M=M, exclude_seen=exclude)
+                    for seen in self.seen_cases(rng, idx.pool_items):
+                        for u in range(6):
+                            self.check(
+                                monkeypatch,
+                                lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=trial),
+                                f"trial {trial} M {M} user {u} seen {seen}",
+                            )
 
     def test_built_indexes_match_numpy(self, compiled, monkeypatch):
         # fitted micro and mle indexes, L below and at or above the pool size
@@ -729,20 +729,19 @@ class TestCompiledTopM:
             m = fit_chunk(slc, init, SamplerConfig(seed=t))
             rank = popularity_ranking(slc)
             for M, L in ((3, None), (5, I), (40, 2 * I)):
-                for policy in ("popularity-fallback", "empty"):
-                    cfg = RetrievalConfig(M=M, L=L, cold_user_policy=policy)
-                    indexes = {
-                        "micro": build_index(m, cfg, rank),
-                        "mle": build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank),
-                    }
-                    for name, idx in indexes.items():
-                        for seen in self.seen_cases(rng, slc.item_pool):
-                            for u in range(U):  # users U-2 and U-1 are cold
-                                self.check(
-                                    monkeypatch,
-                                    lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=3),
-                                    f"{name} M {M} L {L} {policy} user {u}",
-                                )
+                cfg = RetrievalConfig(M=M, L=L)
+                indexes = {
+                    "micro": build_index(m, cfg, rank),
+                    "mle": build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank),
+                }
+                for name, idx in indexes.items():
+                    for seen in self.seen_cases(rng, slc.item_pool):
+                        for u in range(U):  # users U-2 and U-1 are cold
+                            self.check(
+                                monkeypatch,
+                                lambda: retrieve_mixture(u, idx, cfg, seen=seen, chunk=3),
+                                f"{name} M {M} L {L} user {u}",
+                            )
 
     def test_ann_matches_numpy(self, compiled, monkeypatch):
         rng = np.random.default_rng(33)
@@ -1104,18 +1103,17 @@ class TestCandidateListFormat:
             for n, slc in slices.items():
                 m = fit_chunk(slc, init, SamplerConfig(seed=1, max_sweeps=2))
                 rank = popularity_ranking(slc)
-                for policy in ("popularity-fallback", "empty"):
-                    cfg = RetrievalConfig(M=5, cold_user_policy=policy)
-                    calls = {
-                        "micro": (retrieve_mixture, build_index(m, cfg, rank)),
-                        "mle": (retrieve_mixture, build_mle_index(mix, cfg, slc.item_pool, rank)),
-                        "ann": (ann_retrieve, ann_encode_items(slc, emb)),
-                        "popularity": (popularity_retrieve, rank),
-                    }
-                    for name, (fn, idx) in calls.items():
-                        for seen in (None, slc.item_pool[::2]):
-                            for u in range(U):
-                                lists[n, policy, name, seen is None, u] = fn(u, idx, cfg, seen, 4)
+                cfg = RetrievalConfig(M=5)
+                calls = {
+                    "micro": (retrieve_mixture, build_index(m, cfg, rank)),
+                    "mle": (retrieve_mixture, build_mle_index(mix, cfg, slc.item_pool, rank)),
+                    "ann": (ann_retrieve, ann_encode_items(slc, emb)),
+                    "popularity": (popularity_retrieve, rank),
+                }
+                for name, (fn, idx) in calls.items():
+                    for seen in (None, slc.item_pool[::2]):
+                        for u in range(U):
+                            lists[n, name, seen is None, u] = fn(u, idx, cfg, seen, 4)
             return lists
 
         for lists in (run(), on_numpy(monkeypatch, run)):
@@ -1129,9 +1127,8 @@ class TestCandidateListFormat:
                 assert all(type(i) is int and type(s) is float for i, s in c.items), key
                 assert (c.user, c.chunk) == (key[-1], 4), key
             for name in ("micro", "mle"):  # user 0 is cold
-                assert len(lists[150, "popularity-fallback", name, True, 0]) == 5
-                assert len(lists[150, "empty", name, True, 0]) == 0
-            assert len(lists[150, "empty", "ann", True, 1]) == 0  # zero-norm user
+                assert len(lists[150, name, True, 0]) == 5
+            assert len(lists[150, "ann", True, 1]) == 0  # zero-norm user
             assert all(len(c) == 0 for key, c in lists.items() if key[0] == 0)
             assert sum(len(c) for c in lists.values()) > 0
 
@@ -1199,5 +1196,3 @@ class TestBatchAndDeterminism:
             RetrievalConfig(M=0)
         with pytest.raises(ValueError):
             RetrievalConfig(M=10, L=5)
-        with pytest.raises(ValueError):
-            RetrievalConfig(M=1, cold_user_policy="nope")
