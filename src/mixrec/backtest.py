@@ -116,8 +116,14 @@ class RunConfig:
 
     @staticmethod
     def from_json(path) -> "RunConfig":
+        """The config in a JSON file; a field this version does not have,
+        at the top level or in ``embed``, raises ``ValueError`` naming it."""
         with open(path) as fh:
-            return RunConfig(**json.load(fh))
+            data = json.load(fh)
+        _check_known(RunConfig, data, "")
+        if isinstance(data.get("embed"), dict):
+            _check_known(EmbedParams, data["embed"], "embed.")
+        return RunConfig(**data)
 
     def to_json(self, path) -> None:
         _atomic_write(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
@@ -137,6 +143,12 @@ class RunConfig:
             exclude_seen=self.exclude_seen,
             workers=self.workers,
         )
+
+
+def _check_known(cls, data: dict, prefix: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config field(s): {', '.join(prefix + k for k in unknown)}")
 
 
 # fields that only shape retrieval, scoring or output; every other field
@@ -159,7 +171,7 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     cfg._check_lists()
     rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
     cfg.sampler_config(0)
-    for name in ("num_interests", "kmeans_iters", "regroup_factor"):
+    for name in ("test_chunks", "num_interests", "kmeans_iters", "regroup_factor"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
     _check_priors(cfg.alpha, cfg.beta)

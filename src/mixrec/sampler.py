@@ -34,6 +34,13 @@ sorted rows identically, evaluate warm weights as
 ``((beta + n_ik) / (Ibeta + n_k)) * (alpha + n_uk)``, take the cold pick as
 a left ``searchsorted`` over a sequential prefix sum (as ``np.cumsum``
 computes it), and add the libm ``log`` ratios of the changes in scan order.
+The kernel reads a warm engagement's item counts from a dense K-long row
+that it fills from the item's sorted row and clears again, and gives a cold
+user's interests that neither row counts a cached ``(beta / (Ibeta + n_k))
+* alpha``, refreshed at every change of ``n_k``: that is the cold weight
+with both counts 0.0 (``beta + 0.0 == beta``, ``alpha + 0.0 == alpha``), so
+each weight and sum keeps its bits. ``_sweep_compiled`` passes both K-long
+scratch arrays, so the kernel allocates nothing.
 Which sweep runs is logged once per process; there is no switch. A sweep in
 which some resample fell back to uniform (every weight underflowed to 0), or
 whose summed log ratio is not finite, recomputes the log-joint exactly.
@@ -505,7 +512,8 @@ class ChunkModel:
             self._irow, self._iptr, self._ik, self._ic, self._ifill,
             self._nk, self.K, self._zpos, unif,
             self.alpha, self.beta, self.Ibeta,
-            np.empty(max(self.K, int(self._lens.max(initial=0)))), out, ctypes.byref(dlj),
+            np.empty(max(self.K, int(self._lens.max(initial=0)))), np.empty(self.K, dtype=np.int64),
+            np.empty(self.K), out, ctypes.byref(dlj),
         )
         return int(out[0]), int(out[1]), dlj.value
 

@@ -16,7 +16,16 @@ the same floating-point expressions in the same order. ``-ffp-contract=off``
 keeps the compiler from fusing a multiply and an add into one rounding, and
 no flag that reassociates arithmetic (``-ffast-math``) or tunes for the
 build machine (``-march=native``) is used, so both sweeps produce the same
-bits.
+bits. Two caller-provided K-long scratch arrays spare it searches and
+divisions. A warm resample scatters the item's sorted row into ``dense``
+once, reads each support interest's count there and clears those entries
+before the re-add. ``s0[k]`` holds ``(beta / (Ibeta + n_k)) * alpha``, set
+at entry and at every change of ``n_k``; a cold resample takes it for every
+interest that neither the item's row nor the user's row counts, and
+evaluates the full expression only at those rows' entries. It is the full
+expression with both counts 0.0, and ``beta + 0.0 == beta`` and ``alpha +
+0.0 == alpha``, so each weight, and the sequential prefix sum over them,
+keeps its bits.
 
 The three retrieval entry points each answer one query; their reference is
 the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
@@ -63,8 +72,8 @@ Cephes branches it leaves out, so it writes nothing and returns -2, and the
 sampler raises ``ValueError``. Without a compiler the sampler imports
 scipy for it; with one, a backtest or CLI process never imports scipy.
 
-The entry points hold no static state and allocate their work space per
-call, so threads may share them.
+The entry points hold no static state; they allocate their work space per
+call or, like the sweep, take it from the caller, so threads may share them.
 """
 
 from __future__ import annotations
@@ -138,6 +147,13 @@ static void add(i64 *ks, i64 *cs, i64 *fill, i64 r, i64 lo, i64 k, i64 d)
     }
 }
 
+/* a cold weight at zero item and user counts, n the interest's total: the
+   bits of ((beta + 0.0) / (Ibeta + n)) * (alpha + 0.0) */
+static double zero_count(double alpha, double beta, double Ibeta, i64 n)
+{
+    return (beta / (Ibeta + (double)n)) * alpha;
+}
+
 /* One scan-order sweep. out[0] = changed, out[1] = uniform fallbacks,
    *dlj = summed log weight ratios of the changes. */
 void mixrec_sweep(
@@ -147,10 +163,15 @@ void mixrec_sweep(
     const i64 *irow, const i64 *iptr, i64 *ik, i64 *ic, i64 *ifill,
     i64 *nk, i64 K, i64 *zpos, const double *u01,
     double alpha, double beta, double Ibeta,
-    double *wbuf, i64 *out, double *dlj_out)
+    double *wbuf, i64 *dense, double *s0, i64 *out, double *dlj_out)
 {
     i64 changed = 0, under = 0;
     double dlj = 0.0;
+    /* dense: a K-long item-count row, zero outside a warm resample;
+       s0[k] = zero_count(nk[k]), refreshed at every change of nk[k] */
+    memset(dense, 0, (size_t)K * sizeof(i64));
+    for (i64 k = 0; k < K; k++)
+        s0[k] = zero_count(alpha, beta, Ibeta, nk[k]);
     for (i64 r = 0; r < R; r++) {
         for (i64 j = ptr[r]; j < ptr[r + 1]; j++) {
             i64 ir = irow[j], ilo = iptr[ir];
@@ -158,12 +179,18 @@ void mixrec_sweep(
                 i64 off = offs[r], L = lens[r];
                 i64 p_old = zpos[j], k_old = cand[off + p_old], p_new, k_new;
                 double tot = 0.0;
+                i64 ihi;
                 uk[off + p_old] -= 1;
                 add(ik, ic, ifill, ir, ilo, k_old, -1);
                 nk[k_old] -= 1;
+                s0[k_old] = zero_count(alpha, beta, Ibeta, nk[k_old]);
+                /* the item's counts, scattered once instead of searched per k */
+                ihi = ilo + ifill[ir];
+                for (i64 q = ilo; q < ihi; q++)
+                    dense[ik[q]] = ic[q];
                 for (i64 p = 0; p < L; p++) {
                     i64 k = cand[off + p];
-                    tot += (alpha + (double)uk[off + p]) * (beta + (double)get(ik, ic, ilo, ifill[ir], k))
+                    tot += (alpha + (double)uk[off + p]) * (beta + (double)dense[k])
                            / (Ibeta + (double)nk[k]);
                     wbuf[p] = tot;
                 }
@@ -180,19 +207,20 @@ void mixrec_sweep(
                 }
                 k_new = cand[off + p_new];
                 if (p_new != p_old) {
-                    double w_old = (alpha + (double)uk[off + p_old])
-                                   * (beta + (double)get(ik, ic, ilo, ifill[ir], k_old))
+                    double w_old = (alpha + (double)uk[off + p_old]) * (beta + (double)dense[k_old])
                                    / (Ibeta + (double)nk[k_old]);
-                    double w_new = (alpha + (double)uk[off + p_new])
-                                   * (beta + (double)get(ik, ic, ilo, ifill[ir], k_new))
+                    double w_new = (alpha + (double)uk[off + p_new]) * (beta + (double)dense[k_new])
                                    / (Ibeta + (double)nk[k_new]);
                     changed++;
                     dlj += log(w_new) - log(w_old);
                     zpos[j] = p_new;
                 }
+                for (i64 q = ilo; q < ihi; q++)
+                    dense[ik[q]] = 0;
                 uk[off + p_new] += 1;
                 add(ik, ic, ifill, ir, ilo, k_new, 1);
                 nk[k_new] += 1;
+                s0[k_new] = zero_count(alpha, beta, Ibeta, nk[k_new]);
             } else {
                 i64 clo = cptr[r], k_old = zpos[j], k_new;
                 i64 qi, qi_end, qc, qc_end;
@@ -200,10 +228,23 @@ void mixrec_sweep(
                 add(ck, cc, cfill, r, clo, k_old, -1);
                 add(ik, ic, ifill, ir, ilo, k_old, -1);
                 nk[k_old] -= 1;
-                /* dense weights over all K; both sorted rows are walked once */
+                s0[k_old] = zero_count(alpha, beta, Ibeta, nk[k_old]);
+                /* dense weights over all K, summed in k order; both sorted
+                   rows are walked once, and a k that neither row counts
+                   takes s0[k], that weight's bits */
                 qi = ilo, qi_end = ilo + ifill[ir], qc = clo, qc_end = clo + cfill[r];
                 for (i64 k = 0; k < K; k++) {
+                    /* the next interest either row counts, K past the last */
+                    i64 next = qi < qi_end ? ik[qi] : K;
                     double n_ik = 0.0, n_uk = 0.0;
+                    if (qc < qc_end && ck[qc] < next)
+                        next = ck[qc];
+                    for (; k < next; k++) {
+                        tot += s0[k];
+                        wbuf[k] = tot;
+                    }
+                    if (k == K)
+                        break;
                     if (qi < qi_end && ik[qi] == k)
                         n_ik = (double)ic[qi++];
                     if (qc < qc_end && ck[qc] == k)
@@ -243,6 +284,7 @@ void mixrec_sweep(
                 add(ck, cc, cfill, r, clo, k_new, 1);
                 add(ik, ic, ifill, ir, ilo, k_new, 1);
                 nk[k_new] += 1;
+                s0[k_new] = zero_count(alpha, beta, Ibeta, nk[k_new]);
             }
         }
     }
@@ -743,7 +785,8 @@ _ARGTYPES = (
     + [_I64] * 5  # irow, iptr, ik, ic, ifill
     + [_I64, _ll, _I64, _F64]  # nk, K, zpos, u01
     + [_dbl] * 3  # alpha, beta, Ibeta
-    + [_F64, _I64, ctypes.POINTER(_dbl)]  # wbuf, out, dlj
+    + [_F64, _I64, _F64]  # wbuf, dense, s0
+    + [_I64, ctypes.POINTER(_dbl)]  # out, dlj
 )
 # The retrieval entry points run once per query and ``row_mean`` once per
 # SGD batch, so they take raw pointers (``ctypes.c_void_p``, see ``arg``):

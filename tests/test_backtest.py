@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -289,11 +290,13 @@ class TestBacktest:
             {"lr": 0.0},
             {"lr": float("nan")},
             {"batch_size": 0},
+            {"test_chunks": -1},
+            {"test_chunks": 0},
         ],
         ids=[
             "user_count_mode", "m_values", "truncation", "embed_dim", "repeated_m", "repeated_method",
             "unknown_method", "num_interests", "kmeans_iters", "regroup_factor", "alpha", "beta",
-            "embed_lr_zero", "embed_lr_nan", "embed_batch_size",
+            "embed_lr_zero", "embed_lr_nan", "embed_batch_size", "test_chunks_negative", "test_chunks_zero",
         ],
     )
     def test_bad_config_fails_before_writing(self, synth_edges, tmp_path, bad):
@@ -381,6 +384,19 @@ class TestRunConfig:
         assert cfg2.embed.dim == 12
         assert cfg2.m_values == [7]
         assert cfg2.seed == 3
+
+    @pytest.mark.parametrize("name", ["cold_user_policy", "embed.score_mode"])
+    def test_unknown_field_named(self, tmp_path, name):
+        # a config file written by a version with a field this one lacks
+        data = dataclasses.asdict(RunConfig())
+        if name.startswith("embed."):
+            data["embed"]["score_mode"] = "dot"
+        else:
+            data[name] = "popularity-fallback"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(f"unknown config field(s): {name}")):
+            RunConfig.from_json(p)
 
     def test_empty_m_rejected(self):
         with pytest.raises(ValueError):

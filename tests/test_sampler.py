@@ -673,6 +673,66 @@ class TestCompiledSweep:
             assert got.current_log_joint == got.log_joint()
         assert got.underflow_events == ref.underflow_events >= 4 * 2
 
+    def test_cold_weights_follow_every_count_change(self, kernel, monkeypatch):
+        # K=2 with I*beta = 0.4: one engagement more or less moves an
+        # interest's zero-count cold weight by a factor of 1.4 to 3.5. User
+        # 0's support is {0, 1}, and its engagement stays in its interest or
+        # moves to the other one; the cold user 1 then resamples an item
+        # nobody else engages, so every weight it sees is a zero-count one,
+        # read right after the warm resample. Its uniform runs over a grid.
+        init = make_init([(0, 0), (0, 1)], [0, 1, 1, 0], 2, num_users=2, num_items=4, alpha=0.5, beta=0.1)
+        assert init.num_items * init.beta < 1
+        slc = ChunkSlice.from_edges(1, [0, 1], [3, 2])
+        cfg = SamplerConfig(seed=0)
+        seen = set()
+        for z in ([0, 0], [0, 1], [1, 0], [1, 1]):
+            for u_warm in (0.001, 0.999):
+                for u_cold in (np.arange(100) + 0.5) / 100:
+                    ref, got = ChunkModel(slc, init, cfg, z=np.array(z)), ChunkModel(slc, init, cfg, z=np.array(z))
+                    unif = np.array([u_warm, u_cold])
+                    assert got.run_sweep(unif) == sweep_reference(ref, unif, monkeypatch)
+                    assert raw_tables(got) == raw_tables(ref)
+                    assert got.current_log_joint == ref.current_log_joint
+                    seen.add((z[0], *got.z.tolist()))
+        # every warm move or stay, each followed by either cold pick
+        assert seen == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+
+    @pytest.mark.parametrize("mode", ["reset", "accumulate"])
+    def test_hot_items_and_emptied_interests(self, kernel, monkeypatch, mode):
+        # warm users with wide supports and cold users each engage the same
+        # few hot items in a row, so consecutive resamples read item rows
+        # that span many interests and differ in which ones; the sparse
+        # items and one-engagement interests empty an interest's total
+        # and fill it again
+        K = 24
+        rng = np.random.default_rng(7)
+        I = 60
+        train = [(u, i) for u in range(3, 10) for i in rng.choice(I, 6, replace=False).tolist()]
+        init = make_init(train, (np.arange(I) % K).tolist(), K, num_users=10, num_items=I)
+        hot = [0, 1, 2]
+        users = np.repeat(np.arange(10), 8)
+        items = np.concatenate([hot * 2 + rng.integers(3, I, 2).tolist() for _ in range(10)])
+        slices = [ChunkSlice.from_edges(t, users, items) for t in (1, 2)]
+        cfg = SamplerConfig(seed=5, user_count_mode=mode)
+        base = UserCounts.from_init(init)
+        if mode == "accumulate":
+            fit_chunk(slices[0], init, cfg, base=base).fold_into(base)
+            assert base.cold
+        ref = ChunkModel(slices[1], init, cfg, base=base)
+        got = ChunkModel(slices[1], init, cfg, base=base)
+        ones = wide = 0
+        for _ in range(8):
+            ones += int((ref.n_kt == 1).sum())
+            wide = max(wide, int(ref._ifill.max()))
+            unif = rng.random(ref.n)
+            assert got.run_sweep(unif) == sweep_reference(ref, unif, monkeypatch)
+            assert raw_tables(got) == raw_tables(ref)
+            assert got.current_log_joint == ref.current_log_joint
+        # an interest held by one engagement at a sweep's start is emptied
+        # when that engagement is resampled
+        assert ones
+        assert wide >= K // 2
+
     def test_compile_failure_falls_back_to_python(self, kernel, monkeypatch, caplog):
         init, (slc, _) = mixed_instance(5, 7)
         cfg = SamplerConfig(seed=3, max_sweeps=4)
