@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -161,7 +162,8 @@ _RETRIEVAL_FIELDS = {
 
 def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     """Validate ``cfg``, check it against the output directory's
-    ``config.json`` and write it there; returns the retrieval config per M.
+    ``config.json`` and write it there if it changed; returns the retrieval
+    config per M.
 
     Every check runs before anything is written: a bad config creates no
     directory, and one that disagrees with the existing ``config.json`` on
@@ -178,9 +180,10 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     e = cfg.embed
     check_embedding_args(e.dim, e.epochs, e.negatives, e.lr, e.batch_size)
     out = Path(cfg.out_dir)
-    if (out / "config.json").exists():
-        old = json.loads((out / "config.json").read_text())
-        new = json.loads(json.dumps(asdict(cfg)))
+    path = out / "config.json"
+    new = json.loads(json.dumps(asdict(cfg)))
+    old = json.loads(path.read_text()) if path.exists() else None
+    if old is not None:
         stale = [
             f.name for f in fields(RunConfig)
             if f.name not in _RETRIEVAL_FIELDS and old.get(f.name) != new[f.name]
@@ -190,7 +193,8 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
                 f"{out} holds artifacts built with a different {', '.join(stale)}; "
                 "use a new output directory or remove this one"
             )
-    cfg.to_json(out / "config.json")
+    if old != new:
+        cfg.to_json(path)
     return rcfgs
 
 
@@ -214,16 +218,37 @@ def _atomic_npz(path, save_fn) -> None:
 # -- artifact stages ----------------------------------------------------------
 
 
+def _data_record(cfg: RunConfig) -> str:
+    """The data file's byte size and zlib CRC-32, and the delimiter; a
+    missing file raises."""
+    crc = size = 0
+    with open(cfg.data_path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            crc, size = zlib.crc32(block, crc), size + len(block)
+    return f"size={size} crc32={crc:08x} delimiter={cfg.delimiter!r}"
+
+
 def ensure_graph(cfg: RunConfig) -> EngagementGraph:
+    """The run's graph. ``graph.npz`` records the data file it was built
+    from; reusing it for a file that differs, or without a record, raises
+    ``ValueError`` before any artifact is loaded or written."""
     out = Path(cfg.out_dir)
     cache = out / "graph.npz"
+    record = _data_record(cfg)
     if cache.exists():
+        with np.load(cache) as z:
+            recorded = str(z["source"]) if "source" in z.files else "nothing"
+        if recorded != record:
+            raise ValueError(
+                f"{cache} records {recorded}, but {cfg.data_path} now has {record}; "
+                "use a new output directory or remove this one"
+            )
         logger.info("stage=ingest action=reuse path=%s", cache)
         return load_graph(cache)
     g = load_edge_list(cfg.data_path, delimiter=cfg.delimiter)
     stats = format_stats(graph_stats(g))
     _atomic_write(out / "graph_stats.txt", stats + "\n")
-    _atomic_npz(cache, lambda p: save_graph(g, p))
+    _atomic_npz(cache, lambda p: save_graph(g, p, source=record))
     for line in stats.splitlines():
         logger.info("stage=ingest %s", line)
     return g

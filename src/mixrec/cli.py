@@ -140,7 +140,6 @@ def cmd_synth(args) -> int:
         support_size=args.support_size,
         theta_concentration=args.theta_concentration,
         phi_concentration=args.phi_concentration,
-        block_items=not args.no_blocks,
         seed=args.seed,
     )
     g, truth = generate(spec)
@@ -156,7 +155,7 @@ def cmd_synth(args) -> int:
         phi=truth.phi,
         z=np.concatenate(truth.z),
         chunk_sizes=np.asarray([len(z) for z in truth.z]),
-        item_block=truth.item_block if truth.item_block is not None else np.empty(0, np.int64),
+        item_block=truth.item_block,
     )
     print(f"edges={g.num_edges} users={g.num_users} items={g.num_items} chunks={g.num_chunks}")
     print(f"edge_list={edge_path}")
@@ -194,7 +193,6 @@ def main(argv=None) -> int:
     ps.add_argument("--support-size", type=int, default=2, dest="support_size")
     ps.add_argument("--theta-concentration", type=float, default=1.0)
     ps.add_argument("--phi-concentration", type=float, default=0.1)
-    ps.add_argument("--no-blocks", action="store_true", help="overlapping item distributions")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out-prefix", default="synth/data", dest="out_prefix")
     ps.set_defaults(func=cmd_synth)

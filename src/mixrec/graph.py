@@ -319,9 +319,10 @@ def format_stats(stats: dict) -> str:
     return "\n".join(f"{k}={v}" for k, v in stats.items())
 
 
-def save_graph(g: EngagementGraph, path) -> None:
+def save_graph(g: EngagementGraph, path, **extra) -> None:
     np.savez_compressed(
         path,
+        **extra,
         users=g.users,
         items=g.items,
         chunks=g.chunks,

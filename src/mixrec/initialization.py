@@ -63,14 +63,14 @@ class InitArtifact:
             raise ValueError("per-user support counts do not sum to n_u0")
         if self.support_n0.sum() != self.n_k0.sum():
             raise ValueError("user-side and interest-side totals disagree")
-        if len(self.support_k) > 1:
-            d = np.diff(self.support_k)
-            within = np.ones(len(d), dtype=bool)
-            starts = self.support_ptr[1:-1]
-            starts = starts[(starts >= 1) & (starts < len(self.support_k))]
-            within[starts - 1] = False
-            if np.any(d[within] <= 0):
-                raise ValueError("per-user supports must be strictly ascending")
+        K = self.num_interests
+        for name in ("support_k", "item_interest"):
+            v = getattr(self, name)
+            if len(v) and (v.min() < 0 or v.max() >= K):
+                raise ValueError(f"{name} must lie in [0, {K})")
+        users = np.repeat(np.arange(len(self.support_ptr) - 1), np.diff(self.support_ptr))
+        if np.any(np.diff(users * K + self.support_k) <= 0):
+            raise ValueError("per-user supports must be strictly ascending")
 
 
 def _check_priors(alpha: float, beta: float) -> None:

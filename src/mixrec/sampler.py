@@ -689,5 +689,8 @@ def load_chunk_model(
     m.converged = bool(sweeps[1])
     m.underflow_events = int(sweeps[2])
     if not math.isclose(m._lj, lj, rel_tol=1e-9, abs_tol=1e-6):
-        logger.warning("chunk %d: reloaded log-joint differs from persisted value", m.chunk)
+        raise ValueError(
+            f"chunk {m.chunk}: reloaded log-joint {m._lj!r} differs from the persisted "
+            f"{lj!r}; the model was fitted on other data, init or ledger"
+        )
     return m

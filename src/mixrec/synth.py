@@ -3,10 +3,12 @@
 Forward-samples the engine's own generative story: one sparse interest
 mixture per user, fresh per-chunk item distributions per interest, then per
 engagement an interest from the user mixture and an item from that
-interest's chunk distribution. Returns the graph plus every latent draw, so
-inference can be scored for exact assignment recovery and mixture error.
-The block-items mode puts each interest's item distribution on a disjoint
-item range, giving well-separated interests.
+interest's chunk distribution. Items come in one contiguous block per
+interest and each interest draws only from its own block, giving
+well-separated interests, so the truth is per item: its owning interest and,
+per chunk, its probability under that interest. Returns the graph plus every
+latent draw, so inference can be scored for exact assignment recovery and
+mixture error.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ __all__ = [
     "score_recovery",
 ]
 
+# prior counts per user that init_from_truth spreads over the true mixture
+_PSEUDO_COUNT = 20
+
 
 @dataclass
 class SynthSpec:
@@ -40,7 +45,6 @@ class SynthSpec:
     support_size: int = 2
     theta_concentration: float = 1.0
     phi_concentration: float = 0.1
-    block_items: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -50,33 +54,25 @@ class SynthSpec:
             raise ValueError("engagements_per_user must be >= 1")
         if not (1 <= self.support_size <= self.num_interests):
             raise ValueError("support_size must lie in [1, num_interests]")
-        if self.block_items and self.num_items < self.num_interests:
-            raise ValueError("block mode needs at least one item per interest")
+        if self.num_items < self.num_interests:
+            raise ValueError("each interest needs at least one item of its own")
 
 
 @dataclass
 class SynthTruth:
     theta: np.ndarray  # U x K
     supports: list[np.ndarray]
-    phi: np.ndarray  # T x K x I
+    phi: np.ndarray  # T x I: item i's probability under item_block[i] in chunk t
     z: list[np.ndarray]  # per chunk, canonical slice order
-    item_block: np.ndarray | None = None  # item -> owning interest (block mode)
-
-
-def _item_blocks(I: int, K: int) -> np.ndarray:
-    """Partition items into K nearly equal contiguous ranges."""
-    bounds = np.linspace(0, I, K + 1).astype(np.int64)
-    owner = np.zeros(I, dtype=np.int64)
-    for k in range(K):
-        owner[bounds[k]:bounds[k + 1]] = k
-    return owner
+    item_block: np.ndarray  # item -> owning interest
 
 
 def generate(spec: SynthSpec) -> tuple[EngagementGraph, SynthTruth]:
     """Exact forward sampling of the generative story.
 
     Edges are emitted per chunk with users ascending, so per-chunk latent
-    interests align positionally with ChunkSlice's canonical order.
+    interests align positionally with ChunkSlice's canonical order. Interest
+    k owns the contiguous item range ``bounds[k]:bounds[k + 1]``.
     """
     rng = np.random.default_rng(spec.seed)
     U, I, K, T = spec.num_users, spec.num_items, spec.num_interests, spec.num_chunks
@@ -90,16 +86,13 @@ def generate(spec: SynthSpec) -> tuple[EngagementGraph, SynthTruth]:
         theta[u, sup] = w
         supports.append(sup)
 
-    item_block = _item_blocks(I, K) if spec.block_items else None
-    phi = np.zeros((T, K, I))
+    bounds = np.linspace(0, I, K + 1).astype(np.int64)
+    item_block = np.repeat(np.arange(K), np.diff(bounds))
+    phi = np.empty((T, I))
     for t in range(T):
         for k in range(K):
-            if spec.block_items:
-                members = np.flatnonzero(item_block == k)
-            else:
-                members = np.arange(I)
-            phi[t, k, members] = rng.dirichlet(
-                np.full(len(members), spec.phi_concentration)
+            phi[t, bounds[k]:bounds[k + 1]] = rng.dirichlet(
+                np.full(bounds[k + 1] - bounds[k], spec.phi_concentration)
             )
 
     users_all, items_all, chunks_all = [], [], []
@@ -114,7 +107,8 @@ def generate(spec: SynthSpec) -> tuple[EngagementGraph, SynthTruth]:
             its = np.empty(N, dtype=np.int64)
             for k in np.unique(zs):
                 mask = zs == k
-                its[mask] = rng.choice(I, size=int(mask.sum()), p=phi[t, k])
+                lo, hi = bounds[k], bounds[k + 1]
+                its[mask] = lo + rng.choice(hi - lo, size=int(mask.sum()), p=phi[t, lo:hi])
             z_chunk[pos:pos + N] = zs
             items_chunk[pos:pos + N] = its
             pos += N
@@ -145,57 +139,31 @@ def init_from_truth(
     num_items: int,
     alpha: float = 0.1,
     beta: float = 0.01,
-    counts_mode: str = "theta",
-    pseudo_count: int = 20,
-    train_chunk: int = 0,
 ) -> InitArtifact:
-    """t=0 artifact whose prior supports come from the true mixtures.
+    """t=0 artifact whose prior supports are the true ones.
 
-    "theta" mode seeds user counts as round(theta * pseudo_count) clamped to
-    at least 1 on the support, so the support invariant holds exactly.
-    "chunk0" mode counts the true assignments of one generated chunk and
-    derives supports from those counts (they may miss rarely drawn
-    interests, as a real train chunk would).
+    User counts are round(theta * 20) on the support, clamped to at least 1
+    so the support invariant holds exactly; items map to their blocks.
     """
     U, K = truth.theta.shape
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    if counts_mode == "theta":
-        for u in range(U):
-            sup = truth.supports[u]
-            counts = np.maximum(np.rint(truth.theta[u, sup] * pseudo_count), 1).astype(np.int64)
-            rows.append((sup, counts))
-    elif counts_mode == "chunk0":
-        z = truth.z[train_chunk]
-        N = len(z) // U
-        for u in range(U):
-            zu = z[u * N:(u + 1) * N]
-            ks, counts = np.unique(zu, return_counts=True)
-            rows.append((ks.astype(np.int64), counts.astype(np.int64)))
-    else:
-        raise ValueError("counts_mode must be 'theta' or 'chunk0'")
-
-    support_ptr = np.zeros(U + 1, dtype=np.int64)
-    for u, (sup, _) in enumerate(rows):
-        support_ptr[u + 1] = support_ptr[u] + len(sup)
-    support_k = np.concatenate([r[0] for r in rows]) if rows else np.empty(0, np.int64)
-    support_n0 = np.concatenate([r[1] for r in rows]) if rows else np.empty(0, np.int64)
-    n_u0 = np.asarray([r[1].sum() for r in rows], dtype=np.int64)
-    n_k0 = np.bincount(support_k, weights=support_n0, minlength=K).astype(np.int64)
-    item_interest = (
-        truth.item_block.copy() if truth.item_block is not None else np.zeros(num_items, np.int64)
-    )
+    sizes = np.asarray([len(s) for s in truth.supports], dtype=np.int64)
+    users = np.repeat(np.arange(U), sizes)
+    support_k = np.concatenate(truth.supports).astype(np.int64)
+    support_n0 = np.maximum(
+        np.rint(truth.theta[users, support_k] * _PSEUDO_COUNT), 1
+    ).astype(np.int64)
     art = InitArtifact(
         num_users=U,
         num_items=num_items,
         num_interests=K,
         alpha=float(alpha),
         beta=float(beta),
-        support_ptr=support_ptr,
+        support_ptr=np.concatenate([[0], np.cumsum(sizes)]),
         support_k=support_k,
         support_n0=support_n0,
-        n_u0=n_u0,
-        n_k0=n_k0,
-        item_interest=item_interest,
+        n_u0=np.bincount(users, weights=support_n0, minlength=U).astype(np.int64),
+        n_k0=np.bincount(support_k, weights=support_n0, minlength=K).astype(np.int64),
+        item_interest=truth.item_block.copy(),
         item_n0=np.zeros(num_items, dtype=np.int64),
     )
     art.validate()
@@ -207,7 +175,6 @@ class RecoveryReport:
     per_chunk_exact: dict[int, float] = field(default_factory=dict)
     per_chunk_mean_tv: dict[int, float] = field(default_factory=dict)
     overall_exact: float = 0.0
-    label_map: np.ndarray | None = None
 
     def worst_exact(self) -> float:
         return min(self.per_chunk_exact.values()) if self.per_chunk_exact else 0.0
@@ -234,36 +201,12 @@ def _theta_tv(model: ChunkModel, truth: SynthTruth) -> float:
     return float((0.5 * np.abs(est - truth.theta).sum(axis=1)).mean())
 
 
-def score_recovery(
-    truth: SynthTruth,
-    models: dict[int, ChunkModel],
-    match_labels: bool = False,
-) -> RecoveryReport:
+def score_recovery(truth: SynthTruth, models: dict[int, ChunkModel]) -> RecoveryReport:
     """Exact z-recovery per chunk plus mean per-user mixture TV distance.
 
-    With ``match_labels`` the fitted interests are first relabeled by the
-    max-agreement one-to-one matching (for experiments not anchored to the
-    true supports); anchored runs score raw labels.
+    Fits are anchored to the true supports, so raw labels are scored.
     """
     report = RecoveryReport()
-    label_map = None
-    if match_labels:
-        # imported here, its only use, so importing this module loads no scipy
-        from scipy.optimize import linear_sum_assignment
-
-        K = truth.theta.shape[1]
-        confusion = np.zeros((K, K))
-        for chunk, model in models.items():
-            tz = truth.z[chunk]
-            fz = model.z
-            if len(tz) != len(fz):
-                raise ValueError(f"chunk {chunk}: truth and fit disagree on size")
-            np.add.at(confusion, (fz, tz), 1)
-        rows, cols = linear_sum_assignment(-confusion)
-        label_map = np.arange(K)
-        label_map[rows] = cols
-        report.label_map = label_map
-
     total = 0.0
     n = 0
     for chunk in sorted(models):
@@ -272,8 +215,6 @@ def score_recovery(
         fz = model.z
         if len(tz) != len(fz):
             raise ValueError(f"chunk {chunk}: truth and fit disagree on size")
-        if label_map is not None:
-            fz = label_map[fz]
         frac = exact_match_fraction(tz, fz)
         report.per_chunk_exact[chunk] = frac
         report.per_chunk_mean_tv[chunk] = _theta_tv(model, truth)

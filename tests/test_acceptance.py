@@ -48,11 +48,10 @@ def planted():
     spec = SynthSpec(
         num_users=200, num_items=500, num_interests=5, num_chunks=3,
         engagements_per_user=20, support_size=2, theta_concentration=1.0,
-        phi_concentration=0.1, block_items=True, seed=7,
+        phi_concentration=0.1, seed=7,
     )
     g, truth = generate(spec)
-    init = init_from_truth(truth, num_items=500, alpha=0.1, beta=0.01,
-                           counts_mode="theta", pseudo_count=20)
+    init = init_from_truth(truth, num_items=500, alpha=0.1, beta=0.01)
     models = {
         t: fit_chunk(g.slice(t), init, SamplerConfig(seed=100 + t)) for t in range(3)
     }

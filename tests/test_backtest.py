@@ -11,7 +11,7 @@ import mixrec.backtest
 import mixrec.sweep_kernel as sweep_kernel
 from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, report, write_reports
 from mixrec.cli import main as cli_main
-from mixrec.graph import ChunkSlice, SplitSpec, split
+from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split
 from mixrec.metrics import MetricBlock, MetricsReport, build_queries
 from mixrec.synth import SynthSpec, generate
 
@@ -458,6 +458,47 @@ class TestCli:
         assert cli_main(["report", "--out", "run"]) == 0
         out = capsys.readouterr().out
         assert "M=5" in out
+
+    def test_replaced_data_file_refused(self, tmp_path, monkeypatch):
+        # artifacts built from one data file must not be reused for another
+        # written to the same path; a missing data file fails too
+        monkeypatch.chdir(tmp_path)
+        for seed, prefix in (("1", "d/s"), ("2", "d/other")):
+            cli_main(["synth", "--users", "60", "--items", "150", "--chunks", "5",
+                      "--seed", seed, "--out-prefix", prefix])
+        run = ["backtest", "--data", "d/s.tsv", "--out", "r", "--interests", "5",
+               "--m", "10", "--dim", "16", "--epochs", "3"]
+        assert cli_main(run) == 0
+        stamps = {p: p.stat().st_mtime_ns for p in Path("r").rglob("*")}
+        Path("d/s.tsv").write_bytes(Path("d/other.tsv").read_bytes())
+        with pytest.raises(ValueError, match=r"r/graph\.npz records .* but d/s\.tsv now has"):
+            cli_main(run)
+        Path("d/s.tsv").unlink()
+        with pytest.raises(FileNotFoundError):
+            cli_main(run)
+        assert {p: p.stat().st_mtime_ns for p in Path("r").rglob("*")} == stamps
+
+    def test_ingest_directory_refuses_changed_data(self, synth_edges, tmp_path, monkeypatch):
+        # ingest writes no config.json, so only graph.npz's record can tell
+        monkeypatch.chdir(tmp_path)
+        Path("e.tsv").write_bytes(synth_edges.read_bytes())
+        ingest = ["ingest", "--data", "e.tsv", "--out", "r"]
+        assert cli_main(ingest) == 0
+        assert cli_main(ingest) == 0
+        assert not Path("r/config.json").exists()
+        stamp = Path("r/graph.npz").stat().st_mtime_ns
+        with open("e.tsv", "a") as fh:
+            fh.write("0\t0\t0\n")
+        with pytest.raises(ValueError, match="graph.npz records size="):
+            cli_main(ingest)
+        with pytest.raises(ValueError, match="graph.npz records size="):
+            cli_main(["backtest", "--data", "e.tsv", "--out", "r", "--interests", "4",
+                      "--dim", "6", "--epochs", "2"])
+        assert Path("r/graph.npz").stat().st_mtime_ns == stamp
+        # a graph.npz without a record is refused as well
+        save_graph(load_graph("r/graph.npz"), "r/graph.npz")
+        with pytest.raises(ValueError, match="graph.npz records nothing"):
+            cli_main(ingest)
 
     def test_cluster_requires_embeddings(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,27 @@ class TestBuildInit:
         assert np.array_equal(init.support_n0, init2.support_n0)
         assert init.alpha == init2.alpha
 
+
+    @pytest.mark.parametrize("name", ["support_k", "item_interest"])
+    def test_interest_out_of_range_rejected(self, tmp_path, name):
+        # the compiled sweep indexes K-long buffers by these interests
+        g = from_raw_edges([0, 0, 1], [0, 1, 1], [0, 0, 0])
+        init = build_init(g, item_interest=[0, 1], num_interests=2)
+        values = getattr(init, name).copy()
+        values[-1] = 2
+        bad = dataclasses.replace(init, **{name: values})
+        with pytest.raises(ValueError, match=name):
+            bad.validate()
+        save_init(bad, tmp_path / "init.npz")
+        with pytest.raises(ValueError, match=name):
+            load_init(tmp_path / "init.npz")
+
+    def test_unsorted_support_rejected(self):
+        g = from_raw_edges([0, 0, 1], [0, 1, 1], [0, 0, 0])
+        init = build_init(g, item_interest=[0, 1], num_interests=2)
+        bad = dataclasses.replace(init, support_k=init.support_k[[1, 0, 2]])
+        with pytest.raises(ValueError, match="ascending"):
+            bad.validate()
 
 class TestMleMixture:
     def test_user_distribution(self):

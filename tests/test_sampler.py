@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -562,6 +563,18 @@ class TestPersistence:
         other = ChunkSlice.from_edges(2, users, items)
         with pytest.raises(ValueError):
             load_chunk_model(p, other, init, cfg)
+
+    def test_reload_under_other_init_rejected(self, tmp_path):
+        # a log-joint that does not reproduce means the chunk was fitted
+        # under another init, other data or another ledger
+        init, users, items = tiny_instances()[1]
+        slc = ChunkSlice.from_edges(1, users, items)
+        cfg = SamplerConfig(seed=7)
+        p = tmp_path / "chunk.npz"
+        save_chunk_model(fit_chunk(slc, init, cfg), p)
+        other = dataclasses.replace(init, alpha=2 * init.alpha)
+        with pytest.raises(ValueError, match="chunk 1: reloaded log-joint"):
+            load_chunk_model(p, slc, other, cfg)
 
     def test_diagnostics_and_table_dump(self, tmp_path):
         init, users, items = tiny_instances()[1]

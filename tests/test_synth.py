@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -58,13 +60,13 @@ class TestGenerate:
         spec = SynthSpec(
             num_users=100, num_items=40, num_interests=1, num_chunks=1,
             engagements_per_user=1000, support_size=1,
-            phi_concentration=5.0, block_items=False, seed=11,
+            phi_concentration=5.0, seed=11,
         )
         g, truth = generate(spec)
         assert set(np.concatenate(truth.z).tolist()) == {0}
         counts = np.bincount(g.items, minlength=40)
         n = counts.sum()
-        expected = truth.phi[0, 0] * n
+        expected = truth.phi[0] * n
         keep = expected > 5  # standard chi-square validity guard
         chi2 = float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
         crit = stats.chi2.ppf(0.99, df=int(keep.sum()) - 1)
@@ -91,6 +93,45 @@ class TestGenerate:
                       engagements_per_user=1, support_size=3)
 
 
+    # CRC-32s of g.items, the concatenated z and theta, recorded from a dense
+    # T x K x I phi in which each interest drew over all items with zeros
+    # outside its block; drawing from the block alone must keep every bit
+    @pytest.mark.parametrize(
+        "kwargs, crcs",
+        [
+            (dict(num_users=100, num_items=40, num_interests=1, num_chunks=1,
+                  engagements_per_user=1000, support_size=1, phi_concentration=5.0, seed=11),
+             ("ca305d34", "658258b4", "dc75c79b")),
+            (dict(num_users=60, num_items=150, num_interests=5, num_chunks=5,
+                  engagements_per_user=20, support_size=2, seed=7),
+             ("901e61d0", "9ec78c30", "19cea7b5")),
+            (dict(num_users=200, num_items=2000, num_interests=300, num_chunks=3,
+                  engagements_per_user=10, support_size=4, seed=5),
+             ("71e7000a", "ba2a315b", "39419c30")),
+        ],
+        ids=["k1", "smoke", "k300"],
+    )
+    def test_pinned_draws(self, kwargs, crcs):
+        g, truth = generate(SynthSpec(**kwargs))
+        got = tuple(
+            f"{zlib.crc32(np.ascontiguousarray(a).tobytes()):08x}"
+            for a in (g.items, np.concatenate(truth.z), truth.theta)
+        )
+        assert got == crcs
+
+    def test_per_item_truth_at_paper_scale(self):
+        spec = SynthSpec(
+            num_users=3, num_items=20_000, num_interests=5000, num_chunks=6,
+            engagements_per_user=5, support_size=4, seed=1,
+        )
+        _, truth = generate(spec)
+        assert truth.phi.shape == (6, 20_000)
+        assert np.array_equal(np.bincount(truth.item_block), np.full(5000, 4))
+        # each interest's block carries one distribution per chunk
+        sums = np.add.reduceat(truth.phi, np.arange(0, 20_000, 4), axis=1)
+        assert np.allclose(sums, 1.0)
+
+
 class TestInitFromTruth:
     def test_theta_mode_supports_match_truth(self):
         spec = SynthSpec(
@@ -98,34 +139,11 @@ class TestInitFromTruth:
             engagements_per_user=6, support_size=2, seed=2,
         )
         g, truth = generate(spec)
-        init = init_from_truth(truth, num_items=50, counts_mode="theta", pseudo_count=20)
+        init = init_from_truth(truth, num_items=50)
         init.validate()
         for u in range(25):
             assert init.support(u).tolist() == truth.supports[u].tolist()
             assert np.all(init.support_counts(u) >= 1)
-
-    def test_chunk0_mode_counts_true_assignments(self):
-        spec = SynthSpec(
-            num_users=10, num_items=30, num_interests=3, num_chunks=2,
-            engagements_per_user=12, support_size=2, seed=4,
-        )
-        g, truth = generate(spec)
-        init = init_from_truth(truth, num_items=30, counts_mode="chunk0", train_chunk=0)
-        init.validate()
-        z0 = truth.z[0]
-        for u in range(10):
-            ks, counts = np.unique(z0[u * 12:(u + 1) * 12], return_counts=True)
-            assert init.support(u).tolist() == ks.tolist()
-            assert init.support_counts(u).tolist() == counts.tolist()
-
-    def test_bad_mode(self):
-        spec = SynthSpec(
-            num_users=2, num_items=4, num_interests=2, num_chunks=1,
-            engagements_per_user=2, seed=0,
-        )
-        _, truth = generate(spec)
-        with pytest.raises(ValueError):
-            init_from_truth(truth, num_items=4, counts_mode="nope")
 
 
 class TestScoreRecovery:
@@ -135,7 +153,7 @@ class TestScoreRecovery:
             engagements_per_user=10, support_size=2, seed=6,
         )
         g, truth = generate(spec)
-        init = init_from_truth(truth, num_items=100, counts_mode="theta")
+        init = init_from_truth(truth, num_items=100)
         return g, truth, init
 
     def test_truth_assignments_score_one(self):
@@ -167,26 +185,3 @@ class TestScoreRecovery:
         rep = score_recovery(truth, models)
         assert rep.worst_exact() > 0.5
         assert rep.worst_tv() < 0.3
-
-    def test_label_matching_mode_fixes_permutation(self):
-        g, truth, init = self.fixture()
-        models = {t: fit_chunk(g.slice(t), init, SamplerConfig(seed=50 + t)) for t in range(2)}
-        # permute fitted labels; anchored scoring collapses, matched scoring recovers
-        perm = np.array([4, 3, 2, 1, 0])
-        permuted_truth = SynthTruth_like_permuted(truth, perm)
-        raw = score_recovery(permuted_truth, models)
-        matched = score_recovery(permuted_truth, models, match_labels=True)
-        assert matched.overall_exact > raw.overall_exact
-        assert matched.overall_exact > 0.5
-
-
-def SynthTruth_like_permuted(truth, perm):
-    from mixrec.synth import SynthTruth
-
-    return SynthTruth(
-        theta=truth.theta[:, np.argsort(perm)],
-        supports=[np.sort(perm[s]) for s in truth.supports],
-        phi=truth.phi,
-        z=[perm[z] for z in truth.z],
-        item_block=truth.item_block,
-    )
