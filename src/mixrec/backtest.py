@@ -14,8 +14,9 @@ items engaged in the source chunk, so comparisons stay fair; the static
 mixture baseline ranks train items restricted to that pool.
 
 Every method is one retriever ``fn(u, index, cfg, seen, chunk)``; its
-index is built once per source chunk (``ann``, ``popularity``) or per
-(chunk, M) (the two mixtures).
+index is built once per source chunk (``ann``, ``popularity``, and the two
+mixtures at a fixed ``truncation``) or per (chunk, M) (the two mixtures at
+the default truncation L = 5*M).
 
 ``open_run`` starts every run, here and in the CLI's stage commands: it
 validates the config, checks it against the output directory's
@@ -41,6 +42,7 @@ from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_s
 from .initialization import _check_priors, build_init, load_init, mle_mixture, save_init
 from .metrics import MetricsReport, aggregate, build_queries, score_query
 from .retrieval import (
+    CandidateList,
     RetrievalConfig,
     ann_encode_items,
     ann_retrieve,
@@ -323,13 +325,14 @@ class _SeenTracker:
         self._stride = max(train.num_items, 1)
         self._keys = np.empty(0, dtype=np.int64)
         self._items = self._keys
-        self._ptr = np.zeros(1, dtype=np.int64)
+        self._ptr = [0]
         self.add_chunk(ChunkSlice.from_edges(0, train.users, train.items))
 
     def view(self, user: int) -> np.ndarray:
-        if not 0 <= user < len(self._ptr) - 1:
+        ptr = self._ptr
+        if not 0 <= user < len(ptr) - 1:
             return self._items[:0]
-        return self._items[self._ptr[user]:self._ptr[user + 1]]
+        return self._items[ptr[user]:ptr[user + 1]]
 
     def add_chunk(self, slice_) -> None:
         new = np.sort(slice_.users * self._stride + slice_.items)
@@ -340,7 +343,8 @@ class _SeenTracker:
         keys = keys[first]
         users, self._items = np.divmod(keys, self._stride)
         self._keys = keys
-        self._ptr = np.concatenate([[0], np.cumsum(np.bincount(users))])
+        # Python ints, so a query reads its row bounds without numpy scalars
+        self._ptr = [0, *np.cumsum(np.bincount(users)).tolist()]
 
 
 def _fit_or_load(cfg, slc, init, ordinal, base):
@@ -380,7 +384,16 @@ def split_graph(cfg: RunConfig) -> tuple[EngagementGraph, EngagementGraph, list[
 
 
 def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
-    """Run the rolling protocol and return reports keyed by (method, M)."""
+    """Run the rolling protocol and return reports keyed by (method, M).
+
+    A method whose index does not depend on M (``ann`` and ``popularity``,
+    and both mixtures when ``truncation`` is set) is retrieved once per
+    query at the largest M, and each smaller M scores and dumps the first M
+    entries of that list: on one index every list is a prefix of the list
+    at a larger M (see ``mixrec.retrieval``). The mixtures at the default
+    truncation L = 5*M get an index and lists per M. Lists are held for the
+    current chunk only.
+    """
     out = Path(cfg.out_dir)
     rcfgs = open_run(cfg)
 
@@ -411,6 +424,9 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     )
     # looked up at call time, so wrappers installed on this module's names apply
     retrievers = {"micro": retrieve_micro, "mle": retrieve_mle, "ann": ann_retrieve, "popularity": popularity_retrieve}
+    # the methods whose index does not depend on M
+    shared = {"ann", "popularity"} | ({"micro", "mle"} if cfg.truncation is not None else set())
+    top = max(cfg.m_values)
 
     per_query: dict[tuple[str, int], list[tuple[float, float, float]]] = {
         (meth, m): [] for meth in methods for m in cfg.m_values
@@ -432,18 +448,31 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                 indexes["ann"] = ann_encode_items(prev_slice, emb)
             # the fitted model's counts are final: read them once for every M
             tables = chunk_tables(prev_model) if "micro" in methods else None
-            for m in cfg.m_values:
-                rcfg = rcfgs[m]
-                if "micro" in methods:
-                    indexes["micro"] = build_index(prev_model, rcfg, pop_rank, tables)
-                if "mle" in methods:
-                    indexes["mle"] = build_mle_index(mix, rcfg, prev_slice.item_pool, pop_rank)
-                for meth in methods:
-                    fn, index = retrievers[meth], indexes[meth]
-                    cands = batch_retrieve(
-                        lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
-                        queries, rcfg,
-                    )
+
+            def retrieve(meth, rcfg):
+                if meth == "micro":
+                    index = build_index(prev_model, rcfg, pop_rank, tables)
+                elif meth == "mle":
+                    index = build_mle_index(mix, rcfg, prev_slice.item_pool, pop_rank)
+                else:
+                    index = indexes[meth]
+                fn = retrievers[meth]
+                return batch_retrieve(
+                    lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
+                    queries, rcfg,
+                )
+
+            for meth in methods:
+                # an index that does not depend on M serves every M: its
+                # lists at the largest M, cut to each smaller M
+                full = retrieve(meth, rcfgs[top]) if meth in shared else None
+                for m in cfg.m_values:
+                    if full is None:
+                        cands = retrieve(meth, rcfgs[m])
+                    elif m == top:
+                        cands = full
+                    else:
+                        cands = [CandidateList(c.user, c.chunk, c.ids[:m], c.scores[:m]) for c in full]
                     per_query[(meth, m)].extend(
                         score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)
                     )

@@ -55,6 +55,16 @@ class InitArtifact:
 
     def validate(self) -> None:
         _check_priors(self.alpha, self.beta)
+        U, I, K = self.num_users, self.num_items, self.num_interests
+        ptr = self.support_ptr
+        if len(ptr) != U + 1 or ptr[0] != 0 or ptr[-1] != len(self.support_k):
+            raise ValueError(f"support_ptr must have {U + 1} entries running from 0 to len(support_k)")
+        if np.any(ptr[1:] < ptr[:-1]):
+            raise ValueError("support_ptr must not decrease")
+        for name, n in (("support_n0", len(self.support_k)), ("n_u0", U), ("n_k0", K),
+                        ("item_interest", I), ("item_n0", I)):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} must have {n} entries, got {len(getattr(self, name))}")
         if np.any(self.support_n0 <= 0):
             raise ValueError("support counts must be positive (support = interests with N>0)")
         csum = np.concatenate([[0], np.cumsum(self.support_n0)])
@@ -63,7 +73,6 @@ class InitArtifact:
             raise ValueError("per-user support counts do not sum to n_u0")
         if self.support_n0.sum() != self.n_k0.sum():
             raise ValueError("user-side and interest-side totals disagree")
-        K = self.num_interests
         for name in ("support_k", "item_interest"):
             v = getattr(self, name)
             if len(v) and (v.min() < 0 or v.max() >= K):

@@ -55,13 +55,15 @@ def _idcg(n: int) -> float:
 
 def score_query(ids, truth, m: int) -> tuple[float, float, float]:
     """``(recall, mrr, ndcg)`` at ``m`` of one ranked list of distinct item
-    ids against a nonempty ground-truth set, from one pass over the first
-    ``m`` ids."""
+    ids against a nonempty ground-truth ``set`` or ``frozenset``: a list
+    whose first ``m`` ids miss the truth, as most do, returns at one
+    ``isdisjoint`` test, any other after one pass over them."""
     if not truth:
         raise ValueError("ground-truth set must be nonempty")
-    hits = [pos for pos, item in enumerate(ids[:m]) if item in truth]
-    if not hits:
+    head = ids[:m]
+    if truth.isdisjoint(head):
         return 0.0, 0.0, 0.0
+    hits = [pos for pos, item in enumerate(head) if item in truth]
     dcg = 0.0
     for pos in hits:
         dcg += 1.0 / math.log2(pos + 2)

@@ -11,16 +11,24 @@ is recorded under. The index per method:
 
 - ``micro``: ``build_index(m, cfg, ranking, tables)``, an ``InterestIndex``
   of the fitted chunk model's per-interest top-L lists (one per chunk and
-  M) from its ``chunk_tables`` (one per chunk); the users' interest weights
+  L) from its ``chunk_tables`` (one per chunk); the users' interest weights
   are ``ChunkModel.user_weights``, the alpha-smoothed combined counts
   normalised over each support.
 - ``mle``: ``build_mle_index(mix, cfg, pool, ranking)``, an
   ``InterestIndex`` of the t=0 tables' top-L lists restricted to the pool
-  (one per chunk and M); the weights are ``MleMixture.p_k_given_u``.
+  (one per chunk and L); the weights are ``MleMixture.p_k_given_u``.
 - ``ann``: ``ann_encode_items(slice_, emb)``, an ``AnnIndex`` of the pool's
   engagement-averaged item vectors, their norms and the user vectors.
 - ``popularity``: ``popularity_ranking(slice_)``, the pool by engagement
   count.
+
+Only the mixtures' indexes depend on M, and only through the truncation,
+which defaults to L = 5*M; ``ann`` and ``popularity`` indexes, and the
+mixtures' at a fixed L, serve every M. On one index the list at M is the
+first M entries of the list at any larger M, ids and score bits alike:
+every selection below is a strict order over scores, and seen ids, that do
+not depend on M. The backtest relies on this to retrieve once at its
+largest M and cut each list to the smaller ones.
 
 Both mixtures are one retriever, ``retrieve_mixture``: an ``InterestIndex``
 holds each interest's list over an ascending candidate pool as its counted
@@ -61,7 +69,6 @@ from which its ``items`` pairs are derived on request.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -112,11 +119,12 @@ class RetrievalConfig:
         return self.L if self.L is not None else 5 * self.M
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class CandidateList:
     """Ranked candidates for one (user, target chunk) query: item ``ids``
     (``int64``) and their ``scores`` (``float64``), best first. They may
-    be views of an index's ranking, so callers only read them."""
+    be views of an index's ranking or of a longer list, so callers only
+    read them."""
 
     user: int
     chunk: int
@@ -183,6 +191,8 @@ class InterestIndex:
     popularity: tuple[np.ndarray, np.ndarray] | None = None
     # data addresses of ptr, positions, probs, floor, fend, pool_items, user_k and user_w for the kernel
     _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # user_ptr as Python ints, so a query reads its row bounds without numpy scalars
+    _rows: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = len(self.ptr) - 1
@@ -190,6 +200,7 @@ class InterestIndex:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, np.zeros(max(K, 0), dtype))
         object.__setattr__(self, "user_ptr", np.asarray(self.user_ptr, dtype=np.int64))
+        object.__setattr__(self, "_rows", self.user_ptr.tolist())
         object.__setattr__(self, "_c", _addresses(
             self, ptr=np.int64, positions=np.int64, probs=np.float64, floor=np.float64, fend=np.int64,
             pool_items=np.int64, user_k=np.int64, user_w=np.float64,
@@ -352,14 +363,12 @@ def _kernel_count(got: int) -> int:
 
 def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:
     """The list a kernel selection ``fn(*args, cap, out_items, out_scores)``
-    writes: at most ``cap`` ranked candidates, their count returned. Both
-    outputs are halves of one buffer, passed as one address and an offset."""
-    buf, out = np.empty(2 * cap, np.int64), (None, None)
-    if cap:
-        c = ctypes.c_char.from_buffer(buf)
-        out = ctypes.byref(c), ctypes.byref(c, 8 * cap)
-    got = _kernel_count(fn(*args, cap, *out))
-    return CandidateList(user, chunk, buf[:got], buf[cap:cap + got].view(np.float64))
+    writes: at most ``cap`` ranked candidates, their count returned."""
+    ids, scores = np.empty(cap, np.int64), np.empty(cap, np.float64)
+    got = _kernel_count(fn(*args, cap, _arg(ids), _arg(scores)))
+    if got < cap:
+        ids, scores = ids[:got], scores[:got]
+    return CandidateList(user, chunk, ids, scores)
 
 
 def _select_top(items: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int) -> CandidateList:
@@ -403,10 +412,11 @@ def retrieve_mixture(
     interest, into their pool positions. Only items some term touched are
     candidates.
     """
-    if not 0 <= u < len(idx.user_ptr) - 1:  # a negative id would read another row
-        raise IndexError(f"user {u} outside [0, {len(idx.user_ptr) - 1})")
+    rows = idx._rows
+    if not 0 <= u < len(rows) - 1:  # a negative id would read another row
+        raise IndexError(f"user {u} outside [0, {len(rows) - 1})")
     seen = seen if cfg.exclude_seen else None
-    lo, hi = int(idx.user_ptr[u]), int(idx.user_ptr[u + 1])
+    lo, hi = rows[u], rows[u + 1]
     if hi == lo:
         if idx.popularity is None:
             return CandidateList(u, chunk)

@@ -125,6 +125,35 @@ class TestBacktest:
                 assert series[0].split("\t")[0] == "chunk"
                 assert len(series) == 1 + 2  # two evaluated chunks
 
+    @pytest.mark.parametrize("truncation", [None, 100])
+    def test_lists_cut_from_the_largest_m_match_separate_runs(self, synth_edges, tmp_path, truncation):
+        # ann and popularity, and the mixtures at a fixed truncation, are
+        # retrieved once at the largest M and cut to each smaller M; the
+        # mixtures at the default L = 5*M are retrieved per M. Either way a
+        # run at M = 5 and 20 writes what runs at each M alone write. The
+        # retrieval fields may change in one output directory, whose
+        # artifacts the three runs share
+        out = tmp_path / "out"
+
+        def run(ms):
+            backtest(small_config(
+                synth_edges, out, m_values=ms, truncation=truncation, exclude_seen=True, dump_candidates=True
+            ))
+            metrics = {
+                name: (out / "metrics" / name).read_text().splitlines() for name in ("series.tsv", "overall.tsv")
+            }
+            return metrics, {m: (out / "metrics" / f"candidates_M{m}.tsv").read_bytes() for m in ms}
+
+        both, both_cands = run([5, 20])
+        alone = [run([5]), run([20])]
+        for name, rows in both.items():
+            # rows are sorted by (method, M)
+            key = lambda row: (row.split("\t")[0], int(row.split("\t")[1]))
+            want = sorted(alone[0][0][name][1:] + alone[1][0][name][1:], key=key)
+            assert rows == alone[0][0][name][:1] + want, name
+        assert both_cands == {**alone[0][1], **alone[1][1]}
+        assert len(both_cands[20].splitlines()) > len(both_cands[5].splitlines()) > 1
+
     def test_overall_recomputable_from_series(self, synth_edges, tmp_path):
         cfg = small_config(synth_edges, tmp_path / "agg")
         backtest(cfg)

@@ -124,6 +124,32 @@ class TestBuildInit:
         with pytest.raises(ValueError, match=name):
             load_init(tmp_path / "init.npz")
 
+    @pytest.mark.parametrize("name, bad_value", [
+        ("support_ptr", lambda a: a.support_ptr[:-1]),  # one user short
+        ("support_ptr", lambda a: np.append(a.support_ptr, a.support_ptr[-1])),  # one user more
+        ("support_ptr", lambda a: np.concatenate([[1], a.support_ptr[1:]])),  # not from 0
+        ("support_ptr", lambda a: np.append(a.support_ptr[:-1], len(a.support_k) - 1)),  # short of len(support_k)
+        ("support_ptr", lambda a: a.support_ptr[[0, 2, 1, 3]]),  # decreasing
+        ("support_n0", lambda a: a.support_n0[:-1]),
+        ("n_u0", lambda a: a.n_u0[:-1]),
+        ("n_k0", lambda a: np.append(a.n_k0, 0)),
+        ("item_interest", lambda a: a.item_interest[:-1]),
+        ("item_interest", lambda a: np.append(a.item_interest, 0)),
+        ("item_n0", lambda a: np.append(a.item_n0, 0)),
+    ])
+    def test_array_length_mismatch_rejected(self, tmp_path, name, bad_value):
+        # every length the sweep and the retrieval indexes read by: a
+        # mismatch must raise, not index out of bounds or pass silently
+        g = from_raw_edges([0, 0, 1, 2], [0, 1, 1, 2], [0, 0, 0, 0])
+        init = build_init(g, item_interest=[0, 1, 1], num_interests=3)
+        assert init.support_ptr.tolist() == [0, 2, 3, 4]
+        bad = dataclasses.replace(init, **{name: bad_value(init)})
+        with pytest.raises(ValueError, match=name):
+            bad.validate()
+        save_init(bad, tmp_path / "init.npz")
+        with pytest.raises(ValueError, match=name):
+            load_init(tmp_path / "init.npz")
+
     def test_unsorted_support_rejected(self):
         g = from_raw_edges([0, 0, 1], [0, 1, 1], [0, 0, 0])
         init = build_init(g, item_interest=[0, 1], num_interests=2)

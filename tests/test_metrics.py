@@ -81,6 +81,22 @@ class TestScoreQuery:
         assert score_query([5, 6, 7], {7}, 2) == (0.0, 0.0, 0.0)
         assert score_query([5, 6, 7, 1], {7, 1}, 3) == score_query([5, 6, 7], {7, 1}, 3)
 
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    @pytest.mark.parametrize("ids, truth, m", [
+        ([4, 5, 6], {1, 2}, 3),  # no hit
+        ([], {1}, 5),  # an empty list
+        ([4, 5, 6, 1, 2], {1, 2}, 3),  # hits only beyond m
+        ([1, 5, 6], {1, 2}, 3),  # a hit at rank 1
+        ([7, 1, 5, 2], {1, 2, 9}, 4),
+    ])
+    def test_set_test_first_matches_reference(self, kind, ids, truth, m):
+        # most lists miss the truth entirely and return at the set test
+        # before the loop; every case keeps the reference's repr
+        got = score_query(ids, kind(truth), m)
+        assert repr(got) == repr(score_reference(ids, kind(truth), m))
+        with pytest.raises(ValueError, match="nonempty"):
+            score_query(ids, kind(), m)
+
 
 class TestAgainstBruteForce:
     def test_1000_random_cases(self):

@@ -1133,6 +1133,51 @@ class TestCandidateListFormat:
             assert sum(len(c) for c in lists.values()) > 0
 
 
+class TestPrefixProperty:
+    def test_list_at_m_is_the_head_of_the_list_at_100(self, monkeypatch):
+        # every selection is a strict order by (score desc, item asc) over
+        # scores that do not depend on M, so the backtest may cut one list
+        # per query to every smaller M: on the compiled path (when built)
+        # and the numpy path, with and without seen exclusion, for a cold
+        # user (the popularity fallback), a zero-norm ANN user and
+        # mixtures whose indexes are built with a fixed L
+        rng = np.random.default_rng(43)
+        U, I, K, L = 8, 150, 6, 100
+        train = [(u, int(rng.integers(I))) for u in range(1, U) for _ in range(12)]  # user 0 is cold
+        init = make_init(train, rng.integers(0, K, I).tolist(), K, num_users=U, num_items=I)
+        vecs = rng.normal(size=(U, 3))
+        vecs[1] = 0.0  # a zero-norm user vector
+        emb = EmbeddingTable(user_vectors=vecs, item_vectors=np.zeros((I, 3)))
+        slc = ChunkSlice.from_edges(3, rng.integers(0, U, 600), rng.integers(0, I, 600))
+        rank = popularity_ranking(slc)
+        fixed = RetrievalConfig(M=100, L=L)
+        calls = {
+            "micro": (retrieve_mixture, build_index(fit_chunk(slc, init, SamplerConfig(seed=2, max_sweeps=2)), fixed, rank)),
+            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), fixed, slc.item_pool, rank)),
+            "ann": (ann_retrieve, ann_encode_items(slc, emb)),
+            "popularity": (popularity_retrieve, rank),
+        }
+        seen = {u: np.unique([i for v, i in train if v == u]).astype(np.int64) for u in range(U)}
+
+        def run():
+            lengths = {}
+            for name, (fn, idx) in calls.items():
+                for exclude in (True, False):
+                    for u in range(U):
+                        full = fn(u, idx, RetrievalConfig(M=100, L=L, exclude_seen=exclude), seen[u], 4)
+                        lengths[name, exclude, u] = len(full)
+                        for M in (1, 2, 5, 20):
+                            got = fn(u, idx, RetrievalConfig(M=M, L=L, exclude_seen=exclude), seen[u], 4)
+                            assert np.array_equal(got.ids, full.ids[:M]), (name, exclude, u, M)
+                            assert same_bits(got.scores, full.scores[:M]), (name, exclude, u, M)
+            return lengths
+
+        for lengths in (run(), on_numpy(monkeypatch, run)):
+            assert lengths["micro", True, 0] == lengths["mle", True, 0] > 20  # the fallback
+            assert lengths["ann", True, 1] == lengths["ann", False, 1] == 0
+            assert min(n for (name, _, u), n in lengths.items() if name != "ann" or u != 1) > 20
+
+
 class TestBatchAndDeterminism:
     def test_all_retrievers_deterministic(self):
         rng = np.random.default_rng(12)
