@@ -20,9 +20,9 @@ the default truncation L = 5*M).
 
 ``open_run`` starts every run, here and in the CLI's stage commands: it
 validates the config, checks it against the output directory's
-``config.json`` on every field some artifact depends on (all but the
-retrieval and output fields) and writes it. A bad or stale config raises
-before anything is touched, instead of building or reusing artifacts.
+``config.json`` on every field that feeds an artifact already built (or
+one built after it) and writes it. A bad or stale config raises before
+anything is touched, instead of building or reusing artifacts.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ __all__ = ["RunConfig", "backtest", "open_run", "split_graph", "write_reports", 
 logger = logging.getLogger(__name__)
 
 METHODS = ("micro", "mle", "ann", "popularity")
+USER_COUNT_MODES = ("reset", "accumulate")  # accumulate: fit on a ledger
 
 
 @dataclass
@@ -104,11 +105,13 @@ class RunConfig:
         self._check_lists()
 
     def _check_lists(self) -> None:
-        """Reject an empty or repeated M and an unknown or repeated method;
-        ``open_run`` checks again, since the CLI sets fields after
-        construction."""
+        """Reject an empty or repeated M, an unknown or repeated method and
+        an unknown user count mode; ``open_run`` checks again, since the CLI
+        sets fields after construction."""
         if not self.m_values:
             raise ValueError("m_values must be nonempty")
+        if self.user_count_mode not in USER_COUNT_MODES:
+            raise ValueError(f"user_count_mode must be one of {USER_COUNT_MODES}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; valid: {METHODS}")
@@ -136,7 +139,6 @@ class RunConfig:
             max_sweeps=self.max_sweeps,
             convergence_tol=self.convergence_tol,
             seed=self.seed + 100_003 * (chunk_ordinal + 1),
-            user_count_mode=self.user_count_mode,
         )
 
     def retrieval_config(self, m: int) -> RetrievalConfig:
@@ -160,6 +162,16 @@ _RETRIEVAL_FIELDS = {
     "out_dir", "m_values", "truncation", "exclude_seen", "workers", "methods",
     "dump_candidates",
 }
+# the cached artifacts in build order, each with the fields that first feed
+# it; any other artifact field feeds graph.npz, so a new field stays guarded
+_ARTIFACTS = {
+    "graph.npz": (),
+    "embeddings.npz": ("regroup_factor", "test_chunks", "embed", "seed"),
+    "clusters.npz": ("num_interests", "kmeans_iters"),
+    "init.npz": ("alpha", "beta"),
+    "chunks/chunk_*.npz": ("max_sweeps", "convergence_tol", "user_count_mode"),
+}
+_FIRST_FED = {name: n for n, names in enumerate(_ARTIFACTS.values()) for name in names}
 
 
 def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
@@ -169,8 +181,9 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
 
     Every check runs before anything is written: a bad config creates no
     directory, and one that disagrees with the existing ``config.json`` on
-    an artifact field (the cached artifacts would be stale) raises, naming
-    the fields, and leaves the directory untouched.
+    a field that feeds an artifact already built, or one built after it
+    (it would be stale), raises, naming the fields, and leaves the
+    directory untouched.
     """
     cfg._check_lists()
     rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
@@ -186,9 +199,11 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     new = json.loads(json.dumps(asdict(cfg)))
     old = json.loads(path.read_text()) if path.exists() else None
     if old is not None:
+        built = max((n for n, a in enumerate(_ARTIFACTS) if any(out.glob(a))), default=-1)
         stale = [
             f.name for f in fields(RunConfig)
-            if f.name not in _RETRIEVAL_FIELDS and old.get(f.name) != new[f.name]
+            if f.name not in _RETRIEVAL_FIELDS and _FIRST_FED.get(f.name, 0) <= built
+            and old.get(f.name) != new[f.name]
         ]
         if stale:
             raise ValueError(

@@ -2,7 +2,8 @@
 
 A JSON config file supplies defaults; every value can be overridden by a
 flag. ``embed``, ``cluster``, ``init`` and ``backtest`` check the config
-against the output directory's ``config.json`` and write it there.
+against the output directory's ``config.json``, write it there and build
+every artifact they need that is missing, from the graph on.
 Progress goes to stderr as key=value lines; all artifacts and reports land
 under the run's output directory.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .backtest import (
+    USER_COUNT_MODES,
     RunConfig,
     backtest,
     ensure_clusters,
@@ -48,7 +50,7 @@ def _add_config_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--max-sweeps", type=int, dest="max_sweeps")
     p.add_argument("--tol", type=float, dest="convergence_tol")
-    p.add_argument("--user-count-mode", dest="user_count_mode", choices=["reset", "accumulate"])
+    p.add_argument("--user-count-mode", dest="user_count_mode", choices=USER_COUNT_MODES)
     p.add_argument("--m", type=int, nargs="+", dest="m_values", help="candidate cutoffs")
     p.add_argument("--truncation", type=int, help="per-interest list length L (default 5*M)")
     p.add_argument("--include-seen", action="store_true", help="disable seen-item exclusion")
@@ -90,24 +92,16 @@ def cmd_embed(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _build_config(args)
-    if not (Path(cfg.out_dir) / "embeddings.npz").exists():
-        raise SystemExit("no embeddings.npz in the output directory; run `embed` first")
     open_run(cfg)
-    emb = ensure_embeddings(cfg, None)  # reuses the cached table
-    ensure_clusters(cfg, emb)
+    ensure_clusters(cfg, ensure_embeddings(cfg, split_graph(cfg)[1]))
     return 0
 
 
 def cmd_init(args) -> int:
     cfg = _build_config(args)
-    out = Path(cfg.out_dir)
-    if not (out / "clusters.npz").exists():
-        raise SystemExit("no clusters.npz in the output directory; run `cluster` first")
     open_run(cfg)
     train = split_graph(cfg)[1]
-    emb = ensure_embeddings(cfg, train)
-    clusters = ensure_clusters(cfg, emb)
-    ensure_init(cfg, train, clusters)
+    ensure_init(cfg, train, ensure_clusters(cfg, ensure_embeddings(cfg, train)))
     return 0
 
 

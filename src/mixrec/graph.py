@@ -159,9 +159,6 @@ class EngagementGraph:
         mask = self.chunks == chunk
         return ChunkSlice.from_edges(chunk, self.users[mask], self.items[mask])
 
-    def slices(self) -> list[ChunkSlice]:
-        return [self.slice(t) for t in range(self.num_chunks)]
-
 
 @dataclass(frozen=True)
 class SplitSpec:

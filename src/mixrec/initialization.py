@@ -4,7 +4,8 @@ Every train engagement inherits the interest of its item's cluster, which
 yields counting estimators for the user/interest/item tables and the sparse
 per-user prior support (the interests a user touched at t=0). The artifact is
 the handoff between the embedding/clustering stage and the per-chunk sampler,
-and also feeds the static mixture retriever.
+and also feeds the static mixture retriever. It stores no totals, which
+``mle_mixture`` sums from the counts.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class InitArtifact:
     support_ptr: np.ndarray
     support_k: np.ndarray
     support_n0: np.ndarray
-    n_u0: np.ndarray
-    n_k0: np.ndarray
     item_interest: np.ndarray
     item_n0: np.ndarray
 
@@ -61,18 +60,11 @@ class InitArtifact:
             raise ValueError(f"support_ptr must have {U + 1} entries running from 0 to len(support_k)")
         if np.any(ptr[1:] < ptr[:-1]):
             raise ValueError("support_ptr must not decrease")
-        for name, n in (("support_n0", len(self.support_k)), ("n_u0", U), ("n_k0", K),
-                        ("item_interest", I), ("item_n0", I)):
+        for name, n in (("support_n0", len(self.support_k)), ("item_interest", I), ("item_n0", I)):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must have {n} entries, got {len(getattr(self, name))}")
         if np.any(self.support_n0 <= 0):
             raise ValueError("support counts must be positive (support = interests with N>0)")
-        csum = np.concatenate([[0], np.cumsum(self.support_n0)])
-        per_user = csum[self.support_ptr[1:]] - csum[self.support_ptr[:-1]]
-        if not np.array_equal(per_user, self.n_u0):
-            raise ValueError("per-user support counts do not sum to n_u0")
-        if self.support_n0.sum() != self.n_k0.sum():
-            raise ValueError("user-side and interest-side totals disagree")
         for name in ("support_k", "item_interest"):
             v = getattr(self, name)
             if len(v) and (v.min() < 0 or v.max() >= K):
@@ -121,8 +113,6 @@ def build_init(
         z0 = np.empty(0, dtype=np.int64)
 
     U, K = train.num_users, num_interests
-    n_u0 = np.bincount(train.users, minlength=U).astype(np.int64)
-    n_k0 = np.bincount(z0, minlength=K).astype(np.int64)
     item_n0 = np.bincount(train.items, minlength=train.num_items).astype(np.int64)
 
     # sparse user x interest counts via unique (user, interest) keys
@@ -143,8 +133,6 @@ def build_init(
         support_ptr=support_ptr,
         support_k=pair_ks,
         support_n0=counts.astype(np.int64),
-        n_u0=n_u0,
-        n_k0=n_k0,
         item_interest=item_interest[: train.num_items].copy(),
         item_n0=item_n0,
     )
@@ -158,8 +146,9 @@ class MleMixture:
 
     ``p_k_given_u`` shares the artifact's support CSR layout. The item side
     groups items by interest: interest k's items are
-    ``items[interest_ptr[k]:interest_ptr[k+1]]`` with aligned probabilities.
-    Zero-count users/interests get empty distributions.
+    ``items[interest_ptr[k]:interest_ptr[k+1]]`` with aligned probabilities,
+    by p(i|k) descending, ties by ascending id. Zero-count users/interests
+    get empty distributions.
     """
 
     support_ptr: np.ndarray
@@ -171,31 +160,32 @@ class MleMixture:
 
 
 def mle_mixture(init: InitArtifact) -> MleMixture:
-    """p(k|u) = N_uk0/N_u0 and p(i|k) = N_ik0/N_k0, rows normalized."""
-    denom = np.maximum(init.n_u0[np.repeat(np.arange(init.num_users), np.diff(init.support_ptr))], 1)
-    p_ku = init.support_n0 / denom
+    """p(k|u) = N_uk0/N_u0 and p(i|k) = N_ik0/N_k0, rows normalized; the
+    totals are exact float64 sums of integer counts. Interest k's p(i|k)
+    share N_k0, so its items ordered by count descending are ordered by p."""
+    U, K = init.num_users, init.num_interests
+    users = np.repeat(np.arange(U), np.diff(init.support_ptr))
+    p_ku = init.support_n0 / np.bincount(users, weights=init.support_n0, minlength=U)[users]
 
     engaged = np.flatnonzero(init.item_n0 > 0)
     ks = init.item_interest[engaged]
-    order = np.lexsort((engaged, ks))
-    items_sorted = engaged[order]
-    ks_sorted = ks[order]
-    interest_ptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(ks_sorted, minlength=init.num_interests))]
-    ).astype(np.int64)
-    p_ik = init.item_n0[items_sorted] / np.maximum(init.n_k0[ks_sorted], 1)
+    order = np.lexsort((engaged, -init.item_n0[engaged], ks))
+    items, ks = engaged[order], ks[order]
+    n_i0 = init.item_n0[items]
+    p_ik = n_i0 / np.bincount(ks, weights=n_i0, minlength=K)[ks]
 
     return MleMixture(
         support_ptr=init.support_ptr,
         support_k=init.support_k,
         p_k_given_u=p_ku,
-        interest_ptr=interest_ptr,
-        items=items_sorted,
+        interest_ptr=np.concatenate([[0], np.cumsum(np.bincount(ks, minlength=K))]).astype(np.int64),
+        items=items,
         p_i_given_k=p_ik,
     )
 
 
-_INIT_VERSION = 1
+# version 2 dropped the stored per-user and per-interest totals
+_INIT_VERSION = 2
 
 
 def save_init(init: InitArtifact, path) -> None:
@@ -207,8 +197,6 @@ def save_init(init: InitArtifact, path) -> None:
         support_ptr=init.support_ptr,
         support_k=init.support_k,
         support_n0=init.support_n0,
-        n_u0=init.n_u0,
-        n_k0=init.n_k0,
         item_interest=init.item_interest,
         item_n0=init.item_n0,
     )
@@ -217,7 +205,8 @@ def save_init(init: InitArtifact, path) -> None:
 def load_init(path) -> InitArtifact:
     with np.load(path) as z:
         if int(z["version"][0]) != _INIT_VERSION:
-            raise ValueError(f"unsupported init artifact version {z['version'][0]}")
+            raise ValueError(f"unsupported init artifact version {z['version'][0]} "
+                             f"(this version reads {_INIT_VERSION}); rebuild it in a new output directory")
         dims = z["dims"]
         art = InitArtifact(
             num_users=int(dims[0]),
@@ -228,8 +217,6 @@ def load_init(path) -> InitArtifact:
             support_ptr=z["support_ptr"],
             support_k=z["support_k"],
             support_n0=z["support_n0"],
-            n_u0=z["n_u0"],
-            n_k0=z["n_k0"],
             item_interest=z["item_interest"],
             item_n0=z["item_n0"],
         )

@@ -307,10 +307,9 @@ def build_mle_index(
     """
     K = len(mix.interest_ptr) - 1
     ks = np.repeat(np.arange(K), np.diff(mix.interest_ptr))
-    # items are grouped by interest already, so each group keeps its place
-    order = np.lexsort((mix.items, -mix.p_i_given_k, ks))
+    # each interest lists its items by (p(i|k) desc, id) already
     top = np.arange(len(ks)) - mix.interest_ptr[ks] < cfg.truncation
-    items, probs, ks = mix.items[order][top], mix.p_i_given_k[order][top], ks[top]
+    items, probs, ks = mix.items[top], mix.p_i_given_k[top], ks[top]
     if pool is None:
         pool = np.unique(items)
     pos, found = _lookup(pool, items)

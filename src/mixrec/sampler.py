@@ -3,11 +3,11 @@
 Each time chunk is fitted independently: latent interests are initialized
 uniformly over each user's prior support, then resampled in fixed scan order
 until the collapsed log-joint stabilizes. Item-side count tables start empty
-every chunk; user-side counts start from the t=0 artifact (or accumulate
-across chunks when configured). The final sample's count tables are the
-point estimate consumed by retrieval: ``item_table`` for the per-interest
-lists and ``user_weights`` for every user's interest weights at once, one
-CSR over the t=0 supports.
+every chunk; user-side counts start from the t=0 artifact, or accumulate
+from the ``UserCounts`` ledger passed as ``base``. The final sample's count
+tables are the point estimate consumed by retrieval: ``item_table`` for the
+per-interest lists and ``user_weights`` for every user's interest weights at
+once, one CSR over the t=0 supports.
 
 The resampling weight for engagement (u, i) and candidate interest k, with
 the engagement removed from all tables, is
@@ -72,23 +72,21 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-USER_COUNT_MODES = ("reset", "accumulate")
-
 
 @dataclass
 class SamplerConfig:
+    """One chunk's sweep budget, tolerance and seed. User counts reset to
+    t=0 unless the fit gets a ``UserCounts`` ledger as ``base``."""
+
     max_sweeps: int = 20
     convergence_tol: float = 1e-4
     seed: int = 0
-    user_count_mode: str = "reset"
 
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
-        if self.user_count_mode not in USER_COUNT_MODES:
-            raise ValueError(f"user_count_mode must be one of {USER_COUNT_MODES}")
 
 
 class UserCounts:
@@ -96,8 +94,8 @@ class UserCounts:
 
     Warm users (nonempty support) keep counts in a flat array aligned with
     the init artifact's support CSR; users without t=0 history keep sparse
-    dict rows. ``from_init`` gives the t=0 state; ``accumulate`` mode folds
-    each fitted chunk back in.
+    dict rows. ``from_init`` gives the t=0 state; ``ChunkModel.fold_into``
+    writes each fitted chunk back in, so later chunks accumulate.
     """
 
     def __init__(self, warm: np.ndarray, cold: dict[int, dict[int, int]]):
@@ -241,9 +239,7 @@ class ChunkModel:
         self.chunk = slice_.chunk
         self.slice = slice_
         self.init = init
-        self.cfg = cfg
         K = self.K = init.num_interests
-        self.I = init.num_items
         self.alpha = init.alpha
         self.beta = init.beta
         self.Ibeta = init.num_items * init.beta

@@ -104,23 +104,20 @@ C_SOURCE = r"""
 
 typedef long long i64;
 
-/* first position in the sorted row ks[lo, lo+n) whose interest is >= k */
-static i64 find(const i64 *ks, i64 lo, i64 n, i64 k)
+/* the first position in the ascending a[0:n] whose value is >= x, or n
+   (0 when n is 0, without reading a); each halving step is a conditional
+   move, not a branch */
+static i64 lower_bound(const i64 *a, i64 n, i64 x)
 {
-    i64 a = lo, b = lo + n;
-    while (a < b) {
-        i64 m = a + (b - a) / 2;
-        if (ks[m] < k)
-            a = m + 1;
-        else
-            b = m;
-    }
-    return a;
+    i64 b = 0;
+    for (; n > 1; n -= n / 2)
+        b = a[b + n / 2] < x ? b + n / 2 : b;
+    return b + (n > 0 && a[b] < x);
 }
 
 static i64 get(const i64 *ks, const i64 *cs, i64 lo, i64 n, i64 k)
 {
-    i64 q = find(ks, lo, n, k);
+    i64 q = lo + lower_bound(ks + lo, n, k);
     return q < lo + n && ks[q] == k ? cs[q] : 0;
 }
 
@@ -128,7 +125,7 @@ static i64 get(const i64 *ks, const i64 *cs, i64 lo, i64 n, i64 k)
    reaches 0 is dropped, a missing one inserted, so rows stay sorted */
 static void add(i64 *ks, i64 *cs, i64 *fill, i64 r, i64 lo, i64 k, i64 d)
 {
-    i64 n = fill[r], q = find(ks, lo, n, k), end = lo + n;
+    i64 n = fill[r], q = lo + lower_bound(ks + lo, n, k), end = lo + n;
     if (q < end && ks[q] == k) {
         i64 c = cs[q] + d;
         if (c) {
@@ -435,19 +432,9 @@ static i64 finish(best_t *t)
     return got;
 }
 
-/* the first position in the ascending a[0:n], n >= 1, whose value is >= x,
-   or n; each halving step is a conditional move, not a branch */
-static i64 lower_bound(const i64 *a, i64 n, i64 x)
-{
-    const i64 *base = a;
-    for (; n > 1; n -= n / 2)
-        base = base[n / 2] < x ? base + n / 2 : base;
-    return base - a + (*base < x);
-}
-
 static int is_seen(const i64 *seen, i64 ns, i64 item)
 {
-    i64 q = find(seen, 0, ns, item);
+    i64 q = lower_bound(seen, ns, item);
     return q < ns && seen[q] == item;
 }
 

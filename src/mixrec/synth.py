@@ -161,8 +161,6 @@ def init_from_truth(
         support_ptr=np.concatenate([[0], np.cumsum(sizes)]),
         support_k=support_k,
         support_n0=support_n0,
-        n_u0=np.bincount(users, weights=support_n0, minlength=U).astype(np.int64),
-        n_k0=np.bincount(support_k, weights=support_n0, minlength=K).astype(np.int64),
         item_interest=truth.item_block.copy(),
         item_n0=np.zeros(num_items, dtype=np.int64),
     )

@@ -449,6 +449,12 @@ class TestRunConfig:
         assert cfg.num_interests == 5000
         assert cfg.retrieval_config(50).truncation == 250
 
+    def test_every_artifact_field_feeds_a_named_artifact(self):
+        # open_run maps each field to the first artifact it feeds; a field
+        # in neither list counts as feeding graph.npz
+        unmapped = {f.name for f in dataclasses.fields(RunConfig)} - set(mixrec.backtest._FIRST_FED)
+        assert unmapped - mixrec.backtest._RETRIEVAL_FIELDS == {"data_path", "delimiter"}
+
 
 class TestReportIO:
     def test_write_read_roundtrip(self, tmp_path):
@@ -529,10 +535,63 @@ class TestCli:
         with pytest.raises(ValueError, match="graph.npz records nothing"):
             cli_main(ingest)
 
-    def test_cluster_requires_embeddings(self, tmp_path, monkeypatch):
+    def test_stage_commands_build_what_is_missing(self, synth_edges, tmp_path):
+        # cluster and init in an empty directory build every stage before
+        # theirs, the same arrays as the stages run one by one
+        common = ["--data", str(synth_edges), "--interests", "4", "--dim", "6", "--epochs", "2"]
+        assert cli_main(["cluster", *common, "--out", str(tmp_path / "c")]) == 0
+        assert cli_main(["init", *common, "--out", str(tmp_path / "i")]) == 0
+        for stage in ("embed", "cluster", "init"):
+            assert cli_main([stage, *common, "--out", str(tmp_path / "s")]) == 0
+
+        def arrays(path):
+            with np.load(path) as z:
+                return {k: z[k].tolist() for k in z.files}
+
+        built = ["graph.npz", "embeddings.npz", "clusters.npz"]
+        assert sorted(p.name for p in (tmp_path / "c").glob("*.npz")) == sorted(built)
+        for d, names in (("c", built), ("i", built + ["init.npz"])):
+            for name in names:
+                assert arrays(tmp_path / d / name) == arrays(tmp_path / "s" / name)
+            assert (tmp_path / d / "cluster_map.tsv").read_bytes() == (tmp_path / "s" / "cluster_map.tsv").read_bytes()
+
+    def test_rerun_after_rejected_config(self, tmp_path, monkeypatch):
+        # a stage that rejects the config leaves config.json with the bad
+        # value; a corrected rerun is accepted, since no built artifact
+        # depends on the field, and reuses what was built
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit):
-            cli_main(["cluster", "--out", "nothing-here"])
+        cli_main(["synth", "--users", "60", "--items", "150", "--chunks", "5", "--seed", "1",
+                  "--out-prefix", "d/s"])
+        run = ["backtest", "--data", "d/s.tsv", "--m", "10", "--dim", "8", "--epochs", "2"]
+
+        def stamp(path):
+            st = Path(path).stat()
+            return st.st_ino, st.st_mtime_ns
+
+        with pytest.raises(ValueError, match="leaves no train chunks"):
+            cli_main([*run, "--out", "t", "--interests", "5", "--test-chunks", "5"])
+        graph = stamp("t/graph.npz")
+        assert cli_main([*run, "--out", "t", "--interests", "5", "--test-chunks", "3"]) == 0
+        assert stamp("t/graph.npz") == graph
+        with pytest.raises(ValueError, match="K=500 exceeds item count"):
+            cli_main([*run, "--out", "k", "--interests", "500"])
+        assert not Path("k/clusters.npz").exists()
+        emb = stamp("k/embeddings.npz")
+        assert cli_main([*run, "--out", "k", "--interests", "5"]) == 0
+        assert stamp("k/embeddings.npz") == emb
+        # a changed field is refused once an artifact it feeds exists
+        with pytest.raises(ValueError, match="different test_chunks;"):
+            cli_main([*run, "--out", "k", "--interests", "5", "--test-chunks", "2"])
+
+    def test_max_sweeps_refused_once_chunks_are_fitted(self, synth_edges, tmp_path):
+        common = ["--data", str(synth_edges), "--out", str(tmp_path / "r"), "--interests", "4",
+                  "--dim", "6", "--epochs", "2", "--methods", "micro"]
+        assert cli_main(["init", *common, "--max-sweeps", "5"]) == 0
+        assert cli_main(["backtest", *common, "--max-sweeps", "3"]) == 0
+        assert json.loads((tmp_path / "r" / "config.json").read_text())["max_sweeps"] == 3
+        assert list((tmp_path / "r" / "chunks").glob("chunk_*.npz"))
+        with pytest.raises(ValueError, match="different max_sweeps;"):
+            cli_main(["backtest", *common, "--max-sweeps", "4"])
 
     def test_stage_commands_check_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -12,7 +12,7 @@ from mixrec.initialization import (
     save_init,
 )
 
-from oracles import interest_items, mixture_row
+from oracles import interest_items, mixture_row, same_bits
 
 
 def graph_of(pairs, num_items=None):
@@ -25,13 +25,24 @@ def graph_of(pairs, num_items=None):
     return from_raw_edges(users, items, [0] * len(users))
 
 
+def user_totals(init):
+    """N_u0: each user's support counts summed, from the user side."""
+    users = np.repeat(np.arange(init.num_users), np.diff(init.support_ptr))
+    return np.bincount(users, weights=init.support_n0, minlength=init.num_users).astype(np.int64)
+
+
+def interest_totals(init):
+    """N_k0: each interest's support counts summed, from the user side."""
+    return np.bincount(init.support_k, weights=init.support_n0, minlength=init.num_interests).astype(np.int64)
+
+
 class TestBuildInit:
     def test_single_interest_user(self):
         g = from_raw_edges([0, 0, 0], [0, 1, 2], [0, 0, 0])
         init = build_init(g, item_interest=[7, 7, 7], num_interests=8)
         assert init.support(0).tolist() == [7]
         assert init.support_counts(0).tolist() == [3]
-        assert init.n_u0[0] == 3
+        assert user_totals(init)[0] == 3
 
     def test_cold_user_empty_support(self):
         g = from_raw_edges([0, 1], [0, 0], [0, 0])
@@ -71,13 +82,17 @@ class TestBuildInit:
         K = 20
         item_interest = rng.integers(0, K, g.num_items)
         init = build_init(g, item_interest, K)
+        n_u0, n_k0 = user_totals(init), interest_totals(init)
         assert init.support_n0.sum() == E
-        assert init.n_k0.sum() == E
-        assert init.n_u0.sum() == E
+        assert n_k0.sum() == E
+        assert n_u0.sum() == E
         assert init.item_n0.sum() == E
+        # each total summed from the user side equals the train count
+        assert np.array_equal(n_u0, np.bincount(g.users, minlength=g.num_users))
+        assert np.array_equal(n_k0, np.bincount(item_interest[g.items], minlength=K))
         # sparsity: support size bounded by both K and the user's count
         sizes = np.diff(init.support_ptr)
-        assert np.all(sizes <= np.minimum(K, init.n_u0))
+        assert np.all(sizes <= np.minimum(K, n_u0))
 
     def test_invalid_priors(self):
         g = from_raw_edges([0], [0], [0])
@@ -109,6 +124,19 @@ class TestBuildInit:
         assert np.array_equal(init.support_n0, init2.support_n0)
         assert init.alpha == init2.alpha
 
+    def test_version_1_artifact_refused(self, tmp_path):
+        # version 1 stored the per-user and per-interest totals as well
+        g = from_raw_edges([0, 0, 1], [0, 1, 1], [0, 0, 0])
+        init = build_init(g, item_interest=[0, 1], num_interests=2)
+        p = tmp_path / "init.npz"
+        save_init(init, p)
+        with np.load(p) as z:
+            arrays = dict(z)
+        arrays.update(version=np.asarray([1]), n_u0=user_totals(init), n_k0=interest_totals(init))
+        np.savez_compressed(p, **arrays)
+        with pytest.raises(ValueError, match="version 1"):
+            load_init(p)
+
 
     @pytest.mark.parametrize("name", ["support_k", "item_interest"])
     def test_interest_out_of_range_rejected(self, tmp_path, name):
@@ -131,8 +159,6 @@ class TestBuildInit:
         ("support_ptr", lambda a: np.append(a.support_ptr[:-1], len(a.support_k) - 1)),  # short of len(support_k)
         ("support_ptr", lambda a: a.support_ptr[[0, 2, 1, 3]]),  # decreasing
         ("support_n0", lambda a: a.support_n0[:-1]),
-        ("n_u0", lambda a: a.n_u0[:-1]),
-        ("n_k0", lambda a: np.append(a.n_k0, 0)),
         ("item_interest", lambda a: a.item_interest[:-1]),
         ("item_interest", lambda a: np.append(a.item_interest, 0)),
         ("item_n0", lambda a: np.append(a.item_n0, 0)),
@@ -158,6 +184,26 @@ class TestBuildInit:
             bad.validate()
 
 class TestMleMixture:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_counting_formula(self, seed):
+        # the totals against the train graph's own counts, bit for bit, and
+        # each interest's items by (p desc, id asc)
+        rng = np.random.default_rng(seed)
+        E, K = int(rng.integers(50, 3000)), int(rng.integers(1, 30))
+        g = from_raw_edges(rng.integers(0, 80, E), rng.zipf(1.5, E) % 200, np.zeros(E, int))
+        item_interest = rng.integers(0, K, g.num_items)
+        init = build_init(g, item_interest, K)
+        mix = mle_mixture(init)
+        rows = np.repeat(np.arange(init.num_users), np.diff(init.support_ptr))
+        n_u = np.bincount(g.users, minlength=g.num_users)
+        assert same_bits(mix.p_k_given_u, init.support_n0 / n_u[rows])
+        n_k = np.bincount(item_interest[g.items], minlength=K)
+        for k in range(K):
+            items, ps = interest_items(mix, k)
+            assert same_bits(ps, init.item_n0[items] / n_k[k])
+            assert set(items.tolist()) == set(np.flatnonzero((item_interest == k) & (init.item_n0 > 0)).tolist())
+            assert np.array_equal(items, items[np.lexsort((items, -ps))])
+
     def test_user_distribution(self):
         g = from_raw_edges([0, 0, 0, 0], [0, 1, 2, 3], [0] * 4)
         init = build_init(g, item_interest=[1, 1, 1, 2], num_interests=3)

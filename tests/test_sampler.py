@@ -11,7 +11,6 @@ import mixrec.sweep_kernel as sweep_kernel
 from mixrec.graph import ChunkSlice, from_raw_edges
 from mixrec.initialization import build_init
 from mixrec.sampler import (
-    USER_COUNT_MODES,
     ChunkModel,
     SamplerConfig,
     UserCounts,
@@ -349,7 +348,7 @@ class TestLogJoint:
         # the vectorised sums against a per-user loop over the union of each
         # user's combined and base interests; the order of the sums differs
         init, (slc1, slc2) = mixed_instance(3, 6)
-        cfg = SamplerConfig(seed=1, user_count_mode="accumulate", max_sweeps=3)
+        cfg = SamplerConfig(seed=1, max_sweeps=3)
         base = UserCounts.from_init(init)
         fit_chunk(slc1, init, cfg, base=base).fold_into(base)
         assert base.cold
@@ -445,8 +444,6 @@ class TestFitChunk:
             SamplerConfig(max_sweeps=0)
         with pytest.raises(ValueError):
             SamplerConfig(convergence_tol=-1)
-        with pytest.raises(ValueError):
-            SamplerConfig(user_count_mode="bogus")
 
 
 class TestUserCountModes:
@@ -473,8 +470,8 @@ class TestUserCountModes:
         slc2 = ChunkSlice.from_edges(2, users2, rng.integers(0, 15, 120))
         absent = set(range(14)) - set(slc2.users.tolist())
         assert {0, 4, 5, 6} <= absent and absent <= set(slc1.users.tolist())
-        for mode in USER_COUNT_MODES:
-            cfg = SamplerConfig(seed=3, user_count_mode=mode, max_sweeps=3)
+        for mode in ("reset", "accumulate"):
+            cfg = SamplerConfig(seed=3, max_sweeps=3)
             ledger = UserCounts.from_init(init) if mode == "accumulate" else None
             m1 = fit_chunk(slc1, init, cfg, base=ledger)
             if ledger is not None:
@@ -508,7 +505,7 @@ class TestUserCountModes:
         rng = np.random.default_rng(33)
         slc2 = ChunkSlice.from_edges(2, rng.integers(0, 4, 40), rng.integers(0, 15, 40))
         slc3 = ChunkSlice.from_edges(3, np.full(20, 4), rng.integers(0, 15, 20))
-        cfg = SamplerConfig(seed=3, user_count_mode="accumulate", max_sweeps=3)
+        cfg = SamplerConfig(seed=3, max_sweeps=3)
         ledger = UserCounts.from_init(init)
         fit_chunk(slc1, init, cfg, base=ledger).fold_into(ledger)
         m2 = fit_chunk(slc2, init, cfg, base=ledger)
@@ -518,6 +515,22 @@ class TestUserCountModes:
         after = m2.user_weights()
         assert all(np.array_equal(a, b) for a, b in zip(before[:2], after[:2]))
         assert same_bits(before[2], after[2])
+
+    def test_reset_is_a_fit_without_a_ledger(self, tmp_path):
+        # no setting selects reset: a fit without a ledger and one on a
+        # fresh t=0 ledger give the same chain, tables and trace, bit for bit
+        init, (slc1, _) = mixed_instance(31, 5)
+        cfg = SamplerConfig(seed=3, max_sweeps=4, convergence_tol=0.0)
+        plain = fit_chunk(slc1, init, cfg)
+        ledger = fit_chunk(slc1, init, cfg, base=UserCounts.from_init(init))
+        export_tables_text(plain, tmp_path / "plain.txt")
+        export_tables_text(ledger, tmp_path / "ledger.txt")
+        assert (tmp_path / "plain.txt").read_bytes() == (tmp_path / "ledger.txt").read_bytes()
+        assert sweep_diagnostics_text(plain) == sweep_diagnostics_text(ledger)
+        assert repr(plain.current_log_joint) == repr(ledger.current_log_joint)
+        assert all(same_bits(a, b) for a, b in zip(plain.user_weights(), ledger.user_weights()))
+        with pytest.raises(TypeError):
+            SamplerConfig(user_count_mode="reset")
 
     def test_reset_mode_starts_from_train_each_chunk(self):
         init = make_init([(0, 0), (0, 1)], item_interest=[0, 1, 0, 1], K=2, num_items=4)
@@ -631,7 +644,7 @@ class TestCompiledSweep:
     @pytest.mark.parametrize("K", [1, 3, 40, 1000])
     def test_kernel_matches_python_bit_for_bit(self, kernel, monkeypatch, K, mode):
         init, (slc1, slc2) = mixed_instance(K + len(mode), K)
-        cfg = SamplerConfig(seed=K, user_count_mode=mode)
+        cfg = SamplerConfig(seed=K)
         base = UserCounts.from_init(init)
         if mode == "accumulate":
             # a second chunk on a ledger that already holds cold users' rows
@@ -726,7 +739,7 @@ class TestCompiledSweep:
         users = np.repeat(np.arange(10), 8)
         items = np.concatenate([hot * 2 + rng.integers(3, I, 2).tolist() for _ in range(10)])
         slices = [ChunkSlice.from_edges(t, users, items) for t in (1, 2)]
-        cfg = SamplerConfig(seed=5, user_count_mode=mode)
+        cfg = SamplerConfig(seed=5)
         base = UserCounts.from_init(init)
         if mode == "accumulate":
             fit_chunk(slices[0], init, cfg, base=base).fold_into(base)
@@ -832,12 +845,12 @@ class TestCompiledGammaln:
         with pytest.raises(ValueError, match="not > 0"):
             sampler._gammaln(np.array([1.0, bad, 2.0]))
 
-    @pytest.mark.parametrize("mode", USER_COUNT_MODES)
+    @pytest.mark.parametrize("mode", ["reset", "accumulate"])
     def test_log_joint_same_on_both_paths(self, kernel, monkeypatch, tmp_path, mode):
         # fitted and reloaded models, cold rows with a ledger in accumulate
         # mode (so the _cc and _cbc terms are not empty)
         init, (slc1, slc2) = mixed_instance(3, 40)
-        cfg = SamplerConfig(seed=4, max_sweeps=3, user_count_mode=mode)
+        cfg = SamplerConfig(seed=4, max_sweeps=3)
         base = UserCounts.from_init(init)
         if mode == "accumulate":
             fit_chunk(slc1, init, cfg, base=base).fold_into(base)
