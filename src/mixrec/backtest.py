@@ -14,9 +14,13 @@ items engaged in the source chunk, so comparisons stay fair; the static
 mixture baseline ranks train items restricted to that pool.
 
 Every method is one retriever ``fn(u, index, cfg, seen, chunk)``; its
-index is built once per source chunk (``ann``, ``popularity``, and the two
-mixtures at a fixed ``truncation``) or per (chunk, M) (the two mixtures at
-the default truncation L = 5*M).
+index is built once per source chunk and distinct truncation: once per
+chunk for ``ann``, ``popularity``, and the two mixtures at a fixed
+``truncation``, per (chunk, M) for the two mixtures at the default
+truncation L = 5*M. Each query is retrieved once per distinct index, at the
+largest M that index serves, and each smaller M takes the first M entries
+of that list (see ``mixrec.retrieval``). A cut list whose longer list
+missed the truth also misses it, so it reuses that zero score.
 
 ``open_run`` starts every run, here and in the CLI's stage commands: it
 validates the config, checks it against the output directory's
@@ -42,7 +46,6 @@ from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_s
 from .initialization import _check_priors, build_init, load_init, mle_mixture, save_init
 from .metrics import MetricsReport, aggregate, build_queries, score_query
 from .retrieval import (
-    CandidateList,
     RetrievalConfig,
     ann_encode_items,
     ann_retrieve,
@@ -52,6 +55,7 @@ from .retrieval import (
     chunk_tables,
     popularity_ranking,
     popularity_retrieve,
+    same_index,
 )
 # one retriever serves both mixtures, bound to one name per method so
 # that each method's calls can be wrapped and timed on their own
@@ -65,6 +69,7 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("micro", "mle", "ann", "popularity")
 USER_COUNT_MODES = ("reset", "accumulate")  # accumulate: fit on a ledger
+_MISS = (0.0, 0.0, 0.0)  # score_query of a list that misses the truth
 
 
 @dataclass
@@ -401,13 +406,15 @@ def split_graph(cfg: RunConfig) -> tuple[EngagementGraph, EngagementGraph, list[
 def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     """Run the rolling protocol and return reports keyed by (method, M).
 
-    A method whose index does not depend on M (``ann`` and ``popularity``,
-    and both mixtures when ``truncation`` is set) is retrieved once per
-    query at the largest M, and each smaller M scores and dumps the first M
-    entries of that list: on one index every list is a prefix of the list
-    at a larger M (see ``mixrec.retrieval``). The mixtures at the default
-    truncation L = 5*M get an index and lists per M. Lists are held for the
-    current chunk only.
+    For each method the Ms are served from the largest down. An M whose
+    index is the next larger M's (``same_index``: always for ``ann`` and
+    ``popularity``, for both mixtures when ``truncation`` is set or when
+    the two truncations give the same lists) scores and dumps the first M
+    entries of that M's lists: on one index every list is a prefix of the
+    list at a larger M (see ``mixrec.retrieval``). Any other M is retrieved
+    at M. A cut list whose longer list scored ``(0.0, 0.0, 0.0)`` misses the
+    truth too and keeps that score without a ``score_query`` call. Lists
+    are held for the current chunk only.
     """
     out = Path(cfg.out_dir)
     rcfgs = open_run(cfg)
@@ -439,9 +446,6 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     )
     # looked up at call time, so wrappers installed on this module's names apply
     retrievers = {"micro": retrieve_micro, "mle": retrieve_mle, "ann": ann_retrieve, "popularity": popularity_retrieve}
-    # the methods whose index does not depend on M
-    shared = {"ann", "popularity"} | ({"micro", "mle"} if cfg.truncation is not None else set())
-    top = max(cfg.m_values)
 
     per_query: dict[tuple[str, int], list[tuple[float, float, float]]] = {
         (meth, m): [] for meth in methods for m in cfg.m_values
@@ -464,36 +468,38 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             # the fitted model's counts are final: read them once for every M
             tables = chunk_tables(prev_model) if "micro" in methods else None
 
-            def retrieve(meth, rcfg):
+            def index_for(meth, rcfg):
                 if meth == "micro":
-                    index = build_index(prev_model, rcfg, pop_rank, tables)
-                elif meth == "mle":
-                    index = build_mle_index(mix, rcfg, prev_slice.item_pool, pop_rank)
-                else:
-                    index = indexes[meth]
-                fn = retrievers[meth]
-                return batch_retrieve(
-                    lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
-                    queries, rcfg,
-                )
+                    return build_index(prev_model, rcfg, pop_rank, tables)
+                if meth == "mle":
+                    return build_mle_index(mix, rcfg, prev_slice.item_pool, pop_rank)
+                return indexes[meth]
 
             for meth in methods:
-                # an index that does not depend on M serves every M: its
-                # lists at the largest M, cut to each smaller M
-                full = retrieve(meth, rcfgs[top]) if meth in shared else None
-                for m in cfg.m_values:
-                    if full is None:
-                        cands = retrieve(meth, rcfgs[m])
-                    elif m == top:
-                        cands = full
+                fn = retrievers[meth]
+                index = truncation = None
+                for m in sorted(cfg.m_values, reverse=True):
+                    rcfg = rcfgs[m]
+                    new = index if rcfg.truncation == truncation else index_for(meth, rcfg)
+                    truncation = rcfg.truncation
+                    if not same_index(new, index):
+                        # a new index: retrieve at this M, the largest it serves
+                        index = new
+                        cands = batch_retrieve(
+                            lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
+                            queries, rcfg,
+                        )
+                        scores = [score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)]
                     else:
-                        cands = [CandidateList(c.user, c.chunk, c.ids[:m], c.scores[:m]) for c in full]
-                    per_query[(meth, m)].extend(
-                        score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)
-                    )
+                        # the longer lists cut to M; score_query reads their first M ids
+                        scores = [
+                            s if s == _MISS else score_query(c.item_ids(), q.truth, m)
+                            for s, c, q in zip(scores, cands, queries)
+                        ]
+                    per_query[(meth, m)].extend(scores)
                     if cfg.dump_candidates:
                         for c in cands:
-                            for rank, (item, score) in enumerate(c.items, start=1):
+                            for rank, (item, score) in enumerate(c.items[:m], start=1):
                                 cand_dump[m].append(
                                     f"{c.user}\t{c.chunk}\t{rank}\t{item}\t{score!r}\t{meth}"
                                 )

@@ -27,8 +27,11 @@ which defaults to L = 5*M; ``ann`` and ``popularity`` indexes, and the
 mixtures' at a fixed L, serve every M. On one index the list at M is the
 first M entries of the list at any larger M, ids and score bits alike:
 every selection below is a strict order over scores, and seen ids, that do
-not depend on M. The backtest relies on this to retrieve once at its
-largest M and cut each list to the smaller ones.
+not depend on M. Two indexes whose arrays are equal bit for bit
+(``same_index``) are one index: an interest that lists fewer pool items
+than either truncation gives the same list at both. The backtest relies on
+this to retrieve once per distinct index, at the largest M it serves, and
+cut each list to the smaller ones.
 
 Both mixtures are one retriever, ``retrieve_mixture``: an ``InterestIndex``
 holds each interest's list over an ascending candidate pool as its counted
@@ -45,17 +48,19 @@ Mimno and McCallum, KDD 2009).
 Every retriever ends in one selection: the first M candidates by (score
 descending, item id ascending) that are not seen. It runs in the compiled
 kernels of ``sweep_kernel`` when ``load_kernel()`` builds them, one C call
-per query: ``mixture`` sums a user's interest lists into their pool
-positions and keeps the best M, ``cosine`` does the same for the ANN
-cosines of a numpy ``item_vecs @ uv`` product, and ``walk`` takes the first
-M unseen entries of a ranked array (popularity and the cold-user
-fallback). ``mixture`` sums every term only at the positions the user's
-lists count; the positions that only floor runs reach rank by position,
-so it sums only the first M unseen of them. ``mixture`` and ``cosine`` drop
-seen ids first, then keep the best M with a key threshold, a partition and
-one sort; ``walk`` looks up each entry it passes. The scores keep the bits
-of the numpy path. A ``seen`` array that is not ascending raises
-``ValueError`` on both paths.
+per query, each writing its list's ids and scores into one buffer:
+``mixture`` sums a user's interest lists into their pool positions and
+keeps the best M, ``cosine`` does the same for the ANN cosines of a numpy
+``item_vecs @ uv`` product, and ``walk`` takes the first M unseen entries
+of a ranked array with their scores (popularity and the cold-user
+fallback). A seen tracker's view, already a contiguous ``int64`` array, is
+passed to them as it is. ``mixture`` sums every term only at the positions
+the user's lists count; the positions that only floor runs reach rank by
+position, so it sums only the first M unseen of them. ``mixture`` and
+``cosine`` drop seen ids first, then keep the best M with a key threshold,
+a partition and one sort; ``walk`` looks up each entry it passes. The
+scores keep the bits of the numpy path. A ``seen`` array that is not
+ascending raises ``ValueError`` on both paths.
 
 The numpy path is their reference, and the fallback when no compiler is
 there, chosen exactly as the Gibbs sweep is: it expands the floor runs of
@@ -63,15 +68,16 @@ the user's interests and ``np.bincount`` builds the mixture sums,
 ``_select_top`` ranks a scored array with a full ``lexsort``, and
 ``_first_unseen`` keeps the first M entries of a ranked array that one
 ``searchsorted`` mask does not mark seen. Both paths return the
-selection's own arrays as a ``CandidateList``'s ``ids`` and ``scores``,
-from which its ``items`` pairs are derived on request.
+selection's own arrays (on the compiled path, the two halves of its one
+buffer) as a ``CandidateList``'s ``ids`` and ``scores``, from which its
+``items`` pairs are derived on request.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +97,7 @@ __all__ = [
     "chunk_tables",
     "build_index",
     "build_mle_index",
+    "same_index",
     "retrieve_mixture",
     "ann_encode_items",
     "ann_retrieve",
@@ -113,6 +120,8 @@ class RetrievalConfig:
             raise ValueError("M must be >= 1")
         if self.L is not None and self.L < self.M:
             raise ValueError("L must be >= M")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
     @property
     def truncation(self) -> int:
@@ -325,6 +334,21 @@ def build_mle_index(
     )
 
 
+def same_index(a, b) -> bool:
+    """Whether two indexes are one: the same object, or two ``InterestIndex``
+    whose arrays, popularity fallback included, are equal bit for bit. A
+    retriever then gives the same list on both at every M."""
+    if a is b:
+        return True
+    return isinstance(a, InterestIndex) and isinstance(b, InterestIndex) and _bits(a) == _bits(b)
+
+
+def _bits(idx: InterestIndex) -> list:
+    """Each array of ``idx`` as its dtype, shape and bytes."""
+    arrays = [getattr(idx, f.name) for f in fields(idx) if f.init and f.name != "popularity"]
+    return [(x.dtype, x.shape, x.tobytes()) for x in arrays + list(idx.popularity or ())]
+
+
 def _lookup(sorted_ids: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of ``items`` in the ascending array ``sorted_ids`` and
     whether each item is present there."""
@@ -348,6 +372,8 @@ def _seen_ids(seen) -> np.ndarray:
 
 
 _NO_SEEN = np.empty(0, dtype=np.int64)
+_INT64 = np.dtype(np.int64)
+_FLOAT64 = np.dtype(np.float64)
 _NOT_ASCENDING = "seen item ids must be ascending"
 
 
@@ -360,14 +386,21 @@ def _kernel_count(got: int) -> int:
     return got
 
 
-def _kernel_top(fn, user: int, chunk: int, cap: int, *args) -> CandidateList:
-    """The list a kernel selection ``fn(*args, cap, out_items, out_scores)``
-    writes: at most ``cap`` ranked candidates, their count returned."""
-    ids, scores = np.empty(cap, np.int64), np.empty(cap, np.float64)
-    got = _kernel_count(fn(*args, cap, _arg(ids), _arg(scores)))
-    if got < cap:
-        ids, scores = ids[:got], scores[:got]
-    return CandidateList(user, chunk, ids, scores)
+def _kernel_top(fn, user: int, chunk: int, cap: int, seen, *args) -> CandidateList:
+    """The list a kernel selection ``fn(*args, seen, len(seen), cap, out)``
+    writes: at most ``cap`` ranked candidates, their count returned, with
+    their ids in ``out[:cap]`` and their scores' bits in ``out[cap:]``.
+
+    A seen tracker's view, a contiguous ``int64`` array, goes to the kernel
+    as it is; any other ``seen`` through ``_seen_ids``.
+    """
+    if seen is None:
+        seen = _NO_SEEN
+    elif seen.__class__ is not np.ndarray or seen.dtype != _INT64 or not seen.flags.c_contiguous:
+        seen = _seen_ids(seen)
+    out = np.empty(2 * cap, np.int64)
+    got = _kernel_count(fn(*args, _arg(seen), len(seen), cap, _arg(out)))
+    return CandidateList(user, chunk, out[:got], out[cap:cap + got].view(_FLOAT64))
 
 
 def _select_top(items: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int) -> CandidateList:
@@ -382,11 +415,9 @@ def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList
     kernel = load_kernel()
     if seen is not None and kernel is not None:
         items = np.ascontiguousarray(items, dtype=np.int64)
-        seen = _seen_ids(seen)
-        pos = np.empty(min(M, len(items)), dtype=np.int64)
-        got = _kernel_count(kernel.walk(len(items), _arg(items), _arg(seen), len(seen), len(pos), _arg(pos)))
-        items, scores = items[pos[:got]], scores[pos[:got]]
-    elif seen is not None:
+        scores = np.ascontiguousarray(scores, dtype=np.float64)
+        return _kernel_top(kernel.walk, user, chunk, min(M, len(items)), seen, len(items), _arg(items), _arg(scores))
+    if seen is not None:
         seen = _seen_ids(seen)
         if np.any(seen[1:] < seen[:-1]):
             raise ValueError(_NOT_ASCENDING)
@@ -423,13 +454,11 @@ def retrieve_mixture(
     kernel = load_kernel()
     n = len(idx.pool_items)
     if kernel is not None:
-        seen = _NO_SEEN if seen is None else _seen_ids(seen)
         ptr, positions, probs, floor, fend, pool, user_k, user_w = idx._c
         # the user's row starts 8 * lo bytes into user_k and user_w
         return _kernel_top(
-            kernel.mixture, u, chunk, min(cfg.M, n),
-            hi - lo, user_k + 8 * lo, user_w + 8 * lo, ptr, positions, probs, floor, fend,
-            n, pool, _arg(seen), len(seen),
+            kernel.mixture, u, chunk, min(cfg.M, n), seen,
+            hi - lo, user_k + 8 * lo, user_w + 8 * lo, ptr, positions, probs, floor, fend, n, pool,
         )
     ks, w = idx.user_k[lo:hi], idx.user_w[lo:hi]
     size, fend = idx.ptr[ks + 1] - idx.ptr[ks], idx.fend[ks]
@@ -500,22 +529,20 @@ def ann_retrieve(
     kernel = load_kernel()
     if kernel is not None:
         dots = np.ascontiguousarray(dots, dtype=np.float64)
-        seen = _NO_SEEN if seen is None else _seen_ids(seen)
         pool, norms = idx._c
         n = len(idx.pool_items)
-        return _kernel_top(
-            kernel.cosine, u, chunk, min(cfg.M, n), n, pool, _arg(dots), norms, un, _arg(seen), len(seen)
-        )
+        return _kernel_top(kernel.cosine, u, chunk, min(cfg.M, n), seen, n, pool, _arg(dots), norms, un)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.where(idx.norms > 0.0, dots / (idx.norms * un), -np.inf)
     return _select_top(idx.pool_items, cos, cfg.M, seen, u, chunk)
 
 
 def popularity_ranking(slice_: ChunkSlice) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk items by engagement count desc, ties by ascending item id."""
+    """Chunk items by engagement count desc, ties by ascending item id; the
+    counts are the items' ``float64`` scores."""
     items, counts = np.unique(slice_.items, return_counts=True)
     order = np.lexsort((items, -counts))
-    return items[order], counts[order]
+    return items[order], counts[order].astype(np.float64)
 
 
 def popularity_retrieve(

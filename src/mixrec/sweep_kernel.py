@@ -48,10 +48,12 @@ item ascending). Each candidate gets an order-preserving integer key, and
 one whose key is above the M-th best so far is dropped without a branch. A
 branch-free partition cuts the kept ones back to M whenever they reach 2M,
 and one sort ranks the rest. The order is total over distinct items, so the
-offer order does not change the result. ``walk`` gives the positions of the
-first M unseen entries of a ranked item array. All three first check in one
-pass that the seen ids do not decrease, which the searches and the merge
-walk need, and return -3 when they do.
+offer order does not change the result. ``walk`` keeps the first M unseen
+entries of a ranked item array with their scores. All three write a list of
+at most M entries into one ``int64`` buffer of 2M, the item ids first and
+then the scores' bits, and first check in one pass that the seen ids do not
+decrease, which the searches and the merge walk need, returning -3 when
+they do.
 
 ``row_mean`` is one embedding SGD update; its reference is the numpy
 ``mixrec.embeddings._apply_row_mean``. It forms each example's gradient as
@@ -448,6 +450,14 @@ static int ascending(const i64 *seen, i64 ns)
     return 1;
 }
 
+/* Each selection writes its list of at most M entries to one buffer: entry
+   i's item id to out[i] and its score's bits to out[M + i]. */
+static void put(i64 *out, i64 M, i64 i, i64 item, double score)
+{
+    out[i] = item;
+    memcpy(out + M + i, &score, sizeof score);
+}
+
 #define BIT(p) (1ULL << ((p) & 63))
 
 /* Top M by the mixture sum over a of theta[a] * prob across the list of
@@ -455,7 +465,7 @@ static int ascending(const i64 *seen, i64 ns)
    the ascending pool with probs, then its floor run, every other pool
    position below fend[k] with floors[k]. The index checked every interest,
    position and run end, and that every theta and floor is finite and >= 0,
-   when it was built. Returns the count written to out_items/out_scores, -1
+   when it was built. Returns the count written to out (see put), -1
    when out of memory, or -3 when seen is not ascending.
 
    The candidates are the positions some term reaches. U, the union of the
@@ -476,7 +486,7 @@ i64 mixrec_mixture(
     const i64 *ptr, const i64 *positions, const double *probs,
     const double *floors, const i64 *fend,
     i64 n, const i64 *pool, const i64 *seen, i64 ns, i64 M,
-    i64 *out_items, double *out_scores)
+    i64 *out)
 {
     if (!ascending(seen, ns))
         return -3;
@@ -558,10 +568,8 @@ i64 mixrec_mixture(
         }
     }
     i64 got = finish(&t);
-    for (i64 i = 0; i < got; i++) {
-        out_items[i] = pool[t.c.at[i]];
-        out_scores[i] = acc[t.c.at[i]];
-    }
+    for (i64 i = 0; i < got; i++)
+        put(out, M, i, pool[t.c.at[i]], acc[t.c.at[i]]);
     free(in_u);
     free(acc);
     return got;
@@ -578,7 +586,7 @@ static double cosine(const double *dots, const double *norms, double un, i64 i)
    or -3 when seen is not ascending. */
 i64 mixrec_cosine(
     i64 n, const i64 *pool, const double *dots, const double *norms, double un,
-    const i64 *seen, i64 ns, i64 M, i64 *out_items, double *out_scores)
+    const i64 *seen, i64 ns, i64 M, i64 *out)
 {
     if (!ascending(seen, ns))
         return -3;
@@ -594,24 +602,23 @@ i64 mixrec_cosine(
         offer(&t, key_of(cosine(dots, norms, un, i)), i, s < ns && seen[s] == pool[i]);
     }
     i64 got = finish(&t);
-    for (i64 i = 0; i < got; i++) {
-        out_items[i] = pool[t.c.at[i]];
-        out_scores[i] = cosine(dots, norms, un, t.c.at[i]);
-    }
+    for (i64 i = 0; i < got; i++)
+        put(out, M, i, pool[t.c.at[i]], cosine(dots, norms, un, t.c.at[i]));
     free(work);
     return got;
 }
 
-/* Positions of the first M entries of items[0:n] not in seen. Returns the
-   count written to out_pos, or -3 when seen is not ascending. */
-i64 mixrec_walk(i64 n, const i64 *items, const i64 *seen, i64 ns, i64 M, i64 *out_pos)
+/* The first M entries of the ranked items[0:n], with their scores, that are
+   not in seen. Returns the count written to out (see put), or -3 when seen
+   is not ascending. */
+i64 mixrec_walk(i64 n, const i64 *items, const double *scores, const i64 *seen, i64 ns, i64 M, i64 *out)
 {
     if (!ascending(seen, ns))
         return -3;
     i64 kept = 0;
     for (i64 i = 0; i < n && kept < M; i++)
         if (!is_seen(seen, ns, items[i]))
-            out_pos[kept++] = i;
+            put(out, M, kept++, items[i], scores[i]);
     return kept;
 }
 
@@ -780,12 +787,12 @@ _ARGTYPES = (
 # checking an ``ndpointer`` costs microseconds.
 _ptr = ctypes.c_void_p
 _POINTER_ARGTYPES = {
-    # nks, ks, theta, ptr, positions, probs, floors, fend, n, pool, seen, ns, M, out_items, out_scores
-    "mixture": [_ll, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr, _ptr],
-    # n, pool, dots, norms, un, seen, ns, M, out_items, out_scores
-    "cosine": [_ll, _ptr, _ptr, _ptr, _dbl, _ptr, _ll, _ll, _ptr, _ptr],
-    # n, items, seen, ns, M, out_pos
-    "walk": [_ll, _ptr, _ptr, _ll, _ll, _ptr],
+    # nks, ks, theta, ptr, positions, probs, floors, fend, n, pool, seen, ns, M, out
+    "mixture": [_ll, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr],
+    # n, pool, dots, norms, un, seen, ns, M, out
+    "cosine": [_ll, _ptr, _ptr, _ptr, _dbl, _ptr, _ll, _ll, _ptr],
+    # n, items, scores, seen, ns, M, out
+    "walk": [_ll, _ptr, _ptr, _ptr, _ll, _ll, _ptr],
     # m, rows, scal, vidx, vecs, nv, D, lr, emb, nrows
     "row_mean": [_ll, _ptr, _ptr, _ptr, _ptr, _ll, _ll, _dbl, _ptr, _ll],
     # n, x, out

@@ -125,11 +125,15 @@ class TestBacktest:
                 assert series[0].split("\t")[0] == "chunk"
                 assert len(series) == 1 + 2  # two evaluated chunks
 
-    @pytest.mark.parametrize("truncation", [None, 100])
-    def test_lists_cut_from_the_largest_m_match_separate_runs(self, synth_edges, tmp_path, truncation):
+    @pytest.mark.parametrize(
+        "truncation, interests", [(None, 4), (100, 4), (None, 40)], ids=["None", "100", "None-40-interests"]
+    )
+    def test_lists_cut_from_the_largest_m_match_separate_runs(self, synth_edges, tmp_path, truncation, interests):
         # ann and popularity, and the mixtures at a fixed truncation, are
         # retrieved once at the largest M and cut to each smaller M; the
-        # mixtures at the default L = 5*M are retrieved per M. Either way a
+        # mixtures at the default L = 5*M are retrieved per M when L = 25
+        # cuts an interest's list (4 interests), and mle once at 40
+        # interests, where L = 25 and L = 100 give one index. Either way a
         # run at M = 5 and 20 writes what runs at each M alone write. The
         # retrieval fields may change in one output directory, whose
         # artifacts the three runs share
@@ -137,7 +141,8 @@ class TestBacktest:
 
         def run(ms):
             backtest(small_config(
-                synth_edges, out, m_values=ms, truncation=truncation, exclude_seen=True, dump_candidates=True
+                synth_edges, out, m_values=ms, truncation=truncation, num_interests=interests, exclude_seen=True,
+                dump_candidates=True,
             ))
             metrics = {
                 name: (out / "metrics" / name).read_text().splitlines() for name in ("series.tsv", "overall.tsv")
@@ -153,6 +158,49 @@ class TestBacktest:
             assert rows == alone[0][0][name][:1] + want, name
         assert both_cands == {**alone[0][1], **alone[1][1]}
         assert len(both_cands[20].splitlines()) > len(both_cands[5].splitlines()) > 1
+
+    @pytest.mark.parametrize("interests", [40, 4])
+    def test_one_retrieval_per_distinct_index(self, synth_edges, tmp_path, monkeypatch, interests):
+        # at 40 interests each lists fewer pool items than L = 25, so mle's
+        # index is one at M = 5 and 20 and each query is retrieved once, at
+        # M = 20; at 4 interests L = 25 cuts a list and mle is retrieved per
+        # M. micro's floor runs reach L, so it is retrieved per M at both. A
+        # list cut from one that missed the truth is never scored again
+        calls, scored = [], []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if name == "score_query":
+                    ids, truth, m = args
+                    scored.append((tuple(ids), truth, m, out))
+                else:
+                    calls.append((name, args[2].M))
+                return out
+
+            monkeypatch.setattr(mixrec.backtest, name, wrapper)
+
+        for name in ("retrieve_micro", "retrieve_mle", "score_query"):
+            spy(name, getattr(mixrec.backtest, name))
+        cfg = small_config(
+            synth_edges, tmp_path / "out", m_values=[5, 20], num_interests=interests, methods=["micro", "mle"],
+            exclude_seen=True,
+        )
+        reports = backtest(cfg)
+        queries = reports[("micro", 5)].overall.n_queries
+        # each retriever is called once per query at every M it retrieves
+        retrieved = {("retrieve_micro", 20), ("retrieve_micro", 5), ("retrieve_mle", 20)}
+        if interests == 4:
+            retrieved.add(("retrieve_mle", 5))
+        assert {key: calls.count(key) for key in set(calls)} == dict.fromkeys(retrieved, queries)
+        # a cut list is scored on its longer list's ids, which hold more than 5
+        full = {(ids, truth): result for ids, truth, m, result in scored if m == 20}
+        cut = [(ids, truth) for ids, truth, m, _ in scored if m == 5 and len(ids) > 5]
+        assert all(full[key] != (0.0, 0.0, 0.0) for key in cut)
+        if interests == 40:
+            assert 0 < len(cut) < queries
+        else:
+            assert not cut
 
     def test_overall_recomputable_from_series(self, synth_edges, tmp_path):
         cfg = small_config(synth_edges, tmp_path / "agg")
@@ -321,11 +369,14 @@ class TestBacktest:
             {"batch_size": 0},
             {"test_chunks": -1},
             {"test_chunks": 0},
+            {"workers": 0},
+            {"workers": -1},
         ],
         ids=[
             "user_count_mode", "m_values", "truncation", "embed_dim", "repeated_m", "repeated_method",
             "unknown_method", "num_interests", "kmeans_iters", "regroup_factor", "alpha", "beta",
             "embed_lr_zero", "embed_lr_nan", "embed_batch_size", "test_chunks_negative", "test_chunks_zero",
+            "workers_zero", "workers_negative",
         ],
     )
     def test_bad_config_fails_before_writing(self, synth_edges, tmp_path, bad):

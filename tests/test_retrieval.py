@@ -23,6 +23,7 @@ from mixrec.retrieval import (
     popularity_ranking,
     popularity_retrieve,
     retrieve_mixture,
+    same_index,
 )
 from mixrec.sampler import SamplerConfig, fit_chunk
 
@@ -1022,28 +1023,34 @@ class TestCompiledTopM:
         assert retrieve_mixture(0, InterestIndex(**good), RetrievalConfig(M=3)).items == want
 
     def test_threads_share_the_kernel(self, compiled):
-        # batch_retrieve's pool runs the kernel in several threads at once,
+        # batch_retrieve's pool runs the kernels in several threads at once,
         # since ctypes releases the interpreter lock during the call; long
-        # lists make the calls overlap
+        # lists make the calls overlap. Every selection writes its own
+        # buffer: the mixture, the cosine, the popularity walk and the walk
+        # of user 0, who has no interests (the cold-user fallback)
         rng = np.random.default_rng(36)
         idx = self.random_interest_index(rng, 8000, K=8)
+        vecs = rng.normal(size=(8000, 4))
+        ann = AnnIndex(idx.pool_items, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(6, 4)))
         seen = np.sort(rng.choice(idx.pool_items, 40, replace=False))
         cfg = RetrievalConfig(M=50)
-        users = list(range(1, 6)) * 40
+        users = list(range(6)) * 40
+        for retrieve, index in ((retrieve_mixture, idx), (ann_retrieve, ann), (popularity_retrieve, idx.popularity)):
 
-        def fn(u):
-            return retrieve_mixture(u, idx, cfg, seen=seen)
+            def fn(u):
+                return retrieve(u, index, cfg, seen=seen)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            parallel = batch_retrieve(fn, users, RetrievalConfig(M=50, workers=4))
-        finally:
-            sys.setswitchinterval(interval)
-        serial = [fn(u) for u in users]
-        assert len(parallel) == len(serial)
-        for got, want in zip(parallel, serial):
-            assert_same_list(got, want)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                parallel = batch_retrieve(fn, users, RetrievalConfig(M=50, workers=4))
+            finally:
+                sys.setswitchinterval(interval)
+            serial = [fn(u) for u in users]
+            assert len(parallel) == len(serial)
+            for got, want in zip(parallel, serial):
+                assert_same_list(got, want, retrieve.__name__)
+                assert len(got) == 50, retrieve.__name__
 
     def test_compile_failure_falls_back_identically(self, compiled, monkeypatch, caplog):
         rng = np.random.default_rng(35)
@@ -1176,6 +1183,25 @@ class TestPrefixProperty:
             assert lengths["micro", True, 0] == lengths["mle", True, 0] > 20  # the fallback
             assert lengths["ann", True, 1] == lengths["ann", False, 1] == 0
             assert min(n for (name, _, u), n in lengths.items() if name != "ann" or u != 1) > 20
+
+
+    def test_same_index_is_bitwise(self):
+        # mle lists the train items of each interest; once L reaches the
+        # longest list, a larger L builds the same arrays and is one index.
+        # A smaller L that cuts a list, or one array with other bits (-0.0
+        # for 0.0, which == calls equal), is another
+        rng = np.random.default_rng(44)
+        train = [(u, int(rng.integers(30))) for u in range(6) for _ in range(5)]
+        init = make_init(train, rng.integers(0, 3, 30).tolist(), 3, num_users=6, num_items=30)
+        mix = mle_mixture(init)
+        longest = int(np.diff(mix.interest_ptr).max())
+        at = {L: build_mle_index(mix, RetrievalConfig(M=1, L=L)) for L in (longest - 1, longest, 5 * longest)}
+        assert same_index(at[longest], at[5 * longest]) and not same_index(at[longest - 1], at[longest])
+        probs = at[longest].probs.copy()
+        probs[0] = 0.0
+        zero = dataclasses.replace(at[longest], probs=probs)
+        assert same_index(zero, dataclasses.replace(zero, probs=probs.copy()))
+        assert not same_index(zero, dataclasses.replace(zero, probs=np.where(probs == 0.0, -0.0, probs)))
 
 
 class TestBatchAndDeterminism:
