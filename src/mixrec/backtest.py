@@ -5,7 +5,10 @@ clusters, t=0 counts, per-chunk fitted models) persist under the output
 directory and are reused on rerun, so a run can resume per chunk. All file
 writes are atomic (temp file + rename) and all outputs are deterministic
 given the config, including float formatting. A stage's ``.npz`` marks it
-done, so it is written after the stage's side files.
+done, so it is written after the stage's side files. It records what it was
+built from: the data file's size, CRC-32 and delimiter, and every config
+field that feeds it (``_record``). One helper, ``_stage``, reuses an
+artifact only when that record matches the run, and otherwise builds it.
 
 The first held-out chunk is only fitted (it has no fitted predecessor to
 retrieve from); every later chunk is the query target for the previous
@@ -23,17 +26,19 @@ of that list (see ``mixrec.retrieval``). A cut list whose longer list
 missed the truth also misses it, so it reuses that zero score.
 
 ``open_run`` starts every run, here and in the CLI's stage commands: it
-validates the config, checks it against the output directory's
-``config.json`` on every field that feeds an artifact already built (or
-one built after it) and writes it. A bad or stale config raises before
-anything is touched, instead of building or reusing artifacts.
+validates the config, checks it against the record of every artifact the
+output directory holds and writes it as ``config.json``, which nothing reads
+back. A bad or stale config raises before anything is touched.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
+import re
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -161,34 +166,16 @@ def _check_known(cls, data: dict, prefix: str) -> None:
         raise ValueError(f"unknown config field(s): {', '.join(prefix + k for k in unknown)}")
 
 
-# fields that only shape retrieval, scoring or output; every other field
-# feeds some cached artifact
-_RETRIEVAL_FIELDS = {
-    "out_dir", "m_values", "truncation", "exclude_seen", "workers", "methods",
-    "dump_candidates",
-}
-# the cached artifacts in build order, each with the fields that first feed
-# it; any other artifact field feeds graph.npz, so a new field stays guarded
-_ARTIFACTS = {
-    "graph.npz": (),
-    "embeddings.npz": ("regroup_factor", "test_chunks", "embed", "seed"),
-    "clusters.npz": ("num_interests", "kmeans_iters"),
-    "init.npz": ("alpha", "beta"),
-    "chunks/chunk_*.npz": ("max_sweeps", "convergence_tol", "user_count_mode"),
-}
-_FIRST_FED = {name: n for n, names in enumerate(_ARTIFACTS.values()) for name in names}
-
-
 def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
-    """Validate ``cfg``, check it against the output directory's
-    ``config.json`` and write it there if it changed; returns the retrieval
-    config per M.
+    """Validate ``cfg``, check it against every artifact the output
+    directory holds and write it there as ``config.json``; returns the
+    retrieval config per M.
 
     Every check runs before anything is written: a bad config creates no
-    directory, and one that disagrees with the existing ``config.json`` on
-    a field that feeds an artifact already built, or one built after it
-    (it would be stale), raises, naming the fields, and leaves the
-    directory untouched.
+    directory, and an artifact built from another data file, or with
+    another value of a field that feeds it, raises ``ValueError`` (see
+    ``_check_built``) and leaves the directory untouched. ``config.json``
+    only records the last run; nothing reads it back.
     """
     cfg._check_lists()
     rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
@@ -200,23 +187,12 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     e = cfg.embed
     check_embedding_args(e.dim, e.epochs, e.negatives, e.lr, e.batch_size)
     out = Path(cfg.out_dir)
-    path = out / "config.json"
-    new = json.loads(json.dumps(asdict(cfg)))
-    old = json.loads(path.read_text()) if path.exists() else None
-    if old is not None:
-        built = max((n for n, a in enumerate(_ARTIFACTS) if any(out.glob(a))), default=-1)
-        stale = [
-            f.name for f in fields(RunConfig)
-            if f.name not in _RETRIEVAL_FIELDS and _FIRST_FED.get(f.name, 0) <= built
-            and old.get(f.name) != new[f.name]
-        ]
-        if stale:
-            raise ValueError(
-                f"{out} holds artifacts built with a different {', '.join(stale)}; "
-                "use a new output directory or remove this one"
-            )
-    if old != new:
-        cfg.to_json(path)
+    built = [name for name in ("graph.npz", "embeddings.npz", "clusters.npz", "init.npz") if (out / name).exists()]
+    # exact names: an interrupted write leaves chunk_XXXXX.npz.tmp.npz behind
+    built += sorted(f"chunks/{p.name}" for p in out.glob("chunks/chunk_*.npz") if re.fullmatch(r"chunk_\d+\.npz", p.name))
+    if built:
+        _check_built(cfg, built, _data_record(cfg))
+    cfg.to_json(out / "config.json")
     return rcfgs
 
 
@@ -229,15 +205,23 @@ def _atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_npz(path, save_fn) -> None:
+def _atomic_npz(path, save_fn, record: dict) -> None:
+    """``save_fn`` writes the ``.npz``, and ``record`` joins it as its
+    ``source`` member, in a temporary file renamed into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp.npz")
     save_fn(tmp)
+    member = io.BytesIO()
+    np.save(member, np.asarray(json.dumps(record)))
+    with zipfile.ZipFile(tmp, "a") as zf:
+        zf.writestr("source.npy", member.getvalue())
     os.replace(tmp, path)
 
 
 # -- artifact stages ----------------------------------------------------------
+
+_REMEDY = "use a new output directory or remove this one"
 
 
 def _data_record(cfg: RunConfig) -> str:
@@ -250,86 +234,114 @@ def _data_record(cfg: RunConfig) -> str:
     return f"size={size} crc32={crc:08x} delimiter={cfg.delimiter!r}"
 
 
-def ensure_graph(cfg: RunConfig) -> EngagementGraph:
-    """The run's graph. ``graph.npz`` records the data file it was built
-    from; reusing it for a file that differs, or without a record, raises
-    ``ValueError`` before any artifact is loaded or written."""
+def _record(cfg: RunConfig, name: str, data: str) -> dict:
+    """What artifact ``name`` (its path under the output directory) is built
+    from under ``cfg``: the data file's record ``data`` and every field that
+    feeds it or an artifact built before it. The stages below are in build
+    order; any other field only shapes retrieval, scoring or output."""
+    config = asdict(cfg)
+    record = {"data": data}
+    for stage, names in (
+        ("graph.npz", ()),
+        ("embeddings.npz", ("regroup_factor", "test_chunks", "embed", "seed")),
+        ("clusters.npz", ("num_interests", "kmeans_iters")),
+        ("init.npz", ("alpha", "beta")),
+        ("chunks/", ("max_sweeps", "convergence_tol", "user_count_mode")),
+    ):
+        record.update((n, config[n]) for n in names)
+        if name.startswith(stage):
+            return record
+
+
+def _check_built(cfg: RunConfig, names: list[str], data: str) -> None:
+    """Raise ``ValueError`` unless each artifact in ``names`` (paths under
+    the output directory) records ``data`` and ``cfg``'s value of every
+    field that feeds it. An unreadable artifact, one with no record and a
+    data mismatch are named at once; otherwise the message names every
+    stale artifact and the union of their differing fields."""
     out = Path(cfg.out_dir)
-    cache = out / "graph.npz"
-    record = _data_record(cfg)
-    if cache.exists():
-        with np.load(cache) as z:
-            recorded = str(z["source"]) if "source" in z.files else "nothing"
-        if recorded != record:
-            raise ValueError(
-                f"{cache} records {recorded}, but {cfg.data_path} now has {record}; "
-                "use a new output directory or remove this one"
-            )
-        logger.info("stage=ingest action=reuse path=%s", cache)
-        return load_graph(cache)
-    g = load_edge_list(cfg.data_path, delimiter=cfg.delimiter)
-    stats = format_stats(graph_stats(g))
-    _atomic_write(out / "graph_stats.txt", stats + "\n")
-    _atomic_npz(cache, lambda p: save_graph(g, p, source=record))
-    for line in stats.splitlines():
-        logger.info("stage=ingest %s", line)
-    return g
+    stale, differ = [], []
+    for name in names:
+        try:
+            # opened here, since np.load leaks the file when it is no zip
+            with open(out / name, "rb") as fh, np.load(fh) as z:
+                got = json.loads(str(z["source"]))
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{out / name} records nothing this version reads ({exc}); {_REMEDY}") from None
+        if got["data"] != data:
+            raise ValueError(f"{out / name} records {got['data']}, but {cfg.data_path} now has {data}; {_REMEDY}")
+        want = _record(cfg, name, data)
+        diff = [k for k in {**want, **got} if got.get(k) != want.get(k)]
+        if diff:
+            stale.append(name)
+            differ += [k for k in diff if k not in differ]
+    if stale:
+        raise ValueError(f"{out} holds {', '.join(stale)} built with a different {', '.join(differ)}; {_REMEDY}")
+
+
+def _stage(cfg: RunConfig, stage: str, name: str, build, save, load):
+    """Artifact ``name``: reused, once its record matches ``cfg`` and the
+    data file, through ``load(path)``; or else ``build()``, which writes the
+    stage's side files, then saved through ``save(obj, path)`` with its
+    record. ``stage`` heads the reuse log line."""
+    path = Path(cfg.out_dir) / name
+    data = _data_record(cfg)
+    if path.exists():
+        _check_built(cfg, [name], data)
+        logger.info("stage=%s action=reuse path=%s", stage, path)
+        return load(path)
+    obj = build()
+    _atomic_npz(path, lambda p: save(obj, p), _record(cfg, name, data))
+    return obj
+
+
+def ensure_graph(cfg: RunConfig) -> EngagementGraph:
+    """The run's graph, from ``graph.npz`` or the data file."""
+
+    def build():
+        g = load_edge_list(cfg.data_path, delimiter=cfg.delimiter)
+        stats = format_stats(graph_stats(g))
+        _atomic_write(Path(cfg.out_dir) / "graph_stats.txt", stats + "\n")
+        for line in stats.splitlines():
+            logger.info("stage=ingest %s", line)
+        return g
+
+    return _stage(cfg, "ingest", "graph.npz", build, save_graph, load_graph)
 
 
 def ensure_embeddings(cfg: RunConfig, train: EngagementGraph):
-    cache = Path(cfg.out_dir) / "embeddings.npz"
-    if cache.exists():
-        logger.info("stage=embed action=reuse path=%s", cache)
-        return load_embeddings(cache)
     e = cfg.embed
-    emb = train_embeddings(
-        train,
-        dim=e.dim,
-        epochs=e.epochs,
-        negatives=e.negatives,
-        lr=e.lr,
-        seed=cfg.seed,
-        batch_size=e.batch_size,
-    )
-    _atomic_npz(cache, lambda p: save_embeddings(emb, p))
-    logger.info("stage=embed dim=%d epochs=%d final_loss=%.6f", e.dim, e.epochs, emb.epoch_losses[-1])
-    return emb
+
+    def build():
+        emb = train_embeddings(train, dim=e.dim, epochs=e.epochs, negatives=e.negatives, lr=e.lr,
+                               seed=cfg.seed, batch_size=e.batch_size)
+        logger.info("stage=embed dim=%d epochs=%d final_loss=%.6f", e.dim, e.epochs, emb.epoch_losses[-1])
+        return emb
+
+    return _stage(cfg, "embed", "embeddings.npz", build, save_embeddings, load_embeddings)
 
 
 def ensure_clusters(cfg: RunConfig, emb):
-    out = Path(cfg.out_dir)
-    cache = out / "clusters.npz"
-    if cache.exists():
-        logger.info("stage=cluster action=reuse path=%s", cache)
-        return load_clusters(cache)
-    clusters = cluster_items(emb.item_vectors, K=cfg.num_interests, iters=cfg.kmeans_iters, seed=cfg.seed)
-    export_cluster_map(clusters, out / "cluster_map.tsv", delimiter=cfg.delimiter)
-    _atomic_npz(cache, lambda p: save_clusters(clusters, p))
-    logger.info(
-        "stage=cluster K=%d iters=%d objective=%.4f",
-        cfg.num_interests,
-        len(clusters.objective_history),
-        clusters.objective_history[-1] if clusters.objective_history else float("nan"),
-    )
-    return clusters
+    def build():
+        clusters = cluster_items(emb.item_vectors, K=cfg.num_interests, iters=cfg.kmeans_iters, seed=cfg.seed)
+        export_cluster_map(clusters, Path(cfg.out_dir) / "cluster_map.tsv", delimiter=cfg.delimiter)
+        history = clusters.objective_history
+        logger.info("stage=cluster K=%d iters=%d objective=%.4f", cfg.num_interests, len(history),
+                    history[-1] if history else float("nan"))
+        return clusters
+
+    return _stage(cfg, "cluster", "clusters.npz", build, save_clusters, load_clusters)
 
 
 def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters):
-    cache = Path(cfg.out_dir) / "init.npz"
-    if cache.exists():
-        logger.info("stage=init action=reuse path=%s", cache)
-        return load_init(cache)
-    init = build_init(
-        train, clusters.item_to_interest, cfg.num_interests, alpha=cfg.alpha, beta=cfg.beta
-    )
-    _atomic_npz(cache, lambda p: save_init(init, p))
-    logger.info(
-        "stage=init users=%d cold_users=%d mean_support=%.2f",
-        init.num_users,
-        int((np.diff(init.support_ptr) == 0).sum()),
-        float(np.diff(init.support_ptr).mean()),
-    )
-    return init
+    def build():
+        init = build_init(train, clusters.item_to_interest, cfg.num_interests, alpha=cfg.alpha, beta=cfg.beta)
+        support = np.diff(init.support_ptr)
+        logger.info("stage=init users=%d cold_users=%d mean_support=%.2f",
+                    init.num_users, int((support == 0).sum()), float(support.mean()))
+        return init
+
+    return _stage(cfg, "init", "init.npz", build, save_init, load_init)
 
 
 class _SeenTracker:
@@ -368,26 +380,20 @@ class _SeenTracker:
 
 
 def _fit_or_load(cfg, slc, init, ordinal, base):
-    path = Path(cfg.out_dir) / "chunks" / f"chunk_{slc.chunk:05d}.npz"
+    name = f"chunks/chunk_{slc.chunk:05d}"
     scfg = cfg.sampler_config(ordinal)
-    if path.exists():
-        logger.info("stage=fit chunk=%d action=reuse", slc.chunk)
-        return load_chunk_model(path, slc, init, scfg, base=base)
-    m = fit_chunk(slc, init, scfg, base=base)
-    _atomic_write(
-        Path(cfg.out_dir) / "chunks" / f"chunk_{slc.chunk:05d}_sweeps.tsv",
-        sweep_diagnostics_text(m),
+
+    def build():
+        m = fit_chunk(slc, init, scfg, base=base)
+        _atomic_write(Path(cfg.out_dir) / f"{name}_sweeps.tsv", sweep_diagnostics_text(m))
+        logger.info("stage=fit chunk=%d engagements=%d sweeps=%d converged=%s log_joint=%r",
+                    slc.chunk, m.n, m.sweeps_run, m.converged, m.current_log_joint)
+        return m
+
+    return _stage(
+        cfg, f"fit chunk={slc.chunk}", f"{name}.npz", build, save_chunk_model,
+        lambda p: load_chunk_model(p, slc, init, scfg, base=base),
     )
-    _atomic_npz(path, lambda p: save_chunk_model(m, p))
-    logger.info(
-        "stage=fit chunk=%d engagements=%d sweeps=%d converged=%s log_joint=%r",
-        slc.chunk,
-        m.n,
-        m.sweeps_run,
-        m.converged,
-        m.current_log_joint,
-    )
-    return m
 
 
 def split_graph(cfg: RunConfig) -> tuple[EngagementGraph, EngagementGraph, list[ChunkSlice]]:

@@ -2,7 +2,8 @@
 
 A JSON config file supplies defaults; every value can be overridden by a
 flag. ``embed``, ``cluster``, ``init`` and ``backtest`` check the config
-against the output directory's ``config.json``, write it there and build
+against the record that every artifact in the output directory holds,
+write it there as ``config.json`` (which nothing reads back) and build
 every artifact they need that is missing, from the graph on.
 Progress goes to stderr as key=value lines; all artifacts and reports land
 under the run's output directory.
@@ -83,25 +84,17 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    cfg = _build_config(args)
-    open_run(cfg)
-    ensure_embeddings(cfg, split_graph(cfg)[1])
-    return 0
-
-
-def cmd_cluster(args) -> int:
-    cfg = _build_config(args)
-    open_run(cfg)
-    ensure_clusters(cfg, ensure_embeddings(cfg, split_graph(cfg)[1]))
-    return 0
-
-
-def cmd_init(args) -> int:
+def cmd_stage(args) -> int:
+    """``embed``, ``cluster`` or ``init``: build that stage's artifact and
+    every earlier one that is missing."""
     cfg = _build_config(args)
     open_run(cfg)
     train = split_graph(cfg)[1]
-    ensure_init(cfg, train, ensure_clusters(cfg, ensure_embeddings(cfg, train)))
+    built = ensure_embeddings(cfg, train)
+    if args.command != "embed":
+        built = ensure_clusters(cfg, built)
+    if args.command == "init":
+        ensure_init(cfg, train, built)
     return 0
 
 
@@ -168,9 +161,9 @@ def main(argv=None) -> int:
 
     for name, fn, desc in [
         ("ingest", cmd_ingest, "load an edge list, report stats, cache the graph"),
-        ("embed", cmd_embed, "train user/item co-embeddings on the train split"),
-        ("cluster", cmd_cluster, "spherical k-means over item embeddings"),
-        ("init", cmd_init, "build the t=0 count artifact from clusters"),
+        ("embed", cmd_stage, "train user/item co-embeddings on the train split"),
+        ("cluster", cmd_stage, "spherical k-means over item embeddings"),
+        ("init", cmd_stage, "build the t=0 count artifact from clusters"),
         ("backtest", cmd_backtest, "rolling fit/retrieve/score over held-out chunks"),
         ("report", cmd_report, "assemble comparison tables from backtest outputs"),
     ]:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import mixrec.backtest
 import mixrec.sweep_kernel as sweep_kernel
 from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, report, write_reports
 from mixrec.cli import main as cli_main
+from mixrec.clustering import load_clusters, save_clusters
 from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split
 from mixrec.metrics import MetricBlock, MetricsReport, build_queries
 from mixrec.synth import SynthSpec, generate
@@ -335,14 +337,16 @@ class TestBacktest:
         assert json.loads((out / "config.json").read_text())["m_values"] == [4]
 
     def test_directory_with_removed_embed_field_refused(self, synth_edges, tmp_path):
-        # a run directory whose config.json holds an embedding field this
+        # an embeddings.npz whose record holds an embedding field this
         # version no longer has, such as a scoring mode, was built by other
         # code: it is refused, not reused
         out = tmp_path / "old"
         backtest(small_config(synth_edges, out, methods=["mle"]))
-        old = json.loads((out / "config.json").read_text())
-        old["embed"]["score_mode"] = "translation"
-        (out / "config.json").write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+        with np.load(out / "embeddings.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        record = json.loads(str(arrays["source"]))
+        record["embed"]["score_mode"] = "translation"
+        np.savez(out / "embeddings.npz", **{**arrays, "source": np.asarray(json.dumps(record))})
         stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
         assert {"graph.npz", "embeddings.npz", "clusters.npz", "init.npz"} <= {p.name for p in stamps}
         with pytest.raises(ValueError, match="different embed;"):
@@ -501,10 +505,15 @@ class TestRunConfig:
         assert cfg.retrieval_config(50).truncation == 250
 
     def test_every_artifact_field_feeds_a_named_artifact(self):
-        # open_run maps each field to the first artifact it feeds; a field
-        # in neither list counts as feeding graph.npz
-        unmapped = {f.name for f in dataclasses.fields(RunConfig)} - set(mixrec.backtest._FIRST_FED)
-        assert unmapped - mixrec.backtest._RETRIEVAL_FIELDS == {"data_path", "delimiter"}
+        # a chunk model records every field that feeds an artifact, and the
+        # data file's record stands for data_path and delimiter; every other
+        # field only shapes retrieval, scoring or output, so a new field
+        # fails here until it is classified
+        recorded = set(mixrec.backtest._record(RunConfig(), "chunks/chunk_00001.npz", "size=0"))
+        retrieval_only = {"out_dir", "m_values", "truncation", "exclude_seen", "workers", "methods", "dump_candidates"}
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        assert names - recorded - retrieval_only == {"data_path", "delimiter"}
+        assert recorded - names == {"data"}
 
 
 class TestReportIO:
@@ -643,6 +652,70 @@ class TestCli:
         assert list((tmp_path / "r" / "chunks").glob("chunk_*.npz"))
         with pytest.raises(ValueError, match="different max_sweeps;"):
             cli_main(["backtest", *common, "--max-sweeps", "4"])
+
+    def test_copied_artifact_refused(self, synth_edges, tmp_path):
+        # an init.npz copied from a run at another alpha is refused by its
+        # own record, though config.json agrees; with no chunk model left
+        # to disagree, it would otherwise be reused
+        common = ["--data", str(synth_edges), "--interests", "4", "--dim", "6", "--epochs", "2",
+                  "--methods", "micro", "--m", "5"]
+        assert cli_main(["backtest", *common, "--out", str(tmp_path / "a"), "--alpha", "0.1"]) == 0
+        assert cli_main(["init", *common, "--out", str(tmp_path / "b"), "--alpha", "5"]) == 0
+        (tmp_path / "a" / "init.npz").write_bytes((tmp_path / "b" / "init.npz").read_bytes())
+        shutil.rmtree(tmp_path / "a" / "chunks")
+        stamps = {p: p.stat().st_mtime_ns for p in (tmp_path / "a").rglob("*")}
+        with pytest.raises(ValueError, match=r"a holds init\.npz built with a different alpha;"):
+            cli_main(["backtest", *common, "--out", str(tmp_path / "a"), "--alpha", "0.1"])
+        assert {p: p.stat().st_mtime_ns for p in (tmp_path / "a").rglob("*")} == stamps
+
+    def test_changed_config_refused_without_config_json(self, synth_edges, tmp_path):
+        # the artifacts, not config.json, record what they were built from
+        out = tmp_path / "r"
+        common = ["--data", str(synth_edges), "--out", str(out), "--dim", "6", "--epochs", "2"]
+        assert cli_main(["init", *common, "--interests", "5"]) == 0
+        (out / "config.json").unlink()
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        with pytest.raises(ValueError, match="holds clusters.npz, init.npz built with a different num_interests;"):
+            cli_main(["backtest", *common, "--interests", "3"])
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign", "no_record"])
+    def test_damaged_artifact_refused(self, synth_edges, tmp_path, damage):
+        # under a matching config, a clusters.npz that is cut short, is
+        # another stage's artifact or records nothing is refused naming it,
+        # by open_run and by the stage itself, before anything is written
+        out = tmp_path / "r"
+        cfg = small_config(synth_edges, out, methods=["mle"])
+        backtest(cfg)
+        path = out / "clusters.npz"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:100])
+            match = r"clusters\.npz records nothing this version reads \(File is not a zip file\)"
+        elif damage == "foreign":
+            path.write_bytes((out / "embeddings.npz").read_bytes())
+            match = r"holds clusters\.npz built with a different num_interests, kmeans_iters;"
+        else:
+            save_clusters(load_clusters(path), path)
+            match = r"clusters\.npz records nothing"
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        with pytest.raises(ValueError, match=match):
+            backtest(cfg)
+        with pytest.raises(ValueError, match=match):
+            mixrec.backtest.ensure_clusters(cfg, None)
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
+
+    def test_leftover_temp_file_is_no_artifact(self, synth_edges, tmp_path):
+        # an interrupted chunk write leaves chunk_XXXXX.npz.tmp.npz behind;
+        # it feeds nothing, so it cannot make a changed max_sweeps stale
+        out = tmp_path / "r"
+        common = ["--data", str(synth_edges), "--out", str(out), "--interests", "4",
+                  "--dim", "6", "--epochs", "2", "--methods", "micro"]
+        assert cli_main(["init", *common, "--max-sweeps", "5"]) == 0
+        (out / "chunks").mkdir()
+        (out / "chunks" / "chunk_00003.npz.tmp.npz").write_bytes(b"")
+        assert cli_main(["backtest", *common, "--max-sweeps", "3"]) == 0
+        assert sorted(p.name for p in (out / "chunks").glob("*.npz")) == [f"chunk_0000{c}.npz" for c in (2, 3, 4)]
 
     def test_stage_commands_check_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
