@@ -86,18 +86,18 @@ def probe(cfg: bt.RunConfig, edges) -> dict[str, float]:
     edges.write(cfg.data_path)
     stages["write_s"] = time.perf_counter() - t0
 
-    bt.open_run(cfg)
+    data = bt.open_run(cfg)[1]
     t0 = time.perf_counter()
-    _, train, _ = bt.split_graph(cfg)
+    _, train, _ = bt.split_graph(cfg, data)
     stages["ingest_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    emb = bt.ensure_embeddings(cfg, train)
+    emb = bt.ensure_embeddings(cfg, train, data)
     stages["embed_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    clusters = bt.ensure_clusters(cfg, emb)
+    clusters = bt.ensure_clusters(cfg, emb, data)
     stages["cluster_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    bt.ensure_init(cfg, train, clusters)
+    bt.ensure_init(cfg, train, clusters, data)
     stages["init_s"] = time.perf_counter() - t0
 
     parts = dict.fromkeys(TIMED, 0.0)

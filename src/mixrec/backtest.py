@@ -9,6 +9,8 @@ done, so it is written after the stage's side files. It records what it was
 built from: the data file's size, CRC-32 and delimiter, and every config
 field that feeds it (``_record``). One helper, ``_stage``, reuses an
 artifact only when that record matches the run, and otherwise builds it.
+``open_run`` reads the data file for its record once, and ``backtest``
+hands that record to every stage.
 
 The first held-out chunk is only fitted (it has no fitted predecessor to
 retrieve from); every later chunk is the query target for the previous
@@ -26,9 +28,10 @@ of that list (see ``mixrec.retrieval``). A cut list whose longer list
 missed the truth also misses it, so it reuses that zero score.
 
 ``open_run`` starts every run, here and in the CLI's stage commands: it
-validates the config, checks it against the record of every artifact the
-output directory holds and writes it as ``config.json``, which nothing reads
-back. A bad or stale config raises before anything is touched.
+validates the config, checks it and the data file against the record of
+every artifact the output directory holds and writes it as ``config.json``,
+which nothing reads back. A bad or stale config, or a missing data file,
+raises before anything is touched.
 """
 
 from __future__ import annotations
@@ -166,10 +169,11 @@ def _check_known(cls, data: dict, prefix: str) -> None:
         raise ValueError(f"unknown config field(s): {', '.join(prefix + k for k in unknown)}")
 
 
-def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
+def open_run(cfg: RunConfig) -> tuple[dict[int, RetrievalConfig], str]:
     """Validate ``cfg``, check it against every artifact the output
     directory holds and write it there as ``config.json``; returns the
-    retrieval config per M.
+    retrieval config per M and the data file's record (``_data_record``),
+    which the stages take as ``data`` so that a run reads the file once.
 
     Every check runs before anything is written: a bad config creates no
     directory, and an artifact built from another data file, or with
@@ -186,14 +190,15 @@ def open_run(cfg: RunConfig) -> dict[int, RetrievalConfig]:
     _check_priors(cfg.alpha, cfg.beta)
     e = cfg.embed
     check_embedding_args(e.dim, e.epochs, e.negatives, e.lr, e.batch_size)
+    data = _data_record(cfg)
     out = Path(cfg.out_dir)
     built = [name for name in ("graph.npz", "embeddings.npz", "clusters.npz", "init.npz") if (out / name).exists()]
     # exact names: an interrupted write leaves chunk_XXXXX.npz.tmp.npz behind
     built += sorted(f"chunks/{p.name}" for p in out.glob("chunks/chunk_*.npz") if re.fullmatch(r"chunk_\d+\.npz", p.name))
     if built:
-        _check_built(cfg, built, _data_record(cfg))
+        _check_built(cfg, built, data)
     cfg.to_json(out / "config.json")
-    return rcfgs
+    return rcfgs, data
 
 
 def _atomic_write(path, text: str) -> None:
@@ -279,13 +284,15 @@ def _check_built(cfg: RunConfig, names: list[str], data: str) -> None:
         raise ValueError(f"{out} holds {', '.join(stale)} built with a different {', '.join(differ)}; {_REMEDY}")
 
 
-def _stage(cfg: RunConfig, stage: str, name: str, build, save, load):
+def _stage(cfg: RunConfig, stage: str, name: str, build, save, load, data: str | None):
     """Artifact ``name``: reused, once its record matches ``cfg`` and the
-    data file, through ``load(path)``; or else ``build()``, which writes the
-    stage's side files, then saved through ``save(obj, path)`` with its
-    record. ``stage`` heads the reuse log line."""
+    data file's record ``data`` (read from the file when None), through
+    ``load(path)``; or else ``build()``, which writes the stage's side
+    files, then saved through ``save(obj, path)`` with its record.
+    ``stage`` heads the reuse log line."""
     path = Path(cfg.out_dir) / name
-    data = _data_record(cfg)
+    if data is None:
+        data = _data_record(cfg)
     if path.exists():
         _check_built(cfg, [name], data)
         logger.info("stage=%s action=reuse path=%s", stage, path)
@@ -295,8 +302,10 @@ def _stage(cfg: RunConfig, stage: str, name: str, build, save, load):
     return obj
 
 
-def ensure_graph(cfg: RunConfig) -> EngagementGraph:
-    """The run's graph, from ``graph.npz`` or the data file."""
+def ensure_graph(cfg: RunConfig, data: str | None = None) -> EngagementGraph:
+    """The run's graph, from ``graph.npz`` or the data file. This stage,
+    the others below and ``_fit_or_load`` take ``open_run``'s data record
+    as ``data`` (see ``_stage``)."""
 
     def build():
         g = load_edge_list(cfg.data_path, delimiter=cfg.delimiter)
@@ -306,10 +315,10 @@ def ensure_graph(cfg: RunConfig) -> EngagementGraph:
             logger.info("stage=ingest %s", line)
         return g
 
-    return _stage(cfg, "ingest", "graph.npz", build, save_graph, load_graph)
+    return _stage(cfg, "ingest", "graph.npz", build, save_graph, load_graph, data)
 
 
-def ensure_embeddings(cfg: RunConfig, train: EngagementGraph):
+def ensure_embeddings(cfg: RunConfig, train: EngagementGraph, data: str | None = None):
     e = cfg.embed
 
     def build():
@@ -318,10 +327,10 @@ def ensure_embeddings(cfg: RunConfig, train: EngagementGraph):
         logger.info("stage=embed dim=%d epochs=%d final_loss=%.6f", e.dim, e.epochs, emb.epoch_losses[-1])
         return emb
 
-    return _stage(cfg, "embed", "embeddings.npz", build, save_embeddings, load_embeddings)
+    return _stage(cfg, "embed", "embeddings.npz", build, save_embeddings, load_embeddings, data)
 
 
-def ensure_clusters(cfg: RunConfig, emb):
+def ensure_clusters(cfg: RunConfig, emb, data: str | None = None):
     def build():
         clusters = cluster_items(emb.item_vectors, K=cfg.num_interests, iters=cfg.kmeans_iters, seed=cfg.seed)
         export_cluster_map(clusters, Path(cfg.out_dir) / "cluster_map.tsv", delimiter=cfg.delimiter)
@@ -330,10 +339,10 @@ def ensure_clusters(cfg: RunConfig, emb):
                     history[-1] if history else float("nan"))
         return clusters
 
-    return _stage(cfg, "cluster", "clusters.npz", build, save_clusters, load_clusters)
+    return _stage(cfg, "cluster", "clusters.npz", build, save_clusters, load_clusters, data)
 
 
-def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters):
+def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters, data: str | None = None):
     def build():
         init = build_init(train, clusters.item_to_interest, cfg.num_interests, alpha=cfg.alpha, beta=cfg.beta)
         support = np.diff(init.support_ptr)
@@ -341,7 +350,7 @@ def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters):
                     init.num_users, int((support == 0).sum()), float(support.mean()))
         return init
 
-    return _stage(cfg, "init", "init.npz", build, save_init, load_init)
+    return _stage(cfg, "init", "init.npz", build, save_init, load_init, data)
 
 
 class _SeenTracker:
@@ -379,7 +388,7 @@ class _SeenTracker:
         self._ptr = [0, *np.cumsum(np.bincount(users)).tolist()]
 
 
-def _fit_or_load(cfg, slc, init, ordinal, base):
+def _fit_or_load(cfg, slc, init, ordinal, base, data=None):
     name = f"chunks/chunk_{slc.chunk:05d}"
     scfg = cfg.sampler_config(ordinal)
 
@@ -392,14 +401,14 @@ def _fit_or_load(cfg, slc, init, ordinal, base):
 
     return _stage(
         cfg, f"fit chunk={slc.chunk}", f"{name}.npz", build, save_chunk_model,
-        lambda p: load_chunk_model(p, slc, init, scfg, base=base),
+        lambda p: load_chunk_model(p, slc, init, scfg, base=base), data,
     )
 
 
-def split_graph(cfg: RunConfig) -> tuple[EngagementGraph, EngagementGraph, list[ChunkSlice]]:
+def split_graph(cfg: RunConfig, data: str | None = None) -> tuple[EngagementGraph, EngagementGraph, list[ChunkSlice]]:
     """The (regrouped) graph, its train graph and its held-out chunk slices;
     raises ``ValueError`` when ``test_chunks`` leaves no train chunk."""
-    g = regroup_chunks(ensure_graph(cfg), cfg.regroup_factor)
+    g = regroup_chunks(ensure_graph(cfg, data), cfg.regroup_factor)
     t_split = g.num_chunks - cfg.test_chunks
     if t_split < 1:
         raise ValueError(
@@ -423,9 +432,9 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     are held for the current chunk only.
     """
     out = Path(cfg.out_dir)
-    rcfgs = open_run(cfg)
+    rcfgs, data = open_run(cfg)
 
-    _, train, test = split_graph(cfg)
+    _, train, test = split_graph(cfg, data)
     logger.info(
         "stage=split train_edges=%d test_chunks=%d", train.num_edges, len(test)
     )
@@ -435,12 +444,12 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     methods = list(cfg.methods)
     need_emb = bool({"micro", "mle", "ann"} & set(methods))
     need_init = bool({"micro", "mle"} & set(methods))
-    emb = ensure_embeddings(cfg, train) if need_emb else None
+    emb = ensure_embeddings(cfg, train, data) if need_emb else None
     init = None
     mix = None
     if need_init:
-        clusters = ensure_clusters(cfg, emb)
-        init = ensure_init(cfg, train, clusters)
+        clusters = ensure_clusters(cfg, emb, data)
+        init = ensure_init(cfg, train, clusters, data)
         if "mle" in methods:
             mix = mle_mixture(init)
 
@@ -462,7 +471,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     prev_model = None
     prev_slice = None
     for j, slc in enumerate(test):
-        model = _fit_or_load(cfg, slc, init, j, ledger) if "micro" in methods else None
+        model = _fit_or_load(cfg, slc, init, j, ledger, data) if "micro" in methods else None
 
         if j >= 1:
             queries = build_queries([slc])

@@ -88,13 +88,13 @@ def cmd_stage(args) -> int:
     """``embed``, ``cluster`` or ``init``: build that stage's artifact and
     every earlier one that is missing."""
     cfg = _build_config(args)
-    open_run(cfg)
-    train = split_graph(cfg)[1]
-    built = ensure_embeddings(cfg, train)
+    data = open_run(cfg)[1]
+    train = split_graph(cfg, data)[1]
+    built = ensure_embeddings(cfg, train, data)
     if args.command != "embed":
-        built = ensure_clusters(cfg, built)
+        built = ensure_clusters(cfg, built, data)
     if args.command == "init":
-        ensure_init(cfg, train, built)
+        ensure_init(cfg, train, built, data)
     return 0
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import _row_sums
+from .embeddings import gather_sum
+from .npz import write_npz
 
 __all__ = ["ClusterAssignment", "cluster_items", "save_clusters", "load_clusters", "export_cluster_map"]
 
@@ -120,7 +121,7 @@ def cluster_items(
             new_assign[lo:lo + block] = idx
             member_cos[lo:lo + block] = sims[np.arange(len(idx)), idx]
 
-        sums = _row_sums(new_assign, x, K)
+        sums = gather_sum(new_assign, x, K)
         counts = np.bincount(new_assign, minlength=K)
         empty = list(np.flatnonzero(counts == 0))
         while empty:
@@ -172,8 +173,7 @@ def export_cluster_map(cluster: ClusterAssignment, path, delimiter: str = "\t") 
 
 
 def save_clusters(cluster: ClusterAssignment, path) -> None:
-    # stored, not deflated, like the embeddings: compressed files still load
-    np.savez(
+    write_npz(
         path,
         item_to_interest=cluster.item_to_interest,
         centroids=cluster.centroids,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EngagementGraph
+from .npz import write_npz
 from .sweep_kernel import Kernel, arg, load_kernel
 
 __all__ = ["EmbeddingTable", "check_embedding_args", "train_embeddings", "save_embeddings", "load_embeddings"]
@@ -60,6 +61,35 @@ def _row_sums(inv: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     d = values.shape[1]
     flat = (inv[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
+
+
+def gather_sum(rows: np.ndarray, vecs: np.ndarray, n: int, vidx: np.ndarray | None = None) -> np.ndarray:
+    """``_row_sums(rows, vecs[vidx], n)``, or ``_row_sums(rows, vecs, n)``
+    when ``vidx`` is None, with the same bits.
+
+    It is one call of the kernel's ``gather_sum`` when ``load_kernel()``
+    builds it, which reads ``vecs[vidx[j]]`` in place: neither the gathered
+    (len(rows), D) array nor ``_row_sums``' flat cell index is made. A row
+    outside [0, n) or an index outside ``vecs`` raises ``IndexError``.
+    """
+    kernel = load_kernel()
+    if kernel is None:
+        return _row_sums(rows, vecs if vidx is None else vecs[vidx], n)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    vecs = np.ascontiguousarray(vecs, dtype=np.float64)
+    if vecs.ndim != 2:
+        raise ValueError(f"{vecs.shape} vectors: a matrix is needed")
+    if vidx is not None:
+        vidx = np.ascontiguousarray(vidx, dtype=np.int64)
+        if vidx.shape != rows.shape:
+            raise ValueError("rows and vidx differ in length")
+    out = np.zeros((n, vecs.shape[1]))
+    got = kernel.gather_sum(
+        len(rows), arg(rows), None if vidx is None else arg(vidx), arg(vecs), len(vecs), vecs.shape[1], arg(out), n
+    )
+    if got == -2:
+        raise IndexError("a row or vector index outside its table")
+    return out
 
 
 def _apply_row_mean(
@@ -213,9 +243,7 @@ def train_embeddings(
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    # stored, not deflated: float vectors shrink by a few percent at a
-    # tenfold cost to write and read; compressed files still load
-    np.savez(
+    write_npz(
         path,
         user_vectors=table.user_vectors,
         item_vectors=table.item_vectors,

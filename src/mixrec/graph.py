@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .npz import write_npz
+
 __all__ = [
     "GraphFormatError",
     "EmptyInputError",
@@ -316,10 +318,9 @@ def format_stats(stats: dict) -> str:
     return "\n".join(f"{k}={v}" for k, v in stats.items())
 
 
-def save_graph(g: EngagementGraph, path, **extra) -> None:
-    np.savez_compressed(
+def save_graph(g: EngagementGraph, path) -> None:
+    write_npz(
         path,
-        **extra,
         users=g.users,
         items=g.items,
         chunks=g.chunks,

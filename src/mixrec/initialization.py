@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EngagementGraph
+from .npz import write_npz
 
 __all__ = ["InitArtifact", "MleMixture", "build_init", "mle_mixture", "save_init", "load_init"]
 
@@ -189,7 +190,7 @@ _INIT_VERSION = 2
 
 
 def save_init(init: InitArtifact, path) -> None:
-    np.savez_compressed(
+    write_npz(
         path,
         version=np.asarray([_INIT_VERSION]),
         dims=np.asarray([init.num_users, init.num_items, init.num_interests]),

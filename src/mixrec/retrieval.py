@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, _row_sums
+from .embeddings import EmbeddingTable, gather_sum
 from .graph import ChunkSlice
 from .initialization import MleMixture
 from .sampler import ChunkModel, _ranges
@@ -502,7 +502,7 @@ class AnnIndex:
 def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> AnnIndex:
     """Chunk item vectors as per-engagement means of engaging users' vectors."""
     pool, inv = np.unique(slice_.items, return_inverse=True)
-    acc = _row_sums(inv, emb.user_vectors[slice_.users], len(pool))
+    acc = gather_sum(inv, emb.user_vectors, len(pool), vidx=slice_.users)
     counts = np.bincount(inv, minlength=len(pool))
     vecs = acc / counts[:, None]
     return AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), emb.user_vectors)

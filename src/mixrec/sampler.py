@@ -58,6 +58,7 @@ import numpy as np
 
 from .graph import ChunkSlice
 from .initialization import InitArtifact
+from .npz import write_npz
 from .sweep_kernel import arg, load_kernel
 
 __all__ = [
@@ -655,7 +656,7 @@ def sweep_diagnostics_text(m: ChunkModel) -> str:
 
 def save_chunk_model(m: ChunkModel, path) -> None:
     """Persist the minimal resumable state (assignments; tables rebuild)."""
-    np.savez_compressed(
+    write_npz(
         path,
         chunk=np.asarray([m.chunk]),
         z=m.z,

@@ -7,8 +7,8 @@ compiler's version, and returns its bound entry points as a ``Kernel``.
 The library is written under a temporary name and renamed into place, so
 concurrent processes never load a half-written file. Without a working compiler it
 logs one warning and returns None: the sampler runs its Python sweep and
-scipy's log-gamma, the retrievers their numpy selection and the embedding
-trainer its numpy update.
+scipy's log-gamma, the retrievers their numpy selection, the embedding
+trainer its numpy update and the row sums their ``np.bincount``.
 
 ``Kernel.sweep`` is a transcription of ``ChunkModel._sweep_python``, which
 is its reference: the same uniforms, the same sorted-row table updates and
@@ -26,6 +26,14 @@ evaluates the full expression only at those rows' entries. It is the full
 expression with both counts 0.0, and ``beta + 0.0 == beta`` and ``alpha +
 0.0 == alpha``, so each weight, and the sequential prefix sum over them,
 keeps its bits.
+
+``-fvect-cost-model=dynamic`` lets gcc vectorise the loops whose trip
+count is known only at run time, which ``-O2``'s very-cheap cost model
+skips. That keeps the bits too: a vectorised loop computes each element
+with the same operations, and gcc reassociates no floating-point reduction
+unless ``-ffast-math`` or ``-fassociative-math`` allows it, so a running
+sum stays sequential. ``-march=native`` is left out because the cache key
+records no CPU: a shared cache could hand one machine's build to another.
 
 The three retrieval entry points each answer one query; their reference is
 the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
@@ -63,6 +71,16 @@ sum) / count``, the numpy expression, so the table gets the same bits. The
 user step passes ``scal = 1.0`` and ``vidx = j``: multiplying by 1.0 is
 exact, so one form serves both steps.
 
+``gather_sum`` adds ``vecs[vidx[j]]`` (``vecs[j]`` when ``vidx`` is NULL)
+into row ``rows[j]`` of a zeroed output, in j order; its reference is
+``mixrec.embeddings._row_sums``, whose ``np.bincount`` adds each cell's
+terms from 0.0 in the same order, so the sums keep their bits. It runs the
+accumulation loop of ``row_mean`` with a scale of 1.0. ANN item encoding
+passes the engagements' users as ``vidx`` and k-means its unit vectors
+directly, so neither builds an (engagements x D) gather or a flat cell
+index. An out-of-range row or vector index writes nothing and returns -2,
+and the caller raises ``IndexError``.
+
 ``gammaln`` is log-gamma elementwise over an array, for the sampler's
 log-joint; its reference is ``scipy.special.gammaln``. It transcribes the
 Cephes ``lgam`` (Moshier 1989) that scipy computes, for x > 0: the
@@ -97,7 +115,7 @@ __all__ = ["Kernel", "arg", "load_kernel"]
 logger = logging.getLogger(__name__)
 
 CC = "gcc"
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O2", "-ftree-vectorize", "-fvect-cost-model=dynamic", "-fPIC", "-shared", "-ffp-contract=off")
 
 C_SOURCE = r"""
 #include <math.h>
@@ -622,7 +640,15 @@ i64 mixrec_walk(i64 n, const i64 *items, const double *scores, const i64 *seen, 
     return kept;
 }
 
-/* -- embedding SGD ------------------------------------------------------ */
+/* -- row sums: the embedding SGD update and the gather-sum --------------- */
+
+/* s[0:D] += c * v[0:D], each entry on its own: vectorising the loop keeps
+   every bit. With c = 1.0 the product is exact, so it adds v itself. */
+static void add_scaled(double *restrict s, const double *restrict v, double c, i64 D)
+{
+    for (i64 d = 0; d < D; d++)
+        s[d] += c * v[d];
+}
 
 /* One row-mean SGD step on the nrows x D table emb: each distinct row r of
    rows[0:m] becomes emb[r] - (lr * acc[r]) / count[r], where acc[r] adds to
@@ -656,12 +682,8 @@ i64 mixrec_row_mean(
         goto done;
     for (i64 j = 0; j < m; j++) {
         i64 a = slot[rows[j]] - 1;
-        double *s = acc + a * D;
-        const double *v = vecs + vidx[j] * D;
-        double c = scal[j];
         count[a]++;
-        for (i64 d = 0; d < D; d++)
-            s[d] += c * v[d];
+        add_scaled(acc + a * D, vecs + vidx[j] * D, scal[j], D);
     }
     for (i64 a = 0; a < nu; a++) {
         double *e = emb + order[a] * D;
@@ -677,6 +699,26 @@ done:
     free(count);
     free(acc);
     return ret;
+}
+
+/* Add vecs[vidx[j]], or vecs[j] when vidx is NULL, into row rows[j] of the
+   nrows x D out, for j = 0 .. m-1 in order: on an out of zeros each row sum
+   adds its terms to 0.0 in j order, as np.bincount does, so it keeps the
+   bits of mixrec.embeddings._row_sums. vecs has nv rows and does not
+   overlap out. Returns 0, or -2 (out untouched) when a row or a vector
+   index is out of range. */
+i64 mixrec_gather_sum(
+    i64 m, const i64 *rows, const i64 *vidx, const double *vecs, i64 nv,
+    i64 D, double *out, i64 nrows)
+{
+    for (i64 j = 0; j < m; j++)
+        if (rows[j] < 0 || rows[j] >= nrows || (vidx ? vidx[j] < 0 || vidx[j] >= nv : j >= nv))
+            return -2;
+    if (D <= 0)
+        return 0;
+    for (i64 j = 0; j < m; j++)
+        add_scaled(out + rows[j] * D, vecs + (vidx ? vidx[j] : j) * D, 1.0, D);
+    return 0;
 }
 
 /* -- log-gamma ---------------------------------------------------------- */
@@ -782,9 +824,10 @@ _ARGTYPES = (
     + [_F64, _I64, _F64]  # wbuf, dense, s0
     + [_I64, ctypes.POINTER(_dbl)]  # out, dlj
 )
-# The retrieval entry points run once per query and ``row_mean`` once per
-# SGD batch, so they take raw pointers (``ctypes.c_void_p``, see ``arg``):
-# checking an ``ndpointer`` costs microseconds.
+# The retrieval entry points run once per query, ``row_mean`` once per SGD
+# batch and ``gather_sum`` once per Lloyd iteration, so they take raw
+# pointers (``ctypes.c_void_p``, see ``arg``): checking an ``ndpointer``
+# costs microseconds.
 _ptr = ctypes.c_void_p
 _POINTER_ARGTYPES = {
     # nks, ks, theta, ptr, positions, probs, floors, fend, n, pool, seen, ns, M, out
@@ -795,6 +838,8 @@ _POINTER_ARGTYPES = {
     "walk": [_ll, _ptr, _ptr, _ptr, _ll, _ll, _ptr],
     # m, rows, scal, vidx, vecs, nv, D, lr, emb, nrows
     "row_mean": [_ll, _ptr, _ptr, _ptr, _ptr, _ll, _ll, _dbl, _ptr, _ll],
+    # m, rows, vidx, vecs, nv, D, out, nrows
+    "gather_sum": [_ll, _ptr, _ptr, _ptr, _ll, _ll, _ptr, _ll],
     # n, x, out
     "gammaln": [_ll, _ptr, _ptr],
 }
@@ -821,6 +866,7 @@ class Kernel(NamedTuple):
     cosine: Callable[..., int]
     walk: Callable[..., int]
     row_mean: Callable[..., int]
+    gather_sum: Callable[..., int]
     gammaln: Callable[..., int]
 
 
@@ -875,8 +921,10 @@ def load_kernel() -> Kernel | None:
         fn = getattr(lib, f"mixrec_{name}")
         fn.argtypes = argtypes
         fn.restype = _ll
-    logger.info("Gibbs sweep, top-M selection, embedding SGD update and log-gamma: compiled kernel %s", path)
+    logger.info(
+        "Gibbs sweep, top-M selection, embedding SGD update, gather-sum and log-gamma: compiled kernel %s", path
+    )
     return Kernel(
         lib.mixrec_sweep, lib.mixrec_mixture, lib.mixrec_cosine, lib.mixrec_walk, lib.mixrec_row_mean,
-        lib.mixrec_gammaln,
+        lib.mixrec_gather_sum, lib.mixrec_gammaln,
     )

@@ -7,6 +7,7 @@ so these can pin expected values for the fast implementations.
 
 import itertools
 import math
+import zipfile
 
 import numpy as np
 
@@ -145,6 +146,21 @@ def row_sums_add_at(inv, values, n):
     acc = np.zeros((n, values.shape[1]))
     np.add.at(acc, inv, values)
     return acc
+
+
+def gather_sum_add_at(rows, vecs, n, vidx=None):
+    """``mixrec.embeddings.gather_sum`` by the ``np.add.at`` scatter over
+    the gathered ``vecs[vidx]``."""
+    return row_sums_add_at(rows, vecs if vidx is None else vecs[vidx], n)
+
+
+def deflated_and_integer_members(path):
+    """(the deflated members, the integer-array members) of an ``.npz``, by
+    name without ``.npy``."""
+    with zipfile.ZipFile(path) as zf, np.load(path) as z:
+        deflated = {i.filename[:-4] for i in zf.infolist() if i.compress_type == zipfile.ZIP_DEFLATED}
+        integer = {k for k in z.files if z[k].dtype.kind in "iu"}
+    return deflated, integer
 
 
 def aggregate_loop(per_query, queries):

@@ -17,7 +17,7 @@ from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split
 from mixrec.metrics import MetricBlock, MetricsReport, build_queries
 from mixrec.synth import SynthSpec, generate
 
-from oracles import aggregate_loop, score_reference, seen_union_loop
+from oracles import aggregate_loop, deflated_and_integer_members, score_reference, seen_union_loop
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +282,48 @@ class TestBacktest:
         second = report_bytes(out)
         for name in first:
             assert first[name] == second[name], f"{name} changed after resume"
+
+    def test_compressed_npz_loads_same_arrays(self, synth_edges, tmp_path):
+        # every artifact deflates its integer members and stores the rest;
+        # a directory whose artifacts an earlier version wrote with
+        # np.savez_compressed (level 6) loads to the same arrays and is
+        # reused as it is
+        out = tmp_path / "r"
+        cfg = small_config(synth_edges, out, dump_candidates=True)
+        backtest(cfg)
+        first = report_bytes(out) | {"cands": (out / "metrics" / "candidates_M10.tsv").read_bytes()}
+        names = ["graph.npz", "embeddings.npz", "clusters.npz", "init.npz"]
+        names += sorted(p.relative_to(out).as_posix() for p in out.glob("chunks/*.npz"))
+        assert len(names) == 7
+        arrays = {}
+        for name in names:
+            deflated, integer = deflated_and_integer_members(out / name)
+            assert deflated == integer, name
+            with np.load(out / name) as z:
+                arrays[name] = {k: z[k] for k in z.files}
+            np.savez_compressed(out / name, **arrays[name])
+            with np.load(out / name) as z:
+                for k, want in arrays[name].items():
+                    got = z[k]
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (name, k)
+        for p in (out / "metrics").glob("*.tsv"):
+            p.unlink()
+        stamps = {name: (out / name).stat().st_mtime_ns for name in names}
+        backtest(cfg)
+        assert {name: (out / name).stat().st_mtime_ns for name in names} == stamps
+        assert report_bytes(out) | {"cands": (out / "metrics" / "candidates_M10.tsv").read_bytes()} == first
+
+    def test_data_file_read_once_per_run(self, synth_edges, tmp_path, monkeypatch):
+        # open_run reads the data file for its record once, and every stage
+        # takes that record: on a fresh directory and on a full one
+        calls = []
+        record = mixrec.backtest._data_record
+        monkeypatch.setattr(mixrec.backtest, "_data_record", lambda cfg: calls.append(cfg) or record(cfg))
+        cfg = small_config(synth_edges, tmp_path / "r")
+        for _ in range(2):
+            calls.clear()
+            backtest(cfg)
+            assert len(calls) == 1
 
     def test_accumulate_mode_runs(self, synth_edges, tmp_path):
         cfg = small_config(

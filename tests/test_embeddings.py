@@ -11,13 +11,14 @@ from mixrec.embeddings import (
     _apply_row_mean,
     _compiled_row_mean,
     _row_sums,
+    gather_sum,
     load_embeddings,
     save_embeddings,
     train_embeddings,
 )
 from mixrec.graph import from_raw_edges
 
-from oracles import row_sums_add_at, same_bits
+from oracles import gather_sum_add_at, row_sums_add_at, same_bits
 
 
 def planted_two_block(rng, users_per_block=100, items_per_block=100, p=0.2):
@@ -332,3 +333,76 @@ class TestCompiledRowMean:
         assert got.user_vectors.tobytes() == want.user_vectors.tobytes()
         assert got.item_vectors.tobytes() == want.item_vectors.tobytes()
         assert got.epoch_losses == want.epoch_losses
+
+
+class TestGatherSum:
+    """The kernel's ``gather_sum`` gives the bits of ``_row_sums`` over the
+    gathered vectors, its reference, and of the ``np.add.at`` scatter."""
+
+    def test_random_shapes(self, kernel):
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n = int(rng.integers(1, 300))
+            d = int(rng.choice([1, 2, 7, 32, 64]))
+            m = int(rng.integers(0, 1500))
+            nv = int(rng.integers(1, 200))
+            rows = rng.integers(0, n, m)
+            if trial % 4 == 0:
+                rows[:] = rows[0] if m else 0  # every term lands in one row
+            vecs = rng.normal(size=(nv, d)) * 10.0 ** rng.uniform(-8, 8, size=(nv, 1))
+            vecs[rng.random((nv, d)) < 0.1] = -0.0
+            vidx = rng.integers(0, nv, m)
+            got = gather_sum(rows, vecs, n, vidx=vidx)
+            assert same_bits(got, _row_sums(rows, vecs[vidx], n)), trial
+            assert same_bits(got, gather_sum_add_at(rows, vecs, n, vidx)), trial
+            # vidx None reads vecs[j] itself
+            own = vecs[vidx]
+            assert same_bits(gather_sum(rows, own, n), got), trial
+
+    def test_edge_shapes(self, kernel):
+        nothing = np.empty(0, dtype=np.int64)
+        assert same_bits(gather_sum(nothing, np.ones((4, 3)), 2, vidx=nothing), np.zeros((2, 3)))
+        assert same_bits(gather_sum(nothing, np.empty((0, 3)), 2), np.zeros((2, 3)))
+        assert gather_sum(nothing, np.empty((0, 3)), 0).shape == (0, 3)
+        # order-sensitive sums in one row of D = 1: 1e16 + 1 - 1e16 + 1 is 1.0
+        col = np.array([[1e16], [1.0], [-1e16], [1.0]])
+        rows = np.zeros(4, dtype=np.int64)
+        got = gather_sum(rows, col, 1)
+        assert same_bits(got, _row_sums(rows, col, 1)) and got[0, 0] == 1.0
+        # repeated rows through vidx, out of order
+        vidx = np.array([3, 0, 2, 1, 0, 3])
+        rows = np.array([1, 1, 0, 1, 0, 1])
+        assert same_bits(gather_sum(rows, col, 2, vidx=vidx), gather_sum_add_at(rows, col, 2, vidx))
+        # a row of -0.0 terms sums to +0.0 from 0.0, as in the scatter
+        got = gather_sum(np.array([0, 0]), np.array([[-0.0, 1.0]] * 2), 1)
+        assert not np.signbit(got[0, 0]) and got[0, 1] == 2.0
+
+    def test_out_of_range_raises(self, kernel):
+        vecs = np.ones((3, 2))
+        for rows, vidx in (
+            (np.array([0, 2]), np.array([0, 1])),  # row 2 of 2
+            (np.array([-1, 0]), np.array([0, 1])),
+            (np.array([0, 1]), np.array([0, 3])),  # vector 3 of 3
+            (np.array([0, 1]), np.array([-1, 0])),
+            (np.array([0, 1, 1, 0]), None),  # more terms than vectors
+        ):
+            with pytest.raises(IndexError):
+                gather_sum(rows, vecs, 2, vidx=vidx)
+        # the kernel returns -2 and writes nothing
+        out = np.full((2, 2), 7.0)
+        rows, vidx = np.array([0, 5]), np.array([0, 1])
+        got = kernel.gather_sum(2, sweep_kernel.arg(rows), sweep_kernel.arg(vidx), sweep_kernel.arg(vecs), 3, 2,
+                                sweep_kernel.arg(out), 2)
+        assert got == -2 and (out == 7.0).all()
+        with pytest.raises(ValueError, match="differ in length"):
+            gather_sum(np.array([0, 1]), vecs, 2, vidx=np.array([0]))
+
+
+def test_kernel_flags_keep_the_bits():
+    # the bitwise tests hold under these flags; a flag that fuses or
+    # reassociates floating-point operations, or one that builds for the
+    # compiling CPU (the cache key records no CPU), would break them
+    flags = sweep_kernel.FLAGS
+    assert "-ffp-contract=off" in flags
+    banned = ("-ffast-math", "-Ofast", "-fassociative-math", "-funsafe-math-optimizations", "-march=native")
+    assert not set(flags) & set(banned)

@@ -28,7 +28,7 @@ from mixrec.retrieval import (
 from mixrec.sampler import SamplerConfig, fit_chunk
 
 from oracles import (
-    combined_counts, interest_items, interest_list, item_counts, mixture_row, padded_lists, row_sums_add_at,
+    combined_counts, gather_sum_add_at, interest_items, interest_list, item_counts, mixture_row, padded_lists,
     same_bits,
 )
 from test_sampler import make_init
@@ -447,7 +447,7 @@ class TestAnn:
         )
         slc = ChunkSlice.from_edges(1, rng.integers(0, U, n), np.minimum(rng.zipf(1.3, n), 300) - 1)
         got = ann_encode_items(slc, emb)
-        monkeypatch.setattr(mixrec.retrieval, "_row_sums", row_sums_add_at)
+        monkeypatch.setattr(mixrec.retrieval, "gather_sum", gather_sum_add_at)
         want = ann_encode_items(slc, emb)
         assert np.array_equal(got.pool_items, want.pool_items)
         assert same_bits(got.item_vecs, want.item_vecs)
