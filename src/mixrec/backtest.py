@@ -155,12 +155,7 @@ class RunConfig:
         )
 
     def retrieval_config(self, m: int) -> RetrievalConfig:
-        return RetrievalConfig(
-            M=m,
-            L=self.truncation,
-            exclude_seen=self.exclude_seen,
-            workers=self.workers,
-        )
+        return RetrievalConfig(M=m, L=self.truncation, exclude_seen=self.exclude_seen)
 
 
 def _check_known(cls, data: dict, prefix: str) -> None:
@@ -184,7 +179,7 @@ def open_run(cfg: RunConfig) -> tuple[dict[int, RetrievalConfig], str]:
     cfg._check_lists()
     rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
     cfg.sampler_config(0)
-    for name in ("test_chunks", "num_interests", "kmeans_iters", "regroup_factor"):
+    for name in ("test_chunks", "num_interests", "kmeans_iters", "regroup_factor", "workers"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
     _check_priors(cfg.alpha, cfg.beta)
@@ -357,15 +352,15 @@ class _SeenTracker:
     """Per-user seen items as one ascending ``int64`` array: the user's train
     items, with the items of each passed test chunk merged in.
 
-    All users' arrays are slices of one CSR, the distinct (user, item) pairs
-    kept as ascending keys ``user * num_items + item``; a chunk is merged in
-    one pass over them.
+    All users' arrays are slices of one CSR over the distinct (user, item)
+    pairs: the items and the row pointers. A chunk is merged in one pass
+    over the pairs as ascending keys ``user * num_items + item``, derived
+    from the CSR for the merge only.
     """
 
     def __init__(self, train: EngagementGraph):
         self._stride = max(train.num_items, 1)
-        self._keys = np.empty(0, dtype=np.int64)
-        self._items = self._keys
+        self._items = np.empty(0, dtype=np.int64)
         self._ptr = [0]
         self.add_chunk(ChunkSlice.from_edges(0, train.users, train.items))
 
@@ -377,13 +372,13 @@ class _SeenTracker:
 
     def add_chunk(self, slice_) -> None:
         new = np.sort(slice_.users * self._stride + slice_.items)
+        keys = np.repeat(np.arange(len(self._ptr) - 1) * self._stride, np.diff(self._ptr))
+        keys += self._items
         # two ascending runs, which the stable sort (a timsort) merges in one pass
-        keys = np.sort(np.concatenate([self._keys, new]), kind="stable")
+        keys = np.sort(np.concatenate([keys, new]), kind="stable")
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
-        users, self._items = np.divmod(keys, self._stride)
-        self._keys = keys
+        users, self._items = np.divmod(keys[first], self._stride)
         # Python ints, so a query reads its row bounds without numpy scalars
         self._ptr = [0, *np.cumsum(np.bincount(users)).tolist()]
 
@@ -502,7 +497,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                         index = new
                         cands = batch_retrieve(
                             lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
-                            queries, rcfg,
+                            queries, cfg.workers,
                         )
                         scores = [score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)]
                     else:

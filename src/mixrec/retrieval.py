@@ -6,8 +6,13 @@ Every retriever has one contract,
     fn(u, index, cfg, seen=None, chunk=-1) -> CandidateList
 
 where ``index`` is built from the source chunk before any query, ``seen``
-holds the user's seen item ids and ``chunk`` is the target chunk the list
-is recorded under. The index per method:
+is None or the user's seen item ids in ascending order, and ``chunk`` is
+the target chunk the list is recorded under. ``seen`` is an ``int64``
+array, as the backtest's seen tracker keeps it, or anything
+``np.ascontiguousarray(seen, dtype=np.int64)`` takes: nothing sorts it,
+ids that are not ascending raise ``ValueError`` and a set ``TypeError``.
+Each index is complete when built, from inputs its builder takes. The
+index per method:
 
 - ``micro``: ``build_index(m, cfg, ranking, tables)``, an ``InterestIndex``
   of the fitted chunk model's per-interest top-L lists (one per chunk and
@@ -15,8 +20,9 @@ is recorded under. The index per method:
   are ``ChunkModel.user_weights``, the alpha-smoothed combined counts
   normalised over each support.
 - ``mle``: ``build_mle_index(mix, cfg, pool, ranking)``, an
-  ``InterestIndex`` of the t=0 tables' top-L lists restricted to the pool
-  (one per chunk and L); the weights are ``MleMixture.p_k_given_u``.
+  ``InterestIndex`` of the t=0 tables' top-L lists restricted to the
+  source chunk's pool (one per chunk and L); the weights are
+  ``MleMixture.p_k_given_u``.
 - ``ann``: ``ann_encode_items(slice_, emb)``, an ``AnnIndex`` of the pool's
   engagement-averaged item vectors, their norms and the user vectors.
 - ``popularity``: ``popularity_ranking(slice_)``, the pool by engagement
@@ -38,8 +44,9 @@ holds each interest's list over an ascending candidate pool as its counted
 entries (pool positions and probabilities) plus one run of pool positions
 that all carry the interest's smoothed floor value, every user's
 (interests, weights) as one CSR over users, read in place by each query,
-and the pool's popularity ranking, whose first M unseen items are the
-list of every user without interests (a cold user) under both mixtures.
+and the pool's popularity ranking (the builders' ``ranking``), whose first
+M unseen items are always the list of a user without interests (a cold
+user) under both mixtures.
 Only the micro lists have floor runs: every pool item without a count under
 an interest has the same smoothed probability there, so it is stored once
 per interest, not once per item (SparseLDA's smoothing-only bucket, Yao,
@@ -113,15 +120,12 @@ class RetrievalConfig:
     M: int = 100
     L: int | None = None  # per-interest truncation; defaults to 5*M
     exclude_seen: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.L is not None and self.L < self.M:
             raise ValueError("L must be >= M")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
     @property
     def truncation(self) -> int:
@@ -181,11 +185,11 @@ class InterestIndex:
     probabilities ``probs``), in list order: probability descending, ties
     by ascending item id. Its floor run is every other pool position below
     ``fend[k]``, each with probability ``floor[k]``; it follows the counted
-    entries in list order, ascending. Both default to zeros (no run).
+    entries in list order, ascending, and ``fend[k] = 0`` is no run.
     User u's interests are ``user_k[user_ptr[u]:user_ptr[u+1]]`` with
     aligned weights ``user_w``, in summation order; the row is empty for a
     user without interests. ``popularity`` is the pool's
-    ``popularity_ranking``, their fallback; without it they get no list.
+    ``popularity_ranking``, the list of every such user.
     """
 
     ptr: np.ndarray
@@ -195,9 +199,9 @@ class InterestIndex:
     user_ptr: np.ndarray
     user_k: np.ndarray
     user_w: np.ndarray
-    floor: np.ndarray | None = None
-    fend: np.ndarray | None = None
-    popularity: tuple[np.ndarray, np.ndarray] | None = None
+    floor: np.ndarray
+    fend: np.ndarray
+    popularity: tuple[np.ndarray, np.ndarray]
     # data addresses of ptr, positions, probs, floor, fend, pool_items, user_k and user_w for the kernel
     _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # user_ptr as Python ints, so a query reads its row bounds without numpy scalars
@@ -205,9 +209,6 @@ class InterestIndex:
 
     def __post_init__(self):
         K = len(self.ptr) - 1
-        for name, dtype in (("floor", np.float64), ("fend", np.int64)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, np.zeros(max(K, 0), dtype))
         object.__setattr__(self, "user_ptr", np.asarray(self.user_ptr, dtype=np.int64))
         object.__setattr__(self, "_rows", self.user_ptr.tolist())
         object.__setattr__(self, "_c", _addresses(
@@ -253,10 +254,7 @@ def chunk_tables(m: ChunkModel) -> ChunkTables:
 
 
 def build_index(
-    m: ChunkModel,
-    cfg: RetrievalConfig,
-    ranking: tuple[np.ndarray, np.ndarray] | None = None,
-    tables: ChunkTables | None = None,
+    m: ChunkModel, cfg: RetrievalConfig, ranking: tuple[np.ndarray, np.ndarray], tables: ChunkTables
 ) -> InterestIndex:
     """Build per-interest top-L lists of (beta + count) / (I*beta + total).
 
@@ -267,13 +265,13 @@ def build_index(
     value and the end ``fend[k]`` of the run of pool positions they take.
     An interest without a count has no list. Items with no engagements in
     the chunk are excluded everywhere. ``ranking`` is the chunk's
-    ``popularity_ranking`` and ``tables`` its ``chunk_tables(m)``, each
-    computed here when not given.
+    ``popularity_ranking``, the cold-user fallback, and ``tables`` its
+    ``chunk_tables(m)``; both serve every M.
     """
     K, L, n = m.K, cfg.truncation, len(m.item_pool)
     nk = m.n_kt
     total = m.Ibeta + nk.astype(np.float64)
-    positions, counts, kptr, (user_ptr, user_k, user_w) = chunk_tables(m) if tables is None else tables
+    positions, counts, kptr, (user_ptr, user_k, user_w) = tables
     ks = np.repeat(np.arange(K), np.diff(kptr))
     top = np.arange(len(ks)) - kptr[ks] < L
     ks, positions = ks[top], positions[top]
@@ -295,32 +293,27 @@ def build_index(
         user_w=user_w,
         floor=np.where(nk > 0, m.beta / total, 0.0),
         fend=fend,
-        popularity=popularity_ranking(m.slice) if ranking is None else ranking,
+        popularity=ranking,
     )
 
 
 def build_mle_index(
-    mix: MleMixture,
-    cfg: RetrievalConfig,
-    pool: np.ndarray | None = None,
-    ranking: tuple[np.ndarray, np.ndarray] | None = None,
+    mix: MleMixture, cfg: RetrievalConfig, pool: np.ndarray, ranking: tuple[np.ndarray, np.ndarray]
 ) -> InterestIndex:
     """Each interest's top L train items by p(i|k) (ties by ascending id),
     then restricted to ``pool`` in that order; no interest has a floor run.
 
-    ``pool`` holds ascending item ids, like ``ChunkSlice.item_pool``, so
-    backtests compare methods over identical pools; without it the pool is
-    every listed item. Truncating before restricting means a pool never
-    promotes an item from below an interest's top L. ``ranking`` is the
-    pool's ``popularity_ranking``, the cold-user fallback.
+    ``pool`` holds ascending item ids, the source chunk's
+    ``ChunkSlice.item_pool``, so backtests compare methods over identical
+    pools. Truncating before restricting means a pool never promotes an
+    item from below an interest's top L. ``ranking`` is the pool's
+    ``popularity_ranking``, the cold-user fallback.
     """
     K = len(mix.interest_ptr) - 1
     ks = np.repeat(np.arange(K), np.diff(mix.interest_ptr))
     # each interest lists its items by (p(i|k) desc, id) already
     top = np.arange(len(ks)) - mix.interest_ptr[ks] < cfg.truncation
     items, probs, ks = mix.items[top], mix.p_i_given_k[top], ks[top]
-    if pool is None:
-        pool = np.unique(items)
     pos, found = _lookup(pool, items)
     return InterestIndex(
         ptr=np.concatenate([[0], np.cumsum(np.bincount(ks[found], minlength=K))]).astype(np.int64),
@@ -330,6 +323,8 @@ def build_mle_index(
         user_ptr=mix.support_ptr,
         user_k=mix.support_k,
         user_w=mix.p_k_given_u,
+        floor=np.zeros(K),
+        fend=np.zeros(K, np.int64),
         popularity=ranking,
     )
 
@@ -346,7 +341,7 @@ def same_index(a, b) -> bool:
 def _bits(idx: InterestIndex) -> list:
     """Each array of ``idx`` as its dtype, shape and bytes."""
     arrays = [getattr(idx, f.name) for f in fields(idx) if f.init and f.name != "popularity"]
-    return [(x.dtype, x.shape, x.tobytes()) for x in arrays + list(idx.popularity or ())]
+    return [(x.dtype, x.shape, x.tobytes()) for x in arrays + list(idx.popularity)]
 
 
 def _lookup(sorted_ids: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,19 +351,6 @@ def _lookup(sorted_ids: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.n
     if len(sorted_ids) == 0:
         return pos, np.zeros(len(items), dtype=bool)
     return pos, sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == items
-
-
-def _seen_ids(seen) -> np.ndarray:
-    """``seen`` as a contiguous ``int64`` array, ascending unless given so.
-
-    ``seen`` is an ascending id array (what the backtest's seen tracker
-    keeps) or any collection of item ids, which is sorted here first. An
-    array that is not ascending is rejected by the selection: the kernels
-    check it as they start, the numpy path in ``_first_unseen``.
-    """
-    if not isinstance(seen, np.ndarray):
-        return np.sort(np.fromiter(seen, dtype=np.int64))
-    return np.ascontiguousarray(seen, dtype=np.int64)
 
 
 _NO_SEEN = np.empty(0, dtype=np.int64)
@@ -392,12 +374,12 @@ def _kernel_top(fn, user: int, chunk: int, cap: int, seen, *args) -> CandidateLi
     their ids in ``out[:cap]`` and their scores' bits in ``out[cap:]``.
 
     A seen tracker's view, a contiguous ``int64`` array, goes to the kernel
-    as it is; any other ``seen`` through ``_seen_ids``.
+    as it is; any other ``seen`` as a contiguous ``int64`` copy.
     """
     if seen is None:
         seen = _NO_SEEN
     elif seen.__class__ is not np.ndarray or seen.dtype != _INT64 or not seen.flags.c_contiguous:
-        seen = _seen_ids(seen)
+        seen = np.ascontiguousarray(seen, dtype=np.int64)
     out = np.empty(2 * cap, np.int64)
     got = _kernel_count(fn(*args, _arg(seen), len(seen), cap, _arg(out)))
     return CandidateList(user, chunk, out[:got], out[cap:cap + got].view(_FLOAT64))
@@ -418,7 +400,7 @@ def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList
         scores = np.ascontiguousarray(scores, dtype=np.float64)
         return _kernel_top(kernel.walk, user, chunk, min(M, len(items)), seen, len(items), _arg(items), _arg(scores))
     if seen is not None:
-        seen = _seen_ids(seen)
+        seen = np.ascontiguousarray(seen, dtype=np.int64)
         if np.any(seen[1:] < seen[:-1]):
             raise ValueError(_NOT_ASCENDING)
         # at most len(seen) entries are masked, so the answer lies in this head
@@ -448,8 +430,6 @@ def retrieve_mixture(
     seen = seen if cfg.exclude_seen else None
     lo, hi = rows[u], rows[u + 1]
     if hi == lo:
-        if idx.popularity is None:
-            return CandidateList(u, chunk)
         return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
     kernel = load_kernel()
     n = len(idx.pool_items)
@@ -553,18 +533,19 @@ def popularity_retrieve(
     return _first_unseen(ranking, cfg.M, seen if cfg.exclude_seen else None, u, chunk)
 
 
-def batch_retrieve(fn, users, cfg: RetrievalConfig):
-    """Map a retrieval closure over users, fanning out across threads.
+def batch_retrieve(fn, users, workers: int):
+    """Map a retrieval closure over users on ``workers`` threads.
 
     ``fn(user)`` must be a pure read returning a CandidateList; results come
-    back in input order regardless of worker count. Users are sharded into
-    coarse blocks so per-task overhead stays negligible.
+    back in input order regardless of ``workers``, which sets how the lists
+    are computed, not what they are. Users are sharded into coarse blocks
+    so per-task overhead stays negligible.
     """
     users = list(users)
-    if cfg.workers <= 1 or len(users) < 2 * cfg.workers:
+    if workers <= 1 or len(users) < 2 * workers:
         return [fn(u) for u in users]
-    shard_size = max(1, (len(users) + cfg.workers - 1) // cfg.workers)
+    shard_size = max(1, (len(users) + workers - 1) // workers)
     shards = [users[i:i + shard_size] for i in range(0, len(users), shard_size)]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = pool.map(lambda shard: [fn(u) for u in shard], shards)
         return [c for block in results for c in block]

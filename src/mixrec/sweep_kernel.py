@@ -913,7 +913,9 @@ def load_kernel() -> Kernel | None:
         logger.warning(
             "cannot build the compiled kernels (%s); falling back to Python and numpy", str(detail).strip()
         )
-        logger.info("Gibbs sweep: Python; top-M selection and embedding SGD update: numpy; log-gamma: scipy")
+        logger.info(
+            "Gibbs sweep: Python; top-M selection, embedding SGD update and gather-sum: numpy; log-gamma: scipy"
+        )
         return None
     lib.mixrec_sweep.argtypes = _ARGTYPES
     lib.mixrec_sweep.restype = None

@@ -18,7 +18,7 @@ from mixrec.clustering import cluster_items
 from mixrec.graph import ChunkSlice, EngagementGraph, IdMap, load_edge_list, regroup_chunks
 from mixrec.initialization import build_init
 from mixrec.metrics import score_query
-from mixrec.retrieval import RetrievalConfig, batch_retrieve, build_index, retrieve_mixture
+from mixrec.retrieval import RetrievalConfig, batch_retrieve, retrieve_mixture
 from mixrec.sampler import ChunkModel, SamplerConfig, fit_chunk
 from mixrec.synth import SynthSpec, generate, init_from_truth, score_recovery
 
@@ -30,7 +30,7 @@ from oracles import (
     score_reference,
 )
 from test_clustering import bumps, purity
-from test_retrieval import dense_micro_oracle, random_instance
+from test_retrieval import dense_micro_oracle, micro_index, random_instance
 from test_sampler import make_init, set_state, tiny_instances
 
 
@@ -170,7 +170,7 @@ class TestSparseDenseEquivalence:
         for trial in range(100):
             init, slc, m = random_instance(rng)
             cfg = RetrievalConfig(M=10, L=init.num_items, exclude_seen=False)
-            idx = build_index(m, cfg)
+            idx = micro_index(m, cfg)
             for u in range(init.num_users):
                 if init.is_cold(u):
                     continue
@@ -187,7 +187,7 @@ class TestSparseDenseEquivalence:
         worst_mean = 1.0
         for M in (20, 100):
             cfg = RetrievalConfig(M=M, exclude_seen=False)  # default L = 5M
-            idx = build_index(m, cfg)
+            idx = micro_index(m, cfg)
             overlaps = []
             for u in range(init.num_users):
                 got = set(retrieve_mixture(u, idx, cfg).item_ids())
@@ -299,11 +299,11 @@ class TestPerformanceContract:
         fit_s = time.time() - t0
         assert fit_s < 60.0, f"fit_chunk took {fit_s:.1f}s"
 
-        cfg = RetrievalConfig(M=100, workers=4)
-        idx = build_index(m, cfg)
+        cfg = RetrievalConfig(M=100)
+        idx = micro_index(m, cfg)
         users = list(range(U))
         t0 = time.time()
-        res = batch_retrieve(lambda u: retrieve_mixture(u, idx, cfg), users, cfg)
+        res = batch_retrieve(lambda u: retrieve_mixture(u, idx, cfg), users, 4)
         ret_s = time.time() - t0
         assert ret_s < 10.0, f"10k-user retrieval took {ret_s:.1f}s"
         assert len(res) == U

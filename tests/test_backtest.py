@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mixrec.backtest
+import mixrec.retrieval
 import mixrec.sweep_kernel as sweep_kernel
 from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, report, write_reports
 from mixrec.cli import main as cli_main
@@ -253,6 +254,51 @@ class TestBacktest:
         metrics = tmp_path / "score" / "metrics"
         assert (metrics / "series.tsv").read_text() == "\n".join(series[:1] + sorted(series[1:], key=key)) + "\n"
         assert (metrics / "overall.tsv").read_text() == "\n".join(overall[:1] + sorted(overall[1:], key=key)) + "\n"
+
+    def test_cold_users_get_the_popularity_list(self, synth_edges, tmp_path, monkeypatch):
+        # a user absent from train has no interests under either mixture, so
+        # each of their micro and mle rows is that query's popularity row:
+        # rank, id and score repr, with their seen items dropped; at two M
+        # (M=3 cut from M=10's popularity lists, each mixture retrieved per
+        # M), on the compiled selection (when built) and the numpy one
+        edges = np.loadtxt(synth_edges, dtype=np.int64)
+
+        def top(t):  # chunk t's two most engaged raw items
+            items, counts = np.unique(edges[edges[:, 2] == t, 1], return_counts=True)
+            return items[np.lexsort((items, -counts))][:2].tolist()
+
+        # raw user 1000 engages the top items of chunks 2 and 3, so they are
+        # seen when chunks 3 and 4 are queried from those chunks; 1001 is
+        # new in chunk 4 and has seen nothing
+        extra = [(1000, i, t) for t in (2, 3) for i in top(t)] + [(1000, top(2)[0], 4), (1001, top(3)[0], 4)]
+        data = tmp_path / "edges.tsv"
+        data.write_text(synth_edges.read_text() + "".join(f"{u}\t{i}\t{t}\n" for u, i, t in extra))
+        cfg = small_config(data, tmp_path / "cold", m_values=[3, 10], exclude_seen=True, dump_candidates=True)
+        backtest(cfg)
+        g, train, test = mixrec.backtest.split_graph(cfg)
+        cold = {q.user for q in build_queries(test[1:])} - set(train.users.tolist())
+        assert set(g.user_ids.to_dense([1000, 1001]).tolist()) <= cold
+
+        def cold_rows(m):
+            rows = {meth: {} for meth in cfg.methods}
+            for line in (tmp_path / "cold" / "metrics" / f"candidates_M{m}.tsv").read_text().splitlines()[1:]:
+                user, chunk, rank, item, score, meth = line.split("\t")
+                if int(user) in cold:
+                    rows[meth].setdefault((int(user), int(chunk)), []).append((rank, item, score))
+            return rows
+
+        dumps = {}
+        for path in ("compiled", "numpy"):
+            if path == "numpy":
+                monkeypatch.setattr(mixrec.retrieval, "load_kernel", lambda: None)
+                backtest(cfg)  # every artifact reused; only retrieval and scoring rerun
+            for m in cfg.m_values:
+                rows = cold_rows(m)
+                popularity = rows["popularity"]
+                assert len(popularity) >= 3 and max(map(len, popularity.values())) == m, (path, m)
+                assert rows["micro"] == rows["mle"] == popularity, (path, m)
+                dumps[path, m] = (tmp_path / "cold" / "metrics" / f"candidates_M{m}.tsv").read_bytes()
+        assert all(dumps["compiled", m] == dumps["numpy", m] for m in cfg.m_values)
 
     def test_determinism_byte_identical(self, synth_edges, tmp_path):
         cfg1 = small_config(synth_edges, tmp_path / "d1")

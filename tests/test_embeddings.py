@@ -329,7 +329,7 @@ class TestCompiledRowMean:
         logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mixrec.sweep_kernel"]
         assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
         assert "/nonexistent/cc" in logged[0][1]
-        assert "embedding SGD update: numpy" in logged[1][1]
+        assert "embedding SGD update and gather-sum: numpy" in logged[1][1]
         assert got.user_vectors.tobytes() == want.user_vectors.tobytes()
         assert got.item_vectors.tobytes() == want.item_vectors.tobytes()
         assert got.epoch_losses == want.epoch_losses

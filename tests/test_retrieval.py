@@ -49,6 +49,18 @@ def random_instance(rng, U=6, I=40, K=5, n=120, train_per_user=4):
     return init, slc, m
 
 
+def micro_index(m, cfg):
+    """``build_index`` from the chunk's own popularity ranking and tables."""
+    return build_index(m, cfg, popularity_ranking(m.slice), chunk_tables(m))
+
+
+def mle_index(mix, cfg, pool=None):
+    """``build_mle_index`` over ``pool``, by default every item the mixture
+    lists, with the pool in id order as its popularity ranking."""
+    pool = np.unique(mix.items) if pool is None else pool
+    return build_mle_index(mix, cfg, pool, (pool, np.zeros(len(pool))))
+
+
 def dense_micro_oracle(u, m, init, M, pool=None):
     """Brute-force mixture scoring over the full candidate pool.
 
@@ -89,7 +101,7 @@ class TestBuildIndex:
         )
         slc = ChunkSlice.from_edges(1, [0, 0, 0, 1], [5, 5, 5, 6])
         m = fit_chunk(slc, init2, SamplerConfig(seed=0))
-        idx = build_index(m, RetrievalConfig(M=2, L=2))
+        idx = micro_index(m, RetrievalConfig(M=2, L=2))
         items, phis = interest_list(idx, 0)
         assert items.tolist() == [5, 6]
         assert phis.tolist() == pytest.approx([3.01 / 5.0, 1.01 / 5.0], abs=1e-12)
@@ -98,14 +110,14 @@ class TestBuildIndex:
         init = make_init([(0, 0)], item_interest=[0, 1], K=2, num_items=2)
         slc = ChunkSlice.from_edges(1, [0], [0])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
-        idx = build_index(m, RetrievalConfig(M=5))
+        idx = micro_index(m, RetrievalConfig(M=5))
         items, _ = interest_list(idx, 1)
         assert len(items) == 0
 
     def test_full_truncation_matches_dense_phi(self):
         rng = np.random.default_rng(0)
         init, slc, m = random_instance(rng)
-        idx = build_index(m, RetrievalConfig(M=1, L=init.num_items))
+        idx = micro_index(m, RetrievalConfig(M=1, L=init.num_items))
         pool = m.item_pool
         nk, table = m.n_kt, item_counts(m)
         for k in range(init.num_interests):
@@ -122,7 +134,7 @@ class TestBuildIndex:
     def test_only_pool_items_appear(self):
         rng = np.random.default_rng(5)
         init, slc, m = random_instance(rng)
-        idx = build_index(m, RetrievalConfig(M=3))
+        idx = micro_index(m, RetrievalConfig(M=3))
         pool = set(m.item_pool.tolist())
         for k in range(init.num_interests):
             items, _ = interest_list(idx, k)
@@ -133,10 +145,10 @@ class TestBuildIndex:
         # one chunk_tables(m) serves every M and gives each M's own index
         rng = np.random.default_rng(6)
         init, slc, m = random_instance(rng)
-        tables = chunk_tables(m)
+        rank, tables = popularity_ranking(slc), chunk_tables(m)
         for M, L in ((1, None), (3, 4), (2, init.num_items), (5, 3 * init.num_items)):
             cfg = RetrievalConfig(M=M, L=L)
-            got, want = build_index(m, cfg, tables=tables), build_index(m, cfg)
+            got, want = build_index(m, cfg, rank, tables), build_index(m, cfg, rank, chunk_tables(m))
             for name in ("ptr", "positions", "pool_items", "user_ptr", "user_k", "fend"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (M, name)
             for name in ("probs", "user_w", "floor"):
@@ -158,7 +170,7 @@ class TestBuildIndex:
             assert members.max() > 2
             sizes = sorted({1, 2, int(members.max()) - 1, int(members.max()) + 1, len(pool) - 1, len(pool), 3 * len(pool)})
             for L in (L for L in sizes if L >= 1):
-                idx = build_index(m, RetrievalConfig(M=1, L=L))
+                idx = micro_index(m, RetrievalConfig(M=1, L=L))
                 assert len(idx.positions) == np.minimum(members, L).sum(), L
                 assert idx.fend.max() <= len(pool) and np.all(idx.fend[nk == 0] == 0), L
                 assert np.all(idx.floor[nk == 0] == 0.0), L
@@ -175,7 +187,7 @@ class TestRetrieveMicro:
         slc = ChunkSlice.from_edges(1, [0, 0, 0], [2, 2, 3])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
         cfg = RetrievalConfig(M=4, L=4, exclude_seen=False)
-        idx = build_index(m, cfg)
+        idx = micro_index(m, cfg)
         got = retrieve_mixture(0, idx, cfg)
         items, _ = interest_list(idx, 0)
         assert got.item_ids() == items.tolist()
@@ -188,7 +200,7 @@ class TestRetrieveMicro:
         slc = ChunkSlice.from_edges(1, [0, 0], [2, 3])
         m = fit_chunk(slc, init, SamplerConfig(seed=1))
         cfg = RetrievalConfig(M=4, L=4, exclude_seen=False)
-        idx = build_index(m, cfg)
+        idx = micro_index(m, cfg)
         got = retrieve_mixture(0, idx, cfg)
         # counts are symmetric: one train + one chunk engagement per interest
         ks, counts = combined_counts(m, 0)
@@ -209,7 +221,7 @@ class TestRetrieveMicro:
         for trial in range(30):
             init, slc, m = random_instance(rng)
             cfg = RetrievalConfig(M=10, L=init.num_items, exclude_seen=False)
-            idx = build_index(m, cfg)
+            idx = micro_index(m, cfg)
             for u in range(init.num_users):
                 if init.is_cold(u):
                     continue
@@ -221,30 +233,28 @@ class TestRetrieveMicro:
         rng = np.random.default_rng(7)
         init, slc, m = random_instance(rng)
         cfg = RetrievalConfig(M=5, L=init.num_items, exclude_seen=True)
-        idx = build_index(m, cfg)
+        idx = micro_index(m, cfg)
         base = retrieve_mixture(0, idx, cfg, seen=None)
         assert len(base)
-        banned = {base.item_ids()[0]}
+        banned = base.ids[:1]
         got = retrieve_mixture(0, idx, cfg, seen=banned)
-        assert banned.isdisjoint(got.item_ids())
+        assert banned[0] not in got.item_ids()
 
-    def test_cold_user_popularity_fallback_and_empty(self):
+    def test_cold_user_popularity_fallback(self):
         init = make_init([(0, 0)], item_interest=[0, 0, 0], K=1, num_users=2, num_items=3)
         slc = ChunkSlice.from_edges(1, [0, 0, 0], [1, 1, 2])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
         cfg = RetrievalConfig(M=2)
-        idx = build_index(m, cfg)
+        idx = micro_index(m, cfg)
         got = retrieve_mixture(1, idx, cfg)
         assert got.item_ids() == [1, 2]  # counts {1:2, 2:1}
-        # an index without a popularity ranking has no list for a cold user
-        assert retrieve_mixture(1, dataclasses.replace(idx, popularity=None), cfg).items == []
 
     def test_theta_scale_invariance(self):
         # doubling all unnormalized masses cannot change the ordering
         rng = np.random.default_rng(9)
         init, slc, m = random_instance(rng)
         cfg = RetrievalConfig(M=8, exclude_seen=False)
-        idx = build_index(m, cfg)
+        idx = micro_index(m, cfg)
         for u in range(init.num_users):
             if init.is_cold(u):
                 continue
@@ -266,7 +276,7 @@ class TestRetrieveMicro:
             prev = None
             for M in (1, 2, 3, 5, 8):
                 cfg = RetrievalConfig(M=M, L=init.num_items, exclude_seen=False)
-                idx = build_index(m, cfg)
+                idx = micro_index(m, cfg)
                 got = retrieve_mixture(u, idx, cfg).item_ids()
                 if prev is not None:
                     assert got[: len(prev)] == prev
@@ -280,7 +290,7 @@ class TestRetrieveMle:
         )
         mix = mle_mixture(init)
         cfg = RetrievalConfig(M=2, exclude_seen=False)
-        got = retrieve_mixture(0, build_mle_index(mix, cfg), cfg)
+        got = retrieve_mixture(0, mle_index(mix, cfg), cfg)
         assert got.item_ids() == [1, 0]  # item 1 has 2 of 3 engagements
 
     def test_symmetric_interests_equal_scores(self):
@@ -295,7 +305,7 @@ class TestRetrieveMle:
         ks, ps = mixture_row(mix, 0)
         assert ps.tolist() == [0.5, 0.5]
         cfg = RetrievalConfig(M=4, exclude_seen=False)
-        got = retrieve_mixture(0, build_mle_index(mix, cfg), cfg)
+        got = retrieve_mixture(0, mle_index(mix, cfg), cfg)
         # interest 0 items {0:2,1:1}/3, interest 1 items {2:2,3:1}/3: pairwise equal
         scores = dict(got.items)
         assert scores[0] == pytest.approx(scores[2], rel=1e-12)
@@ -311,7 +321,7 @@ class TestRetrieveMle:
             mix = mle_mixture(init)
             cfg = RetrievalConfig(M=10, L=I, exclude_seen=False)
             for u in range(U):
-                got = retrieve_mixture(u, build_mle_index(mix, cfg), cfg)
+                got = retrieve_mixture(u, mle_index(mix, cfg), cfg)
                 score = {}
                 ks, pks = mixture_row(mix, u)
                 for k, pk in zip(ks.tolist(), pks.tolist()):
@@ -327,7 +337,7 @@ class TestRetrieveMle:
         )
         mix = mle_mixture(init)
         cfg = RetrievalConfig(M=3, exclude_seen=False)
-        got = retrieve_mixture(0, build_mle_index(mix, cfg, pool=np.asarray([1, 2])), cfg)
+        got = retrieve_mixture(0, mle_index(mix, cfg, np.asarray([1, 2])), cfg)
         assert set(got.item_ids()) <= {1, 2}
 
     def test_index_truncates_before_pool_restriction(self):
@@ -345,7 +355,7 @@ class TestRetrieveMle:
         # drop each interest's first and third listed items from the pool
         dropped = {tops[k][0][j] for k in tops for j in (0, 2) if j < len(tops[k][0])}
         pool = np.asarray(sorted(set(range(I)) - dropped), dtype=np.int64)
-        idx = build_mle_index(mix, cfg, pool=pool)
+        idx = mle_index(mix, cfg, pool)
         assert idx.pool_items is pool
         promotable = False
         for k, (top, probs, rest) in tops.items():
@@ -489,14 +499,14 @@ class TestPopularity:
     def test_per_user_exclusion(self):
         slc = ChunkSlice.from_edges(1, [0, 1, 2], [7, 7, 8])
         got = popularity_retrieve(
-            0, popularity_ranking(slc), RetrievalConfig(M=1, exclude_seen=True), seen={7}
+            0, popularity_ranking(slc), RetrievalConfig(M=1, exclude_seen=True), seen=[7]
         )
         assert got.item_ids() == [8]
 
 
 class TestSeenExclusion:
-    """Every retriever gives the same list whether ``seen`` is a Python set
-    or an ascending id array, and equals a brute-force ranking of all pool
+    """Every retriever gives the same list whether ``seen`` is an ascending
+    list or array of ids, and equals a brute-force ranking of all pool
     candidates by (score desc, item asc) with seen items dropped by ``in``."""
 
     U, I, K, M = 8, 60, 5, 10
@@ -513,7 +523,7 @@ class TestSeenExclusion:
         self.m = fit_chunk(self.slc, self.init, SamplerConfig(seed=5))
         self.item_counts = item_counts(self.m)
         self.cfg = RetrievalConfig(M=self.M, L=self.I)
-        self.idx = build_index(self.m, self.cfg)
+        self.idx = micro_index(self.m, self.cfg)
         self.mix = mle_mixture(self.init)
         self.emb = EmbeddingTable(
             user_vectors=rng.normal(size=(self.U, 4)), item_vectors=np.zeros((self.I, 4))
@@ -525,13 +535,14 @@ class TestSeenExclusion:
         self.counts = {i: self.slc.items.tolist().count(i) for i in self.pool}
 
     def seen_cases(self, rng):
-        yield set()
-        yield set(rng.choice(self.pool, size=len(self.pool) // 3, replace=False).tolist())
+        """Ascending id lists."""
+        yield []
+        yield sorted(rng.choice(self.pool, size=len(self.pool) // 3, replace=False).tolist())
         # ids outside the pool, and outside the item range, mask nothing
         outside = set(range(self.I)) - set(self.pool)
-        yield set(rng.choice(self.pool, size=3, replace=False).tolist()) | outside | {self.I + 7, 10**9}
-        yield set(self.pool[2:])  # two items left: a short list
-        yield set(self.pool) | {self.I + 1}  # nothing left: an empty list
+        yield sorted(set(rng.choice(self.pool, size=3, replace=False).tolist()) | outside | {self.I + 7, 10**9})
+        yield self.pool[2:]  # two items left: a short list
+        yield self.pool + [self.I + 1]  # nothing left: an empty list
 
     def micro_scores(self, u):
         ks, counts = combined_counts(self.m, u)
@@ -554,7 +565,7 @@ class TestSeenExclusion:
         for k, pk in zip(ks.tolist(), pks.tolist()):
             items, pis = interest_items(self.mix, k)
             for i, pi in zip(items.tolist(), pis.tolist()):
-                if allowed is None or i in allowed:
+                if i in allowed:
                     scores[i] = scores.get(i, 0.0) + pk * pi
         return scores
 
@@ -575,13 +586,13 @@ class TestSeenExclusion:
             lambda seen: retrieve_mixture(u, self.idx, cfg, seen=seen),
             self.micro_scores(u) if warm else self.counts,
         )
-        for name, pool in (("mle", None), ("mle-allowed", allowed)):
+        for name, pool in (("mle", np.unique(self.mix.items)), ("mle-allowed", allowed)):
             yield (
                 name,
                 lambda seen, pool=pool: retrieve_mixture(
                     u, build_mle_index(self.mix, cfg, pool, self.rank), cfg, seen=seen
                 ),
-                self.mle_scores(u, None if pool is None else set(pool.tolist())) if warm else self.counts,
+                self.mle_scores(u, set(pool.tolist())) if warm else self.counts,
             )
         yield (
             "ann",
@@ -594,18 +605,29 @@ class TestSeenExclusion:
             self.counts,
         )
 
-    def test_set_and_array_match_bruteforce(self):
+    def test_list_and_array_match_bruteforce(self):
         rng = np.random.default_rng(22)
         assert self.init.is_cold(self.COLD)
         for seen in self.seen_cases(rng):
-            as_array = np.asarray(sorted(seen), dtype=np.int64)
+            as_array = np.asarray(seen, dtype=np.int64)
             for u in range(self.U):
                 for name, retrieve, scores in self.retrievers(u):
                     got = retrieve(seen)
                     assert got.items == retrieve(as_array).items, f"{name} user {u}"
                     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-                    want = [i for i, _ in ranked if i not in seen][: self.M]
-                    assert got.item_ids() == want, f"{name} user {u} seen {sorted(seen)}"
+                    want = [i for i, _ in ranked if i not in set(seen)][: self.M]
+                    assert got.item_ids() == want, f"{name} user {u} seen {seen}"
+
+    def test_set_rejected(self, monkeypatch):
+        # seen ids come ascending, as an array or a list; nothing sorts a
+        # set for the caller, so every retriever, the cold-user fallback
+        # among them, raises on one on both paths
+        for u in (0, self.COLD):
+            for name, retrieve, _ in self.retrievers(u):
+                for path in (lambda r: r(), lambda r: on_numpy(monkeypatch, r)):
+                    with pytest.raises(TypeError):
+                        path(lambda: retrieve({self.pool[1], self.pool[0]}))
+                    assert len(path(lambda: retrieve([self.pool[0], self.pool[1]]))), f"{name} user {u}"
 
     def test_unsorted_seen_array_rejected(self, monkeypatch):
         # a query's top-M ids in rank order are not ascending: the compiled
@@ -654,18 +676,18 @@ class TestCompiledTopM:
     lists: the same items in the same order and the same score bits."""
 
     def seen_cases(self, rng, pool):
-        """``seen`` as None, a set or an array (ascending ``int64`` and
-        ``int32``), with ids outside the pool and up to the whole pool."""
+        """``seen`` as None or ascending ids, a list or an array (``int64``
+        and ``int32``), with ids outside the pool and up to the whole pool."""
         pool = [int(i) for i in pool]
         outside = {-3, 10**9, max(pool, default=0) + 1}
         some = set(rng.choice(pool, size=len(pool) // 3, replace=False).tolist()) if pool else set()
         yield None
         for seen in (set(), some | outside, set(pool) - set(pool[:2]), set(pool) | outside):
-            yield seen
+            yield sorted(seen)
             yield np.asarray(sorted(seen), dtype=np.int64)
         yield np.asarray(sorted(some), dtype=np.int32)
 
-    def random_interest_index(self, rng, n_pool, K, ranking=True):
+    def random_interest_index(self, rng, n_pool, K):
         pool = np.sort(rng.choice(10 * n_pool + 5, size=n_pool, replace=False)).astype(np.int64)
         lists, probs = [], []
         for _ in range(K):
@@ -696,7 +718,7 @@ class TestCompiledTopM:
             # floor runs: none, part of the pool or all of it, with tied values
             floor=rng.choice(TIED[:-1], K) if rng.random() < 0.5 else rng.random(K),
             fend=rng.choice([0, n_pool // 3, n_pool], K),
-            popularity=(pool[order], counts[order]) if ranking else None,
+            popularity=(pool[order], counts[order]),
         )
 
     def check(self, monkeypatch, retrieve, what):
@@ -707,7 +729,7 @@ class TestCompiledTopM:
         rng = np.random.default_rng(31)
         for trial in range(40):
             n_pool = int(rng.choice([0, 1, 5, 30, 120]))
-            idx = self.random_interest_index(rng, n_pool, K=int(rng.integers(1, 6)), ranking=trial % 3 > 0)
+            idx = self.random_interest_index(rng, n_pool, K=int(rng.integers(1, 6)))
             for M in (1, 7, 200):
                 for exclude in (True, False):
                     cfg = RetrievalConfig(M=M, exclude_seen=exclude)
@@ -732,7 +754,7 @@ class TestCompiledTopM:
             for M, L in ((3, None), (5, I), (40, 2 * I)):
                 cfg = RetrievalConfig(M=M, L=L)
                 indexes = {
-                    "micro": build_index(m, cfg, rank),
+                    "micro": build_index(m, cfg, rank, chunk_tables(m)),
                     "mle": build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank),
                 }
                 for name, idx in indexes.items():
@@ -843,6 +865,9 @@ class TestCompiledTopM:
             user_ptr=np.cumsum([0] + [len(ks) for ks in rows]),
             user_k=np.concatenate(rows),
             user_w=np.concatenate(thetas),
+            floor=np.zeros(K),
+            fend=np.zeros(K, np.int64),
+            popularity=(pool, np.zeros(n)),  # every user has interests
         )
         assert sum(len(x) for x in lists) < 0.05 * n
         for u in range(5):
@@ -884,6 +909,7 @@ class TestCompiledTopM:
                 user_w=np.concatenate(thetas),
                 floor=floor,
                 fend=rng.choice(n + 1, K, replace=False),  # distinct run ends
+                popularity=(pool, np.zeros(n)),  # every user has interests
             )
             for u, ks in enumerate(rows):
                 counted = np.unique(np.concatenate([lists[k] for k in ks]))
@@ -957,7 +983,8 @@ class TestCompiledTopM:
         pool = np.array([2, 5, 9])
         good = dict(
             ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool,
-            user_ptr=[0, 2], user_k=[1, 0], user_w=[0.5, 0.5],
+            user_ptr=[0, 2], user_k=[1, 0], user_w=[0.5, 0.5], floor=[0.0, 0.0], fend=[0, 0],
+            popularity=(pool, np.zeros(3)),
         )
         bad = [
             dict(positions=[0, 3, 1]),
@@ -987,7 +1014,7 @@ class TestCompiledTopM:
         assert retrieve_mixture(0, InterestIndex(**good), cfg).item_ids() == [2, 9]
         # interest 0's run adds 0.5 * 0.4 at position 1 (item 5), not at its
         # counted positions 0 and 2; interest 1's adds 0.5 * 0.0 at 0 and 2
-        runs = InterestIndex(**good, floor=[0.4, 0.0], fend=[3, 3])
+        runs = InterestIndex(**{**good, "floor": [0.4, 0.0], "fend": [3, 3]})
         want = [(5, 0.5 * 0.2 + 0.5 * 0.4), (2, 0.0 + 0.5 * 0.5), (9, 0.0 + 0.5 * 0.3)]
         assert retrieve_mixture(0, runs, RetrievalConfig(M=3)).items == want
 
@@ -1004,6 +1031,7 @@ class TestCompiledTopM:
         good = dict(
             ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool,
             user_ptr=[0, 2], user_k=[1, 0], user_w=[0.5, -0.0], floor=[0.4, 0.0], fend=[3, 2],
+            popularity=(pool, np.zeros(3)),
         )
         for name in ("user_w", "floor"):
             for bad in (-1e-300, np.nan, np.inf, -np.inf):
@@ -1043,7 +1071,7 @@ class TestCompiledTopM:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                parallel = batch_retrieve(fn, users, RetrievalConfig(M=50, workers=4))
+                parallel = batch_retrieve(fn, users, 4)
             finally:
                 sys.setswitchinterval(interval)
             serial = [fn(u) for u in users]
@@ -1058,7 +1086,7 @@ class TestCompiledTopM:
         vecs = rng.normal(size=(50, 3))
         ann = AnnIndex(idx.pool_items, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(6, 3)))
         cfg = RetrievalConfig(M=10)
-        seen = set(idx.pool_items[::3].tolist())
+        seen = idx.pool_items[::3].tolist()
 
         def run():
             return [
@@ -1112,7 +1140,7 @@ class TestCandidateListFormat:
                 rank = popularity_ranking(slc)
                 cfg = RetrievalConfig(M=5)
                 calls = {
-                    "micro": (retrieve_mixture, build_index(m, cfg, rank)),
+                    "micro": (retrieve_mixture, build_index(m, cfg, rank, chunk_tables(m))),
                     "mle": (retrieve_mixture, build_mle_index(mix, cfg, slc.item_pool, rank)),
                     "ann": (ann_retrieve, ann_encode_items(slc, emb)),
                     "popularity": (popularity_retrieve, rank),
@@ -1159,7 +1187,7 @@ class TestPrefixProperty:
         rank = popularity_ranking(slc)
         fixed = RetrievalConfig(M=100, L=L)
         calls = {
-            "micro": (retrieve_mixture, build_index(fit_chunk(slc, init, SamplerConfig(seed=2, max_sweeps=2)), fixed, rank)),
+            "micro": (retrieve_mixture, micro_index(fit_chunk(slc, init, SamplerConfig(seed=2, max_sweeps=2)), fixed)),
             "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), fixed, slc.item_pool, rank)),
             "ann": (ann_retrieve, ann_encode_items(slc, emb)),
             "popularity": (popularity_retrieve, rank),
@@ -1195,7 +1223,7 @@ class TestPrefixProperty:
         init = make_init(train, rng.integers(0, 3, 30).tolist(), 3, num_users=6, num_items=30)
         mix = mle_mixture(init)
         longest = int(np.diff(mix.interest_ptr).max())
-        at = {L: build_mle_index(mix, RetrievalConfig(M=1, L=L)) for L in (longest - 1, longest, 5 * longest)}
+        at = {L: mle_index(mix, RetrievalConfig(M=1, L=L)) for L in (longest - 1, longest, 5 * longest)}
         assert same_index(at[longest], at[5 * longest]) and not same_index(at[longest - 1], at[longest])
         probs = at[longest].probs.copy()
         probs[0] = 0.0
@@ -1209,7 +1237,7 @@ class TestBatchAndDeterminism:
         rng = np.random.default_rng(12)
         init, slc, m = random_instance(rng)
         cfg = RetrievalConfig(M=5)
-        idx = build_index(m, cfg)
+        idx = micro_index(m, cfg)
         emb = EmbeddingTable(
             user_vectors=np.random.default_rng(0).normal(size=(init.num_users, 4)),
             item_vectors=np.zeros((init.num_items, 4)),
@@ -1220,8 +1248,8 @@ class TestBatchAndDeterminism:
             a1 = [retrieve_mixture(u, idx, cfg).items for u in range(init.num_users)]
             a2 = [retrieve_mixture(u, idx, cfg).items for u in range(init.num_users)]
             assert a1 == a2
-            b1 = [retrieve_mixture(u, build_mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
-            b2 = [retrieve_mixture(u, build_mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
+            b1 = [retrieve_mixture(u, mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
+            b2 = [retrieve_mixture(u, mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
             assert b1 == b2
             c1 = [ann_retrieve(u, ann, cfg).items for u in range(init.num_users)]
             c2 = [ann_retrieve(u, ann, cfg).items for u in range(init.num_users)]
@@ -1230,13 +1258,12 @@ class TestBatchAndDeterminism:
     def test_batch_matches_serial_and_parallel(self):
         rng = np.random.default_rng(13)
         init, slc, m = random_instance(rng)
-        cfg1 = RetrievalConfig(M=5, workers=1)
-        cfg4 = RetrievalConfig(M=5, workers=4)
-        idx = build_index(m, cfg1)
+        cfg = RetrievalConfig(M=5)
+        idx = micro_index(m, cfg)
         users = list(range(init.num_users))
-        fn = lambda u: retrieve_mixture(u, idx, cfg1)
-        serial = [c.items for c in batch_retrieve(fn, users, cfg1)]
-        parallel = [c.items for c in batch_retrieve(fn, users, cfg4)]
+        fn = lambda u: retrieve_mixture(u, idx, cfg)
+        serial = [c.items for c in batch_retrieve(fn, users, 1)]
+        parallel = [c.items for c in batch_retrieve(fn, users, 4)]
         assert serial == parallel
 
     def test_user_outside_index_rejected(self, monkeypatch):
@@ -1250,7 +1277,7 @@ class TestBatchAndDeterminism:
             user_vectors=rng.normal(size=(init.num_users, 4)), item_vectors=np.zeros((init.num_items, 4))
         )
         calls = {
-            "micro": (retrieve_mixture, build_index(m, cfg, rank)),
+            "micro": (retrieve_mixture, build_index(m, cfg, rank, chunk_tables(m))),
             "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank)),
             "ann": (ann_retrieve, ann_encode_items(slc, emb)),
         }

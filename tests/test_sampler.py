@@ -776,7 +776,7 @@ class TestCompiledSweep:
         assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
         assert "/nonexistent/cc" in logged[0][1]
         assert logged[1][1] == (
-            "Gibbs sweep: Python; top-M selection and embedding SGD update: numpy; log-gamma: scipy"
+            "Gibbs sweep: Python; top-M selection, embedding SGD update and gather-sum: numpy; log-gamma: scipy"
         )
         assert raw_tables(got) == raw_tables(want)
         assert [(h.log_joint, h.changed) for h in got.history] == [
