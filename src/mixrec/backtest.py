@@ -19,10 +19,9 @@ items engaged in the source chunk, so comparisons stay fair; the static
 mixture baseline ranks train items restricted to that pool.
 
 Every method is one retriever ``fn(u, index, cfg, seen, chunk)``; its
-index is built once per source chunk and distinct truncation: once per
-chunk for ``ann``, ``popularity``, and the two mixtures at a fixed
-``truncation``, per (chunk, M) for the two mixtures at the default
-truncation L = 5*M. Each query is retrieved once per distinct index, at the
+index is built once per source chunk for ``ann`` and ``popularity``, and
+once per (chunk, M) for the two mixtures, whose per-interest lists hold
+L = 5*M entries. Each query is retrieved once per distinct index, at the
 largest M that index serves, and each smaller M takes the first M entries
 of that list (see ``mixrec.retrieval``). A cut list whose longer list
 missed the truth also misses it, so it reuses that zero score.
@@ -105,7 +104,6 @@ class RunConfig:
     convergence_tol: float = 1e-4
     user_count_mode: str = "reset"
     m_values: list[int] = field(default_factory=lambda: [100])
-    truncation: int | None = None
     exclude_seen: bool = True
     workers: int = 1
     methods: list[str] = field(default_factory=lambda: list(METHODS))
@@ -155,7 +153,7 @@ class RunConfig:
         )
 
     def retrieval_config(self, m: int) -> RetrievalConfig:
-        return RetrievalConfig(M=m, L=self.truncation, exclude_seen=self.exclude_seen)
+        return RetrievalConfig(M=m, exclude_seen=self.exclude_seen)
 
 
 def _check_known(cls, data: dict, prefix: str) -> None:
@@ -328,7 +326,7 @@ def ensure_embeddings(cfg: RunConfig, train: EngagementGraph, data: str | None =
 def ensure_clusters(cfg: RunConfig, emb, data: str | None = None):
     def build():
         clusters = cluster_items(emb.item_vectors, K=cfg.num_interests, iters=cfg.kmeans_iters, seed=cfg.seed)
-        export_cluster_map(clusters, Path(cfg.out_dir) / "cluster_map.tsv", delimiter=cfg.delimiter)
+        export_cluster_map(clusters, Path(cfg.out_dir) / "cluster_map.tsv")
         history = clusters.objective_history
         logger.info("stage=cluster K=%d iters=%d objective=%.4f", cfg.num_interests, len(history),
                     history[-1] if history else float("nan"))
@@ -418,13 +416,14 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
 
     For each method the Ms are served from the largest down. An M whose
     index is the next larger M's (``same_index``: always for ``ann`` and
-    ``popularity``, for both mixtures when ``truncation`` is set or when
-    the two truncations give the same lists) scores and dumps the first M
-    entries of that M's lists: on one index every list is a prefix of the
-    list at a larger M (see ``mixrec.retrieval``). Any other M is retrieved
-    at M. A cut list whose longer list scored ``(0.0, 0.0, 0.0)`` misses the
-    truth too and keeps that score without a ``score_query`` call. Lists
-    are held for the current chunk only.
+    ``popularity``, for both mixtures when the two Ms' list lengths
+    L = 5*M give the same lists) scores and dumps the first M entries of
+    that M's lists: on one index every list is a prefix of the list at a
+    larger M (see ``mixrec.retrieval``). Any other M is retrieved at M. A
+    cut list whose longer list scored ``(0.0, 0.0, 0.0)`` misses the truth
+    too and keeps that score without a ``score_query`` call. Lists and
+    queries are held for the current chunk only; the reports need only
+    each query's chunk id.
     """
     out = Path(cfg.out_dir)
     rcfgs, data = open_run(cfg)
@@ -460,7 +459,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     per_query: dict[tuple[str, int], list[tuple[float, float, float]]] = {
         (meth, m): [] for meth in methods for m in cfg.m_values
     }
-    eval_queries: list = []
+    eval_chunks: list[int] = []  # each scored query's chunk, in score order
     cand_dump: dict[int, list[str]] = {m: [] for m in cfg.m_values}
 
     prev_model = None
@@ -470,7 +469,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
 
         if j >= 1:
             queries = build_queries([slc])
-            eval_queries.extend(queries)
+            eval_chunks += [slc.chunk] * len(queries)
             pop_rank = popularity_ranking(prev_slice)
             indexes = {"popularity": pop_rank}
             if "ann" in methods:
@@ -478,20 +477,20 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             # the fitted model's counts are final: read them once for every M
             tables = chunk_tables(prev_model) if "micro" in methods else None
 
-            def index_for(meth, rcfg):
+            def index_for(meth, m):
+                L = 5 * m  # each interest's list length
                 if meth == "micro":
-                    return build_index(prev_model, rcfg, pop_rank, tables)
+                    return build_index(prev_model, L, pop_rank, tables)
                 if meth == "mle":
-                    return build_mle_index(mix, rcfg, prev_slice.item_pool, pop_rank)
+                    return build_mle_index(mix, L, prev_slice.item_pool, pop_rank)
                 return indexes[meth]
 
             for meth in methods:
                 fn = retrievers[meth]
-                index = truncation = None
+                index = None
                 for m in sorted(cfg.m_values, reverse=True):
                     rcfg = rcfgs[m]
-                    new = index if rcfg.truncation == truncation else index_for(meth, rcfg)
-                    truncation = rcfg.truncation
+                    new = index_for(meth, m)
                     if not same_index(new, index):
                         # a new index: retrieve at this M, the largest it serves
                         index = new
@@ -521,11 +520,10 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             model.fold_into(ledger)
         prev_model, prev_slice = model, slc
 
-    # aggregate; queries were extended chunk by chunk, matching score order
     reports: dict[tuple[str, int], MetricsReport] = {}
     for meth in methods:
         for m in cfg.m_values:
-            rep = aggregate(per_query[(meth, m)], eval_queries, method=meth, m=m)
+            rep = aggregate(per_query[(meth, m)], eval_chunks, method=meth, m=m)
             rep.check_consistency()
             reports[(meth, m)] = rep
     write_reports(reports, out / "metrics")

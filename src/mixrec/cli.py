@@ -1,10 +1,10 @@
 """Command-line pipeline: ingest, embed, cluster, init, backtest, synth, report.
 
 A JSON config file supplies defaults; every value can be overridden by a
-flag. ``embed``, ``cluster``, ``init`` and ``backtest`` check the config
-against the record that every artifact in the output directory holds,
-write it there as ``config.json`` (which nothing reads back) and build
-every artifact they need that is missing, from the graph on.
+flag. ``ingest``, ``embed``, ``cluster``, ``init`` and ``backtest`` check
+the config against the record that every artifact in the output directory
+holds, write it there as ``config.json`` (which nothing reads back) and
+build every artifact they need that is missing, from the graph on.
 Progress goes to stderr as key=value lines; all artifacts and reports land
 under the run's output directory.
 """
@@ -53,7 +53,6 @@ def _add_config_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, dest="convergence_tol")
     p.add_argument("--user-count-mode", dest="user_count_mode", choices=USER_COUNT_MODES)
     p.add_argument("--m", type=int, nargs="+", dest="m_values", help="candidate cutoffs")
-    p.add_argument("--truncation", type=int, help="per-interest list length L (default 5*M)")
     p.add_argument("--include-seen", action="store_true", help="disable seen-item exclusion")
     p.add_argument("--workers", type=int)
     p.add_argument("--methods", nargs="+", help="subset of: micro mle ann popularity")
@@ -79,7 +78,8 @@ def _build_config(args) -> RunConfig:
 
 
 def cmd_ingest(args) -> int:
-    g, _, _ = split_graph(_build_config(args))
+    cfg = _build_config(args)
+    g = split_graph(cfg, open_run(cfg)[1])[0]
     print(format_stats(graph_stats(g)))
     return 0
 

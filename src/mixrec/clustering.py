@@ -162,13 +162,13 @@ def cluster_items(
     return result
 
 
-def export_cluster_map(cluster: ClusterAssignment, path, delimiter: str = "\t") -> None:
-    """Write the item -> interest map as `item<delim>interest` lines, to a
-    temporary file renamed into place."""
+def export_cluster_map(cluster: ClusterAssignment, path) -> None:
+    """Write the item -> interest map as tab-separated `item\tinterest`
+    lines, to a temporary file renamed into place."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         for i, k in enumerate(cluster.item_to_interest.tolist()):
-            fh.write(f"{i}{delimiter}{k}\n")
+            fh.write(f"{i}\t{k}\n")
     os.replace(tmp, path)
 
 

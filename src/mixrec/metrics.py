@@ -103,25 +103,26 @@ class MetricsReport:
 
 def aggregate(
     per_query: list[tuple[float, float, float]],
-    queries: list[Query],
+    chunks,
     method: str = "",
     m: int = 0,
 ) -> MetricsReport:
     """Unweighted mean within each chunk; overall mean over all queries.
+    ``chunks`` holds each scored query's chunk id, in ``per_query``'s order.
 
     Each chunk's sums and the overall sums add the query values from 0.0
     in query order (``np.cumsum`` is sequential), so every mean keeps the
     bits of a plain running sum.
     """
-    if len(per_query) != len(queries):
+    chunks = np.asarray(chunks, dtype=np.int64)
+    if len(per_query) != len(chunks):
         raise ValueError("every query must be scored exactly once")
     report = MetricsReport(method=method, m=m)
-    n = len(queries)
+    n = len(chunks)
     if not n:
         return report
     vals = np.zeros((n + 1, 3))
     vals[1:] = per_query
-    chunks = np.fromiter((q.chunk for q in queries), dtype=np.int64, count=n)
     for chunk in np.unique(chunks).tolist():
         rows = np.concatenate([[0], 1 + np.flatnonzero(chunks == chunk)])
         c = len(rows) - 1

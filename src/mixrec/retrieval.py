@@ -14,12 +14,12 @@ ids that are not ascending raise ``ValueError`` and a set ``TypeError``.
 Each index is complete when built, from inputs its builder takes. The
 index per method:
 
-- ``micro``: ``build_index(m, cfg, ranking, tables)``, an ``InterestIndex``
+- ``micro``: ``build_index(m, L, ranking, tables)``, an ``InterestIndex``
   of the fitted chunk model's per-interest top-L lists (one per chunk and
   L) from its ``chunk_tables`` (one per chunk); the users' interest weights
   are ``ChunkModel.user_weights``, the alpha-smoothed combined counts
   normalised over each support.
-- ``mle``: ``build_mle_index(mix, cfg, pool, ranking)``, an
+- ``mle``: ``build_mle_index(mix, L, pool, ranking)``, an
   ``InterestIndex`` of the t=0 tables' top-L lists restricted to the
   source chunk's pool (one per chunk and L); the weights are
   ``MleMixture.p_k_given_u``.
@@ -28,16 +28,16 @@ index per method:
 - ``popularity``: ``popularity_ranking(slice_)``, the pool by engagement
   count.
 
-Only the mixtures' indexes depend on M, and only through the truncation,
-which defaults to L = 5*M; ``ann`` and ``popularity`` indexes, and the
-mixtures' at a fixed L, serve every M. On one index the list at M is the
-first M entries of the list at any larger M, ids and score bits alike:
-every selection below is a strict order over scores, and seen ids, that do
-not depend on M. Two indexes whose arrays are equal bit for bit
-(``same_index``) are one index: an interest that lists fewer pool items
-than either truncation gives the same list at both. The backtest relies on
-this to retrieve once per distinct index, at the largest M it serves, and
-cut each list to the smaller ones.
+Only the mixtures' indexes take a list length L, which the backtest sets
+to 5*M, so they depend on M through L alone; ``ann`` and ``popularity``
+indexes serve every M. On one index the list at M is the first M entries
+of the list at any larger M, ids and score bits alike: every selection
+below is a strict order over scores, and seen ids, that do not depend on
+M. Two indexes whose arrays are equal bit for bit (``same_index``) are one
+index: an interest that lists fewer pool items than either L gives the
+same list at both. The backtest relies on this to retrieve once per
+distinct index, at the largest M it serves, and cut each list to the
+smaller ones.
 
 Both mixtures are one retriever, ``retrieve_mixture``: an ``InterestIndex``
 holds each interest's list over an ascending candidate pool as its counted
@@ -83,6 +83,7 @@ buffer) as a ``CandidateList``'s ``ids`` and ``scores``, from which its
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -117,19 +118,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RetrievalConfig:
+    """What every retriever reads: the list length and seen exclusion."""
+
     M: int = 100
-    L: int | None = None  # per-interest truncation; defaults to 5*M
     exclude_seen: bool = True
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.L is not None and self.L < self.M:
-            raise ValueError("L must be >= M")
-
-    @property
-    def truncation(self) -> int:
-        return self.L if self.L is not None else 5 * self.M
 
 
 @dataclass(eq=False, slots=True)
@@ -254,7 +250,7 @@ def chunk_tables(m: ChunkModel) -> ChunkTables:
 
 
 def build_index(
-    m: ChunkModel, cfg: RetrievalConfig, ranking: tuple[np.ndarray, np.ndarray], tables: ChunkTables
+    m: ChunkModel, L: int, ranking: tuple[np.ndarray, np.ndarray], tables: ChunkTables
 ) -> InterestIndex:
     """Build per-interest top-L lists of (beta + count) / (I*beta + total).
 
@@ -268,7 +264,7 @@ def build_index(
     ``popularity_ranking``, the cold-user fallback, and ``tables`` its
     ``chunk_tables(m)``; both serve every M.
     """
-    K, L, n = m.K, cfg.truncation, len(m.item_pool)
+    K, n = m.K, len(m.item_pool)
     nk = m.n_kt
     total = m.Ibeta + nk.astype(np.float64)
     positions, counts, kptr, (user_ptr, user_k, user_w) = tables
@@ -298,7 +294,7 @@ def build_index(
 
 
 def build_mle_index(
-    mix: MleMixture, cfg: RetrievalConfig, pool: np.ndarray, ranking: tuple[np.ndarray, np.ndarray]
+    mix: MleMixture, L: int, pool: np.ndarray, ranking: tuple[np.ndarray, np.ndarray]
 ) -> InterestIndex:
     """Each interest's top L train items by p(i|k) (ties by ascending id),
     then restricted to ``pool`` in that order; no interest has a floor run.
@@ -312,7 +308,7 @@ def build_mle_index(
     K = len(mix.interest_ptr) - 1
     ks = np.repeat(np.arange(K), np.diff(mix.interest_ptr))
     # each interest lists its items by (p(i|k) desc, id) already
-    top = np.arange(len(ks)) - mix.interest_ptr[ks] < cfg.truncation
+    top = np.arange(len(ks)) - mix.interest_ptr[ks] < L
     items, probs, ks = mix.items[top], mix.p_i_given_k[top], ks[top]
     pos, found = _lookup(pool, items)
     return InterestIndex(
@@ -500,7 +496,8 @@ def ann_retrieve(
         raise IndexError(f"user {u} outside [0, {len(idx.user_vectors)})")
     seen = seen if cfg.exclude_seen else None
     uv = idx.user_vectors[u]
-    un = float(np.linalg.norm(uv))
+    # the bits of np.linalg.norm(uv), which is sqrt(uv.dot(uv)) for a real vector
+    un = math.sqrt(uv @ uv)
     if un == 0.0:
         logger.warning("user %d has a zero embedding; returning no candidates", u)
         return CandidateList(u, chunk)

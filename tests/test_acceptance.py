@@ -169,8 +169,8 @@ class TestSparseDenseEquivalence:
         checked = 0
         for trial in range(100):
             init, slc, m = random_instance(rng)
-            cfg = RetrievalConfig(M=10, L=init.num_items, exclude_seen=False)
-            idx = micro_index(m, cfg)
+            cfg = RetrievalConfig(M=10, exclude_seen=False)
+            idx = micro_index(m, init.num_items)
             for u in range(init.num_users):
                 if init.is_cold(u):
                     continue
@@ -186,8 +186,8 @@ class TestSparseDenseEquivalence:
         m = models[1]
         worst_mean = 1.0
         for M in (20, 100):
-            cfg = RetrievalConfig(M=M, exclude_seen=False)  # default L = 5M
-            idx = micro_index(m, cfg)
+            cfg = RetrievalConfig(M=M, exclude_seen=False)
+            idx = micro_index(m, 5 * M)  # the backtest's L
             overlaps = []
             for u in range(init.num_users):
                 got = set(retrieve_mixture(u, idx, cfg).item_ids())
@@ -300,7 +300,7 @@ class TestPerformanceContract:
         assert fit_s < 60.0, f"fit_chunk took {fit_s:.1f}s"
 
         cfg = RetrievalConfig(M=100)
-        idx = micro_index(m, cfg)
+        idx = micro_index(m, 500)
         users = list(range(U))
         t0 = time.time()
         res = batch_retrieve(lambda u: retrieve_mixture(u, idx, cfg), users, 4)

@@ -128,14 +128,11 @@ class TestBacktest:
                 assert series[0].split("\t")[0] == "chunk"
                 assert len(series) == 1 + 2  # two evaluated chunks
 
-    @pytest.mark.parametrize(
-        "truncation, interests", [(None, 4), (100, 4), (None, 40)], ids=["None", "100", "None-40-interests"]
-    )
-    def test_lists_cut_from_the_largest_m_match_separate_runs(self, synth_edges, tmp_path, truncation, interests):
-        # ann and popularity, and the mixtures at a fixed truncation, are
-        # retrieved once at the largest M and cut to each smaller M; the
-        # mixtures at the default L = 5*M are retrieved per M when L = 25
-        # cuts an interest's list (4 interests), and mle once at 40
+    @pytest.mark.parametrize("interests", [4, 40], ids=["None", "None-40-interests"])
+    def test_lists_cut_from_the_largest_m_match_separate_runs(self, synth_edges, tmp_path, interests):
+        # ann and popularity are retrieved once at the largest M and cut to
+        # each smaller M; the mixtures, at L = 5*M, are retrieved per M when
+        # L = 25 cuts an interest's list (4 interests), and mle once at 40
         # interests, where L = 25 and L = 100 give one index. Either way a
         # run at M = 5 and 20 writes what runs at each M alone write. The
         # retrieval fields may change in one output directory, whose
@@ -144,7 +141,7 @@ class TestBacktest:
 
         def run(ms):
             backtest(small_config(
-                synth_edges, out, m_values=ms, truncation=truncation, num_interests=interests, exclude_seen=True,
+                synth_edges, out, m_values=ms, num_interests=interests, exclude_seen=True,
                 dump_candidates=True,
             ))
             metrics = {
@@ -446,7 +443,6 @@ class TestBacktest:
         [
             {"user_count_mode": "accumulat"},
             {"m_values": [0]},
-            {"m_values": [10], "truncation": 5},
             {"dim": 0},
             {"m_values": [5, 5]},
             {"methods": ["popularity", "popularity"]},
@@ -465,7 +461,7 @@ class TestBacktest:
             {"workers": -1},
         ],
         ids=[
-            "user_count_mode", "m_values", "truncation", "embed_dim", "repeated_m", "repeated_method",
+            "user_count_mode", "m_values", "embed_dim", "repeated_m", "repeated_method",
             "unknown_method", "num_interests", "kmeans_iters", "regroup_factor", "alpha", "beta",
             "embed_lr_zero", "embed_lr_nan", "embed_batch_size", "test_chunks_negative", "test_chunks_zero",
             "workers_zero", "workers_negative",
@@ -557,14 +553,15 @@ class TestRunConfig:
         assert cfg2.m_values == [7]
         assert cfg2.seed == 3
 
-    @pytest.mark.parametrize("name", ["cold_user_policy", "embed.score_mode"])
+    @pytest.mark.parametrize("name", ["cold_user_policy", "embed.score_mode", "truncation"])
     def test_unknown_field_named(self, tmp_path, name):
-        # a config file written by a version with a field this one lacks
+        # a config file written by a version with a field this one lacks,
+        # such as an older run's config.json, which names its truncation
         data = dataclasses.asdict(RunConfig())
         if name.startswith("embed."):
             data["embed"]["score_mode"] = "dot"
         else:
-            data[name] = "popularity-fallback"
+            data[name] = {"cold_user_policy": "popularity-fallback", "truncation": None}[name]
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=re.escape(f"unknown config field(s): {name}")):
@@ -590,7 +587,6 @@ class TestRunConfig:
             m_values=[50, 100],
         )
         assert cfg.num_interests == 5000
-        assert cfg.retrieval_config(50).truncation == 250
 
     def test_every_artifact_field_feeds_a_named_artifact(self):
         # a chunk model records every field that feeds an artifact, and the
@@ -598,7 +594,7 @@ class TestRunConfig:
         # field only shapes retrieval, scoring or output, so a new field
         # fails here until it is classified
         recorded = set(mixrec.backtest._record(RunConfig(), "chunks/chunk_00001.npz", "size=0"))
-        retrieval_only = {"out_dir", "m_values", "truncation", "exclude_seen", "workers", "methods", "dump_candidates"}
+        retrieval_only = {"out_dir", "m_values", "exclude_seen", "workers", "methods", "dump_candidates"}
         names = {f.name for f in dataclasses.fields(RunConfig)}
         assert names - recorded - retrieval_only == {"data_path", "delimiter"}
         assert recorded - names == {"data"}
@@ -662,13 +658,14 @@ class TestCli:
         assert {p: p.stat().st_mtime_ns for p in Path("r").rglob("*")} == stamps
 
     def test_ingest_directory_refuses_changed_data(self, synth_edges, tmp_path, monkeypatch):
-        # ingest writes no config.json, so only graph.npz's record can tell
+        # ingest starts through open_run, as every other stage does: it
+        # writes config.json, and graph.npz's record refuses a changed file
         monkeypatch.chdir(tmp_path)
         Path("e.tsv").write_bytes(synth_edges.read_bytes())
         ingest = ["ingest", "--data", "e.tsv", "--out", "r"]
         assert cli_main(ingest) == 0
         assert cli_main(ingest) == 0
-        assert not Path("r/config.json").exists()
+        assert json.loads(Path("r/config.json").read_text())["data_path"] == "e.tsv"
         stamp = Path("r/graph.npz").stat().st_mtime_ns
         with open("e.tsv", "a") as fh:
             fh.write("0\t0\t0\n")
@@ -682,6 +679,27 @@ class TestCli:
         save_graph(load_graph("r/graph.npz"), "r/graph.npz")
         with pytest.raises(ValueError, match="graph.npz records nothing"):
             cli_main(ingest)
+
+    @pytest.mark.parametrize("flag", ["--test-chunks", "--regroup-factor"])
+    def test_ingest_refuses_bad_config_before_writing(self, synth_edges, tmp_path, flag):
+        # the value backtest refuses, ingest refuses too, before it writes
+        # graph.npz, graph_stats.txt or config.json
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match=f"{flag[2:].replace('-', '_')} must be >= 1"):
+            cli_main(["ingest", "--data", str(synth_edges), "--out", str(out), flag, "0"])
+        assert not out.exists()
+
+    def test_cluster_map_uses_tabs_for_comma_input(self, synth_edges, tmp_path):
+        # a comma-delimited edge list gives the tab-separated cluster_map.tsv
+        # of the same edges delimited by tabs
+        data = tmp_path / "edges.csv"
+        data.write_text(synth_edges.read_text().replace("\t", ","))
+        common = ["--interests", "4", "--dim", "6", "--epochs", "2"]
+        assert cli_main(["cluster", "--data", str(synth_edges), "--out", str(tmp_path / "t"), *common]) == 0
+        assert cli_main(["cluster", "--data", str(data), "--delimiter", ",", "--out", str(tmp_path / "c"), *common]) == 0
+        got = (tmp_path / "c" / "cluster_map.tsv").read_text()
+        assert got == (tmp_path / "t" / "cluster_map.tsv").read_text()
+        assert all(line.count("\t") == 1 and "," not in line for line in got.splitlines())
 
     def test_stage_commands_build_what_is_missing(self, synth_edges, tmp_path):
         # cluster and init in an empty directory build every stage before

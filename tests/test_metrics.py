@@ -143,27 +143,20 @@ class TestAgainstBruteForce:
 
 
 class TestAggregate:
-    def queryset(self, chunk_sizes):
-        qs = []
-        for chunk, nq in chunk_sizes.items():
-            for u in range(nq):
-                qs.append(
-                    __import__("mixrec.metrics", fromlist=["Query"]).Query(
-                        user=u, chunk=chunk, truth=frozenset({0})
-                    )
-                )
-        return qs
+    def chunk_ids(self, chunk_sizes):
+        """Each query's chunk id, ``chunk_sizes[chunk]`` queries per chunk."""
+        return [chunk for chunk, nq in chunk_sizes.items() for _ in range(nq)]
 
     def test_single_query(self):
-        qs = self.queryset({3: 1})
-        rep = aggregate([(0.5, 0.25, 0.4)], qs, method="x", m=10)
+        chunks = self.chunk_ids({3: 1})
+        rep = aggregate([(0.5, 0.25, 0.4)], chunks, method="x", m=10)
         assert rep.overall.recall == 0.5
         assert rep.per_chunk[3].mrr == 0.25
         rep.check_consistency()
 
     def test_equal_chunk_counts_mean_of_means(self):
-        qs = self.queryset({0: 2, 1: 2})
-        rep = aggregate([(1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.5, 0.5, 0.5)], qs)
+        chunks = self.chunk_ids({0: 2, 1: 2})
+        rep = aggregate([(1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.5, 0.5, 0.5)], chunks)
         assert rep.per_chunk[0].recall == 0.5
         assert rep.per_chunk[1].recall == 0.5
         assert rep.overall.recall == pytest.approx(
@@ -174,14 +167,8 @@ class TestAggregate:
     def test_matches_flat_recomputation(self):
         rng = np.random.default_rng(7)
         chunks = rng.integers(0, 4, 200).tolist()
-        qs = [
-            __import__("mixrec.metrics", fromlist=["Query"]).Query(
-                user=i, chunk=c, truth=frozenset({0})
-            )
-            for i, c in enumerate(chunks)
-        ]
         vals = [tuple(rng.random(3).tolist()) for _ in range(200)]
-        rep = aggregate(vals, qs)
+        rep = aggregate(vals, chunks)
         flat = np.asarray(vals).mean(axis=0)
         assert rep.overall.recall == pytest.approx(flat[0], abs=1e-12)
         assert rep.overall.mrr == pytest.approx(flat[1], abs=1e-12)
@@ -202,7 +189,7 @@ class TestAggregate:
             else:
                 vals = rng.random((n, 3))
             vals = [tuple(v) for v in vals.tolist()]
-            rep = aggregate(vals, qs, method="x", m=5)
+            rep = aggregate(vals, chunks, method="x", m=5)
             per_chunk, (count, means) = aggregate_loop(vals, qs)
             assert list(rep.per_chunk) == list(per_chunk)
             for c, (nc, want) in per_chunk.items():
@@ -214,13 +201,13 @@ class TestAggregate:
             assert same_bits([o.recall, o.mrr, o.ndcg], means), trial
 
     def test_mismatched_lengths(self):
-        qs = self.queryset({0: 2})
+        chunks = self.chunk_ids({0: 2})
         with pytest.raises(ValueError):
-            aggregate([(1, 1, 1)], qs)
+            aggregate([(1, 1, 1)], chunks)
 
     def test_consistency_check_catches_corruption(self):
-        qs = self.queryset({0: 2})
-        rep = aggregate([(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)], qs)
+        chunks = self.chunk_ids({0: 2})
+        rep = aggregate([(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)], chunks)
         rep.overall = MetricBlock(n_queries=2, recall=0.9, mrr=0.5, ndcg=0.5)
         with pytest.raises(ValueError):
             rep.check_consistency()

@@ -49,16 +49,18 @@ def random_instance(rng, U=6, I=40, K=5, n=120, train_per_user=4):
     return init, slc, m
 
 
-def micro_index(m, cfg):
-    """``build_index`` from the chunk's own popularity ranking and tables."""
-    return build_index(m, cfg, popularity_ranking(m.slice), chunk_tables(m))
+def micro_index(m, L):
+    """``build_index`` at list length ``L`` from the chunk's own popularity
+    ranking and tables."""
+    return build_index(m, L, popularity_ranking(m.slice), chunk_tables(m))
 
 
-def mle_index(mix, cfg, pool=None):
-    """``build_mle_index`` over ``pool``, by default every item the mixture
-    lists, with the pool in id order as its popularity ranking."""
+def mle_index(mix, L, pool=None):
+    """``build_mle_index`` at list length ``L`` over ``pool``, by default
+    every item the mixture lists, with the pool in id order as its
+    popularity ranking."""
     pool = np.unique(mix.items) if pool is None else pool
-    return build_mle_index(mix, cfg, pool, (pool, np.zeros(len(pool))))
+    return build_mle_index(mix, L, pool, (pool, np.zeros(len(pool))))
 
 
 def dense_micro_oracle(u, m, init, M, pool=None):
@@ -101,7 +103,7 @@ class TestBuildIndex:
         )
         slc = ChunkSlice.from_edges(1, [0, 0, 0, 1], [5, 5, 5, 6])
         m = fit_chunk(slc, init2, SamplerConfig(seed=0))
-        idx = micro_index(m, RetrievalConfig(M=2, L=2))
+        idx = micro_index(m, 2)
         items, phis = interest_list(idx, 0)
         assert items.tolist() == [5, 6]
         assert phis.tolist() == pytest.approx([3.01 / 5.0, 1.01 / 5.0], abs=1e-12)
@@ -110,14 +112,14 @@ class TestBuildIndex:
         init = make_init([(0, 0)], item_interest=[0, 1], K=2, num_items=2)
         slc = ChunkSlice.from_edges(1, [0], [0])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
-        idx = micro_index(m, RetrievalConfig(M=5))
+        idx = micro_index(m, 25)
         items, _ = interest_list(idx, 1)
         assert len(items) == 0
 
     def test_full_truncation_matches_dense_phi(self):
         rng = np.random.default_rng(0)
         init, slc, m = random_instance(rng)
-        idx = micro_index(m, RetrievalConfig(M=1, L=init.num_items))
+        idx = micro_index(m, init.num_items)
         pool = m.item_pool
         nk, table = m.n_kt, item_counts(m)
         for k in range(init.num_interests):
@@ -134,7 +136,7 @@ class TestBuildIndex:
     def test_only_pool_items_appear(self):
         rng = np.random.default_rng(5)
         init, slc, m = random_instance(rng)
-        idx = micro_index(m, RetrievalConfig(M=3))
+        idx = micro_index(m, 15)
         pool = set(m.item_pool.tolist())
         for k in range(init.num_interests):
             items, _ = interest_list(idx, k)
@@ -146,13 +148,12 @@ class TestBuildIndex:
         rng = np.random.default_rng(6)
         init, slc, m = random_instance(rng)
         rank, tables = popularity_ranking(slc), chunk_tables(m)
-        for M, L in ((1, None), (3, 4), (2, init.num_items), (5, 3 * init.num_items)):
-            cfg = RetrievalConfig(M=M, L=L)
-            got, want = build_index(m, cfg, rank, tables), build_index(m, cfg, rank, chunk_tables(m))
+        for L in (5, 4, init.num_items, 3 * init.num_items):
+            got, want = build_index(m, L, rank, tables), build_index(m, L, rank, chunk_tables(m))
             for name in ("ptr", "positions", "pool_items", "user_ptr", "user_k", "fend"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (M, name)
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (L, name)
             for name in ("probs", "user_w", "floor"):
-                assert same_bits(getattr(got, name), getattr(want, name)), (M, name)
+                assert same_bits(getattr(got, name), getattr(want, name)), (L, name)
 
     def test_lists_match_padded_reference(self):
         # every interest's expanded list equals the padded builder's, ids
@@ -170,7 +171,7 @@ class TestBuildIndex:
             assert members.max() > 2
             sizes = sorted({1, 2, int(members.max()) - 1, int(members.max()) + 1, len(pool) - 1, len(pool), 3 * len(pool)})
             for L in (L for L in sizes if L >= 1):
-                idx = micro_index(m, RetrievalConfig(M=1, L=L))
+                idx = micro_index(m, L)
                 assert len(idx.positions) == np.minimum(members, L).sum(), L
                 assert idx.fend.max() <= len(pool) and np.all(idx.fend[nk == 0] == 0), L
                 assert np.all(idx.floor[nk == 0] == 0.0), L
@@ -186,8 +187,8 @@ class TestRetrieveMicro:
         init = make_init([(0, 0), (0, 1)], item_interest=[0, 0, 0, 0], K=1, num_items=4)
         slc = ChunkSlice.from_edges(1, [0, 0, 0], [2, 2, 3])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
-        cfg = RetrievalConfig(M=4, L=4, exclude_seen=False)
-        idx = micro_index(m, cfg)
+        cfg = RetrievalConfig(M=4, exclude_seen=False)
+        idx = micro_index(m, 4)
         got = retrieve_mixture(0, idx, cfg)
         items, _ = interest_list(idx, 0)
         assert got.item_ids() == items.tolist()
@@ -199,8 +200,8 @@ class TestRetrieveMicro:
         )
         slc = ChunkSlice.from_edges(1, [0, 0], [2, 3])
         m = fit_chunk(slc, init, SamplerConfig(seed=1))
-        cfg = RetrievalConfig(M=4, L=4, exclude_seen=False)
-        idx = micro_index(m, cfg)
+        cfg = RetrievalConfig(M=4, exclude_seen=False)
+        idx = micro_index(m, 4)
         got = retrieve_mixture(0, idx, cfg)
         # counts are symmetric: one train + one chunk engagement per interest
         ks, counts = combined_counts(m, 0)
@@ -220,8 +221,8 @@ class TestRetrieveMicro:
         rng = np.random.default_rng(42)
         for trial in range(30):
             init, slc, m = random_instance(rng)
-            cfg = RetrievalConfig(M=10, L=init.num_items, exclude_seen=False)
-            idx = micro_index(m, cfg)
+            cfg = RetrievalConfig(M=10, exclude_seen=False)
+            idx = micro_index(m, init.num_items)
             for u in range(init.num_users):
                 if init.is_cold(u):
                     continue
@@ -232,8 +233,8 @@ class TestRetrieveMicro:
     def test_exclude_seen(self):
         rng = np.random.default_rng(7)
         init, slc, m = random_instance(rng)
-        cfg = RetrievalConfig(M=5, L=init.num_items, exclude_seen=True)
-        idx = micro_index(m, cfg)
+        cfg = RetrievalConfig(M=5, exclude_seen=True)
+        idx = micro_index(m, init.num_items)
         base = retrieve_mixture(0, idx, cfg, seen=None)
         assert len(base)
         banned = base.ids[:1]
@@ -245,7 +246,7 @@ class TestRetrieveMicro:
         slc = ChunkSlice.from_edges(1, [0, 0, 0], [1, 1, 2])
         m = fit_chunk(slc, init, SamplerConfig(seed=0))
         cfg = RetrievalConfig(M=2)
-        idx = micro_index(m, cfg)
+        idx = micro_index(m, 10)
         got = retrieve_mixture(1, idx, cfg)
         assert got.item_ids() == [1, 2]  # counts {1:2, 2:1}
 
@@ -254,7 +255,7 @@ class TestRetrieveMicro:
         rng = np.random.default_rng(9)
         init, slc, m = random_instance(rng)
         cfg = RetrievalConfig(M=8, exclude_seen=False)
-        idx = micro_index(m, cfg)
+        idx = micro_index(m, 40)
         for u in range(init.num_users):
             if init.is_cold(u):
                 continue
@@ -275,8 +276,8 @@ class TestRetrieveMicro:
                 continue
             prev = None
             for M in (1, 2, 3, 5, 8):
-                cfg = RetrievalConfig(M=M, L=init.num_items, exclude_seen=False)
-                idx = micro_index(m, cfg)
+                cfg = RetrievalConfig(M=M, exclude_seen=False)
+                idx = micro_index(m, init.num_items)
                 got = retrieve_mixture(u, idx, cfg).item_ids()
                 if prev is not None:
                     assert got[: len(prev)] == prev
@@ -290,7 +291,7 @@ class TestRetrieveMle:
         )
         mix = mle_mixture(init)
         cfg = RetrievalConfig(M=2, exclude_seen=False)
-        got = retrieve_mixture(0, mle_index(mix, cfg), cfg)
+        got = retrieve_mixture(0, mle_index(mix, 10), cfg)
         assert got.item_ids() == [1, 0]  # item 1 has 2 of 3 engagements
 
     def test_symmetric_interests_equal_scores(self):
@@ -305,7 +306,7 @@ class TestRetrieveMle:
         ks, ps = mixture_row(mix, 0)
         assert ps.tolist() == [0.5, 0.5]
         cfg = RetrievalConfig(M=4, exclude_seen=False)
-        got = retrieve_mixture(0, mle_index(mix, cfg), cfg)
+        got = retrieve_mixture(0, mle_index(mix, 20), cfg)
         # interest 0 items {0:2,1:1}/3, interest 1 items {2:2,3:1}/3: pairwise equal
         scores = dict(got.items)
         assert scores[0] == pytest.approx(scores[2], rel=1e-12)
@@ -319,9 +320,9 @@ class TestRetrieveMle:
             item_interest = rng.integers(0, K, I).tolist()
             init = make_init(edges, item_interest, K, num_users=U, num_items=I)
             mix = mle_mixture(init)
-            cfg = RetrievalConfig(M=10, L=I, exclude_seen=False)
+            cfg = RetrievalConfig(M=10, exclude_seen=False)
             for u in range(U):
-                got = retrieve_mixture(u, mle_index(mix, cfg), cfg)
+                got = retrieve_mixture(u, mle_index(mix, I), cfg)
                 score = {}
                 ks, pks = mixture_row(mix, u)
                 for k, pk in zip(ks.tolist(), pks.tolist()):
@@ -337,7 +338,7 @@ class TestRetrieveMle:
         )
         mix = mle_mixture(init)
         cfg = RetrievalConfig(M=3, exclude_seen=False)
-        got = retrieve_mixture(0, mle_index(mix, cfg, np.asarray([1, 2])), cfg)
+        got = retrieve_mixture(0, mle_index(mix, 15, np.asarray([1, 2])), cfg)
         assert set(got.item_ids()) <= {1, 2}
 
     def test_index_truncates_before_pool_restriction(self):
@@ -346,7 +347,7 @@ class TestRetrieveMle:
         edges = [(int(rng.integers(U)), int(rng.integers(I))) for _ in range(300)]
         init = make_init(edges, rng.integers(0, K, I).tolist(), K, num_users=U, num_items=I)
         mix = mle_mixture(init)
-        cfg = RetrievalConfig(M=2, L=L, exclude_seen=False)
+        cfg = RetrievalConfig(M=2, exclude_seen=False)
         tops = {}
         for k in range(K):
             items, probs = interest_items(mix, k)
@@ -355,7 +356,7 @@ class TestRetrieveMle:
         # drop each interest's first and third listed items from the pool
         dropped = {tops[k][0][j] for k in tops for j in (0, 2) if j < len(tops[k][0])}
         pool = np.asarray(sorted(set(range(I)) - dropped), dtype=np.int64)
-        idx = mle_index(mix, cfg, pool)
+        idx = mle_index(mix, L, pool)
         assert idx.pool_items is pool
         promotable = False
         for k, (top, probs, rest) in tops.items():
@@ -471,6 +472,32 @@ class TestAnn:
         got = ann_retrieve(0, ann_encode_items(slc, emb), RetrievalConfig(M=1))
         assert got.items == []
 
+    def test_user_norm_has_the_bits_of_linalg_norm(self, monkeypatch):
+        # every cosine divides by the user vector's norm, which must keep the
+        # bits of np.linalg.norm for every user: the whole ranked pool equals
+        # the numpy reference on the compiled path (when built) and the numpy
+        # one, at three dimensions and norms over six decades; a zero vector
+        # gives no list
+        rng = np.random.default_rng(19)
+        U, I, n = 200, 60, 400
+        for D in (16, 32, 64):
+            vecs = rng.normal(size=(U, D)) * rng.uniform(1e-3, 1e3, size=(U, 1))
+            vecs[0] = 0.0
+            slc = ChunkSlice.from_edges(1, rng.integers(0, U, n), rng.integers(0, I, n))
+            idx = ann_encode_items(slc, EmbeddingTable(user_vectors=vecs, item_vectors=np.zeros((I, D))))
+            cfg = RetrievalConfig(M=len(idx.pool_items), exclude_seen=False)
+            for u in range(U):
+                un = np.linalg.norm(vecs[u])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cos = np.where(idx.norms > 0.0, (idx.item_vecs @ vecs[u]) / (idx.norms * un), -np.inf)
+                order = np.lexsort((idx.pool_items, -cos))
+                for got in (ann_retrieve(u, idx, cfg), on_numpy(monkeypatch, lambda: ann_retrieve(u, idx, cfg))):
+                    if un == 0.0:
+                        assert u == 0 and len(got) == 0
+                        continue
+                    assert np.array_equal(got.ids, idx.pool_items[order]), (D, u)
+                    assert same_bits(got.scores, cos[order]), (D, u)
+
 
 class TestPopularity:
     def test_tie_break_example(self):
@@ -522,8 +549,8 @@ class TestSeenExclusion:
         )
         self.m = fit_chunk(self.slc, self.init, SamplerConfig(seed=5))
         self.item_counts = item_counts(self.m)
-        self.cfg = RetrievalConfig(M=self.M, L=self.I)
-        self.idx = micro_index(self.m, self.cfg)
+        self.cfg = RetrievalConfig(M=self.M)
+        self.idx = micro_index(self.m, self.I)
         self.mix = mle_mixture(self.init)
         self.emb = EmbeddingTable(
             user_vectors=rng.normal(size=(self.U, 4)), item_vectors=np.zeros((self.I, 4))
@@ -590,7 +617,7 @@ class TestSeenExclusion:
             yield (
                 name,
                 lambda seen, pool=pool: retrieve_mixture(
-                    u, build_mle_index(self.mix, cfg, pool, self.rank), cfg, seen=seen
+                    u, build_mle_index(self.mix, self.I, pool, self.rank), cfg, seen=seen
                 ),
                 self.mle_scores(u, set(pool.tolist())) if warm else self.counts,
             )
@@ -751,11 +778,11 @@ class TestCompiledTopM:
             slc = ChunkSlice.from_edges(2, rng.integers(0, U, 200), rng.integers(0, I, 200))
             m = fit_chunk(slc, init, SamplerConfig(seed=t))
             rank = popularity_ranking(slc)
-            for M, L in ((3, None), (5, I), (40, 2 * I)):
-                cfg = RetrievalConfig(M=M, L=L)
+            for M, L in ((3, 15), (5, I), (40, 2 * I)):
+                cfg = RetrievalConfig(M=M)
                 indexes = {
-                    "micro": build_index(m, cfg, rank, chunk_tables(m)),
-                    "mle": build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank),
+                    "micro": build_index(m, L, rank, chunk_tables(m)),
+                    "mle": build_mle_index(mle_mixture(init), L, slc.item_pool, rank),
                 }
                 for name, idx in indexes.items():
                     for seen in self.seen_cases(rng, slc.item_pool):
@@ -1140,8 +1167,8 @@ class TestCandidateListFormat:
                 rank = popularity_ranking(slc)
                 cfg = RetrievalConfig(M=5)
                 calls = {
-                    "micro": (retrieve_mixture, build_index(m, cfg, rank, chunk_tables(m))),
-                    "mle": (retrieve_mixture, build_mle_index(mix, cfg, slc.item_pool, rank)),
+                    "micro": (retrieve_mixture, build_index(m, 25, rank, chunk_tables(m))),
+                    "mle": (retrieve_mixture, build_mle_index(mix, 25, slc.item_pool, rank)),
                     "ann": (ann_retrieve, ann_encode_items(slc, emb)),
                     "popularity": (popularity_retrieve, rank),
                 }
@@ -1185,10 +1212,9 @@ class TestPrefixProperty:
         emb = EmbeddingTable(user_vectors=vecs, item_vectors=np.zeros((I, 3)))
         slc = ChunkSlice.from_edges(3, rng.integers(0, U, 600), rng.integers(0, I, 600))
         rank = popularity_ranking(slc)
-        fixed = RetrievalConfig(M=100, L=L)
         calls = {
-            "micro": (retrieve_mixture, micro_index(fit_chunk(slc, init, SamplerConfig(seed=2, max_sweeps=2)), fixed)),
-            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), fixed, slc.item_pool, rank)),
+            "micro": (retrieve_mixture, micro_index(fit_chunk(slc, init, SamplerConfig(seed=2, max_sweeps=2)), L)),
+            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), L, slc.item_pool, rank)),
             "ann": (ann_retrieve, ann_encode_items(slc, emb)),
             "popularity": (popularity_retrieve, rank),
         }
@@ -1199,10 +1225,10 @@ class TestPrefixProperty:
             for name, (fn, idx) in calls.items():
                 for exclude in (True, False):
                     for u in range(U):
-                        full = fn(u, idx, RetrievalConfig(M=100, L=L, exclude_seen=exclude), seen[u], 4)
+                        full = fn(u, idx, RetrievalConfig(M=100, exclude_seen=exclude), seen[u], 4)
                         lengths[name, exclude, u] = len(full)
                         for M in (1, 2, 5, 20):
-                            got = fn(u, idx, RetrievalConfig(M=M, L=L, exclude_seen=exclude), seen[u], 4)
+                            got = fn(u, idx, RetrievalConfig(M=M, exclude_seen=exclude), seen[u], 4)
                             assert np.array_equal(got.ids, full.ids[:M]), (name, exclude, u, M)
                             assert same_bits(got.scores, full.scores[:M]), (name, exclude, u, M)
             return lengths
@@ -1223,7 +1249,7 @@ class TestPrefixProperty:
         init = make_init(train, rng.integers(0, 3, 30).tolist(), 3, num_users=6, num_items=30)
         mix = mle_mixture(init)
         longest = int(np.diff(mix.interest_ptr).max())
-        at = {L: mle_index(mix, RetrievalConfig(M=1, L=L)) for L in (longest - 1, longest, 5 * longest)}
+        at = {L: mle_index(mix, L) for L in (longest - 1, longest, 5 * longest)}
         assert same_index(at[longest], at[5 * longest]) and not same_index(at[longest - 1], at[longest])
         probs = at[longest].probs.copy()
         probs[0] = 0.0
@@ -1237,7 +1263,7 @@ class TestBatchAndDeterminism:
         rng = np.random.default_rng(12)
         init, slc, m = random_instance(rng)
         cfg = RetrievalConfig(M=5)
-        idx = micro_index(m, cfg)
+        idx = micro_index(m, 25)
         emb = EmbeddingTable(
             user_vectors=np.random.default_rng(0).normal(size=(init.num_users, 4)),
             item_vectors=np.zeros((init.num_items, 4)),
@@ -1248,8 +1274,8 @@ class TestBatchAndDeterminism:
             a1 = [retrieve_mixture(u, idx, cfg).items for u in range(init.num_users)]
             a2 = [retrieve_mixture(u, idx, cfg).items for u in range(init.num_users)]
             assert a1 == a2
-            b1 = [retrieve_mixture(u, mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
-            b2 = [retrieve_mixture(u, mle_index(mix, cfg), cfg).items for u in range(init.num_users)]
+            b1 = [retrieve_mixture(u, mle_index(mix, 25), cfg).items for u in range(init.num_users)]
+            b2 = [retrieve_mixture(u, mle_index(mix, 25), cfg).items for u in range(init.num_users)]
             assert b1 == b2
             c1 = [ann_retrieve(u, ann, cfg).items for u in range(init.num_users)]
             c2 = [ann_retrieve(u, ann, cfg).items for u in range(init.num_users)]
@@ -1259,7 +1285,7 @@ class TestBatchAndDeterminism:
         rng = np.random.default_rng(13)
         init, slc, m = random_instance(rng)
         cfg = RetrievalConfig(M=5)
-        idx = micro_index(m, cfg)
+        idx = micro_index(m, 25)
         users = list(range(init.num_users))
         fn = lambda u: retrieve_mixture(u, idx, cfg)
         serial = [c.items for c in batch_retrieve(fn, users, 1)]
@@ -1277,8 +1303,8 @@ class TestBatchAndDeterminism:
             user_vectors=rng.normal(size=(init.num_users, 4)), item_vectors=np.zeros((init.num_items, 4))
         )
         calls = {
-            "micro": (retrieve_mixture, build_index(m, cfg, rank, chunk_tables(m))),
-            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), cfg, slc.item_pool, rank)),
+            "micro": (retrieve_mixture, build_index(m, 25, rank, chunk_tables(m))),
+            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), 25, slc.item_pool, rank)),
             "ann": (ann_retrieve, ann_encode_items(slc, emb)),
         }
         for name, (fn, idx) in calls.items():
@@ -1292,5 +1318,3 @@ class TestBatchAndDeterminism:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RetrievalConfig(M=0)
-        with pytest.raises(ValueError):
-            RetrievalConfig(M=10, L=5)
