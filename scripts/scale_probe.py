@@ -5,7 +5,11 @@ Draws a planted-interest edge list with the benchmark's generator
 (``mixbench/datagen.py``): by default 4000 warm users, 20k items and about
 416k engagements over 3 train and 3 test chunks. It then runs every stage
 of ``mixrec.backtest`` once at K=5000, M=100 in accumulate mode, and prints
-one JSON line: the seconds of each stage and the peak RSS of the process.
+one JSON line: the seconds of each stage, the peak RSS of the process and
+``outputs_sha256``. That is one SHA-256 over the relative path, size and
+bytes of every file the run wrote but ``config.json`` (which names the
+temporary output directory), in path order: two versions of the program
+that write the same artifacts, metrics and traces print the same digest.
 
 Stages: ``generate_s`` and ``write_s`` are the generator and the edge-list
 write; ``ingest_s``, ``embed_s``, ``cluster_s`` and ``init_s`` build the
@@ -27,6 +31,7 @@ Usage: python scripts/scale_probe.py [--seed N] [--users N] [--items N]
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import resource
 import sys
@@ -116,6 +121,16 @@ def probe(cfg: bt.RunConfig, edges) -> dict[str, float]:
     return stages
 
 
+def outputs_sha256(out: Path) -> str:
+    digest = hashlib.sha256()
+    files = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
+    for rel in sorted(files.keys() - {"config.json"}):
+        data = files[rel].read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -131,7 +146,8 @@ def main() -> int:
         root = Path(tmp)
         cfg = run_config(root / "edges.tsv", root / "out", args.interests, args.seed)
         stages = probe(cfg, edges)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, before the hash reads
+        outputs = outputs_sha256(Path(cfg.out_dir))
     print(json.dumps({
         "users": args.users,
         "items": args.items,
@@ -141,6 +157,7 @@ def main() -> int:
         "generate_s": round(generate_s, 3),
         **{k: round(v, 3) for k, v in stages.items()},
         "peak_rss_mb": round(peak_kb / 1024, 1),
+        "outputs_sha256": outputs,
     }))
     return 0
 

@@ -2,13 +2,13 @@
 
 One config drives the whole pipeline. Artifacts (graph, embeddings,
 clusters, t=0 counts, per-chunk fitted models) persist under the output
-directory and are reused on rerun, so a run can resume per chunk. All file
-writes are atomic (temp file + rename) and all outputs are deterministic
-given the config, including float formatting. A stage's ``.npz`` marks it
-done, so it is written after the stage's side files. It records what it was
-built from: the data file's size, CRC-32 and delimiter, and every config
-field that feeds it (``_record``). One helper, ``_stage``, reuses an
-artifact only when that record matches the run, and otherwise builds it.
+directory and are reused on rerun, so a run can resume per chunk. Every
+file is written whole by ``mixrec.npz``, its bytes fixed by the config and
+data file: two runs write the same bytes but to ``config.json``. A stage's
+``.npz`` marks it done, so it is written after the stage's side files. It
+records what it was built from: the data file's size, CRC-32 and
+delimiter, and every config field that feeds it (``_record``). One helper,
+``_stage``, reuses an artifact only when that record matches the run.
 ``open_run`` reads the data file for its record once, and ``backtest``
 hands that record to every stage.
 
@@ -35,15 +35,12 @@ raises before anything is touched.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
-import os
-import re
-import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,6 +49,7 @@ from .embeddings import check_embedding_args, load_embeddings, save_embeddings, 
 from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
 from .initialization import _check_priors, build_init, load_init, mle_mixture, save_init
 from .metrics import MetricsReport, aggregate, build_queries, score_query
+from .npz import read_source, write_text
 from .retrieval import (
     RetrievalConfig,
     ann_encode_items,
@@ -116,20 +114,26 @@ class RunConfig:
         self._check_lists()
 
     def _check_lists(self) -> None:
-        """Reject an empty or repeated M, an unknown or repeated method and
-        an unknown user count mode; ``open_run`` checks again, since the CLI
-        sets fields after construction."""
-        if not self.m_values:
-            raise ValueError("m_values must be nonempty")
+        """Reject a field, here or in ``embed``, whose value is not of its
+        annotated type (see ``_check_types``), an empty or repeated M or
+        method, an unknown method or user count mode and a negative seed;
+        ``open_run`` checks again, since the CLI sets fields after
+        construction."""
+        _check_types(self, "")
+        _check_types(self.embed, "embed.")
+        for name in ("m_values", "methods"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.user_count_mode not in USER_COUNT_MODES:
             raise ValueError(f"user_count_mode must be one of {USER_COUNT_MODES}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; valid: {METHODS}")
-        for name in ("m_values", "methods"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} repeats a value: {values}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @staticmethod
     def from_json(path) -> "RunConfig":
@@ -143,7 +147,7 @@ class RunConfig:
         return RunConfig(**data)
 
     def to_json(self, path) -> None:
-        _atomic_write(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     def sampler_config(self, chunk_ordinal: int) -> SamplerConfig:
         return SamplerConfig(
@@ -154,6 +158,27 @@ class RunConfig:
 
     def retrieval_config(self, m: int) -> RetrievalConfig:
         return RetrievalConfig(M=m, exclude_seen=self.exclude_seen)
+
+
+def _check_types(obj, prefix: str) -> None:
+    """Raise ``ValueError`` naming the first field of dataclass ``obj`` whose
+    value does not have its annotated type: an integer field takes an
+    integer, a float field an integer or a float, a list field a list of its
+    element type; a bool is no number."""
+
+    def has(value, t) -> bool:
+        if isinstance(value, bool) and t is not bool:
+            return False
+        return isinstance(value, (int, float) if t is float else t)
+
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if get_origin(hint) is list:
+            ok = isinstance(value, list) and all(has(v, get_args(hint)[0]) for v in value)
+        else:
+            ok = has(value, hint)
+        if not ok:
+            raise ValueError(f"{prefix}{name} must be {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
 
 
 def _check_known(cls, data: dict, prefix: str) -> None:
@@ -186,35 +211,12 @@ def open_run(cfg: RunConfig) -> tuple[dict[int, RetrievalConfig], str]:
     data = _data_record(cfg)
     out = Path(cfg.out_dir)
     built = [name for name in ("graph.npz", "embeddings.npz", "clusters.npz", "init.npz") if (out / name).exists()]
-    # exact names: an interrupted write leaves chunk_XXXXX.npz.tmp.npz behind
-    built += sorted(f"chunks/{p.name}" for p in out.glob("chunks/chunk_*.npz") if re.fullmatch(r"chunk_\d+\.npz", p.name))
+    # an interrupted write leaves chunk_XXXXX.npz.tmp, which this misses
+    built += sorted(f"chunks/{p.name}" for p in out.glob("chunks/chunk_*.npz"))
     if built:
         _check_built(cfg, built, data)
     cfg.to_json(out / "config.json")
     return rcfgs, data
-
-
-def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic_npz(path, save_fn, record: dict) -> None:
-    """``save_fn`` writes the ``.npz``, and ``record`` joins it as its
-    ``source`` member, in a temporary file renamed into place."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp.npz")
-    save_fn(tmp)
-    member = io.BytesIO()
-    np.save(member, np.asarray(json.dumps(record)))
-    with zipfile.ZipFile(tmp, "a") as zf:
-        zf.writestr("source.npy", member.getvalue())
-    os.replace(tmp, path)
 
 
 # -- artifact stages ----------------------------------------------------------
@@ -261,11 +263,9 @@ def _check_built(cfg: RunConfig, names: list[str], data: str) -> None:
     stale, differ = [], []
     for name in names:
         try:
-            # opened here, since np.load leaks the file when it is no zip
-            with open(out / name, "rb") as fh, np.load(fh) as z:
-                got = json.loads(str(z["source"]))
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{out / name} records nothing this version reads ({exc}); {_REMEDY}") from None
+            got = read_source(out / name)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; {_REMEDY}") from None
         if got["data"] != data:
             raise ValueError(f"{out / name} records {got['data']}, but {cfg.data_path} now has {data}; {_REMEDY}")
         want = _record(cfg, name, data)
@@ -281,7 +281,7 @@ def _stage(cfg: RunConfig, stage: str, name: str, build, save, load, data: str |
     """Artifact ``name``: reused, once its record matches ``cfg`` and the
     data file's record ``data`` (read from the file when None), through
     ``load(path)``; or else ``build()``, which writes the stage's side
-    files, then saved through ``save(obj, path)`` with its record.
+    files, then saved through ``save(obj, path, record)``.
     ``stage`` heads the reuse log line."""
     path = Path(cfg.out_dir) / name
     if data is None:
@@ -291,7 +291,7 @@ def _stage(cfg: RunConfig, stage: str, name: str, build, save, load, data: str |
         logger.info("stage=%s action=reuse path=%s", stage, path)
         return load(path)
     obj = build()
-    _atomic_npz(path, lambda p: save(obj, p), _record(cfg, name, data))
+    save(obj, path, _record(cfg, name, data))
     return obj
 
 
@@ -303,7 +303,7 @@ def ensure_graph(cfg: RunConfig, data: str | None = None) -> EngagementGraph:
     def build():
         g = load_edge_list(cfg.data_path, delimiter=cfg.delimiter)
         stats = format_stats(graph_stats(g))
-        _atomic_write(Path(cfg.out_dir) / "graph_stats.txt", stats + "\n")
+        write_text(Path(cfg.out_dir) / "graph_stats.txt", stats + "\n")
         for line in stats.splitlines():
             logger.info("stage=ingest %s", line)
         return g
@@ -387,7 +387,7 @@ def _fit_or_load(cfg, slc, init, ordinal, base, data=None):
 
     def build():
         m = fit_chunk(slc, init, scfg, base=base)
-        _atomic_write(Path(cfg.out_dir) / f"{name}_sweeps.tsv", sweep_diagnostics_text(m))
+        write_text(Path(cfg.out_dir) / f"{name}_sweeps.tsv", sweep_diagnostics_text(m))
         logger.info("stage=fit chunk=%d engagements=%d sweeps=%d converged=%s log_joint=%r",
                     slc.chunk, m.n, m.sweeps_run, m.converged, m.current_log_joint)
         return m
@@ -529,7 +529,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     write_reports(reports, out / "metrics")
     if cfg.dump_candidates:
         for m in cfg.m_values:
-            _atomic_write(
+            write_text(
                 out / "metrics" / f"candidates_M{m}.tsv",
                 "user\tchunk\trank\titem\tscore\tmethod\n" + "\n".join(cand_dump[m]) + "\n",
             )
@@ -552,8 +552,8 @@ def write_reports(reports: dict[tuple[str, int], MetricsReport], metrics_dir) ->
             )
         o = rep.overall
         overall.append(f"{meth}\t{m}\t{o.n_queries}\t{o.recall!r}\t{o.mrr!r}\t{o.ndcg!r}")
-    _atomic_write(metrics_dir / "series.tsv", "\n".join(series) + "\n")
-    _atomic_write(metrics_dir / "overall.tsv", "\n".join(overall) + "\n")
+    write_text(metrics_dir / "series.tsv", "\n".join(series) + "\n")
+    write_text(metrics_dir / "overall.tsv", "\n".join(overall) + "\n")
 
 
 def read_reports(metrics_dir) -> dict[tuple[str, int], MetricsReport]:
@@ -603,7 +603,7 @@ def report(cfg: RunConfig) -> None:
             lines.append(
                 f"{meth:<12}{o.recall:>12.6f}{o.mrr:>12.6f}{o.ndcg:>12.6f}{o.n_queries:>10d}"
             )
-        _atomic_write(report_dir / f"table_M{m}.txt", "\n".join(lines) + "\n")
+        write_text(report_dir / f"table_M{m}.txt", "\n".join(lines) + "\n")
         chunks = sorted({c for meth in methods for c in reports[(meth, m)].per_chunk})
         for metric in ("recall", "mrr", "ndcg"):
             rows = ["chunk\t" + "\t".join(methods)]
@@ -613,4 +613,4 @@ def report(cfg: RunConfig) -> None:
                     b = reports[(meth, m)].per_chunk.get(c)
                     vals.append(repr(getattr(b, metric)) if b else "")
                 rows.append(f"{c}\t" + "\t".join(vals))
-            _atomic_write(report_dir / f"{metric}_M{m}.tsv", "\n".join(rows) + "\n")
+            write_text(report_dir / f"{metric}_M{m}.tsv", "\n".join(rows) + "\n")

@@ -10,13 +10,12 @@ current centroid, which keeps the objective monotone.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embeddings import gather_sum
-from .npz import write_npz
+from .npz import write_npz, write_text
 
 __all__ = ["ClusterAssignment", "cluster_items", "save_clusters", "load_clusters", "export_cluster_map"]
 
@@ -163,18 +162,13 @@ def cluster_items(
 
 
 def export_cluster_map(cluster: ClusterAssignment, path) -> None:
-    """Write the item -> interest map as tab-separated `item\tinterest`
-    lines, to a temporary file renamed into place."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        for i, k in enumerate(cluster.item_to_interest.tolist()):
-            fh.write(f"{i}\t{k}\n")
-    os.replace(tmp, path)
+    """Write the item -> interest map as `item\tinterest` lines."""
+    write_text(path, "".join(f"{i}\t{k}\n" for i, k in enumerate(cluster.item_to_interest.tolist())))
 
 
-def save_clusters(cluster: ClusterAssignment, path) -> None:
+def save_clusters(cluster: ClusterAssignment, path, source=None) -> None:
     write_npz(
-        path,
+        path, source,
         item_to_interest=cluster.item_to_interest,
         centroids=cluster.centroids,
         objective_history=np.asarray(cluster.objective_history),

@@ -242,9 +242,9 @@ def train_embeddings(
     return table
 
 
-def save_embeddings(table: EmbeddingTable, path) -> None:
+def save_embeddings(table: EmbeddingTable, path, source=None) -> None:
     write_npz(
-        path,
+        path, source,
         user_vectors=table.user_vectors,
         item_vectors=table.item_vectors,
         epoch_losses=np.asarray(table.epoch_losses),

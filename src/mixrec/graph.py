@@ -318,9 +318,9 @@ def format_stats(stats: dict) -> str:
     return "\n".join(f"{k}={v}" for k, v in stats.items())
 
 
-def save_graph(g: EngagementGraph, path) -> None:
+def save_graph(g: EngagementGraph, path, source=None) -> None:
     write_npz(
-        path,
+        path, source,
         users=g.users,
         items=g.items,
         chunks=g.chunks,

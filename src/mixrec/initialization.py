@@ -189,9 +189,9 @@ def mle_mixture(init: InitArtifact) -> MleMixture:
 _INIT_VERSION = 2
 
 
-def save_init(init: InitArtifact, path) -> None:
+def save_init(init: InitArtifact, path, source=None) -> None:
     write_npz(
-        path,
+        path, source,
         version=np.asarray([_INIT_VERSION]),
         dims=np.asarray([init.num_users, init.num_items, init.num_interests]),
         priors=np.asarray([init.alpha, init.beta]),

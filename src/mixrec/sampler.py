@@ -654,10 +654,10 @@ def sweep_diagnostics_text(m: ChunkModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_chunk_model(m: ChunkModel, path) -> None:
+def save_chunk_model(m: ChunkModel, path, source=None) -> None:
     """Persist the minimal resumable state (assignments; tables rebuild)."""
     write_npz(
-        path,
+        path, source,
         chunk=np.asarray([m.chunk]),
         z=m.z,
         sweeps=np.asarray([m.sweeps_run, int(m.converged), m.underflow_events]),

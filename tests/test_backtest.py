@@ -3,6 +3,7 @@ import json
 import logging
 import re
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,14 @@ def report_bytes(out_dir) -> dict[str, bytes]:
     ):
         out[p.name] = p.read_bytes()
     return out
+
+
+def run_bytes(out_dir) -> dict[str, bytes]:
+    """Every file under a run's output directory, by relative path, except
+    ``config.json``, which names the directory."""
+    out = Path(out_dir)
+    files = (p for p in out.rglob("*") if p.is_file() and p != out / "config.json")
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(files)}
 
 
 class TestSeenTracker:
@@ -297,15 +306,18 @@ class TestBacktest:
                 dumps[path, m] = (tmp_path / "cold" / "metrics" / f"candidates_M{m}.tsv").read_bytes()
         assert all(dumps["compiled", m] == dumps["numpy", m] for m in cfg.m_values)
 
-    def test_determinism_byte_identical(self, synth_edges, tmp_path):
-        cfg1 = small_config(synth_edges, tmp_path / "d1")
-        cfg2 = small_config(synth_edges, tmp_path / "d2")
-        backtest(cfg1)
-        report(cfg1)
-        backtest(cfg2)
-        report(cfg2)
-        b1, b2 = report_bytes(tmp_path / "d1"), report_bytes(tmp_path / "d2")
+    def test_determinism_byte_identical(self, synth_edges, tmp_path, monkeypatch):
+        # two runs of one config, a day apart, write the same bytes to every
+        # file, the artifacts included, but config.json
+        now = time.time()
+        for run, day in (("d1", 0), ("d2", 1)):
+            monkeypatch.setattr(time, "time", lambda day=day: now + 86400 * day)
+            cfg = small_config(synth_edges, tmp_path / run)
+            backtest(cfg)
+            report(cfg)
+        b1, b2 = run_bytes(tmp_path / "d1"), run_bytes(tmp_path / "d2")
         assert b1.keys() == b2.keys()
+        assert {"graph.npz", "init.npz", "chunks/chunk_00004.npz", "report/table_M10.txt"} <= b1.keys()
         for name in b1:
             assert b1[name] == b2[name], f"{name} differs between identical runs"
 
@@ -459,12 +471,21 @@ class TestBacktest:
             {"test_chunks": 0},
             {"workers": 0},
             {"workers": -1},
+            {"m_values": [2.5]},
+            {"test_chunks": 2.5},
+            {"num_interests": 3.0},
+            {"dim": 4.5},
+            {"seed": -1},
+            {"embed": None},
+            {"exclude_seen": "no"},
+            {"methods": []},
         ],
         ids=[
             "user_count_mode", "m_values", "embed_dim", "repeated_m", "repeated_method",
             "unknown_method", "num_interests", "kmeans_iters", "regroup_factor", "alpha", "beta",
             "embed_lr_zero", "embed_lr_nan", "embed_batch_size", "test_chunks_negative", "test_chunks_zero",
-            "workers_zero", "workers_negative",
+            "workers_zero", "workers_negative", "m_values_float", "test_chunks_float", "num_interests_float",
+            "embed_dim_float", "seed_negative", "embed_null", "exclude_seen_string", "methods_empty",
         ],
     )
     def test_bad_config_fails_before_writing(self, synth_edges, tmp_path, bad):
@@ -501,7 +522,8 @@ class TestBacktest:
 
     def test_compile_failure_pipeline_identical(self, synth_edges, tmp_path, monkeypatch, caplog):
         # the whole backtest on the Python sweep and numpy paths writes the
-        # compiled run's metrics, candidates, sweep traces and arrays
+        # compiled run's bytes to every file but config.json: metrics,
+        # candidates, sweep traces and artifacts
         if sweep_kernel.load_kernel() is None:
             pytest.skip("no C compiler: only the Python and numpy paths run here")
         kw = dict(exclude_seen=True, dump_candidates=True, m_values=[3, 10], user_count_mode="accumulate")
@@ -517,25 +539,12 @@ class TestBacktest:
             sweep_kernel.load_kernel.cache_clear()
         assert any("/nonexistent/cc" in r.getMessage() for r in caplog.records)
 
-        def outputs(out):
-            return sorted(p.relative_to(out) for p in out.rglob("*") if p.suffix in (".tsv", ".npz"))
-
-        a, b = tmp_path / "compiled", tmp_path / "fallback"
-        names = outputs(a)
-        assert names == outputs(b)
-        assert {"metrics/candidates_M3.tsv", "metrics/candidates_M10.tsv", "chunks/chunk_00003_sweeps.tsv"} <= set(
-            map(str, names)
-        )
-        for name in names:
-            if name.suffix == ".tsv":
-                assert (a / name).read_bytes() == (b / name).read_bytes(), name
-                continue
-            with np.load(a / name) as za, np.load(b / name) as zb:
-                assert za.files == zb.files, name
-                for key in za.files:
-                    x, y = za[key], zb[key]
-                    assert (x.dtype, x.shape) == (y.dtype, y.shape), f"{name}:{key}"
-                    assert x.tobytes() == y.tobytes(), f"{name}:{key}"
+        a, b = run_bytes(tmp_path / "compiled"), run_bytes(tmp_path / "fallback")
+        assert a.keys() == b.keys()
+        assert {"metrics/candidates_M3.tsv", "metrics/candidates_M10.tsv", "chunks/chunk_00003_sweeps.tsv",
+                "embeddings.npz", "chunks/chunk_00003.npz"} <= a.keys()
+        for name in a:
+            assert a[name] == b[name], name
 
     def test_unknown_method_rejected(self, synth_edges, tmp_path):
         with pytest.raises(ValueError):
@@ -812,16 +821,17 @@ class TestCli:
         assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
 
     def test_leftover_temp_file_is_no_artifact(self, synth_edges, tmp_path):
-        # an interrupted chunk write leaves chunk_XXXXX.npz.tmp.npz behind;
-        # it feeds nothing, so it cannot make a changed max_sweeps stale
+        # an interrupted chunk write leaves chunk_XXXXX.npz.tmp behind; it
+        # feeds nothing, so it cannot make a changed max_sweeps stale, and
+        # the chunk's next write replaces it
         out = tmp_path / "r"
         common = ["--data", str(synth_edges), "--out", str(out), "--interests", "4",
                   "--dim", "6", "--epochs", "2", "--methods", "micro"]
         assert cli_main(["init", *common, "--max-sweeps", "5"]) == 0
         (out / "chunks").mkdir()
-        (out / "chunks" / "chunk_00003.npz.tmp.npz").write_bytes(b"")
+        (out / "chunks" / "chunk_00003.npz.tmp").write_bytes(b"")
         assert cli_main(["backtest", *common, "--max-sweeps", "3"]) == 0
-        assert sorted(p.name for p in (out / "chunks").glob("*.npz")) == [f"chunk_0000{c}.npz" for c in (2, 3, 4)]
+        assert sorted(p.name for p in (out / "chunks").glob("*.npz*")) == [f"chunk_0000{c}.npz" for c in (2, 3, 4)]
 
     def test_stage_commands_check_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
