@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from mixrec.backtest import RunConfig, backtest, report
+from mixrec.backtest import RunConfig, backtest
 from mixrec.graph import load_edge_list
 
 
@@ -50,7 +50,6 @@ def main() -> int:
     cfg.embed.epochs = args.epochs
     cfg.embed.negatives = 5
     reports = backtest(cfg)
-    report(cfg)
 
     micro = reports[("micro", 100)].overall.recall
     ann = reports[("ann", 100)].overall.recall

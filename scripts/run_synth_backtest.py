@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from mixrec.backtest import RunConfig, backtest, report
+from mixrec.backtest import RunConfig, backtest
 from mixrec.sampler import SamplerConfig, fit_chunk
 from mixrec.synth import SynthSpec, generate, init_from_truth, score_recovery
 
@@ -59,8 +59,7 @@ def main() -> int:
     cfg.embed.dim = 16
     cfg.embed.epochs = 30
     cfg.embed.lr = 0.1
-    reports = backtest(cfg)
-    report(cfg)
+    backtest(cfg)
     for p in sorted((out / "run" / "report").glob("table_M*.txt")):
         print()
         print(p.read_text().rstrip())

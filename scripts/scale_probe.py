@@ -9,7 +9,8 @@ one JSON line: the seconds of each stage, the peak RSS of the process and
 ``outputs_sha256``. That is one SHA-256 over the relative path, size and
 bytes of every file the run wrote but ``config.json`` (which names the
 temporary output directory), in path order: two versions of the program
-that write the same artifacts, metrics and traces print the same digest.
+that write the same artifacts, metrics, report tables and traces print the
+same digest.
 
 Stages: ``generate_s`` and ``write_s`` are the generator and the edge-list
 write; ``ingest_s``, ``embed_s``, ``cluster_s`` and ``init_s`` build the
@@ -17,6 +18,11 @@ cached artifacts; ``backtest_s`` is the ``backtest`` call over them. Of that
 call, ``fit_s``, ``index_s``, ``retrieve_s`` and ``score_s`` are the time
 spent in ``fit_chunk``, the index builders, ``batch_retrieve`` and
 ``score_query``, timed by wrappers on those ``mixrec.backtest`` names.
+``micro_s``, ``mle_s``, ``ann_s`` and ``popularity_s`` are parts of
+``retrieve_s``: the time in each method's retriever (``retrieve_micro``,
+``retrieve_mle``, ``ann_retrieve`` and ``popularity_retrieve``), called
+once per query. The wrappers' own per-call cost lands in them too, and in
+``retrieve_s``.
 
 This is a probe, not part of the benchmark: one run, one seed, no checks
 beyond the ones ``backtest`` makes itself. Like the benchmark it pins the
@@ -54,6 +60,10 @@ TIMED = {
     "index_s": ("popularity_ranking", "ann_encode_items", "build_index", "build_mle_index"),
     "retrieve_s": ("batch_retrieve",),
     "score_s": ("score_query",),
+    "micro_s": ("retrieve_micro",),
+    "mle_s": ("retrieve_mle",),
+    "ann_s": ("ann_retrieve",),
+    "popularity_s": ("popularity_retrieve",),
 }
 
 
@@ -91,7 +101,7 @@ def probe(cfg: bt.RunConfig, edges) -> dict[str, float]:
     edges.write(cfg.data_path)
     stages["write_s"] = time.perf_counter() - t0
 
-    data = bt.open_run(cfg)[1]
+    data = bt.open_run(cfg)
     t0 = time.perf_counter()
     _, train, _ = bt.split_graph(cfg, data)
     stages["ingest_s"] = time.perf_counter() - t0

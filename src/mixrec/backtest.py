@@ -31,6 +31,10 @@ validates the config, checks it and the data file against the record of
 every artifact the output directory holds and writes it as ``config.json``,
 which nothing reads back. A bad or stale config, or a missing data file,
 raises before anything is touched.
+
+The results are not reused: at its end every ``backtest`` writes
+``metrics/`` and ``report/`` whole from memory (``write_results``), and a
+file an earlier run left there is removed.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .retrieval import retrieve_mixture as retrieve_micro
 from .retrieval import retrieve_mixture as retrieve_mle
 from .sampler import SamplerConfig, UserCounts, fit_chunk, load_chunk_model, save_chunk_model, sweep_diagnostics_text
 
-__all__ = ["RunConfig", "backtest", "open_run", "split_graph", "write_reports", "report", "METHODS"]
+__all__ = ["RunConfig", "backtest", "open_run", "split_graph", "write_results", "read_reports", "METHODS"]
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +120,8 @@ class RunConfig:
     def _check_lists(self) -> None:
         """Reject a field, here or in ``embed``, whose value is not of its
         annotated type (see ``_check_types``), an empty or repeated M or
-        method, an unknown method or user count mode and a negative seed;
+        method, an M below 1, an unknown method or user count mode and a
+        negative seed;
         ``open_run`` checks again, since the CLI sets fields after
         construction."""
         _check_types(self, "")
@@ -127,6 +132,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
+        if min(self.m_values) < 1:
+            raise ValueError("M must be >= 1")
         if self.user_count_mode not in USER_COUNT_MODES:
             raise ValueError(f"user_count_mode must be one of {USER_COUNT_MODES}")
         unknown = set(self.methods) - set(METHODS)
@@ -156,9 +163,6 @@ class RunConfig:
             seed=self.seed + 100_003 * (chunk_ordinal + 1),
         )
 
-    def retrieval_config(self, m: int) -> RetrievalConfig:
-        return RetrievalConfig(M=m, exclude_seen=self.exclude_seen)
-
 
 def _check_types(obj, prefix: str) -> None:
     """Raise ``ValueError`` naming the first field of dataclass ``obj`` whose
@@ -187,11 +191,11 @@ def _check_known(cls, data: dict, prefix: str) -> None:
         raise ValueError(f"unknown config field(s): {', '.join(prefix + k for k in unknown)}")
 
 
-def open_run(cfg: RunConfig) -> tuple[dict[int, RetrievalConfig], str]:
+def open_run(cfg: RunConfig) -> str:
     """Validate ``cfg``, check it against every artifact the output
-    directory holds and write it there as ``config.json``; returns the
-    retrieval config per M and the data file's record (``_data_record``),
-    which the stages take as ``data`` so that a run reads the file once.
+    directory holds and write it there as ``config.json``; returns the data
+    file's record (``_data_record``), which the stages take as ``data`` so
+    that a run reads the file once.
 
     Every check runs before anything is written: a bad config creates no
     directory, and an artifact built from another data file, or with
@@ -200,7 +204,6 @@ def open_run(cfg: RunConfig) -> tuple[dict[int, RetrievalConfig], str]:
     only records the last run; nothing reads it back.
     """
     cfg._check_lists()
-    rcfgs = {m: cfg.retrieval_config(m) for m in cfg.m_values}
     cfg.sampler_config(0)
     for name in ("test_chunks", "num_interests", "kmeans_iters", "regroup_factor", "workers"):
         if getattr(cfg, name) < 1:
@@ -216,7 +219,7 @@ def open_run(cfg: RunConfig) -> tuple[dict[int, RetrievalConfig], str]:
     if built:
         _check_built(cfg, built, data)
     cfg.to_json(out / "config.json")
-    return rcfgs, data
+    return data
 
 
 # -- artifact stages ----------------------------------------------------------
@@ -425,8 +428,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     queries are held for the current chunk only; the reports need only
     each query's chunk id.
     """
-    out = Path(cfg.out_dir)
-    rcfgs, data = open_run(cfg)
+    data = open_run(cfg)
 
     _, train, test = split_graph(cfg, data)
     logger.info(
@@ -460,7 +462,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
         (meth, m): [] for meth in methods for m in cfg.m_values
     }
     eval_chunks: list[int] = []  # each scored query's chunk, in score order
-    cand_dump: dict[int, list[str]] = {m: [] for m in cfg.m_values}
+    cand_dump: dict[int, list[str]] = {m: [] for m in cfg.m_values} if cfg.dump_candidates else {}
 
     prev_model = None
     prev_slice = None
@@ -489,7 +491,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                 fn = retrievers[meth]
                 index = None
                 for m in sorted(cfg.m_values, reverse=True):
-                    rcfg = rcfgs[m]
+                    rcfg = RetrievalConfig(M=m, exclude_seen=cfg.exclude_seen)
                     new = index_for(meth, m)
                     if not same_index(new, index):
                         # a new index: retrieve at this M, the largest it serves
@@ -526,21 +528,23 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             rep = aggregate(per_query[(meth, m)], eval_chunks, method=meth, m=m)
             rep.check_consistency()
             reports[(meth, m)] = rep
-    write_reports(reports, out / "metrics")
-    if cfg.dump_candidates:
-        for m in cfg.m_values:
-            write_text(
-                out / "metrics" / f"candidates_M{m}.tsv",
-                "user\tchunk\trank\titem\tscore\tmethod\n" + "\n".join(cand_dump[m]) + "\n",
-            )
+    write_results(Path(cfg.out_dir), reports, cand_dump)
     return reports
 
 
-# -- report files -------------------------------------------------------------
+# -- result files -------------------------------------------------------------
 
 
-def write_reports(reports: dict[tuple[str, int], MetricsReport], metrics_dir) -> None:
-    metrics_dir = Path(metrics_dir)
+def write_results(out: Path, reports: dict[tuple[str, int], MetricsReport], candidates: dict[int, list[str]]) -> None:
+    """Write a run's results under ``out`` whole, from memory, and remove
+    every other file in ``metrics/`` and ``report/``, which the run owns:
+
+    - ``metrics/series.tsv`` and ``overall.tsv``: every report, by (method, M);
+    - ``metrics/candidates_M<M>.tsv``: the rows of ``candidates[M]``;
+    - ``report/table_M<M>.txt``: the methods' overall metrics side by side;
+    - ``report/{recall,mrr,ndcg}_M<M>.tsv``: one row per chunk, one column
+      per method. Every report of one M covers the same chunks.
+    """
     series = ["method\tM\tchunk\tn_queries\trecall\tmrr\tndcg"]
     overall = ["method\tM\tn_queries\trecall\tmrr\tndcg"]
     for (meth, m) in sorted(reports):
@@ -552,8 +556,28 @@ def write_reports(reports: dict[tuple[str, int], MetricsReport], metrics_dir) ->
             )
         o = rep.overall
         overall.append(f"{meth}\t{m}\t{o.n_queries}\t{o.recall!r}\t{o.mrr!r}\t{o.ndcg!r}")
-    write_text(metrics_dir / "series.tsv", "\n".join(series) + "\n")
-    write_text(metrics_dir / "overall.tsv", "\n".join(overall) + "\n")
+    files = {"metrics/series.tsv": series, "metrics/overall.tsv": overall}
+    for m, rows in candidates.items():
+        files[f"metrics/candidates_M{m}.tsv"] = ["user\tchunk\trank\titem\tscore\tmethod", *rows]
+    for m in sorted({m for _, m in reports}):
+        methods = [meth for meth in METHODS if (meth, m) in reports]
+        table = [f"M={m}", f"{'method':<12}{'recall':>12}{'mrr':>12}{'ndcg':>12}{'queries':>10}"]
+        for meth in methods:
+            o = reports[(meth, m)].overall
+            table.append(f"{meth:<12}{o.recall:>12.6f}{o.mrr:>12.6f}{o.ndcg:>12.6f}{o.n_queries:>10d}")
+        files[f"report/table_M{m}.txt"] = table
+        per_chunk = [reports[(meth, m)].per_chunk for meth in methods]
+        for metric in ("recall", "mrr", "ndcg"):
+            files[f"report/{metric}_M{m}.tsv"] = ["chunk\t" + "\t".join(methods)] + [
+                f"{c}\t" + "\t".join(repr(getattr(blocks[c], metric)) for blocks in per_chunk)
+                for c in sorted(per_chunk[0])
+            ]
+    for name, lines in files.items():
+        write_text(out / name, "\n".join(lines) + "\n")
+    for sub in ("metrics", "report"):
+        for p in (out / sub).iterdir():
+            if f"{sub}/{p.name}" not in files and not p.is_dir():
+                p.unlink()
 
 
 def read_reports(metrics_dir) -> dict[tuple[str, int], MetricsReport]:
@@ -580,37 +604,3 @@ def read_reports(metrics_dir) -> dict[tuple[str, int], MetricsReport]:
                     n_queries=int(n), recall=float(r), mrr=float(rr), ndcg=float(nd)
                 )
     return reports
-
-
-def report(cfg: RunConfig) -> None:
-    """Side-by-side method tables per M plus per-metric time-series files."""
-    out = Path(cfg.out_dir)
-    if not (out / "metrics" / "series.tsv").exists():
-        raise FileNotFoundError(
-            f"no metrics under {out / 'metrics'}; run the `backtest` subcommand first"
-        )
-    reports = read_reports(out / "metrics")
-    report_dir = out / "report"
-    ms = sorted({m for _, m in reports})
-    for m in ms:
-        methods = [meth for meth in METHODS if (meth, m) in reports]
-        missing = [meth for meth in cfg.methods if (meth, m) not in reports]
-        for meth in missing:
-            logger.warning("report M=%d: no output for method %s; omitted", m, meth)
-        lines = [f"M={m}", f"{'method':<12}{'recall':>12}{'mrr':>12}{'ndcg':>12}{'queries':>10}"]
-        for meth in methods:
-            o = reports[(meth, m)].overall
-            lines.append(
-                f"{meth:<12}{o.recall:>12.6f}{o.mrr:>12.6f}{o.ndcg:>12.6f}{o.n_queries:>10d}"
-            )
-        write_text(report_dir / f"table_M{m}.txt", "\n".join(lines) + "\n")
-        chunks = sorted({c for meth in methods for c in reports[(meth, m)].per_chunk})
-        for metric in ("recall", "mrr", "ndcg"):
-            rows = ["chunk\t" + "\t".join(methods)]
-            for c in chunks:
-                vals = []
-                for meth in methods:
-                    b = reports[(meth, m)].per_chunk.get(c)
-                    vals.append(repr(getattr(b, metric)) if b else "")
-                rows.append(f"{c}\t" + "\t".join(vals))
-            write_text(report_dir / f"{metric}_M{m}.tsv", "\n".join(rows) + "\n")

@@ -1,12 +1,14 @@
-"""Command-line pipeline: ingest, embed, cluster, init, backtest, synth, report.
+"""Command-line pipeline: ingest, embed, cluster, init, backtest, synth.
 
 A JSON config file supplies defaults; every value can be overridden by a
 flag. ``ingest``, ``embed``, ``cluster``, ``init`` and ``backtest`` check
 the config against the record that every artifact in the output directory
 holds, write it there as ``config.json`` (which nothing reads back) and
 build every artifact they need that is missing, from the graph on.
-Progress goes to stderr as key=value lines; all artifacts and reports land
-under the run's output directory.
+``backtest`` prints each method's overall metrics and writes its metrics,
+candidate lists and comparison tables (``report/table_M<M>.txt``) under
+the output directory, replacing those of any earlier run. Progress goes to
+stderr as key=value lines.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .backtest import (
     ensure_embeddings,
     ensure_init,
     open_run,
-    report,
     split_graph,
 )
 from .graph import format_stats, graph_stats
@@ -79,7 +80,7 @@ def _build_config(args) -> RunConfig:
 
 def cmd_ingest(args) -> int:
     cfg = _build_config(args)
-    g = split_graph(cfg, open_run(cfg)[1])[0]
+    g = split_graph(cfg, open_run(cfg))[0]
     print(format_stats(graph_stats(g)))
     return 0
 
@@ -88,7 +89,7 @@ def cmd_stage(args) -> int:
     """``embed``, ``cluster`` or ``init``: build that stage's artifact and
     every earlier one that is missing."""
     cfg = _build_config(args)
-    data = open_run(cfg)[1]
+    data = open_run(cfg)
     train = split_graph(cfg, data)[1]
     built = ensure_embeddings(cfg, train, data)
     if args.command != "embed":
@@ -101,19 +102,9 @@ def cmd_stage(args) -> int:
 def cmd_backtest(args) -> int:
     cfg = _build_config(args)
     reports = backtest(cfg)
-    report(cfg)
     for (meth, m) in sorted(reports):
         o = reports[(meth, m)].overall
         print(f"method={meth} M={m} queries={o.n_queries} recall={o.recall:.6f} mrr={o.mrr:.6f} ndcg={o.ndcg:.6f}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    cfg = _build_config(args)
-    report(cfg)
-    for p in sorted((Path(cfg.out_dir) / "report").glob("table_M*.txt")):
-        print(p.read_text().rstrip())
-        print()
     return 0
 
 
@@ -165,7 +156,6 @@ def main(argv=None) -> int:
         ("cluster", cmd_stage, "spherical k-means over item embeddings"),
         ("init", cmd_stage, "build the t=0 count artifact from clusters"),
         ("backtest", cmd_backtest, "rolling fit/retrieve/score over held-out chunks"),
-        ("report", cmd_report, "assemble comparison tables from backtest outputs"),
     ]:
         p = sub.add_parser(name, help=desc)
         _add_config_overrides(p)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixrec.backtest import RunConfig, backtest, report
+from mixrec.backtest import RunConfig, backtest
 from mixrec.clustering import cluster_items
 from mixrec.graph import ChunkSlice, EngagementGraph, IdMap, load_edge_list, regroup_chunks
 from mixrec.initialization import build_init
@@ -86,7 +86,6 @@ def synth_runs(tmp_path_factory):
     for run in ("run1", "run2"):
         cfg = make_cfg(base / run)
         reports[run] = backtest(cfg)
-        report(cfg)
     return base, reports
 
 

@@ -12,7 +12,7 @@ import pytest
 import mixrec.backtest
 import mixrec.retrieval
 import mixrec.sweep_kernel as sweep_kernel
-from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, report, write_reports
+from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, write_results
 from mixrec.cli import main as cli_main
 from mixrec.clustering import load_clusters, save_clusters
 from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split
@@ -118,7 +118,6 @@ class TestBacktest:
     def test_all_methods_and_report_files(self, synth_edges, tmp_path):
         cfg = small_config(synth_edges, tmp_path / "full", m_values=[5, 10])
         reports = backtest(cfg)
-        report(cfg)
         assert set(reports) == {(m, k) for m in cfg.methods for k in (5, 10)}
         for rep in reports.values():
             rep.check_consistency()
@@ -255,7 +254,7 @@ class TestBacktest:
                 for chunk, (c, vals) in per_chunk.items():
                     series.append("\t".join([meth, str(m), str(chunk), str(c), *map(repr, vals.tolist())]))
                 overall.append("\t".join([meth, str(m), str(n), *map(repr, means.tolist())]))
-        # write_reports sorts by (method, M)
+        # write_results sorts by (method, M)
         key = lambda line: (line.split("\t")[0], int(line.split("\t")[1]))
         metrics = tmp_path / "score" / "metrics"
         assert (metrics / "series.tsv").read_text() == "\n".join(series[:1] + sorted(series[1:], key=key)) + "\n"
@@ -314,12 +313,31 @@ class TestBacktest:
             monkeypatch.setattr(time, "time", lambda day=day: now + 86400 * day)
             cfg = small_config(synth_edges, tmp_path / run)
             backtest(cfg)
-            report(cfg)
         b1, b2 = run_bytes(tmp_path / "d1"), run_bytes(tmp_path / "d2")
         assert b1.keys() == b2.keys()
         assert {"graph.npz", "init.npz", "chunks/chunk_00004.npz", "report/table_M10.txt"} <= b1.keys()
         for name in b1:
             assert b1[name] == b2[name], f"{name} differs between identical runs"
+
+    def test_rerun_leaves_only_its_own_results(self, synth_edges, tmp_path):
+        # a rerun in a used directory, at other Ms, with other methods and no
+        # candidate dump, leaves metrics/ and report/ as a fresh run of its
+        # config writes them: no file of the first run, nor an interrupted
+        # write's leftover, is kept
+        backtest(small_config(synth_edges, tmp_path / "rerun", m_values=[5, 10], dump_candidates=True))
+        assert (tmp_path / "rerun" / "metrics" / "candidates_M5.tsv").exists()
+        (tmp_path / "rerun" / "metrics" / "series.tsv.tmp").write_text("")
+        for run in ("rerun", "fresh"):
+            backtest(small_config(synth_edges, tmp_path / run, m_values=[7], methods=["micro", "popularity"]))
+
+        def results(run):
+            return {k: v for k, v in run_bytes(tmp_path / run).items() if k.startswith(("metrics/", "report/"))}
+
+        assert results("rerun") == results("fresh")
+        assert sorted(results("fresh")) == [
+            "metrics/overall.tsv", "metrics/series.tsv", "report/mrr_M7.tsv", "report/ndcg_M7.tsv",
+            "report/recall_M7.tsv", "report/table_M7.txt",
+        ]
 
     def test_resumable_per_chunk(self, synth_edges, tmp_path):
         out = tmp_path / "resume"
@@ -615,11 +633,15 @@ class TestReportIO:
         rep.per_chunk[4] = MetricBlock(n_queries=3, recall=0.5, mrr=0.25, ndcg=1 / 3)
         rep.per_chunk[5] = MetricBlock(n_queries=1, recall=1.0, mrr=1.0, ndcg=1.0)
         rep.overall = MetricBlock(n_queries=4, recall=0.625, mrr=0.4375, ndcg=0.5)
-        write_reports({("micro", 10): rep}, tmp_path)
-        got = read_reports(tmp_path)[("micro", 10)]
-        assert got.per_chunk[4].recall == 0.5
-        assert got.per_chunk[5].n_queries == 1
-        assert got.overall.recall == 0.625
+        write_results(tmp_path, {("micro", 10): rep}, {})
+        got = read_reports(tmp_path / "metrics")[("micro", 10)]
+        assert got.per_chunk == rep.per_chunk
+        assert got.overall == rep.overall
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == [
+            "metrics/overall.tsv", "metrics/series.tsv", "report/mrr_M10.tsv", "report/ndcg_M10.tsv",
+            "report/recall_M10.tsv", "report/table_M10.txt",
+        ]
+        assert (tmp_path / "report" / "ndcg_M10.tsv").read_text() == f"chunk\tmicro\n4\t{1 / 3!r}\n5\t1.0\n"
 
 
 class TestCli:
@@ -643,9 +665,9 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "method=micro" in out and "method=popularity" in out
-        assert cli_main(["report", "--out", "run"]) == 0
-        out = capsys.readouterr().out
-        assert "M=5" in out
+        table = Path("run/report/table_M5.txt").read_text().splitlines()
+        assert table[0] == "M=5"
+        assert [line.split()[0] for line in table[2:]] == ["micro", "popularity"]
 
     def test_replaced_data_file_refused(self, tmp_path, monkeypatch):
         # artifacts built from one data file must not be reused for another
