@@ -45,10 +45,8 @@ def main() -> int:
         m_values=[100],
         seed=args.seed,
         methods=["micro", "ann", "popularity"],
+        embed={"dim": args.dim, "epochs": args.epochs, "negatives": 5},
     )
-    cfg.embed.dim = args.dim
-    cfg.embed.epochs = args.epochs
-    cfg.embed.negatives = 5
     reports = backtest(cfg)
 
     micro = reports[("micro", 100)].overall.recall

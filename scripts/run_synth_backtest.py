@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from mixrec.backtest import RunConfig, backtest
+from mixrec.graph import write_edge_list
 from mixrec.sampler import SamplerConfig, fit_chunk
 from mixrec.synth import SynthSpec, generate, init_from_truth, score_recovery
 
@@ -42,9 +43,7 @@ def main() -> int:
     )
     g, truth = generate(spec)
     data = out / "edges.tsv"
-    with open(data, "w") as fh:
-        for u, i, t in zip(g.users.tolist(), g.items.tolist(), g.chunks.tolist()):
-            fh.write(f"{u}\t{i}\t{t}\n")
+    write_edge_list(g, data)
     print(f"generated edges={g.num_edges} users={g.num_users} items={g.num_items}")
 
     cfg = RunConfig(
@@ -55,10 +54,8 @@ def main() -> int:
         m_values=[20, 100],
         seed=3,
         exclude_seen=False,
+        embed={"dim": 16, "epochs": 30, "lr": 0.1},
     )
-    cfg.embed.dim = 16
-    cfg.embed.epochs = 30
-    cfg.embed.lr = 0.1
     backtest(cfg)
     for p in sorted((out / "run" / "report").glob("table_M*.txt")):
         print()

@@ -26,15 +26,16 @@ largest M that index serves, and each smaller M takes the first M entries
 of that list (see ``mixrec.retrieval``). A cut list whose longer list
 missed the truth also misses it, so it reuses that zero score.
 
-``open_run`` starts every run, here and in the CLI's stage commands: it
-validates the config, checks it and the data file against the record of
-every artifact the output directory holds and writes it as ``config.json``,
-which nothing reads back. A bad or stale config, or a missing data file,
-raises before anything is touched.
+A ``RunConfig`` is frozen and checked when it is made. ``open_run`` starts
+every run, here and in the CLI's stage commands: it checks the config and
+the data file against the record of every artifact the output directory
+holds, writing nothing, so a stale config or a missing data file raises
+before anything is touched.
 
 The results are not reused: at its end every ``backtest`` writes
-``metrics/`` and ``report/`` whole from memory (``write_results``), and a
-file an earlier run left there is removed.
+``config.json``, ``metrics/`` and ``report/`` whole (``write_results``) and
+removes any other file in the last two. A run that raises leaves them as
+they were; nothing reads ``config.json`` back.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .clustering import cluster_items, export_cluster_map, load_clusters, save_c
 from .embeddings import check_embedding_args, load_embeddings, save_embeddings, train_embeddings
 from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
 from .initialization import _check_priors, build_init, load_init, mle_mixture, save_init
-from .metrics import MetricsReport, aggregate, build_queries, score_query
+from .metrics import MetricBlock, MetricsReport, aggregate, build_queries, score_query
 from .npz import read_source, write_text
 from .retrieval import (
     RetrievalConfig,
@@ -81,7 +82,7 @@ USER_COUNT_MODES = ("reset", "accumulate")  # accumulate: fit on a ledger
 _MISS = (0.0, 0.0, 0.0)  # score_query of a list that misses the truth
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbedParams:
     dim: int = 64
     epochs: int = 10
@@ -89,8 +90,12 @@ class EmbedParams:
     lr: float = 0.05
     batch_size: int = 1024
 
+    def __post_init__(self):
+        _check_types(self, "embed.")
+        check_embedding_args(self.dim, self.epochs, self.negatives, self.lr, self.batch_size)
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
     data_path: str = ""
     out_dir: str = "runs/default"
@@ -113,19 +118,14 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Reject, when the config is made, a field whose value is not of
+        its annotated type (see ``_check_types``; ``embed`` may be a dict),
+        an empty or repeated M or method, an M below 1, an unknown method or
+        user count mode, a negative seed, a count below 1 and a prior or
+        sweep setting the stages refuse. Frozen, a config stays checked."""
         if isinstance(self.embed, dict):
-            self.embed = EmbedParams(**self.embed)
-        self._check_lists()
-
-    def _check_lists(self) -> None:
-        """Reject a field, here or in ``embed``, whose value is not of its
-        annotated type (see ``_check_types``), an empty or repeated M or
-        method, an M below 1, an unknown method or user count mode and a
-        negative seed;
-        ``open_run`` checks again, since the CLI sets fields after
-        construction."""
+            object.__setattr__(self, "embed", EmbedParams(**self.embed))
         _check_types(self, "")
-        _check_types(self.embed, "embed.")
         for name in ("m_values", "methods"):
             values = getattr(self, name)
             if not values:
@@ -141,6 +141,11 @@ class RunConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}; valid: {METHODS}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("test_chunks", "num_interests", "kmeans_iters", "regroup_factor", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        _check_priors(self.alpha, self.beta)
+        self.sampler_config(0)
 
     @staticmethod
     def from_json(path) -> "RunConfig":
@@ -192,25 +197,15 @@ def _check_known(cls, data: dict, prefix: str) -> None:
 
 
 def open_run(cfg: RunConfig) -> str:
-    """Validate ``cfg``, check it against every artifact the output
-    directory holds and write it there as ``config.json``; returns the data
-    file's record (``_data_record``), which the stages take as ``data`` so
-    that a run reads the file once.
+    """The data file's record (``_data_record``), once ``cfg`` is checked
+    against every artifact the output directory holds; the stages take it
+    as ``data`` so that a run reads the file once.
 
-    Every check runs before anything is written: a bad config creates no
-    directory, and an artifact built from another data file, or with
+    It writes nothing: an artifact built from another data file, or with
     another value of a field that feeds it, raises ``ValueError`` (see
-    ``_check_built``) and leaves the directory untouched. ``config.json``
-    only records the last run; nothing reads it back.
+    ``_check_built``) and leaves the directory untouched. ``cfg`` itself
+    was checked when it was made.
     """
-    cfg._check_lists()
-    cfg.sampler_config(0)
-    for name in ("test_chunks", "num_interests", "kmeans_iters", "regroup_factor", "workers"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
-    _check_priors(cfg.alpha, cfg.beta)
-    e = cfg.embed
-    check_embedding_args(e.dim, e.epochs, e.negatives, e.lr, e.batch_size)
     data = _data_record(cfg)
     out = Path(cfg.out_dir)
     built = [name for name in ("graph.npz", "embeddings.npz", "clusters.npz", "init.npz") if (out / name).exists()]
@@ -218,7 +213,6 @@ def open_run(cfg: RunConfig) -> str:
     built += sorted(f"chunks/{p.name}" for p in out.glob("chunks/chunk_*.npz"))
     if built:
         _check_built(cfg, built, data)
-    cfg.to_json(out / "config.json")
     return data
 
 
@@ -424,9 +418,9 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     that M's lists: on one index every list is a prefix of the list at a
     larger M (see ``mixrec.retrieval``). Any other M is retrieved at M. A
     cut list whose longer list scored ``(0.0, 0.0, 0.0)`` misses the truth
-    too and keeps that score without a ``score_query`` call. Lists and
-    queries are held for the current chunk only; the reports need only
-    each query's chunk id.
+    too and keeps that score without a ``score_query`` call. Queries, and
+    lists unless they are dumped, are held for the current chunk only; the
+    reports need only each query's chunk id.
     """
     data = open_run(cfg)
 
@@ -462,7 +456,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
         (meth, m): [] for meth in methods for m in cfg.m_values
     }
     eval_chunks: list[int] = []  # each scored query's chunk, in score order
-    cand_dump: dict[int, list[str]] = {m: [] for m in cfg.m_values} if cfg.dump_candidates else {}
+    dumps: dict[int, list[tuple[str, list]]] = {m: [] for m in cfg.m_values} if cfg.dump_candidates else {}
 
     prev_model = None
     prev_slice = None
@@ -509,11 +503,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                         ]
                     per_query[(meth, m)].extend(scores)
                     if cfg.dump_candidates:
-                        for c in cands:
-                            for rank, (item, score) in enumerate(c.items[:m], start=1):
-                                cand_dump[m].append(
-                                    f"{c.user}\t{c.chunk}\t{rank}\t{item}\t{score!r}\t{meth}"
-                                )
+                        dumps[m].append((meth, cands))
             logger.info("stage=eval chunk=%d queries=%d", slc.chunk, len(queries))
 
         if seen is not None:
@@ -528,19 +518,22 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             rep = aggregate(per_query[(meth, m)], eval_chunks, method=meth, m=m)
             rep.check_consistency()
             reports[(meth, m)] = rep
-    write_results(Path(cfg.out_dir), reports, cand_dump)
+    write_results(cfg, reports, dumps)
     return reports
 
 
 # -- result files -------------------------------------------------------------
 
 
-def write_results(out: Path, reports: dict[tuple[str, int], MetricsReport], candidates: dict[int, list[str]]) -> None:
-    """Write a run's results under ``out`` whole, from memory, and remove
-    every other file in ``metrics/`` and ``report/``, which the run owns:
+def write_results(cfg: RunConfig, reports: dict[tuple[str, int], MetricsReport], dumps: dict[int, list]) -> None:
+    """Write a run of ``cfg``'s results under its output directory whole,
+    from memory, and remove every other file in ``metrics/`` and
+    ``report/``, which the run owns:
 
+    - ``config.json``: ``cfg``, the config of the results beside it;
     - ``metrics/series.tsv`` and ``overall.tsv``: every report, by (method, M);
-    - ``metrics/candidates_M<M>.tsv``: the rows of ``candidates[M]``;
+    - ``metrics/candidates_M<M>.tsv``: the first M entries of each list of
+      each (method, lists) in ``dumps[M]``, in order;
     - ``report/table_M<M>.txt``: the methods' overall metrics side by side;
     - ``report/{recall,mrr,ndcg}_M<M>.tsv``: one row per chunk, one column
       per method. Every report of one M covers the same chunks.
@@ -557,8 +550,12 @@ def write_results(out: Path, reports: dict[tuple[str, int], MetricsReport], cand
         o = rep.overall
         overall.append(f"{meth}\t{m}\t{o.n_queries}\t{o.recall!r}\t{o.mrr!r}\t{o.ndcg!r}")
     files = {"metrics/series.tsv": series, "metrics/overall.tsv": overall}
-    for m, rows in candidates.items():
-        files[f"metrics/candidates_M{m}.tsv"] = ["user\tchunk\trank\titem\tscore\tmethod", *rows]
+    for m, dumped in dumps.items():
+        rows = files[f"metrics/candidates_M{m}.tsv"] = ["user\tchunk\trank\titem\tscore\tmethod"]
+        for meth, cands in dumped:
+            for c in cands:
+                for rank, (item, score) in enumerate(zip(c.ids[:m].tolist(), c.scores[:m].tolist()), start=1):
+                    rows.append(f"{c.user}\t{c.chunk}\t{rank}\t{item}\t{score!r}\t{meth}")
     for m in sorted({m for _, m in reports}):
         methods = [meth for meth in METHODS if (meth, m) in reports]
         table = [f"M={m}", f"{'method':<12}{'recall':>12}{'mrr':>12}{'ndcg':>12}{'queries':>10}"]
@@ -572,8 +569,10 @@ def write_results(out: Path, reports: dict[tuple[str, int], MetricsReport], cand
                 f"{c}\t" + "\t".join(repr(getattr(blocks[c], metric)) for blocks in per_chunk)
                 for c in sorted(per_chunk[0])
             ]
+    out = Path(cfg.out_dir)
     for name, lines in files.items():
         write_text(out / name, "\n".join(lines) + "\n")
+    cfg.to_json(out / "config.json")
     for sub in ("metrics", "report"):
         for p in (out / sub).iterdir():
             if f"{sub}/{p.name}" not in files and not p.is_dir():
@@ -581,8 +580,6 @@ def write_results(out: Path, reports: dict[tuple[str, int], MetricsReport], cand
 
 
 def read_reports(metrics_dir) -> dict[tuple[str, int], MetricsReport]:
-    from .metrics import MetricBlock
-
     metrics_dir = Path(metrics_dir)
     reports: dict[tuple[str, int], MetricsReport] = {}
     with open(metrics_dir / "series.tsv") as fh:

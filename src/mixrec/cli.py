@@ -1,13 +1,13 @@
 """Command-line pipeline: ingest, embed, cluster, init, backtest, synth.
 
-A JSON config file supplies defaults; every value can be overridden by a
-flag. ``ingest``, ``embed``, ``cluster``, ``init`` and ``backtest`` check
-the config against the record that every artifact in the output directory
-holds, write it there as ``config.json`` (which nothing reads back) and
-build every artifact they need that is missing, from the graph on.
-``backtest`` prints each method's overall metrics and writes its metrics,
-candidate lists and comparison tables (``report/table_M<M>.txt``) under
-the output directory, replacing those of any earlier run. Progress goes to
+A JSON config file supplies defaults, every value can be overridden by a
+flag, and the config is checked once, when it is made from the two.
+``ingest``, ``embed``, ``cluster``, ``init`` and ``backtest`` check it
+against the record of every artifact in the output directory and build
+every artifact they need that is missing, from the graph on. Only
+``backtest`` writes ``config.json``, with its metrics, candidate lists and
+comparison tables (``report/table_M<M>.txt``), replacing those of any
+earlier run, and prints each method's overall metrics. Progress goes to
 stderr as key=value lines.
 """
 
@@ -16,12 +16,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .backtest import (
     USER_COUNT_MODES,
+    EmbedParams,
     RunConfig,
     backtest,
     ensure_clusters,
@@ -30,7 +32,8 @@ from .backtest import (
     open_run,
     split_graph,
 )
-from .graph import format_stats, graph_stats
+from .graph import format_stats, graph_stats, write_edge_list
+from .npz import write_npz
 from .synth import SynthSpec, generate
 
 
@@ -61,21 +64,15 @@ def _add_config_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
 
 
-_EMBED_KEYS = {"dim", "epochs", "negatives", "lr", "batch_size"}
-
-
 def _build_config(args) -> RunConfig:
-    cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func", "include_seen") or value is None:
-            continue
-        if key in _EMBED_KEYS:
-            setattr(cfg.embed, key, value)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
-    if getattr(args, "include_seen", False):
-        cfg.exclude_seen = False
-    return cfg
+    """The ``--config`` file's config, or the defaults, with each given flag in place of its field."""
+    base = RunConfig.from_json(args.config) if args.config else RunConfig()
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    if args.include_seen:
+        given["exclude_seen"] = False
+    top = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
+    embed = {f.name: given[f.name] for f in fields(EmbedParams) if f.name in given}
+    return replace(base, **top, embed=replace(base.embed, **embed))
 
 
 def cmd_ingest(args) -> int:
@@ -122,13 +119,11 @@ def cmd_synth(args) -> int:
     )
     g, truth = generate(spec)
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     edge_path = prefix.with_suffix(".tsv")
-    with open(edge_path, "w") as fh:
-        for u, i, t in zip(g.users.tolist(), g.items.tolist(), g.chunks.tolist()):
-            fh.write(f"{u}\t{i}\t{t}\n")
-    np.savez_compressed(
+    write_edge_list(g, edge_path)
+    write_npz(
         prefix.with_name(prefix.name + "_truth.npz"),
+        None,
         theta=truth.theta,
         phi=truth.phi,
         z=np.concatenate(truth.z),

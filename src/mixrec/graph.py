@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .npz import write_npz
+from .npz import write_npz, write_text
 
 __all__ = [
     "GraphFormatError",
@@ -25,6 +25,7 @@ __all__ = [
     "ChunkSlice",
     "SplitSpec",
     "load_edge_list",
+    "write_edge_list",
     "regroup_chunks",
     "split",
     "graph_stats",
@@ -224,6 +225,12 @@ def load_edge_list(path, delimiter: str = "\t") -> EngagementGraph:
     if arr.shape[1] != 3:
         raise GraphFormatError(f"{path}: expected 3 integer columns, got {arr.shape[1]}")
     return from_raw_edges(arr[:, 0], arr[:, 1], arr[:, 2])
+
+
+def write_edge_list(g: EngagementGraph, path) -> None:
+    """Write ``g`` as ``load_edge_list`` reads it: ``user<TAB>item<TAB>chunk`` lines of its dense ids."""
+    rows = zip(g.users.tolist(), g.items.tolist(), g.chunks.tolist())
+    write_text(path, "".join(f"{u}\t{i}\t{t}\n" for u, i, t in rows))
 
 
 def from_raw_edges(raw_users, raw_items, raw_chunks) -> EngagementGraph:

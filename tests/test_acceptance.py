@@ -15,7 +15,7 @@ import pytest
 
 from mixrec.backtest import RunConfig, backtest
 from mixrec.clustering import cluster_items
-from mixrec.graph import ChunkSlice, EngagementGraph, IdMap, load_edge_list, regroup_chunks
+from mixrec.graph import ChunkSlice, EngagementGraph, IdMap, load_edge_list, regroup_chunks, write_edge_list
 from mixrec.initialization import build_init
 from mixrec.metrics import score_query
 from mixrec.retrieval import RetrievalConfig, batch_retrieve, retrieve_mixture
@@ -68,19 +68,13 @@ def synth_runs(tmp_path_factory):
     )
     g, _ = generate(spec)
     data = base / "synth.tsv"
-    with open(data, "w") as fh:
-        for u, i, t in zip(g.users.tolist(), g.items.tolist(), g.chunks.tolist()):
-            fh.write(f"{u}\t{i}\t{t}\n")
+    write_edge_list(g, data)
 
     def make_cfg(out):
-        cfg = RunConfig(
+        return RunConfig(
             data_path=str(data), out_dir=str(out), test_chunks=3, num_interests=5,
-            m_values=[20, 100], seed=3, exclude_seen=False,
+            m_values=[20, 100], seed=3, exclude_seen=False, embed={"dim": 16, "epochs": 30, "lr": 0.1},
         )
-        cfg.embed.dim = 16
-        cfg.embed.epochs = 30
-        cfg.embed.lr = 0.1
-        return cfg
 
     reports = {}
     for run in ("run1", "run2"):
@@ -251,10 +245,8 @@ class TestDirectionalReproduction:
             m_values=[100],
             seed=0,
             methods=["micro", "ann", "popularity"],
+            embed={"dim": 64, "epochs": 5, "negatives": 5},
         )
-        cfg.embed.dim = 64
-        cfg.embed.epochs = 5
-        cfg.embed.negatives = 5
         reports = backtest(cfg)
         micro = reports[("micro", 100)].overall.recall
         ann = reports[("ann", 100)].overall.recall

@@ -12,10 +12,10 @@ import pytest
 import mixrec.backtest
 import mixrec.retrieval
 import mixrec.sweep_kernel as sweep_kernel
-from mixrec.backtest import RunConfig, _SeenTracker, backtest, read_reports, write_results
+from mixrec.backtest import EmbedParams, RunConfig, _SeenTracker, backtest, read_reports, write_results
 from mixrec.cli import main as cli_main
 from mixrec.clustering import load_clusters, save_clusters
-from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split
+from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split, write_edge_list
 from mixrec.metrics import MetricBlock, MetricsReport, build_queries
 from mixrec.synth import SynthSpec, generate
 
@@ -32,13 +32,17 @@ def synth_edges(tmp_path_factory):
     )
     g, _ = generate(spec)
     path = d / "edges.tsv"
-    with open(path, "w") as fh:
-        for u, i, t in zip(g.users.tolist(), g.items.tolist(), g.chunks.tolist()):
-            fh.write(f"{u}\t{i}\t{t}\n")
+    write_edge_list(g, path)
     return path
 
 
+EMBED_FIELDS = {f.name for f in dataclasses.fields(EmbedParams)}
+
+
 def small_config(data_path, out_dir, **kw) -> RunConfig:
+    """A small run's config; an embedding field in ``kw`` goes to ``embed``."""
+    embed = {"dim": 8, "epochs": 4, "negatives": 3}
+    embed.update((k, kw.pop(k)) for k in EMBED_FIELDS & set(kw))
     base = dict(
         data_path=str(data_path),
         out_dir=str(out_dir),
@@ -48,13 +52,10 @@ def small_config(data_path, out_dir, **kw) -> RunConfig:
         m_values=[10],
         seed=5,
         exclude_seen=False,
+        embed=embed,
     )
     base.update(kw)
-    cfg = RunConfig(**base)
-    cfg.embed.dim = 8
-    cfg.embed.epochs = 4
-    cfg.embed.negatives = 3
-    return cfg
+    return RunConfig(**base)
 
 
 def report_bytes(out_dir) -> dict[str, bytes]:
@@ -507,16 +508,35 @@ class TestBacktest:
         ],
     )
     def test_bad_config_fails_before_writing(self, synth_edges, tmp_path, bad):
+        # a bad value raises when the config is made, so no run starts with
+        # it; and a made config, checked, cannot take it afterwards
         out = tmp_path / "bad"
+        with pytest.raises(ValueError):
+            small_config(synth_edges, out, **{"methods": ["micro", "popularity"], **bad})
         cfg = small_config(synth_edges, out, methods=["micro", "popularity"])
         for key, value in bad.items():
-            setattr(cfg.embed if key in ("dim", "lr", "batch_size") else cfg, key, value)
-        with pytest.raises(ValueError):
-            backtest(cfg)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg.embed if key in EMBED_FIELDS else cfg, key, value)
         assert not out.exists()
-        # the corrected run is not refused as stale
-        backtest(small_config(synth_edges, out, methods=["micro", "popularity"]))
-        assert (out / "metrics" / "overall.tsv").exists()
+
+    def test_failed_run_leaves_the_last_record(self, synth_edges, tmp_path):
+        # a backtest that fails after open_run, here when clustering finds
+        # K=500 above the item count, leaves config.json, metrics/ and
+        # report/ of the last run that returned byte for byte: config.json
+        # names the config of the results beside it
+        out = tmp_path / "r"
+        backtest(small_config(synth_edges, out, methods=["popularity"], m_values=[5]))
+
+        def record():
+            files = [out / "config.json", *(out / "metrics").iterdir(), *(out / "report").iterdir()]
+            return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(files)}
+
+        before = record()
+        with pytest.raises(ValueError, match="K=500 exceeds item count"):
+            backtest(small_config(synth_edges, out, methods=["micro"], num_interests=500, m_values=[7]))
+        assert (out / "embeddings.npz").exists()  # the failed run got past open_run
+        assert record() == before
+        assert json.loads(before["config.json"])["methods"] == ["popularity"]
 
     def test_side_file_rewritten_after_failed_stage(self, synth_edges, tmp_path, monkeypatch):
         # a stage that fails after its work but before its side file is
@@ -571,8 +591,7 @@ class TestBacktest:
 
 class TestRunConfig:
     def test_json_roundtrip(self, tmp_path):
-        cfg = RunConfig(data_path="a.tsv", out_dir="o", m_values=[7], seed=3)
-        cfg.embed.dim = 12
+        cfg = RunConfig(data_path="a.tsv", out_dir="o", m_values=[7], seed=3, embed={"dim": 12})
         p = tmp_path / "cfg.json"
         cfg.to_json(p)
         cfg2 = RunConfig.from_json(p)
@@ -633,12 +652,12 @@ class TestReportIO:
         rep.per_chunk[4] = MetricBlock(n_queries=3, recall=0.5, mrr=0.25, ndcg=1 / 3)
         rep.per_chunk[5] = MetricBlock(n_queries=1, recall=1.0, mrr=1.0, ndcg=1.0)
         rep.overall = MetricBlock(n_queries=4, recall=0.625, mrr=0.4375, ndcg=0.5)
-        write_results(tmp_path, {("micro", 10): rep}, {})
+        write_results(RunConfig(out_dir=str(tmp_path)), {("micro", 10): rep}, {})
         got = read_reports(tmp_path / "metrics")[("micro", 10)]
         assert got.per_chunk == rep.per_chunk
         assert got.overall == rep.overall
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == [
-            "metrics/overall.tsv", "metrics/series.tsv", "report/mrr_M10.tsv", "report/ndcg_M10.tsv",
+            "config.json", "metrics/overall.tsv", "metrics/series.tsv", "report/mrr_M10.tsv", "report/ndcg_M10.tsv",
             "report/recall_M10.tsv", "report/table_M10.txt",
         ]
         assert (tmp_path / "report" / "ndcg_M10.tsv").read_text() == f"chunk\tmicro\n4\t{1 / 3!r}\n5\t1.0\n"
@@ -689,14 +708,13 @@ class TestCli:
         assert {p: p.stat().st_mtime_ns for p in Path("r").rglob("*")} == stamps
 
     def test_ingest_directory_refuses_changed_data(self, synth_edges, tmp_path, monkeypatch):
-        # ingest starts through open_run, as every other stage does: it
-        # writes config.json, and graph.npz's record refuses a changed file
+        # ingest starts through open_run, as every other stage does, and
+        # graph.npz's record refuses a changed file
         monkeypatch.chdir(tmp_path)
         Path("e.tsv").write_bytes(synth_edges.read_bytes())
         ingest = ["ingest", "--data", "e.tsv", "--out", "r"]
         assert cli_main(ingest) == 0
         assert cli_main(ingest) == 0
-        assert json.loads(Path("r/config.json").read_text())["data_path"] == "e.tsv"
         stamp = Path("r/graph.npz").stat().st_mtime_ns
         with open("e.tsv", "a") as fh:
             fh.write("0\t0\t0\n")
@@ -753,8 +771,8 @@ class TestCli:
             assert (tmp_path / d / "cluster_map.tsv").read_bytes() == (tmp_path / "s" / "cluster_map.tsv").read_bytes()
 
     def test_rerun_after_rejected_config(self, tmp_path, monkeypatch):
-        # a stage that rejects the config leaves config.json with the bad
-        # value; a corrected rerun is accepted, since no built artifact
+        # a stage that rejects the config leaves no config.json in a fresh
+        # directory; a corrected rerun is accepted, since no built artifact
         # depends on the field, and reuses what was built
         monkeypatch.chdir(tmp_path)
         cli_main(["synth", "--users", "60", "--items", "150", "--chunks", "5", "--seed", "1",
@@ -767,12 +785,14 @@ class TestCli:
 
         with pytest.raises(ValueError, match="leaves no train chunks"):
             cli_main([*run, "--out", "t", "--interests", "5", "--test-chunks", "5"])
+        assert not Path("t/config.json").exists()
         graph = stamp("t/graph.npz")
         assert cli_main([*run, "--out", "t", "--interests", "5", "--test-chunks", "3"]) == 0
         assert stamp("t/graph.npz") == graph
         with pytest.raises(ValueError, match="K=500 exceeds item count"):
             cli_main([*run, "--out", "k", "--interests", "500"])
         assert not Path("k/clusters.npz").exists()
+        assert not Path("k/config.json").exists()
         emb = stamp("k/embeddings.npz")
         assert cli_main([*run, "--out", "k", "--interests", "5"]) == 0
         assert stamp("k/embeddings.npz") == emb
@@ -806,11 +826,11 @@ class TestCli:
         assert {p: p.stat().st_mtime_ns for p in (tmp_path / "a").rglob("*")} == stamps
 
     def test_changed_config_refused_without_config_json(self, synth_edges, tmp_path):
-        # the artifacts, not config.json, record what they were built from
+        # the artifacts, not config.json, record what they were built from;
+        # init writes no config.json
         out = tmp_path / "r"
         common = ["--data", str(synth_edges), "--out", str(out), "--dim", "6", "--epochs", "2"]
         assert cli_main(["init", *common, "--interests", "5"]) == 0
-        (out / "config.json").unlink()
         stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
         with pytest.raises(ValueError, match="holds clusters.npz, init.npz built with a different num_interests;"):
             cli_main(["backtest", *common, "--interests", "3"])
@@ -864,12 +884,11 @@ class TestCli:
         common = ["--data", "d/s.tsv", "--out", "r", "--test-chunks", "1", "--dim", "6", "--epochs", "2"]
         for stage in ("embed", "cluster", "init"):
             assert cli_main([stage, *common, "--interests", "5"]) == 0
-        assert json.loads(Path("r/config.json").read_text())["num_interests"] == 5
         stamp = Path("r/init.npz").stat().st_mtime_ns
         with pytest.raises(ValueError, match="num_interests, alpha"):
             cli_main(["init", *common, "--interests", "3", "--alpha", "5"])
         assert Path("r/init.npz").stat().st_mtime_ns == stamp
-        # a backtest there sees the stages' config.json too
+        # a backtest there is refused by the stages' artifacts too
         with pytest.raises(ValueError, match="num_interests, alpha"):
             cli_main(["backtest", *common, "--interests", "3", "--alpha", "5"])
         assert Path("r/init.npz").stat().st_mtime_ns == stamp
@@ -884,10 +903,8 @@ class TestCli:
         cfg = RunConfig(
             data_path="d/s.tsv", out_dir="cfg-run", test_chunks=2,
             num_interests=3, m_values=[5], methods=["popularity"],
-            exclude_seen=False, dump_candidates=True, seed=9,
+            exclude_seen=False, dump_candidates=True, seed=9, embed={"dim": 6, "epochs": 2},
         )
-        cfg.embed.dim = 6
-        cfg.embed.epochs = 2
         cfg.to_json(tmp_path / "run.json")
         # the flag overrides the file's m_values; dump_candidates survives
         assert cli_main(["backtest", "--config", "run.json", "--m", "4"]) == 0
@@ -910,3 +927,5 @@ class TestCli:
         assert (Path("r") / "cluster_map.tsv").exists()
         assert cli_main(["init", *common]) == 0
         assert (Path("r") / "init.npz").exists()
+        # the stage commands write no config.json; only backtest does, with its results
+        assert not (Path("r") / "config.json").exists()

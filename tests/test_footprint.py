@@ -34,16 +34,16 @@ load_kernel()  # hashes the source for its cache key
 steps["load_kernel"] = unwanted_modules()
 
 from mixrec.backtest import RunConfig, backtest
+from mixrec.graph import write_edge_list
 from mixrec.synth import SynthSpec, generate
 
 data = out / "edges.tsv"
 if not data.exists():
     g, _ = generate(SynthSpec(num_users=40, num_items=80, num_interests=3, num_chunks=4,
                               engagements_per_user=8, support_size=2, seed=3))
-    data.write_text("".join(f"{u}\t{i}\t{t}\n" for u, i, t in zip(g.users.tolist(), g.items.tolist(), g.chunks.tolist())))
+    write_edge_list(g, data)
 cfg = RunConfig(data_path=str(data), out_dir=str(out / "run"), test_chunks=2, num_interests=3,
-                kmeans_iters=5, m_values=[5], seed=1, user_count_mode="accumulate")
-cfg.embed.dim, cfg.embed.epochs = 8, 2
+                kmeans_iters=5, m_values=[5], seed=1, user_count_mode="accumulate", embed={"dim": 8, "epochs": 2})
 backtest(cfg)
 steps["backtest"] = unwanted_modules()
 print(json.dumps(steps))
