@@ -435,6 +435,8 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     need_emb = bool({"micro", "mle", "ann"} & set(methods))
     need_init = bool({"micro", "mle"} & set(methods))
     emb = ensure_embeddings(cfg, train, data) if need_emb else None
+    # ann gives a user without a train engagement the popularity list
+    warm = np.bincount(train.users, minlength=train.num_users) > 0
     init = None
     mix = None
     if need_init:
@@ -469,7 +471,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             pop_rank = popularity_ranking(prev_slice)
             indexes = {"popularity": pop_rank}
             if "ann" in methods:
-                indexes["ann"] = ann_encode_items(prev_slice, emb)
+                indexes["ann"] = ann_encode_items(prev_slice, emb, pop_rank, warm)
             # the fitted model's counts are final: read them once for every M
             tables = chunk_tables(prev_model) if "micro" in methods else None
 

@@ -22,8 +22,12 @@ __all__ = ["ClusterAssignment", "cluster_items", "save_clusters", "load_clusters
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterAssignment:
+    """Each item's interest, the K unit centroids and the objective per
+    iteration. Checked when it is made: a centroid off unit norm or an
+    interest outside [0, K) raises ``ValueError``."""
+
     item_to_interest: np.ndarray
     centroids: np.ndarray
     objective_history: list[float] = field(default_factory=list)
@@ -32,7 +36,7 @@ class ClusterAssignment:
     def num_interests(self) -> int:
         return self.centroids.shape[0]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         norms = np.linalg.norm(self.centroids, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("centroids must be unit norm")
@@ -152,13 +156,11 @@ def cluster_items(
 
     item_to_interest = np.zeros(n, dtype=np.int64)
     item_to_interest[live] = assign
-    result = ClusterAssignment(
+    return ClusterAssignment(
         item_to_interest=item_to_interest,
         centroids=centroids,
         objective_history=history,
     )
-    result.validate()
-    return result
 
 
 def export_cluster_map(cluster: ClusterAssignment, path) -> None:
@@ -177,10 +179,8 @@ def save_clusters(cluster: ClusterAssignment, path, source=None) -> None:
 
 def load_clusters(path) -> ClusterAssignment:
     with np.load(path) as z:
-        c = ClusterAssignment(
+        return ClusterAssignment(
             item_to_interest=z["item_to_interest"],
             centroids=z["centroids"],
             objective_history=z["objective_history"].tolist(),
         )
-    c.validate()
-    return c

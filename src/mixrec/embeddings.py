@@ -23,8 +23,11 @@ __all__ = ["EmbeddingTable", "check_embedding_args", "train_embeddings", "save_e
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingTable:
+    """One vector per user and per item and each epoch's mean loss, checked
+    when it is made: a dimension below 1 or a non-finite value raises."""
+
     user_vectors: np.ndarray
     item_vectors: np.ndarray
     epoch_losses: list[float] = field(default_factory=list)
@@ -33,7 +36,7 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.user_vectors.shape[1]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not (np.isfinite(self.user_vectors).all() and np.isfinite(self.item_vectors).all()):
@@ -234,7 +237,6 @@ def train_embeddings(
         logger.info("embed epoch=%d mean_loss=%.6f", epoch, mean_loss)
 
     table = EmbeddingTable(user_vectors=u_emb, item_vectors=i_emb, epoch_losses=losses)
-    table.validate()
     if epochs > 1 and losses[-1] >= losses[0]:
         logger.warning(
             "embedding loss did not decrease (first=%.6f last=%.6f)", losses[0], losses[-1]
@@ -253,10 +255,8 @@ def save_embeddings(table: EmbeddingTable, path, source=None) -> None:
 
 def load_embeddings(path) -> EmbeddingTable:
     with np.load(path) as z:
-        table = EmbeddingTable(
+        return EmbeddingTable(
             user_vectors=z["user_vectors"],
             item_vectors=z["item_vectors"],
             epoch_losses=z["epoch_losses"].tolist(),
         )
-    table.validate()
-    return table

@@ -109,9 +109,15 @@ class ChunkSlice:
         return len(self.users)
 
     @cached_property
-    def item_pool(self) -> np.ndarray:
-        """Distinct items with at least one engagement in this chunk."""
-        return _freeze(np.unique(self.items))
+    def _pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The chunk's items sorted once, all read-only: ``item_pool``, the
+        distinct items ascending; ``item_rows``, each engagement's position
+        in it; ``item_counts``, each pool item's engagement count."""
+        return tuple(map(_freeze, np.unique(self.items, return_inverse=True, return_counts=True)))
+
+    item_pool = property(lambda self: self._pool[0])
+    item_rows = property(lambda self: self._pool[1])
+    item_counts = property(lambda self: self._pool[2])
 
     def user_items(self, user: int) -> np.ndarray:
         """Items engaged by ``user`` in this chunk (duplicates preserved)."""
@@ -128,7 +134,9 @@ class ChunkSlice:
 
 @dataclass(frozen=True)
 class EngagementGraph:
-    """Time-chunked bipartite engagement multiset with dense ids."""
+    """Time-chunked bipartite engagement multiset with dense ids, checked
+    when it is made: parallel edge arrays, every id and chunk ordinal in
+    range. The arrays are then read-only."""
 
     users: np.ndarray
     items: np.ndarray
@@ -140,23 +148,17 @@ class EngagementGraph:
     item_ids: IdMap
 
     def __post_init__(self):
-        for a in (self.users, self.items, self.chunks):
+        if not (len(self.users) == len(self.items) == len(self.chunks)):
+            raise ValueError("parallel edge arrays disagree on length")
+        for what, a, n in (("user id", self.users, self.num_users), ("item id", self.items, self.num_items),
+                           ("chunk ordinal", self.chunks, self.num_chunks)):
+            if len(a) and (a.min() < 0 or a.max() >= n):
+                raise ValueError(f"{what} out of range")
             a.setflags(write=False)
 
     @property
     def num_edges(self) -> int:
         return len(self.users)
-
-    def validate(self) -> None:
-        if not (len(self.users) == len(self.items) == len(self.chunks)):
-            raise ValueError("parallel edge arrays disagree on length")
-        if self.num_edges:
-            if self.users.min() < 0 or self.users.max() >= self.num_users:
-                raise ValueError("user id out of range")
-            if self.items.min() < 0 or self.items.max() >= self.num_items:
-                raise ValueError("item id out of range")
-            if self.chunks.min() < 0 or self.chunks.max() >= self.num_chunks:
-                raise ValueError("chunk ordinal out of range")
 
     def slice(self, chunk: int) -> ChunkSlice:
         mask = self.chunks == chunk
@@ -238,14 +240,12 @@ def from_raw_edges(raw_users, raw_items, raw_chunks) -> EngagementGraph:
     raw_users = np.asarray(raw_users, dtype=np.int64)
     raw_items = np.asarray(raw_items, dtype=np.int64)
     raw_chunks = np.asarray(raw_chunks, dtype=np.int64)
-    if not (len(raw_users) == len(raw_items) == len(raw_chunks)):
-        raise ValueError("edge arrays disagree on length")
     if len(raw_users) == 0:
         raise EmptyInputError("no engagement records")
     uniq_u, users = np.unique(raw_users, return_inverse=True)
     uniq_i, items = np.unique(raw_items, return_inverse=True)
     uniq_t, chunks = np.unique(raw_chunks, return_inverse=True)
-    g = EngagementGraph(
+    return EngagementGraph(
         users=users.astype(np.int64),
         items=items.astype(np.int64),
         chunks=chunks.astype(np.int64),
@@ -255,8 +255,6 @@ def from_raw_edges(raw_users, raw_items, raw_chunks) -> EngagementGraph:
         user_ids=IdMap(_freeze(uniq_u)),
         item_ids=IdMap(_freeze(uniq_i)),
     )
-    g.validate()
-    return g
 
 
 def regroup_chunks(g: EngagementGraph, factor: int) -> EngagementGraph:
@@ -340,7 +338,7 @@ def save_graph(g: EngagementGraph, path, source=None) -> None:
 def load_graph(path) -> EngagementGraph:
     with np.load(path) as z:
         dims = z["dims"]
-        g = EngagementGraph(
+        return EngagementGraph(
             users=z["users"],
             items=z["items"],
             chunks=z["chunks"],
@@ -350,5 +348,3 @@ def load_graph(path) -> EngagementGraph:
             user_ids=IdMap(_freeze(z["raw_users"])),
             item_ids=IdMap(_freeze(z["raw_items"])),
         )
-    g.validate()
-    return g

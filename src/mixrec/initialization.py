@@ -20,7 +20,7 @@ from .npz import write_npz
 __all__ = ["InitArtifact", "MleMixture", "build_init", "mle_mixture", "save_init", "load_init"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitArtifact:
     """Sparse t=0 count tables, prior supports, and prior masses.
 
@@ -29,7 +29,9 @@ class InitArtifact:
     aligned counts in ``support_n0``. Item-interest counts at t=0 are
     degenerate by construction (each item's engagements all carry its own
     cluster's interest), so they are stored as ``item_n0`` plus
-    ``item_interest``.
+    ``item_interest``. Checked when it is made: a prior, length, count,
+    interest or support order the sampler cannot take raises ``ValueError``
+    naming it.
     """
 
     num_users: int
@@ -53,7 +55,7 @@ class InitArtifact:
     def is_cold(self, user: int) -> bool:
         return self.support_ptr[user] == self.support_ptr[user + 1]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_priors(self.alpha, self.beta)
         U, I, K = self.num_users, self.num_items, self.num_interests
         ptr = self.support_ptr
@@ -100,7 +102,6 @@ def build_init(
     ``item_interest`` maps dense item id -> interest id and must cover every
     item appearing in ``train``.
     """
-    _check_priors(alpha, beta)
     item_interest = np.asarray(item_interest, dtype=np.int64)
     if len(item_interest) < train.num_items:
         raise InconsistentClusterError(
@@ -125,7 +126,7 @@ def build_init(
         [[0], np.cumsum(np.bincount(pair_users, minlength=U))]
     ).astype(np.int64)
 
-    art = InitArtifact(
+    return InitArtifact(
         num_users=U,
         num_items=train.num_items,
         num_interests=K,
@@ -137,8 +138,6 @@ def build_init(
         item_interest=item_interest[: train.num_items].copy(),
         item_n0=item_n0,
     )
-    art.validate()
-    return art
 
 
 @dataclass
@@ -209,7 +208,7 @@ def load_init(path) -> InitArtifact:
             raise ValueError(f"unsupported init artifact version {z['version'][0]} "
                              f"(this version reads {_INIT_VERSION}); rebuild it in a new output directory")
         dims = z["dims"]
-        art = InitArtifact(
+        return InitArtifact(
             num_users=int(dims[0]),
             num_items=int(dims[1]),
             num_interests=int(dims[2]),
@@ -221,5 +220,3 @@ def load_init(path) -> InitArtifact:
             item_interest=z["item_interest"],
             item_n0=z["item_n0"],
         )
-    art.validate()
-    return art

@@ -23,10 +23,16 @@ index per method:
   ``InterestIndex`` of the t=0 tables' top-L lists restricted to the
   source chunk's pool (one per chunk and L); the weights are
   ``MleMixture.p_k_given_u``.
-- ``ann``: ``ann_encode_items(slice_, emb)``, an ``AnnIndex`` of the pool's
-  engagement-averaged item vectors, their norms and the user vectors.
+- ``ann``: ``ann_encode_items(slice_, emb, ranking, warm)``, an ``AnnIndex``
+  of the pool's engagement-averaged item vectors, their norms, the user
+  vectors, the popularity ranking and which users are ``warm``.
 - ``popularity``: ``popularity_ranking(slice_)``, the pool by engagement
   count.
+
+One cold-user rule holds for every method: the list of a user without
+train history (a cold user) is the first M unseen items of the source
+chunk's popularity ranking, which every index holds. Under the mixtures
+such a user has no interests; under ``ann`` the user is not ``warm``.
 
 Only the mixtures' indexes take a list length L, which the backtest sets
 to 5*M, so they depend on M through L alone; ``ann`` and ``popularity``
@@ -44,9 +50,8 @@ holds each interest's list over an ascending candidate pool as its counted
 entries (pool positions and probabilities) plus one run of pool positions
 that all carry the interest's smoothed floor value, every user's
 (interests, weights) as one CSR over users, read in place by each query,
-and the pool's popularity ranking (the builders' ``ranking``), whose first
-M unseen items are always the list of a user without interests (a cold
-user) under both mixtures.
+and the pool's popularity ranking (the builders' ``ranking``), the list
+of a user without interests.
 Only the micro lists have floor runs: every pool item without a count under
 an interest has the same smoothed probability there, so it is stored once
 per interest, not once per item (SparseLDA's smoothing-only bucket, Yao,
@@ -82,7 +87,6 @@ buffer) as a ``CandidateList``'s ``ids`` and ``scores``, from which its
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -114,9 +118,8 @@ __all__ = [
     "batch_retrieve",
 ]
 
-logger = logging.getLogger(__name__)
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalConfig:
     """What every retriever reads: the list length and seen exclusion."""
 
@@ -460,12 +463,15 @@ def retrieve_mixture(
 @dataclass(frozen=True)
 class AnnIndex:
     """Chunk item vectors over the ascending ``pool_items``, their norms,
-    and the user vectors they are compared with."""
+    the user vectors they are compared with, the pool's ``popularity``
+    ranking and ``warm``, whether each user has a train engagement."""
 
     pool_items: np.ndarray
     item_vecs: np.ndarray
     norms: np.ndarray
     user_vectors: np.ndarray
+    popularity: tuple[np.ndarray, np.ndarray]
+    warm: np.ndarray
     # data addresses of pool_items and norms for the kernel
     _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -473,15 +479,17 @@ class AnnIndex:
         object.__setattr__(self, "_c", _addresses(self, pool_items=np.int64, norms=np.float64))
         _check(len(self.item_vecs) == len(self.norms) == len(self.pool_items), "one vector and norm per pool item")
         _check(_ascending(self.pool_items), "pool_items must be strictly ascending")
+        _check(len(self.warm) == len(self.user_vectors), "one warm flag per user vector")
 
 
-def ann_encode_items(slice_: ChunkSlice, emb: EmbeddingTable) -> AnnIndex:
-    """Chunk item vectors as per-engagement means of engaging users' vectors."""
-    pool, inv = np.unique(slice_.items, return_inverse=True)
-    acc = gather_sum(inv, emb.user_vectors, len(pool), vidx=slice_.users)
-    counts = np.bincount(inv, minlength=len(pool))
-    vecs = acc / counts[:, None]
-    return AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), emb.user_vectors)
+def ann_encode_items(
+    slice_: ChunkSlice, emb: EmbeddingTable, ranking: tuple[np.ndarray, np.ndarray], warm: np.ndarray
+) -> AnnIndex:
+    """Chunk item vectors as per-engagement means of engaging users'
+    vectors, with the chunk's ``popularity_ranking`` and ``warm`` users."""
+    pool = slice_.item_pool
+    vecs = gather_sum(slice_.item_rows, emb.user_vectors, len(pool), vidx=slice_.users) / slice_.item_counts[:, None]
+    return AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), emb.user_vectors, ranking, warm)
 
 
 def ann_retrieve(
@@ -489,8 +497,9 @@ def ann_retrieve(
 ) -> CandidateList:
     """Exact top-M by cosine between the user vector and chunk item vectors.
 
-    Zero-norm item vectors rank last (cosine undefined, scored -inf); a
-    zero-norm user vector yields an empty list with a warning.
+    Zero-norm item vectors rank last (cosine undefined, scored -inf). A
+    user who is not warm, or whose vector has zero norm, gets the first M
+    unseen items of ``idx.popularity``.
     """
     if not 0 <= u < len(idx.user_vectors):
         raise IndexError(f"user {u} outside [0, {len(idx.user_vectors)})")
@@ -498,9 +507,8 @@ def ann_retrieve(
     uv = idx.user_vectors[u]
     # the bits of np.linalg.norm(uv), which is sqrt(uv.dot(uv)) for a real vector
     un = math.sqrt(uv @ uv)
-    if un == 0.0:
-        logger.warning("user %d has a zero embedding; returning no candidates", u)
-        return CandidateList(u, chunk)
+    if not idx.warm[u] or un == 0.0:
+        return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
     # numpy's BLAS product in both paths: C would sum in another order
     dots = idx.item_vecs @ uv
     kernel = load_kernel()
@@ -517,7 +525,7 @@ def ann_retrieve(
 def popularity_ranking(slice_: ChunkSlice) -> tuple[np.ndarray, np.ndarray]:
     """Chunk items by engagement count desc, ties by ascending item id; the
     counts are the items' ``float64`` scores."""
-    items, counts = np.unique(slice_.items, return_counts=True)
+    items, counts = slice_.item_pool, slice_.item_counts
     order = np.lexsort((items, -counts))
     return items[order], counts[order].astype(np.float64)
 

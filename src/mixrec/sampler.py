@@ -74,7 +74,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     """One chunk's sweep budget, tolerance and seed. User counts reset to
     t=0 unless the fit gets a ``UserCounts`` ledger as ``base``."""
@@ -283,9 +283,8 @@ class ChunkModel:
         self._cptr = np.concatenate([[0], np.cumsum(ccap)]).astype(np.int64)
 
         # item rows: one per chunk item, capacity = its engagements
-        self._irow = np.searchsorted(slice_.item_pool, slice_.items).astype(np.int64)
-        icap = np.bincount(self._irow, minlength=len(slice_.item_pool))
-        self._iptr = np.concatenate([[0], np.cumsum(icap)]).astype(np.int64)
+        self._irow = slice_.item_rows
+        self._iptr = np.concatenate([[0], np.cumsum(slice_.item_counts)]).astype(np.int64)
 
         warm_e = ~cold[self._erow]
         if z is None:

@@ -35,7 +35,7 @@ __all__ = [
 _PSEUDO_COUNT = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     num_users: int
     num_items: int
@@ -127,7 +127,6 @@ def generate(spec: SynthSpec) -> tuple[EngagementGraph, SynthTruth]:
         user_ids=IdMap(np.arange(U)),
         item_ids=IdMap(np.arange(I)),
     )
-    g.validate()
     truth = SynthTruth(
         theta=theta, supports=supports, phi=phi, z=z_per_chunk, item_block=item_block
     )
@@ -152,7 +151,7 @@ def init_from_truth(
     support_n0 = np.maximum(
         np.rint(truth.theta[users, support_k] * _PSEUDO_COUNT), 1
     ).astype(np.int64)
-    art = InitArtifact(
+    return InitArtifact(
         num_users=U,
         num_items=num_items,
         num_interests=K,
@@ -164,8 +163,6 @@ def init_from_truth(
         item_interest=truth.item_block.copy(),
         item_n0=np.zeros(num_items, dtype=np.int64),
     )
-    art.validate()
-    return art
 
 
 @dataclass

@@ -1,0 +1,100 @@
+"""Every artifact type checks itself when it is made: a bad value raises
+``ValueError`` naming it, whether the artifact is built in memory or read
+from a file by the type's loader, and a made artifact is frozen."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from mixrec.clustering import cluster_items, load_clusters, save_clusters
+from mixrec.embeddings import EmbeddingTable, load_embeddings, save_embeddings
+from mixrec.graph import SplitSpec, from_raw_edges, load_graph, regroup_chunks, save_graph, split
+from mixrec.initialization import build_init, load_init, save_init
+from mixrec.npz import write_npz
+
+
+def graph():
+    return from_raw_edges([0, 0, 1, 2, 2], [0, 1, 1, 2, 0], [0, 0, 1, 1, 2])
+
+
+def table():
+    rng = np.random.default_rng(0)
+    return EmbeddingTable(user_vectors=rng.normal(size=(3, 4)), item_vectors=rng.normal(size=(5, 4)), epoch_losses=[0.5])
+
+
+def clusters():
+    return cluster_items(np.random.default_rng(1).normal(size=(6, 3)), K=2, iters=5, seed=0)
+
+
+def init():
+    return build_init(graph(), item_interest=[0, 1, 1], num_interests=2)
+
+
+def bumped(a, at=-1, by=1):
+    a = np.array(a)
+    a[at] += by
+    return a
+
+
+def nan_at(a):
+    a = np.array(a, dtype=np.float64)
+    a.flat[-1] = np.nan
+    return a
+
+
+# (artifact, its save and load, field, bad value from the good artifact, message)
+CASES = {
+    "graph-user": (graph, save_graph, load_graph, "users", lambda g: bumped(g.users, by=g.num_users), "user id out of range"),
+    "graph-item": (graph, save_graph, load_graph, "items", lambda g: bumped(g.items, at=0, by=-1), "item id out of range"),
+    "graph-chunk": (graph, save_graph, load_graph, "chunks", lambda g: bumped(g.chunks, by=1), "chunk ordinal out of range"),
+    "graph-length": (graph, save_graph, load_graph, "items", lambda g: g.items[:-1], "disagree on length"),
+    "embedding-nan": (table, save_embeddings, load_embeddings, "item_vectors", lambda t: nan_at(t.item_vectors), "non-finite"),
+    "embedding-inf": (table, save_embeddings, load_embeddings, "user_vectors", lambda t: np.full_like(t.user_vectors, np.inf), "non-finite"),
+    "embedding-dim": (table, save_embeddings, load_embeddings, "user_vectors", lambda t: np.empty((3, 0)), "dimension must be >= 1"),
+    "clusters-norm": (clusters, save_clusters, load_clusters, "centroids", lambda c: 2 * c.centroids, "unit norm"),
+    "clusters-interest": (clusters, save_clusters, load_clusters, "item_to_interest", lambda c: bumped(c.item_to_interest, by=2), r"outside \[0, K\)"),
+    "init-count": (init, save_init, load_init, "support_n0", lambda a: bumped(a.support_n0, by=-a.support_n0[-1]), "support counts must be positive"),
+    "init-interest": (init, save_init, load_init, "support_k", lambda a: bumped(a.support_k, by=2), r"support_k must lie in \[0, 2\)"),
+    "init-ptr": (init, save_init, load_init, "support_ptr", lambda a: a.support_ptr[[0, 2, 1, 3]], "support_ptr must not decrease"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bad_value_raises_when_made_and_when_loaded(case, tmp_path):
+    make, save, load, name, bad, message = CASES[case]
+    good = make()
+    value = bad(good)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(good, **{name: value})
+    # the loader builds the artifact from the file's members, so it refuses
+    # a file holding the bad member the same way
+    path = tmp_path / "artifact.npz"
+    save(good, path)
+    with np.load(path) as z:
+        members = {**z, name: value}
+    write_npz(path, None, **members)
+    with pytest.raises(ValueError, match=message):
+        load(path)
+    # the good artifact is frozen, so it stays checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(good, name, value)
+
+
+def test_split_and_regroup_check_the_graphs_they_make():
+    # a graph whose user count was lowered after its check (object.__setattr__
+    # passes the frozen guard): split's train graph and a regrouped graph are
+    # checked when made, so both raise instead of passing the bad ids on
+    g = graph()
+    object.__setattr__(g, "num_users", 2)
+    with pytest.raises(ValueError, match="user id out of range"):
+        split(g, SplitSpec(t_split=2))
+    with pytest.raises(ValueError, match="user id out of range"):
+        regroup_chunks(g, 2)
+    train, test = split(graph(), SplitSpec(t_split=2))
+    assert (train.num_edges, [len(s) for s in test]) == (4, [1])
+
+
+def test_raw_edges_of_unequal_length_refused():
+    with pytest.raises(ValueError, match="disagree on length"):
+        from_raw_edges([0, 1], [0], [0, 0])

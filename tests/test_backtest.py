@@ -262,11 +262,12 @@ class TestBacktest:
         assert (metrics / "overall.tsv").read_text() == "\n".join(overall[:1] + sorted(overall[1:], key=key)) + "\n"
 
     def test_cold_users_get_the_popularity_list(self, synth_edges, tmp_path, monkeypatch):
-        # a user absent from train has no interests under either mixture, so
-        # each of their micro and mle rows is that query's popularity row:
-        # rank, id and score repr, with their seen items dropped; at two M
-        # (M=3 cut from M=10's popularity lists, each mixture retrieved per
-        # M), on the compiled selection (when built) and the numpy one
+        # a user absent from train has no interests under either mixture and
+        # is not warm under ann, so each of their micro, mle and ann rows is
+        # that query's popularity row: rank, id and score repr, with their
+        # seen items dropped; at two M (M=3 cut from M=10's popularity lists,
+        # each mixture retrieved per M), on the compiled selection (when
+        # built) and the numpy one
         edges = np.loadtxt(synth_edges, dtype=np.int64)
 
         def top(t):  # chunk t's two most engaged raw items
@@ -302,7 +303,7 @@ class TestBacktest:
                 rows = cold_rows(m)
                 popularity = rows["popularity"]
                 assert len(popularity) >= 3 and max(map(len, popularity.values())) == m, (path, m)
-                assert rows["micro"] == rows["mle"] == popularity, (path, m)
+                assert rows["micro"] == rows["mle"] == rows["ann"] == popularity, (path, m)
                 dumps[path, m] = (tmp_path / "cold" / "metrics" / f"candidates_M{m}.tsv").read_bytes()
         assert all(dumps["compiled", m] == dumps["numpy", m] for m in cfg.m_values)
 

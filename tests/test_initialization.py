@@ -11,6 +11,7 @@ from mixrec.initialization import (
     mle_mixture,
     save_init,
 )
+from mixrec.npz import write_npz
 
 from oracles import interest_items, mixture_row, same_bits
 
@@ -23,6 +24,14 @@ def graph_of(pairs, num_items=None):
         users = users + [max(users) + 1]
         items = items + [num_items - 1]
     return from_raw_edges(users, items, [0] * len(users))
+
+
+def save_with(init, path, **members):
+    """``init`` saved to ``path`` with ``members`` in place of its own."""
+    save_init(init, path)
+    with np.load(path) as z:
+        arrays = {**z, **members}
+    write_npz(path, None, **arrays)
 
 
 def user_totals(init):
@@ -108,9 +117,11 @@ class TestBuildInit:
             with pytest.raises(ValueError, match=prior):
                 build_init(g, [0, 1], 2, **{prior: bad})
             init = build_init(g, [0, 1], 2)
-            setattr(init, prior, bad)
             with pytest.raises(ValueError, match=prior):
-                init.validate()
+                dataclasses.replace(init, **{prior: bad})
+            # frozen: a made artifact cannot take the bad value afterwards
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(init, prior, bad)
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -145,10 +156,9 @@ class TestBuildInit:
         init = build_init(g, item_interest=[0, 1], num_interests=2)
         values = getattr(init, name).copy()
         values[-1] = 2
-        bad = dataclasses.replace(init, **{name: values})
         with pytest.raises(ValueError, match=name):
-            bad.validate()
-        save_init(bad, tmp_path / "init.npz")
+            dataclasses.replace(init, **{name: values})
+        save_with(init, tmp_path / "init.npz", **{name: values})
         with pytest.raises(ValueError, match=name):
             load_init(tmp_path / "init.npz")
 
@@ -169,19 +179,17 @@ class TestBuildInit:
         g = from_raw_edges([0, 0, 1, 2], [0, 1, 1, 2], [0, 0, 0, 0])
         init = build_init(g, item_interest=[0, 1, 1], num_interests=3)
         assert init.support_ptr.tolist() == [0, 2, 3, 4]
-        bad = dataclasses.replace(init, **{name: bad_value(init)})
         with pytest.raises(ValueError, match=name):
-            bad.validate()
-        save_init(bad, tmp_path / "init.npz")
+            dataclasses.replace(init, **{name: bad_value(init)})
+        save_with(init, tmp_path / "init.npz", **{name: bad_value(init)})
         with pytest.raises(ValueError, match=name):
             load_init(tmp_path / "init.npz")
 
     def test_unsorted_support_rejected(self):
         g = from_raw_edges([0, 0, 1], [0, 1, 1], [0, 0, 0])
         init = build_init(g, item_interest=[0, 1], num_interests=2)
-        bad = dataclasses.replace(init, support_k=init.support_k[[1, 0, 2]])
         with pytest.raises(ValueError, match="ascending"):
-            bad.validate()
+            dataclasses.replace(init, support_k=init.support_k[[1, 0, 2]])
 
 class TestMleMixture:
     @pytest.mark.parametrize("seed", range(5))

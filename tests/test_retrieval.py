@@ -55,6 +55,19 @@ def micro_index(m, L):
     return build_index(m, L, popularity_ranking(m.slice), chunk_tables(m))
 
 
+def ann_index(slc, emb, warm=None):
+    """``ann_encode_items`` with the chunk's own popularity ranking; every
+    user is warm unless ``warm`` says otherwise."""
+    warm = np.ones(len(emb.user_vectors), bool) if warm is None else warm
+    return ann_encode_items(slc, emb, popularity_ranking(slc), warm)
+
+
+def ann_of(pool, vecs, norms, users):
+    """An ``AnnIndex`` whose users are all warm, with the pool in id order
+    as its popularity ranking."""
+    return AnnIndex(pool, vecs, norms, users, (pool, np.zeros(len(pool))), np.ones(len(users), bool))
+
+
 def mle_index(mix, L, pool=None):
     """``build_mle_index`` at list length ``L`` over ``pool``, by default
     every item the mixture lists, with the pool in id order as its
@@ -384,7 +397,7 @@ class TestAnn:
             item_vectors=np.zeros((3, 2)),
         )
         slc = ChunkSlice.from_edges(1, [1], [2])
-        idx = ann_encode_items(slc, emb)
+        idx = ann_index(slc, emb)
         pool, vecs = idx.pool_items, idx.item_vecs
         assert pool.tolist() == [2]
         assert vecs[0].tolist() == [3.0, 4.0]
@@ -395,7 +408,7 @@ class TestAnn:
             item_vectors=np.zeros((2, 2)),
         )
         slc = ChunkSlice.from_edges(1, [0, 1, 2], [0, 0, 1])
-        idx = ann_encode_items(slc, emb)
+        idx = ann_index(slc, emb)
         assert np.allclose(idx.item_vecs[0], 0.0)
         cfg = RetrievalConfig(M=2, exclude_seen=False)
         got = ann_retrieve(2, idx, cfg)
@@ -407,7 +420,7 @@ class TestAnn:
             user_vectors=rng.normal(size=(4, 3)), item_vectors=np.zeros((5, 3))
         )
         slc = ChunkSlice.from_edges(1, [0, 1, 2, 3], [0, 1, 2, 3])
-        idx = ann_encode_items(slc, emb)
+        idx = ann_index(slc, emb)
         cfg = RetrievalConfig(M=1, exclude_seen=False)
         got = ann_retrieve(2, idx, cfg)
         assert got.item_ids() == [2]
@@ -418,7 +431,7 @@ class TestAnn:
             item_vectors=np.zeros((1, 2)),
         )
         slc = ChunkSlice.from_edges(1, [0, 0, 1], [0, 0, 0])
-        vecs = ann_encode_items(slc, emb).item_vecs
+        vecs = ann_index(slc, emb).item_vecs
         assert np.allclose(vecs[0], [2.0 / 3.0, 1.0 / 3.0])
 
     def test_matches_bruteforce_cosine_sort(self):
@@ -428,7 +441,7 @@ class TestAnn:
             user_vectors=rng.normal(size=(U, 8)), item_vectors=np.zeros((I, 8))
         )
         slc = ChunkSlice.from_edges(1, rng.integers(0, U, n), rng.integers(0, I, n))
-        idx = ann_encode_items(slc, emb)
+        idx = ann_index(slc, emb)
         pool, vecs = idx.pool_items, idx.item_vecs
         # independent recount of the encoding
         sums = {}
@@ -457,34 +470,51 @@ class TestAnn:
             item_vectors=np.zeros((300, 32)),
         )
         slc = ChunkSlice.from_edges(1, rng.integers(0, U, n), np.minimum(rng.zipf(1.3, n), 300) - 1)
-        got = ann_encode_items(slc, emb)
+        got = ann_index(slc, emb)
         monkeypatch.setattr(mixrec.retrieval, "gather_sum", gather_sum_add_at)
-        want = ann_encode_items(slc, emb)
+        want = ann_index(slc, emb)
         assert np.array_equal(got.pool_items, want.pool_items)
         assert same_bits(got.item_vecs, want.item_vecs)
         assert same_bits(got.norms, want.norms)
 
-    def test_zero_user_vector_empty(self):
-        emb = EmbeddingTable(
-            user_vectors=np.zeros((1, 2)), item_vectors=np.zeros((1, 2))
-        )
-        slc = ChunkSlice.from_edges(1, [0], [0])
-        got = ann_retrieve(0, ann_encode_items(slc, emb), RetrievalConfig(M=1))
-        assert got.items == []
+    @pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "numpy"])
+    def test_cold_and_zero_vector_users_get_the_popularity_list(self, kernel, monkeypatch):
+        # a user without a train engagement (not warm) and a user whose
+        # vector has zero norm get the chunk's popularity list, as under the
+        # mixtures: the first M unseen items with their count scores
+        if not kernel:
+            monkeypatch.setattr(mixrec.retrieval, "load_kernel", lambda: None)
+        elif sweep_kernel.load_kernel() is None:
+            pytest.skip("no C compiler: only the numpy selection runs here")
+        rng = np.random.default_rng(18)
+        vecs = rng.normal(size=(4, 2))
+        vecs[1] = 0.0
+        emb = EmbeddingTable(user_vectors=vecs, item_vectors=np.zeros((30, 2)))
+        slc = ChunkSlice.from_edges(1, rng.integers(0, 4, 200), rng.integers(0, 30, 200))
+        idx = ann_index(slc, emb, warm=np.array([True, True, False, True]))
+        rank = popularity_ranking(slc)
+        for cfg in (RetrievalConfig(M=5), RetrievalConfig(M=5, exclude_seen=False)):
+            seen = np.sort(rank[0][[0, 3]])
+            for u in (1, 2):
+                got = ann_retrieve(u, idx, cfg, seen=seen, chunk=2)
+                want = popularity_retrieve(u, rank, cfg, seen=seen, chunk=2)
+                assert_same_list(got, want, f"user {u}")
+                assert len(got) == 5
+            assert ann_retrieve(0, idx, cfg).item_ids() != popularity_retrieve(0, rank, cfg).item_ids()
 
     def test_user_norm_has_the_bits_of_linalg_norm(self, monkeypatch):
         # every cosine divides by the user vector's norm, which must keep the
         # bits of np.linalg.norm for every user: the whole ranked pool equals
         # the numpy reference on the compiled path (when built) and the numpy
         # one, at three dimensions and norms over six decades; a zero vector
-        # gives no list
+        # gets the popularity list
         rng = np.random.default_rng(19)
         U, I, n = 200, 60, 400
         for D in (16, 32, 64):
             vecs = rng.normal(size=(U, D)) * rng.uniform(1e-3, 1e3, size=(U, 1))
             vecs[0] = 0.0
             slc = ChunkSlice.from_edges(1, rng.integers(0, U, n), rng.integers(0, I, n))
-            idx = ann_encode_items(slc, EmbeddingTable(user_vectors=vecs, item_vectors=np.zeros((I, D))))
+            idx = ann_index(slc, EmbeddingTable(user_vectors=vecs, item_vectors=np.zeros((I, D))))
             cfg = RetrievalConfig(M=len(idx.pool_items), exclude_seen=False)
             for u in range(U):
                 un = np.linalg.norm(vecs[u])
@@ -492,8 +522,8 @@ class TestAnn:
                     cos = np.where(idx.norms > 0.0, (idx.item_vecs @ vecs[u]) / (idx.norms * un), -np.inf)
                 order = np.lexsort((idx.pool_items, -cos))
                 for got in (ann_retrieve(u, idx, cfg), on_numpy(monkeypatch, lambda: ann_retrieve(u, idx, cfg))):
-                    if un == 0.0:
-                        assert u == 0 and len(got) == 0
+                    if un == 0.0:  # the popularity list
+                        assert u == 0 and np.array_equal(got.ids, popularity_ranking(slc)[0])
                         continue
                     assert np.array_equal(got.ids, idx.pool_items[order]), (D, u)
                     assert same_bits(got.scores, cos[order]), (D, u)
@@ -555,7 +585,7 @@ class TestSeenExclusion:
         self.emb = EmbeddingTable(
             user_vectors=rng.normal(size=(self.U, 4)), item_vectors=np.zeros((self.I, 4))
         )
-        self.ann = ann_encode_items(self.slc, self.emb)
+        self.ann = ann_index(self.slc, self.emb, warm=np.diff(self.init.support_ptr) > 0)
         self.ann_pool, self.ann_vecs = self.ann.pool_items, self.ann.item_vecs
         self.pool = self.slc.item_pool.tolist()
         self.rank = popularity_ranking(self.slc)
@@ -624,7 +654,7 @@ class TestSeenExclusion:
         yield (
             "ann",
             lambda seen: ann_retrieve(u, self.ann, cfg, seen=seen),
-            self.ann_scores(u),
+            self.ann_scores(u) if warm else self.counts,
         )
         yield (
             "popularity",
@@ -809,7 +839,7 @@ class TestCompiledTopM:
                 if trial % 4 == 1:
                     vecs[0] = [np.inf, 0.0, 0.0]  # inf / inf: NaN
             with np.errstate(invalid="ignore", over="ignore"):
-                idx = AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), users)
+                idx = ann_of(pool, vecs, np.linalg.norm(vecs, axis=1), users)
                 for M in (1, 4, 100):
                     cfg = RetrievalConfig(M=M)
                     for seen in self.seen_cases(rng, pool):
@@ -974,7 +1004,7 @@ class TestCompiledTopM:
             pool = np.sort(rng.choice(3 * n, size=n, replace=False)).astype(np.int64)
             vals = np.where(rng.random(n) < 0.4, rng.choice(special, n), rng.normal(size=n))
             norms = np.where(vals == -1e-300, 1e300, np.where(rng.random(n) < 0.05, 0.0, 1.0))
-            idx = AnnIndex(pool, vals[:, None], norms, np.array([[1.0]]))
+            idx = ann_of(pool, vals[:, None], norms, np.array([[1.0]]))
             for M in (1, 2, 5, 20, 100):
                 cfg = RetrievalConfig(M=M)
                 with np.errstate(invalid="ignore"):
@@ -998,7 +1028,7 @@ class TestCompiledTopM:
             vecs = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(n, 2))
             vecs[rng.random(n) < 0.3] = 0.0
             users = rng.choice([-1.0, 1.0, 0.5], size=(3, 2))
-            idx = AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), users)
+            idx = ann_of(pool, vecs, np.linalg.norm(vecs, axis=1), users)
             for u in range(3):
                 self.check_entry(
                     monkeypatch, rng,
@@ -1036,7 +1066,9 @@ class TestCompiledTopM:
             with pytest.raises(ValueError, match="inconsistent index"):
                 InterestIndex(**{**good, **change})
         with pytest.raises(ValueError, match="inconsistent index"):
-            AnnIndex(pool, np.ones((2, 3)), np.ones(2), np.ones((1, 3)))
+            ann_of(pool, np.ones((2, 3)), np.ones(2), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="inconsistent index: one warm flag per user vector"):
+            AnnIndex(pool, np.ones((3, 3)), np.ones(3), np.ones((2, 3)), (pool, np.zeros(3)), np.ones(1, bool))
         cfg = RetrievalConfig(M=2)
         assert retrieve_mixture(0, InterestIndex(**good), cfg).item_ids() == [2, 9]
         # interest 0's run adds 0.5 * 0.4 at position 1 (item 5), not at its
@@ -1070,7 +1102,7 @@ class TestCompiledTopM:
             with pytest.raises(ValueError, match="inconsistent index: pool_items must be strictly ascending"):
                 InterestIndex(**{**good, "pool_items": bad_pool})
             with pytest.raises(ValueError, match="inconsistent index: pool_items must be strictly ascending"):
-                AnnIndex(np.array(bad_pool), np.ones((3, 2)), np.ones(3), np.ones((1, 2)))
+                ann_of(np.array(bad_pool), np.ones((3, 2)), np.ones(3), np.ones((1, 2)))
         # interest 1 (weight 0.5) counts item 5 and runs over item 2;
         # interest 0 (weight -0.0) counts items 2 and 9 and runs over item 5.
         # Item 9 lies at interest 1's run end, outside its run
@@ -1086,7 +1118,7 @@ class TestCompiledTopM:
         rng = np.random.default_rng(36)
         idx = self.random_interest_index(rng, 8000, K=8)
         vecs = rng.normal(size=(8000, 4))
-        ann = AnnIndex(idx.pool_items, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(6, 4)))
+        ann = ann_of(idx.pool_items, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(6, 4)))
         seen = np.sort(rng.choice(idx.pool_items, 40, replace=False))
         cfg = RetrievalConfig(M=50)
         users = list(range(6)) * 40
@@ -1111,7 +1143,7 @@ class TestCompiledTopM:
         rng = np.random.default_rng(35)
         idx = self.random_interest_index(rng, 50, K=4)
         vecs = rng.normal(size=(50, 3))
-        ann = AnnIndex(idx.pool_items, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(6, 3)))
+        ann = ann_of(idx.pool_items, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(6, 3)))
         cfg = RetrievalConfig(M=10)
         seen = idx.pool_items[::3].tolist()
 
@@ -1169,7 +1201,7 @@ class TestCandidateListFormat:
                 calls = {
                     "micro": (retrieve_mixture, build_index(m, 25, rank, chunk_tables(m))),
                     "mle": (retrieve_mixture, build_mle_index(mix, 25, slc.item_pool, rank)),
-                    "ann": (ann_retrieve, ann_encode_items(slc, emb)),
+                    "ann": (ann_retrieve, ann_index(slc, emb, warm=np.diff(init.support_ptr) > 0)),
                     "popularity": (popularity_retrieve, rank),
                 }
                 for name, (fn, idx) in calls.items():
@@ -1188,9 +1220,10 @@ class TestCandidateListFormat:
                 assert same_bits([s for _, s in c.items], [s for _, s in pairs]), key
                 assert all(type(i) is int and type(s) is float for i, s in c.items), key
                 assert (c.user, c.chunk) == (key[-1], 4), key
-            for name in ("micro", "mle"):  # user 0 is cold
-                assert len(lists[150, name, True, 0]) == 5
-            assert len(lists[150, "ann", True, 1]) == 0  # zero-norm user
+            for name in ("micro", "mle", "ann"):  # user 0 is cold
+                assert lists[150, name, True, 0].item_ids() == lists[150, "popularity", True, 0].item_ids()
+            # and user 1's zero-norm vector ranks nothing
+            assert lists[150, "ann", True, 1].item_ids() == lists[150, "popularity", True, 1].item_ids()
             assert all(len(c) == 0 for key, c in lists.items() if key[0] == 0)
             assert sum(len(c) for c in lists.values()) > 0
 
@@ -1215,7 +1248,7 @@ class TestPrefixProperty:
         calls = {
             "micro": (retrieve_mixture, micro_index(fit_chunk(slc, init, SamplerConfig(seed=2, max_sweeps=2)), L)),
             "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), L, slc.item_pool, rank)),
-            "ann": (ann_retrieve, ann_encode_items(slc, emb)),
+            "ann": (ann_retrieve, ann_index(slc, emb, warm=np.arange(U) > 0)),
             "popularity": (popularity_retrieve, rank),
         }
         seen = {u: np.unique([i for v, i in train if v == u]).astype(np.int64) for u in range(U)}
@@ -1234,9 +1267,10 @@ class TestPrefixProperty:
             return lengths
 
         for lengths in (run(), on_numpy(monkeypatch, run)):
-            assert lengths["micro", True, 0] == lengths["mle", True, 0] > 20  # the fallback
-            assert lengths["ann", True, 1] == lengths["ann", False, 1] == 0
-            assert min(n for (name, _, u), n in lengths.items() if name != "ann" or u != 1) > 20
+            # the fallback of cold user 0 and of zero-norm user 1
+            assert lengths["micro", True, 0] == lengths["mle", True, 0] == lengths["ann", True, 0] > 20
+            assert lengths["ann", True, 1] == lengths["popularity", True, 1]
+            assert min(lengths.values()) > 20
 
 
     def test_same_index_is_bitwise(self):
@@ -1268,7 +1302,7 @@ class TestBatchAndDeterminism:
             user_vectors=np.random.default_rng(0).normal(size=(init.num_users, 4)),
             item_vectors=np.zeros((init.num_items, 4)),
         )
-        ann = ann_encode_items(slc, emb)
+        ann = ann_index(slc, emb)
         mix = mle_mixture(init)
         for _ in range(3):
             a1 = [retrieve_mixture(u, idx, cfg).items for u in range(init.num_users)]
@@ -1305,7 +1339,7 @@ class TestBatchAndDeterminism:
         calls = {
             "micro": (retrieve_mixture, build_index(m, 25, rank, chunk_tables(m))),
             "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), 25, slc.item_pool, rank)),
-            "ann": (ann_retrieve, ann_encode_items(slc, emb)),
+            "ann": (ann_retrieve, ann_index(slc, emb)),
         }
         for name, (fn, idx) in calls.items():
             assert len(fn(init.num_users - 1, idx, cfg))

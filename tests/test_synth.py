@@ -21,7 +21,6 @@ class TestGenerate:
             engagements_per_user=5, seed=1,
         )
         g, truth = generate(spec)
-        g.validate()
         assert g.num_edges == 30 * 5 * 3
         for t in range(3):
             slc = g.slice(t)
@@ -140,7 +139,6 @@ class TestInitFromTruth:
         )
         g, truth = generate(spec)
         init = init_from_truth(truth, num_items=50)
-        init.validate()
         for u in range(25):
             assert init.support(u).tolist() == truth.supports[u].tolist()
             assert np.all(init.support_counts(u) >= 1)
