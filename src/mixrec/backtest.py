@@ -52,7 +52,7 @@ import numpy as np
 from .clustering import cluster_items, export_cluster_map, load_clusters, save_clusters
 from .embeddings import check_embedding_args, load_embeddings, save_embeddings, train_embeddings
 from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
-from .initialization import _check_priors, build_init, load_init, mle_mixture, save_init
+from .initialization import _check_priors, build_init, load_init, save_init
 from .metrics import MetricBlock, MetricsReport, aggregate, build_queries, score_query
 from .npz import read_source, write_text
 from .retrieval import (
@@ -61,14 +61,15 @@ from .retrieval import (
     ann_retrieve,
     batch_retrieve,
     build_index,
-    build_mle_index,
     chunk_tables,
+    mle_mixture,
     popularity_ranking,
     popularity_retrieve,
     same_index,
 )
-# one retriever serves both mixtures, bound to one name per method so
-# that each method's calls can be wrapped and timed on their own
+# one builder and one retriever serve both mixtures, each bound to one name
+# per method so that each method's calls can be wrapped and timed on their own
+from .retrieval import build_index as build_mle_index
 from .retrieval import retrieve_mixture as retrieve_micro
 from .retrieval import retrieve_mixture as retrieve_mle
 from .sampler import SamplerConfig, UserCounts, fit_chunk, load_chunk_model, save_chunk_model, sweep_diagnostics_text
@@ -438,12 +439,12 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     # ann gives a user without a train engagement the popularity list
     warm = np.bincount(train.users, minlength=train.num_users) > 0
     init = None
-    mix = None
+    tables = {}  # each mixture's ChunkTables: the static one's serve every chunk
     if need_init:
         clusters = ensure_clusters(cfg, emb, data)
         init = ensure_init(cfg, train, clusters, data)
         if "mle" in methods:
-            mix = mle_mixture(init)
+            tables["mle"] = mle_mixture(init)
 
     seen = _SeenTracker(train) if cfg.exclude_seen else None
     ledger = (
@@ -453,6 +454,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     )
     # looked up at call time, so wrappers installed on this module's names apply
     retrievers = {"micro": retrieve_micro, "mle": retrieve_mle, "ann": ann_retrieve, "popularity": popularity_retrieve}
+    builders = {"micro": build_index, "mle": build_mle_index}
 
     per_query: dict[tuple[str, int], list[tuple[float, float, float]]] = {
         (meth, m): [] for meth in methods for m in cfg.m_values
@@ -472,15 +474,13 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
             indexes = {"popularity": pop_rank}
             if "ann" in methods:
                 indexes["ann"] = ann_encode_items(prev_slice, emb, pop_rank, warm)
-            # the fitted model's counts are final: read them once for every M
-            tables = chunk_tables(prev_model) if "micro" in methods else None
+            if "micro" in methods:
+                # the fitted model's counts are final: read them once for every M
+                tables["micro"] = chunk_tables(prev_model)
 
             def index_for(meth, m):
-                L = 5 * m  # each interest's list length
-                if meth == "micro":
-                    return build_index(prev_model, L, pop_rank, tables)
-                if meth == "mle":
-                    return build_mle_index(mix, L, prev_slice.item_pool, pop_rank)
+                if meth in builders:  # each interest's list holds L = 5*M entries
+                    return builders[meth](tables[meth], 5 * m, prev_slice.item_pool, pop_rank)
                 return indexes[meth]
 
             for meth in methods:
@@ -582,24 +582,21 @@ def write_results(cfg: RunConfig, reports: dict[tuple[str, int], MetricsReport],
 
 
 def read_reports(metrics_dir) -> dict[tuple[str, int], MetricsReport]:
-    metrics_dir = Path(metrics_dir)
-    reports: dict[tuple[str, int], MetricsReport] = {}
-    with open(metrics_dir / "series.tsv") as fh:
-        next(fh)
-        for line in fh:
-            meth, m, chunk, n, r, rr, nd = line.rstrip("\n").split("\t")
-            key = (meth, int(m))
-            rep = reports.setdefault(key, MetricsReport(method=meth, m=int(m)))
-            rep.per_chunk[int(chunk)] = MetricBlock(
-                n_queries=int(n), recall=float(r), mrr=float(rr), ndcg=float(nd)
-            )
-    with open(metrics_dir / "overall.tsv") as fh:
-        next(fh)
-        for line in fh:
-            meth, m, n, r, rr, nd = line.rstrip("\n").split("\t")
-            key = (meth, int(m))
-            if key in reports:
-                reports[key].overall = MetricBlock(
-                    n_queries=int(n), recall=float(r), mrr=float(rr), ndcg=float(nd)
-                )
+    """The reports ``write_results`` wrote to ``metrics_dir``: one per row
+    of ``overall.tsv``, so that a report without queries is kept, each with
+    its chunks' rows of ``series.tsv``."""
+
+    def rows(name: str) -> list[list[str]]:
+        with open(Path(metrics_dir) / name) as fh:
+            next(fh)
+            return [line.rstrip("\n").split("\t") for line in fh]
+
+    def block(n, recall, mrr, ndcg) -> MetricBlock:
+        return MetricBlock(n_queries=int(n), recall=float(recall), mrr=float(mrr), ndcg=float(ndcg))
+
+    reports = {
+        (meth, int(m)): MetricsReport(meth, int(m), overall=block(*v)) for meth, m, *v in rows("overall.tsv")
+    }
+    for meth, m, chunk, *v in rows("series.tsv"):
+        reports[(meth, int(m))].per_chunk[int(chunk)] = block(*v)
     return reports

@@ -10,11 +10,12 @@ current centroid, which keeps the objective monotone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import gather_sum
+from .graph import _freeze_fields
 from .npz import write_npz, write_text
 
 __all__ = ["ClusterAssignment", "cluster_items", "save_clusters", "load_clusters", "export_cluster_map"]
@@ -26,17 +27,20 @@ logger = logging.getLogger(__name__)
 class ClusterAssignment:
     """Each item's interest, the K unit centroids and the objective per
     iteration. Checked when it is made: a centroid off unit norm or an
-    interest outside [0, K) raises ``ValueError``."""
+    interest outside [0, K) raises ``ValueError``. The arrays are then
+    read-only and the history a tuple."""
 
     item_to_interest: np.ndarray
     centroids: np.ndarray
-    objective_history: list[float] = field(default_factory=list)
+    objective_history: tuple[float, ...] = ()
 
     @property
     def num_interests(self) -> int:
         return self.centroids.shape[0]
 
     def __post_init__(self):
+        _freeze_fields(self, "item_to_interest", "centroids")
+        object.__setattr__(self, "objective_history", tuple(self.objective_history))
         norms = np.linalg.norm(self.centroids, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("centroids must be unit norm")

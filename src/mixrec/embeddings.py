@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EngagementGraph
+from .graph import EngagementGraph, _freeze_fields
 from .npz import write_npz
 from .sweep_kernel import Kernel, arg, load_kernel
 
@@ -26,17 +26,20 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class EmbeddingTable:
     """One vector per user and per item and each epoch's mean loss, checked
-    when it is made: a dimension below 1 or a non-finite value raises."""
+    when it is made: a dimension below 1 or a non-finite value raises. The
+    vectors are then read-only and the losses a tuple."""
 
     user_vectors: np.ndarray
     item_vectors: np.ndarray
-    epoch_losses: list[float] = field(default_factory=list)
+    epoch_losses: tuple[float, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.user_vectors.shape[1]
 
     def __post_init__(self):
+        _freeze_fields(self, "user_vectors", "item_vectors")
+        object.__setattr__(self, "epoch_losses", tuple(self.epoch_losses))
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not (np.isfinite(self.user_vectors).all() and np.isfinite(self.item_vectors).all()):

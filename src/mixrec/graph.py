@@ -72,6 +72,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` read-only: an
+    array as ``np.asarray`` of it, a tuple of arrays as a tuple of them. A
+    field that already holds an array keeps it, so its maker can no longer
+    write it either."""
+    for name in names:
+        v = getattr(obj, name)
+        object.__setattr__(obj, name, tuple(map(_freeze, v)) if isinstance(v, tuple) else _freeze(np.asarray(v)))
+
+
 @dataclass(frozen=True)
 class ChunkSlice:
     """All engagements of one time chunk, grouped by user.

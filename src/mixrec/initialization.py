@@ -5,7 +5,7 @@ yields counting estimators for the user/interest/item tables and the sparse
 per-user prior support (the interests a user touched at t=0). The artifact is
 the handoff between the embedding/clustering stage and the per-chunk sampler,
 and also feeds the static mixture retriever. It stores no totals, which
-``mle_mixture`` sums from the counts.
+``mixrec.retrieval.mle_mixture`` sums from the counts.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EngagementGraph
+from .graph import EngagementGraph, _freeze_fields
 from .npz import write_npz
 
-__all__ = ["InitArtifact", "MleMixture", "build_init", "mle_mixture", "save_init", "load_init"]
+__all__ = ["InitArtifact", "build_init", "save_init", "load_init"]
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class InitArtifact:
     cluster's interest), so they are stored as ``item_n0`` plus
     ``item_interest``. Checked when it is made: a prior, length, count,
     interest or support order the sampler cannot take raises ``ValueError``
-    naming it.
+    naming it. Its arrays are then read-only.
     """
 
     num_users: int
@@ -56,6 +56,7 @@ class InitArtifact:
         return self.support_ptr[user] == self.support_ptr[user + 1]
 
     def __post_init__(self):
+        _freeze_fields(self, "support_ptr", "support_k", "support_n0", "item_interest", "item_n0")
         _check_priors(self.alpha, self.beta)
         U, I, K = self.num_users, self.num_items, self.num_interests
         ptr = self.support_ptr
@@ -137,50 +138,6 @@ def build_init(
         support_n0=counts.astype(np.int64),
         item_interest=item_interest[: train.num_items].copy(),
         item_n0=item_n0,
-    )
-
-
-@dataclass
-class MleMixture:
-    """Counting MLE mixtures from the t=0 tables.
-
-    ``p_k_given_u`` shares the artifact's support CSR layout. The item side
-    groups items by interest: interest k's items are
-    ``items[interest_ptr[k]:interest_ptr[k+1]]`` with aligned probabilities,
-    by p(i|k) descending, ties by ascending id. Zero-count users/interests
-    get empty distributions.
-    """
-
-    support_ptr: np.ndarray
-    support_k: np.ndarray
-    p_k_given_u: np.ndarray
-    interest_ptr: np.ndarray
-    items: np.ndarray
-    p_i_given_k: np.ndarray
-
-
-def mle_mixture(init: InitArtifact) -> MleMixture:
-    """p(k|u) = N_uk0/N_u0 and p(i|k) = N_ik0/N_k0, rows normalized; the
-    totals are exact float64 sums of integer counts. Interest k's p(i|k)
-    share N_k0, so its items ordered by count descending are ordered by p."""
-    U, K = init.num_users, init.num_interests
-    users = np.repeat(np.arange(U), np.diff(init.support_ptr))
-    p_ku = init.support_n0 / np.bincount(users, weights=init.support_n0, minlength=U)[users]
-
-    engaged = np.flatnonzero(init.item_n0 > 0)
-    ks = init.item_interest[engaged]
-    order = np.lexsort((engaged, -init.item_n0[engaged], ks))
-    items, ks = engaged[order], ks[order]
-    n_i0 = init.item_n0[items]
-    p_ik = n_i0 / np.bincount(ks, weights=n_i0, minlength=K)[ks]
-
-    return MleMixture(
-        support_ptr=init.support_ptr,
-        support_k=init.support_k,
-        p_k_given_u=p_ku,
-        interest_ptr=np.concatenate([[0], np.cumsum(np.bincount(ks, minlength=K))]).astype(np.int64),
-        items=items,
-        p_i_given_k=p_ik,
     )
 
 

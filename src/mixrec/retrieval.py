@@ -14,15 +14,16 @@ ids that are not ascending raise ``ValueError`` and a set ``TypeError``.
 Each index is complete when built, from inputs its builder takes. The
 index per method:
 
-- ``micro``: ``build_index(m, L, ranking, tables)``, an ``InterestIndex``
-  of the fitted chunk model's per-interest top-L lists (one per chunk and
-  L) from its ``chunk_tables`` (one per chunk); the users' interest weights
-  are ``ChunkModel.user_weights``, the alpha-smoothed combined counts
-  normalised over each support.
-- ``mle``: ``build_mle_index(mix, L, pool, ranking)``, an
-  ``InterestIndex`` of the t=0 tables' top-L lists restricted to the
-  source chunk's pool (one per chunk and L); the weights are
-  ``MleMixture.p_k_given_u``.
+- ``micro`` and ``mle``: ``build_index(tables, L, pool, ranking)``, an
+  ``InterestIndex`` of one ``ChunkTables``' per-interest top-L lists
+  restricted to ``pool`` (one per chunk and L). Both methods are one
+  mixture, p(i|u) = sum over k of theta_uk * phi_ki, and ``ChunkTables``
+  is its one table type: ``micro`` reads ``chunk_tables(m)`` of the fitted
+  source chunk model (one per chunk), whose weights are the users'
+  alpha-smoothed combined counts normalised over each support; ``mle``
+  reads ``mle_mixture(init)``, the t=0 counts with ``beta = Ibeta = 0``
+  and weights p(k|u), so phi_ki = n_ik / n_k and no interest has a floor
+  run.
 - ``ann``: ``ann_encode_items(slice_, emb, ranking, warm)``, an ``AnnIndex``
   of the pool's engagement-averaged item vectors, their norms, the user
   vectors, the popularity ranking and which users are ``warm``.
@@ -52,10 +53,10 @@ that all carry the interest's smoothed floor value, every user's
 (interests, weights) as one CSR over users, read in place by each query,
 and the pool's popularity ranking (the builders' ``ranking``), the list
 of a user without interests.
-Only the micro lists have floor runs: every pool item without a count under
-an interest has the same smoothed probability there, so it is stored once
-per interest, not once per item (SparseLDA's smoothing-only bucket, Yao,
-Mimno and McCallum, KDD 2009).
+Only a list whose smoothed floor beta / (Ibeta + n_k) is positive has a
+floor run: every pool item without a count under an interest has that same
+probability there, so it is stored once per interest, not once per item
+(SparseLDA's smoothing-only bucket, Yao, Mimno and McCallum, KDD 2009).
 
 Every retriever ends in one selection: the first M candidates by (score
 descending, item id ascending) that are not seen. It runs in the compiled
@@ -90,13 +91,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, gather_sum
-from .graph import ChunkSlice
-from .initialization import MleMixture
+from .graph import ChunkSlice, _freeze, _freeze_fields
+from .initialization import InitArtifact
 from .sampler import ChunkModel, _ranges
 from .sweep_kernel import arg as _arg, load_kernel
 
@@ -107,8 +107,8 @@ __all__ = [
     "AnnIndex",
     "ChunkTables",
     "chunk_tables",
+    "mle_mixture",
     "build_index",
-    "build_mle_index",
     "same_index",
     "retrieve_mixture",
     "ann_encode_items",
@@ -157,10 +157,12 @@ class CandidateList:
 
 def _addresses(obj, **dtypes) -> tuple[int, ...]:
     """Store each named array of the frozen dataclass ``obj`` as a
-    contiguous array of its dtype and return their data addresses, which
-    stay valid while ``obj`` holds the arrays."""
+    read-only contiguous array of its dtype and return their data
+    addresses, which stay valid while ``obj`` holds the arrays. An array
+    that already is one is stored as it is, so its holder can no longer
+    write it either."""
     for name, dtype in dtypes.items():
-        object.__setattr__(obj, name, np.ascontiguousarray(getattr(obj, name), dtype=dtype))
+        object.__setattr__(obj, name, _freeze(np.ascontiguousarray(getattr(obj, name), dtype=dtype)))
     return tuple(getattr(obj, name).ctypes.data for name in dtypes)
 
 
@@ -168,11 +170,12 @@ def _ascending(a: np.ndarray) -> bool:
     return bool(np.all(a[1:] > a[:-1]))
 
 
-def _check(ok: bool, what: str) -> None:
+def _check(ok: bool, what: str, of: str = "index") -> None:
     """Reject an index the kernels cannot take: arrays they would read out
-    of bounds, or values their selection relies on."""
+    of bounds, or values their selection relies on; or tables an index
+    cannot be built from."""
     if not ok:
-        raise ValueError(f"inconsistent index: {what}")
+        raise ValueError(f"inconsistent {of}: {what}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,8 @@ class InterestIndex:
     User u's interests are ``user_k[user_ptr[u]:user_ptr[u+1]]`` with
     aligned weights ``user_w``, in summation order; the row is empty for a
     user without interests. ``popularity`` is the pool's
-    ``popularity_ranking``, the list of every such user.
+    ``popularity_ranking``, the list of every such user. Its arrays are
+    read-only.
     """
 
     ptr: np.ndarray
@@ -209,6 +213,7 @@ class InterestIndex:
     def __post_init__(self):
         K = len(self.ptr) - 1
         object.__setattr__(self, "user_ptr", np.asarray(self.user_ptr, dtype=np.int64))
+        _freeze_fields(self, "user_ptr", "popularity")
         object.__setattr__(self, "_rows", self.user_ptr.tolist())
         object.__setattr__(self, "_c", _addresses(
             self, ptr=np.int64, positions=np.int64, probs=np.float64, floor=np.float64, fend=np.int64,
@@ -231,53 +236,103 @@ class InterestIndex:
         _check(_ascending(self.pool_items), "pool_items must be strictly ascending")
 
 
-class ChunkTables(NamedTuple):
-    """What ``build_index`` reads of a fitted chunk model at every M: the
-    nonzero item-interest ``counts`` and their items' ``positions`` in the
-    pool, grouped by interest (group k is ``[kptr[k], kptr[k+1])``), each
-    group by (count desc, item asc), and ``ChunkModel.user_weights``."""
+@dataclass(frozen=True)
+class ChunkTables:
+    """One mixture's tables, what ``build_index`` reads at every L and pool:
+    p(i|k) = (beta + count) / (Ibeta + n_k) and each user's interest
+    weights.
 
-    positions: np.ndarray
+    Interest k's items with a count are ``items[kptr[k]:kptr[k+1]]``, with
+    aligned ``counts``, by (count desc, item asc); ``nk`` holds the
+    interest totals n_k. User u's interests are
+    ``user_k[user_ptr[u]:user_ptr[u+1]]`` with aligned weights ``user_w``.
+    Checked when it is made, which also makes its arrays read-only: a
+    ``kptr`` that does not run over ``items``, a group out of order, a
+    count that is not > 0, an interest that lists an item without a
+    positive total, or a negative or non-finite ``beta`` or ``Ibeta``
+    raises ``ValueError``.
+    """
+
+    items: np.ndarray
     counts: np.ndarray
     kptr: np.ndarray
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
+    nk: np.ndarray
+    beta: float
+    Ibeta: float
+    user_ptr: np.ndarray
+    user_k: np.ndarray
+    user_w: np.ndarray
+
+    def __post_init__(self):
+        _freeze_fields(self, "items", "counts", "kptr", "nk", "user_ptr", "user_k", "user_w")
+        kptr, items, counts = self.kptr, self.items, self.counts
+        _check(len(kptr) >= 1 and kptr[0] == 0 and kptr[-1] == len(items) and len(counts) == len(items)
+               and bool(np.all(kptr[1:] >= kptr[:-1])), "kptr must run from 0 to len(items) and len(counts)", "tables")
+        _check(len(self.nk) == len(kptr) - 1, "nk needs one entry per interest", "tables")
+        ks = np.repeat(np.arange(len(self.nk)), np.diff(kptr))
+        _check(bool(np.all(np.isfinite(counts) & (counts > 0))), "counts must be finite and > 0", "tables")
+        _check(bool(np.all(self.nk[ks] > 0)), "an interest with a count needs a total nk > 0", "tables")
+        before = (counts[1:] < counts[:-1]) | ((counts[1:] == counts[:-1]) & (items[1:] > items[:-1]))
+        _check(bool(np.all(before | (ks[1:] != ks[:-1]))), "each group must be by (count desc, item asc)", "tables")
+        for name in ("beta", "Ibeta"):
+            v = getattr(self, name)
+            _check(bool(np.isfinite(v) and v >= 0), f"{name} must be finite and >= 0, got {v!r}", "tables")
 
 
 def chunk_tables(m: ChunkModel) -> ChunkTables:
-    """The fitted model's ``ChunkTables``, computed once for all M."""
+    """The fitted model's ``ChunkTables``, computed once for all M: its
+    item-interest counts and totals, its priors and ``ChunkModel.user_weights``."""
     items, ks, counts = m.item_table()
     order = np.lexsort((items, -counts, ks))
     kptr = np.concatenate([[0], np.cumsum(np.bincount(ks, minlength=m.K))])
-    positions = np.searchsorted(m.item_pool, items[order])
-    return ChunkTables(positions, counts[order], kptr, m.user_weights())
+    return ChunkTables(items[order], counts[order], kptr, m.n_kt, m.beta, m.Ibeta, *m.user_weights())
+
+
+def mle_mixture(init: InitArtifact) -> ChunkTables:
+    """The static mixture: the t=0 counts as ``ChunkTables`` with ``beta =
+    Ibeta = 0``, so p(i|k) = N_ik0/N_k0, and weights p(k|u) = N_uk0/N_u0
+    over the artifact's support CSR; the totals are exact float64 sums of
+    integer counts. An interest without a count lists nothing."""
+    U, K = init.num_users, init.num_interests
+    users = np.repeat(np.arange(U), np.diff(init.support_ptr))
+    p_ku = init.support_n0 / np.bincount(users, weights=init.support_n0, minlength=U)[users]
+    engaged = np.flatnonzero(init.item_n0 > 0)
+    ks, counts = init.item_interest[engaged], init.item_n0[engaged]
+    order = np.lexsort((engaged, -counts, ks))
+    nk = np.bincount(ks, weights=counts, minlength=K).astype(np.int64)
+    kptr = np.concatenate([[0], np.cumsum(np.bincount(ks, minlength=K))])
+    return ChunkTables(engaged[order], counts[order], kptr, nk, 0.0, 0.0, init.support_ptr, init.support_k, p_ku)
 
 
 def build_index(
-    m: ChunkModel, L: int, ranking: tuple[np.ndarray, np.ndarray], tables: ChunkTables
+    tables: ChunkTables, L: int, pool: np.ndarray, ranking: tuple[np.ndarray, np.ndarray]
 ) -> InterestIndex:
-    """Build per-interest top-L lists of (beta + count) / (I*beta + total).
+    """Per-interest top-L lists of (beta + count) / (Ibeta + n_k) over ``pool``.
 
-    Interest k's counted entries are its top L pool items by (count desc,
-    item asc). The pool items without a count under k share the smoothed
-    floor value beta / (I*beta + n_k) and fill the rest of its list up to L
-    (or to the pool size) in ascending id order, so they are stored as that
-    value and the end ``fend[k]`` of the run of pool positions they take.
-    An interest without a count has no list. Items with no engagements in
-    the chunk are excluded everywhere. ``ranking`` is the chunk's
-    ``popularity_ranking``, the cold-user fallback, and ``tables`` its
-    ``chunk_tables(m)``; both serve every M.
+    Interest k's counted entries are its top L items by (count desc, item
+    asc), then restricted to ``pool``, the ascending item ids of the source
+    chunk (``ChunkSlice.item_pool``), in that order: truncating first means
+    a pool never promotes an item from below an interest's top L, and a
+    chunk's own tables list only its pool's items. Where the smoothed floor
+    beta / (Ibeta + n_k) is positive, the pool items without a count under
+    k share it and fill the rest of k's list up to L (or to the pool size)
+    in ascending id order, so they are stored as that value and the end
+    ``fend[k]`` of the run of pool positions they take; at ``beta = 0``
+    and under an interest without a count there is no run. ``ranking`` is
+    the pool's ``popularity_ranking``, the cold-user fallback. One
+    ``tables`` serves every L.
     """
-    K, n = m.K, len(m.item_pool)
-    nk = m.n_kt
-    total = m.Ibeta + nk.astype(np.float64)
-    positions, counts, kptr, (user_ptr, user_k, user_w) = tables
+    kptr, n = tables.kptr, len(pool)
+    K = len(kptr) - 1
     ks = np.repeat(np.arange(K), np.diff(kptr))
     top = np.arange(len(ks)) - kptr[ks] < L
-    ks, positions = ks[top], positions[top]
-    probs = (m.beta + counts[top].astype(np.float64)) / total[ks]
+    positions, found = _lookup(pool, tables.items[top])
+    ks, positions, counts = ks[top][found], positions[found], tables.counts[top][found]
+    total = tables.Ibeta + tables.nk.astype(np.float64)
+    floor = np.divide(tables.beta, total, out=np.zeros(K), where=tables.nk > 0)
     size = np.bincount(ks, minlength=K)
     ptr = np.concatenate([[0], np.cumsum(size)])
-    run = np.where(nk > 0, min(L, n) - size, 0)  # the floor run's length
+    run = np.where(floor > 0, min(L, n) - size, 0)  # the floor run's length
     # with interest k's members at ascending positions q_0 < q_1 < ..., the
     # run's last position lies above exactly the members with q_i - i < run
     q = np.sort(positions + n * ks) - n * ks
@@ -285,45 +340,13 @@ def build_index(
     return InterestIndex(
         ptr=ptr,
         positions=positions,
-        probs=probs,
-        pool_items=m.item_pool,
-        user_ptr=user_ptr,
-        user_k=user_k,
-        user_w=user_w,
-        floor=np.where(nk > 0, m.beta / total, 0.0),
-        fend=fend,
-        popularity=ranking,
-    )
-
-
-def build_mle_index(
-    mix: MleMixture, L: int, pool: np.ndarray, ranking: tuple[np.ndarray, np.ndarray]
-) -> InterestIndex:
-    """Each interest's top L train items by p(i|k) (ties by ascending id),
-    then restricted to ``pool`` in that order; no interest has a floor run.
-
-    ``pool`` holds ascending item ids, the source chunk's
-    ``ChunkSlice.item_pool``, so backtests compare methods over identical
-    pools. Truncating before restricting means a pool never promotes an
-    item from below an interest's top L. ``ranking`` is the pool's
-    ``popularity_ranking``, the cold-user fallback.
-    """
-    K = len(mix.interest_ptr) - 1
-    ks = np.repeat(np.arange(K), np.diff(mix.interest_ptr))
-    # each interest lists its items by (p(i|k) desc, id) already
-    top = np.arange(len(ks)) - mix.interest_ptr[ks] < L
-    items, probs, ks = mix.items[top], mix.p_i_given_k[top], ks[top]
-    pos, found = _lookup(pool, items)
-    return InterestIndex(
-        ptr=np.concatenate([[0], np.cumsum(np.bincount(ks[found], minlength=K))]).astype(np.int64),
-        positions=pos[found],
-        probs=probs[found],
+        probs=(tables.beta + counts.astype(np.float64)) / total[ks],
         pool_items=pool,
-        user_ptr=mix.support_ptr,
-        user_k=mix.support_k,
-        user_w=mix.p_k_given_u,
-        floor=np.zeros(K),
-        fend=np.zeros(K, np.int64),
+        user_ptr=tables.user_ptr,
+        user_k=tables.user_k,
+        user_w=tables.user_w,
+        floor=floor,
+        fend=fend,
         popularity=ranking,
     )
 
@@ -464,7 +487,8 @@ def retrieve_mixture(
 class AnnIndex:
     """Chunk item vectors over the ascending ``pool_items``, their norms,
     the user vectors they are compared with, the pool's ``popularity``
-    ranking and ``warm``, whether each user has a train engagement."""
+    ranking and ``warm``, whether each user has a train engagement; all
+    read-only."""
 
     pool_items: np.ndarray
     item_vecs: np.ndarray
@@ -477,6 +501,7 @@ class AnnIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "_c", _addresses(self, pool_items=np.int64, norms=np.float64))
+        _freeze_fields(self, "item_vecs", "user_vectors", "popularity", "warm")
         _check(len(self.item_vecs) == len(self.norms) == len(self.pool_items), "one vector and norm per pool item")
         _check(_ascending(self.pool_items), "pool_items must be strictly ascending")
         _check(len(self.warm) == len(self.user_vectors), "one warm flag per user vector")

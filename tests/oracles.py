@@ -231,18 +231,53 @@ def padded_lists(m, L):
     return lists
 
 
-def interest_items(mix, k):
-    """Interest k's (items, p(i|k)) in an ``MleMixture``, read from its
-    ``interest_ptr``, ``items`` and ``p_i_given_k``."""
-    lo, hi = mix.interest_ptr[k], mix.interest_ptr[k + 1]
-    return mix.items[lo:hi], mix.p_i_given_k[lo:hi]
+def interest_items(tables, k):
+    """Interest k's (items, p(i|k)) in a ``ChunkTables``: its listed items
+    and their (beta + count) / (Ibeta + n_k), read from ``kptr``,
+    ``items``, ``counts``, ``nk``, ``beta`` and ``Ibeta``."""
+    lo, hi = tables.kptr[k], tables.kptr[k + 1]
+    total = tables.Ibeta + float(tables.nk[k])
+    return tables.items[lo:hi], (tables.beta + tables.counts[lo:hi].astype(np.float64)) / total
 
 
-def mixture_row(mix, user):
-    """``user``'s (interests, p(k|u)) in an ``MleMixture``, read from its
-    ``support_ptr``, ``support_k`` and ``p_k_given_u``."""
-    lo, hi = mix.support_ptr[user], mix.support_ptr[user + 1]
-    return mix.support_k[lo:hi], mix.p_k_given_u[lo:hi]
+def mixture_row(tables, user):
+    """``user``'s (interests, weights) in a ``ChunkTables``, read from its
+    ``user_ptr``, ``user_k`` and ``user_w``; for the static mixture the
+    weights are p(k|u)."""
+    lo, hi = tables.user_ptr[user], tables.user_ptr[user + 1]
+    return tables.user_k[lo:hi], tables.user_w[lo:hi]
+
+
+def static_index_reference(edges, item_interest, K, U, L, pool):
+    """The static mixture's index over the ascending item ids ``pool`` by
+    plain Python, from the train (user, item) pairs ``edges``: per
+    interest, its top L train items by (count desc, id asc), restricted to
+    the pool, at p(i|k) = n_ik / n_k, with no floor run; per user, the
+    interests of their train items ascending at p(k|u) = n_uk / n_u. Gives
+    the lists ``ptr``, ``positions``, ``probs``, ``user_ptr``, ``user_k``
+    and ``user_w`` by name."""
+    n_i, n_k, n_uk, n_u = {}, [0] * K, {}, [0] * U
+    for u, i in edges:
+        k = item_interest[i]
+        n_i[i] = n_i.get(i, 0) + 1
+        n_k[k] += 1
+        n_uk[u, k] = n_uk.get((u, k), 0) + 1
+        n_u[u] += 1
+    where = {item: p for p, item in enumerate(pool)}
+    got = {name: [] for name in ("positions", "probs", "user_k", "user_w")}
+    got["ptr"], got["user_ptr"] = [0], [0]
+    for k in range(K):
+        for i in sorted((i for i in n_i if item_interest[i] == k), key=lambda i: (-n_i[i], i))[:L]:
+            if i in where:
+                got["positions"].append(where[i])
+                got["probs"].append(n_i[i] / n_k[k])
+        got["ptr"].append(len(got["positions"]))
+    for u in range(U):
+        for k in sorted(k for v, k in n_uk if v == u):
+            got["user_k"].append(k)
+            got["user_w"].append(n_uk[u, k] / n_u[u])
+        got["user_ptr"].append(len(got["user_k"]))
+    return got
 
 
 def combined_counts(m, user):

@@ -1,6 +1,7 @@
 """Every artifact type checks itself when it is made: a bad value raises
 ``ValueError`` naming it, whether the artifact is built in memory or read
-from a file by the type's loader, and a made artifact is frozen."""
+from a file by the type's loader, and a made artifact is frozen, its arrays
+read-only."""
 
 import dataclasses
 
@@ -10,8 +11,11 @@ import pytest
 from mixrec.clustering import cluster_items, load_clusters, save_clusters
 from mixrec.embeddings import EmbeddingTable, load_embeddings, save_embeddings
 from mixrec.graph import SplitSpec, from_raw_edges, load_graph, regroup_chunks, save_graph, split
+from mixrec.graph import ChunkSlice
 from mixrec.initialization import build_init, load_init, save_init
 from mixrec.npz import write_npz
+from mixrec.retrieval import ann_encode_items, build_index, chunk_tables, mle_mixture, popularity_ranking
+from mixrec.sampler import SamplerConfig, fit_chunk
 
 
 def graph():
@@ -98,3 +102,58 @@ def test_split_and_regroup_check_the_graphs_they_make():
 def test_raw_edges_of_unequal_length_refused():
     with pytest.raises(ValueError, match="disagree on length"):
         from_raw_edges([0, 1], [0], [0, 0])
+
+
+def indexes():
+    """A fitted chunk's ``ChunkTables`` and ``InterestIndex``, the static
+    mixture's, and the chunk's ``AnnIndex``."""
+    slc = ChunkSlice.from_edges(3, [0, 1, 2, 2], [0, 1, 2, 1])
+    rank = popularity_ranking(slc)
+    tables, static = chunk_tables(fit_chunk(slc, init(), SamplerConfig(seed=0))), mle_mixture(init())
+    return {
+        "tables": tables,
+        "static": static,
+        "index": build_index(tables, 5, slc.item_pool, rank),
+        "static-index": build_index(static, 5, slc.item_pool, rank),
+        "ann": ann_encode_items(slc, table(), rank, np.ones(3, bool)),
+    }
+
+
+# each artifact made in memory, and where it has a file, its save and load
+READ_ONLY = {
+    "embedding": (table, save_embeddings, load_embeddings),
+    "clusters": (clusters, save_clusters, load_clusters),
+    "init": (init, save_init, load_init),
+    **{name: (lambda name=name: indexes()[name], None, None) for name in indexes()},
+}
+
+
+@pytest.mark.parametrize("case", READ_ONLY)
+def test_arrays_are_read_only(case, tmp_path):
+    # an in-place write to any array of a made or loaded artifact raises,
+    # each array of a tuple field among them, so a check passed when it was
+    # made still holds
+    make, save, load = READ_ONLY[case]
+    made = [make()]
+    if save is not None:
+        save(made[0], tmp_path / "artifact.npz")
+        made.append(load(tmp_path / "artifact.npz"))
+    for obj in made:
+        arrays = 0
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+                    arrays += 1
+        assert arrays >= 2, case
+
+
+def test_histories_are_tuples(tmp_path):
+    save_embeddings(table(), tmp_path / "embeddings.npz")
+    save_clusters(clusters(), tmp_path / "clusters.npz")
+    for emb in (table(), load_embeddings(tmp_path / "embeddings.npz")):
+        assert emb.epoch_losses == (0.5,)
+    for c in (clusters(), load_clusters(tmp_path / "clusters.npz")):
+        assert type(c.objective_history) is tuple and len(c.objective_history) >= 1

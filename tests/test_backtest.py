@@ -663,6 +663,17 @@ class TestReportIO:
         ]
         assert (tmp_path / "report" / "ndcg_M10.tsv").read_text() == f"chunk\tmicro\n4\t{1 / 3!r}\n5\t1.0\n"
 
+    @pytest.mark.parametrize("test_chunks", [3, 1])
+    def test_read_gives_back_what_a_run_wrote(self, synth_edges, tmp_path, test_chunks):
+        # every report, a run's without queries too (one test chunk is only
+        # fitted), comes back from the files equal to the one written
+        cfg = small_config(synth_edges, tmp_path, test_chunks=test_chunks, m_values=[5, 20],
+                           methods=["popularity", "ann"])
+        reports = backtest(cfg)
+        queries = {r.overall.n_queries for r in reports.values()}
+        assert queries == {0} if test_chunks == 1 else 0 not in queries
+        assert read_reports(tmp_path / "metrics") == reports
+
 
 class TestCli:
     def test_synth_ingest_backtest_report(self, tmp_path, capsys, monkeypatch):

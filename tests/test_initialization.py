@@ -8,10 +8,10 @@ from mixrec.initialization import (
     InconsistentClusterError,
     build_init,
     load_init,
-    mle_mixture,
     save_init,
 )
 from mixrec.npz import write_npz
+from mixrec.retrieval import mle_mixture
 
 from oracles import interest_items, mixture_row, same_bits
 
@@ -204,7 +204,7 @@ class TestMleMixture:
         mix = mle_mixture(init)
         rows = np.repeat(np.arange(init.num_users), np.diff(init.support_ptr))
         n_u = np.bincount(g.users, minlength=g.num_users)
-        assert same_bits(mix.p_k_given_u, init.support_n0 / n_u[rows])
+        assert same_bits(mix.user_w, init.support_n0 / n_u[rows])
         n_k = np.bincount(item_interest[g.items], minlength=K)
         for k in range(K):
             items, ps = interest_items(mix, k)

@@ -9,16 +9,16 @@ import mixrec.retrieval
 import mixrec.sweep_kernel as sweep_kernel
 from mixrec.embeddings import EmbeddingTable
 from mixrec.graph import ChunkSlice
-from mixrec.initialization import mle_mixture
 from mixrec.retrieval import (
     AnnIndex,
+    ChunkTables,
     InterestIndex,
     RetrievalConfig,
     ann_encode_items,
     ann_retrieve,
     build_index,
     chunk_tables,
-    build_mle_index,
+    mle_mixture,
     batch_retrieve,
     popularity_ranking,
     popularity_retrieve,
@@ -29,7 +29,7 @@ from mixrec.sampler import SamplerConfig, fit_chunk
 
 from oracles import (
     combined_counts, gather_sum_add_at, interest_items, interest_list, item_counts, mixture_row, padded_lists,
-    same_bits,
+    same_bits, static_index_reference,
 )
 from test_sampler import make_init
 
@@ -52,7 +52,7 @@ def random_instance(rng, U=6, I=40, K=5, n=120, train_per_user=4):
 def micro_index(m, L):
     """``build_index`` at list length ``L`` from the chunk's own popularity
     ranking and tables."""
-    return build_index(m, L, popularity_ranking(m.slice), chunk_tables(m))
+    return build_index(chunk_tables(m), L, m.item_pool, popularity_ranking(m.slice))
 
 
 def ann_index(slc, emb, warm=None):
@@ -69,11 +69,11 @@ def ann_of(pool, vecs, norms, users):
 
 
 def mle_index(mix, L, pool=None):
-    """``build_mle_index`` at list length ``L`` over ``pool``, by default
-    every item the mixture lists, with the pool in id order as its
-    popularity ranking."""
+    """``build_index`` of the static mixture ``mix`` at list length ``L``
+    over ``pool``, by default every item the mixture lists, with the pool in
+    id order as its popularity ranking."""
     pool = np.unique(mix.items) if pool is None else pool
-    return build_mle_index(mix, L, pool, (pool, np.zeros(len(pool))))
+    return build_index(mix, L, pool, (pool, np.zeros(len(pool))))
 
 
 def dense_micro_oracle(u, m, init, M, pool=None):
@@ -162,7 +162,8 @@ class TestBuildIndex:
         init, slc, m = random_instance(rng)
         rank, tables = popularity_ranking(slc), chunk_tables(m)
         for L in (5, 4, init.num_items, 3 * init.num_items):
-            got, want = build_index(m, L, rank, tables), build_index(m, L, rank, chunk_tables(m))
+            got = build_index(tables, L, slc.item_pool, rank)
+            want = build_index(chunk_tables(m), L, slc.item_pool, rank)
             for name in ("ptr", "positions", "pool_items", "user_ptr", "user_k", "fend"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (L, name)
             for name in ("probs", "user_w", "floor"):
@@ -388,6 +389,75 @@ class TestRetrieveMle:
                     score[i] = score.get(i, 0.0) + pk * pi
             want = sorted(score.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.M]
             assert retrieve_mixture(u, idx, cfg).item_ids() == [i for i, _ in want]
+
+
+class TestStaticIndex:
+    def test_matches_plain_python_reference(self):
+        # the one builder on the static mixture's tables gives, bit for bit,
+        # each interest's top L train items by (count desc, id asc) cut to
+        # the pool at n_ik / n_k and no floor run, on random instances with
+        # pools that drop listed items and hold items without train counts,
+        # interests that list nothing and L below and above every list
+        rng = np.random.default_rng(51)
+        dropped = empty = 0
+        for trial in range(300):
+            U, I, K = int(rng.integers(1, 9)), int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            edges = [(int(rng.integers(U)), int(rng.integers(I))) for _ in range(int(rng.integers(1, 120)))]
+            item_interest = rng.integers(0, K, I).tolist()
+            pool = np.flatnonzero(rng.random(I + 5) < rng.random()).astype(np.int64)
+            L = int(rng.integers(1, I + 3))
+            init = make_init(edges, item_interest, K, num_users=U, num_items=I)
+            idx = build_index(mle_mixture(init), L, pool, (pool[::-1], np.zeros(len(pool))))
+            want = static_index_reference(edges, item_interest, K, U, L, pool.tolist())
+            for name in ("ptr", "positions", "user_ptr", "user_k"):
+                assert np.array_equal(getattr(idx, name), want[name]), (trial, name)
+            for name in ("probs", "user_w"):
+                assert same_bits(getattr(idx, name), want[name]), (trial, name)
+            assert same_bits(idx.floor, np.zeros(K)) and np.array_equal(idx.fend, np.zeros(K)), trial
+            assert idx.pool_items is pool, trial
+            listed = {i for u, i in edges}
+            dropped += bool(listed - set(pool.tolist()))
+            empty += len(set(range(K)) - {item_interest[i] for i in listed})
+        assert dropped > 50 and empty > 50
+
+
+def _swap_first_pair(t):
+    """``t``'s items and counts with the first two entries of its first
+    group of two or more swapped."""
+    k = int(np.flatnonzero(np.diff(t.kptr) >= 2)[0])
+    at = [t.kptr[k] + 1, t.kptr[k]]
+    items, counts = t.items.copy(), t.counts.copy()
+    items[at[::-1]], counts[at[::-1]] = t.items[at], t.counts[at]
+    return {"items": items, "counts": counts}
+
+
+class TestChunkTables:
+    BAD = {
+        "kptr-start": (lambda t: {"kptr": t.kptr + 1}, "kptr must run"),
+        "kptr-end": (lambda t: {"kptr": np.minimum(t.kptr, len(t.items) - 1)}, "kptr must run"),
+        "kptr-decreasing": (lambda t: {"kptr": np.r_[t.kptr[:-1][::-1], t.kptr[-1]]}, "kptr must run"),
+        "kptr-length": (lambda t: {"kptr": t.kptr[:-1]}, "kptr must run|one entry per interest"),
+        "group-order": (_swap_first_pair, r"each group must be by \(count desc, item asc\)"),
+        "count-zero": (lambda t: {"counts": np.r_[t.counts[:-1], 0]}, "counts must be finite and > 0"),
+        "count-negative": (lambda t: {"counts": -t.counts}, "counts must be finite and > 0"),
+        "count-nan": (lambda t: {"counts": np.r_[t.counts[:-1], np.nan]}, "counts must be finite and > 0"),
+        "total-zero": (lambda t: {"nk": np.zeros_like(t.nk)}, "total nk > 0"),
+        "beta-negative": (lambda t: {"beta": -0.01}, "beta must be finite and >= 0"),
+        "beta-nan": (lambda t: {"beta": float("nan")}, "beta must be finite and >= 0"),
+        "beta-inf": (lambda t: {"beta": float("inf")}, "beta must be finite and >= 0"),
+        "Ibeta-negative": (lambda t: {"Ibeta": -1.0}, "Ibeta must be finite and >= 0"),
+        "Ibeta-inf": (lambda t: {"Ibeta": float("inf")}, "Ibeta must be finite and >= 0"),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_refused_when_made(self, case):
+        # of a fitted chunk's tables and the static mixture's
+        init, slc, m = random_instance(np.random.default_rng(52), K=3, n=200)
+        bad, message = self.BAD[case]
+        for good in (chunk_tables(m), mle_mixture(init)):
+            assert isinstance(good, ChunkTables)
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(good, **bad(good))
 
 
 class TestAnn:
@@ -647,7 +717,7 @@ class TestSeenExclusion:
             yield (
                 name,
                 lambda seen, pool=pool: retrieve_mixture(
-                    u, build_mle_index(self.mix, self.I, pool, self.rank), cfg, seen=seen
+                    u, build_index(self.mix, self.I, pool, self.rank), cfg, seen=seen
                 ),
                 self.mle_scores(u, set(pool.tolist())) if warm else self.counts,
             )
@@ -811,8 +881,8 @@ class TestCompiledTopM:
             for M, L in ((3, 15), (5, I), (40, 2 * I)):
                 cfg = RetrievalConfig(M=M)
                 indexes = {
-                    "micro": build_index(m, L, rank, chunk_tables(m)),
-                    "mle": build_mle_index(mle_mixture(init), L, slc.item_pool, rank),
+                    "micro": build_index(chunk_tables(m), L, slc.item_pool, rank),
+                    "mle": build_index(mle_mixture(init), L, slc.item_pool, rank),
                 }
                 for name, idx in indexes.items():
                     for seen in self.seen_cases(rng, slc.item_pool):
@@ -1199,8 +1269,8 @@ class TestCandidateListFormat:
                 rank = popularity_ranking(slc)
                 cfg = RetrievalConfig(M=5)
                 calls = {
-                    "micro": (retrieve_mixture, build_index(m, 25, rank, chunk_tables(m))),
-                    "mle": (retrieve_mixture, build_mle_index(mix, 25, slc.item_pool, rank)),
+                    "micro": (retrieve_mixture, build_index(chunk_tables(m), 25, slc.item_pool, rank)),
+                    "mle": (retrieve_mixture, build_index(mix, 25, slc.item_pool, rank)),
                     "ann": (ann_retrieve, ann_index(slc, emb, warm=np.diff(init.support_ptr) > 0)),
                     "popularity": (popularity_retrieve, rank),
                 }
@@ -1247,7 +1317,7 @@ class TestPrefixProperty:
         rank = popularity_ranking(slc)
         calls = {
             "micro": (retrieve_mixture, micro_index(fit_chunk(slc, init, SamplerConfig(seed=2, max_sweeps=2)), L)),
-            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), L, slc.item_pool, rank)),
+            "mle": (retrieve_mixture, build_index(mle_mixture(init), L, slc.item_pool, rank)),
             "ann": (ann_retrieve, ann_index(slc, emb, warm=np.arange(U) > 0)),
             "popularity": (popularity_retrieve, rank),
         }
@@ -1282,7 +1352,7 @@ class TestPrefixProperty:
         train = [(u, int(rng.integers(30))) for u in range(6) for _ in range(5)]
         init = make_init(train, rng.integers(0, 3, 30).tolist(), 3, num_users=6, num_items=30)
         mix = mle_mixture(init)
-        longest = int(np.diff(mix.interest_ptr).max())
+        longest = int(np.diff(mix.kptr).max())
         at = {L: mle_index(mix, L) for L in (longest - 1, longest, 5 * longest)}
         assert same_index(at[longest], at[5 * longest]) and not same_index(at[longest - 1], at[longest])
         probs = at[longest].probs.copy()
@@ -1337,8 +1407,8 @@ class TestBatchAndDeterminism:
             user_vectors=rng.normal(size=(init.num_users, 4)), item_vectors=np.zeros((init.num_items, 4))
         )
         calls = {
-            "micro": (retrieve_mixture, build_index(m, 25, rank, chunk_tables(m))),
-            "mle": (retrieve_mixture, build_mle_index(mle_mixture(init), 25, slc.item_pool, rank)),
+            "micro": (retrieve_mixture, build_index(chunk_tables(m), 25, slc.item_pool, rank)),
+            "mle": (retrieve_mixture, build_index(mle_mixture(init), 25, slc.item_pool, rank)),
             "ann": (ann_retrieve, ann_index(slc, emb)),
         }
         for name, (fn, idx) in calls.items():
