@@ -101,18 +101,18 @@ def probe(cfg: bt.RunConfig, edges) -> dict[str, float]:
     edges.write(cfg.data_path)
     stages["write_s"] = time.perf_counter() - t0
 
-    data = bt.open_run(cfg)
+    run = bt.open_run(cfg)
     t0 = time.perf_counter()
-    _, train, _ = bt.split_graph(cfg, data)
+    _, train, _ = bt.split_graph(cfg, run)
     stages["ingest_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    emb = bt.ensure_embeddings(cfg, train, data)
+    emb = bt.ensure_embeddings(cfg, train, run)
     stages["embed_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    clusters = bt.ensure_clusters(cfg, emb, data)
+    clusters = bt.ensure_clusters(cfg, emb, run)
     stages["cluster_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    bt.ensure_init(cfg, train, clusters, data)
+    bt.ensure_init(cfg, train, clusters, run)
     stages["init_s"] = time.perf_counter() - t0
 
     parts = dict.fromkeys(TIMED, 0.0)

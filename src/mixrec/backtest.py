@@ -9,8 +9,10 @@ data file: two runs write the same bytes but to ``config.json``. A stage's
 records what it was built from: the data file's size, CRC-32 and
 delimiter, and every config field that feeds it (``_record``). One helper,
 ``_stage``, reuses an artifact only when that record matches the run.
-``open_run`` reads the data file for its record once, and ``backtest``
-hands that record to every stage.
+``open_run`` reads the data file for its record once and checks each
+artifact's record once, and ``backtest`` hands what it read (an
+``OpenRun``) to every stage, which checks only an artifact ``open_run``
+did not find.
 
 The first held-out chunk is only fitted (it has no fitted predecessor to
 retrieve from); every later chunk is the query target for the previous
@@ -74,7 +76,7 @@ from .retrieval import retrieve_mixture as retrieve_micro
 from .retrieval import retrieve_mixture as retrieve_mle
 from .sampler import SamplerConfig, UserCounts, fit_chunk, load_chunk_model, save_chunk_model, sweep_diagnostics_text
 
-__all__ = ["RunConfig", "backtest", "open_run", "split_graph", "write_results", "read_reports", "METHODS"]
+__all__ = ["RunConfig", "OpenRun", "backtest", "open_run", "split_graph", "write_results", "read_reports", "METHODS"]
 
 logger = logging.getLogger(__name__)
 
@@ -197,10 +199,21 @@ def _check_known(cls, data: dict, prefix: str) -> None:
         raise ValueError(f"unknown config field(s): {', '.join(prefix + k for k in unknown)}")
 
 
-def open_run(cfg: RunConfig) -> str:
-    """The data file's record (``_data_record``), once ``cfg`` is checked
-    against every artifact the output directory holds; the stages take it
-    as ``data`` so that a run reads the file once.
+@dataclass(frozen=True)
+class OpenRun:
+    """What ``open_run`` read: the data file's record ``data``
+    (``_data_record``) and the artifacts, by path under the output
+    directory, whose records it ``checked`` against ``data`` and the
+    config."""
+
+    data: str
+    checked: frozenset[str] = frozenset()
+
+
+def open_run(cfg: RunConfig) -> OpenRun:
+    """The data file's record, once ``cfg`` is checked against every
+    artifact the output directory holds; the stages take it as ``run`` so
+    that a run reads the file, and each artifact's record, once.
 
     It writes nothing: an artifact built from another data file, or with
     another value of a field that feeds it, raises ``ValueError`` (see
@@ -214,7 +227,7 @@ def open_run(cfg: RunConfig) -> str:
     built += sorted(f"chunks/{p.name}" for p in out.glob("chunks/chunk_*.npz"))
     if built:
         _check_built(cfg, built, data)
-    return data
+    return OpenRun(data, frozenset(built))
 
 
 # -- artifact stages ----------------------------------------------------------
@@ -275,28 +288,31 @@ def _check_built(cfg: RunConfig, names: list[str], data: str) -> None:
         raise ValueError(f"{out} holds {', '.join(stale)} built with a different {', '.join(differ)}; {_REMEDY}")
 
 
-def _stage(cfg: RunConfig, stage: str, name: str, build, save, load, data: str | None):
+def _stage(cfg: RunConfig, stage: str, name: str, build, save, load, run: OpenRun | None):
     """Artifact ``name``: reused, once its record matches ``cfg`` and the
-    data file's record ``data`` (read from the file when None), through
-    ``load(path)``; or else ``build()``, which writes the stage's side
-    files, then saved through ``save(obj, path, record)``.
-    ``stage`` heads the reuse log line."""
+    data file's record ``run.data``, through ``load(path)``; or else
+    ``build()``, which writes the stage's side files, then saved through
+    ``save(obj, path, record)``. An artifact in ``run.checked`` matched when
+    ``open_run`` found it and is not read for its record again; with ``run``
+    None the data file is read for its record and every artifact checked
+    here. ``stage`` heads the reuse log line."""
     path = Path(cfg.out_dir) / name
-    if data is None:
-        data = _data_record(cfg)
+    if run is None:
+        run = OpenRun(_data_record(cfg))
     if path.exists():
-        _check_built(cfg, [name], data)
+        if name not in run.checked:
+            _check_built(cfg, [name], run.data)
         logger.info("stage=%s action=reuse path=%s", stage, path)
         return load(path)
     obj = build()
-    save(obj, path, _record(cfg, name, data))
+    save(obj, path, _record(cfg, name, run.data))
     return obj
 
 
-def ensure_graph(cfg: RunConfig, data: str | None = None) -> EngagementGraph:
+def ensure_graph(cfg: RunConfig, run: OpenRun | None = None) -> EngagementGraph:
     """The run's graph, from ``graph.npz`` or the data file. This stage,
-    the others below and ``_fit_or_load`` take ``open_run``'s data record
-    as ``data`` (see ``_stage``)."""
+    the others below and ``_fit_or_load`` take what ``open_run`` read as
+    ``run`` (see ``_stage``)."""
 
     def build():
         g = load_edge_list(cfg.data_path, delimiter=cfg.delimiter)
@@ -306,10 +322,10 @@ def ensure_graph(cfg: RunConfig, data: str | None = None) -> EngagementGraph:
             logger.info("stage=ingest %s", line)
         return g
 
-    return _stage(cfg, "ingest", "graph.npz", build, save_graph, load_graph, data)
+    return _stage(cfg, "ingest", "graph.npz", build, save_graph, load_graph, run)
 
 
-def ensure_embeddings(cfg: RunConfig, train: EngagementGraph, data: str | None = None):
+def ensure_embeddings(cfg: RunConfig, train: EngagementGraph, run: OpenRun | None = None):
     e = cfg.embed
 
     def build():
@@ -318,10 +334,10 @@ def ensure_embeddings(cfg: RunConfig, train: EngagementGraph, data: str | None =
         logger.info("stage=embed dim=%d epochs=%d final_loss=%.6f", e.dim, e.epochs, emb.epoch_losses[-1])
         return emb
 
-    return _stage(cfg, "embed", "embeddings.npz", build, save_embeddings, load_embeddings, data)
+    return _stage(cfg, "embed", "embeddings.npz", build, save_embeddings, load_embeddings, run)
 
 
-def ensure_clusters(cfg: RunConfig, emb, data: str | None = None):
+def ensure_clusters(cfg: RunConfig, emb, run: OpenRun | None = None):
     def build():
         clusters = cluster_items(emb.item_vectors, K=cfg.num_interests, iters=cfg.kmeans_iters, seed=cfg.seed)
         export_cluster_map(clusters, Path(cfg.out_dir) / "cluster_map.tsv")
@@ -330,10 +346,10 @@ def ensure_clusters(cfg: RunConfig, emb, data: str | None = None):
                     history[-1] if history else float("nan"))
         return clusters
 
-    return _stage(cfg, "cluster", "clusters.npz", build, save_clusters, load_clusters, data)
+    return _stage(cfg, "cluster", "clusters.npz", build, save_clusters, load_clusters, run)
 
 
-def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters, data: str | None = None):
+def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters, run: OpenRun | None = None):
     def build():
         init = build_init(train, clusters.item_to_interest, cfg.num_interests, alpha=cfg.alpha, beta=cfg.beta)
         support = np.diff(init.support_ptr)
@@ -341,7 +357,7 @@ def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters, data: str | No
                     init.num_users, int((support == 0).sum()), float(support.mean()))
         return init
 
-    return _stage(cfg, "init", "init.npz", build, save_init, load_init, data)
+    return _stage(cfg, "init", "init.npz", build, save_init, load_init, run)
 
 
 class _SeenTracker:
@@ -379,7 +395,7 @@ class _SeenTracker:
         self._ptr = [0, *np.cumsum(np.bincount(users)).tolist()]
 
 
-def _fit_or_load(cfg, slc, init, ordinal, base, data=None):
+def _fit_or_load(cfg, slc, init, ordinal, base, run=None):
     name = f"chunks/chunk_{slc.chunk:05d}"
     scfg = cfg.sampler_config(ordinal)
 
@@ -392,14 +408,14 @@ def _fit_or_load(cfg, slc, init, ordinal, base, data=None):
 
     return _stage(
         cfg, f"fit chunk={slc.chunk}", f"{name}.npz", build, save_chunk_model,
-        lambda p: load_chunk_model(p, slc, init, scfg, base=base), data,
+        lambda p: load_chunk_model(p, slc, init, scfg, base=base), run,
     )
 
 
-def split_graph(cfg: RunConfig, data: str | None = None) -> tuple[EngagementGraph, EngagementGraph, list[ChunkSlice]]:
+def split_graph(cfg: RunConfig, run: OpenRun | None = None) -> tuple[EngagementGraph, EngagementGraph, list[ChunkSlice]]:
     """The (regrouped) graph, its train graph and its held-out chunk slices;
     raises ``ValueError`` when ``test_chunks`` leaves no train chunk."""
-    g = regroup_chunks(ensure_graph(cfg, data), cfg.regroup_factor)
+    g = regroup_chunks(ensure_graph(cfg, run), cfg.regroup_factor)
     t_split = g.num_chunks - cfg.test_chunks
     if t_split < 1:
         raise ValueError(
@@ -423,9 +439,9 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     lists unless they are dumped, are held for the current chunk only; the
     reports need only each query's chunk id.
     """
-    data = open_run(cfg)
+    run = open_run(cfg)
 
-    _, train, test = split_graph(cfg, data)
+    _, train, test = split_graph(cfg, run)
     logger.info(
         "stage=split train_edges=%d test_chunks=%d", train.num_edges, len(test)
     )
@@ -435,14 +451,14 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     methods = list(cfg.methods)
     need_emb = bool({"micro", "mle", "ann"} & set(methods))
     need_init = bool({"micro", "mle"} & set(methods))
-    emb = ensure_embeddings(cfg, train, data) if need_emb else None
+    emb = ensure_embeddings(cfg, train, run) if need_emb else None
     # ann gives a user without a train engagement the popularity list
     warm = np.bincount(train.users, minlength=train.num_users) > 0
     init = None
     tables = {}  # each mixture's ChunkTables: the static one's serve every chunk
     if need_init:
-        clusters = ensure_clusters(cfg, emb, data)
-        init = ensure_init(cfg, train, clusters, data)
+        clusters = ensure_clusters(cfg, emb, run)
+        init = ensure_init(cfg, train, clusters, run)
         if "mle" in methods:
             tables["mle"] = mle_mixture(init)
 
@@ -465,7 +481,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     prev_model = None
     prev_slice = None
     for j, slc in enumerate(test):
-        model = _fit_or_load(cfg, slc, init, j, ledger, data) if "micro" in methods else None
+        model = _fit_or_load(cfg, slc, init, j, ledger, run) if "micro" in methods else None
 
         if j >= 1:
             queries = build_queries([slc])

@@ -86,13 +86,13 @@ def cmd_stage(args) -> int:
     """``embed``, ``cluster`` or ``init``: build that stage's artifact and
     every earlier one that is missing."""
     cfg = _build_config(args)
-    data = open_run(cfg)
-    train = split_graph(cfg, data)[1]
-    built = ensure_embeddings(cfg, train, data)
+    run = open_run(cfg)
+    train = split_graph(cfg, run)[1]
+    built = ensure_embeddings(cfg, train, run)
     if args.command != "embed":
-        built = ensure_clusters(cfg, built, data)
+        built = ensure_clusters(cfg, built, run)
     if args.command == "init":
-        ensure_init(cfg, train, built, data)
+        ensure_init(cfg, train, built, run)
     return 0
 
 

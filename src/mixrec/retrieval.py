@@ -27,13 +27,14 @@ index per method:
 - ``ann``: ``ann_encode_items(slice_, emb, ranking, warm)``, an ``AnnIndex``
   of the pool's engagement-averaged item vectors, their norms, the user
   vectors, the popularity ranking and which users are ``warm``.
-- ``popularity``: ``popularity_ranking(slice_)``, the pool by engagement
-  count.
+- ``popularity``: ``popularity_ranking(slice_)``, a ``Ranking`` of the
+  pool by engagement count, which unpacks as the pair (items, scores).
 
 One cold-user rule holds for every method: the list of a user without
 train history (a cold user) is the first M unseen items of the source
 chunk's popularity ranking, which every index holds. Under the mixtures
-such a user has no interests; under ``ann`` the user is not ``warm``.
+such a user has no interests, and the mixture kernel walks the ranking in
+the same call; under ``ann`` the user is not ``warm``.
 
 Only the mixtures' indexes take a list length L, which the backtest sets
 to 5*M, so they depend on M through L alone; ``ann`` and ``popularity``
@@ -61,19 +62,28 @@ probability there, so it is stored once per interest, not once per item
 Every retriever ends in one selection: the first M candidates by (score
 descending, item id ascending) that are not seen. It runs in the compiled
 kernels of ``sweep_kernel`` when ``load_kernel()`` builds them, one C call
-per query, each writing its list's ids and scores into one buffer:
-``mixture`` sums a user's interest lists into their pool positions and
-keeps the best M, ``cosine`` does the same for the ANN cosines of a numpy
-``item_vecs @ uv`` product, and ``walk`` takes the first M unseen entries
-of a ranked array with their scores (popularity and the cold-user
-fallback). A seen tracker's view, already a contiguous ``int64`` array, is
-passed to them as it is. ``mixture`` sums every term only at the positions
-the user's lists count; the positions that only floor runs reach rank by
-position, so it sums only the first M unseen of them. ``mixture`` and
-``cosine`` drop seen ids first, then keep the best M with a key threshold,
-a partition and one sort; ``walk`` looks up each entry it passes. The
-scores keep the bits of the numpy path. A ``seen`` array that is not
-ascending raises ``ValueError`` on both paths.
+per query. Each index binds its kernel arguments once, when it is made:
+an ``InterestIndex``, an ``AnnIndex`` and a ``Ranking`` each hold their
+arrays read-only and contiguous, and a C struct (``_c``) of their lengths
+and addresses. A query passes that struct and only what is its own: the
+user (``mixture``) or the numpy ``item_vecs @ uv`` product and the user
+vector's norm (``cosine``), the seen ids and their count, the list's
+capacity and one new buffer, into which the kernel writes the list's ids
+and then its scores' bits (``_listed``). ``mixture`` reads the user's row
+itself and either sums the user's interest lists into their pool positions
+and keeps the best M or, for a user without interests, walks the index's
+popularity ranking; ``cosine`` keeps the best M of the ANN cosines; and
+``walk`` takes the first M unseen entries of a ranking with their scores
+(popularity, and ``ann``'s cold users). A seen tracker's view, already a
+contiguous writable ``int64`` array, is passed as it is, like the buffer
+and the product, so no query copies an array or reads a read-only array's
+address. ``mixture`` sums every term only at the positions the user's
+lists count; the positions that only floor runs reach rank by position,
+so it sums only the first M unseen of them. ``mixture`` and ``cosine``
+drop seen ids first, then keep the best M with a key threshold, a
+partition and one sort; ``walk`` looks up each entry it passes. The scores
+keep the bits of the numpy path. A ``seen`` array that is not ascending
+raises ``ValueError`` on both paths.
 
 The numpy path is their reference, and the fallback when no compiler is
 there, chosen exactly as the Gibbs sweep is: it expands the floor runs of
@@ -88,6 +98,7 @@ buffer) as a ``CandidateList``'s ``ids`` and ``scores``, from which its
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -98,11 +109,12 @@ from .embeddings import EmbeddingTable, gather_sum
 from .graph import ChunkSlice, _freeze, _freeze_fields
 from .initialization import InitArtifact
 from .sampler import ChunkModel, _ranges
-from .sweep_kernel import arg as _arg, load_kernel
+from .sweep_kernel import AnnStruct, InterestStruct, RankingStruct, arg as _arg, load_kernel
 
 __all__ = [
     "RetrievalConfig",
     "CandidateList",
+    "Ranking",
     "InterestIndex",
     "AnnIndex",
     "ChunkTables",
@@ -155,15 +167,15 @@ class CandidateList:
         return len(self.ids)
 
 
-def _addresses(obj, **dtypes) -> tuple[int, ...]:
+def _addresses(obj, **dtypes) -> dict[str, int]:
     """Store each named array of the frozen dataclass ``obj`` as a
     read-only contiguous array of its dtype and return their data
-    addresses, which stay valid while ``obj`` holds the arrays. An array
-    that already is one is stored as it is, so its holder can no longer
-    write it either."""
+    addresses by name, which stay valid while ``obj`` holds the arrays. An
+    array that already is one is stored as it is, so its holder can no
+    longer write it either."""
     for name, dtype in dtypes.items():
         object.__setattr__(obj, name, _freeze(np.ascontiguousarray(getattr(obj, name), dtype=dtype)))
-    return tuple(getattr(obj, name).ctypes.data for name in dtypes)
+    return {name: getattr(obj, name).ctypes.data for name in dtypes}
 
 
 def _ascending(a: np.ndarray) -> bool:
@@ -176,6 +188,36 @@ def _check(ok: bool, what: str, of: str = "index") -> None:
     cannot be built from."""
     if not ok:
         raise ValueError(f"inconsistent {of}: {what}")
+
+
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """A ranked item array, ``items`` (``int64``), with its aligned
+    ``scores`` (``float64``), both read-only; it unpacks and indexes as the
+    pair ``(items, scores)``. A chunk's ``popularity_ranking`` is one, and
+    every index holds its pool's."""
+
+    items: np.ndarray
+    scores: np.ndarray
+    # the kernels' ranking_t of the two arrays
+    _c: RankingStruct = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = _addresses(self, items=np.int64, scores=np.float64)
+        _check(self.items.ndim == self.scores.ndim == 1 and len(self.items) == len(self.scores),
+               "one score per ranked item", "ranking")
+        object.__setattr__(self, "_c", RankingStruct(len(self.items), **c))
+
+    def __iter__(self):
+        return iter((self.items, self.scores))
+
+    def __getitem__(self, i):
+        return (self.items, self.scores)[i]
+
+
+def _ranking(r) -> Ranking:
+    """``r`` as a ``Ranking``: itself, or an (items, scores) pair made one."""
+    return r if r.__class__ is Ranking else Ranking(*r)
 
 
 @dataclass(frozen=True)
@@ -191,8 +233,8 @@ class InterestIndex:
     User u's interests are ``user_k[user_ptr[u]:user_ptr[u+1]]`` with
     aligned weights ``user_w``, in summation order; the row is empty for a
     user without interests. ``popularity`` is the pool's
-    ``popularity_ranking``, the list of every such user. Its arrays are
-    read-only.
+    ``popularity_ranking`` (a ``Ranking``, or a pair made one), the list of
+    every such user. Its arrays are read-only.
     """
 
     ptr: np.ndarray
@@ -204,22 +246,25 @@ class InterestIndex:
     user_w: np.ndarray
     floor: np.ndarray
     fend: np.ndarray
-    popularity: tuple[np.ndarray, np.ndarray]
-    # data addresses of ptr, positions, probs, floor, fend, pool_items, user_k and user_w for the kernel
-    _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # user_ptr as Python ints, so a query reads its row bounds without numpy scalars
-    _rows: list[int] = field(init=False, repr=False, compare=False)
+    popularity: Ranking
+    # the kernels' interest_index_t of the arrays above
+    _c: InterestStruct = field(init=False, repr=False, compare=False)
+    # the longest list a query gets: the pool's length, or the ranking's for a user without interests
+    _longest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = len(self.ptr) - 1
-        object.__setattr__(self, "user_ptr", np.asarray(self.user_ptr, dtype=np.int64))
-        _freeze_fields(self, "user_ptr", "popularity")
-        object.__setattr__(self, "_rows", self.user_ptr.tolist())
-        object.__setattr__(self, "_c", _addresses(
-            self, ptr=np.int64, positions=np.int64, probs=np.float64, floor=np.float64, fend=np.int64,
-            pool_items=np.int64, user_k=np.int64, user_w=np.float64,
-        ))
+        object.__setattr__(self, "popularity", _ranking(self.popularity))
+        c = _addresses(
+            self, pool_items=np.int64, ptr=np.int64, positions=np.int64, probs=np.float64, floor=np.float64,
+            fend=np.int64, user_ptr=np.int64, user_k=np.int64, user_w=np.float64,
+        )
         n = len(self.pool_items)
+        object.__setattr__(self, "_longest", max(n, len(self.popularity.items)))
+        object.__setattr__(self, "_c", InterestStruct(
+            n, c["pool_items"], c["ptr"], c["positions"], c["probs"], c["floor"], c["fend"],
+            c["user_ptr"], c["user_k"], c["user_w"], ctypes.pointer(self.popularity._c),
+        ))
         for ptr, rows, bound in (("ptr", "positions", n), ("user_ptr", "user_k", K)):
             p, v = getattr(self, ptr), getattr(self, rows)
             _check(len(p) >= 1 and p[0] == 0 and p[-1] == len(v), f"{ptr} must run from 0 to len({rows})")
@@ -381,19 +426,11 @@ _FLOAT64 = np.dtype(np.float64)
 _NOT_ASCENDING = "seen item ids must be ascending"
 
 
-def _kernel_count(got: int) -> int:
-    """The count a kernel selection returned, or its error raised."""
-    if got == -3:
-        raise ValueError(_NOT_ASCENDING)
-    if got < 0:
-        raise MemoryError("top-M selection could not allocate its work space")
-    return got
-
-
-def _kernel_top(fn, user: int, chunk: int, cap: int, seen, *args) -> CandidateList:
-    """The list a kernel selection ``fn(*args, seen, len(seen), cap, out)``
-    writes: at most ``cap`` ranked candidates, their count returned, with
-    their ids in ``out[:cap]`` and their scores' bits in ``out[cap:]``.
+def _listed(fn, index, cap: int, seen, user: int, chunk: int, *args) -> CandidateList:
+    """The list that one kernel call ``fn(index, *args, seen, len(seen),
+    cap, out)`` writes: at most ``cap`` ranked candidates, their count
+    returned, with their ids in ``out[:cap]`` and their scores' bits in
+    ``out[cap:]``; a negative count raises.
 
     A seen tracker's view, a contiguous ``int64`` array, goes to the kernel
     as it is; any other ``seen`` as a contiguous ``int64`` copy.
@@ -403,7 +440,11 @@ def _kernel_top(fn, user: int, chunk: int, cap: int, seen, *args) -> CandidateLi
     elif seen.__class__ is not np.ndarray or seen.dtype != _INT64 or not seen.flags.c_contiguous:
         seen = np.ascontiguousarray(seen, dtype=np.int64)
     out = np.empty(2 * cap, np.int64)
-    got = _kernel_count(fn(*args, _arg(seen), len(seen), cap, _arg(out)))
+    got = fn(index, *args, _arg(seen), len(seen), cap, _arg(out))
+    if got == -3:
+        raise ValueError(_NOT_ASCENDING)
+    if got < 0:
+        raise MemoryError("top-M selection could not allocate its work space")
     return CandidateList(user, chunk, out[:got], out[cap:cap + got].view(_FLOAT64))
 
 
@@ -414,13 +455,9 @@ def _select_top(items: np.ndarray, scores: np.ndarray, M: int, seen, user: int, 
 
 
 def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList:
-    """The first M entries of a ranked (items, scores) pair not in ``seen``."""
+    """The first M entries of a ranked (items, scores) pair not in ``seen``:
+    the numpy reference of the kernels' ``walk``."""
     items, scores = ranking
-    kernel = load_kernel()
-    if seen is not None and kernel is not None:
-        items = np.ascontiguousarray(items, dtype=np.int64)
-        scores = np.ascontiguousarray(scores, dtype=np.float64)
-        return _kernel_top(kernel.walk, user, chunk, min(M, len(items)), seen, len(items), _arg(items), _arg(scores))
     if seen is not None:
         seen = np.ascontiguousarray(seen, dtype=np.int64)
         if np.any(seen[1:] < seen[:-1]):
@@ -433,12 +470,22 @@ def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList
     return CandidateList(user, chunk, items[:M].astype(np.int64, copy=False), scores[:M].astype(np.float64, copy=False))
 
 
+def _popular(ranking: Ranking, M: int, seen, user: int, chunk: int) -> CandidateList:
+    """The first M entries of ``ranking`` not in ``seen``: one ``walk``
+    call, or ``_first_unseen`` without the kernels."""
+    kernel = load_kernel()
+    if kernel is not None:
+        return _listed(kernel.walk, ranking._c, min(M, len(ranking.items)), seen, user, chunk)
+    return _first_unseen(ranking, M, seen, user, chunk)
+
+
 def retrieve_mixture(
     u: int, idx: InterestIndex, cfg: RetrievalConfig, seen=None, chunk: int = -1
 ) -> CandidateList:
     """Top M by the mixture sum over k of ``theta[k] * prob`` across the
     lists of the user's interests ``ks``, user u's row of ``idx.user_k``
-    (and ``idx.user_w``); with no interests, the cold-user fallback.
+    (and ``idx.user_w``); with no interests, the cold-user fallback. The
+    kernel reads the row and takes the fallback itself, in one call.
 
     Each item sums its per-interest terms in the order of ``ks``, one term
     per interest whose list holds it: the kernel adds them in that order,
@@ -446,22 +493,16 @@ def retrieve_mixture(
     interest, into their pool positions. Only items some term touched are
     candidates.
     """
-    rows = idx._rows
-    if not 0 <= u < len(rows) - 1:  # a negative id would read another row
-        raise IndexError(f"user {u} outside [0, {len(rows) - 1})")
+    users = len(idx.user_ptr) - 1
+    if not 0 <= u < users:  # a negative id would read another row
+        raise IndexError(f"user {u} outside [0, {users})")
     seen = seen if cfg.exclude_seen else None
-    lo, hi = rows[u], rows[u + 1]
+    kernel = load_kernel()
+    if kernel is not None:
+        return _listed(kernel.mixture, idx._c, min(cfg.M, idx._longest), seen, u, chunk, u)
+    lo, hi = idx.user_ptr[u:u + 2].tolist()
     if hi == lo:
         return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
-    kernel = load_kernel()
-    n = len(idx.pool_items)
-    if kernel is not None:
-        ptr, positions, probs, floor, fend, pool, user_k, user_w = idx._c
-        # the user's row starts 8 * lo bytes into user_k and user_w
-        return _kernel_top(
-            kernel.mixture, u, chunk, min(cfg.M, n), seen,
-            hi - lo, user_k + 8 * lo, user_w + 8 * lo, ptr, positions, probs, floor, fend, n, pool,
-        )
     ks, w = idx.user_k[lo:hi], idx.user_w[lo:hi]
     size, fend = idx.ptr[ks + 1] - idx.ptr[ks], idx.fend[ks]
     # slot a's terms are interest ks[a]'s counted entries, then its run
@@ -478,6 +519,7 @@ def retrieve_mixture(
     keep = np.ones(len(pos), dtype=bool)
     keep[run0[slot[inrun]] + pos[counted][inrun]] = False
     pos, terms = pos[keep], terms[keep]
+    n = len(idx.pool_items)
     acc = np.bincount(pos, weights=terms, minlength=n)
     cand = np.flatnonzero(np.bincount(pos, minlength=n))
     return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen, u, chunk)
@@ -487,21 +529,25 @@ def retrieve_mixture(
 class AnnIndex:
     """Chunk item vectors over the ascending ``pool_items``, their norms,
     the user vectors they are compared with, the pool's ``popularity``
-    ranking and ``warm``, whether each user has a train engagement; all
-    read-only."""
+    ranking (a ``Ranking``, or a pair made one) and ``warm``, whether each
+    user has a train engagement; all read-only. The vectors are stored as
+    contiguous ``float64``, so their products are the kernel's input as
+    they are."""
 
     pool_items: np.ndarray
     item_vecs: np.ndarray
     norms: np.ndarray
     user_vectors: np.ndarray
-    popularity: tuple[np.ndarray, np.ndarray]
+    popularity: Ranking
     warm: np.ndarray
-    # data addresses of pool_items and norms for the kernel
-    _c: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the kernels' ann_index_t of pool_items and norms
+    _c: AnnStruct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_c", _addresses(self, pool_items=np.int64, norms=np.float64))
-        _freeze_fields(self, "item_vecs", "user_vectors", "popularity", "warm")
+        object.__setattr__(self, "popularity", _ranking(self.popularity))
+        c = _addresses(self, pool_items=np.int64, norms=np.float64, item_vecs=np.float64, user_vectors=np.float64)
+        object.__setattr__(self, "_c", AnnStruct(len(self.pool_items), c["pool_items"], c["norms"]))
+        _freeze_fields(self, "warm")
         _check(len(self.item_vecs) == len(self.norms) == len(self.pool_items), "one vector and norm per pool item")
         _check(_ascending(self.pool_items), "pool_items must be strictly ascending")
         _check(len(self.warm) == len(self.user_vectors), "one warm flag per user vector")
@@ -533,34 +579,32 @@ def ann_retrieve(
     # the bits of np.linalg.norm(uv), which is sqrt(uv.dot(uv)) for a real vector
     un = math.sqrt(uv @ uv)
     if not idx.warm[u] or un == 0.0:
-        return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
-    # numpy's BLAS product in both paths: C would sum in another order
+        return _popular(idx.popularity, cfg.M, seen, u, chunk)
+    # numpy's BLAS product in both paths: C would sum in another order; a
+    # new contiguous float64 array, so the kernel takes it as it is
     dots = idx.item_vecs @ uv
     kernel = load_kernel()
     if kernel is not None:
-        dots = np.ascontiguousarray(dots, dtype=np.float64)
-        pool, norms = idx._c
-        n = len(idx.pool_items)
-        return _kernel_top(kernel.cosine, u, chunk, min(cfg.M, n), seen, n, pool, _arg(dots), norms, un)
+        return _listed(kernel.cosine, idx._c, min(cfg.M, len(idx.pool_items)), seen, u, chunk, _arg(dots), un)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.where(idx.norms > 0.0, dots / (idx.norms * un), -np.inf)
     return _select_top(idx.pool_items, cos, cfg.M, seen, u, chunk)
 
 
-def popularity_ranking(slice_: ChunkSlice) -> tuple[np.ndarray, np.ndarray]:
+def popularity_ranking(slice_: ChunkSlice) -> Ranking:
     """Chunk items by engagement count desc, ties by ascending item id; the
     counts are the items' ``float64`` scores."""
     items, counts = slice_.item_pool, slice_.item_counts
     order = np.lexsort((items, -counts))
-    return items[order], counts[order].astype(np.float64)
+    return Ranking(items[order], counts[order].astype(np.float64))
 
 
 def popularity_retrieve(
-    u: int, ranking: tuple[np.ndarray, np.ndarray], cfg: RetrievalConfig, seen=None, chunk: int = -1
+    u: int, ranking: Ranking, cfg: RetrievalConfig, seen=None, chunk: int = -1
 ) -> CandidateList:
     """Global top-M of the chunk's ``popularity_ranking``; identical for
     all users up to exclusion."""
-    return _first_unseen(ranking, cfg.M, seen if cfg.exclude_seen else None, u, chunk)
+    return _popular(ranking, cfg.M, seen if cfg.exclude_seen else None, u, chunk)
 
 
 def batch_retrieve(fn, users, workers: int):

@@ -35,33 +35,49 @@ unless ``-ffast-math`` or ``-fassociative-math`` allows it, so a running
 sum stays sequential. ``-march=native`` is left out because the cache key
 records no CPU: a shared cache could hand one machine's build to another.
 
-The three retrieval entry points each answer one query; their reference is
-the numpy path of ``mixrec.retrieval``. ``mixture`` adds theta_k * prob into
-the pool positions of the user's interest lists in the order of ``ks``.
+The three retrieval entry points each answer one query in one call; their
+reference is the numpy path of ``mixrec.retrieval``. Each reads a
+read-only index struct, built once when its Python index is made and
+mirrored here by a ``ctypes.Structure``: ``ranking_t`` (``RankingStruct``)
+of a ranked item array and its scores, ``interest_index_t``
+(``InterestStruct``) of an ``InterestIndex``'s pool, lists, floors, run
+ends, user CSR and popularity ranking, and ``ann_index_t``
+(``AnnStruct``) of an ``AnnIndex``'s pool and item norms. A query passes
+the struct and only what is its own:
+
+- ``mixture(index, user, seen, ns, M, out)`` reads the user's row of the
+  index's user CSR. A user without interests gets the first M unseen
+  entries of the index's popularity ranking, the cold-user rule, in the
+  same call; for any other user it adds theta_k * prob into the pool
+  positions of the user's interest lists in the order of ``ks``;
+- ``cosine(index, dots, un, seen, ns, M, out)`` scores ``dots / (norms *
+  un)``, or -inf where a norm is 0, for the numpy product ``dots``;
+- ``walk(ranking, seen, ns, M, out)`` keeps the first M unseen entries of
+  the ranking with their scores.
+
 Interest k's list is its counted entries, then its floor run: every other
-pool position below ``fend[k]``, each with ``floors[k]``. ``mixture`` trusts
-``ks``, the positions, the run ends, the weights and the floors:
-``InterestIndex`` checks them, the weights and floors finite and >= 0. Two
-kinds of position are candidates. U, the union of the interests' counted
-positions, gets each list's term in the order of ``ks`` (as ``np.bincount``
-adds them, so each sum keeps its bits). A position outside U but below the
-largest run end gets floor terms only; its sum never increases with the
-position (the kernel's comment gives the argument), so these positions come
-in rank order, and only the first M unseen are summed and offered.
-``cosine`` scores ``dots / (norms * un)``, or -inf where a norm is 0. Both
-drop the seen ids before they select: ``cosine`` by a merge walk of the
-ascending pool and seen ids, ``mixture`` through a bitmap of the seen pool
-positions. Both then keep the best M by (score descending with NaN last,
-item ascending). Each candidate gets an order-preserving integer key, and
-one whose key is above the M-th best so far is dropped without a branch. A
-branch-free partition cuts the kept ones back to M whenever they reach 2M,
-and one sort ranks the rest. The order is total over distinct items, so the
-offer order does not change the result. ``walk`` keeps the first M unseen
-entries of a ranked item array with their scores. All three write a list of
-at most M entries into one ``int64`` buffer of 2M, the item ids first and
-then the scores' bits, and first check in one pass that the seen ids do not
-decrease, which the searches and the merge walk need, returning -3 when
-they do.
+pool position below ``fend[k]``, each with ``floors[k]``. ``mixture``
+trusts the user, ``ks``, the positions, the run ends, the weights and the
+floors: the caller checks the user, and ``InterestIndex`` checks the rest,
+the weights and floors finite and >= 0. Two kinds of position are
+candidates. U, the union of the interests' counted positions, gets each
+list's term in the order of ``ks`` (as ``np.bincount`` adds them, so each
+sum keeps its bits). A position outside U but below the largest run end
+gets floor terms only; its sum never increases with the position (the
+kernel's comment gives the argument), so these positions come in rank
+order, and only the first M unseen are summed and offered. ``mixture`` and
+``cosine`` drop the seen ids before they select: ``cosine`` by a merge walk
+of the ascending pool and seen ids, ``mixture`` through a bitmap of the
+seen pool positions. Both then keep the best M by (score descending with
+NaN last, item ascending). Each candidate gets an order-preserving integer
+key, and one whose key is above the M-th best so far is dropped without a
+branch. A branch-free partition cuts the kept ones back to M whenever they
+reach 2M, and one sort ranks the rest. The order is total over distinct
+items, so the offer order does not change the result. All three write a
+list of at most M entries into one ``int64`` buffer of 2M, the item ids
+first and then the scores' bits, and first check in one pass that the seen
+ids do not decrease, which the searches and the merge walk need, returning
+-3 when they do.
 
 ``row_mean`` is one embedding SGD update; its reference is the numpy
 ``mixrec.embeddings._apply_row_mean``. It forms each example's gradient as
@@ -92,8 +108,9 @@ Cephes branches it leaves out, so it writes nothing and returns -2, and the
 sampler raises ``ValueError``. Without a compiler the sampler imports
 scipy for it; with one, a backtest or CLI process never imports scipy.
 
-The entry points hold no static state; they allocate their work space per
-call or, like the sweep, take it from the caller, so threads may share them.
+The entry points hold no static state and only read the index structs;
+they allocate their work space per call or, like the sweep, take it from
+the caller, so threads may share them.
 """
 
 from __future__ import annotations
@@ -110,7 +127,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["Kernel", "arg", "load_kernel"]
+__all__ = ["AnnStruct", "InterestStruct", "Kernel", "RankingStruct", "arg", "load_kernel"]
 
 logger = logging.getLogger(__name__)
 
@@ -478,13 +495,55 @@ static void put(i64 *out, i64 M, i64 i, i64 item, double score)
 
 #define BIT(p) (1ULL << ((p) & 63))
 
+/* -- the retrieval indexes: built once per index, read by every query ---- */
+
+/* A ranked item array with its aligned scores: a chunk's popularity ranking. */
+typedef struct {
+    i64 n;
+    const i64 *items;
+    const double *scores;
+} ranking_t;
+
+/* An InterestIndex. Interest k's list is its counted entries
+   positions[ptr[k]:ptr[k+1]] into the ascending pool[0:n], with probs, then
+   its floor run, every other pool position below fend[k], with floors[k].
+   User u's interests are user_k[user_ptr[u]:user_ptr[u+1]], with weights
+   user_w; popularity is the list of a user without interests. */
+typedef struct {
+    i64 n;
+    const i64 *pool, *ptr, *positions;
+    const double *probs, *floors;
+    const i64 *fend, *user_ptr, *user_k;
+    const double *user_w;
+    const ranking_t *popularity;
+} interest_index_t;
+
+/* An AnnIndex: the ascending pool[0:n] and its item vectors' norms. */
+typedef struct {
+    i64 n;
+    const i64 *pool;
+    const double *norms;
+} ann_index_t;
+
+/* The first M entries of the ranking r that are not in seen, with their
+   scores. Returns the count written to out (see put), or -3 when seen is
+   not ascending. */
+i64 mixrec_walk(const ranking_t *r, const i64 *seen, i64 ns, i64 M, i64 *out)
+{
+    if (!ascending(seen, ns))
+        return -3;
+    i64 kept = 0;
+    for (i64 i = 0; i < r->n && kept < M; i++)
+        if (!is_seen(seen, ns, r->items[i]))
+            put(out, M, kept++, r->items[i], r->scores[i]);
+    return kept;
+}
+
 /* Top M by the mixture sum over a of theta[a] * prob across the list of
-   interest k = ks[a]: its counted entries positions[ptr[k]:ptr[k+1]] into
-   the ascending pool with probs, then its floor run, every other pool
-   position below fend[k] with floors[k]. The index checked every interest,
-   position and run end, and that every theta and floor is finite and >= 0,
-   when it was built. Returns the count written to out (see put), -1
-   when out of memory, or -3 when seen is not ascending.
+   interest k = ks[a] of index x (see interest_index_t). The index checked
+   every interest, position and run end, and that every theta and floor is
+   finite and >= 0, when it was built. Returns the count written to out
+   (see put), or -1 when out of memory.
 
    The candidates are the positions some term reaches. U, the union of the
    interests' counted positions, gets every term, in the order of ks, each
@@ -497,17 +556,15 @@ static void put(i64 *out, i64 M, i64 i, i64 item, double score)
    order, is never larger. These sums therefore never increase with the
    position, and the positions come in rank order: only the first M unseen
    ones can be among the best M. Each distinct sum is computed once, from
-   0.0 in the order of ks. Seen ids are dropped before selection, through a
-   bitmap of the seen pool positions (one binary search of the pool each). */
-i64 mixrec_mixture(
-    i64 nks, const i64 *ks, const double *theta,
-    const i64 *ptr, const i64 *positions, const double *probs,
-    const double *floors, const i64 *fend,
-    i64 n, const i64 *pool, const i64 *seen, i64 ns, i64 M,
-    i64 *out)
+   0.0 in the order of ks. Seen ids, ascending, are dropped before
+   selection, through a bitmap of the seen pool positions (one binary search
+   of the pool each). */
+static i64 top_mixture(
+    const interest_index_t *x, i64 nks, const i64 *ks, const double *theta,
+    const i64 *seen, i64 ns, i64 M, i64 *out)
 {
-    if (!ascending(seen, ns))
-        return -3;
+    const i64 n = x->n, *pool = x->pool, *ptr = x->ptr, *positions = x->positions, *fend = x->fend;
+    const double *probs = x->probs, *floors = x->floors;
     if (M <= 0 || n <= 0)
         return 0;
     i64 words = n / 64 + 1, nu = 0, top = 0;
@@ -593,19 +650,34 @@ i64 mixrec_mixture(
     return got;
 }
 
+/* The list of user u of index x: the top M of the user's mixture, or, for a
+   user without interests, the first M unseen entries of x->popularity (the
+   cold-user rule). The caller checked u. Returns the count written to out
+   (see put), -1 when out of memory, or -3 when seen is not ascending. */
+i64 mixrec_mixture(const interest_index_t *x, i64 u, const i64 *seen, i64 ns, i64 M, i64 *out)
+{
+    i64 lo = x->user_ptr[u], nks = x->user_ptr[u + 1] - lo;
+    if (!nks)
+        return mixrec_walk(x->popularity, seen, ns, M, out);
+    if (!ascending(seen, ns))
+        return -3;
+    return top_mixture(x, nks, x->user_k + lo, x->user_w + lo, seen, ns, M, out);
+}
+
 static double cosine(const double *dots, const double *norms, double un, i64 i)
 {
     return norms[i] > 0.0 ? dots[i] / (norms[i] * un) : -INFINITY;
 }
 
-/* Top M of the ascending pool by cosine dots[i] / (norms[i] * un), -inf
-   where a norm is not positive. Seen ids are dropped by a merge walk of the
-   two ascending arrays. Returns the count written, -1 when out of memory,
-   or -3 when seen is not ascending. */
-i64 mixrec_cosine(
-    i64 n, const i64 *pool, const double *dots, const double *norms, double un,
-    const i64 *seen, i64 ns, i64 M, i64 *out)
+/* Top M of the ascending pool of index x by cosine dots[i] / (norms[i] *
+   un), -inf where a norm is not positive; dots[0:n] are the pool's item
+   vectors times the user's. Seen ids are dropped by a merge walk of the two
+   ascending arrays. Returns the count written, -1 when out of memory, or -3
+   when seen is not ascending. */
+i64 mixrec_cosine(const ann_index_t *x, const double *dots, double un, const i64 *seen, i64 ns, i64 M, i64 *out)
 {
+    const i64 n = x->n, *pool = x->pool;
+    const double *norms = x->norms;
     if (!ascending(seen, ns))
         return -3;
     if (M <= 0 || n <= 0)
@@ -624,20 +696,6 @@ i64 mixrec_cosine(
         put(out, M, i, pool[t.c.at[i]], cosine(dots, norms, un, t.c.at[i]));
     free(work);
     return got;
-}
-
-/* The first M entries of the ranked items[0:n], with their scores, that are
-   not in seen. Returns the count written to out (see put), or -3 when seen
-   is not ascending. */
-i64 mixrec_walk(i64 n, const i64 *items, const double *scores, const i64 *seen, i64 ns, i64 M, i64 *out)
-{
-    if (!ascending(seen, ns))
-        return -3;
-    i64 kept = 0;
-    for (i64 i = 0; i < n && kept < M; i++)
-        if (!is_seen(seen, ns, items[i]))
-            put(out, M, kept++, items[i], scores[i]);
-    return kept;
 }
 
 /* -- row sums: the embedding SGD update and the gather-sum --------------- */
@@ -814,7 +872,7 @@ i64 mixrec_gammaln(i64 n, const double *x, double *out)
 
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
-_ll, _dbl = ctypes.c_longlong, ctypes.c_double
+_ll, _dbl, _ptr = ctypes.c_longlong, ctypes.c_double, ctypes.c_void_p
 _ARGTYPES = (
     [_ll, _I64, _I64, _I64, _I64, _I64]  # R, ptr, offs, lens, cand, uk
     + [_I64] * 4  # cptr, ck, cc, cfill
@@ -824,18 +882,41 @@ _ARGTYPES = (
     + [_F64, _I64, _F64]  # wbuf, dense, s0
     + [_I64, ctypes.POINTER(_dbl)]  # out, dlj
 )
+
+
+class RankingStruct(ctypes.Structure):
+    """``ranking_t``: a ranked item array and its aligned scores."""
+
+    _fields_ = [("n", _ll), ("items", _ptr), ("scores", _ptr)]
+
+
+class InterestStruct(ctypes.Structure):
+    """``interest_index_t``: the arrays of a ``retrieval.InterestIndex``."""
+
+    _fields_ = [("n", _ll)] + [
+        (name, _ptr)
+        for name in ("pool", "ptr", "positions", "probs", "floors", "fend", "user_ptr", "user_k", "user_w")
+    ] + [("popularity", ctypes.POINTER(RankingStruct))]
+
+
+class AnnStruct(ctypes.Structure):
+    """``ann_index_t``: the pool and item norms of a ``retrieval.AnnIndex``."""
+
+    _fields_ = [("n", _ll), ("pool", _ptr), ("norms", _ptr)]
+
+
 # The retrieval entry points run once per query, ``row_mean`` once per SGD
 # batch and ``gather_sum`` once per Lloyd iteration, so they take raw
 # pointers (``ctypes.c_void_p``, see ``arg``): checking an ``ndpointer``
-# costs microseconds.
-_ptr = ctypes.c_void_p
+# costs microseconds. The retrieval entry points take their index as one
+# of the structs above, which ctypes passes by address.
 _POINTER_ARGTYPES = {
-    # nks, ks, theta, ptr, positions, probs, floors, fend, n, pool, seen, ns, M, out
-    "mixture": [_ll, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ll, _ptr, _ptr, _ll, _ll, _ptr],
-    # n, pool, dots, norms, un, seen, ns, M, out
-    "cosine": [_ll, _ptr, _ptr, _ptr, _dbl, _ptr, _ll, _ll, _ptr],
-    # n, items, scores, seen, ns, M, out
-    "walk": [_ll, _ptr, _ptr, _ptr, _ll, _ll, _ptr],
+    # index, user, seen, ns, M, out
+    "mixture": [ctypes.POINTER(InterestStruct), _ll, _ptr, _ll, _ll, _ptr],
+    # index, dots, un, seen, ns, M, out
+    "cosine": [ctypes.POINTER(AnnStruct), _ptr, _dbl, _ptr, _ll, _ll, _ptr],
+    # ranking, seen, ns, M, out
+    "walk": [ctypes.POINTER(RankingStruct), _ptr, _ll, _ll, _ptr],
     # m, rows, scal, vidx, vecs, nv, D, lr, emb, nrows
     "row_mean": [_ll, _ptr, _ptr, _ptr, _ptr, _ll, _ll, _dbl, _ptr, _ll],
     # m, rows, vidx, vecs, nv, D, out, nrows

@@ -106,7 +106,7 @@ def test_raw_edges_of_unequal_length_refused():
 
 def indexes():
     """A fitted chunk's ``ChunkTables`` and ``InterestIndex``, the static
-    mixture's, and the chunk's ``AnnIndex``."""
+    mixture's, and the chunk's ``AnnIndex`` and popularity ``Ranking``."""
     slc = ChunkSlice.from_edges(3, [0, 1, 2, 2], [0, 1, 2, 1])
     rank = popularity_ranking(slc)
     tables, static = chunk_tables(fit_chunk(slc, init(), SamplerConfig(seed=0))), mle_mixture(init())
@@ -116,6 +116,7 @@ def indexes():
         "index": build_index(tables, 5, slc.item_pool, rank),
         "static-index": build_index(static, 5, slc.item_pool, rank),
         "ann": ann_encode_items(slc, table(), rank, np.ones(3, bool)),
+        "ranking": rank,
     }
 
 

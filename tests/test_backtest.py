@@ -36,6 +36,22 @@ def synth_edges(tmp_path_factory):
     return path
 
 
+def with_cold_users(synth_edges, path) -> Path:
+    """``synth_edges`` with two users absent from train written to ``path``:
+    raw user 1000 engages the two most engaged items of chunks 2 and 3, so
+    they are seen when chunks 3 and 4 are queried from those chunks, and
+    1001 is new in chunk 4 and has seen nothing."""
+    edges = np.loadtxt(synth_edges, dtype=np.int64)
+
+    def top(t):  # chunk t's two most engaged raw items
+        items, counts = np.unique(edges[edges[:, 2] == t, 1], return_counts=True)
+        return items[np.lexsort((items, -counts))][:2].tolist()
+
+    extra = [(1000, i, t) for t in (2, 3) for i in top(t)] + [(1000, top(2)[0], 4), (1001, top(3)[0], 4)]
+    path.write_text(synth_edges.read_text() + "".join(f"{u}\t{i}\t{t}\n" for u, i, t in extra))
+    return path
+
+
 EMBED_FIELDS = {f.name for f in dataclasses.fields(EmbedParams)}
 
 
@@ -268,18 +284,7 @@ class TestBacktest:
         # seen items dropped; at two M (M=3 cut from M=10's popularity lists,
         # each mixture retrieved per M), on the compiled selection (when
         # built) and the numpy one
-        edges = np.loadtxt(synth_edges, dtype=np.int64)
-
-        def top(t):  # chunk t's two most engaged raw items
-            items, counts = np.unique(edges[edges[:, 2] == t, 1], return_counts=True)
-            return items[np.lexsort((items, -counts))][:2].tolist()
-
-        # raw user 1000 engages the top items of chunks 2 and 3, so they are
-        # seen when chunks 3 and 4 are queried from those chunks; 1001 is
-        # new in chunk 4 and has seen nothing
-        extra = [(1000, i, t) for t in (2, 3) for i in top(t)] + [(1000, top(2)[0], 4), (1001, top(3)[0], 4)]
-        data = tmp_path / "edges.tsv"
-        data.write_text(synth_edges.read_text() + "".join(f"{u}\t{i}\t{t}\n" for u, i, t in extra))
+        data = with_cold_users(synth_edges, tmp_path / "edges.tsv")
         cfg = small_config(data, tmp_path / "cold", m_values=[3, 10], exclude_seen=True, dump_candidates=True)
         backtest(cfg)
         g, train, test = mixrec.backtest.split_graph(cfg)
@@ -306,6 +311,66 @@ class TestBacktest:
                 assert rows["micro"] == rows["mle"] == rows["ann"] == popularity, (path, m)
                 dumps[path, m] = (tmp_path / "cold" / "metrics" / f"candidates_M{m}.tsv").read_bytes()
         assert all(dumps["compiled", m] == dumps["numpy", m] for m in cfg.m_values)
+
+    def test_one_kernel_call_per_query(self, synth_edges, tmp_path, monkeypatch):
+        # on the compiled path every retriever call is one kernel call, a
+        # cold user's under either mixture included (the mixture kernel
+        # walks the popularity ranking itself); it hands sweep_kernel.arg
+        # only writable arrays (the seen tracker's view, the output buffer
+        # and the ANN products) and makes no contiguous copy: the indexes
+        # hold their arrays' addresses. A backtest with cold users, seen
+        # exclusion and two M
+        kernel = sweep_kernel.load_kernel()
+        if kernel is None:
+            pytest.skip("no C compiler: only the numpy selection runs here")
+        kernel_calls, read_only, copies, inside = [], [], [], []
+
+        def counted(name):
+            fn = getattr(kernel, name)
+            return lambda *args: kernel_calls.append(name) or fn(*args)
+
+        counting = kernel._replace(**{name: counted(name) for name in ("mixture", "cosine", "walk")})
+        monkeypatch.setattr(mixrec.retrieval, "load_kernel", lambda: counting)
+        arg = mixrec.retrieval._arg
+
+        def checked_arg(a):
+            if not a.flags.writeable:
+                read_only.append(a.shape)
+            return arg(a)
+
+        monkeypatch.setattr(mixrec.retrieval, "_arg", checked_arg)
+        contiguous = np.ascontiguousarray
+        monkeypatch.setattr(np, "ascontiguousarray", lambda *a, **kw: (inside and copies.append(1)) or contiguous(*a, **kw))
+        per_call = {name: [] for name in ("retrieve_micro", "retrieve_mle", "ann_retrieve", "popularity_retrieve")}
+        users = {name: set() for name in per_call}
+
+        def wrapped(name):
+            fn = getattr(mixrec.backtest, name)
+
+            def retrieve(u, *args):
+                before = len(kernel_calls)
+                inside.append(name)
+                try:
+                    return fn(u, *args)
+                finally:
+                    inside.pop()
+                    per_call[name].append(len(kernel_calls) - before)
+                    users[name].add(u)
+
+            return retrieve
+
+        for name in per_call:
+            monkeypatch.setattr(mixrec.backtest, name, wrapped(name))
+        data = with_cold_users(synth_edges, tmp_path / "edges.tsv")
+        cfg = small_config(data, tmp_path / "calls", m_values=[3, 10], exclude_seen=True)
+        backtest(cfg)
+        _, train, test = mixrec.backtest.split_graph(cfg)
+        cold = {q.user for q in build_queries(test[1:])} - set(train.users.tolist())
+        for name, calls in per_call.items():
+            assert calls and set(calls) == {1}, name
+            assert cold and cold <= users[name], name
+        assert kernel_calls.count("mixture") == len(per_call["retrieve_micro"]) + len(per_call["retrieve_mle"])
+        assert read_only == [] and copies == []
 
     def test_determinism_byte_identical(self, synth_edges, tmp_path, monkeypatch):
         # two runs of one config, a day apart, write the same bytes to every
@@ -387,6 +452,25 @@ class TestBacktest:
         backtest(cfg)
         assert {name: (out / name).stat().st_mtime_ns for name in names} == stamps
         assert report_bytes(out) | {"cands": (out / "metrics" / "candidates_M10.tsv").read_bytes()} == first
+
+    def test_artifact_records_read_once_per_run(self, synth_edges, tmp_path, monkeypatch):
+        # open_run checks the record of every artifact it finds, and the
+        # stages reuse those without reading a record again; a stage called
+        # without what open_run read checks its artifact itself
+        cfg = small_config(synth_edges, tmp_path / "r")
+        out = Path(cfg.out_dir)
+        reads = []
+        read = mixrec.backtest.read_source
+        monkeypatch.setattr(mixrec.backtest, "read_source", lambda p: reads.append(Path(p).relative_to(out).as_posix()) or read(p))
+        backtest(cfg)
+        assert reads == []
+        built = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.npz"))
+        assert len(built) == 7
+        backtest(cfg)
+        assert sorted(reads) == built
+        reads.clear()
+        mixrec.backtest.ensure_graph(cfg)
+        assert reads == ["graph.npz"]
 
     def test_data_file_read_once_per_run(self, synth_edges, tmp_path, monkeypatch):
         # open_run reads the data file for its record once, and every stage

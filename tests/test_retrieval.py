@@ -13,7 +13,9 @@ from mixrec.retrieval import (
     AnnIndex,
     ChunkTables,
     InterestIndex,
+    Ranking,
     RetrievalConfig,
+    _first_unseen,
     ann_encode_items,
     ann_retrieve,
     build_index,
@@ -600,6 +602,20 @@ class TestAnn:
 
 
 class TestPopularity:
+    def test_ranking_unpacks_as_a_pair_and_is_checked(self):
+        # popularity_ranking's Ranking unpacks and indexes as (items, scores),
+        # int64 and float64 and read-only; a score count that does not match
+        # the items is refused when it is made
+        slc = ChunkSlice.from_edges(1, [0, 1, 1, 2], [5, 3, 5, 9])
+        rank = popularity_ranking(slc)
+        items, scores = rank
+        assert rank[0] is items and rank[1] is scores
+        assert items.tolist() == [5, 3, 9] and scores.tolist() == [2.0, 1.0, 1.0]
+        assert (items.dtype, scores.dtype) == (np.int64, np.float64)
+        assert not (items.flags.writeable or scores.flags.writeable)
+        with pytest.raises(ValueError, match="inconsistent ranking: one score per ranked item"):
+            Ranking([1, 2], [1.0])
+
     def test_tie_break_example(self):
         slc = ChunkSlice.from_edges(
             1, [0, 1, 2, 3, 4, 5, 6, 7, 8], [0, 0, 0, 0, 0, 1, 1, 2, 2]
@@ -1244,6 +1260,69 @@ class TestCompiledTopM:
         assert len(got) == len(want) == 18
         for g, w in zip(got, want):
             assert_same_list(g, w)
+
+
+class TestColdUserFallback:
+    """The mixture kernel's list of a user without interests is the walk of
+    the index's popularity ranking: the numpy ``_first_unseen`` list, ids
+    and score bits, as are ``ann``'s and ``popularity``'s lists of that
+    user."""
+
+    def instance(self, rng, n):
+        """An ``InterestIndex`` over an n-item pool whose users 0 and 2 have
+        no interests, an ``AnnIndex`` where only user 1 is warm, and their
+        one popularity ranking, scored with ties, signed zeros and a NaN."""
+        pool = np.sort(rng.choice(5 * n + 3, size=n, replace=False)).astype(np.int64)
+        ranking = Ranking(rng.permutation(pool), rng.choice(TIED, n))
+        idx = InterestIndex(
+            ptr=[0, n], positions=np.arange(n), probs=rng.random(n), pool_items=pool,
+            user_ptr=[0, 0, 1, 1], user_k=[0], user_w=[1.0], floor=[0.0], fend=[0], popularity=ranking,
+        )
+        vecs = rng.normal(size=(n, 2))
+        ann = AnnIndex(pool, vecs, np.linalg.norm(vecs, axis=1), rng.normal(size=(3, 2)), ranking,
+                       np.array([False, True, False]))
+        return idx, ann, ranking
+
+    def seen_cases(self, rng, pool):
+        yield None
+        yield []
+        yield np.sort(rng.choice(pool, size=(len(pool) + 1) // 2, replace=False))
+        yield np.concatenate([[-1], pool, [10**9]])  # everything seen: an empty list
+
+    def test_kernel_walk_matches_numpy(self, compiled):
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 9, 70):  # a one-item pool among them
+            idx, ann, ranking = self.instance(rng, n)
+            for M in sorted({1, max(1, n - 1), n, n + 4}):  # below, at and above the pool size
+                for exclude in (True, False):
+                    cfg = RetrievalConfig(M=M, exclude_seen=exclude)
+                    for seen in self.seen_cases(rng, idx.pool_items):
+                        for u in (0, 2):
+                            want = _first_unseen(ranking, M, seen if exclude else None, u, 5)
+                            what = f"n {n} M {M} exclude {exclude} user {u} seen {seen}"
+                            assert_same_list(retrieve_mixture(u, idx, cfg, seen=seen, chunk=5), want, what)
+                            assert_same_list(ann_retrieve(u, ann, cfg, seen=seen, chunk=5), want, what)
+                            assert_same_list(popularity_retrieve(u, ranking, cfg, seen=seen, chunk=5), want, what)
+
+    def test_threads_walk_the_same_lists(self, compiled):
+        # batch_retrieve's threads share the index and its ranking; every
+        # cold user's list is the numpy walk's, and user 1's its mixture's
+        rng = np.random.default_rng(38)
+        idx, _, ranking = self.instance(rng, 3000)
+        seen = np.sort(rng.choice(idx.pool_items, 500, replace=False))
+        cfg = RetrievalConfig(M=200)
+        users = [0, 1, 2] * 60
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = batch_retrieve(lambda u: retrieve_mixture(u, idx, cfg, seen=seen, chunk=5), users, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        warm = retrieve_mixture(1, idx, cfg, seen=seen, chunk=5)
+        assert len(got) == len(users)
+        for u, c in zip(users, got):
+            assert_same_list(c, _first_unseen(ranking, 200, seen, u, 5) if u != 1 else warm, f"user {u}")
+            assert len(c) == 200
 
 
 class TestCandidateListFormat:
