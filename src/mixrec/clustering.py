@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .embeddings import gather_sum
 from .graph import _freeze_fields
-from .npz import write_npz, write_text
+from .npz import read_fields, write_fields, write_text
 
 __all__ = ["ClusterAssignment", "cluster_items", "save_clusters", "load_clusters", "export_cluster_map"]
 
@@ -40,7 +41,7 @@ class ClusterAssignment:
 
     def __post_init__(self):
         _freeze_fields(self, "item_to_interest", "centroids")
-        object.__setattr__(self, "objective_history", tuple(self.objective_history))
+        object.__setattr__(self, "objective_history", tuple(map(float, self.objective_history)))
         norms = np.linalg.norm(self.centroids, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("centroids must be unit norm")
@@ -172,19 +173,5 @@ def export_cluster_map(cluster: ClusterAssignment, path) -> None:
     write_text(path, "".join(f"{i}\t{k}\n" for i, k in enumerate(cluster.item_to_interest.tolist())))
 
 
-def save_clusters(cluster: ClusterAssignment, path, source=None) -> None:
-    write_npz(
-        path, source,
-        item_to_interest=cluster.item_to_interest,
-        centroids=cluster.centroids,
-        objective_history=np.asarray(cluster.objective_history),
-    )
-
-
-def load_clusters(path) -> ClusterAssignment:
-    with np.load(path) as z:
-        return ClusterAssignment(
-            item_to_interest=z["item_to_interest"],
-            centroids=z["centroids"],
-            objective_history=z["objective_history"].tolist(),
-        )
+save_clusters = write_fields
+load_clusters = partial(read_fields, ClusterAssignment)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EngagementGraph, _freeze_fields
-from .npz import write_npz
+from .npz import read_fields, write_fields
 from .sweep_kernel import Kernel, arg, load_kernel
 
 __all__ = ["EmbeddingTable", "check_embedding_args", "train_embeddings", "save_embeddings", "load_embeddings"]
@@ -39,7 +39,7 @@ class EmbeddingTable:
 
     def __post_init__(self):
         _freeze_fields(self, "user_vectors", "item_vectors")
-        object.__setattr__(self, "epoch_losses", tuple(self.epoch_losses))
+        object.__setattr__(self, "epoch_losses", tuple(map(float, self.epoch_losses)))
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not (np.isfinite(self.user_vectors).all() and np.isfinite(self.item_vectors).all()):
@@ -247,19 +247,5 @@ def train_embeddings(
     return table
 
 
-def save_embeddings(table: EmbeddingTable, path, source=None) -> None:
-    write_npz(
-        path, source,
-        user_vectors=table.user_vectors,
-        item_vectors=table.item_vectors,
-        epoch_losses=np.asarray(table.epoch_losses),
-    )
-
-
-def load_embeddings(path) -> EmbeddingTable:
-    with np.load(path) as z:
-        return EmbeddingTable(
-            user_vectors=z["user_vectors"],
-            item_vectors=z["item_vectors"],
-            epoch_losses=z["epoch_losses"].tolist(),
-        )
+save_embeddings = write_fields
+load_embeddings = functools.partial(read_fields, EmbeddingTable)

@@ -4,18 +4,23 @@ An engagement graph is an immutable bag of (user, item, chunk) triples with
 dense 0-based ids and contiguous 0-based time chunks. Duplicate triples are
 kept as distinct engagements. All other modules consume read-only views of
 this structure.
+
+``save_graph`` and ``load_graph`` write and read a graph field by field
+(``mixrec.npz.write_fields``): its edge arrays, its three sizes and its
+two id maps' ``user_ids.raw`` and ``item_ids.raw``. The graph checks what
+it reads; a ``graph.npz`` in an earlier layout is refused.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from .npz import write_npz, write_text
+from .npz import read_fields, write_fields, write_text
 
 __all__ = [
     "GraphFormatError",
@@ -48,10 +53,13 @@ class IdMap:
     """Bijection between raw external ids and dense indices [0, n).
 
     ``raw`` is sorted ascending, so dense index i maps to raw id raw[i] and
-    the inverse is a binary search.
+    the inverse is a binary search. It is read-only once the map is made.
     """
 
     raw: np.ndarray
+
+    def __post_init__(self):
+        _freeze_fields(self, "raw")
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -146,7 +154,7 @@ class ChunkSlice:
 class EngagementGraph:
     """Time-chunked bipartite engagement multiset with dense ids, checked
     when it is made: parallel edge arrays, every id and chunk ordinal in
-    range. The arrays are then read-only."""
+    range, one raw id per user and per item. The arrays are then read-only."""
 
     users: np.ndarray
     items: np.ndarray
@@ -165,6 +173,9 @@ class EngagementGraph:
             if len(a) and (a.min() < 0 or a.max() >= n):
                 raise ValueError(f"{what} out of range")
             a.setflags(write=False)
+        for what, n, ids in (("user", self.num_users, self.user_ids), ("item", self.num_items, self.item_ids)):
+            if n != len(ids):
+                raise ValueError(f"num_{what}s is {n}, but {what}_ids holds {len(ids)} raw ids")
 
     @property
     def num_edges(self) -> int:
@@ -262,8 +273,8 @@ def from_raw_edges(raw_users, raw_items, raw_chunks) -> EngagementGraph:
         num_users=len(uniq_u),
         num_items=len(uniq_i),
         num_chunks=len(uniq_t),
-        user_ids=IdMap(_freeze(uniq_u)),
-        item_ids=IdMap(_freeze(uniq_i)),
+        user_ids=IdMap(uniq_u),
+        item_ids=IdMap(uniq_i),
     )
 
 
@@ -333,28 +344,5 @@ def format_stats(stats: dict) -> str:
     return "\n".join(f"{k}={v}" for k, v in stats.items())
 
 
-def save_graph(g: EngagementGraph, path, source=None) -> None:
-    write_npz(
-        path, source,
-        users=g.users,
-        items=g.items,
-        chunks=g.chunks,
-        dims=np.asarray([g.num_users, g.num_items, g.num_chunks], dtype=np.int64),
-        raw_users=g.user_ids.raw,
-        raw_items=g.item_ids.raw,
-    )
-
-
-def load_graph(path) -> EngagementGraph:
-    with np.load(path) as z:
-        dims = z["dims"]
-        return EngagementGraph(
-            users=z["users"],
-            items=z["items"],
-            chunks=z["chunks"],
-            num_users=int(dims[0]),
-            num_items=int(dims[1]),
-            num_chunks=int(dims[2]),
-            user_ids=IdMap(_freeze(z["raw_users"])),
-            item_ids=IdMap(_freeze(z["raw_items"])),
-        )
+save_graph = write_fields
+load_graph = partial(read_fields, EngagementGraph)

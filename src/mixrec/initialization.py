@@ -6,16 +6,22 @@ per-user prior support (the interests a user touched at t=0). The artifact is
 the handoff between the embedding/clustering stage and the per-chunk sampler,
 and also feeds the static mixture retriever. It stores no totals, which
 ``mixrec.retrieval.mle_mixture`` sums from the counts.
+
+``save_init`` and ``load_init`` write and read the artifact field by field
+(``mixrec.npz.write_fields``), its sizes and priors as 0-d members; the
+artifact checks what it reads, and an ``init.npz`` in an earlier layout,
+with a ``version`` member, is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .graph import EngagementGraph, _freeze_fields
-from .npz import write_npz
+from .npz import read_fields, write_fields
 
 __all__ = ["InitArtifact", "build_init", "save_init", "load_init"]
 
@@ -141,39 +147,5 @@ def build_init(
     )
 
 
-# version 2 dropped the stored per-user and per-interest totals
-_INIT_VERSION = 2
-
-
-def save_init(init: InitArtifact, path, source=None) -> None:
-    write_npz(
-        path, source,
-        version=np.asarray([_INIT_VERSION]),
-        dims=np.asarray([init.num_users, init.num_items, init.num_interests]),
-        priors=np.asarray([init.alpha, init.beta]),
-        support_ptr=init.support_ptr,
-        support_k=init.support_k,
-        support_n0=init.support_n0,
-        item_interest=init.item_interest,
-        item_n0=init.item_n0,
-    )
-
-
-def load_init(path) -> InitArtifact:
-    with np.load(path) as z:
-        if int(z["version"][0]) != _INIT_VERSION:
-            raise ValueError(f"unsupported init artifact version {z['version'][0]} "
-                             f"(this version reads {_INIT_VERSION}); rebuild it in a new output directory")
-        dims = z["dims"]
-        return InitArtifact(
-            num_users=int(dims[0]),
-            num_items=int(dims[1]),
-            num_interests=int(dims[2]),
-            alpha=float(z["priors"][0]),
-            beta=float(z["priors"][1]),
-            support_ptr=z["support_ptr"],
-            support_k=z["support_k"],
-            support_n0=z["support_n0"],
-            item_interest=z["item_interest"],
-            item_n0=z["item_n0"],
-        )
+save_init = write_fields
+load_init = partial(read_fields, InitArtifact)

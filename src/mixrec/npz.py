@@ -10,6 +10,15 @@ vectors by a few percent at a tenfold cost; ``np.load`` reads any mix of
 the two. Members are dated 1980-01-01, the earliest date a zip holds, and
 the record is the JSON member ``source``: an artifact's bytes depend only
 on its arrays and record.
+
+The graph, embeddings, clusters and t=0 counts are each their checked
+dataclass, written by ``write_fields`` and read by ``read_fields``: one
+member per field, in field order, a nested dataclass's fields as
+``<field>.<name>`` (``user_ids.raw``). Reading makes the type from the
+members, so its own ``__post_init__`` checks and freezes every load, and
+a file whose members are not exactly the type's fields is refused. A
+chunk model is rebuilt from its assignments against a slice, an init and
+a ledger, so it keeps its own pair (``mixrec.sampler``).
 """
 
 from __future__ import annotations
@@ -19,11 +28,14 @@ import json
 import os
 import zipfile
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
+from functools import reduce
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-__all__ = ["write_text", "write_npz", "read_source"]
+__all__ = ["write_text", "write_npz", "read_source", "write_fields", "read_fields"]
 
 
 @contextmanager
@@ -63,3 +75,41 @@ def read_source(path) -> dict:
             return json.loads(str(z["source"]))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path} records nothing this version reads ({exc})") from None
+
+
+def _fields(cls) -> list:
+    """Each field of the dataclass ``cls``: its name and, for a field whose
+    type is a dataclass, that type, else None."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name] if is_dataclass(hints[f.name]) else None) for f in fields(cls)]
+
+
+def _members(cls, prefix: str = "") -> list[str]:
+    """The member names of a ``cls`` artifact, in field order."""
+    return [m for name, sub in _fields(cls) for m in (_members(sub, f"{prefix}{name}.") if sub else [prefix + name])]
+
+
+def write_fields(obj, path, source: dict | None = None) -> None:
+    """Write the dataclass ``obj`` with ``write_npz``, one member per field
+    in field order; a nested dataclass's fields as ``<field>.<name>``."""
+    write_npz(path, source, **{m: reduce(getattr, m.split("."), obj) for m in _members(type(obj))})
+
+
+def read_fields(cls, path):
+    """The ``cls`` that ``write_fields`` wrote to ``path``, made from its
+    members, so ``cls`` checks and freezes it; a 0-d member is read as its
+    Python scalar. A file whose members but ``source`` are not exactly the
+    artifact's raises ``ValueError`` naming it."""
+    with open(path, "rb") as fh, np.load(fh) as z:
+        members = {k: z[k] for k in z.files if k != "source"}
+    want = _members(cls)
+    if sorted(members) != sorted(want):
+        missing, extra = [m for m in want if m not in members], sorted(set(members) - set(want))
+        raise ValueError(f"{path} holds no {cls.__name__} in this version's layout (missing {missing}, "
+                         f"extra {extra}); rebuild it in a new output directory")
+    return _make(cls, {k: a.item() if a.ndim == 0 else a for k, a in members.items()})
+
+
+def _make(cls, members: dict, prefix: str = ""):
+    return cls(**{name: _make(sub, members, f"{prefix}{name}.") if sub else members[prefix + name]
+                  for name, sub in _fields(cls)})

@@ -28,7 +28,9 @@ index per method:
   of the pool's engagement-averaged item vectors, their norms, the user
   vectors, the popularity ranking and which users are ``warm``.
 - ``popularity``: ``popularity_ranking(slice_)``, a ``Ranking`` of the
-  pool by engagement count, which unpacks as the pair (items, scores).
+  pool by engagement count, its items and their scores. A ``Ranking`` is
+  the one ranking form: an index made with, and ``popularity_retrieve``
+  called with, anything else raises ``TypeError``.
 
 One cold-user rule holds for every method: the list of a user without
 train history (a cold user) is the first M unseen items of the source
@@ -86,14 +88,14 @@ keep the bits of the numpy path. A ``seen`` array that is not ascending
 raises ``ValueError`` on both paths.
 
 The numpy path is their reference, and the fallback when no compiler is
-there, chosen exactly as the Gibbs sweep is: it expands the floor runs of
-the user's interests and ``np.bincount`` builds the mixture sums,
-``_select_top`` ranks a scored array with a full ``lexsort``, and
-``_first_unseen`` keeps the first M entries of a ranked array that one
-``searchsorted`` mask does not mark seen. Both paths return the
-selection's own arrays (on the compiled path, the two halves of its one
-buffer) as a ``CandidateList``'s ``ids`` and ``scores``, from which its
-``items`` pairs are derived on request.
+there, chosen exactly as the Gibbs sweep is: it adds each of the user's
+interests in turn, its counted entries and then its floor run, into the
+pool's sums; ``_select_top`` ranks a scored array with a full
+``lexsort``; and ``_first_unseen`` keeps the first M entries of a ranked
+array that one ``searchsorted`` mask does not mark seen. Both paths
+return the selection's own arrays (on the compiled path, the two halves
+of its one buffer) as a ``CandidateList``'s ``ids`` and ``scores``, from
+which its ``items`` pairs are derived on request.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ import numpy as np
 from .embeddings import EmbeddingTable, gather_sum
 from .graph import ChunkSlice, _freeze, _freeze_fields
 from .initialization import InitArtifact
-from .sampler import ChunkModel, _ranges
+from .sampler import ChunkModel
 from .sweep_kernel import AnnStruct, InterestStruct, RankingStruct, arg as _arg, load_kernel
 
 __all__ = [
@@ -193,9 +195,8 @@ def _check(ok: bool, what: str, of: str = "index") -> None:
 @dataclass(frozen=True, eq=False)
 class Ranking:
     """A ranked item array, ``items`` (``int64``), with its aligned
-    ``scores`` (``float64``), both read-only; it unpacks and indexes as the
-    pair ``(items, scores)``. A chunk's ``popularity_ranking`` is one, and
-    every index holds its pool's."""
+    ``scores`` (``float64``), both read-only. A chunk's
+    ``popularity_ranking`` is one, and every index holds its pool's."""
 
     items: np.ndarray
     scores: np.ndarray
@@ -208,16 +209,11 @@ class Ranking:
                "one score per ranked item", "ranking")
         object.__setattr__(self, "_c", RankingStruct(len(self.items), **c))
 
-    def __iter__(self):
-        return iter((self.items, self.scores))
 
-    def __getitem__(self, i):
-        return (self.items, self.scores)[i]
-
-
-def _ranking(r) -> Ranking:
-    """``r`` as a ``Ranking``: itself, or an (items, scores) pair made one."""
-    return r if r.__class__ is Ranking else Ranking(*r)
+def _check_ranking(r) -> None:
+    """Refuse anything but a ``Ranking``, an (items, scores) pair among them."""
+    if r.__class__ is not Ranking:
+        raise TypeError(f"a ranking must be a Ranking, not {r.__class__.__name__}")
 
 
 @dataclass(frozen=True)
@@ -233,8 +229,8 @@ class InterestIndex:
     User u's interests are ``user_k[user_ptr[u]:user_ptr[u+1]]`` with
     aligned weights ``user_w``, in summation order; the row is empty for a
     user without interests. ``popularity`` is the pool's
-    ``popularity_ranking`` (a ``Ranking``, or a pair made one), the list of
-    every such user. Its arrays are read-only.
+    ``popularity_ranking``, a ``Ranking``, the list of every such user. Its
+    arrays are read-only.
     """
 
     ptr: np.ndarray
@@ -254,7 +250,7 @@ class InterestIndex:
 
     def __post_init__(self):
         K = len(self.ptr) - 1
-        object.__setattr__(self, "popularity", _ranking(self.popularity))
+        _check_ranking(self.popularity)
         c = _addresses(
             self, pool_items=np.int64, ptr=np.int64, positions=np.int64, probs=np.float64, floor=np.float64,
             fend=np.int64, user_ptr=np.int64, user_k=np.int64, user_w=np.float64,
@@ -350,7 +346,7 @@ def mle_mixture(init: InitArtifact) -> ChunkTables:
 
 
 def build_index(
-    tables: ChunkTables, L: int, pool: np.ndarray, ranking: tuple[np.ndarray, np.ndarray]
+    tables: ChunkTables, L: int, pool: np.ndarray, ranking: Ranking
 ) -> InterestIndex:
     """Per-interest top-L lists of (beta + count) / (Ibeta + n_k) over ``pool``.
 
@@ -408,7 +404,8 @@ def same_index(a, b) -> bool:
 def _bits(idx: InterestIndex) -> list:
     """Each array of ``idx`` as its dtype, shape and bytes."""
     arrays = [getattr(idx, f.name) for f in fields(idx) if f.init and f.name != "popularity"]
-    return [(x.dtype, x.shape, x.tobytes()) for x in arrays + list(idx.popularity)]
+    arrays += [idx.popularity.items, idx.popularity.scores]
+    return [(x.dtype, x.shape, x.tobytes()) for x in arrays]
 
 
 def _lookup(sorted_ids: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,13 +448,12 @@ def _listed(fn, index, cap: int, seen, user: int, chunk: int, *args) -> Candidat
 def _select_top(items: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int) -> CandidateList:
     """Order by (score desc, item asc), drop seen items, keep the first M."""
     order = np.lexsort((items, -scores))
-    return _first_unseen((items[order], scores[order]), M, seen, user, chunk)
+    return _first_unseen(items[order], scores[order], M, seen, user, chunk)
 
 
-def _first_unseen(ranking, M: int, seen, user: int, chunk: int) -> CandidateList:
-    """The first M entries of a ranked (items, scores) pair not in ``seen``:
-    the numpy reference of the kernels' ``walk``."""
-    items, scores = ranking
+def _first_unseen(items: np.ndarray, scores: np.ndarray, M: int, seen, user: int, chunk: int) -> CandidateList:
+    """The first M ranked ``items``, with their ``scores``, not in
+    ``seen``: the numpy reference of the kernels' ``walk``."""
     if seen is not None:
         seen = np.ascontiguousarray(seen, dtype=np.int64)
         if np.any(seen[1:] < seen[:-1]):
@@ -476,7 +472,7 @@ def _popular(ranking: Ranking, M: int, seen, user: int, chunk: int) -> Candidate
     kernel = load_kernel()
     if kernel is not None:
         return _listed(kernel.walk, ranking._c, min(M, len(ranking.items)), seen, user, chunk)
-    return _first_unseen(ranking, M, seen, user, chunk)
+    return _first_unseen(ranking.items, ranking.scores, M, seen, user, chunk)
 
 
 def retrieve_mixture(
@@ -488,10 +484,11 @@ def retrieve_mixture(
     kernel reads the row and takes the fallback itself, in one call.
 
     Each item sums its per-interest terms in the order of ``ks``, one term
-    per interest whose list holds it: the kernel adds them in that order,
-    as ``bincount`` adds the weighted probabilities, laid out interest by
-    interest, into their pool positions. Only items some term touched are
-    candidates.
+    per interest whose list holds it, from 0.0: the kernel adds them in
+    that order, as the numpy path adds each interest's weighted
+    probabilities, then its weighted floor on the run positions its list
+    does not count, into their pool positions. Only items some term
+    touched are candidates.
     """
     users = len(idx.user_ptr) - 1
     if not 0 <= u < users:  # a negative id would read another row
@@ -502,26 +499,18 @@ def retrieve_mixture(
         return _listed(kernel.mixture, idx._c, min(cfg.M, idx._longest), seen, u, chunk, u)
     lo, hi = idx.user_ptr[u:u + 2].tolist()
     if hi == lo:
-        return _first_unseen(idx.popularity, cfg.M, seen, u, chunk)
-    ks, w = idx.user_k[lo:hi], idx.user_w[lo:hi]
-    size, fend = idx.ptr[ks + 1] - idx.ptr[ks], idx.fend[ks]
-    # slot a's terms are interest ks[a]'s counted entries, then its run
-    # [0, fend), so bincount adds each position's terms in the order of ks
-    stop = np.cumsum(size + fend)
-    run0 = stop - fend
-    pos, terms = np.empty(stop[-1], np.int64), np.empty(stop[-1])
-    flat, counted, runs = _ranges(idx.ptr[ks], size), _ranges(run0 - size, size), _ranges(run0, fend)
-    pos[counted], terms[counted] = idx.positions[flat], np.repeat(w, size) * idx.probs[flat]
-    pos[runs], terms[runs] = _ranges(np.zeros_like(fend), fend), np.repeat(w * idx.floor[ks], fend)
-    # a counted position below fend is not in the run
-    slot = np.repeat(np.arange(len(ks)), size)
-    inrun = pos[counted] < fend[slot]
-    keep = np.ones(len(pos), dtype=bool)
-    keep[run0[slot[inrun]] + pos[counted][inrun]] = False
-    pos, terms = pos[keep], terms[keep]
+        return _popular(idx.popularity, cfg.M, seen, u, chunk)
     n = len(idx.pool_items)
-    acc = np.bincount(pos, weights=terms, minlength=n)
-    cand = np.flatnonzero(np.bincount(pos, minlength=n))
+    acc, touched = np.zeros(n), np.zeros(n, dtype=bool)
+    for k, w in zip(idx.user_k[lo:hi].tolist(), idx.user_w[lo:hi].tolist()):
+        a, b, fend = *idx.ptr[k:k + 2].tolist(), int(idx.fend[k])
+        pos = idx.positions[a:b]
+        acc[pos] += w * idx.probs[a:b]
+        run = np.ones(fend, dtype=bool)
+        run[pos[pos < fend]] = False  # a counted position is not in the run
+        acc[:fend][run] += w * idx.floor[k]
+        touched[pos] = touched[:fend] = True
+    cand = np.flatnonzero(touched)
     return _select_top(idx.pool_items[cand], acc[cand], cfg.M, seen, u, chunk)
 
 
@@ -529,10 +518,9 @@ def retrieve_mixture(
 class AnnIndex:
     """Chunk item vectors over the ascending ``pool_items``, their norms,
     the user vectors they are compared with, the pool's ``popularity``
-    ranking (a ``Ranking``, or a pair made one) and ``warm``, whether each
-    user has a train engagement; all read-only. The vectors are stored as
-    contiguous ``float64``, so their products are the kernel's input as
-    they are."""
+    ``Ranking`` and ``warm``, whether each user has a train engagement;
+    all read-only. The vectors are stored as contiguous ``float64``, so
+    their products are the kernel's input as they are."""
 
     pool_items: np.ndarray
     item_vecs: np.ndarray
@@ -544,7 +532,7 @@ class AnnIndex:
     _c: AnnStruct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "popularity", _ranking(self.popularity))
+        _check_ranking(self.popularity)
         c = _addresses(self, pool_items=np.int64, norms=np.float64, item_vecs=np.float64, user_vectors=np.float64)
         object.__setattr__(self, "_c", AnnStruct(len(self.pool_items), c["pool_items"], c["norms"]))
         _freeze_fields(self, "warm")
@@ -554,7 +542,7 @@ class AnnIndex:
 
 
 def ann_encode_items(
-    slice_: ChunkSlice, emb: EmbeddingTable, ranking: tuple[np.ndarray, np.ndarray], warm: np.ndarray
+    slice_: ChunkSlice, emb: EmbeddingTable, ranking: Ranking, warm: np.ndarray
 ) -> AnnIndex:
     """Chunk item vectors as per-engagement means of engaging users'
     vectors, with the chunk's ``popularity_ranking`` and ``warm`` users."""
@@ -603,7 +591,9 @@ def popularity_retrieve(
     u: int, ranking: Ranking, cfg: RetrievalConfig, seen=None, chunk: int = -1
 ) -> CandidateList:
     """Global top-M of the chunk's ``popularity_ranking``; identical for
-    all users up to exclusion."""
+    all users up to exclusion. A ``ranking`` that is no ``Ranking`` raises
+    ``TypeError``."""
+    _check_ranking(ranking)
     return _popular(ranking, cfg.M, seen if cfg.exclude_seen else None, u, chunk)
 
 

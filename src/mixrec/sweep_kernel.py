@@ -61,7 +61,7 @@ trusts the user, ``ks``, the positions, the run ends, the weights and the
 floors: the caller checks the user, and ``InterestIndex`` checks the rest,
 the weights and floors finite and >= 0. Two kinds of position are
 candidates. U, the union of the interests' counted positions, gets each
-list's term in the order of ``ks`` (as ``np.bincount`` adds them, so each
+list's term in the order of ``ks`` (as the numpy path adds them, so each
 sum keeps its bits). A position outside U but below the largest run end
 gets floor terms only; its sum never increases with the position (the
 kernel's comment gives the argument), so these positions come in rank

@@ -1,7 +1,8 @@
 """Every artifact type checks itself when it is made: a bad value raises
 ``ValueError`` naming it, whether the artifact is built in memory or read
 from a file by the type's loader, and a made artifact is frozen, its arrays
-read-only."""
+read-only. A stage artifact's file holds one member per field of its type,
+and a file in another layout is refused."""
 
 import dataclasses
 
@@ -47,12 +48,15 @@ def nan_at(a):
     return a
 
 
-# (artifact, its save and load, field, bad value from the good artifact, message)
+# (artifact, its save and load, member, bad value from the good artifact,
+# message); a member ``<field>.<name>`` is a field of a nested dataclass
 CASES = {
     "graph-user": (graph, save_graph, load_graph, "users", lambda g: bumped(g.users, by=g.num_users), "user id out of range"),
     "graph-item": (graph, save_graph, load_graph, "items", lambda g: bumped(g.items, at=0, by=-1), "item id out of range"),
     "graph-chunk": (graph, save_graph, load_graph, "chunks", lambda g: bumped(g.chunks, by=1), "chunk ordinal out of range"),
     "graph-length": (graph, save_graph, load_graph, "items", lambda g: g.items[:-1], "disagree on length"),
+    "graph-ids": (graph, save_graph, load_graph, "user_ids.raw", lambda g: g.user_ids.raw[:-1],
+                  "num_users is 3, but user_ids holds 2 raw ids"),
     "embedding-nan": (table, save_embeddings, load_embeddings, "item_vectors", lambda t: nan_at(t.item_vectors), "non-finite"),
     "embedding-inf": (table, save_embeddings, load_embeddings, "user_vectors", lambda t: np.full_like(t.user_vectors, np.inf), "non-finite"),
     "embedding-dim": (table, save_embeddings, load_embeddings, "user_vectors", lambda t: np.empty((3, 0)), "dimension must be >= 1"),
@@ -66,23 +70,25 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_bad_value_raises_when_made_and_when_loaded(case, tmp_path):
-    make, save, load, name, bad, message = CASES[case]
+    make, save, load, member, bad, message = CASES[case]
     good = make()
     value = bad(good)
+    name, _, nested = member.partition(".")
+    field_value = dataclasses.replace(getattr(good, name), **{nested: value}) if nested else value
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(good, **{name: value})
+        dataclasses.replace(good, **{name: field_value})
     # the loader builds the artifact from the file's members, so it refuses
     # a file holding the bad member the same way
     path = tmp_path / "artifact.npz"
     save(good, path)
     with np.load(path) as z:
-        members = {**z, name: value}
+        members = {**z, member: value}
     write_npz(path, None, **members)
     with pytest.raises(ValueError, match=message):
         load(path)
     # the good artifact is frozen, so it stays checked
     with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(good, name, value)
+        setattr(good, name, field_value)
 
 
 def test_split_and_regroup_check_the_graphs_they_make():
@@ -122,6 +128,7 @@ def indexes():
 
 # each artifact made in memory, and where it has a file, its save and load
 READ_ONLY = {
+    "graph": (graph, save_graph, load_graph),
     "embedding": (table, save_embeddings, load_embeddings),
     "clusters": (clusters, save_clusters, load_clusters),
     "init": (init, save_init, load_init),
@@ -132,23 +139,31 @@ READ_ONLY = {
 @pytest.mark.parametrize("case", READ_ONLY)
 def test_arrays_are_read_only(case, tmp_path):
     # an in-place write to any array of a made or loaded artifact raises,
-    # each array of a tuple field among them, so a check passed when it was
-    # made still holds
+    # each array of a tuple field and of a nested id map or ranking among
+    # them, so a check passed when it was made still holds
     make, save, load = READ_ONLY[case]
     made = [make()]
     if save is not None:
         save(made[0], tmp_path / "artifact.npz")
         made.append(load(tmp_path / "artifact.npz"))
     for obj in made:
-        arrays = 0
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray):
-                    with pytest.raises(ValueError, match="read-only"):
-                        a[...] = 0
-                    arrays += 1
-        assert arrays >= 2, case
+        arrays = list(arrays_of(obj))
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert len(arrays) >= 2, case
+
+
+def arrays_of(obj):
+    """Each array of the dataclass ``obj``: a field's, a tuple field's and
+    a nested dataclass's."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                yield a
+            elif dataclasses.is_dataclass(a):
+                yield from arrays_of(a)
 
 
 def test_histories_are_tuples(tmp_path):
@@ -158,3 +173,50 @@ def test_histories_are_tuples(tmp_path):
         assert emb.epoch_losses == (0.5,)
     for c in (clusters(), load_clusters(tmp_path / "clusters.npz")):
         assert type(c.objective_history) is tuple and len(c.objective_history) >= 1
+
+
+# each stage artifact, its save and load, and its file's members in order
+LAYOUT = {
+    "graph": (graph, save_graph, load_graph,
+              ["users", "items", "chunks", "num_users", "num_items", "num_chunks", "user_ids.raw", "item_ids.raw"]),
+    "embedding": (table, save_embeddings, load_embeddings, ["user_vectors", "item_vectors", "epoch_losses"]),
+    "clusters": (clusters, save_clusters, load_clusters, ["item_to_interest", "centroids", "objective_history"]),
+    "init": (init, save_init, load_init,
+             ["num_users", "num_items", "num_interests", "alpha", "beta", "support_ptr", "support_k",
+              "support_n0", "item_interest", "item_n0"]),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT)
+def test_file_holds_the_fields_and_loads_them_back(case, tmp_path):
+    # one member per field, a nested id map's as user_ids.raw, then the
+    # record; the loaded artifact has each field's type and bits
+    make, save, load, members = LAYOUT[case]
+    made, path = make(), tmp_path / "artifact.npz"
+    save(made, path, {"data": "d"})
+    with np.load(path) as z:
+        assert z.files == members + ["source"]
+    loaded = load(path)
+    assert type(loaded) is type(made)
+    for member in members:
+        a, b = made, loaded
+        for name in member.split("."):
+            a, b = getattr(a, name), getattr(b, name)
+        assert type(a) is type(b), member
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), member
+
+
+@pytest.mark.parametrize("case", LAYOUT)
+def test_file_with_other_members_refused(case, tmp_path):
+    # a member too many or too few is refused, naming the file and the
+    # remedy, though every field's value is good
+    make, save, load, members = LAYOUT[case]
+    path = tmp_path / "artifact.npz"
+    save(make(), path)
+    with np.load(path) as z:
+        good = dict(z)
+    for damaged in ({**good, "extra": np.zeros(1)}, {k: v for k, v in good.items() if k != members[-1]}):
+        write_npz(path, {"data": "d"}, **damaged)
+        with pytest.raises(ValueError, match=r"artifact\.npz holds no .*rebuild it in a new output directory"):
+            load(path)

@@ -17,6 +17,7 @@ from mixrec.cli import main as cli_main
 from mixrec.clustering import load_clusters, save_clusters
 from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split, write_edge_list
 from mixrec.metrics import MetricBlock, MetricsReport, build_queries
+from mixrec.npz import write_npz
 from mixrec.synth import SynthSpec, generate
 
 from oracles import aggregate_loop, deflated_and_integer_members, score_reference, seen_union_loop
@@ -932,6 +933,39 @@ class TestCli:
             cli_main(["backtest", *common, "--interests", "3"])
         assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
         assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("name", ["graph.npz", "init.npz"])
+    def test_earlier_layout_refused(self, synth_edges, tmp_path, name):
+        # a graph.npz or init.npz in the layout an earlier version wrote,
+        # its sizes, priors and raw ids in arrays of their own and a version
+        # number, records a matching config but is refused naming the file,
+        # by backtest and by the stage itself, before anything is written
+        out = tmp_path / "r"
+        cfg = small_config(synth_edges, out, methods=["mle"])
+        backtest(cfg)
+        path = out / name
+        with np.load(path) as z:
+            m = {k: z[k] for k in z.files}
+        if name == "graph.npz":
+            old = dict(users=m["users"], items=m["items"], chunks=m["chunks"],
+                       dims=np.asarray([m["num_users"], m["num_items"], m["num_chunks"]]),
+                       raw_users=m["user_ids.raw"], raw_items=m["item_ids.raw"])
+        else:
+            old = dict(version=np.asarray([2]), dims=np.asarray([m["num_users"], m["num_items"], m["num_interests"]]),
+                       priors=np.asarray([m["alpha"], m["beta"]]),
+                       **{k: m[k] for k in ("support_ptr", "support_k", "support_n0", "item_interest", "item_n0")})
+            train = mixrec.backtest.split_graph(cfg)[1]
+        write_npz(path, json.loads(str(m["source"])), **old)
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        match = re.escape(str(path)) + " holds no .*; rebuild it in a new output directory"
+        with pytest.raises(ValueError, match=match):
+            backtest(cfg)
+        with pytest.raises(ValueError, match=match):
+            if name == "graph.npz":
+                mixrec.backtest.ensure_graph(cfg)
+            else:
+                mixrec.backtest.ensure_init(cfg, train, load_clusters(out / "clusters.npz"))
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
 
     @pytest.mark.parametrize("damage", ["truncated", "foreign", "no_record"])
     def test_damaged_artifact_refused(self, synth_edges, tmp_path, damage):

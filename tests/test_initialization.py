@@ -136,18 +136,20 @@ class TestBuildInit:
         assert init.alpha == init2.alpha
 
     def test_version_1_artifact_refused(self, tmp_path):
-        # version 1 stored the per-user and per-interest totals as well
+        # version 1 kept the sizes, priors and a version number in arrays,
+        # and the per-user and per-interest totals as well: its members are
+        # not the artifact's fields, so it is refused
         g = from_raw_edges([0, 0, 1], [0, 1, 1], [0, 0, 0])
         init = build_init(g, item_interest=[0, 1], num_interests=2)
         p = tmp_path / "init.npz"
-        save_init(init, p)
-        with np.load(p) as z:
-            arrays = dict(z)
-        arrays.update(version=np.asarray([1]), n_u0=user_totals(init), n_k0=interest_totals(init))
-        np.savez_compressed(p, **arrays)
-        with pytest.raises(ValueError, match="version 1"):
+        np.savez_compressed(
+            p, version=np.asarray([1]), dims=np.asarray([init.num_users, init.num_items, init.num_interests]),
+            priors=np.asarray([init.alpha, init.beta]), support_ptr=init.support_ptr, support_k=init.support_k,
+            support_n0=init.support_n0, item_interest=init.item_interest, item_n0=init.item_n0,
+            n_u0=user_totals(init), n_k0=interest_totals(init),
+        )
+        with pytest.raises(ValueError, match=r"init\.npz holds no InitArtifact .*rebuild it in a new output directory"):
             load_init(p)
-
 
     @pytest.mark.parametrize("name", ["support_k", "item_interest"])
     def test_interest_out_of_range_rejected(self, tmp_path, name):

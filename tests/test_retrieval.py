@@ -67,7 +67,7 @@ def ann_index(slc, emb, warm=None):
 def ann_of(pool, vecs, norms, users):
     """An ``AnnIndex`` whose users are all warm, with the pool in id order
     as its popularity ranking."""
-    return AnnIndex(pool, vecs, norms, users, (pool, np.zeros(len(pool))), np.ones(len(users), bool))
+    return AnnIndex(pool, vecs, norms, users, Ranking(pool, np.zeros(len(pool))), np.ones(len(users), bool))
 
 
 def mle_index(mix, L, pool=None):
@@ -75,7 +75,7 @@ def mle_index(mix, L, pool=None):
     over ``pool``, by default every item the mixture lists, with the pool in
     id order as its popularity ranking."""
     pool = np.unique(mix.items) if pool is None else pool
-    return build_index(mix, L, pool, (pool, np.zeros(len(pool))))
+    return build_index(mix, L, pool, Ranking(pool, np.zeros(len(pool))))
 
 
 def dense_micro_oracle(u, m, init, M, pool=None):
@@ -409,7 +409,7 @@ class TestStaticIndex:
             pool = np.flatnonzero(rng.random(I + 5) < rng.random()).astype(np.int64)
             L = int(rng.integers(1, I + 3))
             init = make_init(edges, item_interest, K, num_users=U, num_items=I)
-            idx = build_index(mle_mixture(init), L, pool, (pool[::-1], np.zeros(len(pool))))
+            idx = build_index(mle_mixture(init), L, pool, Ranking(pool[::-1], np.zeros(len(pool))))
             want = static_index_reference(edges, item_interest, K, U, L, pool.tolist())
             for name in ("ptr", "positions", "user_ptr", "user_k"):
                 assert np.array_equal(getattr(idx, name), want[name]), (trial, name)
@@ -566,7 +566,7 @@ class TestAnn:
         idx = ann_index(slc, emb, warm=np.array([True, True, False, True]))
         rank = popularity_ranking(slc)
         for cfg in (RetrievalConfig(M=5), RetrievalConfig(M=5, exclude_seen=False)):
-            seen = np.sort(rank[0][[0, 3]])
+            seen = np.sort(rank.items[[0, 3]])
             for u in (1, 2):
                 got = ann_retrieve(u, idx, cfg, seen=seen, chunk=2)
                 want = popularity_retrieve(u, rank, cfg, seen=seen, chunk=2)
@@ -595,26 +595,40 @@ class TestAnn:
                 order = np.lexsort((idx.pool_items, -cos))
                 for got in (ann_retrieve(u, idx, cfg), on_numpy(monkeypatch, lambda: ann_retrieve(u, idx, cfg))):
                     if un == 0.0:  # the popularity list
-                        assert u == 0 and np.array_equal(got.ids, popularity_ranking(slc)[0])
+                        assert u == 0 and np.array_equal(got.ids, popularity_ranking(slc).items)
                         continue
                     assert np.array_equal(got.ids, idx.pool_items[order]), (D, u)
                     assert same_bits(got.scores, cos[order]), (D, u)
 
 
 class TestPopularity:
-    def test_ranking_unpacks_as_a_pair_and_is_checked(self):
-        # popularity_ranking's Ranking unpacks and indexes as (items, scores),
-        # int64 and float64 and read-only; a score count that does not match
-        # the items is refused when it is made
+    def test_ranking_is_the_one_form_and_is_checked(self, monkeypatch):
+        # popularity_ranking's Ranking holds int64 items and float64 scores,
+        # read-only, and does not unpack; a score count that does not match
+        # the items is refused when it is made, and an (items, scores) pair
+        # is refused by popularity_retrieve on both paths and by each index
         slc = ChunkSlice.from_edges(1, [0, 1, 1, 2], [5, 3, 5, 9])
         rank = popularity_ranking(slc)
-        items, scores = rank
-        assert rank[0] is items and rank[1] is scores
+        items, scores = rank.items, rank.scores
         assert items.tolist() == [5, 3, 9] and scores.tolist() == [2.0, 1.0, 1.0]
         assert (items.dtype, scores.dtype) == (np.int64, np.float64)
         assert not (items.flags.writeable or scores.flags.writeable)
+        with pytest.raises(TypeError):
+            items, scores = rank
         with pytest.raises(ValueError, match="inconsistent ranking: one score per ranked item"):
             Ranking([1, 2], [1.0])
+        pair, cfg = (items, scores), RetrievalConfig(M=2)
+        refused = "a ranking must be a Ranking, not tuple"
+        with pytest.raises(TypeError, match=refused):
+            popularity_retrieve(0, pair, cfg)
+        with pytest.raises(TypeError, match=refused):
+            on_numpy(monkeypatch, lambda: popularity_retrieve(0, pair, cfg))
+        tables = mle_mixture(make_init([(0, 5), (1, 9)], [0] * 10, 1))
+        with pytest.raises(TypeError, match=refused):
+            build_index(tables, 5, slc.item_pool, pair)
+        emb = EmbeddingTable(user_vectors=np.ones((3, 2)), item_vectors=np.ones((10, 2)))
+        with pytest.raises(TypeError, match=refused):
+            ann_encode_items(slc, emb, pair, np.ones(3, bool))
 
     def test_tie_break_example(self):
         slc = ChunkSlice.from_edges(
@@ -861,7 +875,7 @@ class TestCompiledTopM:
             # floor runs: none, part of the pool or all of it, with tied values
             floor=rng.choice(TIED[:-1], K) if rng.random() < 0.5 else rng.random(K),
             fend=rng.choice([0, n_pool // 3, n_pool], K),
-            popularity=(pool[order], counts[order]),
+            popularity=Ranking(pool[order], counts[order]),
         )
 
     def check(self, monkeypatch, retrieve, what):
@@ -944,7 +958,7 @@ class TestCompiledTopM:
             rank = popularity_ranking(slc)
             for M in (1, 5, 100):
                 cfg = RetrievalConfig(M=M)
-                for seen in self.seen_cases(rng, rank[0]):
+                for seen in self.seen_cases(rng, rank.items):
                     self.check(
                         monkeypatch,
                         lambda: popularity_retrieve(4, rank, cfg, seen=seen, chunk=2),
@@ -1010,7 +1024,7 @@ class TestCompiledTopM:
             user_w=np.concatenate(thetas),
             floor=np.zeros(K),
             fend=np.zeros(K, np.int64),
-            popularity=(pool, np.zeros(n)),  # every user has interests
+            popularity=Ranking(pool, np.zeros(n)),  # every user has interests
         )
         assert sum(len(x) for x in lists) < 0.05 * n
         for u in range(5):
@@ -1052,7 +1066,7 @@ class TestCompiledTopM:
                 user_w=np.concatenate(thetas),
                 floor=floor,
                 fend=rng.choice(n + 1, K, replace=False),  # distinct run ends
-                popularity=(pool, np.zeros(n)),  # every user has interests
+                popularity=Ranking(pool, np.zeros(n)),  # every user has interests
             )
             for u, ks in enumerate(rows):
                 counted = np.unique(np.concatenate([lists[k] for k in ks]))
@@ -1127,7 +1141,7 @@ class TestCompiledTopM:
         good = dict(
             ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool,
             user_ptr=[0, 2], user_k=[1, 0], user_w=[0.5, 0.5], floor=[0.0, 0.0], fend=[0, 0],
-            popularity=(pool, np.zeros(3)),
+            popularity=Ranking(pool, np.zeros(3)),
         )
         bad = [
             dict(positions=[0, 3, 1]),
@@ -1154,7 +1168,7 @@ class TestCompiledTopM:
         with pytest.raises(ValueError, match="inconsistent index"):
             ann_of(pool, np.ones((2, 3)), np.ones(2), np.ones((1, 3)))
         with pytest.raises(ValueError, match="inconsistent index: one warm flag per user vector"):
-            AnnIndex(pool, np.ones((3, 3)), np.ones(3), np.ones((2, 3)), (pool, np.zeros(3)), np.ones(1, bool))
+            AnnIndex(pool, np.ones((3, 3)), np.ones(3), np.ones((2, 3)), Ranking(pool, np.zeros(3)), np.ones(1, bool))
         cfg = RetrievalConfig(M=2)
         assert retrieve_mixture(0, InterestIndex(**good), cfg).item_ids() == [2, 9]
         # interest 0's run adds 0.5 * 0.4 at position 1 (item 5), not at its
@@ -1176,7 +1190,7 @@ class TestCompiledTopM:
         good = dict(
             ptr=[0, 2, 3], positions=[0, 2, 1], probs=[0.5, 0.3, 0.2], pool_items=pool,
             user_ptr=[0, 2], user_k=[1, 0], user_w=[0.5, -0.0], floor=[0.4, 0.0], fend=[3, 2],
-            popularity=(pool, np.zeros(3)),
+            popularity=Ranking(pool, np.zeros(3)),
         )
         for name in ("user_w", "floor"):
             for bad in (-1e-300, np.nan, np.inf, -np.inf):
@@ -1298,7 +1312,7 @@ class TestColdUserFallback:
                     cfg = RetrievalConfig(M=M, exclude_seen=exclude)
                     for seen in self.seen_cases(rng, idx.pool_items):
                         for u in (0, 2):
-                            want = _first_unseen(ranking, M, seen if exclude else None, u, 5)
+                            want = _first_unseen(ranking.items, ranking.scores, M, seen if exclude else None, u, 5)
                             what = f"n {n} M {M} exclude {exclude} user {u} seen {seen}"
                             assert_same_list(retrieve_mixture(u, idx, cfg, seen=seen, chunk=5), want, what)
                             assert_same_list(ann_retrieve(u, ann, cfg, seen=seen, chunk=5), want, what)
@@ -1321,7 +1335,7 @@ class TestColdUserFallback:
         warm = retrieve_mixture(1, idx, cfg, seen=seen, chunk=5)
         assert len(got) == len(users)
         for u, c in zip(users, got):
-            assert_same_list(c, _first_unseen(ranking, 200, seen, u, 5) if u != 1 else warm, f"user {u}")
+            assert_same_list(c, _first_unseen(ranking.items, ranking.scores, 200, seen, u, 5) if u != 1 else warm, f"user {u}")
             assert len(c) == 200
 
 
