@@ -46,6 +46,7 @@ import json
 import logging
 import zlib
 from dataclasses import asdict, dataclass, field, fields
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -222,9 +223,8 @@ def open_run(cfg: RunConfig) -> OpenRun:
     """
     data = _data_record(cfg)
     out = Path(cfg.out_dir)
-    built = [name for name in ("graph.npz", "embeddings.npz", "clusters.npz", "init.npz") if (out / name).exists()]
     # an interrupted write leaves chunk_XXXXX.npz.tmp, which this misses
-    built += sorted(f"chunks/{p.name}" for p in out.glob("chunks/chunk_*.npz"))
+    built = [p.relative_to(out).as_posix() for pattern, _ in _STAGES for p in sorted(out.glob(pattern))]
     if built:
         _check_built(cfg, built, data)
     return OpenRun(data, frozenset(built))
@@ -233,6 +233,15 @@ def open_run(cfg: RunConfig) -> OpenRun:
 # -- artifact stages ----------------------------------------------------------
 
 _REMEDY = "use a new output directory or remove this one"
+# each stage's artifacts (a glob under the output directory) in build order, and the fields that
+# feed them beyond the earlier stages'; any other field only shapes retrieval, scoring or output
+_STAGES = (
+    ("graph.npz", ()),
+    ("embeddings.npz", ("regroup_factor", "test_chunks", "embed", "seed")),
+    ("clusters.npz", ("num_interests", "kmeans_iters")),
+    ("init.npz", ("alpha", "beta")),
+    ("chunks/chunk_*.npz", ("max_sweeps", "convergence_tol", "user_count_mode")),
+)
 
 
 def _data_record(cfg: RunConfig) -> str:
@@ -248,19 +257,12 @@ def _data_record(cfg: RunConfig) -> str:
 def _record(cfg: RunConfig, name: str, data: str) -> dict:
     """What artifact ``name`` (its path under the output directory) is built
     from under ``cfg``: the data file's record ``data`` and every field that
-    feeds it or an artifact built before it. The stages below are in build
-    order; any other field only shapes retrieval, scoring or output."""
+    feeds it or an artifact built before it (``_STAGES``)."""
     config = asdict(cfg)
     record = {"data": data}
-    for stage, names in (
-        ("graph.npz", ()),
-        ("embeddings.npz", ("regroup_factor", "test_chunks", "embed", "seed")),
-        ("clusters.npz", ("num_interests", "kmeans_iters")),
-        ("init.npz", ("alpha", "beta")),
-        ("chunks/", ("max_sweeps", "convergence_tol", "user_count_mode")),
-    ):
+    for pattern, names in _STAGES:
         record.update((n, config[n]) for n in names)
-        if name.startswith(stage):
+        if fnmatchcase(name, pattern):
             return record
 
 

@@ -2,7 +2,7 @@
 
 ``write_text`` and ``write_npz`` write a file whole, in one pass, to
 ``<name>.tmp`` beside its path and rename it into place. Every artifact
-(graph, embeddings, clusters, t=0 counts, chunk models) is a ``write_npz``
+(graph, embeddings, clusters, t=0 counts, chunk fits) is a ``write_npz``
 file: integer members are deflated at zlib level 1, which shrinks index
 arrays several fold in a fraction of the time of ``np.savez_compressed``'s
 level 6, and every other member is stored, since deflate shrinks float
@@ -11,14 +11,12 @@ the two. Members are dated 1980-01-01, the earliest date a zip holds, and
 the record is the JSON member ``source``: an artifact's bytes depend only
 on its arrays and record.
 
-The graph, embeddings, clusters and t=0 counts are each their checked
-dataclass, written by ``write_fields`` and read by ``read_fields``: one
-member per field, in field order, a nested dataclass's fields as
-``<field>.<name>`` (``user_ids.raw``). Reading makes the type from the
-members, so its own ``__post_init__`` checks and freezes every load, and
-a file whose members are not exactly the type's fields is refused. A
-chunk model is rebuilt from its assignments against a slice, an init and
-a ledger, so it keeps its own pair (``mixrec.sampler``).
+Each artifact is its checked dataclass, written by ``write_fields`` and
+read by ``read_fields``: one member per field, in field order, a nested
+dataclass's fields as ``<field>.<name>`` (``user_ids.raw``). Reading makes
+the type from the members, so its own ``__post_init__`` checks and freezes
+every load, and a file whose members are not exactly the type's fields is
+refused.
 """
 
 from __future__ import annotations

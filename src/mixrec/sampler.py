@@ -7,7 +7,9 @@ every chunk; user-side counts start from the t=0 artifact, or accumulate
 from the ``UserCounts`` ledger passed as ``base``. The final sample's count
 tables are the point estimate consumed by retrieval: ``item_table`` for the
 per-interest lists and ``user_weights`` for every user's interest weights at
-once, one CSR over the t=0 supports.
+once, one CSR over the t=0 supports. A fit's record, ``ChunkFit`` (the final
+assignments and the per-sweep trace), is the chunk's artifact, written and
+read field by field (``mixrec.npz``); reloading rebuilds the tables from it.
 
 The resampling weight for engagement (u, i) and candidate interest k, with
 the engagement removed from all tables, is
@@ -56,16 +58,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ChunkSlice
+from .graph import ChunkSlice, _freeze_fields
 from .initialization import InitArtifact
-from .npz import write_npz
+from .npz import read_fields, write_fields
 from .sweep_kernel import arg, load_kernel
 
 __all__ = [
     "SamplerConfig",
     "UserCounts",
     "ChunkModel",
-    "SweepStats",
+    "ChunkFit",
     "fit_chunk",
     "save_chunk_model",
     "load_chunk_model",
@@ -111,11 +113,30 @@ class UserCounts:
         return self.cold.get(user, {})
 
 
-@dataclass
-class SweepStats:
-    sweep: int
-    log_joint: float
-    changed: int
+@dataclass(frozen=True)
+class ChunkFit:
+    """A chunk's fit, its artifact ``chunks/chunk_XXXXX.npz``: the final
+    assignments ``z`` in slice order, the log-joint after each sweep and the
+    assignments it changed, whether the stop rule fired and the uniform
+    fallbacks. Checked when it is made: ``z`` is a read-only 1-d ``int64``
+    array, and the traces are tuples of one length, one sweep or more."""
+
+    chunk: int
+    z: np.ndarray
+    log_joint: tuple[float, ...]
+    changed: tuple[int, ...]
+    converged: bool
+    underflow_events: int
+
+    def __post_init__(self):
+        _freeze_fields(self, "z")
+        if self.z.ndim != 1 or self.z.dtype != np.int64:
+            raise ValueError(f"z must be a 1-d int64 array, got a {self.z.ndim}-d {self.z.dtype} one")
+        object.__setattr__(self, "log_joint", tuple(map(float, self.log_joint)))
+        object.__setattr__(self, "changed", tuple(map(int, self.changed)))
+        if not 1 <= len(self.log_joint) == len(self.changed):
+            raise ValueError(f"{len(self.log_joint)} log-joints and {len(self.changed)} change counts; "
+                             "a fit traces each of its sweeps, one or more")
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -226,6 +247,8 @@ class ChunkModel:
 
     ``z`` gives the assignments; without it they are drawn uniformly over
     each user's candidates from ``rng`` (default: seeded by ``cfg.seed``).
+    ``fit`` is the ``ChunkFit`` that ``fit_chunk`` or ``load_chunk_model``
+    gave the model (else None); ``sweeps_run`` and ``converged`` read it.
     """
 
     def __init__(
@@ -245,9 +268,7 @@ class ChunkModel:
         self.beta = init.beta
         self.Ibeta = init.num_items * init.beta
         self.underflow_events = 0
-        self.history: list[SweepStats] = []
-        self.sweeps_run = 0
-        self.converged = False
+        self.fit: ChunkFit | None = None
 
         if base is None:
             base = UserCounts.from_init(init)
@@ -403,6 +424,9 @@ class ChunkModel:
     @property
     def item_pool(self) -> np.ndarray:
         return self.slice.item_pool
+
+    sweeps_run = property(lambda self: len(self.fit.log_joint))
+    converged = property(lambda self: self.fit.converged)
 
     def user_counts(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """(interests, combined counts) for a user active in this chunk."""
@@ -624,69 +648,45 @@ def fit_chunk(
     Convergence: relative change in the collapsed log-joint between
     consecutive sweeps below ``cfg.convergence_tol``. Non-convergence is a
     logged warning, not an error; the final sample is the point estimate.
+    The model's ``fit`` records the final assignments and the sweeps' trace.
     """
     rng = np.random.default_rng(cfg.seed)
     m = ChunkModel(slice_, init, cfg, base=base, rng=rng)
-    lj_prev = m.current_log_joint
-    for s in range(1, cfg.max_sweeps + 1):
-        changed = m.run_sweep(rng.random(m.n))
-        lj = m.current_log_joint
-        m.history.append(SweepStats(sweep=s, log_joint=lj, changed=changed))
-        m.sweeps_run = s
-        rel = abs(lj - lj_prev) / max(abs(lj_prev), 1e-12)
-        lj_prev = lj
-        if rel < cfg.convergence_tol:
-            m.converged = True
-            break
-    if not m.converged:
-        logger.warning(
-            "chunk %d: log-joint still moving after %d sweeps", m.chunk, cfg.max_sweeps
-        )
+    log_joint, changed, converged = [m.current_log_joint], [], False
+    while not converged and len(changed) < cfg.max_sweeps:
+        changed.append(m.run_sweep(rng.random(m.n)))
+        log_joint.append(m.current_log_joint)
+        converged = abs(log_joint[-1] - log_joint[-2]) / max(abs(log_joint[-2]), 1e-12) < cfg.convergence_tol
+    m.fit = ChunkFit(m.chunk, m.z, log_joint[1:], changed, converged, m.underflow_events)
+    if not converged:
+        logger.warning("chunk %d: log-joint still moving after %d sweeps", m.chunk, cfg.max_sweeps)
     return m
 
 
 def sweep_diagnostics_text(m: ChunkModel) -> str:
-    """Per-sweep (sweep, log_joint, changed) as tab-separated lines."""
-    lines = ["sweep\tlog_joint\tchanged"]
-    for s in m.history:
-        lines.append(f"{s.sweep}\t{s.log_joint!r}\t{s.changed}")
-    return "\n".join(lines) + "\n"
+    """Per-sweep (sweep, log_joint, changed) of ``m.fit`` as tab-separated lines."""
+    trace = enumerate(zip(m.fit.log_joint, m.fit.changed), start=1)
+    return "sweep\tlog_joint\tchanged\n" + "".join(f"{s}\t{lj!r}\t{changed}\n" for s, (lj, changed) in trace)
 
 
 def save_chunk_model(m: ChunkModel, path, source=None) -> None:
-    """Persist the minimal resumable state (assignments; tables rebuild)."""
-    write_npz(
-        path, source,
-        chunk=np.asarray([m.chunk]),
-        z=m.z,
-        sweeps=np.asarray([m.sweeps_run, int(m.converged), m.underflow_events]),
-        log_joint=np.asarray([m.current_log_joint]),
-    )
+    """Write ``m.fit``, the chunk artifact; the count tables rebuild from its ``z``."""
+    write_fields(m.fit, path, source)
 
 
-def load_chunk_model(
-    path,
-    slice_: ChunkSlice,
-    init: InitArtifact,
-    cfg: SamplerConfig,
-    base: UserCounts | None = None,
-) -> ChunkModel:
-    """Rebuild a fitted model from persisted assignments."""
-    with np.load(path) as zf:
-        if int(zf["chunk"][0]) != slice_.chunk:
-            raise ValueError(
-                f"persisted model is for chunk {int(zf['chunk'][0])}, slice is chunk {slice_.chunk}"
-            )
-        z = zf["z"]
-        sweeps = zf["sweeps"]
-        lj = float(zf["log_joint"][0])
-    m = ChunkModel(slice_, init, cfg, base=base, z=z)
-    m.sweeps_run = int(sweeps[0])
-    m.converged = bool(sweeps[1])
-    m.underflow_events = int(sweeps[2])
-    if not math.isclose(m._lj, lj, rel_tol=1e-9, abs_tol=1e-6):
-        raise ValueError(
-            f"chunk {m.chunk}: reloaded log-joint {m._lj!r} differs from the persisted "
-            f"{lj!r}; the model was fitted on other data, init or ledger"
-        )
+def load_chunk_model(path, slice_: ChunkSlice, init: InitArtifact, cfg: SamplerConfig,
+                     base: UserCounts | None = None) -> ChunkModel:
+    """Rebuild a fitted model from the ``ChunkFit`` at ``path``; another chunk's fit, or one whose
+    last log-joint the tables do not give, raises ``ValueError`` naming the file, as ``read_fields`` does."""
+    fit = read_fields(ChunkFit, path)
+    try:
+        if fit.chunk != slice_.chunk:
+            raise ValueError(f"persisted model is for chunk {fit.chunk}, slice is chunk {slice_.chunk}")
+        m = ChunkModel(slice_, init, cfg, base=base, z=fit.z)
+        if not math.isclose(m.current_log_joint, fit.log_joint[-1], rel_tol=1e-9, abs_tol=1e-6):
+            raise ValueError(f"chunk {m.chunk}: reloaded log-joint {m.current_log_joint!r} differs from the persisted "
+                             f"{fit.log_joint[-1]!r}; the model was fitted on other data, init or ledger")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; rebuild it in a new output directory") from None
+    m.fit = fit
     return m

@@ -14,9 +14,9 @@ from mixrec.embeddings import EmbeddingTable, load_embeddings, save_embeddings
 from mixrec.graph import SplitSpec, from_raw_edges, load_graph, regroup_chunks, save_graph, split
 from mixrec.graph import ChunkSlice
 from mixrec.initialization import build_init, load_init, save_init
-from mixrec.npz import write_npz
+from mixrec.npz import write_fields, write_npz
 from mixrec.retrieval import ann_encode_items, build_index, chunk_tables, mle_mixture, popularity_ranking
-from mixrec.sampler import SamplerConfig, fit_chunk
+from mixrec.sampler import SamplerConfig, fit_chunk, load_chunk_model
 
 
 def graph():
@@ -34,6 +34,19 @@ def clusters():
 
 def init():
     return build_init(graph(), item_interest=[0, 1, 1], num_interests=2)
+
+
+def chunk():
+    return ChunkSlice.from_edges(3, [0, 1, 2, 2], [0, 1, 2, 1])
+
+
+def chunk_fit():
+    return fit_chunk(chunk(), init(), SamplerConfig(seed=0, max_sweeps=3, convergence_tol=0.0)).fit
+
+
+def load_chunk_fit(path):
+    """The fit of the model ``load_chunk_model`` rebuilds from ``path``."""
+    return load_chunk_model(path, chunk(), init(), SamplerConfig(seed=0)).fit
 
 
 def bumped(a, at=-1, by=1):
@@ -65,6 +78,9 @@ CASES = {
     "init-count": (init, save_init, load_init, "support_n0", lambda a: bumped(a.support_n0, by=-a.support_n0[-1]), "support counts must be positive"),
     "init-interest": (init, save_init, load_init, "support_k", lambda a: bumped(a.support_k, by=2), r"support_k must lie in \[0, 2\)"),
     "init-ptr": (init, save_init, load_init, "support_ptr", lambda a: a.support_ptr[[0, 2, 1, 3]], "support_ptr must not decrease"),
+    "fit-traces": (chunk_fit, write_fields, load_chunk_fit, "changed", lambda f: f.changed[:-1], "3 log-joints and 2 change counts"),
+    "fit-z-2d": (chunk_fit, write_fields, load_chunk_fit, "z", lambda f: f.z[None], "z must be a 1-d int64 array"),
+    "fit-z-float": (chunk_fit, write_fields, load_chunk_fit, "z", lambda f: f.z.astype(np.float64), "z must be a 1-d int64 array"),
 }
 
 
@@ -113,7 +129,7 @@ def test_raw_edges_of_unequal_length_refused():
 def indexes():
     """A fitted chunk's ``ChunkTables`` and ``InterestIndex``, the static
     mixture's, and the chunk's ``AnnIndex`` and popularity ``Ranking``."""
-    slc = ChunkSlice.from_edges(3, [0, 1, 2, 2], [0, 1, 2, 1])
+    slc = chunk()
     rank = popularity_ranking(slc)
     tables, static = chunk_tables(fit_chunk(slc, init(), SamplerConfig(seed=0))), mle_mixture(init())
     return {
@@ -184,6 +200,8 @@ LAYOUT = {
     "init": (init, save_init, load_init,
              ["num_users", "num_items", "num_interests", "alpha", "beta", "support_ptr", "support_k",
               "support_n0", "item_interest", "item_n0"]),
+    "chunk-fit": (chunk_fit, write_fields, load_chunk_fit,
+                  ["chunk", "z", "log_joint", "changed", "converged", "underflow_events"]),
 }
 
 

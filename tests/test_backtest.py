@@ -18,6 +18,7 @@ from mixrec.clustering import load_clusters, save_clusters
 from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split, write_edge_list
 from mixrec.metrics import MetricBlock, MetricsReport, build_queries
 from mixrec.npz import write_npz
+from mixrec.sampler import ChunkFit
 from mixrec.synth import SynthSpec, generate
 
 from oracles import aggregate_loop, deflated_and_integer_members, score_reference, seen_union_loop
@@ -965,6 +966,33 @@ class TestCli:
                 mixrec.backtest.ensure_graph(cfg)
             else:
                 mixrec.backtest.ensure_init(cfg, train, load_clusters(out / "clusters.npz"))
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
+
+    @pytest.mark.parametrize("damage", ["earlier_layout", "other_chunk"])
+    def test_chunk_file_refused(self, synth_edges, tmp_path, damage):
+        # a chunk file holds its ChunkFit's fields and the record; one in the
+        # layout an earlier version wrote (the sweep count, stop flag and
+        # underflow events packed in one array), or another chunk's copied
+        # over it, records a matching config but is refused naming the file,
+        # before anything is written
+        out = tmp_path / "r"
+        cfg = small_config(synth_edges, out, methods=["micro"])
+        backtest(cfg)
+        path = out / "chunks" / "chunk_00002.npz"
+        with np.load(path) as z:
+            m = {k: z[k] for k in z.files}
+        assert list(m) == [f.name for f in dataclasses.fields(ChunkFit)] + ["source"]
+        if damage == "earlier_layout":
+            sweeps = np.asarray([len(m["changed"]), int(m["converged"]), m["underflow_events"]])
+            write_npz(path, json.loads(str(m["source"])), chunk=np.asarray([m["chunk"]]), z=m["z"],
+                      sweeps=sweeps, log_joint=m["log_joint"][-1:])
+            why = r" holds no ChunkFit in this version's layout \(missing \['changed', 'converged', 'underflow_events'\]"
+        else:
+            shutil.copyfile(out / "chunks" / "chunk_00003.npz", path)
+            why = ": persisted model is for chunk 3, slice is chunk 2"
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        with pytest.raises(ValueError, match=re.escape(str(path)) + f"{why}.*; rebuild it in a new output directory"):
+            backtest(cfg)
         assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
 
     @pytest.mark.parametrize("damage", ["truncated", "foreign", "no_record"])

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import mixrec.sweep_kernel as sweep_kernel
 from mixrec.graph import ChunkSlice, from_raw_edges
 from mixrec.initialization import build_init
 from mixrec.sampler import (
+    ChunkFit,
     ChunkModel,
     SamplerConfig,
     UserCounts,
@@ -418,7 +420,7 @@ class TestFitChunk:
         m2 = fit_chunk(slc, init, cfg)
         assert m1.z.tolist() == m2.z.tolist()
         assert m1.current_log_joint == m2.current_log_joint
-        assert [h.log_joint for h in m1.history] == [h.log_joint for h in m2.history]
+        assert fit_fields(m1.fit) == fit_fields(m2.fit)
 
     def test_different_seed_can_differ(self):
         init, users, items = tiny_instances()[1]
@@ -574,8 +576,15 @@ class TestPersistence:
         p = tmp_path / "chunk.npz"
         save_chunk_model(m, p)
         other = ChunkSlice.from_edges(2, users, items)
-        with pytest.raises(ValueError):
+        match = re.escape(str(p)) + ": persisted model is for chunk 1, slice is chunk 2; rebuild it in a new output directory"
+        with pytest.raises(ValueError, match=match):
             load_chunk_model(p, other, init, cfg)
+        # a slice of chunk 1 with an engagement fewer: the assignments do
+        # not fit it, and the refusal names the file too
+        fewer = ChunkSlice.from_edges(1, users[:-1], items[:-1])
+        match = re.escape(str(p)) + rf": \({len(users)},\) assignments for {len(users) - 1} engagements; rebuild"
+        with pytest.raises(ValueError, match=match):
+            load_chunk_model(p, fewer, init, cfg)
 
     def test_reload_under_other_init_rejected(self, tmp_path):
         # a log-joint that does not reproduce means the chunk was fitted
@@ -586,8 +595,37 @@ class TestPersistence:
         p = tmp_path / "chunk.npz"
         save_chunk_model(fit_chunk(slc, init, cfg), p)
         other = dataclasses.replace(init, alpha=2 * init.alpha)
-        with pytest.raises(ValueError, match="chunk 1: reloaded log-joint"):
+        match = re.escape(str(p)) + r": chunk 1: reloaded log-joint .*; rebuild it in a new output directory"
+        with pytest.raises(ValueError, match=match):
             load_chunk_model(p, slc, other, cfg)
+
+    @pytest.mark.parametrize("max_sweeps, tol, converged", [(1, 1e-4, False), (20, 1e-3, False), (20, 1e-2, True)])
+    def test_reloaded_fit_equals_the_fitted_one(self, tmp_path, max_sweeps, tol, converged):
+        # the file holds the whole fit: the reloaded model's fit has every
+        # field's value and type, so the trace it prints is the fitted one's,
+        # whether the stop rule fired or the sweeps ran out
+        init, (slc, _) = mixed_instance(11, 6)
+        cfg = SamplerConfig(seed=2, max_sweeps=max_sweeps, convergence_tol=tol)
+        m = fit_chunk(slc, init, cfg)
+        assert m.converged is converged
+        save_chunk_model(m, tmp_path / "m.npz")
+        again = load_chunk_model(tmp_path / "m.npz", slc, init, cfg)
+        assert fit_fields(again.fit) == fit_fields(m.fit)
+        assert (again.sweeps_run, again.converged) == (m.sweeps_run, m.converged) == (len(m.fit.changed), m.fit.converged)
+        assert sweep_diagnostics_text(again) == sweep_diagnostics_text(m)
+        assert len(sweep_diagnostics_text(m).splitlines()) == m.sweeps_run + 1 <= max_sweeps + 1
+        assert m.fit.z.tolist() == m.z.tolist()
+        for fit in (m.fit, again.fit):
+            with pytest.raises(ValueError, match="read-only"):
+                fit.z[0] = 0
+
+    def test_fit_without_a_sweep_refused(self):
+        # a fit runs one sweep or more, and reloading checks the last
+        # log-joint; tests/test_artifacts.py checks the other damage
+        fit = dict(chunk=1, z=np.zeros(3, np.int64), converged=False, underflow_events=0)
+        assert ChunkFit(**fit, log_joint=[-2.0], changed=[3]).log_joint == (-2.0,)
+        with pytest.raises(ValueError, match="0 log-joints and 0 change counts"):
+            ChunkFit(**fit, log_joint=(), changed=())
 
     def test_diagnostics_and_table_dump(self, tmp_path):
         init, users, items = tiny_instances()[1]
@@ -606,6 +644,13 @@ class TestPersistence:
 # --- the compiled sweep against the Python reference -------------------------
 
 TABLES = ("_zpos", "_uk", "_ck", "_cc", "_cfill", "_ik", "_ic", "_ifill", "_nk")
+
+
+def fit_fields(fit: ChunkFit) -> dict:
+    """Each field of ``fit`` with its type; ``z`` as its dtype, shape and bytes."""
+    out = {f.name: (type(getattr(fit, f.name)), getattr(fit, f.name)) for f in dataclasses.fields(fit)}
+    out["z"] = (fit.z.dtype, fit.z.shape, fit.z.tobytes())
+    return out
 
 
 def raw_tables(m):
@@ -779,9 +824,7 @@ class TestCompiledSweep:
             "Gibbs sweep: Python; top-M selection, embedding SGD update and gather-sum: numpy; log-gamma: scipy"
         )
         assert raw_tables(got) == raw_tables(want)
-        assert [(h.log_joint, h.changed) for h in got.history] == [
-            (h.log_joint, h.changed) for h in want.history
-        ]
+        assert fit_fields(got.fit) == fit_fields(want.fit)
 
     def test_tables_bounded_by_engagements_at_k5000(self):
         K = 5000
