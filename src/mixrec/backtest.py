@@ -529,7 +529,7 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
         if seen is not None:
             seen.add_chunk(slc)
         if ledger is not None and model is not None:
-            model.fold_into(ledger)
+            ledger = model.fold_into(ledger)
         prev_model, prev_slice = model, slc
 
     reports: dict[tuple[str, int], MetricsReport] = {}

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .embeddings import gather_sum
-from .graph import _freeze_fields
+from .graph import _freeze_fields, _tuple_field
 from .npz import read_fields, write_fields, write_text
 
 __all__ = ["ClusterAssignment", "cluster_items", "save_clusters", "load_clusters", "export_cluster_map"]
@@ -41,7 +41,7 @@ class ClusterAssignment:
 
     def __post_init__(self):
         _freeze_fields(self, "item_to_interest", "centroids")
-        object.__setattr__(self, "objective_history", tuple(map(float, self.objective_history)))
+        _tuple_field(self, "objective_history", float)
         norms = np.linalg.norm(self.centroids, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("centroids must be unit norm")

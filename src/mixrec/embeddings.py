@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EngagementGraph, _freeze_fields
+from .graph import EngagementGraph, _freeze_fields, _tuple_field
 from .npz import read_fields, write_fields
 from .sweep_kernel import Kernel, arg, load_kernel
 
@@ -39,7 +39,7 @@ class EmbeddingTable:
 
     def __post_init__(self):
         _freeze_fields(self, "user_vectors", "item_vectors")
-        object.__setattr__(self, "epoch_losses", tuple(map(float, self.epoch_losses)))
+        _tuple_field(self, "epoch_losses", float)
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         if not (np.isfinite(self.user_vectors).all() and np.isfinite(self.item_vectors).all()):

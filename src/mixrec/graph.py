@@ -90,6 +90,13 @@ def _freeze_fields(obj, *names: str) -> None:
         object.__setattr__(obj, name, tuple(map(_freeze, v)) if isinstance(v, tuple) else _freeze(np.asarray(v)))
 
 
+def _tuple_field(obj, name: str, kind) -> None:
+    """Store field ``name`` of the frozen dataclass ``obj`` as a tuple of ``kind``; one not 1-d raises ``ValueError``."""
+    if np.ndim(getattr(obj, name)) != 1:
+        raise ValueError(f"{name} must be 1-d, got a {np.ndim(getattr(obj, name))}-d value")
+    object.__setattr__(obj, name, tuple(map(kind, getattr(obj, name))))
+
+
 @dataclass(frozen=True)
 class ChunkSlice:
     """All engagements of one time chunk, grouped by user.

@@ -15,8 +15,8 @@ Each artifact is its checked dataclass, written by ``write_fields`` and
 read by ``read_fields``: one member per field, in field order, a nested
 dataclass's fields as ``<field>.<name>`` (``user_ids.raw``). Reading makes
 the type from the members, so its own ``__post_init__`` checks and freezes
-every load, and a file whose members are not exactly the type's fields is
-refused.
+every load; a file whose members are not its fields, or fail its checks,
+is refused naming the file.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def read_fields(cls, path):
     """The ``cls`` that ``write_fields`` wrote to ``path``, made from its
     members, so ``cls`` checks and freezes it; a 0-d member is read as its
     Python scalar. A file whose members but ``source`` are not exactly the
-    artifact's raises ``ValueError`` naming it."""
+    artifact's, or that ``cls`` refuses, raises ``ValueError`` naming it."""
     with open(path, "rb") as fh, np.load(fh) as z:
         members = {k: z[k] for k in z.files if k != "source"}
     want = _members(cls)
@@ -105,7 +105,10 @@ def read_fields(cls, path):
         missing, extra = [m for m in want if m not in members], sorted(set(members) - set(want))
         raise ValueError(f"{path} holds no {cls.__name__} in this version's layout (missing {missing}, "
                          f"extra {extra}); rebuild it in a new output directory")
-    return _make(cls, {k: a.item() if a.ndim == 0 else a for k, a in members.items()})
+    try:
+        return _make(cls, {k: a.item() if a.ndim == 0 else a for k, a in members.items()})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; rebuild it in a new output directory") from None
 
 
 def _make(cls, members: dict, prefix: str = ""):

@@ -3,13 +3,14 @@
 Each time chunk is fitted independently: latent interests are initialized
 uniformly over each user's prior support, then resampled in fixed scan order
 until the collapsed log-joint stabilizes. Item-side count tables start empty
-every chunk; user-side counts start from the t=0 artifact, or accumulate
-from the ``UserCounts`` ledger passed as ``base``. The final sample's count
-tables are the point estimate consumed by retrieval: ``item_table`` for the
-per-interest lists and ``user_weights`` for every user's interest weights at
-once, one CSR over the t=0 supports. A fit's record, ``ChunkFit`` (the final
-assignments and the per-sweep trace), is the chunk's artifact, written and
-read field by field (``mixrec.npz``); reloading rebuilds the tables from it.
+every chunk; user-side counts start from the t=0 artifact, or from the
+``UserCounts`` ledger passed as ``base``, a read-only value: ``fold_into``
+returns the next one. The final sample's count tables are the point estimate
+consumed by retrieval: ``item_table`` for the per-interest lists and
+``user_weights`` for every user's interest weights at once, one CSR over
+the t=0 supports. A fit's record, ``ChunkFit`` (the final assignments and
+the per-sweep trace), is the chunk's artifact, written and read field by
+field (``mixrec.npz``); reloading rebuilds the tables from it.
 
 The resampling weight for engagement (u, i) and candidate interest k, with
 the engagement removed from all tables, is
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ChunkSlice, _freeze_fields
+from .graph import ChunkSlice, _freeze_fields, _tuple_field
 from .initialization import InitArtifact
 from .npz import read_fields, write_fields
 from .sweep_kernel import arg, load_kernel
@@ -92,25 +93,24 @@ class SamplerConfig:
             raise ValueError("convergence_tol must be >= 0")
 
 
+@dataclass(frozen=True)
 class UserCounts:
-    """Running user-interest counts threaded across chunks.
+    """The user-interest counts a chunk's fit starts from, read-only: warm
+    users' aligned with the init artifact's support CSR, other users' at
+    ascending ``cold_keys = user * K + interest`` with positive
+    ``cold_counts``. ``from_init`` gives the t=0 counts, and
+    ``ChunkModel.fold_into`` the counts after a fitted chunk."""
 
-    Warm users (nonempty support) keep counts in a flat array aligned with
-    the init artifact's support CSR; users without t=0 history keep sparse
-    dict rows. ``from_init`` gives the t=0 state; ``ChunkModel.fold_into``
-    writes each fitted chunk back in, so later chunks accumulate.
-    """
+    warm: np.ndarray
+    cold_keys: np.ndarray
+    cold_counts: np.ndarray
 
-    def __init__(self, warm: np.ndarray, cold: dict[int, dict[int, int]]):
-        self.warm = warm
-        self.cold = cold
+    def __post_init__(self):
+        _freeze_fields(self, "warm", "cold_keys", "cold_counts")
 
     @staticmethod
     def from_init(init: InitArtifact) -> "UserCounts":
-        return UserCounts(init.support_n0.astype(np.int64).copy(), {})
-
-    def cold_row(self, user: int) -> dict[int, int]:
-        return self.cold.get(user, {})
+        return UserCounts(init.support_n0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ class ChunkFit:
         _freeze_fields(self, "z")
         if self.z.ndim != 1 or self.z.dtype != np.int64:
             raise ValueError(f"z must be a 1-d int64 array, got a {self.z.ndim}-d {self.z.dtype} one")
-        object.__setattr__(self, "log_joint", tuple(map(float, self.log_joint)))
-        object.__setattr__(self, "changed", tuple(map(int, self.changed)))
+        _tuple_field(self, "log_joint", float)
+        _tuple_field(self, "changed", int)
         if not 1 <= len(self.log_joint) == len(self.changed):
             raise ValueError(f"{len(self.log_joint)} log-joints and {len(self.changed)} change counts; "
                              "a fit traces each of its sweeps, one or more")
@@ -245,6 +245,7 @@ class ChunkModel:
     sorted row per chunk item (``_iptr``/``_ik``/``_ic``/``_ifill``, row
     ``_irow[j]`` for engagement j); ``_nk`` holds the interest totals.
 
+    ``base`` is the ``UserCounts`` it starts from (t=0 if None), by reference.
     ``z`` gives the assignments; without it they are drawn uniformly over
     each user's candidates from ``rng`` (default: seeded by ``cfg.seed``).
     ``fit`` is the ``ChunkFit`` that ``fit_chunk`` or ``load_chunk_model``
@@ -270,14 +271,10 @@ class ChunkModel:
         self.underflow_events = 0
         self.fit: ChunkFit | None = None
 
-        if base is None:
-            base = UserCounts.from_init(init)
-        # a copy: later chunks fold into the ledger ``base`` after this fit
-        self._base_warm = base.warm.copy()
+        self.base = UserCounts.from_init(init) if base is None else base
 
         n = self.n = len(slice_)
         users = slice_.unique_users
-        self._active = users.tolist()
         R = len(users)
         self._ptr = np.ascontiguousarray(slice_.user_ptr, dtype=np.int64)
         self._erow = np.repeat(np.arange(R, dtype=np.int64), np.diff(self._ptr))
@@ -290,16 +287,16 @@ class ChunkModel:
         self._lens = np.where(cold, K, sizes).astype(np.int64)
         self._sup_idx = _ranges(lo, sizes)
         self._cand = np.ascontiguousarray(init.support_k[self._sup_idx], dtype=np.int64)
-        self._uk_base = base.warm[self._sup_idx].astype(np.int64)
+        self._uk_base = self.base.warm[self._sup_idx].astype(np.int64)
 
         # cold rows: base entries, then capacity for every chunk engagement
-        cold_rows = np.flatnonzero(cold)
-        base_rows = [sorted(base.cold_row(int(users[r])).items()) for r in cold_rows.tolist()]
+        blo, bhi = (np.searchsorted(self.base.cold_keys, (users[cold] + d) * K) for d in (0, 1))
         nbase = np.zeros(R, dtype=np.int64)
-        nbase[cold_rows] = [len(b) for b in base_rows]
+        nbase[cold] = bhi - blo
         self._cbptr = np.concatenate([[0], np.cumsum(nbase)]).astype(np.int64)
-        self._cbk = np.asarray([k for b in base_rows for k, _ in b], dtype=np.int64)
-        self._cbc = np.asarray([c for b in base_rows for _, c in b], dtype=np.int64)
+        cb = _ranges(blo, nbase[cold])
+        self._cbk = self.base.cold_keys[cb] % K
+        self._cbc = self.base.cold_counts[cb]
         ccap = np.where(cold, nbase + np.diff(self._ptr), 0)
         self._cptr = np.concatenate([[0], np.cumsum(ccap)]).astype(np.int64)
 
@@ -365,14 +362,9 @@ class ChunkModel:
 
     def _row_index(self, user: int) -> int:
         r = int(np.searchsorted(self.slice.unique_users, user))
-        if r >= len(self._active) or self._active[r] != user:
+        if self.slice.unique_users[r:r + 1].tolist() != [user]:
             raise KeyError(f"user {user} has no engagements in chunk {self.chunk}")
         return r
-
-    def _cold_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = self._cptr[r]
-        hi = lo + self._cfill[r]
-        return self._ck[lo:hi], self._cc[lo:hi]
 
     def remove(self, j: int) -> int:
         """Decrement engagement j from all tables; returns its interest."""
@@ -432,27 +424,20 @@ class ChunkModel:
         """(interests, combined counts) for a user active in this chunk."""
         r = self._row_index(user)
         if self._offs[r] < 0:
-            ks, cs = self._cold_row(r)
-            return ks.copy(), cs.copy()
+            lo, hi = self._cptr[r], self._cptr[r] + self._cfill[r]
+            return self._ck[lo:hi].copy(), self._cc[lo:hi].copy()
         off, L = self._offs[r], self._lens[r]
         return self._cand[off:off + L].copy(), self._uk[off:off + L].copy()
 
     def user_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(``support_ptr``, ``support_k``, weights): every user's
         alpha-smoothed combined counts normalized over the t=0 support, as
-        ``fold_into`` would write them (users absent from this chunk keep
+        ``fold_into`` returns them (users absent from this chunk keep
         their base counts); users without t=0 history get empty rows."""
-        counts = self._base_warm.copy()
+        counts = self.base.warm.astype(np.int64)
         counts[self._sup_idx] = self._uk
         masses = self.alpha + counts.astype(np.float64)
         return self.init.support_ptr, self.init.support_k, _row_normalize(self.init.support_ptr, masses)
-
-    def cold_rows(self) -> dict[int, dict[int, int]]:
-        """Cold users' combined counts: {active row: {interest: count}}."""
-        return {
-            r: dict(zip(*(a.tolist() for a in self._cold_row(r))))
-            for r in np.flatnonzero(self._offs < 0).tolist()
-        }
 
     def item_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(items, interests, counts) of the nonzero item-interest counts,
@@ -630,11 +615,16 @@ class ChunkModel:
         self._nk[:], self._zpos[:] = nk, zpos
         return changed, underflows, dlj
 
-    def fold_into(self, counts: UserCounts) -> None:
-        """Write this chunk's final combined user counts back into a ledger."""
-        counts.warm[self._sup_idx] = self._uk
-        for r, row in self.cold_rows().items():
-            counts.cold[self._active[r]] = row
+    def fold_into(self, counts: UserCounts) -> UserCounts:
+        """``counts`` with this chunk's users' final combined counts in; ``counts`` is left as it is."""
+        warm = counts.warm.astype(np.int64)
+        warm[self._sup_idx] = self._uk
+        users = np.repeat(self.slice.unique_users, self._cfill)  # of each cold row entry
+        slots = _ranges(self._cptr[:-1], self._cfill)
+        kept = ~np.isin(counts.cold_keys // self.K, users)
+        keys, new = counts.cold_keys[kept], users * self.K + self._ck[slots]
+        at = np.searchsorted(keys, new)
+        return UserCounts(warm, np.insert(keys, at, new), np.insert(counts.cold_counts[kept], at, self._cc[slots]))
 
 
 def fit_chunk(

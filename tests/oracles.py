@@ -290,6 +290,16 @@ def combined_counts(m, user):
         return m.init.support(user), m.init.support_counts(user)
 
 
+def ledger_row(counts, init, user):
+    """``user``'s counts in the ``UserCounts`` ledger ``counts`` as
+    {interest: count}: the warm slots of the user's t=0 support, and any
+    cold key ``user * K + interest``, found by a scan of every key."""
+    K, lo, hi = init.num_interests, init.support_ptr[user], init.support_ptr[user + 1]
+    row = dict(zip(init.support_k[lo:hi].tolist(), counts.warm[lo:hi].tolist()))
+    row.update((k % K, c) for k, c in zip(counts.cold_keys.tolist(), counts.cold_counts.tolist()) if k // K == user)
+    return row
+
+
 def chunk_user_total(m, user):
     """The number of ``user``'s engagements in the chunk of ``ChunkModel``
     ``m``, read from its slice."""

@@ -5,6 +5,7 @@ read-only. A stage artifact's file holds one member per field of its type,
 and a file in another layout is refused."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,12 @@ CASES = {
     "fit-traces": (chunk_fit, write_fields, load_chunk_fit, "changed", lambda f: f.changed[:-1], "3 log-joints and 2 change counts"),
     "fit-z-2d": (chunk_fit, write_fields, load_chunk_fit, "z", lambda f: f.z[None], "z must be a 1-d int64 array"),
     "fit-z-float": (chunk_fit, write_fields, load_chunk_fit, "z", lambda f: f.z.astype(np.float64), "z must be a 1-d int64 array"),
+    "fit-trace-2d": (chunk_fit, write_fields, load_chunk_fit, "log_joint", lambda f: np.c_[f.log_joint, f.log_joint],
+                     "log_joint must be 1-d, got a 2-d value"),
+    "clusters-history-2d": (clusters, save_clusters, load_clusters, "objective_history",
+                            lambda c: np.c_[c.objective_history, c.objective_history], "objective_history must be 1-d"),
+    "embedding-losses-2d": (table, save_embeddings, load_embeddings, "epoch_losses",
+                            lambda t: np.c_[t.epoch_losses, t.epoch_losses], "epoch_losses must be 1-d"),
 }
 
 
@@ -94,13 +101,13 @@ def test_bad_value_raises_when_made_and_when_loaded(case, tmp_path):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(good, **{name: field_value})
     # the loader builds the artifact from the file's members, so it refuses
-    # a file holding the bad member the same way
+    # a file holding the bad member the same way, naming the file
     path = tmp_path / "artifact.npz"
     save(good, path)
     with np.load(path) as z:
         members = {**z, member: value}
     write_npz(path, None, **members)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(str(path)) + f": .*{message}.*; rebuild it in a new output directory"):
         load(path)
     # the good artifact is frozen, so it stays checked
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -425,6 +425,40 @@ class TestBacktest:
         for name in first:
             assert first[name] == second[name], f"{name} changed after resume"
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_resumable_in_accumulate_mode(self, synth_edges, tmp_path, monkeypatch, compiled):
+        # the middle chunk refitted on the ledger folded from the reloaded
+        # first chunk, and the last chunk reloaded on the ledger that refit
+        # gives: with cold users, seen exclusion and a candidate dump, the
+        # resumed run writes every file of the uninterrupted one but
+        # config.json, on the compiled sweep or on the Python and numpy paths
+        if compiled and sweep_kernel.load_kernel() is None:
+            pytest.skip("no C compiler: only the Python and numpy paths run here")
+        data = with_cold_users(synth_edges, tmp_path / "edges.tsv")
+        kw = dict(user_count_mode="accumulate", exclude_seen=True, dump_candidates=True)
+        chunks = tmp_path / "resumed" / "chunks"
+        if not compiled:
+            monkeypatch.setattr(sweep_kernel, "CC", "/nonexistent/cc")
+            sweep_kernel.load_kernel.cache_clear()
+        try:
+            for run in ("whole", "resumed"):
+                backtest(small_config(data, tmp_path / run, **kw))
+            assert sorted(p.name for p in chunks.glob("*.npz")) == [f"chunk_0000{t}.npz" for t in (2, 3, 4)]
+            (chunks / "chunk_00003.npz").unlink()
+            (chunks / "chunk_00003_sweeps.tsv").unlink()
+            last = (chunks / "chunk_00004.npz").stat().st_mtime_ns
+            backtest(small_config(data, tmp_path / "resumed", **kw))
+            assert (sweep_kernel.load_kernel() is not None) == compiled
+        finally:
+            monkeypatch.undo()
+            sweep_kernel.load_kernel.cache_clear()
+        assert (chunks / "chunk_00004.npz").stat().st_mtime_ns == last  # reloaded, not refitted
+        whole, resumed = run_bytes(tmp_path / "whole"), run_bytes(tmp_path / "resumed")
+        assert whole.keys() == resumed.keys()
+        assert {"chunks/chunk_00003.npz", "chunks/chunk_00003_sweeps.tsv", "metrics/candidates_M10.tsv"} <= whole.keys()
+        for name in whole:
+            assert whole[name] == resumed[name], f"{name} changed after resume"
+
     def test_compressed_npz_loads_same_arrays(self, synth_edges, tmp_path):
         # every artifact deflates its integer members and stores the rest;
         # a directory whose artifacts an earlier version wrote with
@@ -968,17 +1002,18 @@ class TestCli:
                 mixrec.backtest.ensure_init(cfg, train, load_clusters(out / "clusters.npz"))
         assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
 
-    @pytest.mark.parametrize("damage", ["earlier_layout", "other_chunk"])
+    @pytest.mark.parametrize("damage", ["earlier_layout", "other_chunk", "trace_2d"])
     def test_chunk_file_refused(self, synth_edges, tmp_path, damage):
         # a chunk file holds its ChunkFit's fields and the record; one in the
         # layout an earlier version wrote (the sweep count, stop flag and
-        # underflow events packed in one array), or another chunk's copied
-        # over it, records a matching config but is refused naming the file,
-        # before anything is written
+        # underflow events packed in one array), another chunk's copied
+        # over it, or a later chunk's whose log-joint trace is 2-d, records
+        # a matching config but is refused naming the file, before anything
+        # is written
         out = tmp_path / "r"
         cfg = small_config(synth_edges, out, methods=["micro"])
         backtest(cfg)
-        path = out / "chunks" / "chunk_00002.npz"
+        path = out / "chunks" / ("chunk_00003.npz" if damage == "trace_2d" else "chunk_00002.npz")
         with np.load(path) as z:
             m = {k: z[k] for k in z.files}
         assert list(m) == [f.name for f in dataclasses.fields(ChunkFit)] + ["source"]
@@ -987,9 +1022,13 @@ class TestCli:
             write_npz(path, json.loads(str(m["source"])), chunk=np.asarray([m["chunk"]]), z=m["z"],
                       sweeps=sweeps, log_joint=m["log_joint"][-1:])
             why = r" holds no ChunkFit in this version's layout \(missing \['changed', 'converged', 'underflow_events'\]"
-        else:
+        elif damage == "other_chunk":
             shutil.copyfile(out / "chunks" / "chunk_00003.npz", path)
             why = ": persisted model is for chunk 3, slice is chunk 2"
+        else:
+            source = json.loads(str(m.pop("source")))
+            write_npz(path, source, **{**m, "log_joint": np.c_[m["log_joint"], m["log_joint"]]})
+            why = ": log_joint must be 1-d, got a 2-d value"
         stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
         with pytest.raises(ValueError, match=re.escape(str(path)) + f"{why}.*; rebuild it in a new output directory"):
             backtest(cfg)

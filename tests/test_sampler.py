@@ -31,6 +31,7 @@ from oracles import (
     export_tables_text,
     gibbs_weight,
     item_counts,
+    ledger_row,
     same_bits,
 )
 
@@ -315,12 +316,14 @@ def weight_table(m, slc, init):
 
 
 def snapshot(m):
+    folded = m.fold_into(m.base)  # the cold users' rows, as keys and counts
     return (
         m.z.tolist(),
         item_counts(m),
         m.n_kt.tolist(),
         list(m._uk),
-        m.cold_rows(),
+        folded.cold_keys.tolist(),
+        folded.cold_counts.tolist(),
     )
 
 
@@ -352,15 +355,13 @@ class TestLogJoint:
         init, (slc1, slc2) = mixed_instance(3, 6)
         cfg = SamplerConfig(seed=1, max_sweeps=3)
         base = UserCounts.from_init(init)
-        fit_chunk(slc1, init, cfg, base=base).fold_into(base)
-        assert base.cold
+        base = fit_chunk(slc1, init, cfg, base=base).fold_into(base)
+        assert len(base.cold_keys)
         m = fit_chunk(slc2, init, cfg, base=base)
         a, b = init.alpha, init.beta
         want = 0.0
         for u in np.unique(slc2.users).tolist():
-            lo, hi = init.support_ptr[u], init.support_ptr[u + 1]
-            before = dict(zip(init.support_k[lo:hi].tolist(), base.warm[lo:hi].tolist()))
-            before.update(base.cold_row(u))
+            before = ledger_row(base, init, u)
             after = dict(zip(*(x.tolist() for x in m.user_counts(u))))
             for k in set(before) | set(after):
                 want += math.lgamma(a + after.get(k, 0)) - math.lgamma(a + before.get(k, 0))
@@ -455,7 +456,7 @@ class TestUserCountModes:
         cfg = SamplerConfig(seed=0)
         ledger = UserCounts.from_init(init)
         m1 = fit_chunk(slc1, init, cfg, base=ledger)
-        m1.fold_into(ledger)
+        ledger = m1.fold_into(ledger)
         ks, counts = m1.user_counts(0)
         slc2 = ChunkSlice.from_edges(2, [0], [3])
         m2 = fit_chunk(slc2, init, cfg, base=ledger)
@@ -477,7 +478,7 @@ class TestUserCountModes:
             ledger = UserCounts.from_init(init) if mode == "accumulate" else None
             m1 = fit_chunk(slc1, init, cfg, base=ledger)
             if ledger is not None:
-                m1.fold_into(ledger)
+                ledger = m1.fold_into(ledger)
             m2 = fit_chunk(slc2, init, cfg, base=ledger)
             ptr, user_k, user_w = m2.user_weights()
             assert len(ptr) == 15 and ptr[-1] == len(user_k) == len(user_w)
@@ -509,14 +510,60 @@ class TestUserCountModes:
         slc3 = ChunkSlice.from_edges(3, np.full(20, 4), rng.integers(0, 15, 20))
         cfg = SamplerConfig(seed=3, max_sweeps=3)
         ledger = UserCounts.from_init(init)
-        fit_chunk(slc1, init, cfg, base=ledger).fold_into(ledger)
+        ledger = fit_chunk(slc1, init, cfg, base=ledger).fold_into(ledger)
         m2 = fit_chunk(slc2, init, cfg, base=ledger)
         before = [a.copy() for a in m2.user_weights()]
-        m2.fold_into(ledger)
-        fit_chunk(slc3, init, cfg, base=ledger).fold_into(ledger)
+        ledger = m2.fold_into(ledger)
+        ledger = fit_chunk(slc3, init, cfg, base=ledger).fold_into(ledger)
         after = m2.user_weights()
         assert all(np.array_equal(a, b) for a, b in zip(before[:2], after[:2]))
         assert same_bits(before[2], after[2])
+
+    def test_ledger_matches_a_recount(self):
+        # three chunks folded in turn: cold user 0 and warm users 4-6 sit
+        # out chunk 2, cold user 1 and warm user 7 chunk 3. Each fold returns
+        # a new read-only ledger, leaves the one it was given byte for byte
+        # as it was, and holds the t=0 counts plus every folded assignment
+        init, (slc1, _) = mixed_instance(31, 5)
+        rng = np.random.default_rng(34)
+
+        def chunk(t, absent, n=100):
+            return ChunkSlice.from_edges(t, rng.choice([u for u in range(14) if u not in absent], n),
+                                         rng.integers(0, 15, n))
+
+        slices = [slc1, chunk(2, {0, 4, 5, 6}), chunk(3, {1, 7})]
+        assert {0, 1} <= set(slc1.users.tolist()) and init.is_cold(0) and init.is_cold(1) and not init.is_cold(4)
+        cfg = SamplerConfig(seed=3, max_sweeps=3)
+        ledger = UserCounts.from_init(init)
+        assert ledger.warm is init.support_n0
+        fitted = []
+        for slc in slices:
+            m = fit_chunk(slc, init, cfg, base=ledger)
+            given = [a.tobytes() for a in (ledger.warm, ledger.cold_keys, ledger.cold_counts)]
+            folded = m.fold_into(ledger)
+            assert [a.tobytes() for a in (ledger.warm, ledger.cold_keys, ledger.cold_counts)] == given
+            assert m.base is ledger
+            for a in (folded.warm, folded.cold_keys, folded.cold_counts):
+                assert a.dtype == np.int64 and not a.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                folded.warm = ledger.warm
+            fitted.append((slc, m))
+            ledger = folded
+        K = init.num_interests
+        want_keys, want_counts = [], []
+        for u in range(14):
+            counts = dict(zip(init.support(u).tolist(), init.support_counts(u).tolist()))
+            for slc, m in fitted:
+                for k in m.z[slc.users == u].tolist():
+                    counts[k] = counts.get(k, 0) + 1
+            if init.is_cold(u):
+                want_keys += [u * K + k for k in sorted(counts)]
+                want_counts += [counts[k] for k in sorted(counts)]
+            else:
+                lo, hi = init.support_ptr[u], init.support_ptr[u + 1]
+                assert ledger.warm[lo:hi].tolist() == [counts[k] for k in init.support(u).tolist()]
+        assert len(ledger.warm) == len(init.support_k)
+        assert (ledger.cold_keys.tolist(), ledger.cold_counts.tolist()) == (want_keys, want_counts)
 
     def test_reset_is_a_fit_without_a_ledger(self, tmp_path):
         # no setting selects reset: a fit without a ledger and one on a
@@ -693,8 +740,8 @@ class TestCompiledSweep:
         base = UserCounts.from_init(init)
         if mode == "accumulate":
             # a second chunk on a ledger that already holds cold users' rows
-            fit_chunk(slc1, init, cfg, base=base).fold_into(base)
-            assert base.cold
+            base = fit_chunk(slc1, init, cfg, base=base).fold_into(base)
+            assert len(base.cold_keys)
             slc = slc2
         else:
             slc = slc1
@@ -711,9 +758,7 @@ class TestCompiledSweep:
             assert got.current_log_joint == ref.current_log_joint
         # combined user counts = base (train or ledger) counts + chunk assignments
         for u in np.unique(slc.users).tolist():
-            lo, hi = init.support_ptr[u], init.support_ptr[u + 1]
-            want = dict(zip(init.support_k[lo:hi].tolist(), base.warm[lo:hi].tolist()))
-            want.update(base.cold_row(u))
+            want = ledger_row(base, init, u)
             for k in got.z[slc.users == u].tolist():
                 want[k] = want.get(k, 0) + 1
             ks, cs = got.user_counts(u)
@@ -787,8 +832,8 @@ class TestCompiledSweep:
         cfg = SamplerConfig(seed=5)
         base = UserCounts.from_init(init)
         if mode == "accumulate":
-            fit_chunk(slices[0], init, cfg, base=base).fold_into(base)
-            assert base.cold
+            base = fit_chunk(slices[0], init, cfg, base=base).fold_into(base)
+            assert len(base.cold_keys)
         ref = ChunkModel(slices[1], init, cfg, base=base)
         got = ChunkModel(slices[1], init, cfg, base=base)
         ones = wide = 0
@@ -831,8 +876,8 @@ class TestCompiledSweep:
         init, (slc, _) = mixed_instance(9, K, U=40, cold_users=10, I=200, n=600)
         m = fit_chunk(slc, init, SamplerConfig(seed=1, max_sweeps=2))
         assert len(m._ik) <= m.n
-        cold = [r for r, u in enumerate(m._active) if init.is_cold(u)]
-        assert len(m._ck) == sum(chunk_user_total(m, m._active[r]) for r in cold)
+        cold = [u for u in m.slice.unique_users.tolist() if init.is_cold(u)]
+        assert len(m._ck) == sum(chunk_user_total(m, u) for u in cold)
         # nothing is items x K or users x K
         sizes = [a.size for a in vars(m).values() if isinstance(a, np.ndarray)]
         assert max(sizes) <= max(m.n, K + 1)
@@ -896,8 +941,8 @@ class TestCompiledGammaln:
         cfg = SamplerConfig(seed=4, max_sweeps=3)
         base = UserCounts.from_init(init)
         if mode == "accumulate":
-            fit_chunk(slc1, init, cfg, base=base).fold_into(base)
-            assert base.cold
+            base = fit_chunk(slc1, init, cfg, base=base).fold_into(base)
+            assert len(base.cold_keys)
         m = fit_chunk(slc2, init, cfg, base=base)
         assert len(m._cc) and (mode == "reset" or len(m._cbc))
         save_chunk_model(m, tmp_path / "m.npz")
