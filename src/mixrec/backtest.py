@@ -362,39 +362,44 @@ def ensure_init(cfg: RunConfig, train: EngagementGraph, clusters, run: OpenRun |
     return _stage(cfg, "init", "init.npz", build, save_init, load_init, run)
 
 
-class _SeenTracker:
-    """Per-user seen items as one ascending ``int64`` array: the user's train
-    items, with the items of each passed test chunk merged in.
+@dataclass(frozen=True)
+class _Seen:
+    """Per-user seen items, a value: each user's train items, with the
+    items of each merged test chunk, as one ascending ``int64`` array.
 
     All users' arrays are slices of one CSR over the distinct (user, item)
-    pairs: the items and the row pointers. A chunk is merged in one pass
-    over the pairs as ascending keys ``user * num_items + item``, derived
-    from the CSR for the merge only.
+    pairs: ``items`` and the row pointers ``ptr``, Python ints so that a
+    query reads its row bounds without numpy scalars. ``merge`` returns the
+    next value, written in one pass over the pairs as ascending keys ``user
+    * stride + item``; it writes neither value. ``items`` stays writable, so
+    a view goes to the kernels as it is (see ``mixrec.retrieval._listed``).
     """
 
-    def __init__(self, train: EngagementGraph):
-        self._stride = max(train.num_items, 1)
-        self._items = np.empty(0, dtype=np.int64)
-        self._ptr = [0]
-        self.add_chunk(ChunkSlice.from_edges(0, train.users, train.items))
+    stride: int
+    items: np.ndarray
+    ptr: tuple[int, ...]
+
+    @staticmethod
+    def of_train(train: EngagementGraph) -> "_Seen":
+        empty = _Seen(max(train.num_items, 1), np.empty(0, dtype=np.int64), (0,))
+        return empty.merge(ChunkSlice.from_edges(0, train.users, train.items))
 
     def view(self, user: int) -> np.ndarray:
-        ptr = self._ptr
+        ptr = self.ptr
         if not 0 <= user < len(ptr) - 1:
-            return self._items[:0]
-        return self._items[ptr[user]:ptr[user + 1]]
+            return self.items[:0]
+        return self.items[ptr[user]:ptr[user + 1]]
 
-    def add_chunk(self, slice_) -> None:
-        new = np.sort(slice_.users * self._stride + slice_.items)
-        keys = np.repeat(np.arange(len(self._ptr) - 1) * self._stride, np.diff(self._ptr))
-        keys += self._items
+    def merge(self, slice_: ChunkSlice) -> "_Seen":
+        new = np.sort(slice_.users * self.stride + slice_.items)
+        keys = np.repeat(np.arange(len(self.ptr) - 1) * self.stride, np.diff(self.ptr))
+        keys += self.items
         # two ascending runs, which the stable sort (a timsort) merges in one pass
         keys = np.sort(np.concatenate([keys, new]), kind="stable")
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
-        users, self._items = np.divmod(keys[first], self._stride)
-        # Python ints, so a query reads its row bounds without numpy scalars
-        self._ptr = [0, *np.cumsum(np.bincount(users)).tolist()]
+        users, items = np.divmod(keys[first], self.stride)
+        return _Seen(self.stride, items, (0, *np.cumsum(np.bincount(users)).tolist()))
 
 
 def _fit_or_load(cfg, slc, init, ordinal, base, run=None):
@@ -430,6 +435,11 @@ def split_graph(cfg: RunConfig, run: OpenRun | None = None) -> tuple[EngagementG
 def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     """Run the rolling protocol and return reports keyed by (method, M).
 
+    A fold over (source, target) pairs of held-out chunks carries three
+    values from one pair to the next, each replaced and none changed in
+    place or advanced past the last chunk: the seen items ``seen``, the
+    user ledger ``ledger`` and the source chunk's fitted ``model``.
+
     For each method the Ms are served from the largest down. An M whose
     index is the next larger M's (``same_index``: always for ``ann`` and
     ``popularity``, for both mixtures when the two Ms' list lengths
@@ -444,32 +454,24 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     run = open_run(cfg)
 
     _, train, test = split_graph(cfg, run)
-    logger.info(
-        "stage=split train_edges=%d test_chunks=%d", train.num_edges, len(test)
-    )
+    logger.info("stage=split train_edges=%d test_chunks=%d", train.num_edges, len(test))
     if len(test) < 2:
         logger.warning("fewer than 2 test chunks: nothing can be evaluated")
 
     methods = list(cfg.methods)
+    fit = "micro" in methods
     need_emb = bool({"micro", "mle", "ann"} & set(methods))
-    need_init = bool({"micro", "mle"} & set(methods))
     emb = ensure_embeddings(cfg, train, run) if need_emb else None
     # ann gives a user without a train engagement the popularity list
     warm = np.bincount(train.users, minlength=train.num_users) > 0
-    init = None
-    tables = {}  # each mixture's ChunkTables: the static one's serve every chunk
-    if need_init:
-        clusters = ensure_clusters(cfg, emb, run)
-        init = ensure_init(cfg, train, clusters, run)
+    init = mle = None
+    if {"micro", "mle"} & set(methods):
+        init = ensure_init(cfg, train, ensure_clusters(cfg, emb, run), run)
         if "mle" in methods:
-            tables["mle"] = mle_mixture(init)
+            mle = mle_mixture(init)  # the static mixture's tables serve every chunk
 
-    seen = _SeenTracker(train) if cfg.exclude_seen else None
-    ledger = (
-        UserCounts.from_init(init)
-        if (init is not None and cfg.user_count_mode == "accumulate")
-        else None
-    )
+    seen = _Seen.of_train(train) if cfg.exclude_seen else None
+    ledger = UserCounts.from_init(init) if fit and cfg.user_count_mode == "accumulate" else None
     # looked up at call time, so wrappers installed on this module's names apply
     retrievers = {"micro": retrieve_micro, "mle": retrieve_mle, "ann": ann_retrieve, "popularity": popularity_retrieve}
     builders = {"micro": build_index, "mle": build_mle_index}
@@ -480,57 +482,55 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     eval_chunks: list[int] = []  # each scored query's chunk, in score order
     dumps: dict[int, list[tuple[str, list]]] = {m: [] for m in cfg.m_values} if cfg.dump_candidates else {}
 
-    prev_model = None
-    prev_slice = None
-    for j, slc in enumerate(test):
-        model = _fit_or_load(cfg, slc, init, j, ledger, run) if "micro" in methods else None
-
-        if j >= 1:
-            queries = build_queries([slc])
-            eval_chunks += [slc.chunk] * len(queries)
-            pop_rank = popularity_ranking(prev_slice)
-            indexes = {"popularity": pop_rank}
-            if "ann" in methods:
-                indexes["ann"] = ann_encode_items(prev_slice, emb, pop_rank, warm)
-            if "micro" in methods:
-                # the fitted model's counts are final: read them once for every M
-                tables["micro"] = chunk_tables(prev_model)
-
-            def index_for(meth, m):
-                if meth in builders:  # each interest's list holds L = 5*M entries
-                    return builders[meth](tables[meth], 5 * m, prev_slice.item_pool, pop_rank)
-                return indexes[meth]
-
-            for meth in methods:
-                fn = retrievers[meth]
-                index = None
-                for m in sorted(cfg.m_values, reverse=True):
-                    rcfg = RetrievalConfig(M=m, exclude_seen=cfg.exclude_seen)
-                    new = index_for(meth, m)
-                    if not same_index(new, index):
-                        # a new index: retrieve at this M, the largest it serves
-                        index = new
-                        cands = batch_retrieve(
-                            lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
-                            queries, cfg.workers,
-                        )
-                        scores = [score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)]
-                    else:
-                        # the longer lists cut to M; score_query reads their first M ids
-                        scores = [
-                            s if s == _MISS else score_query(c.item_ids(), q.truth, m)
-                            for s, c, q in zip(scores, cands, queries)
-                        ]
-                    per_query[(meth, m)].extend(scores)
-                    if cfg.dump_candidates:
-                        dumps[m].append((meth, cands))
-            logger.info("stage=eval chunk=%d queries=%d", slc.chunk, len(queries))
-
+    model = _fit_or_load(cfg, test[0], init, 0, ledger, run) if fit else None
+    for j, (src, slc) in enumerate(zip(test, test[1:]), start=1):
         if seen is not None:
-            seen.add_chunk(slc)
-        if ledger is not None and model is not None:
+            seen = seen.merge(src)
+        queries = build_queries([slc])
+        eval_chunks += [slc.chunk] * len(queries)
+        pop_rank = popularity_ranking(src)
+        # what each method's index is built from: the mixtures' ChunkTables
+        # give one index per M, every other method's is its index
+        built_from = {"popularity": pop_rank, "mle": mle}
+        if "ann" in methods:
+            built_from["ann"] = ann_encode_items(src, emb, pop_rank, warm)
+        if fit:
+            # the fitted model's counts are final: read them once for every M
+            built_from["micro"] = chunk_tables(model)
+
+        def index_for(meth, m):
+            if meth in builders:  # each interest's list holds L = 5*M entries
+                return builders[meth](built_from[meth], 5 * m, src.item_pool, pop_rank)
+            return built_from[meth]
+
+        for meth in methods:
+            fn = retrievers[meth]
+            index = None
+            for m in sorted(cfg.m_values, reverse=True):
+                rcfg = RetrievalConfig(M=m, exclude_seen=cfg.exclude_seen)
+                new = index_for(meth, m)
+                if not same_index(new, index):
+                    # a new index: retrieve at this M, the largest it serves
+                    index = new
+                    cands = batch_retrieve(
+                        lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
+                        queries, cfg.workers,
+                    )
+                    scores = [score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)]
+                else:
+                    # the longer lists cut to M; score_query reads their first M ids
+                    scores = [
+                        s if s == _MISS else score_query(c.item_ids(), q.truth, m)
+                        for s, c, q in zip(scores, cands, queries)
+                    ]
+                per_query[(meth, m)].extend(scores)
+                if cfg.dump_candidates:
+                    dumps[m].append((meth, cands))
+        logger.info("stage=eval chunk=%d queries=%d", slc.chunk, len(queries))
+
+        if ledger is not None:
             ledger = model.fold_into(ledger)
-        prev_model, prev_slice = model, slc
+        model = _fit_or_load(cfg, slc, init, j, ledger, run) if fit else None
 
     reports: dict[tuple[str, int], MetricsReport] = {}
     for meth in methods:

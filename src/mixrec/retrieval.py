@@ -8,7 +8,7 @@ Every retriever has one contract,
 where ``index`` is built from the source chunk before any query, ``seen``
 is None or the user's seen item ids in ascending order, and ``chunk`` is
 the target chunk the list is recorded under. ``seen`` is an ``int64``
-array, as the backtest's seen tracker keeps it, or anything
+array, as the backtest's seen items hold it, or anything
 ``np.ascontiguousarray(seen, dtype=np.int64)`` takes: nothing sorts it,
 ids that are not ascending raise ``ValueError`` and a set ``TypeError``.
 Each index is complete when built, from inputs its builder takes. The
@@ -76,16 +76,16 @@ itself and either sums the user's interest lists into their pool positions
 and keeps the best M or, for a user without interests, walks the index's
 popularity ranking; ``cosine`` keeps the best M of the ANN cosines; and
 ``walk`` takes the first M unseen entries of a ranking with their scores
-(popularity, and ``ann``'s cold users). A seen tracker's view, already a
-contiguous writable ``int64`` array, is passed as it is, like the buffer
-and the product, so no query copies an array or reads a read-only array's
-address. ``mixture`` sums every term only at the positions the user's
-lists count; the positions that only floor runs reach rank by position,
-so it sums only the first M unseen of them. ``mixture`` and ``cosine``
-drop seen ids first, then keep the best M with a key threshold, a
-partition and one sort; ``walk`` looks up each entry it passes. The scores
-keep the bits of the numpy path. A ``seen`` array that is not ascending
-raises ``ValueError`` on both paths.
+(popularity, and ``ann``'s cold users). A view of the backtest's seen
+items, a contiguous writable ``int64`` array, is passed as it is, like
+the buffer and the product, so no query copies an array or reads a
+read-only array's address. ``mixture`` sums every term only at the
+positions the user's lists count; the positions that only floor runs
+reach rank by position, so it sums only the first M unseen of them.
+``mixture`` and ``cosine`` drop seen ids first, then keep the best M with
+a key threshold, a partition and one sort; ``walk`` looks up each entry
+it passes. The scores keep the bits of the numpy path. A ``seen`` array
+that is not ascending raises ``ValueError`` on both paths.
 
 The numpy path is their reference, and the fallback when no compiler is
 there, chosen exactly as the Gibbs sweep is: it adds each of the user's
@@ -429,8 +429,8 @@ def _listed(fn, index, cap: int, seen, user: int, chunk: int, *args) -> Candidat
     returned, with their ids in ``out[:cap]`` and their scores' bits in
     ``out[cap:]``; a negative count raises.
 
-    A seen tracker's view, a contiguous ``int64`` array, goes to the kernel
-    as it is; any other ``seen`` as a contiguous ``int64`` copy.
+    A view of the backtest's seen items, a contiguous ``int64`` array,
+    goes to the kernel as it is; any other ``seen`` as a contiguous copy.
     """
     if seen is None:
         seen = _NO_SEEN

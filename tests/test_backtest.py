@@ -11,8 +11,9 @@ import pytest
 
 import mixrec.backtest
 import mixrec.retrieval
+import mixrec.sampler
 import mixrec.sweep_kernel as sweep_kernel
-from mixrec.backtest import EmbedParams, RunConfig, _SeenTracker, backtest, read_reports, write_results
+from mixrec.backtest import EmbedParams, RunConfig, _Seen, backtest, read_reports, write_results
 from mixrec.cli import main as cli_main
 from mixrec.clustering import load_clusters, save_clusters
 from mixrec.graph import ChunkSlice, SplitSpec, load_graph, save_graph, split, write_edge_list
@@ -93,11 +94,13 @@ def run_bytes(out_dir) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(files)}
 
 
-class TestSeenTracker:
+class TestSeen:
     def test_matches_union_loop(self):
         # train users and users first seen in a test chunk, duplicate pairs
         # within and across chunks, an empty chunk and ids at the range ends:
-        # after every merge each user's view equals the union1d loop's array
+        # after every merge each user's view equals the union1d loop's array,
+        # and is a writable contiguous int64 array that goes to the kernels
+        # as it is; a merge leaves the value it was called on as it was
         spec = SynthSpec(num_users=40, num_items=90, num_interests=3, num_chunks=4, engagements_per_user=6, seed=4)
         g, _ = generate(spec)
         train, test = split(g, SplitSpec(t_split=2))
@@ -110,17 +113,20 @@ class TestSeenTracker:
             ChunkSlice.from_edges(10, [U - 1, U - 1, 0, U - 1, 5], [I - 1, 0, I - 1, I - 1, 0]),
             ChunkSlice.from_edges(11, rng.integers(0, U, 300), rng.integers(0, I, 300)),
         ]
-        tracker = _SeenTracker(train)
+        seen = _Seen.of_train(train)
         slices = [ChunkSlice.from_edges(0, train.users, train.items)]
         assert max(seen_union_loop(slices)) < 30
         for slc in [None, *test, *extra]:
             if slc is not None:
-                tracker.add_chunk(slc)
+                before = (seen.items.tobytes(), seen.ptr)
+                seen, prev = seen.merge(slc), seen
+                assert (prev.items.tobytes(), prev.ptr) == before
                 slices.append(slc)
             want = seen_union_loop(slices)
             for u in range(-1, U + 2):
-                got = tracker.view(u)
+                got = seen.view(u)
                 assert got.dtype == np.int64 and got.ndim == 1, u
+                assert got.flags.writeable and got.flags.c_contiguous, u
                 assert np.array_equal(got, want.get(u, np.empty(0, np.int64))), (len(slices), u)
         assert len(want) == U
 
@@ -318,7 +324,7 @@ class TestBacktest:
         # on the compiled path every retriever call is one kernel call, a
         # cold user's under either mixture included (the mixture kernel
         # walks the popularity ranking itself); it hands sweep_kernel.arg
-        # only writable arrays (the seen tracker's view, the output buffer
+        # only writable arrays (a view of the seen items, the output buffer
         # and the ANN products) and makes no contiguous copy: the indexes
         # hold their arrays' addresses. A backtest with cold users, seen
         # exclusion and two M
@@ -425,13 +431,18 @@ class TestBacktest:
         for name in first:
             assert first[name] == second[name], f"{name} changed after resume"
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_resumable_in_accumulate_mode(self, synth_edges, tmp_path, monkeypatch, compiled):
-        # the middle chunk refitted on the ledger folded from the reloaded
-        # first chunk, and the last chunk reloaded on the ledger that refit
-        # gives: with cold users, seen exclusion and a candidate dump, the
-        # resumed run writes every file of the uninterrupted one but
-        # config.json, on the compiled sweep or on the Python and numpy paths
+    @pytest.mark.parametrize("compiled, lost", [
+        pytest.param(True, 3, id="True"), pytest.param(False, 3, id="False"),
+        pytest.param(True, 2, id="True-first"), pytest.param(False, 2, id="False-first"),
+    ])
+    def test_resumable_in_accumulate_mode(self, synth_edges, tmp_path, monkeypatch, compiled, lost):
+        # a lost chunk model (the middle chunk, or the first held-out one,
+        # which is fitted before the loop) refitted on the ledger folded
+        # from the reloaded chunks before it, and every later chunk
+        # reloaded on the ledger that refit gives: with cold users, seen
+        # exclusion and a candidate dump, the resumed run writes every file
+        # of the uninterrupted one but config.json, on the compiled sweep or
+        # on the Python and numpy paths
         if compiled and sweep_kernel.load_kernel() is None:
             pytest.skip("no C compiler: only the Python and numpy paths run here")
         data = with_cold_users(synth_edges, tmp_path / "edges.tsv")
@@ -444,20 +455,43 @@ class TestBacktest:
             for run in ("whole", "resumed"):
                 backtest(small_config(data, tmp_path / run, **kw))
             assert sorted(p.name for p in chunks.glob("*.npz")) == [f"chunk_0000{t}.npz" for t in (2, 3, 4)]
-            (chunks / "chunk_00003.npz").unlink()
-            (chunks / "chunk_00003_sweeps.tsv").unlink()
-            last = (chunks / "chunk_00004.npz").stat().st_mtime_ns
+            (chunks / f"chunk_0000{lost}.npz").unlink()
+            (chunks / f"chunk_0000{lost}_sweeps.tsv").unlink()
+            later = {t: (chunks / f"chunk_0000{t}.npz").stat().st_mtime_ns for t in range(lost + 1, 5)}
             backtest(small_config(data, tmp_path / "resumed", **kw))
             assert (sweep_kernel.load_kernel() is not None) == compiled
         finally:
             monkeypatch.undo()
             sweep_kernel.load_kernel.cache_clear()
-        assert (chunks / "chunk_00004.npz").stat().st_mtime_ns == last  # reloaded, not refitted
+        # reloaded, not refitted
+        assert {t: (chunks / f"chunk_0000{t}.npz").stat().st_mtime_ns for t in later} == later
         whole, resumed = run_bytes(tmp_path / "whole"), run_bytes(tmp_path / "resumed")
         assert whole.keys() == resumed.keys()
-        assert {"chunks/chunk_00003.npz", "chunks/chunk_00003_sweeps.tsv", "metrics/candidates_M10.tsv"} <= whole.keys()
+        assert {f"chunks/chunk_0000{lost}.npz", f"chunks/chunk_0000{lost}_sweeps.tsv", "metrics/candidates_M10.tsv"} <= whole.keys()
         for name in whole:
             assert whole[name] == resumed[name], f"{name} changed after resume"
+
+    def test_nothing_carried_past_the_last_chunk(self, synth_edges, tmp_path, monkeypatch):
+        # with 3 test chunks the loop folds the first two chunk models into
+        # the ledger and merges train and the first two chunks into the seen
+        # items; the last chunk is neither folded nor merged, as no chunk
+        # follows it
+        calls = {"fold_into": 0, "merge": 0}
+
+        def counted(cls, name):
+            fn = getattr(cls, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(mixrec.sampler.ChunkModel, "fold_into")
+        counted(_Seen, "merge")
+        data = with_cold_users(synth_edges, tmp_path / "edges.tsv")
+        backtest(small_config(data, tmp_path / "run", user_count_mode="accumulate", exclude_seen=True))
+        assert calls == {"fold_into": 2, "merge": 3}
 
     def test_compressed_npz_loads_same_arrays(self, synth_edges, tmp_path):
         # every artifact deflates its integer members and stores the rest;
