@@ -86,8 +86,10 @@ class InitArtifact:
 
 def _check_priors(alpha: float, beta: float) -> None:
     """Priors must be finite and at least the smallest normal float: NaN
-    passes any ``<= 0`` test, and ``gammaln`` of a subnormal is inf, which
-    turns the log-joint into NaN."""
+    passes any ``<= 0`` test, and a subnormal prior keeps few significant
+    bits: a weight's ``beta / (I*beta + n_k)`` can underflow to 0, and a
+    resample whose weights all do falls back to a uniform pick (the
+    sampler's ``underflow_events``)."""
     for name, v in (("alpha", alpha), ("beta", beta)):
         if not (np.isfinite(v) and v >= np.finfo(float).tiny):
             raise ValueError(f"{name} must be finite and >= {np.finfo(float).tiny}, got {v!r}")

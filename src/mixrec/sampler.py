@@ -62,7 +62,7 @@ import numpy as np
 from .graph import ChunkSlice, _freeze_fields, _tuple_field
 from .initialization import InitArtifact
 from .npz import read_fields, write_fields
-from .sweep_kernel import arg, load_kernel
+from .sweep_kernel import load_kernel
 
 __all__ = [
     "SamplerConfig",
@@ -210,26 +210,19 @@ def _log(w: float) -> float:
     return math.log(w) if w > 0.0 else -math.inf
 
 
-def _gammaln(x) -> np.ndarray:
-    """``scipy.special.gammaln(x)`` elementwise, with its bits, for x > 0.
+def _log_rising(x: float, n) -> np.ndarray:
+    """log Gamma(x + n) - log Gamma(x) for integer counts ``n >= 0``, elementwise.
 
-    The kernel's ``gammaln`` (Cephes ``lgam``) computes it when
-    ``load_kernel()`` builds it; scipy, imported only then, otherwise.
-    An x that is not > 0 (NaN included) raises ``ValueError`` on both
-    paths, since the kernel transcribes only that domain.
+    It is the log of the rising factorial x (x + 1) ... (x + n - 1): a
+    running sum of ``log(x + j)`` over j < n, read off one table as long as
+    the largest count, so ``n = 0`` gives exactly 0.0. A negative count
+    raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=np.float64, order="C")
-    kernel = load_kernel()
-    if kernel is None:
-        from scipy.special import gammaln
-
-        if not np.all(x > 0):
-            raise ValueError("log-gamma of a value that is not > 0")
-        return gammaln(x)
-    out = np.empty(x.shape)
-    if kernel.gammaln(x.size, arg(x), arg(out)) < 0:
-        raise ValueError("log-gamma of a value that is not > 0")
-    return out
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and n.min() < 0:
+        raise ValueError(f"negative count {n.min()} in a rising factorial")
+    steps = np.log(x + np.arange(n.max(initial=0), dtype=np.float64))
+    return np.concatenate([[0.0], np.cumsum(steps)])[n]
 
 
 class ChunkModel:
@@ -455,25 +448,19 @@ class ChunkModel:
         chunk scores 0. Matches the resampling weights: for any single
         reassignment the difference equals the log weight ratio.
 
-        Log-gamma comes from ``_gammaln``: the compiled Cephes ``lgam`` when
-        the kernel builds, else ``scipy.special.gammaln``, bit for bit the
-        same, so both paths give the same log-joint.
+        Every count is an integer, so each ratio Gamma(x + n) / Gamma(x)
+        is a rising factorial, which ``_log_rising`` sums in logs with numpy
+        alone: the value is the same with the compiled sweep or without.
         """
         a, b = self.alpha, self.beta
-        total = 0.0
-        if len(self._uk):
-            total += float((_gammaln(a + self._uk) - _gammaln(a + self._uk_base)).sum())
+        total = float((_log_rising(a, self._uk) - _log_rising(a, self._uk_base)).sum())
         # cold rows: interests absent from a row or its base contribute
-        # lgamma(a) - lgamma(a) = 0, so rows and bases sum independently
+        # _log_rising(a, 0) = 0, so rows and bases sum independently
         cold = self._cc[_ranges(self._cptr[:-1], self._cfill)]
-        total += float((_gammaln(a + cold) - _gammaln(a)).sum())
-        total -= float((_gammaln(a + self._cbc) - _gammaln(a)).sum())
-        _, _, counts = self.item_table()
-        if len(counts):
-            total += float((_gammaln(b + counts) - _gammaln(b)).sum())
-        nz = self._nk[self._nk > 0]
-        if len(nz):
-            total -= float((_gammaln(self.Ibeta + nz) - _gammaln(self.Ibeta)).sum())
+        total += float(_log_rising(a, cold).sum())
+        total -= float(_log_rising(a, self._cbc).sum())
+        total += float(_log_rising(b, self.item_table()[2]).sum())
+        total -= float(_log_rising(self.Ibeta, self._nk).sum())
         return total
 
     @property

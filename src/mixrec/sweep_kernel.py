@@ -6,9 +6,9 @@ under a name keyed by two checksums of the source, the flags and the
 compiler's version, and returns its bound entry points as a ``Kernel``.
 The library is written under a temporary name and renamed into place, so
 concurrent processes never load a half-written file. Without a working compiler it
-logs one warning and returns None: the sampler runs its Python sweep and
-scipy's log-gamma, the retrievers their numpy selection, the embedding
-trainer its numpy update and the row sums their ``np.bincount``.
+logs one warning and returns None: the sampler runs its Python sweep, the
+retrievers their numpy selection, the embedding trainer its numpy update
+and the row sums their ``np.bincount``.
 
 ``Kernel.sweep`` is a transcription of ``ChunkModel._sweep_python``, which
 is its reference: the same uniforms, the same sorted-row table updates and
@@ -96,17 +96,6 @@ passes the engagements' users as ``vidx`` and k-means its unit vectors
 directly, so neither builds an (engagements x D) gather or a flat cell
 index. An out-of-range row or vector index writes nothing and returns -2,
 and the caller raises ``IndexError``.
-
-``gammaln`` is log-gamma elementwise over an array, for the sampler's
-log-joint; its reference is ``scipy.special.gammaln``. It transcribes the
-Cephes ``lgam`` (Moshier 1989) that scipy computes, for x > 0: the
-recurrence into [2, 3) with the B/C rational below 13, Stirling's series
-with the A polynomial up to 1000, the short series up to 1e8 and the bare
-one above, +inf above ``MAXLGM`` and for +inf. It gives scipy's bits, a
-subnormal's +inf included. An x that is not > 0 (NaN included) takes
-Cephes branches it leaves out, so it writes nothing and returns -2, and the
-sampler raises ``ValueError``. Without a compiler the sampler imports
-scipy for it; with one, a backtest or CLI process never imports scipy.
 
 The entry points hold no static state and only read the index structs;
 they allocate their work space per call or, like the sweep, take it from
@@ -778,96 +767,6 @@ i64 mixrec_gather_sum(
         add_scaled(out + rows[j] * D, vecs + (vidx ? vidx[j] : j) * D, 1.0, D);
     return 0;
 }
-
-/* -- log-gamma ---------------------------------------------------------- */
-
-/* Cephes lgam (Moshier 1989) for x > 0, the algorithm and the constants of
-   scipy.special.gammaln: the recurrence into [2, 3) and the B/C rational
-   below 13, Stirling's series with the A polynomial above, the short series
-   from 1000 and the bare series above 1e8. */
-static const double LG_A[] = {
-    8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
-    -2.77777777730099687205E-3, 8.33333333333331927722E-2};
-static const double LG_B[] = {
-    -1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
-    -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5};
-/* the leading coefficient, 1, is implicit */
-static const double LG_C[] = {
-    -3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
-    -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6};
-#define LS2PI 0.91893853320467274178 /* log(sqrt(2 pi)) */
-#define MAXLGM 2.556348e305
-
-/* Horner's rule over coef[0..n], leading coefficient first (Cephes polevl) */
-static double polevl(double x, const double *coef, int n)
-{
-    double ans = coef[0];
-    for (int i = 1; i <= n; i++)
-        ans = ans * x + coef[i];
-    return ans;
-}
-
-/* the same with an implicit leading 1 before coef[0..n-1] (Cephes p1evl) */
-static double p1evl(double x, const double *coef, int n)
-{
-    double ans = x + coef[0];
-    for (int i = 1; i < n; i++)
-        ans = ans * x + coef[i];
-    return ans;
-}
-
-static double lgam(double x)
-{
-    double p, q, u, z;
-    /* Cephes returns a non-finite x as it is; of those only +inf gets here */
-    if (!isfinite(x))
-        return x;
-    if (x < 13.0) {
-        z = 1.0;
-        p = 0.0;
-        u = x;
-        while (u >= 3.0) {
-            p -= 1.0;
-            u = x + p;
-            z *= u;
-        }
-        while (u < 2.0) {
-            z /= u;
-            p += 1.0;
-            u = x + p;
-        }
-        if (u == 2.0)
-            return log(z);
-        p -= 2.0;
-        x = x + p;
-        p = x * polevl(x, LG_B, 5) / p1evl(x, LG_C, 6);
-        return log(z) + p;
-    }
-    if (x > MAXLGM)
-        return INFINITY;
-    q = (x - 0.5) * log(x) - x + LS2PI;
-    if (x > 1.0e8)
-        return q;
-    p = 1.0 / (x * x);
-    if (x >= 1000.0)
-        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x;
-    else
-        q += polevl(p, LG_A, 4) / x;
-    return q;
-}
-
-/* out[i] = log(gamma(x[i])) for i < n. Returns n, or -2 (out untouched)
-   when some x[i] is not > 0, NaN included: Cephes takes other branches
-   there, which this transcription leaves out. */
-i64 mixrec_gammaln(i64 n, const double *x, double *out)
-{
-    for (i64 i = 0; i < n; i++)
-        if (!(x[i] > 0.0))
-            return -2;
-    for (i64 i = 0; i < n; i++)
-        out[i] = lgam(x[i]);
-    return n;
-}
 """
 
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -921,8 +820,6 @@ _POINTER_ARGTYPES = {
     "row_mean": [_ll, _ptr, _ptr, _ptr, _ptr, _ll, _ll, _dbl, _ptr, _ll],
     # m, rows, vidx, vecs, nv, D, out, nrows
     "gather_sum": [_ll, _ptr, _ptr, _ptr, _ll, _ll, _ptr, _ll],
-    # n, x, out
-    "gammaln": [_ll, _ptr, _ptr],
 }
 
 
@@ -948,7 +845,6 @@ class Kernel(NamedTuple):
     walk: Callable[..., int]
     row_mean: Callable[..., int]
     gather_sum: Callable[..., int]
-    gammaln: Callable[..., int]
 
 
 def _cache_dir() -> Path:
@@ -994,9 +890,7 @@ def load_kernel() -> Kernel | None:
         logger.warning(
             "cannot build the compiled kernels (%s); falling back to Python and numpy", str(detail).strip()
         )
-        logger.info(
-            "Gibbs sweep: Python; top-M selection, embedding SGD update and gather-sum: numpy; log-gamma: scipy"
-        )
+        logger.info("Gibbs sweep: Python; top-M selection, embedding SGD update and gather-sum: numpy")
         return None
     lib.mixrec_sweep.argtypes = _ARGTYPES
     lib.mixrec_sweep.restype = None
@@ -1004,10 +898,5 @@ def load_kernel() -> Kernel | None:
         fn = getattr(lib, f"mixrec_{name}")
         fn.argtypes = argtypes
         fn.restype = _ll
-    logger.info(
-        "Gibbs sweep, top-M selection, embedding SGD update, gather-sum and log-gamma: compiled kernel %s", path
-    )
-    return Kernel(
-        lib.mixrec_sweep, lib.mixrec_mixture, lib.mixrec_cosine, lib.mixrec_walk, lib.mixrec_row_mean,
-        lib.mixrec_gather_sum, lib.mixrec_gammaln,
-    )
+    logger.info("Gibbs sweep, top-M selection, embedding SGD update and gather-sum: compiled kernel %s", path)
+    return Kernel(*(getattr(lib, f"mixrec_{name}") for name in Kernel._fields))

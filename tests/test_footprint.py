@@ -1,5 +1,5 @@
-"""What a backtest process loads: with the compiled kernels, no scipy, and
-no OpenSSL (``_hashlib``) for the kernel cache key."""
+"""What a backtest process loads, with the compiled kernels and without a
+compiler: no scipy, and no OpenSSL (``_hashlib``) for the kernel cache key."""
 
 import json
 import os
@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import mixrec
-import mixrec.sweep_kernel as sweep_kernel
 
 # Runs one backtest, which fits every chunk model in a fresh output
 # directory and reloads them in a used one, and prints the scipy and OpenSSL
@@ -51,9 +50,10 @@ print(json.dumps(steps))
 STEPS = ["import mixrec.backtest", "import mixrec.cli", "load_kernel", "backtest"]
 
 
-def run_script(out: Path) -> tuple[dict, str]:
-    """The steps ``SCRIPT`` reports in a fresh process, and its log."""
-    env = {**os.environ, "PYTHONPATH": str(Path(mixrec.__file__).parents[1])}
+def run_script(out: Path, path: str) -> tuple[dict, str]:
+    """The steps ``SCRIPT`` reports in a fresh process with ``PATH`` set to
+    ``path``, and its log."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mixrec.__file__).parents[1]), "PATH": path}
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
@@ -61,12 +61,13 @@ def run_script(out: Path) -> tuple[dict, str]:
     return steps, proc.stderr
 
 
-def test_backtest_process_loads_no_scipy(tmp_path):
-    if sweep_kernel.load_kernel() is None:
-        pytest.skip("no C compiler: log-gamma comes from scipy here")
-    fitting, log = run_script(tmp_path)
+# the process's own PATH finds the compiler where there is one; /nonexistent
+# finds none, so the sweep runs in Python and the rest in numpy
+@pytest.mark.parametrize("path", [os.environ.get("PATH", ""), "/nonexistent"], ids=["inherited", "no-compiler"])
+def test_backtest_process_loads_no_scipy(tmp_path, path):
+    fitting, log = run_script(tmp_path, path)
     assert "stage=fit chunk=2 engagements=" in log
-    reloading, log = run_script(tmp_path)
+    reloading, log = run_script(tmp_path, path)
     # the second process reloaded the models the first one fitted
     assert "stage=fit chunk=2 action=reuse" in log
     assert {step: [m for m in mods if m != "_hashlib"] for step, mods in fitting.items()} == {s: [] for s in STEPS}

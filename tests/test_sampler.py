@@ -327,6 +327,28 @@ def snapshot(m):
     )
 
 
+class TestLogRising:
+    # the x of a + n for the default priors and of I*beta + n at I = 1954 and
+    # 2891, and the smallest normal float
+    @pytest.mark.parametrize("x", [0.1, 0.01, 1954 * 0.01, 2891 * 0.01, np.finfo(float).tiny])
+    def test_matches_lgamma_difference(self, x):
+        n = np.arange(200_001)
+        want = np.array([math.lgamma(x + c) - math.lgamma(x) for c in n.tolist()])
+        # the running sum's rounding grows with n: up to 2.2e-14 relative at
+        # n = 200 000 (1.2e-13 where the sum for the smallest x crosses 0);
+        # the oracle itself subtracts values near 2.2e6, each rounded to 5e-10
+        np.testing.assert_allclose(sampler._log_rising(x, n), want, rtol=1e-12, atol=1e-9)
+
+    def test_zero_count_is_exactly_zero(self):
+        for x in (0.1, 28.91, np.finfo(float).tiny):
+            assert sampler._log_rising(x, np.zeros(3, dtype=np.int64)).tolist() == [0.0] * 3
+        assert sampler._log_rising(0.1, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="negative count -1"):
+            sampler._log_rising(0.1, np.array([3, -1, 0]))
+
+
 class TestLogJoint:
     @pytest.mark.parametrize("case", range(len(tiny_instances())))
     def test_flip_identity(self, case):
@@ -401,6 +423,30 @@ class TestLogJoint:
         for _ in range(10):
             m.run_sweep(rng.random(m.n))
             assert m.current_log_joint == pytest.approx(m.log_joint(), abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["reset", "accumulate"])
+    def test_log_joint_same_on_both_paths(self, kernel, monkeypatch, tmp_path, mode):
+        # fitted and reloaded models, cold rows with a ledger in accumulate
+        # mode (so the _cc and _cbc terms are not empty)
+        init, (slc1, slc2) = mixed_instance(3, 40)
+        cfg = SamplerConfig(seed=4, max_sweeps=3)
+        base = UserCounts.from_init(init)
+        if mode == "accumulate":
+            base = fit_chunk(slc1, init, cfg, base=base).fold_into(base)
+            assert len(base.cold_keys)
+        m = fit_chunk(slc2, init, cfg, base=base)
+        assert len(m._cc) and (mode == "reset" or len(m._cbc))
+        save_chunk_model(m, tmp_path / "m.npz")
+
+        def log_joints():
+            again = load_chunk_model(tmp_path / "m.npz", slc2, init, cfg, base=base)
+            return repr(m.log_joint()), repr(again.current_log_joint)
+
+        compiled = log_joints()
+        with monkeypatch.context() as mp:
+            mp.setattr(sampler, "load_kernel", lambda: None)
+            assert log_joints() == compiled
+        assert compiled[0] == compiled[1]
 
 
 class TestFitChunk:
@@ -865,9 +911,7 @@ class TestCompiledSweep:
         logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "mixrec.sweep_kernel"]
         assert [level for level, _ in logged] == [logging.WARNING, logging.INFO]
         assert "/nonexistent/cc" in logged[0][1]
-        assert logged[1][1] == (
-            "Gibbs sweep: Python; top-M selection, embedding SGD update and gather-sum: numpy; log-gamma: scipy"
-        )
+        assert logged[1][1] == "Gibbs sweep: Python; top-M selection, embedding SGD update and gather-sum: numpy"
         assert raw_tables(got) == raw_tables(want)
         assert fit_fields(got.fit) == fit_fields(want.fit)
 
@@ -891,68 +935,3 @@ class TestCompiledSweep:
             with pytest.raises(ValueError):
                 ChunkModel(slc, init, cfg, z=np.r_[bad, z[1:]])
 
-
-# --- the compiled log-gamma against scipy -----------------------------------
-
-MAXLGM = 2.556348e305  # Cephes: above it lgam is +inf
-TINY = np.finfo(float).tiny
-
-
-def gammaln_grid() -> np.ndarray:
-    """Every branch edge of Cephes ``lgam`` with its neighbours, the
-    smallest normal and a subnormal, ``a + n`` for the default priors and
-    for I*beta at I = 1954 and 2891, and log-uniform values."""
-    edges = np.array([2.0, 3.0, 13.0, 1000.0, 1e8, MAXLGM])
-    grid = [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), [TINY, 5e-324, 1e-310]]
-    n = np.arange(200_000, dtype=np.float64)
-    grid += [a + n for a in (0.1, 0.01, 1954 * 0.01, 2891 * 0.01)]
-    rng = np.random.default_rng(14)
-    grid.append(np.exp(rng.uniform(np.log(TINY), np.log(1e300), 200_000)))
-    return np.concatenate(grid)
-
-
-class TestCompiledGammaln:
-    def test_kernel_matches_scipy_bit_for_bit(self, kernel):
-        from scipy.special import gammaln
-
-        x = gammaln_grid()
-        got, want = sampler._gammaln(x), gammaln(x)
-        assert got.tobytes() == want.tobytes()
-        assert np.isinf(sampler._gammaln(np.array([5e-324, 1e-310, np.nextafter(MAXLGM, np.inf)]))).all()
-        # a scalar keeps its shape, as scipy's does
-        assert sampler._gammaln(0.1).shape == ()
-        assert float(sampler._gammaln(0.1)) == float(gammaln(0.1))
-
-    @pytest.mark.parametrize("compiled", [True, False])
-    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.5, -np.inf, np.nan])
-    def test_outside_the_domain_raises(self, monkeypatch, compiled, bad):
-        if not compiled:
-            monkeypatch.setattr(sampler, "load_kernel", lambda: None)
-        elif sweep_kernel.load_kernel() is None:
-            pytest.skip("no C compiler: only scipy's log-gamma runs here")
-        with pytest.raises(ValueError, match="not > 0"):
-            sampler._gammaln(np.array([1.0, bad, 2.0]))
-
-    @pytest.mark.parametrize("mode", ["reset", "accumulate"])
-    def test_log_joint_same_on_both_paths(self, kernel, monkeypatch, tmp_path, mode):
-        # fitted and reloaded models, cold rows with a ledger in accumulate
-        # mode (so the _cc and _cbc terms are not empty)
-        init, (slc1, slc2) = mixed_instance(3, 40)
-        cfg = SamplerConfig(seed=4, max_sweeps=3)
-        base = UserCounts.from_init(init)
-        if mode == "accumulate":
-            base = fit_chunk(slc1, init, cfg, base=base).fold_into(base)
-            assert len(base.cold_keys)
-        m = fit_chunk(slc2, init, cfg, base=base)
-        assert len(m._cc) and (mode == "reset" or len(m._cbc))
-        save_chunk_model(m, tmp_path / "m.npz")
-
-        def log_joints():
-            again = load_chunk_model(tmp_path / "m.npz", slc2, init, cfg, base=base)
-            return repr(m.log_joint()), repr(again.current_log_joint)
-
-        compiled = log_joints()
-        with monkeypatch.context() as mp:
-            mp.setattr(sampler, "load_kernel", lambda: None)
-            assert log_joints() == compiled
-        assert compiled[0] == compiled[1]
