@@ -91,10 +91,17 @@ def _freeze_fields(obj, *names: str) -> None:
 
 
 def _tuple_field(obj, name: str, kind) -> None:
-    """Store field ``name`` of the frozen dataclass ``obj`` as a tuple of ``kind``; one not 1-d raises ``ValueError``."""
-    if np.ndim(getattr(obj, name)) != 1:
-        raise ValueError(f"{name} must be 1-d, got a {np.ndim(getattr(obj, name))}-d value")
-    object.__setattr__(obj, name, tuple(map(kind, getattr(obj, name))))
+    """Store field ``name`` of the frozen dataclass ``obj`` as a tuple of
+    ``kind``; one not 1-d, or with an entry that ``kind`` would change (1.5
+    as an ``int``), raises ``ValueError``."""
+    raw = getattr(obj, name)
+    if np.ndim(raw) != 1:
+        raise ValueError(f"{name} must be 1-d, got a {np.ndim(raw)}-d value")
+    values = tuple(map(kind, raw))
+    for v, r in zip(values, raw):
+        if v != r and v == v:  # a NaN, equal to nothing, stays NaN
+            raise ValueError(f"{name} must hold {kind.__name__} values, got {r}")
+    object.__setattr__(obj, name, values)
 
 
 @dataclass(frozen=True)

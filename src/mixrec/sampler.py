@@ -36,22 +36,22 @@ sorted rows identically, evaluate warm weights as
 ``(alpha + n_uk) * (beta + n_ik) / (Ibeta + n_k)`` and cold weights as
 ``((beta + n_ik) / (Ibeta + n_k)) * (alpha + n_uk)``, take the cold pick as
 a left ``searchsorted`` over a sequential prefix sum (as ``np.cumsum``
-computes it), and add the libm ``log`` ratios of the changes in scan order.
-The kernel reads a warm engagement's item counts from a dense K-long row
-that it fills from the item's sorted row and clears again, and gives a cold
-user's interests that neither row counts a cached ``(beta / (Ibeta + n_k))
-* alpha``, refreshed at every change of ``n_k``: that is the cold weight
-with both counts 0.0 (``beta + 0.0 == beta``, ``alpha + 0.0 == alpha``), so
-each weight and sum keeps its bits. ``_sweep_compiled`` passes both K-long
-scratch arrays, so the kernel allocates nothing.
-Which sweep runs is logged once per process; there is no switch. A sweep in
-which some resample fell back to uniform (every weight underflowed to 0), or
-whose summed log ratio is not finite, recomputes the log-joint exactly.
+computes it). The kernel reads a warm engagement's item counts from a dense
+K-long row that it fills from the item's sorted row and clears again, and
+gives a cold user's interests that neither row counts a cached ``(beta /
+(Ibeta + n_k)) * alpha``, refreshed at every change of ``n_k``: that is the
+cold weight with both counts 0.0 (``beta + 0.0 == beta``, ``alpha + 0.0 ==
+alpha``), so each weight and sum keeps its bits. ``_sweep_compiled`` passes
+both K-long scratch arrays, so the kernel allocates nothing.
+Which sweep runs is logged once per process; there is no switch. Neither
+sweep tracks the log-joint: the trace records ``log_joint()`` of the tables
+after each sweep, so both paths, and a model rebuilt from its ``z``, give
+the same value. A resample whose weights all underflowed to 0 falls back to
+a uniform pick, counted in ``underflow_events``.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
 from bisect import bisect_left
@@ -119,7 +119,9 @@ class ChunkFit:
     assignments ``z`` in slice order, the log-joint after each sweep and the
     assignments it changed, whether the stop rule fired and the uniform
     fallbacks. Checked when it is made: ``z`` is a read-only 1-d ``int64``
-    array, and the traces are tuples of one length, one sweep or more."""
+    array, the traces are tuples of one length, one sweep or more, each
+    change count in ``[0, len(z)]``, ``converged`` is a bool and
+    ``underflow_events`` an integer >= 0."""
 
     chunk: int
     z: np.ndarray
@@ -137,6 +139,12 @@ class ChunkFit:
         if not 1 <= len(self.log_joint) == len(self.changed):
             raise ValueError(f"{len(self.log_joint)} log-joints and {len(self.changed)} change counts; "
                              "a fit traces each of its sweeps, one or more")
+        if not 0 <= min(self.changed) <= max(self.changed) <= len(self.z):
+            raise ValueError(f"change counts {self.changed} must lie in [0, {len(self.z)}], the engagement count")
+        if not isinstance(self.converged, bool):
+            raise ValueError(f"converged must be a bool, got {self.converged!r}")
+        if type(self.underflow_events) is not int or self.underflow_events < 0:
+            raise ValueError(f"underflow_events must be an integer >= 0, got {self.underflow_events!r}")
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -203,11 +211,6 @@ def _row_add(ks, cs, fill, r: int, lo: int, k: int, delta: int) -> None:
         ks[q] = k
         cs[q] = delta
         fill[r] = n + 1
-
-
-def _log(w: float) -> float:
-    """``math.log``, but log(0) = -inf as in C instead of an error."""
-    return math.log(w) if w > 0.0 else -math.inf
 
 
 def _log_rising(x: float, n) -> np.ndarray:
@@ -296,6 +299,15 @@ class ChunkModel:
         # item rows: one per chunk item, capacity = its engagements
         self._irow = slice_.item_rows
         self._iptr = np.concatenate([[0], np.cumsum(slice_.item_counts)]).astype(np.int64)
+
+        # log rising factorials of alpha, beta and I*beta at every count a
+        # user, item or interest total can reach: a user's base count plus
+        # their chunk engagements, an item's engagements, all engagements
+        top_user = max(self._uk_base.max(initial=0), self._cbc.max(initial=0)) + np.diff(self._ptr).max(initial=0)
+        top_item = slice_.item_counts.max(initial=0)
+        self._rising = tuple(
+            _log_rising(x, np.arange(top + 1)) for x, top in ((self.alpha, top_user), (self.beta, top_item), (self.Ibeta, n))
+        )
 
         warm_e = ~cold[self._erow]
         if z is None:
@@ -449,18 +461,20 @@ class ChunkModel:
         reassignment the difference equals the log weight ratio.
 
         Every count is an integer, so each ratio Gamma(x + n) / Gamma(x)
-        is a rising factorial, which ``_log_rising`` sums in logs with numpy
-        alone: the value is the same with the compiled sweep or without.
+        is a rising factorial, read off the model's ``_log_rising`` tables
+        with numpy alone: the value is the same with the compiled sweep or
+        without. A sequential ``cumsum``'s prefix does not depend on its
+        length, so each entry has the bits of ``_log_rising(x, n)`` itself.
         """
-        a, b = self.alpha, self.beta
-        total = float((_log_rising(a, self._uk) - _log_rising(a, self._uk_base)).sum())
+        rise_a, rise_b, rise_ib = self._rising
+        total = float((rise_a[self._uk] - rise_a[self._uk_base]).sum())
         # cold rows: interests absent from a row or its base contribute
-        # _log_rising(a, 0) = 0, so rows and bases sum independently
+        # rise_a[0] = 0, so rows and bases sum independently
         cold = self._cc[_ranges(self._cptr[:-1], self._cfill)]
-        total += float(_log_rising(a, cold).sum())
-        total -= float(_log_rising(a, self._cbc).sum())
-        total += float(_log_rising(b, self.item_table()[2]).sum())
-        total -= float(_log_rising(self.Ibeta, self._nk).sum())
+        total += float(rise_a[cold].sum())
+        total -= float(rise_a[self._cbc].sum())
+        total += float(rise_b[self.item_table()[2]].sum())
+        total -= float(rise_ib[self._nk].sum())
         return total
 
     @property
@@ -472,32 +486,27 @@ class ChunkModel:
     def run_sweep(self, unif: np.ndarray) -> int:
         """Resample every engagement once in scan order; returns change count.
 
-        ``unif`` supplies one uniform draw per engagement. Updates the
-        tracked log-joint incrementally (recomputed exactly if any weight
-        vector underflowed to zero or the increment is not finite).
+        ``unif`` supplies one uniform draw per engagement. The tracked
+        log-joint becomes ``log_joint()`` of the updated tables.
         """
         unif = np.ascontiguousarray(unif, dtype=np.float64)
         if unif.shape != (self.n,):
             raise ValueError(f"{unif.shape} uniforms for {self.n} engagements")
         kernel = load_kernel()
         if kernel is None:
-            changed, underflows, dlj = self._sweep_python(unif)
+            changed, underflows = self._sweep_python(unif)
         else:
-            changed, underflows, dlj = self._sweep_compiled(kernel, unif)
+            changed, underflows = self._sweep_compiled(kernel, unif)
         self.underflow_events += underflows
         if underflows:
             logger.warning(
                 "chunk %d: %d zero-weight resamples fell back to uniform", self.chunk, underflows
             )
-        if underflows or not math.isfinite(dlj):
-            self._lj = self.log_joint()
-        else:
-            self._lj += dlj
+        self._lj = self.log_joint()
         return changed
 
-    def _sweep_compiled(self, kernel, unif: np.ndarray) -> tuple[int, int, float]:
+    def _sweep_compiled(self, kernel, unif: np.ndarray) -> tuple[int, int]:
         out = np.zeros(2, dtype=np.int64)
-        dlj = ctypes.c_double(0.0)
         kernel.sweep(
             len(self._offs), self._ptr, self._offs, self._lens, self._cand, self._uk,
             self._cptr, self._ck, self._cc, self._cfill,
@@ -505,14 +514,14 @@ class ChunkModel:
             self._nk, self.K, self._zpos, unif,
             self.alpha, self.beta, self.Ibeta,
             np.empty(max(self.K, int(self._lens.max(initial=0)))), np.empty(self.K, dtype=np.int64),
-            np.empty(self.K), out, ctypes.byref(dlj),
+            np.empty(self.K), out,
         )
-        return int(out[0]), int(out[1]), dlj.value
+        return int(out[0]), int(out[1])
 
-    def _sweep_python(self, unif: np.ndarray) -> tuple[int, int, float]:
+    def _sweep_python(self, unif: np.ndarray) -> tuple[int, int]:
         """The reference sweep: what the compiled kernel computes, in Python.
 
-        Returns (changed, uniform fallbacks, summed log weight ratios).
+        Updates the tables in place; returns (changed, uniform fallbacks).
         """
         alpha, beta, Ibeta, K = self.alpha, self.beta, self.Ibeta, self.K
         ptr, offs, lens = self._ptr.tolist(), self._offs.tolist(), self._lens.tolist()
@@ -524,7 +533,6 @@ class ChunkModel:
         u01 = unif.tolist()
         wbuf = [0.0] * max(lens, default=1)
         changed = underflows = 0
-        dlj = 0.0
 
         for r in range(len(offs)):
             off = offs[r]
@@ -557,9 +565,6 @@ class ChunkModel:
                     k_new = cand[off + p_new]
                     if p_new != p_old:
                         changed += 1
-                        w_old = (alpha + uk[off + p_old]) * (beta + _row_get(ik, ic, ilo, ni, k_old)) / (Ibeta + nk[k_old])
-                        w_new = (alpha + uk[off + p_new]) * (beta + _row_get(ik, ic, ilo, ni, k_new)) / (Ibeta + nk[k_new])
-                        dlj += _log(w_new) - _log(w_old)
                         zpos[j] = p_new
                     # put it back
                     uk[off + p_new] += 1
@@ -588,9 +593,6 @@ class ChunkModel:
                         underflows += 1
                     if k_new != k_old:
                         changed += 1
-                        w_old = (alpha + _row_get(ck, cc, clo, nc, k_old)) * (beta + _row_get(ik, ic, ilo, ni, k_old)) / (Ibeta + nk[k_old])
-                        w_new = (alpha + _row_get(ck, cc, clo, nc, k_new)) * (beta + _row_get(ik, ic, ilo, ni, k_new)) / (Ibeta + nk[k_new])
-                        dlj += _log(w_new) - _log(w_old)
                         zpos[j] = k_new
                     _row_add(ck, cc, cfill, r, clo, k_new, 1)
                     _row_add(ik, ic, ifill, ir, ilo, k_new, 1)
@@ -600,7 +602,7 @@ class ChunkModel:
         self._ck[:], self._cc[:], self._cfill[:] = ck, cc, cfill
         self._ik[:], self._ic[:], self._ifill[:] = ik, ic, ifill
         self._nk[:], self._zpos[:] = nk, zpos
-        return changed, underflows, dlj
+        return changed, underflows
 
     def fold_into(self, counts: UserCounts) -> UserCounts:
         """``counts`` with this chunk's users' final combined counts in; ``counts`` is left as it is."""
@@ -660,6 +662,8 @@ def load_chunk_model(path, slice_: ChunkSlice, init: InitArtifact, cfg: SamplerC
         if fit.chunk != slice_.chunk:
             raise ValueError(f"persisted model is for chunk {fit.chunk}, slice is chunk {slice_.chunk}")
         m = ChunkModel(slice_, init, cfg, base=base, z=fit.z)
+        # not ==: files of earlier versions traced a running sum of log
+        # weight ratios, a few ulps off the tables' value
         if not math.isclose(m.current_log_joint, fit.log_joint[-1], rel_tol=1e-9, abs_tol=1e-6):
             raise ValueError(f"chunk {m.chunk}: reloaded log-joint {m.current_log_joint!r} differs from the persisted "
                              f"{fit.log_joint[-1]!r}; the model was fitted on other data, init or ledger")

@@ -16,8 +16,10 @@ the same floating-point expressions in the same order. ``-ffp-contract=off``
 keeps the compiler from fusing a multiply and an add into one rounding, and
 no flag that reassociates arithmetic (``-ffast-math``) or tunes for the
 build machine (``-march=native``) is used, so both sweeps produce the same
-bits. Two caller-provided K-long scratch arrays spare it searches and
-divisions. A warm resample scatters the item's sorted row into ``dense``
+bits. It returns the change and uniform fallback counts and no log-joint:
+the sampler's trace is ``ChunkModel.log_joint()`` of the tables the sweep
+leaves, on either path. Two caller-provided K-long scratch arrays spare it
+searches and divisions. A warm resample scatters the item's sorted row into ``dense``
 once, reads each support interest's count there and clears those entries
 before the re-add. ``s0[k]`` holds ``(beta / (Ibeta + n_k)) * alpha``, set
 at entry and at every change of ``n_k``; a cold resample takes it for every
@@ -141,12 +143,6 @@ static i64 lower_bound(const i64 *a, i64 n, i64 x)
     return b + (n > 0 && a[b] < x);
 }
 
-static i64 get(const i64 *ks, const i64 *cs, i64 lo, i64 n, i64 k)
-{
-    i64 q = lo + lower_bound(ks + lo, n, k);
-    return q < lo + n && ks[q] == k ? cs[q] : 0;
-}
-
 /* add d to interest k of row r (start lo, fill[r] entries): an entry that
    reaches 0 is dropped, a missing one inserted, so rows stay sorted */
 static void add(i64 *ks, i64 *cs, i64 *fill, i64 r, i64 lo, i64 k, i64 d)
@@ -177,8 +173,8 @@ static double zero_count(double alpha, double beta, double Ibeta, i64 n)
     return (beta / (Ibeta + (double)n)) * alpha;
 }
 
-/* One scan-order sweep. out[0] = changed, out[1] = uniform fallbacks,
-   *dlj = summed log weight ratios of the changes. */
+/* One scan-order sweep: out[0] = changed, out[1] = uniform fallbacks. The
+   caller recomputes the log-joint from the tables it leaves. */
 void mixrec_sweep(
     i64 R, const i64 *ptr, const i64 *offs, const i64 *lens,
     const i64 *cand, i64 *uk,
@@ -186,10 +182,9 @@ void mixrec_sweep(
     const i64 *irow, const i64 *iptr, i64 *ik, i64 *ic, i64 *ifill,
     i64 *nk, i64 K, i64 *zpos, const double *u01,
     double alpha, double beta, double Ibeta,
-    double *wbuf, i64 *dense, double *s0, i64 *out, double *dlj_out)
+    double *wbuf, i64 *dense, double *s0, i64 *out)
 {
     i64 changed = 0, under = 0;
-    double dlj = 0.0;
     /* dense: a K-long item-count row, zero outside a warm resample;
        s0[k] = zero_count(nk[k]), refreshed at every change of nk[k] */
     memset(dense, 0, (size_t)K * sizeof(i64));
@@ -230,12 +225,7 @@ void mixrec_sweep(
                 }
                 k_new = cand[off + p_new];
                 if (p_new != p_old) {
-                    double w_old = (alpha + (double)uk[off + p_old]) * (beta + (double)dense[k_old])
-                                   / (Ibeta + (double)nk[k_old]);
-                    double w_new = (alpha + (double)uk[off + p_new]) * (beta + (double)dense[k_new])
-                                   / (Ibeta + (double)nk[k_new]);
                     changed++;
-                    dlj += log(w_new) - log(w_old);
                     zpos[j] = p_new;
                 }
                 for (i64 q = ilo; q < ihi; q++)
@@ -294,14 +284,7 @@ void mixrec_sweep(
                     under++;
                 }
                 if (k_new != k_old) {
-                    double w_old = (alpha + (double)get(ck, cc, clo, cfill[r], k_old))
-                                   * (beta + (double)get(ik, ic, ilo, ifill[ir], k_old))
-                                   / (Ibeta + (double)nk[k_old]);
-                    double w_new = (alpha + (double)get(ck, cc, clo, cfill[r], k_new))
-                                   * (beta + (double)get(ik, ic, ilo, ifill[ir], k_new))
-                                   / (Ibeta + (double)nk[k_new]);
                     changed++;
-                    dlj += log(w_new) - log(w_old);
                     zpos[j] = k_new;
                 }
                 add(ck, cc, cfill, r, clo, k_new, 1);
@@ -313,7 +296,6 @@ void mixrec_sweep(
     }
     out[0] = changed;
     out[1] = under;
-    *dlj_out = dlj;
 }
 
 /* -- top-M selection ---------------------------------------------------- */
@@ -779,7 +761,7 @@ _ARGTYPES = (
     + [_I64, _ll, _I64, _F64]  # nk, K, zpos, u01
     + [_dbl] * 3  # alpha, beta, Ibeta
     + [_F64, _I64, _F64]  # wbuf, dense, s0
-    + [_I64, ctypes.POINTER(_dbl)]  # out, dlj
+    + [_I64]  # out
 )
 
 

@@ -84,6 +84,13 @@ CASES = {
     "fit-z-float": (chunk_fit, write_fields, load_chunk_fit, "z", lambda f: f.z.astype(np.float64), "z must be a 1-d int64 array"),
     "fit-trace-2d": (chunk_fit, write_fields, load_chunk_fit, "log_joint", lambda f: np.c_[f.log_joint, f.log_joint],
                      "log_joint must be 1-d, got a 2-d value"),
+    "fit-changed-fraction": (chunk_fit, write_fields, load_chunk_fit, "changed", lambda f: np.add(f.changed, 0.5),
+                             r"changed must hold int values, got \d+\.5"),
+    "fit-changed-negative": (chunk_fit, write_fields, load_chunk_fit, "changed", lambda f: bumped(f.changed, by=-f.changed[-1] - 2),
+                             r"change counts \(.*-2\) must lie in \[0, 4\]"),
+    "fit-converged-int": (chunk_fit, write_fields, load_chunk_fit, "converged", lambda f: 7, "converged must be a bool, got 7"),
+    "fit-underflow-negative": (chunk_fit, write_fields, load_chunk_fit, "underflow_events", lambda f: -4,
+                               "underflow_events must be an integer >= 0, got -4"),
     "clusters-history-2d": (clusters, save_clusters, load_clusters, "objective_history",
                             lambda c: np.c_[c.objective_history, c.objective_history], "objective_history must be 1-d"),
     "embedding-losses-2d": (table, save_embeddings, load_embeddings, "epoch_losses",
