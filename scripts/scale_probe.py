@@ -16,13 +16,15 @@ Stages: ``generate_s`` and ``write_s`` are the generator and the edge-list
 write; ``ingest_s``, ``embed_s``, ``cluster_s`` and ``init_s`` build the
 cached artifacts; ``backtest_s`` is the ``backtest`` call over them. Of that
 call, ``fit_s``, ``index_s``, ``retrieve_s`` and ``score_s`` are the time
-spent in ``fit_chunk``, the index builders, ``batch_retrieve`` and
-``score_query``, timed by wrappers on those ``mixrec.backtest`` names.
-``micro_s``, ``mle_s``, ``ann_s`` and ``popularity_s`` are parts of
-``retrieve_s``: the time in each method's retriever (``retrieve_micro``,
-``retrieve_mle``, ``ann_retrieve`` and ``popularity_retrieve``), called
-once per query. The wrappers' own per-call cost lands in them too, and in
-``retrieve_s``.
+spent in ``fit_chunk``, the index builders, ``batch_retrieve`` and the
+batched scorer (``chunk_truth``, ``find_hits`` and ``score_hits``), timed by
+wrappers on those ``mixrec.backtest`` names (``TIMED``). ``micro_s``,
+``mle_s``, ``ann_s`` and ``popularity_s`` are parts of ``retrieve_s``: the
+time in each method's retriever (``retrieve_micro``, ``retrieve_mle``,
+``ann_retrieve`` and ``popularity_retrieve``), called once per query. The
+wrappers' own per-call cost lands in them too, and in ``retrieve_s``. A
+timed name that ``mixrec.backtest`` no longer has, or that the run never
+calls, raises ``RuntimeError``, so a renamed stage cannot read as 0 s.
 
 This is a probe, not part of the benchmark: one run, one seed, no checks
 beyond the ones ``backtest`` makes itself. Like the benchmark it pins the
@@ -59,7 +61,7 @@ TIMED = {
     "fit_s": ("fit_chunk",),
     "index_s": ("popularity_ranking", "ann_encode_items", "build_index", "build_mle_index"),
     "retrieve_s": ("batch_retrieve",),
-    "score_s": ("score_query",),
+    "score_s": ("chunk_truth", "find_hits", "score_hits"),
     "micro_s": ("retrieve_micro",),
     "mle_s": ("retrieve_mle",),
     "ann_s": ("ann_retrieve",),
@@ -83,8 +85,9 @@ def run_config(data: Path, out: Path, interests: int, seed: int) -> bt.RunConfig
     )
 
 
-def _timed(fn, totals: dict, key: str):
+def _timed(fn, totals: dict, key: str, calls: dict, name: str):
     def wrapper(*args, **kwargs):
+        calls[name] += 1
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -116,17 +119,25 @@ def probe(cfg: bt.RunConfig, edges) -> dict[str, float]:
     stages["init_s"] = time.perf_counter() - t0
 
     parts = dict.fromkeys(TIMED, 0.0)
-    originals = {name: getattr(bt, name) for names in TIMED.values() for name in names}
+    timed = [name for names in TIMED.values() for name in names]
+    missing = [name for name in timed if not callable(getattr(bt, name, None))]
+    if missing:
+        raise RuntimeError(f"mixrec.backtest has no function {', '.join(missing)} to time")
+    originals = {name: getattr(bt, name) for name in timed}
+    calls = dict.fromkeys(timed, 0)
     try:
         for key, names in TIMED.items():
             for name in names:
-                setattr(bt, name, _timed(originals[name], parts, key))
+                setattr(bt, name, _timed(originals[name], parts, key, calls, name))
         t0 = time.perf_counter()
         bt.backtest(cfg)
         stages["backtest_s"] = time.perf_counter() - t0
     finally:
         for name, fn in originals.items():
             setattr(bt, name, fn)
+    idle = [name for name, n in calls.items() if not n]
+    if idle:
+        raise RuntimeError(f"backtest never called {', '.join(idle)}, so its time would read 0 s")
     stages.update(parts)
     return stages
 

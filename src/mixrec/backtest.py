@@ -25,8 +25,9 @@ index is built once per source chunk for ``ann`` and ``popularity``, and
 once per (chunk, M) for the two mixtures, whose per-interest lists hold
 L = 5*M entries. Each query is retrieved once per distinct index, at the
 largest M that index serves, and each smaller M takes the first M entries
-of that list (see ``mixrec.retrieval``). A cut list whose longer list
-missed the truth also misses it, so it reuses that zero score.
+of that list (see ``mixrec.retrieval``). The hits of each retrieved list
+set are found once (``find_hits``), and every M it serves is scored from
+them (``score_hits``).
 
 A ``RunConfig`` is frozen and checked when it is made. ``open_run`` starts
 every run, here and in the CLI's stage commands: it checks the config and
@@ -56,7 +57,9 @@ from .clustering import cluster_items, export_cluster_map, load_clusters, save_c
 from .embeddings import check_embedding_args, load_embeddings, save_embeddings, train_embeddings
 from .graph import ChunkSlice, EngagementGraph, SplitSpec, format_stats, graph_stats, load_edge_list, load_graph, regroup_chunks, save_graph, split
 from .initialization import _check_priors, build_init, load_init, save_init
-from .metrics import MetricBlock, MetricsReport, aggregate, build_queries, score_query
+from .metrics import MetricBlock, MetricsReport, aggregate, chunk_truth, find_hits, score_hits
+# not called here, but mixbench/spans.py looks up every name it traces on this module
+from .metrics import build_queries, score_query  # noqa: F401
 from .npz import read_source, write_text
 from .retrieval import (
     RetrievalConfig,
@@ -83,7 +86,6 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("micro", "mle", "ann", "popularity")
 USER_COUNT_MODES = ("reset", "accumulate")  # accumulate: fit on a ledger
-_MISS = (0.0, 0.0, 0.0)  # score_query of a list that misses the truth
 
 
 @dataclass(frozen=True)
@@ -445,15 +447,16 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     ``popularity``, for both mixtures when the two Ms' list lengths
     L = 5*M give the same lists) scores and dumps the first M entries of
     that M's lists: on one index every list is a prefix of the list at a
-    larger M (see ``mixrec.retrieval``). Any other M is retrieved at M. A
-    cut list whose longer list scored ``(0.0, 0.0, 0.0)`` misses the truth
-    too and keeps that score without a ``score_query`` call. Queries, and
-    lists unless they are dumped, are held for the current chunk only; the
-    reports need only each query's chunk id.
+    larger M (see ``mixrec.retrieval``). Any other M is retrieved at M.
+    The target chunk's truths are read once (``chunk_truth``), each
+    retrieved list set's hits once (``find_hits``), and each M is scored
+    from the hits below it (``score_hits``). Truths, hits, and lists unless
+    they are dumped, are held for the current chunk and method only; the
+    reports need each query's scores and chunk id.
     """
     run = open_run(cfg)
 
-    _, train, test = split_graph(cfg, run)
+    g, train, test = split_graph(cfg, run)
     logger.info("stage=split train_edges=%d test_chunks=%d", train.num_edges, len(test))
     if len(test) < 2:
         logger.warning("fewer than 2 test chunks: nothing can be evaluated")
@@ -476,18 +479,19 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     retrievers = {"micro": retrieve_micro, "mle": retrieve_mle, "ann": ann_retrieve, "popularity": popularity_retrieve}
     builders = {"micro": build_index, "mle": build_mle_index}
 
-    per_query: dict[tuple[str, int], list[tuple[float, float, float]]] = {
-        (meth, m): [] for meth in methods for m in cfg.m_values
-    }
-    eval_chunks: list[int] = []  # each scored query's chunk, in score order
+    # each (method, M)'s (queries x 3) scores per chunk, and each query's chunk
+    per_query: dict[tuple[str, int], list[np.ndarray]] = {(meth, m): [] for meth in methods for m in cfg.m_values}
+    eval_chunks: list[int] = []
     dumps: dict[int, list[tuple[str, list]]] = {m: [] for m in cfg.m_values} if cfg.dump_candidates else {}
 
     model = _fit_or_load(cfg, test[0], init, 0, ledger, run) if fit else None
     for j, (src, slc) in enumerate(zip(test, test[1:]), start=1):
         if seen is not None:
             seen = seen.merge(src)
-        queries = build_queries([slc])
-        eval_chunks += [slc.chunk] * len(queries)
+        # one query per user active in the target chunk; every id is below num_items
+        users = slc.unique_users.tolist()
+        truth = chunk_truth(slc, g.num_items)
+        eval_chunks += [slc.chunk] * len(users)
         pop_rank = popularity_ranking(src)
         # what each method's index is built from: the mixtures' ChunkTables
         # give one index per M, every other method's is its index
@@ -513,20 +517,15 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
                     # a new index: retrieve at this M, the largest it serves
                     index = new
                     cands = batch_retrieve(
-                        lambda q: fn(q.user, index, rcfg, seen.view(q.user) if seen else None, slc.chunk),
-                        queries, cfg.workers,
+                        lambda u: fn(u, index, rcfg, seen.view(u) if seen else None, slc.chunk),
+                        users, cfg.workers,
                     )
-                    scores = [score_query(c.item_ids(), q.truth, m) for c, q in zip(cands, queries)]
-                else:
-                    # the longer lists cut to M; score_query reads their first M ids
-                    scores = [
-                        s if s == _MISS else score_query(c.item_ids(), q.truth, m)
-                        for s, c, q in zip(scores, cands, queries)
-                    ]
-                per_query[(meth, m)].extend(scores)
+                    hits = find_hits([c.ids for c in cands], truth)
+                # the lists, cut to M if longer, are scored from their hits below M
+                per_query[(meth, m)].append(score_hits(hits, truth, m))
                 if cfg.dump_candidates:
                     dumps[m].append((meth, cands))
-        logger.info("stage=eval chunk=%d queries=%d", slc.chunk, len(queries))
+        logger.info("stage=eval chunk=%d queries=%d", slc.chunk, len(users))
 
         if ledger is not None:
             ledger = model.fold_into(ledger)
@@ -535,7 +534,8 @@ def backtest(cfg: RunConfig) -> dict[tuple[str, int], MetricsReport]:
     reports: dict[tuple[str, int], MetricsReport] = {}
     for meth in methods:
         for m in cfg.m_values:
-            rep = aggregate(per_query[(meth, m)], eval_chunks, method=meth, m=m)
+            scores = np.concatenate([np.zeros((0, 3)), *per_query[(meth, m)]])
+            rep = aggregate(scores, eval_chunks, method=meth, m=m)
             rep.check_consistency()
             reports[(meth, m)] = rep
     write_results(cfg, reports, dumps)

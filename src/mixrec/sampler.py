@@ -120,8 +120,9 @@ class ChunkFit:
     assignments it changed, whether the stop rule fired and the uniform
     fallbacks. Checked when it is made: ``z`` is a read-only 1-d ``int64``
     array, the traces are tuples of one length, one sweep or more, each
-    change count in ``[0, len(z)]``, ``converged`` is a bool and
-    ``underflow_events`` an integer >= 0."""
+    log-joint finite (one of positive priors always is), each change count
+    in ``[0, len(z)]``, ``converged`` is a bool and ``underflow_events`` an
+    integer >= 0."""
 
     chunk: int
     z: np.ndarray
@@ -139,6 +140,8 @@ class ChunkFit:
         if not 1 <= len(self.log_joint) == len(self.changed):
             raise ValueError(f"{len(self.log_joint)} log-joints and {len(self.changed)} change counts; "
                              "a fit traces each of its sweeps, one or more")
+        if not all(map(math.isfinite, self.log_joint)):
+            raise ValueError(f"log_joint must hold finite values, got {self.log_joint}")
         if not 0 <= min(self.changed) <= max(self.changed) <= len(self.z):
             raise ValueError(f"change counts {self.changed} must lie in [0, {len(self.z)}], the engagement count")
         if not isinstance(self.converged, bool):

@@ -84,6 +84,11 @@ CASES = {
     "fit-z-float": (chunk_fit, write_fields, load_chunk_fit, "z", lambda f: f.z.astype(np.float64), "z must be a 1-d int64 array"),
     "fit-trace-2d": (chunk_fit, write_fields, load_chunk_fit, "log_joint", lambda f: np.c_[f.log_joint, f.log_joint],
                      "log_joint must be 1-d, got a 2-d value"),
+    # any sweep's log-joint, not only the last one a reload compares with the refit
+    "fit-trace-nan": (chunk_fit, write_fields, load_chunk_fit, "log_joint", lambda f: np.r_[np.nan, f.log_joint[1:]],
+                      r"log_joint must hold finite values, got \(nan, "),
+    "fit-trace-inf": (chunk_fit, write_fields, load_chunk_fit, "log_joint", lambda f: bumped(f.log_joint, at=1, by=-np.inf),
+                      r"log_joint must hold finite values, got \(.*, -inf, "),
     "fit-changed-fraction": (chunk_fit, write_fields, load_chunk_fit, "changed", lambda f: np.add(f.changed, 0.5),
                              r"changed must hold int values, got \d+\.5"),
     "fit-changed-negative": (chunk_fit, write_fields, load_chunk_fit, "changed", lambda f: bumped(f.changed, by=-f.changed[-1] - 2),

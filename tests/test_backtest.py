@@ -197,23 +197,27 @@ class TestBacktest:
         # at 40 interests each lists fewer pool items than L = 25, so mle's
         # index is one at M = 5 and 20 and each query is retrieved once, at
         # M = 20; at 4 interests L = 25 cuts a list and mle is retrieved per
-        # M. micro's floor runs reach L, so it is retrieved per M at both. A
-        # list cut from one that missed the truth is never scored again
-        calls, scored = [], []
+        # M. micro's floor runs reach L, so it is retrieved per M at both.
+        # The hits of each retrieved list set are found once, and every M
+        # that set serves is scored from those hits
+        calls, found, events = [], [], []
 
         def spy(name, fn):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                if name == "score_query":
-                    ids, truth, m = args
-                    scored.append((tuple(ids), truth, m, out))
+                if name == "find_hits":
+                    found.append(out)
+                    events.append("find")
+                elif name == "score_hits":
+                    hits, _, m = args
+                    events.append(("score", m, hits is found[-1]))
                 else:
                     calls.append((name, args[2].M))
                 return out
 
             monkeypatch.setattr(mixrec.backtest, name, wrapper)
 
-        for name in ("retrieve_micro", "retrieve_mle", "score_query"):
+        for name in ("retrieve_micro", "retrieve_mle", "find_hits", "score_hits"):
             spy(name, getattr(mixrec.backtest, name))
         cfg = small_config(
             synth_edges, tmp_path / "out", m_values=[5, 20], num_interests=interests, methods=["micro", "mle"],
@@ -226,14 +230,16 @@ class TestBacktest:
         if interests == 4:
             retrieved.add(("retrieve_mle", 5))
         assert {key: calls.count(key) for key in set(calls)} == dict.fromkeys(retrieved, queries)
-        # a cut list is scored on its longer list's ids, which hold more than 5
-        full = {(ids, truth): result for ids, truth, m, result in scored if m == 20}
-        cut = [(ids, truth) for ids, truth, m, _ in scored if m == 5 and len(ids) > 5]
-        assert all(full[key] != (0.0, 0.0, 0.0) for key in cut)
-        if interests == 40:
-            assert 0 < len(cut) < queries
-        else:
-            assert not cut
+        # per target chunk, each method from M = 20 down: hits found once per
+        # retrieval, each M scored once from the hits found last; mle's M = 5
+        # reads M = 20's hits when its index is one across M
+        per_method = {
+            meth: ["find", ("score", 20, True)] + ["find"] * ((f"retrieve_{meth}", 5) in retrieved) + [("score", 5, True)]
+            for meth in ("micro", "mle")
+        }
+        chunks = len(reports[("micro", 5)].per_chunk)
+        assert chunks >= 2
+        assert events == (per_method["micro"] + per_method["mle"]) * chunks
 
     def test_overall_recomputable_from_series(self, synth_edges, tmp_path):
         cfg = small_config(synth_edges, tmp_path / "agg")

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mixrec.metrics as metrics
 from mixrec.graph import ChunkSlice
 from mixrec.metrics import (
     MetricBlock,
     MetricsReport,
     aggregate,
     build_queries,
+    chunk_truth,
+    find_hits,
+    score_hits,
     score_query,
 )
 
@@ -140,6 +144,83 @@ class TestAgainstBruteForce:
     def test_truth_order_invariance(self, truth_list):
         cands = [0, 5, 10, 15]
         assert score_query(cands, set(truth_list), 4) == score_query(cands, set(reversed(truth_list)), 4)
+
+
+def batch_reprs(lists, truths, ms, stride):
+    """``repr`` of every query's ``score_hits`` triple at each M of ``ms``,
+    all read from one ``find_hits`` of ``lists`` against ``truths`` (query
+    q is user 3q + 1; each truth's first item is engaged twice), and of
+    ``score_query`` on the same list, truth and M: two {(query, M): repr}."""
+    users = [3 * q + 1 for q, truth in enumerate(truths) for _ in range(len(truth) + 1)]
+    items = [i for truth in truths for i in [*truth, next(iter(truth))]]
+    truth = chunk_truth(ChunkSlice.from_edges(2, users, items), stride)
+    hits = find_hits([np.asarray(ids, dtype=np.int64) for ids in lists], truth)
+    got, want = {}, {}
+    for m in ms:
+        scores = score_hits(hits, truth, m)
+        assert scores.shape == (len(lists), 3)
+        for q, (ids, t) in enumerate(zip(lists, truths)):
+            got[q, m] = repr(tuple(scores[q].tolist()))
+            want[q, m] = repr(score_query(list(ids), set(t), m))
+    return got, want
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("lists_per_pass", [1, 7, metrics._PASS])
+    def test_random_list_sets_keep_score_query_bits(self, monkeypatch, lists_per_pass):
+        # full, short, empty and over-long lists, several M from one hit set
+        # (M beyond every list too), truths larger than M, lists with no hit,
+        # and in every other trial list ids above every truth id; find_hits
+        # passes over the lists in blocks, which split list sets anywhere
+        monkeypatch.setattr(metrics, "_PASS", lists_per_pass)
+        rng = np.random.default_rng(41)
+        for trial in range(400):
+            pool = int(rng.integers(2, 300))
+            top = int(rng.choice([1, 5, 20, 100]))
+            ms = sorted({top, *rng.integers(1, top + 1, 3).tolist(), top + 7})
+            truth_pool = pool if trial % 2 else max(1, pool // 4)
+            lists, truths = [], []
+            for _ in range(int(rng.choice([0, 1, 5, 40, 300]))):
+                length = int(rng.integers(0, min(pool, top + 5) + 1))
+                lists.append(rng.choice(pool, size=length, replace=False).tolist())
+                size = int(rng.integers(1, min(truth_pool, 40) + 1))
+                truths.append(set(rng.choice(truth_pool, size=size, replace=False).tolist()))
+            got, want = batch_reprs(lists, truths, ms, pool)
+            assert got == want, trial
+
+    @given(
+        queries=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 30), min_size=0, max_size=15, unique=True),
+                st.sets(st.integers(0, 30), min_size=1, max_size=10),
+            ),
+            max_size=6,
+        ),
+        ms=st.sets(st.integers(1, 20), min_size=1, max_size=4),
+    )
+    def test_any_list_set_keeps_score_query_bits(self, queries, ms):
+        lists, truths = [ids for ids, _ in queries], [t for _, t in queries]
+        got, want = batch_reprs(lists, truths, sorted(ms), 31)
+        assert got == want
+
+    def test_stride_exceeds_every_list_id(self):
+        # query 0 lists item 5, which is in neither truth: with the stride
+        # num_items = 20 it misses; a stride of 3, the truths' largest id + 1,
+        # would read 0 * 3 + 5 as query 1's item 2, so an id at or above the
+        # stride is refused, in the lists and in the truths
+        got, want = batch_reprs([[5], [2, 5]], [{1}, {2}], [1, 2], 20)
+        assert got == want
+        assert got[0, 1] == repr((0.0, 0.0, 0.0))
+        slc = ChunkSlice.from_edges(2, [1, 4], [1, 2])
+        with pytest.raises(ValueError, match=r"list item ids must lie in \[0, 3\), got \[2, 5\]"):
+            find_hits([np.array([5]), np.array([2, 5])], chunk_truth(slc, 3))
+        with pytest.raises(ValueError, match=r"truth item ids must lie in \[0, 2\), got \[1, 2\]"):
+            chunk_truth(slc, 2)
+
+    def test_one_list_per_query(self):
+        truth = chunk_truth(ChunkSlice.from_edges(2, [1, 4], [1, 2]), 20)
+        with pytest.raises(ValueError, match="1 lists for 2 queries"):
+            find_hits([np.array([1])], truth)
 
 
 class TestAggregate:
